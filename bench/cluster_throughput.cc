@@ -2,22 +2,27 @@
 // small JoinBatch requests at a router/worker cluster
 // (docs/distributed.md), swept over the worker count. For each
 // (dataset, workers) point it reports host throughput, request-latency
-// and queue-wait percentiles from the router's metrics registry, and
-// the failure-path counters (worker deaths, RPC timeouts, retried
-// groups), while asserting that every clustered answer is bit-identical
-// to an in-process KnnService over the same target and request
-// sequence. Emits BENCH_cluster.json.
+// percentiles from the clients' own per-request timings, queue-wait
+// percentiles from the serving front-end's registry series (the names
+// the in-process backend exports), and the failure-path counters
+// (worker deaths, RPC timeouts, retried groups), while asserting that
+// every clustered answer is bit-identical to an in-process KnnService
+// over the same target and request sequence. Emits BENCH_cluster.json.
 //
-// The worker binary comes from --worker-binary=PATH or the
-// SWEETKNN_CLI environment variable (ctest and CI export it); without
-// one the benchmark reports a skip and exits 0.
+// The worker binary is --worker-binary=PATH, else the SWEETKNN_CLI
+// environment variable, else the build tree's sweetknn_cli; the
+// benchmark fails when that file does not exist.
 //
 // Usage: cluster_throughput [--scale=F] [--only=a,b] [--shards=N]
 //        [--clients=N] [--replicas=R] [--worker-binary=PATH]
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -64,6 +69,15 @@ HostMatrix QueryPrefix(const HostMatrix& points) {
   return queries;
 }
 
+/// Nearest-rank q-quantile of `samples` (sorted in place); 0 when empty.
+double Quantile(std::vector<double>* samples, double q) {
+  if (samples->empty()) return 0.0;
+  std::sort(samples->begin(), samples->end());
+  const size_t rank = static_cast<size_t>(
+      std::ceil(q * static_cast<double>(samples->size())));
+  return (*samples)[std::clamp<size_t>(rank, 1, samples->size()) - 1];
+}
+
 HostMatrix RequestSlice(const HostMatrix& queries, size_t request) {
   const size_t begin = request * kRowsPerRequest;
   const size_t rows = std::min<size_t>(kRowsPerRequest, queries.rows() - begin);
@@ -98,6 +112,7 @@ ClusterRun RunOne(const dataset::Dataset& data, const HostMatrix& queries,
       (requests_total + static_cast<size_t>(clients) - 1) /
       static_cast<size_t>(clients);
   std::vector<KnnResult> answers(requests_total);
+  std::vector<double> latency_s(requests_total);
 
   const Stopwatch wall;
   std::vector<std::thread> threads;
@@ -106,8 +121,12 @@ ClusterRun RunOne(const dataset::Dataset& data, const HostMatrix& queries,
       const size_t first = static_cast<size_t>(c) * per_client;
       const size_t last = std::min(requests_total, first + per_client);
       for (size_t r = first; r < last; ++r) {
-        answers[r] =
-            router.JoinBatch(RequestSlice(queries, r), kNeighbors).value();
+        const HostMatrix slice = RequestSlice(queries, r);
+        const auto start = std::chrono::steady_clock::now();
+        answers[r] = router.JoinBatch(slice, kNeighbors).value();
+        latency_s[r] = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
       }
     });
   }
@@ -124,20 +143,18 @@ ClusterRun RunOne(const dataset::Dataset& data, const HostMatrix& queries,
                             sizeof(Neighbor)) == 0;
   }
 
-  const serve::RouterStats stats = router.stats();
+  const serve::ClusterStats stats = router.stats();
   ClusterRun run;
   run.n = data.n();
   run.num_queries = queries.rows();
   run.workers = workers;
   run.wall_s = wall_s;
   run.qps = static_cast<double>(stats.queries) / wall_s;
-  const common::HistogramSnapshot latency = router.metrics().SnapshotHistogram(
-      "sweetknn_router_request_latency_seconds");
-  run.latency_p50_s = latency.Percentile(0.50);
-  run.latency_p90_s = latency.Percentile(0.90);
-  run.latency_p99_s = latency.Percentile(0.99);
+  run.latency_p50_s = Quantile(&latency_s, 0.50);
+  run.latency_p90_s = Quantile(&latency_s, 0.90);
+  run.latency_p99_s = Quantile(&latency_s, 0.99);
   const common::HistogramSnapshot queue_wait =
-      router.metrics().SnapshotHistogram("sweetknn_router_queue_wait_seconds");
+      router.metrics().SnapshotHistogram("sweetknn_queue_wait_seconds");
   run.queue_wait_p50_s = queue_wait.Percentile(0.50);
   run.queue_wait_p90_s = queue_wait.Percentile(0.90);
   run.queue_wait_p99_s = queue_wait.Percentile(0.99);
@@ -153,7 +170,7 @@ int Main(int argc, char** argv) {
   int shards = 4;
   int clients = 4;
   int replicas = 0;
-  std::string worker_binary;
+  std::string worker_binary = SWEETKNN_CLUSTER_WORKER_BINARY;
   if (const char* env = std::getenv("SWEETKNN_CLI")) worker_binary = env;
   std::vector<char*> rest;
   rest.push_back(argv[0]);
@@ -171,10 +188,12 @@ int Main(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  if (worker_binary.empty()) {
-    std::printf("cluster_throughput: no worker binary "
-                "(--worker-binary or SWEETKNN_CLI); skipping\n");
-    return 0;
+  if (!std::filesystem::exists(worker_binary)) {
+    std::fprintf(stderr,
+                 "cluster_throughput: worker binary '%s' does not exist "
+                 "(pass --worker-binary=PATH or set SWEETKNN_CLI)\n",
+                 worker_binary.c_str());
+    return 1;
   }
   const BenchArgs args =
       BenchArgs::Parse(static_cast<int>(rest.size()), rest.data());

@@ -81,7 +81,8 @@ double CalibrateCapacityQps(const HostMatrix& points) {
       opts.tenant = c % 2 == 0 ? serve::kDefaultTenant : "light";
       std::vector<float> point(kDims, 0.01f * static_cast<float>(c + 1));
       while (std::chrono::steady_clock::now() < deadline) {
-        if (service.Search(opts, point, kNeighbors).ok()) {
+        if (service.Search(point, kNeighbors, ann::SearchMode::Exact(), opts)
+                .ok()) {
           served.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -167,7 +168,7 @@ LoadLevelRun RunLevel(const HostMatrix& points, double capacity_qps,
       if (next_send < now) next_send = now;
       tally->offered.fetch_add(1, std::memory_order_relaxed);
       const Result<std::vector<Neighbor>> result =
-          service.Search(opts, point, kNeighbors);
+          service.Search(point, kNeighbors, ann::SearchMode::Exact(), opts);
       if (result.ok()) {
         tally->served.fetch_add(1, std::memory_order_relaxed);
       } else if (result.status().code() == StatusCode::kUnavailable) {

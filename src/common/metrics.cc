@@ -219,6 +219,13 @@ HistogramSnapshot MetricsRegistry::SnapshotHistogram(
   return it->second.histogram->Snapshot();
 }
 
+double MetricsRegistry::CounterValue(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(name);
+  if (it == entries_.end() || it->second.type != Type::kCounter) return 0.0;
+  return it->second.counter->value();
+}
+
 namespace {
 
 /// Minimal JSON string escaping: the metric names and help strings here

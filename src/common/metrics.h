@@ -143,6 +143,8 @@ class MetricsRegistry {
   /// Snapshot of one histogram by key — the plain name, or
   /// `name{labels}` for a labeled series; count == 0 when absent.
   HistogramSnapshot SnapshotHistogram(const std::string& name) const;
+  /// Value of one counter by key (as SnapshotHistogram); 0 when absent.
+  double CounterValue(const std::string& name) const;
 
   /// JSON document: {"metrics": [...]} with one object per metric in
   /// name order. Histogram objects carry the raw buckets plus derived

@@ -22,6 +22,13 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
+/// Seconds from `from` to `to` on the steady clock, for latency
+/// observations that share one timestamp between two stages.
+inline double SecondsBetween(std::chrono::steady_clock::time_point from,
+                             std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
+
 }  // namespace sweetknn
 
 #endif  // SWEETKNN_COMMON_STOPWATCH_H_

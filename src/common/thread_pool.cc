@@ -11,6 +11,10 @@ namespace {
 // workers set it to their slot for the lifetime of the thread.
 thread_local int tls_slot = 0;
 
+// True on a calling thread while it runs slot 0 of a region (and so holds
+// region_mutex_).
+thread_local bool tls_in_region = false;
+
 }  // namespace
 
 int SimThreadsFromEnv() {
@@ -53,11 +57,14 @@ void ThreadPool::EnsureWorkers(int count) {
 void ThreadPool::ForkJoin(int parallelism,
                           const std::function<void(int)>& body) {
   parallelism = std::min(parallelism, kMaxSimThreads + 1);
-  if (parallelism <= 1 || tls_slot != 0) {
+  // A nested region runs inline wherever it is opened: on a pool worker,
+  // or on the calling thread, which already holds region_mutex_.
+  if (parallelism <= 1 || tls_slot != 0 || tls_in_region) {
     body(0);
     return;
   }
   std::lock_guard<std::mutex> region(region_mutex_);
+  tls_in_region = true;
   EnsureWorkers(parallelism - 1);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -68,6 +75,7 @@ void ThreadPool::ForkJoin(int parallelism,
   }
   work_cv_.notify_all();
   body(0);
+  tls_in_region = false;
   std::unique_lock<std::mutex> lock(mutex_);
   if (--remaining_ > 0) {
     done_cv_.wait(lock, [this] { return remaining_ == 0; });

@@ -49,8 +49,9 @@ class ThreadPool {
 
   /// Runs body(slot) on `parallelism` participants (the caller is slot 0)
   /// and returns once every participant finished. parallelism <= 1 — or a
-  /// call from inside a pool worker — degenerates to body(0) on the calling
-  /// thread, so accidental nesting cannot deadlock.
+  /// call nested inside a region, from a pool worker or from the region's
+  /// own calling thread — degenerates to body(0) on the calling thread,
+  /// so nesting cannot deadlock.
   void ForkJoin(int parallelism, const std::function<void(int)>& body);
 
  private:

@@ -37,9 +37,6 @@ struct TenantIndex {
   /// Fixed at build time (compactions and swaps replace shards, never
   /// their number), so it is readable without the mutex.
   int num_shards = 0;
-  /// Scheduler weight (informational copy; the live value is inside
-  /// the FairScheduler).
-  double weight = 1.0;
   /// Per-tenant snapshot directory ("" = snapshots not configured).
   std::string snapshot_dir;
 

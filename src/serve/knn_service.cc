@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <map>
-#include <numeric>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/device_points.h"
 #include "core/shard_merge.h"
@@ -19,11 +17,6 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-double SecondsBetween(SteadyClock::time_point from,
-                      SteadyClock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
 /// Stable ids of one snapshot's base rows, in row order.
 uint32_t SnapshotBaseId(const store::IndexSnapshot& snap, size_t row) {
   return snap.id_map.empty()
@@ -33,38 +26,21 @@ uint32_t SnapshotBaseId(const store::IndexSnapshot& snap, size_t row) {
 
 }  // namespace
 
-auto KnnService::SchedOptions(const ServiceConfig& config)
-    -> FairScheduler<RequestPtr>::Options {
-  FairScheduler<RequestPtr>::Options opts;
-  opts.max_queue_depth = config.max_queue_depth;
-  opts.quantum = config.fair_quantum > 0
-                     ? config.fair_quantum
-                     : static_cast<size_t>(std::max(config.max_batch_size, 1));
-  return opts;
-}
-
 KnnService::KnnService(const HostMatrix& target, const ServiceConfig& config)
     : config_(config),
       dims_(target.cols()),
       planner_(config.planner),
-      queue_(SchedOptions(config)) {
+      front_end_(config, this, &metrics_) {
   SK_CHECK(!target.empty()) << "KnnService needs a non-empty target set";
-  SK_CHECK_GT(config_.max_batch_size, 0);
   InitMetrics();
-  default_tenant_ =
-      BuildTenant(kDefaultTenant, /*weight=*/1.0, target,
-                  TenantSnapshotDir(kDefaultTenant));
+  std::shared_ptr<TenantIndex> tenant =
+      BuildTenant(kDefaultTenant, target);
   // config_ carries the default tenant's effective shard count from here
   // on: it is the one count readable without any index mutex (a tenant's
   // count never changes after its build; SwapIndex replaces shards,
   // never their number).
-  config_.num_shards = default_tenant_->num_shards;
-  const Status installed = manager_.Install(default_tenant_);
-  SK_CHECK(installed.ok()) << installed.ToString();
-  queue_.SetWeight(kDefaultTenant, 1.0);
-  RefreshGlobalOverlayGauges();
-  m_tenants_->Set(static_cast<double>(manager_.size()));
-  StartThreads();
+  config_.num_shards = tenant->num_shards;
+  Open(std::move(tenant));
 }
 
 KnnService::KnnService(AdoptTag, std::vector<store::IndexSnapshot> snapshots,
@@ -72,16 +48,11 @@ KnnService::KnnService(AdoptTag, std::vector<store::IndexSnapshot> snapshots,
     : config_(config),
       dims_(snapshots[0].target.cols()),
       planner_(config.planner),
-      queue_(SchedOptions(config)) {
-  SK_CHECK_GT(config_.max_batch_size, 0);
+      front_end_(config, this, &metrics_) {
   config_.num_shards = static_cast<int>(snapshots.size());
   InitMetrics();
-  auto tenant = std::make_shared<TenantIndex>();
-  tenant->name = kDefaultTenant;
-  tenant->dims = dims_;
-  tenant->num_shards = static_cast<int>(snapshots.size());
-  tenant->snapshot_dir = TenantSnapshotDir(kDefaultTenant);
-  RegisterTenantMetrics(tenant.get());
+  std::shared_ptr<TenantIndex> tenant =
+      NewTenant(kDefaultTenant, dims_, static_cast<int>(snapshots.size()));
   ShardSet set = BuildShardsFromSnapshots(std::move(snapshots));
   for (std::unique_ptr<Shard>& shard : set.shards) {
     shard->epoch = ++epoch_counter_;
@@ -94,13 +65,7 @@ KnnService::KnnService(AdoptTag, std::vector<store::IndexSnapshot> snapshots,
     std::lock_guard<std::mutex> lock(tenant->mutex);
     UpdateOverlayGaugesLocked(tenant.get());
   }
-  default_tenant_ = tenant;
-  const Status installed = manager_.Install(std::move(tenant));
-  SK_CHECK(installed.ok()) << installed.ToString();
-  queue_.SetWeight(kDefaultTenant, 1.0);
-  RefreshGlobalOverlayGauges();
-  m_tenants_->Set(static_cast<double>(manager_.size()));
-  StartThreads();
+  Open(std::move(tenant));
 }
 
 Result<std::unique_ptr<KnnService>> KnnService::FromSnapshots(
@@ -117,8 +82,14 @@ Result<std::unique_ptr<KnnService>> KnnService::FromSnapshots(
 
 KnnService::~KnnService() { Shutdown(); }
 
-void KnnService::StartThreads() {
-  dispatcher_ = std::thread(&KnnService::DispatchLoop, this);
+void KnnService::Open(std::shared_ptr<TenantIndex> tenant) {
+  default_tenant_ = tenant;
+  const Status installed = manager_.Install(std::move(tenant));
+  SK_CHECK(installed.ok()) << installed.ToString();
+  front_end_.SetWeight(kDefaultTenant, 1.0);
+  RefreshGlobalOverlayGauges();
+  m_tenants_->Set(static_cast<double>(manager_.size()));
+  front_end_.Start();
   job_thread_ = std::thread(&KnnService::JobLoop, this);
   if (config_.auto_compact) {
     compactor_ = std::thread(&KnnService::CompactorLoop, this);
@@ -138,25 +109,35 @@ Result<std::shared_ptr<TenantIndex>> KnnService::ResolveTenant(
   return tenant;
 }
 
-std::shared_ptr<TenantIndex> KnnService::BuildTenant(
-    const std::string& name, double weight, const HostMatrix& target,
-    const std::string& snapshot_dir) {
+std::shared_ptr<TenantIndex> KnnService::NewTenant(const std::string& name,
+                                                   size_t dims,
+                                                   int num_shards) {
   auto tenant = std::make_shared<TenantIndex>();
   tenant->name = name;
-  tenant->dims = target.cols();
-  tenant->weight = weight;
-  tenant->snapshot_dir = snapshot_dir;
-  tenant->target_rows = target.rows();
+  tenant->dims = dims;
+  tenant->num_shards = num_shards;
+  tenant->snapshot_dir = TenantSnapshotDir(name);
+  front_end_.RegisterTenant(tenant.get());
+  tenant->m_live_rows = metrics_.GetGauge(
+      "sweetknn_tenant_live_rows", common::TenantLabel(name),
+      "Live target rows of this tenant");
+  return tenant;
+}
+
+std::shared_ptr<TenantIndex> KnnService::BuildTenant(
+    const std::string& name, const HostMatrix& target) {
   const int num_shards = std::clamp(
       config_.num_shards, 1, static_cast<int>(target.rows()));
-  tenant->num_shards = num_shards;
-  RegisterTenantMetrics(tenant.get());
+  std::shared_ptr<TenantIndex> tenant =
+      NewTenant(name, target.cols(), num_shards);
+  tenant->target_rows = target.rows();
+  const std::string& snapshot_dir = tenant->snapshot_dir;
 
   // Each shard simulates its own device, so the shard fan-out below is the
   // host-parallel axis. The shard engines are pinned to one execution
-  // thread: ThreadPool::ForkJoin is non-reentrant from slot 0, so a shard
-  // running inside the fan-out must never open a nested region — and by
-  // the execution engine's guarantee this changes nothing but wall-clock.
+  // thread: a region nested inside the fan-out would only run inline
+  // anyway — and by the execution engine's guarantee this changes
+  // nothing but wall-clock.
   core::TiOptions shard_options = config_.options;
   shard_options.sim_threads = 1;
 
@@ -242,10 +223,7 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
       tenant->shards[idx]->BuildCold(slices[idx]);
     }
   });
-  if (warm) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.warm_started_shards += static_cast<uint64_t>(num_shards);
-  }
+  if (warm) m_warm_started_shards_->Increment(num_shards);
 
   {
     std::lock_guard<std::mutex> lock(tenant->mutex);
@@ -282,9 +260,9 @@ Status KnnService::CreateIndex(const std::string& name,
                                    "' already exists");
   }
   std::shared_ptr<TenantIndex> tenant =
-      BuildTenant(name, weight, target, TenantSnapshotDir(name));
+      BuildTenant(name, target);
   SK_RETURN_IF_ERROR(manager_.Install(tenant));
-  queue_.SetWeight(name, weight);
+  front_end_.SetWeight(name, weight);
   RefreshGlobalOverlayGauges();
   m_tenants_->Set(static_cast<double>(manager_.size()));
   return Status::Ok();
@@ -299,7 +277,7 @@ Status KnnService::DropIndex(const std::string& name) {
   dropped.value()->dropped.store(true, std::memory_order_release);
   // Empty sub-queues forget their bookkeeping now; queued requests keep
   // the sub-queue alive until the dispatcher drains and fails them.
-  queue_.Forget(name);
+  front_end_.Forget(name);
   // A recreated same-name index must never serve answers cached against
   // the dropped one.
   BumpCacheEpoch();
@@ -316,11 +294,7 @@ std::vector<std::string> KnnService::ListIndexes() const {
 Status KnnService::SetIndexWeight(const std::string& name, double weight) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(name);
   if (!resolved.ok()) return resolved.status();
-  {
-    std::lock_guard<std::mutex> lock(resolved.value()->mutex);
-    resolved.value()->weight = weight;
-  }
-  queue_.SetWeight(name, weight);
+  front_end_.SetWeight(name, weight);
   return Status::Ok();
 }
 
@@ -330,28 +304,6 @@ Status KnnService::SetIndexWeight(const std::string& name, double weight) {
 
 void KnnService::InitMetrics() {
   const std::vector<double> latency = common::LatencyBucketsSeconds();
-  m_requests_ = metrics_.GetCounter(
-      "sweetknn_requests_total", "Search/JoinBatch calls admitted");
-  m_queries_ = metrics_.GetCounter(
-      "sweetknn_queries_total",
-      "Query rows answered, including cache hits");
-  m_rejected_ = metrics_.GetCounter(
-      "sweetknn_rejected_requests_total",
-      "Requests rejected because the service was shutting down");
-  m_shed_requests_ = metrics_.GetCounter(
-      "sweetknn_shed_requests_total",
-      "Requests bounced by the max_queue_depth admission bound");
-  m_deadline_exceeded_ = metrics_.GetCounter(
-      "sweetknn_deadline_exceeded_total",
-      "Admitted requests whose deadline expired while queued");
-  m_batches_ = metrics_.GetCounter(
-      "sweetknn_batches_total", "Micro-batches dispatched");
-  m_engine_groups_ = metrics_.GetCounter(
-      "sweetknn_engine_groups_total",
-      "Same-k groups run through the shard engines");
-  m_batched_queries_ = metrics_.GetCounter(
-      "sweetknn_batched_queries_total",
-      "Query rows that went through the engines");
   m_cache_lookups_ = metrics_.GetCounter(
       "sweetknn_cache_lookups_total", "Result-cache lookups");
   m_cache_hits_ = metrics_.GetCounter(
@@ -360,45 +312,11 @@ void KnnService::InitMetrics() {
       "sweetknn_cache_stale_drops_total",
       "Cache inserts dropped because a swap, mutation, or compaction "
       "completed first");
+  m_warm_started_shards_ = metrics_.GetCounter(
+      "sweetknn_warm_started_shards_total",
+      "Shards restored from snapshots at index build (0 = cold builds)");
   m_index_swaps_ = metrics_.GetCounter(
       "sweetknn_index_swaps_total", "Completed SwapIndex calls");
-  m_distance_calcs_ = metrics_.GetCounter(
-      "sweetknn_distance_calcs_total",
-      "Level-2 distance computations summed over shards");
-  m_sim_level1_ = metrics_.GetCounter(
-      "sweetknn_sim_level1_seconds_total",
-      "Simulated seconds in level-1 (landmark filter) kernels");
-  m_sim_level2_ = metrics_.GetCounter(
-      "sweetknn_sim_level2_seconds_total",
-      "Simulated seconds in level-2 (point filter) kernels");
-  m_sim_transfer_ = metrics_.GetCounter(
-      "sweetknn_sim_transfer_seconds_total",
-      "Simulated seconds in PCIe transfers");
-  m_sim_preprocess_ = metrics_.GetCounter(
-      "sweetknn_sim_preprocess_seconds_total",
-      "Simulated seconds in preprocessing kernels (upload layout, "
-      "clustering, member scatter)");
-  m_sim_total_ = metrics_.GetCounter(
-      "sweetknn_sim_device_seconds_total",
-      "Simulated device seconds summed over every shard");
-  m_sim_critical_ = metrics_.GetCounter(
-      "sweetknn_sim_critical_seconds_total",
-      "Per-group max shard time, summed (the latency cost)");
-  m_filter_full_ = metrics_.GetCounter(
-      "sweetknn_adaptive_filter_full_total",
-      "Shard runs that used the full level-2 filter");
-  m_filter_partial_ = metrics_.GetCounter(
-      "sweetknn_adaptive_filter_partial_total",
-      "Shard runs that used the partial level-2 filter");
-  m_placement_global_ = metrics_.GetCounter(
-      "sweetknn_adaptive_placement_global_total",
-      "Shard runs with the kNearests array in global memory");
-  m_placement_shared_ = metrics_.GetCounter(
-      "sweetknn_adaptive_placement_shared_total",
-      "Shard runs with the kNearests array in shared memory");
-  m_placement_registers_ = metrics_.GetCounter(
-      "sweetknn_adaptive_placement_registers_total",
-      "Shard runs with the kNearests array in registers");
   m_inserts_ = metrics_.GetCounter(
       "sweetknn_inserts_total", "Points admitted through Insert/InsertBatch");
   m_removes_ = metrics_.GetCounter(
@@ -415,53 +333,10 @@ void KnnService::InitMetrics() {
   m_compacted_rows_ = metrics_.GetCounter(
       "sweetknn_compacted_rows_total",
       "Rows clustered into fresh bases by compactions");
-  m_planner_device_routes_ = metrics_.GetCounter(
-      "sweetknn_planner_device_routes_total",
-      "Shard base scans routed to the simulated-GPU TI engine");
-  m_planner_host_routes_ = metrics_.GetCounter(
-      "sweetknn_planner_host_routes_total",
-      "Shard base scans routed to the vectorized host kernels");
-  m_route_device_seconds_ = metrics_.GetHistogram(
-      "sweetknn_planner_device_route_seconds",
-      "Host wall-clock of one device-routed shard base scan", latency);
-  m_route_host_seconds_ = metrics_.GetHistogram(
-      "sweetknn_planner_host_route_seconds",
-      "Host wall-clock of one host-routed shard base scan", latency);
   m_compaction_seconds_ = metrics_.GetHistogram(
       "sweetknn_compaction_seconds",
       "Host wall-clock of one shard compaction (capture to install)",
       latency);
-  m_threads_per_query_ = metrics_.GetHistogram(
-      "sweetknn_adaptive_threads_per_query",
-      "Threads cooperating on one query, per shard run",
-      {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048});
-  m_queue_wait_ = metrics_.GetHistogram(
-      "sweetknn_queue_wait_seconds",
-      "Admission to dequeue by the dispatcher", latency);
-  m_batch_assembly_ = metrics_.GetHistogram(
-      "sweetknn_batch_assembly_seconds",
-      "First dequeue to micro-batch sealed", latency);
-  m_shard_fanout_ = metrics_.GetHistogram(
-      "sweetknn_shard_fanout_seconds",
-      "Host wall-clock of the shard fan-out critical path", latency);
-  m_merge_ = metrics_.GetHistogram(
-      "sweetknn_merge_seconds", "Host wall-clock of the shard merge",
-      latency);
-  m_request_latency_ = metrics_.GetHistogram(
-      "sweetknn_request_latency_seconds",
-      "Admission to promise fulfillment, end to end", latency);
-  m_batch_rows_ = metrics_.GetHistogram(
-      "sweetknn_batch_size_rows", "Query rows per dispatched micro-batch",
-      {1, 2, 4, 8, 16, 32, 64, 128, 256});
-  m_range_groups_ = metrics_.GetCounter(
-      "sweetknn_range_groups_total",
-      "Same-radius range groups run through the shards");
-  m_range_queries_ = metrics_.GetCounter(
-      "sweetknn_range_queries_total",
-      "Query rows answered by range groups");
-  m_range_matches_ = metrics_.GetCounter(
-      "sweetknn_range_matches_total",
-      "In-ball matches returned by range groups");
   m_jobs_submitted_ = metrics_.GetCounter(
       "sweetknn_jobs_submitted_total", "Offline jobs admitted");
   m_jobs_completed_ = metrics_.GetCounter(
@@ -475,29 +350,6 @@ void KnnService::InitMetrics() {
       "Submit to terminal state of one offline job", latency);
   m_active_jobs_ = metrics_.GetGauge(
       "sweetknn_active_jobs", "Offline jobs pending or running");
-  m_approx_groups_ = metrics_.GetCounter(
-      "sweetknn_approx_groups_total",
-      "Engine groups answered through the ANN graph tier");
-  m_approx_queries_ = metrics_.GetCounter(
-      "sweetknn_approx_queries_total",
-      "Query rows answered through the ANN graph tier");
-  m_ann_hops_ = metrics_.GetCounter(
-      "sweetknn_ann_hops_total",
-      "Graph nodes expanded by ANN searches, summed over shards");
-  m_ann_candidates_ = metrics_.GetCounter(
-      "sweetknn_ann_candidates_total",
-      "Distance evaluations made by ANN searches, summed over shards");
-  m_recall_probes_ = metrics_.GetCounter(
-      "sweetknn_ann_recall_probes_total",
-      "Approx groups re-answered exactly to measure recall");
-  m_recall_estimate_ = metrics_.GetHistogram(
-      "sweetknn_ann_recall_estimate",
-      "Measured recall@k of probed approx groups against the exact answer",
-      {0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0});
-  m_queue_depth_ = metrics_.GetGauge(
-      "sweetknn_queue_depth", "Admission-queue depth");
-  m_peak_queue_depth_ = metrics_.GetGauge(
-      "sweetknn_peak_queue_depth", "Admission-queue high-water mark");
   m_tenants_ = metrics_.GetGauge(
       "sweetknn_tenants", "Live named indexes (including the default)");
   m_index_generation_ = metrics_.GetGauge(
@@ -510,29 +362,6 @@ void KnnService::InitMetrics() {
   m_live_rows_ = metrics_.GetGauge(
       "sweetknn_live_rows",
       "Live target rows: base minus tombstones plus delta");
-}
-
-void KnnService::RegisterTenantMetrics(TenantIndex* tenant) {
-  const std::string labels = common::TenantLabel(tenant->name);
-  tenant->m_requests = metrics_.GetCounter(
-      "sweetknn_tenant_requests_total", labels,
-      "Search/JoinBatch calls admitted, per tenant");
-  tenant->m_queries = metrics_.GetCounter(
-      "sweetknn_tenant_queries_total", labels,
-      "Query rows answered, per tenant");
-  tenant->m_shed = metrics_.GetCounter(
-      "sweetknn_tenant_shed_requests_total", labels,
-      "Requests shed by the admission bound, per tenant");
-  tenant->m_deadline_exceeded = metrics_.GetCounter(
-      "sweetknn_tenant_deadline_exceeded_total", labels,
-      "Requests whose deadline expired while queued, per tenant");
-  tenant->m_latency = metrics_.GetHistogram(
-      "sweetknn_tenant_request_latency_seconds", labels,
-      "Admission to promise fulfillment, per tenant",
-      common::LatencyBucketsSeconds());
-  tenant->m_live_rows = metrics_.GetGauge(
-      "sweetknn_tenant_live_rows", labels,
-      "Live target rows of this tenant");
 }
 
 void KnnService::Shutdown() {
@@ -553,100 +382,16 @@ void KnnService::Shutdown() {
   }
   jobs_cv_.notify_all();
   if (job_thread_.joinable()) job_thread_.join();
-  queue_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  front_end_.Shutdown();
 }
 
 // ---------------------------------------------------------------------------
 // Admission and queries
 // ---------------------------------------------------------------------------
 
-Result<std::future<Result<KnnResult>>> KnnService::Submit(
-    RequestPtr request) {
-  std::future<Result<KnnResult>> future = request->promise.get_future();
-  SK_RETURN_IF_ERROR(AdmitRequest(std::move(request)));
-  return future;
-}
-
-Result<std::future<Result<RangeResult>>> KnnService::SubmitRange(
-    RequestPtr request) {
-  std::future<Result<RangeResult>> future =
-      request->range_promise.get_future();
-  SK_RETURN_IF_ERROR(AdmitRequest(std::move(request)));
-  return future;
-}
-
-Status KnnService::AdmitRequest(RequestPtr request) {
-  const size_t rows = request->num_rows;
-  // Pinned before the move: the dispatcher may consume the request (and
-  // a concurrent DropIndex release the manager's reference) before the
-  // accounting below runs.
-  const std::shared_ptr<TenantIndex> tenant = request->tenant;
-  request->admit_time = SteadyClock::now();
-  if (request->timeout.count() > 0) {
-    request->has_deadline = true;
-    request->deadline = request->admit_time + request->timeout;
-  }
-  // Admission refuses once Shutdown() has closed the scheduler — including
-  // when the close lands between our caller's checks and here. Rejection
-  // is a clean Unavailable, never an abort: a serving process must
-  // survive clients racing its shutdown. A shed is the same status with
-  // its own counters: the client backs off either way.
-  switch (queue_.Submit(tenant->name, std::move(request), rows)) {
-    case FairScheduler<RequestPtr>::Admit::kClosed: {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.rejected_requests;
-      }
-      m_rejected_->Increment();
-      return Status::Unavailable(
-          "KnnService is shut down; request rejected");
-    }
-    case FairScheduler<RequestPtr>::Admit::kShed: {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.shed_requests;
-      }
-      m_shed_requests_->Increment();
-      tenant->m_shed->Increment();
-      return Status::Unavailable(
-          "admission queue is full (max_queue_depth=" +
-          std::to_string(config_.max_queue_depth) + "); request shed");
-    }
-    case FairScheduler<RequestPtr>::Admit::kAdmitted:
-      break;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-    stats_.queries += rows;
-  }
-  m_requests_->Increment();
-  m_queries_->Increment(static_cast<double>(rows));
-  tenant->m_requests->Increment();
-  tenant->m_queries->Increment(static_cast<double>(rows));
-  return Status::Ok();
-}
-
-Result<std::vector<Neighbor>> KnnService::Search(
-    const std::vector<float>& query_point, int k) {
-  return Search(CallOptions{}, query_point, k, ann::SearchMode::Exact());
-}
-
 Result<std::vector<Neighbor>> KnnService::Search(
     const std::vector<float>& query_point, int k,
-    const ann::SearchMode& mode) {
-  return Search(CallOptions{}, query_point, k, mode);
-}
-
-Result<std::vector<Neighbor>> KnnService::Search(
-    const CallOptions& opts, const std::vector<float>& query_point, int k) {
-  return Search(opts, query_point, k, ann::SearchMode::Exact());
-}
-
-Result<std::vector<Neighbor>> KnnService::Search(
-    const CallOptions& opts, const std::vector<float>& query_point, int k,
-    const ann::SearchMode& mode) {
+    const ann::SearchMode& mode, const CallOptions& opts) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(opts.tenant);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<TenantIndex> tenant = std::move(resolved).value();
@@ -666,33 +411,14 @@ Result<std::vector<Neighbor>> KnnService::Search(
                    normalized);
     std::vector<Neighbor> cached;
     if (CacheLookup(key, &cached)) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requests;
-        ++stats_.queries;
-      }
-      m_requests_->Increment();
-      m_queries_->Increment();
-      tenant->m_requests->Increment();
-      tenant->m_queries->Increment();
-      const double seconds = SecondsBetween(start, SteadyClock::now());
-      m_request_latency_->Observe(seconds);
-      tenant->m_latency->Observe(seconds);
+      front_end_.CountCacheHit(tenant.get(),
+                               SecondsBetween(start, SteadyClock::now()));
       return cached;
     }
   }
 
-  auto request = std::make_unique<Request>();
-  request->tenant = tenant;
-  request->rows = query_point;
-  request->num_rows = 1;
-  request->k = k;
-  request->mode = normalized;
-  request->timeout = opts.timeout;
-  Result<std::future<Result<KnnResult>>> submitted =
-      Submit(std::move(request));
-  if (!submitted.ok()) return submitted.status();
-  Result<KnnResult> result = submitted.value().get();
+  Result<KnnResult> result =
+      front_end_.Knn(tenant, query_point, 1, k, normalized, opts.timeout);
   if (!result.ok()) return result.status();
   const KnnResult& answer = result.value();
   std::vector<Neighbor> neighbors(answer.row(0), answer.row(0) + answer.k());
@@ -703,40 +429,17 @@ Result<std::vector<Neighbor>> KnnService::Search(
   return neighbors;
 }
 
-Result<KnnResult> KnnService::JoinBatch(const HostMatrix& queries, int k) {
-  return JoinBatch(CallOptions{}, queries, k, ann::SearchMode::Exact());
-}
-
 Result<KnnResult> KnnService::JoinBatch(const HostMatrix& queries, int k,
-                                        const ann::SearchMode& mode) {
-  return JoinBatch(CallOptions{}, queries, k, mode);
-}
-
-Result<KnnResult> KnnService::JoinBatch(const CallOptions& opts,
-                                        const HostMatrix& queries, int k) {
-  return JoinBatch(opts, queries, k, ann::SearchMode::Exact());
-}
-
-Result<KnnResult> KnnService::JoinBatch(const CallOptions& opts,
-                                        const HostMatrix& queries, int k,
-                                        const ann::SearchMode& mode) {
+                                        const ann::SearchMode& mode,
+                                        const CallOptions& opts) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(opts.tenant);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<TenantIndex> tenant = std::move(resolved).value();
   SK_CHECK(!queries.empty());
   SK_CHECK_EQ(queries.cols(), tenant->dims);
   SK_CHECK_GT(k, 0);
-  auto request = std::make_unique<Request>();
-  request->tenant = tenant;
-  request->rows = queries.storage();
-  request->num_rows = queries.rows();
-  request->k = k;
-  request->mode = ann::Normalize(mode);
-  request->timeout = opts.timeout;
-  Result<std::future<Result<KnnResult>>> submitted =
-      Submit(std::move(request));
-  if (!submitted.ok()) return submitted.status();
-  return submitted.value().get();
+  return front_end_.Knn(tenant, queries.storage(), queries.rows(), k, mode,
+                        opts.timeout);
 }
 
 // ---------------------------------------------------------------------------
@@ -744,31 +447,16 @@ Result<KnnResult> KnnService::JoinBatch(const CallOptions& opts,
 // ---------------------------------------------------------------------------
 
 Result<RangeResult> KnnService::RadiusSearch(const HostMatrix& queries,
-                                             float radius) {
-  return RadiusSearch(CallOptions{}, queries, radius);
-}
-
-Result<RangeResult> KnnService::RadiusSearch(const CallOptions& opts,
-                                             const HostMatrix& queries,
-                                             float radius) {
+                                             float radius,
+                                             const CallOptions& opts) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(opts.tenant);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<TenantIndex> tenant = std::move(resolved).value();
   SK_CHECK(!queries.empty());
   SK_CHECK_EQ(queries.cols(), tenant->dims);
   SK_CHECK_GE(radius, 0.0f);
-  auto request = std::make_unique<Request>();
-  request->tenant = tenant;
-  request->rows = queries.storage();
-  request->num_rows = queries.rows();
-  request->is_range = true;
-  request->radius = radius;
-  request->mode = ann::SearchMode::Exact();
-  request->timeout = opts.timeout;
-  Result<std::future<Result<RangeResult>>> submitted =
-      SubmitRange(std::move(request));
-  if (!submitted.ok()) return submitted.status();
-  return submitted.value().get();
+  return front_end_.Range(tenant, queries.storage(), queries.rows(), radius,
+                          opts.timeout);
 }
 
 Result<uint64_t> KnnService::SubmitJob(const JobSpec& spec) {
@@ -820,18 +508,9 @@ Result<uint64_t> KnnService::SubmitJob(const JobSpec& spec) {
     job->id = id;
     jobs_.emplace(id, std::move(job));
     pending_jobs_.push_back(id);
-    for (const auto& [jid, j] : jobs_) {
-      (void)jid;
-      if (j->state == JobState::kPending || j->state == JobState::kRunning) {
-        ++active;
-      }
-    }
+    active = ActiveJobsLocked();
   }
   jobs_cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.jobs_submitted;
-  }
   m_jobs_submitted_->Increment();
   m_active_jobs_->Set(static_cast<double>(active));
   return id;
@@ -881,14 +560,30 @@ Result<JobOutput> KnnService::TakeJobResult(uint64_t job_id) {
     job = std::move(it->second);
     jobs_.erase(it);
   }
+  return JobOutcome(job.get());
+}
+
+size_t KnnService::ActiveJobsLocked() const {
+  size_t active = 0;
+  for (const auto& entry : jobs_) {
+    const JobState state = entry.second->state;
+    if (state == JobState::kPending || state == JobState::kRunning) ++active;
+  }
+  return active;
+}
+
+Result<JobOutput> KnnService::JobOutcome(Job* job) {
   switch (job->state) {
     case JobState::kDone:
       return std::move(job->output);
     case JobState::kCancelled:
-      return Status::Unavailable("job " + std::to_string(job_id) +
+      return Status::Unavailable("job " + std::to_string(job->id) +
                                  " was cancelled");
-    default:
+    case JobState::kFailed:
       return job->fail_status;
+    default:
+      return Status::Internal("job " + std::to_string(job->id) +
+                              " is not terminal");
   }
 }
 
@@ -909,26 +604,11 @@ Result<JobOutput> KnnService::WaitAndTake(uint64_t job_id) {
     job = std::move(it->second);
     jobs_.erase(it);
   }
-  switch (job->state) {
-    case JobState::kDone:
-      return std::move(job->output);
-    case JobState::kCancelled:
-      return Status::Unavailable("job " + std::to_string(job_id) +
-                                 " was cancelled");
-    case JobState::kFailed:
-      return job->fail_status;
-    default:
-      return Status::Internal("job " + std::to_string(job_id) +
-                              " left the wait in a non-terminal state");
-  }
-}
-
-Result<std::vector<SelfJoinPair>> KnnService::SelfJoin(float radius) {
-  return SelfJoin(CallOptions{}, radius);
+  return JobOutcome(job.get());
 }
 
 Result<std::vector<SelfJoinPair>> KnnService::SelfJoin(
-    const CallOptions& opts, float radius) {
+    float radius, const CallOptions& opts) {
   JobSpec spec;
   spec.kind = JobKind::kSelfJoin;
   spec.radius = radius;
@@ -940,11 +620,7 @@ Result<std::vector<SelfJoinPair>> KnnService::SelfJoin(
   return std::move(out.value().pairs);
 }
 
-Result<JobOutput> KnnService::KnnGraph(int k) {
-  return KnnGraph(CallOptions{}, k);
-}
-
-Result<JobOutput> KnnService::KnnGraph(const CallOptions& opts, int k) {
+Result<JobOutput> KnnService::KnnGraph(int k, const CallOptions& opts) {
   JobSpec spec;
   spec.kind = JobKind::kKnnGraph;
   spec.k = k;
@@ -967,46 +643,8 @@ void KnnService::SnapshotLive(TenantIndex* tenant,
       tenant->shards[s]->ExportLive(&shard_ids[s], &shard_points[s]);
     }
   }
-  // Shards interleave in id space (inserts route by id % S), so the
-  // global ascending order is a cross-shard sort, done off the lock.
-  size_t total = 0;
-  for (const std::vector<uint32_t>& v : shard_ids) total += v.size();
-  std::vector<std::pair<uint32_t, std::pair<size_t, size_t>>> order;
-  order.reserve(total);
-  for (size_t s = 0; s < shard_ids.size(); ++s) {
-    for (size_t r = 0; r < shard_ids[s].size(); ++r) {
-      order.emplace_back(shard_ids[s][r], std::make_pair(s, r));
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  const size_t dims = tenant->dims;
-  ids->clear();
-  ids->reserve(total);
-  *points = HostMatrix(total, dims);
-  for (size_t r = 0; r < order.size(); ++r) {
-    ids->push_back(order[r].first);
-    std::memcpy(points->mutable_row(r),
-                shard_points[order[r].second.first].row(
-                    order[r].second.second),
-                dims * sizeof(float));
-  }
-}
-
-Result<RangeResult> KnnService::RangeChunk(
-    const std::shared_ptr<TenantIndex>& tenant, const HostMatrix& queries,
-    float radius) {
-  auto request = std::make_unique<Request>();
-  request->tenant = tenant;
-  request->rows = queries.storage();
-  request->num_rows = queries.rows();
-  request->is_range = true;
-  request->radius = radius;
-  request->mode = ann::SearchMode::Exact();
-  Result<std::future<Result<RangeResult>>> submitted =
-      SubmitRange(std::move(request));
-  if (!submitted.ok()) return submitted.status();
-  return submitted.value().get();
+  // The cross-shard sort runs off the lock.
+  MergeLiveExports(shard_ids, shard_points, tenant->dims, ids, points);
 }
 
 void KnnService::FinishJob(Job* job, JobState state, Status status) {
@@ -1018,28 +656,9 @@ void KnnService::FinishJob(Job* job, JobState state, Status status) {
       job->fail_status = status;
       job->error = status.ToString();
     }
-    for (const auto& [jid, j] : jobs_) {
-      (void)jid;
-      if (j->state == JobState::kPending || j->state == JobState::kRunning) {
-        ++active;
-      }
-    }
+    active = ActiveJobsLocked();
   }
   jobs_cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    switch (state) {
-      case JobState::kDone:
-        ++stats_.jobs_completed;
-        break;
-      case JobState::kCancelled:
-        ++stats_.jobs_cancelled;
-        break;
-      default:
-        ++stats_.jobs_failed;
-        break;
-    }
-  }
   switch (state) {
     case JobState::kDone:
       m_jobs_completed_->Increment();
@@ -1151,49 +770,28 @@ void KnnService::RunJob(Job* job) {
       return;
     }
     const size_t end = std::min(total, begin + chunk_rows);
-    HostMatrix chunk(end - begin, dims);
-    std::memcpy(chunk.mutable_data(), queries.row(begin),
-                (end - begin) * dims * sizeof(float));
+    std::vector<float> chunk(queries.row(begin),
+                             queries.row(begin) + (end - begin) * dims);
     if (job->spec.kind == JobKind::kKnnGraph) {
       // One ordinary kNN request at k+1 (the one extra slot absorbs the
       // query point itself; see core::SweetKnnIndex::KnnGraph for the
       // exactness argument), fair-shared through the admission queue.
-      auto request = std::make_unique<Request>();
-      request->tenant = tenant;
-      request->rows.assign(chunk.storage().begin(), chunk.storage().end());
-      request->num_rows = end - begin;
-      request->k = k + 1;
-      request->mode = ann::SearchMode::Exact();
-      Result<std::future<Result<KnnResult>>> submitted =
-          Submit(std::move(request));
-      if (!submitted.ok()) {
-        FinishJob(job, JobState::kFailed, submitted.status());
-        return;
-      }
-      Result<KnnResult> answer = submitted.value().get();
+      Result<KnnResult> answer = front_end_.Knn(
+          tenant, std::move(chunk), end - begin, k + 1,
+          ann::SearchMode::Exact(), std::chrono::microseconds{0});
       if (!answer.ok()) {
         FinishJob(job, JobState::kFailed, answer.status());
         return;
       }
       for (size_t q = 0; q < end - begin; ++q) {
-        const uint32_t self = out.query_ids[begin + q];
-        const Neighbor* src = answer.value().row(q);
-        rowbuf.clear();
-        bool dropped_self = false;
-        for (int j = 0; j < k + 1; ++j) {
-          if (src[j].index == kInvalidNeighbor) break;
-          if (!dropped_self && src[j].index == self) {
-            dropped_self = true;
-            continue;
-          }
-          if (static_cast<int>(rowbuf.size()) == k) break;
-          rowbuf.push_back(src[j]);
-        }
+        KnnGraphRow(answer.value().row(q), k, out.query_ids[begin + q],
+                    &rowbuf);
         out.graph.SetRow(begin + q, rowbuf);
       }
     } else {
       Result<RangeResult> answer =
-          RangeChunk(tenant, chunk, job->spec.radius);
+          front_end_.Range(tenant, std::move(chunk), end - begin,
+                           job->spec.radius, std::chrono::microseconds{0});
       if (!answer.ok()) {
         FinishJob(job, JobState::kFailed, answer.status());
         return;
@@ -1201,19 +799,8 @@ void KnnService::RunJob(Job* job) {
       if (job->spec.kind == JobKind::kRadiusSearch) {
         out.range.AppendRows(answer.value());
       } else {
-        // Self-join reduction: query a's in-ball matches, kept only for
-        // ids above a — each unordered pair lands exactly once (on its
-        // smaller id), self-matches drop (a == a fails a < b), exact
-        // duplicates survive (distinct ids).
-        for (size_t q = 0; q < answer.value().num_queries(); ++q) {
-          const uint32_t a = out.query_ids[begin + q];
-          for (const Neighbor* nb = answer.value().begin(q);
-               nb != answer.value().end(q); ++nb) {
-            if (nb->index > a) {
-              out.pairs.push_back(SelfJoinPair{a, nb->index, nb->distance});
-            }
-          }
-        }
+        AppendSelfJoinPairs(answer.value(), &out.query_ids[begin],
+                            &out.pairs);
       }
     }
     {
@@ -1232,28 +819,19 @@ void KnnService::RunJob(Job* job) {
 // Mutations
 // ---------------------------------------------------------------------------
 
-Result<uint32_t> KnnService::Insert(const std::vector<float>& point) {
-  return Insert(CallOptions{}, point);
-}
-
-Result<uint32_t> KnnService::Insert(const CallOptions& opts,
-                                    const std::vector<float>& point) {
+Result<uint32_t> KnnService::Insert(const std::vector<float>& point,
+                                    const CallOptions& opts) {
   SK_CHECK(!point.empty());
   HostMatrix one(1, point.size());
   std::memcpy(one.mutable_data(), point.data(),
               point.size() * sizeof(float));
-  Result<std::vector<uint32_t>> ids = InsertBatch(opts, one);
+  Result<std::vector<uint32_t>> ids = InsertBatch(one, opts);
   if (!ids.ok()) return ids.status();
   return ids.value()[0];
 }
 
 Result<std::vector<uint32_t>> KnnService::InsertBatch(
-    const HostMatrix& points) {
-  return InsertBatch(CallOptions{}, points);
-}
-
-Result<std::vector<uint32_t>> KnnService::InsertBatch(
-    const CallOptions& opts, const HostMatrix& points) {
+    const HostMatrix& points, const CallOptions& opts) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(opts.tenant);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<TenantIndex> tenant = std::move(resolved).value();
@@ -1283,19 +861,11 @@ Result<std::vector<uint32_t>> KnnService::InsertBatch(
   }
   RefreshGlobalOverlayGauges();
   ClearCache();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.inserts += ids.size();
-  }
   m_inserts_->Increment(static_cast<double>(ids.size()));
   return ids;
 }
 
-Result<bool> KnnService::Remove(uint32_t id) {
-  return Remove(CallOptions{}, id);
-}
-
-Result<bool> KnnService::Remove(const CallOptions& opts, uint32_t id) {
+Result<bool> KnnService::Remove(uint32_t id, const CallOptions& opts) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(opts.tenant);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<TenantIndex> tenant = std::move(resolved).value();
@@ -1322,14 +892,6 @@ Result<bool> KnnService::Remove(const CallOptions& opts, uint32_t id) {
     RefreshGlobalOverlayGauges();
     ClearCache();
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (removed) {
-      ++stats_.removes;
-    } else {
-      ++stats_.remove_misses;
-    }
-  }
   (removed ? m_removes_ : m_remove_misses_)->Increment();
   return removed;
 }
@@ -1342,421 +904,92 @@ int KnnService::OwningShard(const TenantIndex& tenant, uint32_t id) const {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch
+// In-process shard transport
 // ---------------------------------------------------------------------------
 
-void KnnService::FailRequest(Request* request, Status status) {
-  if (request->is_range) {
-    request->range_promise.set_value(Result<RangeResult>(std::move(status)));
-  } else {
-    request->promise.set_value(Result<KnnResult>(std::move(status)));
+std::vector<core::QueryRoute> KnnService::PlanRoutes(
+    const TenantIndex& tenant, size_t rows) {
+  // Serially, before the fan-out, so the decision order is deterministic.
+  // Both routes return bit-identical per-shard lists (the host path runs
+  // the same canonical float pipeline the engine is fuzz-proven
+  // against), so the merged answer cannot depend on the route.
+  std::vector<core::QueryRoute> routes;
+  routes.reserve(tenant.shards.size());
+  for (const std::unique_ptr<Shard>& shard : tenant.shards) {
+    routes.push_back(planner_.Choose(rows, shard->base_rows(), tenant.dims));
   }
+  return routes;
 }
 
-bool KnnService::FailFast(RequestPtr* request) {
-  Request& req = **request;
-  if (req.tenant->dropped.load(std::memory_order_acquire)) {
-    FailRequest(&req, Status::NotFound("index '" + req.tenant->name +
-                                       "' was dropped"));
-    // The sub-queue may be empty now; let the scheduler forget it.
-    queue_.Forget(req.tenant->name);
-    request->reset();
-    return true;
-  }
-  if (req.has_deadline && SteadyClock::now() >= req.deadline) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.deadline_exceeded;
-    }
-    m_deadline_exceeded_->Increment();
-    req.tenant->m_deadline_exceeded->Increment();
-    FailRequest(&req, Status::DeadlineExceeded(
-                          "request deadline expired in the admission queue"));
-    request->reset();
-    return true;
-  }
-  return false;
-}
-
-void KnnService::DispatchLoop() {
-  for (;;) {
-    RequestPtr first;
-    std::string tenant_name;
-    if (queue_.WaitPop(&first, &tenant_name) != common::PopResult::kItem) {
-      return;
-    }
-    {
-      std::function<void()> hook;
-      {
-        std::lock_guard<std::mutex> lock(hook_mutex_);
-        hook = pre_dispatch_hook_;
-      }
-      if (hook) hook();
-    }
-    if (FailFast(&first)) continue;
-    // Micro-batching: coalesce admitted requests OF THIS TENANT until
-    // max_batch_size query rows are on board or max_batch_wait has
-    // passed since the batch opened. Batches are single-tenant — a
-    // group runs under one tenant's index mutex — and the out-of-turn
-    // tenant pops below charge the same DRR deficit WaitPop does, so
-    // coalescing cannot cheat the fair shares.
-    const SteadyClock::time_point opened = SteadyClock::now();
-    m_queue_wait_->Observe(SecondsBetween(first->admit_time, opened));
-    std::vector<RequestPtr> batch;
-    size_t rows = first->num_rows;
-    batch.push_back(std::move(first));
-    const auto deadline = opened + config_.max_batch_wait;
-    while (rows < static_cast<size_t>(config_.max_batch_size)) {
-      RequestPtr next;
-      if (!queue_.TryPopTenant(tenant_name, &next)) {
-        if (SteadyClock::now() >= deadline ||
-            queue_.WaitPopTenantUntil(tenant_name, &next, deadline) !=
-                common::PopResult::kItem) {
-          break;  // the batch is as full as it will get
-        }
-      }
-      if (FailFast(&next)) continue;
-      m_queue_wait_->Observe(
-          SecondsBetween(next->admit_time, SteadyClock::now()));
-      rows += next->num_rows;
-      batch.push_back(std::move(next));
-    }
-    m_batch_assembly_->Observe(SecondsBetween(opened, SteadyClock::now()));
-    m_batch_rows_->Observe(static_cast<double>(rows));
-    // The queue-depth gauge is deliberately NOT Set here (nor in
-    // Submit): two racing writers could publish a stale depth. It is
-    // computed from the live scheduler at export time instead.
-    //
-    // One micro-batch dispatched; the per-k engine groups below are
-    // accounted separately (engine_groups), so mixed-k traffic cannot
-    // inflate the batch count and skew occupancy.
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.batches;
-    }
-    m_batches_->Increment();
-
-    // One engine batch per distinct (k, mode) — or per distinct radius
-    // for range requests — preserving admission order within each group
-    // and a deterministic order across groups (kNN groups by k
-    // ascending, exact before approx; range groups after them by
-    // radius). Modes were normalized at admission, so effectively exact
-    // traffic lands in one group.
-    struct GroupKey {
-      bool is_range;
-      float radius;
-      int k;
-      ann::SearchMode mode;
-    };
-    struct GroupKeyLess {
-      bool operator()(const GroupKey& a, const GroupKey& b) const {
-        if (a.is_range != b.is_range) return b.is_range;
-        if (a.is_range) return a.radius < b.radius;
-        if (a.k != b.k) return a.k < b.k;
-        return ann::SearchModeLess(a.mode, b.mode);
-      }
-    };
-    std::map<GroupKey, std::vector<RequestPtr>, GroupKeyLess> by_key;
-    for (RequestPtr& request : batch) {
-      by_key[{request->is_range, request->radius, request->k,
-              request->mode}]
-          .push_back(std::move(request));
-    }
-    for (auto& [key, group] : by_key) {
-      if (key.is_range) {
-        RunRangeGroup(std::move(group));
-      } else {
-        RunGroup(std::move(group));
-      }
-    }
-  }
-}
-
-void KnnService::RunGroup(std::vector<RequestPtr> group) {
-  const std::shared_ptr<TenantIndex> tenant = group[0]->tenant;
-  const int k = group[0]->k;
-  const ann::SearchMode mode = group[0]->mode;
-  const size_t dims = tenant->dims;
-  size_t rows = 0;
-  for (const RequestPtr& request : group) rows += request->num_rows;
-  HostMatrix queries(rows, dims);
-  size_t row = 0;
-  for (const RequestPtr& request : group) {
-    std::memcpy(queries.mutable_row(row), request->rows.data(),
-                request->num_rows * dims * sizeof(float));
-    row += request->num_rows;
-  }
-
+Status KnnService::SearchGroup(const TenantIndex& tenant,
+                               const HostMatrix& queries, int k,
+                               const ann::SearchMode& mode,
+                               std::vector<core::ShardAnswer>* answers,
+                               std::vector<core::ShardAnswer>* exact,
+                               double* fanout_seconds) {
   // The whole group runs against one index state of one tenant: a
   // concurrent SwapIndex, mutation, or compaction install of this
   // tenant waits here (or we wait for it), so no request's rows can
   // straddle an index change — and other tenants' mutexes are never
   // touched, so their mutations never stall this group.
-  std::lock_guard<std::mutex> index_lock(tenant->mutex);
-  const int num_shards = static_cast<int>(tenant->shards.size());
-
-  // Route each shard's base scan by cost, serially before the fan-out so
-  // the decision order is deterministic. Both routes return bit-identical
-  // per-shard lists (the host path runs the same canonical float pipeline
-  // the engine is fuzz-proven against), so the merged answer cannot
-  // depend on the route; host-routed shards report no device stats.
-  std::vector<core::QueryRoute> routes(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    routes[static_cast<size_t>(s)] = planner_.Choose(
-        rows, tenant->shards[static_cast<size_t>(s)]->base_rows(), dims);
-  }
+  std::lock_guard<std::mutex> index_lock(tenant.mutex);
+  const int num_shards = static_cast<int>(tenant.shards.size());
+  const std::vector<core::QueryRoute> routes =
+      PlanRoutes(tenant, queries.rows());
   // The per-shard work — base scan (over-queried when mutated), delta
   // side scan, shard-local merge — lives in ShardHost::SearchGroup, the
-  // one code path the remote shard workers run too; the fan-out here is
-  // just the in-process backend's transport.
-  std::vector<core::ShardAnswer> answers(static_cast<size_t>(num_shards));
-  const SteadyClock::time_point fanout_start = SteadyClock::now();
-  common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
-    const auto idx = static_cast<size_t>(s);
-    answers[idx] = tenant->shards[idx]->SearchGroup(
-        queries, k, routes[idx], config_.options.metric, mode);
-  });
-  const SteadyClock::time_point merge_start = SteadyClock::now();
-  m_shard_fanout_->Observe(SecondsBetween(fanout_start, merge_start));
-  for (const core::ShardAnswer& answer : answers) {
-    // An approx shard ran the graph search, not a planner route; it
-    // belongs to neither route counter.
-    if (answer.approx) continue;
-    if (answer.device_routed) {
-      m_planner_device_routes_->Increment();
-      m_route_device_seconds_->Observe(answer.route_seconds);
-      // The planner's selectivity EMA needs exactly the work counters
-      // the answer carries.
-      core::KnnRunStats observed;
-      observed.distance_calcs = answer.distance_calcs;
-      observed.total_pairs = answer.total_pairs;
-      planner_.ObserveDeviceRun(observed);
-    } else {
-      m_planner_host_routes_->Increment();
-      m_route_host_seconds_->Observe(answer.route_seconds);
-    }
+  // one code path the remote shard workers run too.
+  auto fan_out = [&](const ann::SearchMode& fan_mode,
+                     std::vector<core::ShardAnswer>* out) {
+    out->assign(static_cast<size_t>(num_shards), core::ShardAnswer{});
+    common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
+      const auto idx = static_cast<size_t>(s);
+      (*out)[idx] = tenant.shards[idx]->SearchGroup(
+          queries, k, routes[idx], config_.options.metric, fan_mode);
+    });
+  };
+  const SteadyClock::time_point start = SteadyClock::now();
+  fan_out(mode, answers);
+  *fanout_seconds = SecondsBetween(start, SteadyClock::now());
+  for (const core::ShardAnswer& answer : *answers) {
+    // The planner's selectivity EMA needs exactly the work counters a
+    // device-routed exact answer carries.
+    if (answer.approx || !answer.device_routed) continue;
+    core::KnnRunStats observed;
+    observed.distance_calcs = answer.distance_calcs;
+    observed.total_pairs = answer.total_pairs;
+    planner_.ObserveDeviceRun(observed);
   }
-  const KnnResult merged = core::MergeShardAnswers(answers, k);
-  m_merge_->Observe(SecondsBetween(merge_start, SteadyClock::now()));
-
-  // Recall self-measurement: every Nth approx group is also answered
-  // exactly — same queries, same routes, same index state (we still
-  // hold the tenant's index mutex) — and the measured recall@k lands in
-  // the histogram. The probe costs one exact group; interval 0 disables
-  // it.
-  if (!mode.EffectiveExact()) {
-    const int interval = config_.ann_recall_probe_interval;
-    if (interval > 0 &&
-        approx_group_counter_ % static_cast<uint64_t>(interval) == 0) {
-      std::vector<core::ShardAnswer> exact_answers(
-          static_cast<size_t>(num_shards));
-      common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
-        const auto idx = static_cast<size_t>(s);
-        exact_answers[idx] = tenant->shards[idx]->SearchGroup(
-            queries, k, routes[idx], config_.options.metric);
-      });
-      const KnnResult exact = core::MergeShardAnswers(exact_answers, k);
-      // recall@k per row: |approx ids ∩ exact ids| / |exact live ids|
-      // (padding rows measure nothing — there is no truth to recall).
-      double recall_sum = 0.0;
-      size_t measured = 0;
-      std::unordered_set<uint32_t> truth;
-      for (size_t q = 0; q < rows; ++q) {
-        truth.clear();
-        for (int j = 0; j < k; ++j) {
-          const Neighbor& nb = exact.row(q)[j];
-          if (nb.index == kInvalidNeighbor) break;
-          truth.insert(nb.index);
-        }
-        if (truth.empty()) continue;
-        size_t hits = 0;
-        for (int j = 0; j < k; ++j) {
-          if (truth.count(merged.row(q)[j].index) != 0) ++hits;
-        }
-        recall_sum +=
-            static_cast<double>(hits) / static_cast<double>(truth.size());
-        ++measured;
-      }
-      m_recall_probes_->Increment();
-      if (measured > 0) {
-        m_recall_estimate_->Observe(recall_sum /
-                                    static_cast<double>(measured));
-      }
-    }
-    ++approx_group_counter_;
-  }
-
-  RecordGroupStats(answers, rows);
-
-  // Slice the merged result back into per-request answers.
-  row = 0;
-  for (RequestPtr& request : group) {
-    KnnResult answer(request->num_rows, k);
-    for (size_t q = 0; q < request->num_rows; ++q) {
-      std::memcpy(answer.mutable_row(q), merged.row(row + q),
-                  static_cast<size_t>(k) * sizeof(Neighbor));
-    }
-    row += request->num_rows;
-    const double seconds =
-        SecondsBetween(request->admit_time, SteadyClock::now());
-    m_request_latency_->Observe(seconds);
-    tenant->m_latency->Observe(seconds);
-    request->promise.set_value(Result<KnnResult>(std::move(answer)));
-  }
+  if (exact != nullptr) fan_out(ann::SearchMode::Exact(), exact);
+  return Status::Ok();
 }
 
-void KnnService::RunRangeGroup(std::vector<RequestPtr> group) {
-  const std::shared_ptr<TenantIndex> tenant = group[0]->tenant;
-  const float radius = group[0]->radius;
-  const size_t dims = tenant->dims;
-  size_t rows = 0;
-  for (const RequestPtr& request : group) rows += request->num_rows;
-  HostMatrix queries(rows, dims);
-  size_t row = 0;
-  for (const RequestPtr& request : group) {
-    std::memcpy(queries.mutable_row(row), request->rows.data(),
-                request->num_rows * dims * sizeof(float));
-    row += request->num_rows;
-  }
-
-  // Same index-mutex scope as RunGroup: the whole range group answers
-  // against one consistent index state of one tenant.
-  std::lock_guard<std::mutex> index_lock(tenant->mutex);
-  const int num_shards = static_cast<int>(tenant->shards.size());
-
-  // The planner routes each shard's base scan exactly as it does for
-  // kNN groups — both routes are bit-identical — but range scans never
-  // feed the device-selectivity EMA (no simulated device runs for
-  // them), so no ObserveDeviceRun here.
-  std::vector<core::QueryRoute> routes(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    routes[static_cast<size_t>(s)] = planner_.Choose(
-        rows, tenant->shards[static_cast<size_t>(s)]->base_rows(), dims);
-  }
-  std::vector<core::RangeShardAnswer> answers(
-      static_cast<size_t>(num_shards));
-  const SteadyClock::time_point fanout_start = SteadyClock::now();
+Status KnnService::RangeGroup(const TenantIndex& tenant,
+                              const HostMatrix& queries, float radius,
+                              std::vector<core::RangeShardAnswer>* answers,
+                              double* fanout_seconds) {
+  // Same index-mutex scope as SearchGroup. The planner routes each
+  // shard's base scan exactly as it does for kNN groups, but range scans
+  // never feed the device-selectivity EMA (no simulated device runs for
+  // them).
+  std::lock_guard<std::mutex> index_lock(tenant.mutex);
+  const int num_shards = static_cast<int>(tenant.shards.size());
+  const std::vector<core::QueryRoute> routes =
+      PlanRoutes(tenant, queries.rows());
+  answers->assign(static_cast<size_t>(num_shards), core::RangeShardAnswer{});
+  const SteadyClock::time_point start = SteadyClock::now();
   common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
     const auto idx = static_cast<size_t>(s);
-    answers[idx] = tenant->shards[idx]->RangeGroup(
+    (*answers)[idx] = tenant.shards[idx]->RangeGroup(
         queries, radius, routes[idx], config_.options.metric);
   });
-  const SteadyClock::time_point merge_start = SteadyClock::now();
-  m_shard_fanout_->Observe(SecondsBetween(fanout_start, merge_start));
-  for (const core::RangeShardAnswer& answer : answers) {
-    if (answer.device_routed) {
-      m_planner_device_routes_->Increment();
-      m_route_device_seconds_->Observe(answer.route_seconds);
-    } else {
-      m_planner_host_routes_->Increment();
-      m_route_host_seconds_->Observe(answer.route_seconds);
-    }
+  *fanout_seconds = SecondsBetween(start, SteadyClock::now());
+  // Per-shard range answers carry their routes (the cluster's per-worker
+  // ones cannot).
+  for (const core::RangeShardAnswer& answer : *answers) {
+    front_end_.ObserveRoute(answer.device_routed, answer.route_seconds);
   }
-  const RangeResult merged = core::MergeRangeShardAnswers(answers, rows);
-  m_merge_->Observe(SecondsBetween(merge_start, SteadyClock::now()));
-
-  RecordRangeGroupStats(rows, merged.total_matches());
-
-  // Slice the merged result back into per-request answers.
-  row = 0;
-  for (RequestPtr& request : group) {
-    RangeResult answer;
-    for (size_t q = 0; q < request->num_rows; ++q) {
-      answer.AppendRow(merged.begin(row + q), merged.count(row + q));
-    }
-    row += request->num_rows;
-    const double seconds =
-        SecondsBetween(request->admit_time, SteadyClock::now());
-    m_request_latency_->Observe(seconds);
-    tenant->m_latency->Observe(seconds);
-    request->range_promise.set_value(Result<RangeResult>(std::move(answer)));
-  }
-}
-
-void KnnService::RecordRangeGroupStats(size_t rows, size_t matches) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.range_groups;
-    stats_.range_queries += rows;
-    stats_.range_matches += matches;
-  }
-  m_range_groups_->Increment();
-  m_range_queries_->Increment(static_cast<double>(rows));
-  m_range_matches_->Increment(static_cast<double>(matches));
-}
-
-void KnnService::RecordGroupStats(
-    const std::vector<core::ShardAnswer>& answers, size_t rows) {
-  double slowest = 0.0;
-  double total = 0.0;
-  double level1 = 0.0;
-  double level2 = 0.0;
-  double transfer = 0.0;
-  double preprocess = 0.0;
-  uint64_t distance_calcs = 0;
-  bool any_approx = false;
-  uint64_t ann_hops = 0;
-  uint64_t ann_candidates = 0;
-  for (const core::ShardAnswer& s : answers) {
-    if (s.approx) {
-      any_approx = true;
-      ann_hops += s.ann_hops;
-      ann_candidates += s.ann_candidates;
-    }
-    // A host-routed shard ran no simulated device: its answer carries no
-    // device stats and it made no adaptive decisions, so it contributes
-    // to neither the sim-time counters nor the decision counts.
-    if (!s.device_routed) continue;
-    total += s.sim_time_s;
-    slowest = std::max(slowest, s.sim_time_s);
-    distance_calcs += s.distance_calcs;
-    level1 += s.level1_s;
-    level2 += s.level2_s;
-    preprocess += s.preprocess_s;
-    transfer += s.transfer_s;
-    (s.filter_used == core::Level2Filter::kFull ? m_filter_full_
-                                                : m_filter_partial_)
-        ->Increment();
-    switch (s.placement_used) {
-      case core::KnearestsPlacement::kGlobal:
-        m_placement_global_->Increment();
-        break;
-      case core::KnearestsPlacement::kShared:
-        m_placement_shared_->Increment();
-        break;
-      case core::KnearestsPlacement::kRegisters:
-        m_placement_registers_->Increment();
-        break;
-    }
-    m_threads_per_query_->Observe(static_cast<double>(s.threads_per_query));
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.engine_groups;
-    stats_.batched_queries += rows;
-    stats_.total_sim_time_s += total;
-    stats_.critical_sim_time_s += slowest;
-    stats_.distance_calcs += distance_calcs;
-    if (any_approx) {
-      ++stats_.approx_groups;
-      stats_.approx_queries += rows;
-    }
-  }
-  if (any_approx) {
-    m_approx_groups_->Increment();
-    m_approx_queries_->Increment(static_cast<double>(rows));
-    m_ann_hops_->Increment(static_cast<double>(ann_hops));
-    m_ann_candidates_->Increment(static_cast<double>(ann_candidates));
-  }
-  m_engine_groups_->Increment();
-  m_batched_queries_->Increment(static_cast<double>(rows));
-  m_sim_total_->Increment(total);
-  m_sim_critical_->Increment(slowest);
-  m_distance_calcs_->Increment(static_cast<double>(distance_calcs));
-  m_sim_level1_->Increment(level1);
-  m_sim_level2_->Increment(level2);
-  m_sim_transfer_->Increment(transfer);
-  m_sim_preprocess_->Increment(preprocess);
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -1834,29 +1067,20 @@ void KnnService::CompactorLoop() {
 }
 
 Status KnnService::CompactShard(int shard) {
-  SK_CHECK_GE(shard, 0);
-  // The shard count is fixed at construction (SwapIndex replaces the
-  // shards but never their number); checking config_ avoids touching
-  // the shard vector outside the tenant's mutex.
-  SK_CHECK_LT(shard, config_.num_shards);
-  return CompactShardInternal(default_tenant_.get(), shard);
+  return CompactShard(kDefaultTenant, shard);
 }
 
 Status KnnService::CompactShard(const std::string& tenant_name, int shard) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(tenant_name);
   if (!resolved.ok()) return resolved.status();
+  // The shard count is fixed at build time (SwapIndex replaces the shards
+  // but never their number), so checking it needs no index mutex.
   SK_CHECK_GE(shard, 0);
   SK_CHECK_LT(shard, resolved.value()->num_shards);
   return CompactShardInternal(resolved.value().get(), shard);
 }
 
-Status KnnService::CompactAll() {
-  const int num_shards = config_.num_shards;
-  for (int s = 0; s < num_shards; ++s) {
-    SK_RETURN_IF_ERROR(CompactShardInternal(default_tenant_.get(), s));
-  }
-  return Status::Ok();
-}
+Status KnnService::CompactAll() { return CompactAll(kDefaultTenant); }
 
 Status KnnService::CompactAll(const std::string& tenant_name) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(tenant_name);
@@ -1918,10 +1142,6 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
     std::lock_guard<std::mutex> index_lock(tenant->mutex);
     if (static_cast<size_t>(s) >= tenant->shards.size() ||
         tenant->shards[static_cast<size_t>(s)]->epoch != plan.epoch) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.compaction_aborts;
-      }
       m_compaction_aborts_->Increment();
       return Status::Unavailable(
           "shard " + std::to_string(s) +
@@ -1944,10 +1164,6 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
   retired.reset();  // the old engine dies here, off the serving path
   RefreshGlobalOverlayGauges();
   ClearCache();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.compactions;
-  }
   m_compactions_->Increment();
   m_compacted_rows_->Increment(static_cast<double>(plan.points.rows()));
   m_compaction_seconds_->Observe(SecondsBetween(start, SteadyClock::now()));
@@ -2153,7 +1369,7 @@ Status KnnService::SaveSnapshots(const std::string& tenant_name,
 }
 
 Status KnnService::SwapIndex(const std::string& dir) {
-  return SwapIndexInternal(default_tenant_.get(), dir);
+  return SwapIndex(kDefaultTenant, dir);
 }
 
 Status KnnService::SwapIndex(const std::string& tenant_name,
@@ -2205,10 +1421,6 @@ Status KnnService::SwapIndexInternal(TenantIndex* tenant,
   set.shards.clear();
   RefreshGlobalOverlayGauges();
   ClearCache();
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.index_swaps;
-  }
   m_index_swaps_->Increment();
   return Status::Ok();
 }
@@ -2270,36 +1482,26 @@ Result<size_t> KnnService::target_rows(const std::string& tenant_name) const {
 }
 
 ServiceStats KnnService::stats() const {
-  ServiceStats snapshot;
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    snapshot = stats_;
-  }
+  ServiceStats snapshot = front_end_.Stats();
   // The overlay sums come from the per-tenant atomics (maintained under
   // each tenant's mutex by UpdateOverlayGaugesLocked) — no index mutex
   // is taken, so stats() can never stall behind a compaction install.
-  uint64_t delta_points = 0;
-  uint64_t tombstones = 0;
   for (const std::shared_ptr<TenantIndex>& tenant : manager_.All()) {
-    delta_points += tenant->delta_points.load(std::memory_order_acquire);
-    tombstones += tenant->tombstones.load(std::memory_order_acquire);
+    snapshot.delta_points +=
+        tenant->delta_points.load(std::memory_order_acquire);
+    snapshot.tombstones += tenant->tombstones.load(std::memory_order_acquire);
   }
-  snapshot.delta_points = delta_points;
-  snapshot.tombstones = tombstones;
-  snapshot.peak_queue_depth = queue_.peak_depth();
   return snapshot;
 }
 
 std::string KnnService::ExportMetricsJson() const {
-  m_queue_depth_->Set(static_cast<double>(queue_.size()));
-  m_peak_queue_depth_->Set(static_cast<double>(queue_.peak_depth()));
+  front_end_.RefreshGauges();
   m_tenants_->Set(static_cast<double>(manager_.size()));
   return metrics_.ExportJson();
 }
 
 std::string KnnService::ExportMetricsText() const {
-  m_queue_depth_->Set(static_cast<double>(queue_.size()));
-  m_peak_queue_depth_->Set(static_cast<double>(queue_.peak_depth()));
+  front_end_.RefreshGauges();
   m_tenants_->Set(static_cast<double>(manager_.size()));
   return metrics_.ExportPrometheusText();
 }
@@ -2342,13 +1544,6 @@ bool KnnService::CacheLookup(const std::string& key,
       hit = true;
     }
   }
-  // Stats are recorded after releasing cache_mutex_: stats_mutex_ never
-  // nests inside the cache lock (see the lock-order note in the header).
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.cache_lookups;
-    if (hit) ++stats_.cache_hits;
-  }
   m_cache_lookups_->Increment();
   if (hit) m_cache_hits_->Increment();
   return hit;
@@ -2380,13 +1575,7 @@ void KnnService::CacheInsert(const std::string& key,
       }
     }
   }
-  if (stale) {
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.cache_stale_drops;
-    }
-    m_cache_stale_drops_->Increment();
-  }
+  if (stale) m_cache_stale_drops_->Increment();
 }
 
 }  // namespace sweetknn::serve

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -20,96 +19,14 @@
 #include "common/metrics.h"
 #include "common/range_result.h"
 #include "common/status.h"
-#include "core/delta_overlay.h"
-#include "core/options.h"
 #include "core/route_planner.h"
 #include "core/shard_merge.h"
-#include "core/ti_knn_gpu.h"
-#include "gpusim/device.h"
+#include "serve/front_end.h"
 #include "serve/index_manager.h"
-#include "serve/scheduler.h"
 #include "serve/shard_backend.h"
-#include "simd/simd_kernels.h"
 #include "store/snapshot.h"
 
 namespace sweetknn::serve {
-
-/// Knobs of the serving layer.
-struct ServiceConfig {
-  /// Target-set shards per index, each a simulated device with its own
-  /// prepared TiKnnEngine index. Clamped per index to its target row
-  /// count.
-  int num_shards = 2;
-  /// Micro-batching: the dispatcher coalesces admitted requests of one
-  /// tenant until a batch holds this many query rows ...
-  int max_batch_size = 64;
-  /// ... or this much wall-clock has passed since the batch's first
-  /// request, whichever comes first.
-  std::chrono::microseconds max_batch_wait{500};
-  /// LRU result-cache entries, keyed on (tenant, k, query row bytes).
-  /// 0 = off. Serves single-row Search() requests only.
-  size_t cache_capacity = 0;
-  /// Load shedding: total admitted-but-undispatched requests, summed
-  /// over every tenant, beyond which Search/JoinBatch are bounced with
-  /// kUnavailable instead of growing the queue (and its tail latency)
-  /// without limit. Shed requests are counted in stats().shed_requests
-  /// and the sweetknn_shed_requests_total counter. 0 = unbounded (the
-  /// legacy behavior).
-  size_t max_queue_depth = 0;
-  /// Cost units (query rows) a weight-1.0 tenant earns per round of the
-  /// weighted-fair scheduler (see serve/scheduler.h). 0 = use
-  /// max_batch_size, so one round roughly funds one micro-batch.
-  size_t fair_quantum = 0;
-  gpusim::DeviceSpec device = gpusim::DeviceSpec::TeslaK20c();
-  core::TiOptions options = core::TiOptions::Sweet();
-  /// If non-empty, warm start: restore each shard's prepared index from
-  /// "<snapshot_dir>/shard-<s>-of-<n>.sksnap" instead of running the
-  /// Step-1 landmark clustering. The snapshots must match the service's
-  /// options/device fingerprints, shard geometry, and the target bytes
-  /// passed to the constructor (which also means they must be pristine —
-  /// adopt mutated snapshots with FromSnapshots instead); on any
-  /// mismatch or load failure the service logs a warning and cold-builds
-  /// every shard (check stats().warm_started_shards to see which path
-  /// ran). Named tenants created with CreateIndex warm-start from
-  /// "<snapshot_dir>/<tenant>/" the same way.
-  std::string snapshot_dir;
-  /// Dataset name recorded as provenance in snapshots written by
-  /// SaveSnapshots.
-  std::string dataset_name;
-  /// Mutability (docs/mutability.md): a shard is scheduled for
-  /// compaction once its overlay (delta points + tombstones) exceeds
-  /// this fraction of its frozen base rows. <= 0 disables the threshold
-  /// (CompactShard/CompactAll stay available).
-  double compact_delta_fraction = 0.25;
-  /// Run the background compactor thread, which rebuilds over-threshold
-  /// shards off the serving path. false = compaction happens only via
-  /// explicit CompactShard/CompactAll calls (deterministic; tests use
-  /// this).
-  bool auto_compact = true;
-  /// Cost-based routing of each query group's per-shard base scan
-  /// between the shard's simulated-GPU TI engine and the vectorized
-  /// host kernels (docs/performance.md). Both routes answer bit-
-  /// identically; host-routed shard runs report no simulated-device
-  /// stats (sim-time counters, filter/placement decisions), so tests
-  /// asserting those pin mode = kForceDevice. SWEETKNN_PLANNER
-  /// ("auto" | "device" | "host") overrides the mode at construction.
-  core::PlannerConfig planner;
-  /// Build the approximate kNN-graph tier on every shard (and rebuild it
-  /// at each compaction install), enabling SearchMode::Approx requests
-  /// (docs/approx.md). Exact traffic — and every service built without
-  /// this — is completely unaffected.
-  bool enable_ann = false;
-  /// NN-descent build knobs for the ANN tier. When ann_params.workers
-  /// is 0, graph builds use options.sim_threads (the service's
-  /// configured parallelism) before falling back to SWEETKNN_SIM_THREADS.
-  ann::GraphBuildParams ann_params;
-  /// Recall self-measurement: every Nth approx group is also answered
-  /// exactly (under the same lock, against the same index state) and the
-  /// observed recall@k lands in the sweetknn_ann_recall_estimate
-  /// histogram. 0 disables the probe; small N is for tests/benchmarks —
-  /// each probe costs one exact group.
-  int ann_recall_probe_interval = 0;
-};
 
 /// The three offline modalities KnnService runs as long-running jobs
 /// (docs/modalities.md). Radius jobs carry their own query rows;
@@ -165,113 +82,6 @@ struct JobOutput {
   KnnResult graph;
 };
 
-/// Per-call options of the tenant-qualified Search/JoinBatch/mutation
-/// overloads. The zero-argument legacy overloads behave exactly like
-/// CallOptions{} — default tenant, no deadline.
-struct CallOptions {
-  /// The named index the call targets (see CreateIndex). Unknown names
-  /// fail with NotFound.
-  std::string tenant = kDefaultTenant;
-  /// Queries only: relative deadline, measured from admission. A
-  /// request still queued when it expires completes with
-  /// kDeadlineExceeded without ever touching the shards. 0 = none.
-  std::chrono::microseconds timeout{0};
-};
-
-/// Service-level counters, all cumulative since construction. The
-/// metrics registry (KnnService::metrics()) carries the richer view —
-/// latency histograms, per-stage sim time, compaction timings, and the
-/// per-tenant labeled series.
-struct ServiceStats {
-  uint64_t requests = 0;        ///< Search/JoinBatch calls admitted.
-  uint64_t queries = 0;         ///< Query rows answered (incl. cache hits).
-  /// Search/JoinBatch calls rejected because the service was shutting
-  /// down (never admitted, not counted in requests).
-  uint64_t rejected_requests = 0;
-  /// Search/JoinBatch calls bounced with kUnavailable by the
-  /// max_queue_depth admission bound (never admitted).
-  uint64_t shed_requests = 0;
-  /// Admitted requests whose deadline expired while queued; completed
-  /// with kDeadlineExceeded without touching the shards.
-  uint64_t deadline_exceeded = 0;
-  /// Micro-batches dispatched by the batching loop (one per coalescing
-  /// window, regardless of how many distinct k values it held).
-  uint64_t batches = 0;
-  /// Same-k groups run through the shard engines. A mixed-k micro-batch
-  /// produces several engine groups, so engine_groups >= batches.
-  uint64_t engine_groups = 0;
-  uint64_t batched_queries = 0; ///< Query rows that went through engines.
-  uint64_t cache_lookups = 0;
-  uint64_t cache_hits = 0;
-  /// Result-cache inserts dropped because an index swap, mutation, or
-  /// compaction completed after the answer was computed (the
-  /// stale-insert guard).
-  uint64_t cache_stale_drops = 0;
-  uint64_t peak_queue_depth = 0;  ///< Admission-queue high-water mark.
-  /// Simulated device time summed over every shard of every batch (the
-  /// throughput cost: total device-seconds consumed).
-  double total_sim_time_s = 0.0;
-  /// Per-batch max over shards, summed over batches (the latency cost:
-  /// shards run concurrently, a batch completes with its slowest shard).
-  double critical_sim_time_s = 0.0;
-  /// Level-2 distance computations summed over shards.
-  uint64_t distance_calcs = 0;
-  /// Shards restored from snapshots at construction (0 = cold build).
-  uint64_t warm_started_shards = 0;
-  /// Completed SwapIndex calls.
-  uint64_t index_swaps = 0;
-  /// Points admitted through Insert/InsertBatch.
-  uint64_t inserts = 0;
-  /// Successful Remove calls.
-  uint64_t removes = 0;
-  /// Remove calls naming an id that was never live or already removed.
-  uint64_t remove_misses = 0;
-  /// Shard compactions installed (background or explicit).
-  uint64_t compactions = 0;
-  /// Compactions abandoned because a SwapIndex (or competing install)
-  /// replaced the shard while the rebuild ran off-lock.
-  uint64_t compaction_aborts = 0;
-  /// Current overlay size, summed over every tenant's shards (gauges,
-  /// not cumulative).
-  uint64_t delta_points = 0;
-  uint64_t tombstones = 0;
-  /// Approximate tier: engine groups / query rows answered through the
-  /// ANN graph search (a subset of engine_groups / batched_queries).
-  uint64_t approx_groups = 0;
-  uint64_t approx_queries = 0;
-  /// Range modality: same-radius groups run through the shards, query
-  /// rows in them, and in-ball matches returned.
-  uint64_t range_groups = 0;
-  uint64_t range_queries = 0;
-  uint64_t range_matches = 0;
-  /// Offline jobs by terminal state (submitted >= the other three +
-  /// still-active jobs).
-  uint64_t jobs_submitted = 0;
-  uint64_t jobs_completed = 0;
-  uint64_t jobs_cancelled = 0;
-  uint64_t jobs_failed = 0;
-
-  /// Mean fraction of max_batch_size filled per dispatched micro-batch
-  /// (> 1 is possible when one JoinBatch request exceeds max_batch_size).
-  double BatchOccupancy(int max_batch_size) const {
-    if (batches == 0 || max_batch_size <= 0) return 0.0;
-    return static_cast<double>(batched_queries) /
-           (static_cast<double>(batches) *
-            static_cast<double>(max_batch_size));
-  }
-  double MeanBatchSize() const {
-    if (batches == 0) return 0.0;
-    return static_cast<double>(batched_queries) /
-           static_cast<double>(batches);
-  }
-  /// Critical-path device time amortized over every batched query row —
-  /// the number micro-batching drives down.
-  double AmortizedSimTimePerQuery() const {
-    if (batched_queries == 0) return 0.0;
-    return critical_sim_time_s / static_cast<double>(batched_queries);
-  }
-};
-
 /// A concurrent batched KNN serving front-end over sharded
 /// TiKnnEngine indexes — the "many users, many datasets" code path of
 /// the ROADMAP's north star.
@@ -286,13 +96,12 @@ struct ServiceStats {
 /// per-tenant sub-queues drained in deficit-round-robin order, so a
 /// flooding tenant cannot starve the others, and an optional
 /// max_queue_depth bound sheds overload with kUnavailable instead of
-/// letting tail latency grow without bound. The dispatcher thread
-/// drains the scheduler with dynamic micro-batching (max_batch_size /
-/// max_batch_wait, one tenant per batch); each micro-batch fans out
-/// over the tenant's shards on the shared host thread pool and the
-/// per-shard top-k lists are merged into the exact global top-k —
-/// answers are bit-identical to a single-engine RunOnce over that
-/// tenant's unsharded target set.
+/// letting tail latency grow without bound. Admission, micro-batching
+/// and the exact merge live in the serving FrontEnd (serve/front_end.h)
+/// the cluster Router shares; this class is its in-process transport:
+/// each group fans out over the tenant's shards on the shared host
+/// thread pool, and the merged answers are bit-identical to a
+/// single-engine RunOnce over that tenant's unsharded target set.
 ///
 /// Every target set is mutable while serving: Insert/Remove buffer
 /// changes in per-shard delta overlays (new points served by an exact
@@ -309,14 +118,14 @@ struct ServiceStats {
 ///   service.CreateIndex("faces", faces_matrix, /*weight=*/4.0);
 ///   // from many threads:
 ///   std::vector<Neighbor> nn = service.Search(point, /*k=*/10).value();
-///   auto fnn = service.Search({.tenant = "faces"}, point, 10);
+///   auto fnn = service.Search(point, 10, ann::SearchMode::Exact(),
+///                             {.tenant = "faces"});
 ///
 /// Lock order (to keep the TSan suites meaningful): a tenant's index
-/// mutex may be held while taking stats_mutex_, compact_mutex_, or the
-/// manager's map mutex (never the reverse); two tenants' index mutexes
-/// are never held together; cache_mutex_ never nests with any of them —
-/// cache bookkeeping that needs stats releases the cache lock first.
-class KnnService {
+/// mutex may be held while taking compact_mutex_ or the manager's map
+/// mutex (never the reverse); two tenants' index mutexes are never held
+/// together; cache_mutex_ never nests with any of them.
+class KnnService : private ShardTransport {
  public:
   explicit KnnService(const HostMatrix& target,
                       const ServiceConfig& config = {});
@@ -359,53 +168,36 @@ class KnnService {
 
   // -- Queries --------------------------------------------------------
 
-  /// The k nearest target rows of one query point. Thread-safe; blocks
-  /// until the request's micro-batch has been served (or a cache hit
-  /// answers immediately). Returns Unavailable — without aborting and
-  /// without side effects — if the request raced a concurrent
-  /// Shutdown() (counted in stats().rejected_requests) or was shed by
-  /// the max_queue_depth bound (counted in stats().shed_requests).
-  Result<std::vector<Neighbor>> Search(const std::vector<float>& query_point,
-                                       int k);
-  /// Mode-selected Search: exact (the default above) or approx under a
-  /// recall SLA. Effectively exact modes (recall_target >= 1.0) batch,
-  /// cache, and answer identically to plain Search.
-  Result<std::vector<Neighbor>> Search(const std::vector<float>& query_point,
-                                       int k, const ann::SearchMode& mode);
-  /// Tenant-qualified Search: targets opts.tenant, honors opts.timeout
-  /// (kDeadlineExceeded when it expires in the queue). NotFound for
-  /// unknown tenants.
-  Result<std::vector<Neighbor>> Search(const CallOptions& opts,
-                                       const std::vector<float>& query_point,
-                                       int k);
-  Result<std::vector<Neighbor>> Search(const CallOptions& opts,
-                                       const std::vector<float>& query_point,
-                                       int k, const ann::SearchMode& mode);
+  /// The k nearest target rows of one query point, exact (the default)
+  /// or approx under the mode's recall SLA — effectively exact modes
+  /// (recall_target >= 1.0) batch, cache, and answer identically to
+  /// exact. Targets opts.tenant (NotFound when unknown) and honors
+  /// opts.timeout (kDeadlineExceeded when it expires in the queue).
+  /// Thread-safe; blocks until the request's micro-batch has been served
+  /// (or a cache hit answers immediately). Returns Unavailable — without
+  /// aborting and without side effects — if the request raced a
+  /// concurrent Shutdown() (counted in stats().rejected_requests) or was
+  /// shed by the max_queue_depth bound (counted in stats().shed_requests).
+  Result<std::vector<Neighbor>> Search(
+      const std::vector<float>& query_point, int k,
+      const ann::SearchMode& mode = ann::SearchMode::Exact(),
+      const CallOptions& opts = {});
 
   /// The k nearest target rows for every row of `queries`, as one
   /// request (the rows always ride in the same micro-batch and the row
-  /// order is preserved). Thread-safe; blocks until served. Returns
-  /// Unavailable if the request raced a concurrent Shutdown() or was
-  /// shed by the admission bound.
-  Result<KnnResult> JoinBatch(const HostMatrix& queries, int k);
-  /// Mode-selected JoinBatch; see the Search overload.
-  Result<KnnResult> JoinBatch(const HostMatrix& queries, int k,
-                              const ann::SearchMode& mode);
-  /// Tenant-qualified JoinBatch; see the Search overload.
-  Result<KnnResult> JoinBatch(const CallOptions& opts,
-                              const HostMatrix& queries, int k);
-  Result<KnnResult> JoinBatch(const CallOptions& opts,
-                              const HostMatrix& queries, int k,
-                              const ann::SearchMode& mode);
+  /// order is preserved). Same modes, options, and failures as Search.
+  Result<KnnResult> JoinBatch(
+      const HostMatrix& queries, int k,
+      const ann::SearchMode& mode = ann::SearchMode::Exact(),
+      const CallOptions& opts = {});
 
   /// Every live point within the closed ball of each query row, as one
   /// request through the admission queue (variable-cardinality rows;
   /// see common/range_result.h). Answers are bit-identical across
   /// planner routes, SIMD tiers, and shard counts. Thread-safe; blocks
   /// until served; Unavailable on shutdown/shed like JoinBatch.
-  Result<RangeResult> RadiusSearch(const HostMatrix& queries, float radius);
-  Result<RangeResult> RadiusSearch(const CallOptions& opts,
-                                   const HostMatrix& queries, float radius);
+  Result<RangeResult> RadiusSearch(const HostMatrix& queries, float radius,
+                                   const CallOptions& opts = {});
 
   // -- Offline jobs (docs/modalities.md) ------------------------------
 
@@ -433,14 +225,12 @@ class KnnService {
 
   /// Synchronous self-join: submit + poll + take. Every unordered pair
   /// of live points within the closed radius, exactly once (a < b).
-  Result<std::vector<SelfJoinPair>> SelfJoin(float radius);
-  Result<std::vector<SelfJoinPair>> SelfJoin(const CallOptions& opts,
-                                             float radius);
+  Result<std::vector<SelfJoinPair>> SelfJoin(float radius,
+                                             const CallOptions& opts = {});
 
   /// Synchronous exact kNN graph over the live set: output.query_ids
   /// pairs with output.graph rows.
-  Result<JobOutput> KnnGraph(int k);
-  Result<JobOutput> KnnGraph(const CallOptions& opts, int k);
+  Result<JobOutput> KnnGraph(int k, const CallOptions& opts = {});
 
   // -- Mutations ------------------------------------------------------
 
@@ -448,22 +238,19 @@ class KnnService {
   /// is served exactly from the next admitted query group on.
   /// Thread-safe; never blocks on a compaction. Returns Unavailable
   /// when racing a Shutdown().
-  Result<uint32_t> Insert(const std::vector<float>& point);
-  Result<uint32_t> Insert(const CallOptions& opts,
-                          const std::vector<float>& point);
+  Result<uint32_t> Insert(const std::vector<float>& point,
+                          const CallOptions& opts = {});
 
   /// Insert for many rows under one lock acquisition; returns their
   /// stable ids in row order.
-  Result<std::vector<uint32_t>> InsertBatch(const HostMatrix& points);
-  Result<std::vector<uint32_t>> InsertBatch(const CallOptions& opts,
-                                            const HostMatrix& points);
+  Result<std::vector<uint32_t>> InsertBatch(const HostMatrix& points,
+                                            const CallOptions& opts = {});
 
   /// Deletes the point with this stable id. Returns true if it was
   /// live, false if unknown or already removed; Unavailable when racing
   /// a Shutdown(). Removing every point is allowed — queries then
   /// answer all padding.
-  Result<bool> Remove(uint32_t id);
-  Result<bool> Remove(const CallOptions& opts, uint32_t id);
+  Result<bool> Remove(uint32_t id, const CallOptions& opts = {});
 
   /// Synchronously folds one shard's overlay into a freshly clustered
   /// base (same protocol as the background compactor: capture under the
@@ -506,15 +293,14 @@ class KnnService {
   Status SwapIndex(const std::string& dir);
   Status SwapIndex(const std::string& tenant, const std::string& dir);
 
-  /// Consistent snapshot of the cumulative counters.
+  /// The cumulative counters: a read-only view over the registry.
   ServiceStats stats() const;
 
   /// The service's metrics registry: latency histograms (queue wait,
   /// batch assembly, shard fan-out, merge, end-to-end), per-stage
   /// simulated-time counters, adaptive-decision counts,
-  /// mutation/compaction counters, counter mirrors of ServiceStats,
-  /// and the per-tenant labeled series (sweetknn_tenant_*{tenant="x"}).
-  /// See docs/serving.md, "Metrics".
+  /// mutation/compaction counters, and the per-tenant labeled series
+  /// (sweetknn_tenant_*{tenant="x"}). See docs/serving.md, "Metrics".
   const common::MetricsRegistry& metrics() const { return metrics_; }
   /// Registry exports with the queue-depth/peak/tenant-count gauges
   /// refreshed first. The queue-depth gauge is computed from the live
@@ -532,13 +318,9 @@ class KnnService {
     pre_cache_insert_hook_ = std::move(hook);
   }
 
-  /// Test-only: invoked on the dispatcher thread right after it dequeues
-  /// the first request of each micro-batch, with no scheduler lock held.
-  /// Lets tests park the dispatcher (submit a sentinel, block in the
-  /// hook) to hold a known queue depth. Safe to set at any time.
+  /// Test-only: see FrontEnd::SetPreDispatchHookForTest.
   void SetPreDispatchHookForTest(std::function<void()> hook) {
-    std::lock_guard<std::mutex> lock(hook_mutex_);
-    pre_dispatch_hook_ = std::move(hook);
+    front_end_.SetPreDispatchHookForTest(std::move(hook));
   }
 
   /// The batch router (live mode switch; route counters). Thread-safe.
@@ -565,31 +347,6 @@ class KnnService {
   /// code against the same state.
   using Shard = ShardHost;
 
-  struct Request {
-    /// The index this request targets; pinned so a concurrent DropIndex
-    /// can never pull the shards out from under a queued request.
-    std::shared_ptr<TenantIndex> tenant;
-    std::vector<float> rows;  ///< num_rows * dims query coordinates.
-    size_t num_rows = 0;
-    int k = 0;
-    /// Normalized at admission (Normalize()), so grouping and caching
-    /// treat approx(recall 1.0) and exact as the same traffic.
-    ann::SearchMode mode;
-    /// Relative deadline copied from CallOptions; 0 = none. Submit
-    /// turns it into the absolute `deadline` below at admit time.
-    std::chrono::microseconds timeout{0};
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline;
-    std::chrono::steady_clock::time_point admit_time;
-    std::promise<Result<KnnResult>> promise;
-    /// Range requests (is_range) group on radius instead of (k, mode)
-    /// and resolve range_promise; k/mode/promise are unused for them.
-    bool is_range = false;
-    float radius = 0.0f;
-    std::promise<Result<RangeResult>> range_promise;
-  };
-  using RequestPtr = std::unique_ptr<Request>;
-
   /// One queued/running offline job (jobs_mutex_ guards everything but
   /// `cancel`, which PollJob-era readers never touch, and the job
   /// thread's private use of `output` while kRunning).
@@ -614,15 +371,12 @@ class KnnService {
   KnnService(AdoptTag, std::vector<store::IndexSnapshot> snapshots,
              const ServiceConfig& config);
 
-  static FairScheduler<RequestPtr>::Options SchedOptions(
-      const ServiceConfig& config);
-
-  /// Registers every metric of the registry and caches the pointers.
+  /// Registers the service's own series (index, mutation, cache, job)
+  /// and caches the pointers; the front-end registers the rest.
   void InitMetrics();
-  /// Registers the tenant's labeled series (TenantLabel(name)).
-  void RegisterTenantMetrics(TenantIndex* tenant);
-  /// Starts the dispatcher and (if configured) the compactor.
-  void StartThreads();
+  /// Publishes the constructor's default tenant, then starts the
+  /// dispatcher, the job thread and (if configured) the compactor.
+  void Open(std::shared_ptr<TenantIndex> tenant);
 
   /// "<snapshot_dir>/<name>/" for named tenants, the root for the
   /// default tenant, "" when snapshots are not configured.
@@ -632,51 +386,31 @@ class KnnService {
   Result<std::shared_ptr<TenantIndex>> ResolveTenant(
       const std::string& name) const;
 
+  /// A shard-less tenant with its snapshot directory and labeled series
+  /// (the front-end's request series plus the live-rows gauge).
+  std::shared_ptr<TenantIndex> NewTenant(const std::string& name,
+                                         size_t dims, int num_shards);
   /// Builds a complete tenant off to the side: contiguous slices,
-  /// per-shard engines (warm from `snapshot_dir` when it matches, cold
-  /// otherwise), id allocator, labeled metrics. Publishing it is the
-  /// caller's job (IndexManager::Install + scheduler weight).
+  /// per-shard engines (warm from its snapshot directory when it
+  /// matches, cold otherwise), id allocator, labeled metrics. Publishing
+  /// it is the caller's job (IndexManager::Install + scheduler weight).
   std::shared_ptr<TenantIndex> BuildTenant(const std::string& name,
-                                           double weight,
-                                           const HostMatrix& target,
-                                           const std::string& snapshot_dir);
+                                           const HostMatrix& target);
 
-  /// Admission. Fails with Unavailable — counting the rejection or the
-  /// shed — when the scheduler is closed or the max_queue_depth bound
-  /// bounces the request; a successful return guarantees the future
-  /// resolves, because the dispatcher drains everything admitted
-  /// before the close.
-  Result<std::future<Result<KnnResult>>> Submit(RequestPtr request);
-  /// Admission for range requests (the range twin of Submit; same
-  /// shed/reject handling, resolves the range promise's future).
-  Result<std::future<Result<RangeResult>>> SubmitRange(RequestPtr request);
-  /// Shared admission tail: queue submit + accounting. On success the
-  /// caller's pre-extracted future is valid.
-  Status AdmitRequest(RequestPtr request);
-  void DispatchLoop();
-  /// Resolves whichever promise the request carries with `status`.
-  static void FailRequest(Request* request, Status status);
-  /// Completes a popped request without touching the shards when its
-  /// tenant was dropped (NotFound) or its deadline expired while
-  /// queued (DeadlineExceeded). True = the request was consumed.
-  bool FailFast(RequestPtr* request);
-  /// Runs one same-(k, mode) group of one tenant's coalesced requests
-  /// through the tenant's shards and fulfills their promises. Holds the
-  /// tenant's index mutex for the whole group, so a group never
-  /// straddles a SwapIndex, mutation, or compaction install.
-  void RunGroup(std::vector<RequestPtr> group);
-  /// Runs one same-radius range group of one tenant's coalesced
-  /// requests (the range twin of RunGroup; same index-mutex scope).
-  void RunRangeGroup(std::vector<RequestPtr> group);
-  /// Folds one range group into ServiceStats and the range metrics.
-  /// Caller must NOT hold stats_mutex_.
-  void RecordRangeGroupStats(size_t rows, size_t matches);
-  /// Folds one engine group's shard answers into ServiceStats and the
-  /// metrics registry. Host-routed shards contribute no simulated-device
-  /// stats (no device ran for them) and are skipped for the adaptive-
-  /// decision counters. Caller must NOT hold stats_mutex_.
-  void RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
-                        size_t rows);
+  // ShardTransport: the in-process fan-out over the host pool.
+  Status SearchGroup(const TenantIndex& tenant, const HostMatrix& queries,
+                     int k, const ann::SearchMode& mode,
+                     std::vector<core::ShardAnswer>* answers,
+                     std::vector<core::ShardAnswer>* exact,
+                     double* fanout_seconds) override;
+  Status RangeGroup(const TenantIndex& tenant, const HostMatrix& queries,
+                    float radius,
+                    std::vector<core::RangeShardAnswer>* answers,
+                    double* fanout_seconds) override;
+  /// The planner's route for each shard of `tenant`. Caller holds the
+  /// index mutex.
+  std::vector<core::QueryRoute> PlanRoutes(const TenantIndex& tenant,
+                                           size_t rows);
 
   /// The job thread: runs queued jobs one at a time, chunking each
   /// through the admission queue. See docs/modalities.md.
@@ -690,12 +424,12 @@ class KnnService {
   /// index mutex.
   void SnapshotLive(TenantIndex* tenant, std::vector<uint32_t>* ids,
                     HostMatrix* points) const;
-  /// Blocking range scan of `queries` used by the job chunk loop:
-  /// admission-queue submit + wait, like RadiusSearch.
-  Result<RangeResult> RangeChunk(const std::shared_ptr<TenantIndex>& tenant,
-                                 const HostMatrix& queries, float radius);
   /// Marks the job terminal and updates the job counters/gauge.
   void FinishJob(Job* job, JobState state, Status status = Status::Ok());
+  /// Jobs pending or running. Caller holds jobs_mutex_.
+  size_t ActiveJobsLocked() const;
+  /// A taken terminal job's output (kDone) or why it has none.
+  static Result<JobOutput> JobOutcome(Job* job);
   /// Blocks until the job is terminal, then takes its output (kDone) or
   /// propagates the cancelled/failed status, erasing the job either way
   /// — the synchronous wrappers' tail.
@@ -801,10 +535,35 @@ class KnnService {
   /// with an older epoch are dropped (see CacheInsert).
   std::atomic<uint64_t> cache_epoch_{0};
 
-  /// The weighted-fair admission scheduler (replaces the old single
-  /// FIFO BlockingQueue).
-  FairScheduler<RequestPtr> queue_;
-  std::thread dispatcher_;
+  common::MetricsRegistry metrics_;
+  // Cached registry pointers (stable for the registry's lifetime).
+  common::Counter* m_cache_lookups_ = nullptr;
+  common::Counter* m_cache_hits_ = nullptr;
+  common::Counter* m_cache_stale_drops_ = nullptr;
+  common::Counter* m_warm_started_shards_ = nullptr;
+  common::Counter* m_index_swaps_ = nullptr;
+  common::Counter* m_inserts_ = nullptr;
+  common::Counter* m_removes_ = nullptr;
+  common::Counter* m_remove_misses_ = nullptr;
+  common::Counter* m_compactions_ = nullptr;
+  common::Counter* m_compaction_aborts_ = nullptr;
+  common::Counter* m_compacted_rows_ = nullptr;
+  common::Histogram* m_compaction_seconds_ = nullptr;
+  common::Counter* m_jobs_submitted_ = nullptr;
+  common::Counter* m_jobs_completed_ = nullptr;
+  common::Counter* m_jobs_cancelled_ = nullptr;
+  common::Counter* m_jobs_failed_ = nullptr;
+  common::Histogram* m_job_seconds_ = nullptr;
+  common::Gauge* m_active_jobs_ = nullptr;
+  common::Gauge* m_tenants_ = nullptr;
+  common::Gauge* m_index_generation_ = nullptr;
+  common::Gauge* m_delta_points_ = nullptr;
+  common::Gauge* m_tombstones_ = nullptr;
+  common::Gauge* m_live_rows_ = nullptr;
+
+  /// Declared after metrics_, which it registers into, and before the
+  /// job thread, which submits through it.
+  FrontEnd front_end_;
 
   /// Compactor wake-up state. compact_mutex_ may be taken while holding
   /// a tenant's index mutex (mutations scheduling work), never the
@@ -828,86 +587,7 @@ class KnnService {
   bool jobs_stop_ = false;
   std::thread job_thread_;
 
-  mutable std::mutex stats_mutex_;
-  ServiceStats stats_;  // guarded by stats_mutex_ (except peak_queue_depth
-                        // and the overlay gauges, read at snapshot time)
-
-  common::MetricsRegistry metrics_;
-  // Cached registry pointers (stable for the registry's lifetime).
-  common::Counter* m_requests_ = nullptr;
-  common::Counter* m_queries_ = nullptr;
-  common::Counter* m_rejected_ = nullptr;
-  common::Counter* m_shed_requests_ = nullptr;
-  common::Counter* m_deadline_exceeded_ = nullptr;
-  common::Counter* m_batches_ = nullptr;
-  common::Counter* m_engine_groups_ = nullptr;
-  common::Counter* m_batched_queries_ = nullptr;
-  common::Counter* m_cache_lookups_ = nullptr;
-  common::Counter* m_cache_hits_ = nullptr;
-  common::Counter* m_cache_stale_drops_ = nullptr;
-  common::Counter* m_index_swaps_ = nullptr;
-  common::Counter* m_distance_calcs_ = nullptr;
-  common::Counter* m_sim_level1_ = nullptr;
-  common::Counter* m_sim_level2_ = nullptr;
-  common::Counter* m_sim_transfer_ = nullptr;
-  common::Counter* m_sim_preprocess_ = nullptr;
-  common::Counter* m_sim_total_ = nullptr;
-  common::Counter* m_sim_critical_ = nullptr;
-  common::Counter* m_filter_full_ = nullptr;
-  common::Counter* m_filter_partial_ = nullptr;
-  common::Counter* m_placement_global_ = nullptr;
-  common::Counter* m_placement_shared_ = nullptr;
-  common::Counter* m_placement_registers_ = nullptr;
-  common::Counter* m_inserts_ = nullptr;
-  common::Counter* m_removes_ = nullptr;
-  common::Counter* m_remove_misses_ = nullptr;
-  common::Counter* m_compactions_ = nullptr;
-  common::Counter* m_compaction_aborts_ = nullptr;
-  common::Counter* m_compacted_rows_ = nullptr;
-  common::Counter* m_planner_device_routes_ = nullptr;
-  common::Counter* m_planner_host_routes_ = nullptr;
-  common::Histogram* m_route_device_seconds_ = nullptr;
-  common::Histogram* m_route_host_seconds_ = nullptr;
-  common::Histogram* m_compaction_seconds_ = nullptr;
-  common::Histogram* m_threads_per_query_ = nullptr;
-  common::Histogram* m_queue_wait_ = nullptr;
-  common::Histogram* m_batch_assembly_ = nullptr;
-  common::Histogram* m_shard_fanout_ = nullptr;
-  common::Histogram* m_merge_ = nullptr;
-  common::Histogram* m_request_latency_ = nullptr;
-  common::Histogram* m_batch_rows_ = nullptr;
-  common::Counter* m_range_groups_ = nullptr;
-  common::Counter* m_range_queries_ = nullptr;
-  common::Counter* m_range_matches_ = nullptr;
-  common::Counter* m_jobs_submitted_ = nullptr;
-  common::Counter* m_jobs_completed_ = nullptr;
-  common::Counter* m_jobs_cancelled_ = nullptr;
-  common::Counter* m_jobs_failed_ = nullptr;
-  common::Histogram* m_job_seconds_ = nullptr;
-  common::Gauge* m_active_jobs_ = nullptr;
-  common::Counter* m_approx_groups_ = nullptr;
-  common::Counter* m_approx_queries_ = nullptr;
-  common::Counter* m_ann_hops_ = nullptr;
-  common::Counter* m_ann_candidates_ = nullptr;
-  common::Counter* m_recall_probes_ = nullptr;
-  common::Histogram* m_recall_estimate_ = nullptr;
-  common::Gauge* m_queue_depth_ = nullptr;
-  common::Gauge* m_peak_queue_depth_ = nullptr;
-  common::Gauge* m_tenants_ = nullptr;
-  common::Gauge* m_index_generation_ = nullptr;
-  common::Gauge* m_delta_points_ = nullptr;
-  common::Gauge* m_tombstones_ = nullptr;
-  common::Gauge* m_live_rows_ = nullptr;
-
-  /// Approx groups seen by the dispatcher (recall-probe cadence).
-  /// Dispatcher-thread only.
-  uint64_t approx_group_counter_ = 0;
-
   std::function<void()> pre_cache_insert_hook_;
-  /// Guarded by hook_mutex_ (the dispatcher copies it per batch, so a
-  /// test may install it while traffic is flowing).
-  mutable std::mutex hook_mutex_;
-  std::function<void()> pre_dispatch_hook_;
 
   std::mutex cache_mutex_;
   std::list<std::string> lru_;  // front = most recent

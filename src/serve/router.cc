@@ -11,10 +11,10 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "store/snapshot.h"
@@ -26,11 +26,6 @@ namespace sweetknn::serve {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
-
-double SecondsBetween(SteadyClock::time_point from,
-                      SteadyClock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 /// Budget for the initial connect to a freshly spawned worker (the
 /// Connect retries while the socket file does not exist yet).
@@ -131,7 +126,8 @@ Router::Router(const RouterConfig& config, size_t dims, size_t rows)
       dims_(dims),
       initial_rows_(static_cast<uint32_t>(rows)),
       next_id_(static_cast<uint32_t>(rows)),
-      target_rows_(rows) {
+      target_rows_(rows),
+      front_end_(config.service, this, &metrics_) {
   num_shards_ = std::clamp(config_.service.num_shards, 1,
                            static_cast<int>(rows));
   config_.service.num_shards = num_shards_;
@@ -139,6 +135,12 @@ Router::Router(const RouterConfig& config, size_t dims, size_t rows)
   config_.replicas =
       std::clamp(config_.replicas, 0, config_.num_workers - 1);
   InitMetrics();
+  tenant_ = std::make_shared<TenantIndex>();
+  tenant_->name = config_.tenant;
+  tenant_->dims = dims_;
+  tenant_->num_shards = num_shards_;
+  front_end_.RegisterTenant(tenant_.get());
+  front_end_.SetWeight(config_.tenant, 1.0);
 }
 
 Result<std::unique_ptr<Router>> Router::Start(const HostMatrix& target,
@@ -160,37 +162,24 @@ Result<std::unique_ptr<Router>> Router::Start(const HostMatrix& target,
     router->Shutdown();
     return boot;
   }
-  router->dispatcher_ = std::thread(&Router::DispatchLoop, router.get());
+  router->front_end_.Start();
   return router;
 }
 
 Router::~Router() { Shutdown(); }
 
 void Router::InitMetrics() {
-  m_requests_ = metrics_.GetCounter("sweetknn_router_requests_total",
-                                    "Search/JoinBatch calls admitted");
-  m_queries_ = metrics_.GetCounter("sweetknn_router_queries_total",
-                                   "Query rows answered");
-  m_rejected_ = metrics_.GetCounter(
-      "sweetknn_router_rejected_requests_total",
-      "Requests rejected because the router was shutting down");
-  m_batches_ = metrics_.GetCounter("sweetknn_router_batches_total",
-                                   "Micro-batches dispatched");
-  m_engine_groups_ = metrics_.GetCounter(
-      "sweetknn_router_engine_groups_total",
-      "Same-k groups fanned out to the workers");
-  m_batched_queries_ = metrics_.GetCounter(
-      "sweetknn_router_batched_queries_total",
-      "Query rows that went through worker fan-outs");
-  m_inserts_ = metrics_.GetCounter("sweetknn_router_inserts_total",
+  // The mutation counters share the in-process names: the front-end's
+  // registry view reads them for stats() on both backends.
+  m_inserts_ = metrics_.GetCounter("sweetknn_inserts_total",
                                    "Points admitted through Insert");
-  m_removes_ = metrics_.GetCounter("sweetknn_router_removes_total",
+  m_removes_ = metrics_.GetCounter("sweetknn_removes_total",
                                    "Successful Remove calls");
   m_remove_misses_ = metrics_.GetCounter(
-      "sweetknn_router_remove_misses_total",
-      "Remove calls naming an id that was never live or already removed");
+      "sweetknn_remove_misses_total",
+      "Remove calls naming an unknown or already-removed id");
   m_compactions_ = metrics_.GetCounter(
-      "sweetknn_router_compactions_total",
+      "sweetknn_compactions_total",
       "Shard compactions applied across the cluster");
   m_worker_deaths_ = metrics_.GetCounter(
       "sweetknn_router_worker_deaths_total",
@@ -205,17 +194,7 @@ void Router::InitMetrics() {
       "Replicas re-established by snapshot catch-up");
   m_jobs_ = metrics_.GetCounter(
       "sweetknn_router_jobs_total",
-      "Completed cluster jobs (radius search, self-join, knn graph)");
-  m_queue_wait_ = metrics_.GetHistogram(
-      "sweetknn_router_queue_wait_seconds",
-      "Admission-to-dispatch wait per request",
-      common::LatencyBucketsSeconds());
-  m_merge_ = metrics_.GetHistogram("sweetknn_router_merge_seconds",
-                                   "Final cross-shard merge per group",
-                                   common::LatencyBucketsSeconds());
-  m_request_latency_ = metrics_.GetHistogram(
-      "sweetknn_router_request_latency_seconds",
-      "End-to-end latency per request", common::LatencyBucketsSeconds());
+      "Completed cluster jobs (self-join, knn graph)");
   m_workers_alive_ = metrics_.GetGauge("sweetknn_router_workers_alive",
                                        "Live worker processes");
   for (int w = 0; w < config_.num_workers; ++w) {
@@ -357,14 +336,8 @@ Status Router::Bootstrap(const HostMatrix& target) {
       case common::PopResult::kClosed:
         return Status::Unavailable("router shut down during prepare");
     }
-    SK_RETURN_IF_ERROR(reply.status);
-    if (reply.frame.type == static_cast<uint32_t>(net::MsgType::kError)) {
-      return net::DecodeError(reply.frame.payload);
-    }
-    if (reply.frame.type != static_cast<uint32_t>(net::MsgType::kAck)) {
-      return Status::IoError("unexpected prepare reply type " +
-                             std::to_string(reply.frame.type));
-    }
+    SK_RETURN_IF_ERROR(
+        ReplyFrame(std::move(reply), net::MsgType::kAck).status());
   }
   return Status::Ok();
 }
@@ -403,23 +376,24 @@ Result<net::Frame> Router::CallWorker(int w, net::MsgType type,
   if (reply.status.code() == StatusCode::kDeadlineExceeded) {
     NoteRpcTimeout();
   }
+  return ReplyFrame(std::move(reply), expect_type);
+}
+
+Result<net::Frame> Router::ReplyFrame(RpcReply reply,
+                                      net::MsgType expect_type) {
   SK_RETURN_IF_ERROR(reply.status);
   if (reply.frame.type == static_cast<uint32_t>(net::MsgType::kError)) {
     return net::DecodeError(reply.frame.payload);
   }
   if (reply.frame.type != static_cast<uint32_t>(expect_type)) {
-    return Status::IoError("worker " + std::to_string(w) +
+    return Status::IoError("worker " + std::to_string(reply.worker) +
                            " replied with unexpected type " +
                            std::to_string(reply.frame.type));
   }
   return std::move(reply.frame);
 }
 
-void Router::NoteRpcTimeout() {
-  m_rpc_timeouts_->Increment();
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.rpc_timeouts;
-}
+void Router::NoteRpcTimeout() { m_rpc_timeouts_->Increment(); }
 
 void Router::MarkWorkerDeadLocked(int w, const std::string& why) {
   const auto idx = static_cast<size_t>(w);
@@ -434,10 +408,6 @@ void Router::MarkWorkerDeadLocked(int w, const std::string& why) {
   m_worker_alive_[idx]->Set(0.0);
   m_workers_alive_->Add(-1.0);
   m_worker_deaths_->Increment();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.worker_deaths;
-  }
   for (int s = 0; s < num_shards_; ++s) {
     const auto sidx = static_cast<size_t>(s);
     std::vector<int>& reps = replicas_[sidx];
@@ -516,149 +486,71 @@ Result<net::Frame> Router::MutateShardLocked(int s, net::MsgType type,
   return first;
 }
 
-// --- Admission + dispatch ----------------------------------------------------
+// --- Queries: the front-end over the RPC transport -------------------------
 
-Result<std::vector<Neighbor>> Router::Search(
-    const std::vector<float>& query_point, int k) {
-  return Search(query_point, k, ann::SearchMode::Exact());
+Result<std::shared_ptr<TenantIndex>> Router::ResolveTenant(
+    const CallOptions& opts) const {
+  if (opts.tenant == config_.tenant || opts.tenant == kDefaultTenant) {
+    return tenant_;
+  }
+  return Status::NotFound("no index named '" + opts.tenant +
+                          "' (this cluster serves '" + config_.tenant + "')");
 }
 
 Result<std::vector<Neighbor>> Router::Search(
     const std::vector<float>& query_point, int k,
-    const ann::SearchMode& mode) {
+    const ann::SearchMode& mode, const CallOptions& opts) {
   SK_CHECK_EQ(query_point.size(), dims_);
   SK_CHECK_GT(k, 0);
-  auto request = std::make_unique<Request>();
-  request->rows = query_point;
-  request->num_rows = 1;
-  request->k = k;
-  request->mode = ann::Normalize(mode);
-  Result<std::future<Result<KnnResult>>> submitted =
-      Submit(std::move(request));
-  if (!submitted.ok()) return submitted.status();
-  Result<KnnResult> result = submitted.value().get();
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts);
+  if (!tenant.ok()) return tenant.status();
+  Result<KnnResult> result = front_end_.Knn(
+      std::move(tenant).value(), query_point, 1, k, mode, opts.timeout);
   if (!result.ok()) return result.status();
   const KnnResult& answer = result.value();
   return std::vector<Neighbor>(answer.row(0), answer.row(0) + answer.k());
 }
 
-Result<KnnResult> Router::JoinBatch(const HostMatrix& queries, int k) {
-  return JoinBatch(queries, k, ann::SearchMode::Exact());
-}
-
 Result<KnnResult> Router::JoinBatch(const HostMatrix& queries, int k,
-                                    const ann::SearchMode& mode) {
+                                    const ann::SearchMode& mode,
+                                    const CallOptions& opts) {
   SK_CHECK(!queries.empty());
   SK_CHECK_EQ(queries.cols(), dims_);
   SK_CHECK_GT(k, 0);
-  auto request = std::make_unique<Request>();
-  request->rows = queries.storage();
-  request->num_rows = queries.rows();
-  request->k = k;
-  request->mode = ann::Normalize(mode);
-  Result<std::future<Result<KnnResult>>> submitted =
-      Submit(std::move(request));
-  if (!submitted.ok()) return submitted.status();
-  return submitted.value().get();
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts);
+  if (!tenant.ok()) return tenant.status();
+  return front_end_.Knn(std::move(tenant).value(), queries.storage(),
+                        queries.rows(), k, mode, opts.timeout);
 }
 
-Result<std::future<Result<KnnResult>>> Router::Submit(RequestPtr request) {
-  const size_t rows = request->num_rows;
-  request->admit_time = SteadyClock::now();
-  std::future<Result<KnnResult>> future = request->promise.get_future();
-  if (!queue_.Push(std::move(request))) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.rejected_requests;
-    }
-    m_rejected_->Increment();
-    return Status::Unavailable("Router is shut down; request rejected");
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-    stats_.queries += rows;
-  }
-  m_requests_->Increment();
-  m_queries_->Increment(static_cast<double>(rows));
-  return future;
-}
-
-void Router::DispatchLoop() {
-  RequestPtr first;
-  while (queue_.WaitPop(&first)) {
-    // The same micro-batching policy as KnnService::DispatchLoop.
-    const SteadyClock::time_point opened = SteadyClock::now();
-    m_queue_wait_->Observe(SecondsBetween(first->admit_time, opened));
-    std::vector<RequestPtr> batch;
-    size_t rows = first->num_rows;
-    batch.push_back(std::move(first));
-    const auto deadline = opened + config_.service.max_batch_wait;
-    while (rows < static_cast<size_t>(config_.service.max_batch_size)) {
-      RequestPtr next;
-      if (!queue_.TryPop(&next)) {
-        const auto now = SteadyClock::now();
-        if (now >= deadline ||
-            queue_.WaitPopFor(&next, deadline - now) !=
-                common::PopResult::kItem) {
-          break;  // batch window over (or shutdown: outer WaitPop ends)
-        }
-      }
-      m_queue_wait_->Observe(
-          SecondsBetween(next->admit_time, SteadyClock::now()));
-      rows += next->num_rows;
-      batch.push_back(std::move(next));
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.batches;
-      stats_.batched_queries += rows;
-    }
-    m_batches_->Increment();
-    m_batched_queries_->Increment(static_cast<double>(rows));
-
-    // Same (k, normalized mode) grouping as KnnService::DispatchLoop —
-    // exact groups first, deterministic order across groups.
-    struct GroupKeyLess {
-      bool operator()(const std::pair<int, ann::SearchMode>& a,
-                      const std::pair<int, ann::SearchMode>& b) const {
-        if (a.first != b.first) return a.first < b.first;
-        return ann::SearchModeLess(a.second, b.second);
-      }
-    };
-    std::map<std::pair<int, ann::SearchMode>, std::vector<RequestPtr>,
-             GroupKeyLess>
-        by_key;
-    for (RequestPtr& request : batch) {
-      by_key[{request->k, request->mode}].push_back(std::move(request));
-    }
-    for (auto& [key, group] : by_key) {
-      (void)key;
-      RunGroup(std::move(group));
-    }
-  }
+Result<RangeResult> Router::RadiusSearch(const HostMatrix& queries,
+                                         float radius,
+                                         const CallOptions& opts) {
+  SK_CHECK(!queries.empty());
+  SK_CHECK_EQ(queries.cols(), dims_);
+  SK_CHECK_GE(radius, 0.0f);
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts);
+  if (!tenant.ok()) return tenant.status();
+  return front_end_.Range(std::move(tenant).value(), queries.storage(),
+                          queries.rows(), radius, opts.timeout);
 }
 
 bool Router::TryFanout(const HostMatrix& queries, int k,
                        const ann::SearchMode& mode,
                        std::vector<core::ShardAnswer>* answers,
                        std::vector<int>* failed) {
-  // Per-worker primary shard lists.
-  std::vector<std::vector<uint32_t>> plan(workers_.size());
-  for (int s = 0; s < num_shards_; ++s) {
-    const int p = primary_[static_cast<size_t>(s)];
-    if (p < 0 || !alive_[static_cast<size_t>(p)]) return false;
-    plan[static_cast<size_t>(p)].push_back(static_cast<uint32_t>(s));
-  }
+  Result<std::vector<std::pair<int, std::vector<uint32_t>>>> plan =
+      PrimaryPlanLocked();
+  if (!plan.ok()) return false;
   auto replies = std::make_shared<ReplyQueue>();
-  std::vector<bool> pending(workers_.size(), false);
+  // The shard list each pending worker was asked for, by worker.
+  std::vector<const std::vector<uint32_t>*> pending(workers_.size(), nullptr);
   int outstanding = 0;
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    if (plan[w].empty()) continue;
+  for (const auto& [w, shards] : plan.value()) {
     net::QueryRequest req;
     req.k = static_cast<uint32_t>(k);
     req.queries = queries;
-    req.shard_indices = plan[w];
+    req.shard_indices = shards;
     req.mode = mode;
     req.tenant = config_.tenant;
     Call call;
@@ -666,11 +558,11 @@ bool Router::TryFanout(const HostMatrix& queries, int k,
     call.payload = net::EncodeQuery(req);
     call.timeout = config_.rpc_timeout;
     call.reply_to = replies;
-    if (!workers_[w]->Submit(std::move(call))) {
-      failed->push_back(static_cast<int>(w));
+    if (!workers_[static_cast<size_t>(w)]->Submit(std::move(call))) {
+      failed->push_back(w);
       continue;
     }
-    pending[w] = true;
+    pending[static_cast<size_t>(w)] = &shards;
     ++outstanding;
   }
   if (!failed->empty()) return false;
@@ -688,12 +580,13 @@ bool Router::TryFanout(const HostMatrix& queries, int k,
       // fan-out, but it is not a worker-sickness signal.
       if (got == common::PopResult::kTimeout) NoteRpcTimeout();
       for (size_t w = 0; w < pending.size(); ++w) {
-        if (pending[w]) failed->push_back(static_cast<int>(w));
+        if (pending[w] != nullptr) failed->push_back(static_cast<int>(w));
       }
       return false;
     }
     const auto widx = static_cast<size_t>(reply.worker);
-    pending[widx] = false;
+    const std::vector<uint32_t>& expected = *pending[widx];
+    pending[widx] = nullptr;
     if (!reply.status.ok()) {
       if (reply.status.code() == StatusCode::kDeadlineExceeded) {
         NoteRpcTimeout();
@@ -712,7 +605,7 @@ bool Router::TryFanout(const HostMatrix& queries, int k,
     }
     net::QueryReply decoded;
     const Status status = net::DecodeQueryReply(reply.frame.payload, &decoded);
-    if (!status.ok() || decoded.shard_indices != plan[widx]) {
+    if (!status.ok() || decoded.shard_indices != expected) {
       failed->push_back(reply.worker);
       ok = false;
       continue;
@@ -724,84 +617,71 @@ bool Router::TryFanout(const HostMatrix& queries, int k,
   return ok;
 }
 
-void Router::RunGroup(std::vector<RequestPtr> group) {
-  const int k = group[0]->k;
-  const ann::SearchMode mode = group[0]->mode;
-  size_t rows = 0;
-  for (const RequestPtr& request : group) rows += request->num_rows;
-  HostMatrix queries(rows, dims_);
-  size_t row = 0;
-  for (const RequestPtr& request : group) {
-    std::memcpy(queries.mutable_row(row), request->rows.data(),
-                request->num_rows * dims_ * sizeof(float));
-    row += request->num_rows;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.engine_groups;
-  }
-  m_engine_groups_->Increment();
-
-  Status failure = Status::Ok();
-  KnnResult merged;
-  {
-    // One consistent cluster state per group, like index_mutex_: the
-    // fan-out excludes mutations, compactions, and topology changes.
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<core::ShardAnswer> answers(
-        static_cast<size_t>(num_shards_));
-    int attempts = 0;
-    for (;;) {
-      std::vector<int> failed;
-      if (TryFanout(queries, k, mode, &answers, &failed)) break;
-      for (const int w : failed) {
-        MarkWorkerDeadLocked(w, "query fan-out failed");
-      }
-      bool lost = false;
-      for (int s = 0; s < num_shards_; ++s) {
-        const int p = primary_[static_cast<size_t>(s)];
-        if (p < 0 || !alive_[static_cast<size_t>(p)]) lost = true;
-      }
-      if (lost) {
-        failure = Status::Unavailable(
+Status Router::FanoutLocked(const HostMatrix& queries, int k,
+                            const ann::SearchMode& mode,
+                            std::vector<core::ShardAnswer>* answers) {
+  answers->assign(static_cast<size_t>(num_shards_), core::ShardAnswer{});
+  for (int attempts = 0;; ++attempts) {
+    std::vector<int> failed;
+    if (TryFanout(queries, k, mode, answers, &failed)) return Status::Ok();
+    for (const int w : failed) {
+      MarkWorkerDeadLocked(w, "query fan-out failed");
+    }
+    for (int s = 0; s < num_shards_; ++s) {
+      const int p = primary_[static_cast<size_t>(s)];
+      if (p < 0 || !alive_[static_cast<size_t>(p)]) {
+        return Status::Unavailable(
             "a shard has no live host; cluster cannot answer");
-        break;
       }
-      if (++attempts > static_cast<int>(workers_.size())) {
-        failure = Status::Unavailable("query fan-out kept failing");
-        break;
-      }
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.retried_groups;
-      }
-      m_retried_groups_->Increment();
     }
-    if (failure.ok()) {
-      // The identical exact merge the in-process backend runs — this is
-      // where cluster answers become bit-identical to local ones.
-      const SteadyClock::time_point merge_start = SteadyClock::now();
-      merged = core::MergeShardAnswers(answers, k);
-      m_merge_->Observe(SecondsBetween(merge_start, SteadyClock::now()));
+    if (attempts >= static_cast<int>(workers_.size())) {
+      return Status::Unavailable("query fan-out kept failing");
     }
+    m_retried_groups_->Increment();
   }
+}
 
-  row = 0;
-  for (RequestPtr& request : group) {
-    if (!failure.ok()) {
-      request->promise.set_value(failure);
-      continue;
-    }
-    KnnResult answer(request->num_rows, k);
-    for (size_t q = 0; q < request->num_rows; ++q) {
-      std::memcpy(answer.mutable_row(q), merged.row(row + q),
-                  static_cast<size_t>(k) * sizeof(Neighbor));
-    }
-    row += request->num_rows;
-    m_request_latency_->Observe(
-        SecondsBetween(request->admit_time, SteadyClock::now()));
-    request->promise.set_value(std::move(answer));
+Status Router::SearchGroup(const TenantIndex& /*tenant*/,
+                           const HostMatrix& queries, int k,
+                           const ann::SearchMode& mode,
+                           std::vector<core::ShardAnswer>* answers,
+                           std::vector<core::ShardAnswer>* exact,
+                           double* fanout_seconds) {
+  // One consistent cluster state per group, like a tenant's index mutex:
+  // the fan-out — and the recall probe's exact one — excludes mutations,
+  // compactions, and topology changes. A failover in between moves a
+  // shard to a replica that tracks its primary exactly.
+  std::lock_guard<std::mutex> lock(mutex_);
+  const SteadyClock::time_point start = SteadyClock::now();
+  SK_RETURN_IF_ERROR(FanoutLocked(queries, k, mode, answers));
+  *fanout_seconds = SecondsBetween(start, SteadyClock::now());
+  if (exact == nullptr) return Status::Ok();
+  return FanoutLocked(queries, k, ann::SearchMode::Exact(), exact);
+}
+
+Status Router::RangeGroup(const TenantIndex& /*tenant*/,
+                          const HostMatrix& queries, float radius,
+                          std::vector<core::RangeShardAnswer>* answers,
+                          double* fanout_seconds) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Result<std::vector<std::pair<int, std::vector<uint32_t>>>> plan =
+      PrimaryPlanLocked();
+  if (!plan.ok()) return plan.status();
+  const SteadyClock::time_point start = SteadyClock::now();
+  std::vector<net::JobResultReply> replies;
+  SK_RETURN_IF_ERROR(RunWireJobLocked(net::WireJobKind::kRange, radius, 0,
+                                      queries, plan.value(), &replies));
+  *fanout_seconds = SecondsBetween(start, SteadyClock::now());
+  // One answer per worker, already merged over its shards: pooling them
+  // is the same flat merge over every shard. The wire job carries no
+  // per-shard routes, so none are observed.
+  answers->clear();
+  for (net::JobResultReply& reply : replies) {
+    core::RangeShardAnswer answer;
+    answer.result = std::move(reply.range);
+    answers->push_back(std::move(answer));
   }
+  return Status::Ok();
 }
 
 // --- Offline jobs (docs/modalities.md) --------------------------------------
@@ -819,7 +699,7 @@ bool IsTransportFailure(const Status& status) {
 }  // namespace
 
 Result<std::vector<std::pair<int, std::vector<uint32_t>>>>
-Router::JobPlanLocked() const {
+Router::PrimaryPlanLocked() const {
   std::vector<std::pair<int, std::vector<uint32_t>>> plan;
   for (int s = 0; s < num_shards_; ++s) {
     const int p = primary_[static_cast<size_t>(s)];
@@ -941,9 +821,8 @@ Status Router::RunWireJobLocked(
 Status Router::ExportLiveLocked(
     const std::vector<std::pair<int, std::vector<uint32_t>>>& plan,
     std::vector<uint32_t>* ids, HostMatrix* points) {
-  std::vector<net::ExportLiveReply> parts;
-  parts.reserve(plan.size());
-  size_t total = 0;
+  std::vector<std::vector<uint32_t>> part_ids;
+  std::vector<HostMatrix> part_points;
   for (const auto& [w, shards] : plan) {
     net::ExportLiveRequest req;
     req.shard_indices = shards;
@@ -962,119 +841,54 @@ Status Router::ExportLiveLocked(
     net::ExportLiveReply part;
     SK_RETURN_IF_ERROR(
         net::DecodeExportLiveReply(reply.value().payload, &part));
-    total += part.ids.size();
-    parts.push_back(std::move(part));
+    part_ids.push_back(std::move(part.ids));
+    part_points.push_back(std::move(part.points));
   }
-  // Shards interleave in id space; the global ascending order is a
-  // cross-worker sort, same as KnnService::SnapshotLive's.
-  std::vector<std::pair<uint32_t, std::pair<size_t, size_t>>> order;
-  order.reserve(total);
-  for (size_t p = 0; p < parts.size(); ++p) {
-    for (size_t r = 0; r < parts[p].ids.size(); ++r) {
-      order.emplace_back(parts[p].ids[r], std::make_pair(p, r));
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  ids->clear();
-  ids->reserve(total);
-  *points = HostMatrix(total, dims_);
-  for (size_t r = 0; r < order.size(); ++r) {
-    ids->push_back(order[r].first);
-    std::memcpy(
-        points->mutable_row(r),
-        parts[order[r].second.first].points.row(order[r].second.second),
-        dims_ * sizeof(float));
-  }
+  MergeLiveExports(part_ids, part_points, dims_, ids, points);
   return Status::Ok();
-}
-
-void Router::NoteJobDone() {
-  m_jobs_->Increment();
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.jobs;
-}
-
-Result<RangeResult> Router::RadiusSearch(const HostMatrix& queries,
-                                         float radius) {
-  SK_CHECK(!queries.empty());
-  SK_CHECK_EQ(queries.cols(), dims_);
-  SK_CHECK_GE(radius, 0.0f);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_.load(std::memory_order_acquire)) {
-    return Status::Unavailable("Router is shut down; job rejected");
-  }
-  Result<std::vector<std::pair<int, std::vector<uint32_t>>>> plan =
-      JobPlanLocked();
-  if (!plan.ok()) return plan.status();
-  std::vector<net::JobResultReply> replies;
-  SK_RETURN_IF_ERROR(RunWireJobLocked(net::WireJobKind::kRange, radius, 0,
-                                      queries, plan.value(), &replies));
-  // Per-query concat + NeighborLess sort across workers — with each
-  // worker already merged over its shards, this equals the flat
-  // MergeRangeShardAnswers the in-process backend runs: bit-identical.
-  RangeResult out;
-  std::vector<Neighbor> row;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    row.clear();
-    for (const net::JobResultReply& reply : replies) {
-      row.insert(row.end(), reply.range.begin(q), reply.range.end(q));
-    }
-    std::sort(row.begin(), row.end(), NeighborLess);
-    out.AppendRow(row);
-  }
-  NoteJobDone();
-  return out;
 }
 
 Result<std::vector<SelfJoinPair>> Router::SelfJoin(float radius) {
   SK_CHECK_GE(radius, 0.0f);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (shut_down_) {
     return Status::Unavailable("Router is shut down; job rejected");
   }
   Result<std::vector<std::pair<int, std::vector<uint32_t>>>> plan =
-      JobPlanLocked();
+      PrimaryPlanLocked();
   if (!plan.ok()) return plan.status();
   std::vector<uint32_t> ids;
   HostMatrix live;
   SK_RETURN_IF_ERROR(ExportLiveLocked(plan.value(), &ids, &live));
   std::vector<SelfJoinPair> pairs;
   if (ids.empty()) {
-    NoteJobDone();
+    m_jobs_->Increment();
     return pairs;
   }
   std::vector<net::JobResultReply> replies;
   SK_RETURN_IF_ERROR(RunWireJobLocked(net::WireJobKind::kRange, radius, 0,
                                       live, plan.value(), &replies));
-  // The same pair reduction KnnService::RunJob applies: query rows in
-  // ascending id order, each row's matches kept for ids above the
-  // query's own — every unordered pair lands exactly once.
-  std::vector<Neighbor> row;
-  for (size_t q = 0; q < ids.size(); ++q) {
-    row.clear();
-    for (const net::JobResultReply& reply : replies) {
-      row.insert(row.end(), reply.range.begin(q), reply.range.end(q));
-    }
-    std::sort(row.begin(), row.end(), NeighborLess);
-    for (const Neighbor& nb : row) {
-      if (nb.index > ids[q]) {
-        pairs.push_back(SelfJoinPair{ids[q], nb.index, nb.distance});
-      }
-    }
+  // Each worker's rows are already merged over its shards, so pooling
+  // them is the flat merge; then the pair reduction KnnService::RunJob
+  // applies over query rows in ascending id order.
+  std::vector<core::RangeShardAnswer> parts(replies.size());
+  for (size_t w = 0; w < replies.size(); ++w) {
+    parts[w].result = std::move(replies[w].range);
   }
-  NoteJobDone();
+  AppendSelfJoinPairs(core::MergeRangeShardAnswers(parts, ids.size()),
+                      ids.data(), &pairs);
+  m_jobs_->Increment();
   return pairs;
 }
 
 Result<JobOutput> Router::KnnGraph(int k) {
   SK_CHECK_GT(k, 0);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (shut_down_) {
     return Status::Unavailable("Router is shut down; job rejected");
   }
   Result<std::vector<std::pair<int, std::vector<uint32_t>>>> plan =
-      JobPlanLocked();
+      PrimaryPlanLocked();
   if (!plan.ok()) return plan.status();
   JobOutput out;
   out.kind = JobKind::kKnnGraph;
@@ -1082,44 +896,28 @@ Result<JobOutput> Router::KnnGraph(int k) {
   SK_RETURN_IF_ERROR(ExportLiveLocked(plan.value(), &out.query_ids, &live));
   out.graph = KnnResult(out.query_ids.size(), k);
   if (out.query_ids.empty()) {
-    NoteJobDone();
+    m_jobs_->Increment();
     return out;
   }
   std::vector<net::JobResultReply> replies;
   SK_RETURN_IF_ERROR(RunWireJobLocked(net::WireJobKind::kKnn, 0.0f,
                                       static_cast<uint32_t>(k) + 1, live,
                                       plan.value(), &replies));
-  // Cross-worker top-(k+1) under NeighborLess, then the same self-drop
-  // KnnService::RunJob applies — the one extra slot absorbs the query
-  // point itself, so the graph row is the exact k nearest others.
-  std::vector<Neighbor> candidates;
+  // Cross-worker top-(k+1) — the workers' rows carry stable ids, so this
+  // is the mutated-shard merge — then the self-drop KnnService::RunJob
+  // applies: the one extra slot absorbs the query point itself.
+  std::vector<core::ShardAnswer> parts(replies.size());
+  for (size_t w = 0; w < replies.size(); ++w) {
+    parts[w].pristine = false;
+    parts[w].result = std::move(replies[w].knn);
+  }
+  const KnnResult merged = core::MergeShardAnswers(parts, k + 1);
   std::vector<Neighbor> rowbuf;
   for (size_t q = 0; q < out.query_ids.size(); ++q) {
-    candidates.clear();
-    for (const net::JobResultReply& reply : replies) {
-      const Neighbor* row = reply.knn.row(q);
-      for (int j = 0; j < k + 1; ++j) {
-        if (row[j].index == kInvalidNeighbor) break;
-        candidates.push_back(row[j]);
-      }
-    }
-    std::sort(candidates.begin(), candidates.end(), NeighborLess);
-    if (candidates.size() > static_cast<size_t>(k) + 1) {
-      candidates.resize(static_cast<size_t>(k) + 1);
-    }
-    rowbuf.clear();
-    bool dropped_self = false;
-    for (const Neighbor& nb : candidates) {
-      if (!dropped_self && nb.index == out.query_ids[q]) {
-        dropped_self = true;
-        continue;
-      }
-      if (static_cast<int>(rowbuf.size()) == k) break;
-      rowbuf.push_back(nb);
-    }
+    KnnGraphRow(merged.row(q), k, out.query_ids[q], &rowbuf);
     out.graph.SetRow(q, rowbuf);
   }
-  NoteJobDone();
+  m_jobs_->Increment();
   return out;
 }
 
@@ -1128,7 +926,7 @@ Result<JobOutput> Router::KnnGraph(int k) {
 Result<uint32_t> Router::Insert(const std::vector<float>& point) {
   SK_CHECK_EQ(point.size(), dims_);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (shut_down_) {
     return Status::Unavailable("Router is shut down; insert rejected");
   }
   // Same id allocation and placement as KnnService::InsertBatch: ids
@@ -1143,17 +941,13 @@ Result<uint32_t> Router::Insert(const std::vector<float>& point) {
       s, net::MsgType::kInsert, net::EncodeInsert(req), net::MsgType::kAck);
   if (!reply.ok()) return reply.status();
   ++target_rows_;
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.inserts;
-  }
   m_inserts_->Increment();
   return id;
 }
 
 Result<bool> Router::Remove(uint32_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (shut_down_) {
     return Status::Unavailable("Router is shut down; remove rejected");
   }
   const int s = OwningShardLocked(id);
@@ -1167,14 +961,6 @@ Result<bool> Router::Remove(uint32_t id) {
   net::RemoveReply decoded;
   SK_RETURN_IF_ERROR(net::DecodeRemoveReply(reply.value().payload, &decoded));
   if (decoded.found) --target_rows_;
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    if (decoded.found) {
-      ++stats_.removes;
-    } else {
-      ++stats_.remove_misses;
-    }
-  }
   (decoded.found ? m_removes_ : m_remove_misses_)->Increment();
   return decoded.found;
 }
@@ -1185,7 +971,7 @@ Status Router::CompactShard(int shard) {
                                    std::to_string(shard));
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (shut_down_) {
     return Status::Unavailable("Router is shut down; compact rejected");
   }
   net::CompactRequest req;
@@ -1197,10 +983,6 @@ Status Router::CompactShard(int shard) {
       MutateShardLocked(shard, net::MsgType::kCompact,
                         net::EncodeCompact(req), net::MsgType::kAck);
   if (!reply.ok()) return reply.status();
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.compactions;
-  }
   m_compactions_->Increment();
   return Status::Ok();
 }
@@ -1214,7 +996,7 @@ Status Router::CompactAll() {
 
 Status Router::RestoreReplication() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (shut_down_) {
     return Status::Unavailable("Router is shut down");
   }
   const int num_workers = static_cast<int>(workers_.size());
@@ -1280,10 +1062,6 @@ Status Router::RestoreReplication() {
         continue;  // try the next candidate
       }
       replicas_[sidx].push_back(candidate);
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.replicas_restored;
-      }
       m_replicas_restored_->Increment();
     }
   }
@@ -1298,9 +1076,9 @@ void Router::Shutdown() {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  stopping_.store(true, std::memory_order_release);
-  queue_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  // Drains every admitted request through the transport while the
+  // workers are still up.
+  front_end_.Shutdown();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (size_t w = 0; w < workers_.size(); ++w) {
@@ -1322,12 +1100,22 @@ void Router::Shutdown() {
   }
 }
 
-RouterStats Router::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+ClusterStats Router::stats() const {
+  ClusterStats stats;
+  static_cast<ServiceStats&>(stats) = front_end_.Stats();
+  stats.worker_deaths = static_cast<uint64_t>(m_worker_deaths_->value());
+  stats.rpc_timeouts = static_cast<uint64_t>(m_rpc_timeouts_->value());
+  stats.retried_groups = static_cast<uint64_t>(m_retried_groups_->value());
+  stats.replicas_restored =
+      static_cast<uint64_t>(m_replicas_restored_->value());
+  stats.jobs = static_cast<uint64_t>(m_jobs_->value());
+  return stats;
 }
 
-std::string Router::ExportMetricsJson() const { return metrics_.ExportJson(); }
+std::string Router::ExportMetricsJson() const {
+  front_end_.RefreshGauges();
+  return metrics_.ExportJson();
+}
 
 size_t Router::target_rows() const {
   std::lock_guard<std::mutex> lock(mutex_);

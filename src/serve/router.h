@@ -6,7 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -20,6 +20,7 @@
 #include "common/status.h"
 #include "net/frame.h"
 #include "net/wire.h"
+#include "serve/front_end.h"
 #include "serve/knn_service.h"
 
 namespace sweetknn::serve {
@@ -27,9 +28,11 @@ namespace sweetknn::serve {
 /// Knobs of the cluster front-end (docs/distributed.md).
 struct RouterConfig {
   /// The serving knobs shared with the in-process backend: num_shards,
-  /// micro-batching, options/device/planner, dataset_name. cache_capacity,
-  /// snapshot_dir, auto_compact and compact_delta_fraction are ignored
-  /// (the router has no result cache and compacts only explicitly).
+  /// the front-end's (micro-batching, max_queue_depth, fair_quantum,
+  /// ann_recall_probe_interval), options/device/planner/ANN, and
+  /// dataset_name. cache_capacity, snapshot_dir, auto_compact and
+  /// compact_delta_fraction are ignored (the router has no result cache
+  /// and compacts only explicitly).
   ServiceConfig service;
   /// Worker processes. Clamped to [1, num_shards]; shard s's primary is
   /// worker s % num_workers.
@@ -57,19 +60,10 @@ struct RouterConfig {
   std::string tenant = kDefaultTenant;
 };
 
-/// Cumulative cluster counters, the router-side subset of ServiceStats
-/// plus the failure-path counters the cluster adds.
-struct RouterStats {
-  uint64_t requests = 0;
-  uint64_t queries = 0;
-  uint64_t rejected_requests = 0;
-  uint64_t batches = 0;
-  uint64_t engine_groups = 0;
-  uint64_t batched_queries = 0;
-  uint64_t inserts = 0;
-  uint64_t removes = 0;
-  uint64_t remove_misses = 0;
-  uint64_t compactions = 0;
+/// Router::stats(): the front-end's counters, the same read-only
+/// registry view KnnService::stats() returns, plus the failure-path
+/// counters the cluster adds.
+struct ClusterStats : ServiceStats {
   /// Workers declared dead (timeout, transport error, or bad reply).
   uint64_t worker_deaths = 0;
   /// RPCs that missed their deadline.
@@ -78,26 +72,25 @@ struct RouterStats {
   uint64_t retried_groups = 0;
   /// Replicas re-established by RestoreReplication.
   uint64_t replicas_restored = 0;
-  /// Completed cluster jobs (RadiusSearch / SelfJoin / KnnGraph).
+  /// Completed cluster jobs (SelfJoin / KnnGraph).
   uint64_t jobs = 0;
 };
 
-/// The multi-process cluster front-end: KnnService's dispatch/merge
-/// logic over shard-worker processes instead of in-process threads
-/// (docs/distributed.md).
+/// The multi-process cluster backend: KnnService's serving FrontEnd over
+/// shard-worker processes instead of in-process threads — the router is
+/// its RPC transport (docs/distributed.md).
 ///
 /// Start() spawns num_workers worker processes, connects to each over a
 /// unix socket, and cold-builds the same contiguous target slices
 /// KnnService would build, placing shard s's primary on worker s % W and
-/// its replicas on the following workers. Search/JoinBatch admit into
-/// the same micro-batching dispatcher (max_batch_size / max_batch_wait,
-/// per-k groups); each group fans out one Query RPC per primary worker
-/// and the per-shard answers are merged with core::MergeShardAnswers —
-/// the identical exact merge the in-process backend runs, so cluster
-/// answers are bit-identical to a local KnnService over the same target
-/// and mutation sequence (tests/integration/cluster_differential_test.cc
-/// proves this byte for byte, across worker counts and through worker
-/// kills).
+/// its replicas on the following workers. Each kNN group fans out one
+/// Query RPC per primary worker, each range group runs as a kRange wire
+/// job, and the front-end merges the answers exactly as in process, so
+/// cluster answers are bit-identical to a local KnnService over the same
+/// target and mutation sequence (tests/integration/
+/// cluster_differential_test.cc proves this byte for byte, across worker
+/// counts and through worker kills). The cluster serves one index,
+/// config.tenant; CallOptions name it or the default tenant.
 ///
 /// Mutations mirror KnnService's semantics: Insert allocates stable ids
 /// upward and lands id on shard id % S; Remove resolves its owner
@@ -118,8 +111,8 @@ struct RouterStats {
 /// Thread model: Search/JoinBatch/Insert/Remove/Compact* are
 /// thread-safe. mutex_ serializes query groups, mutations, and topology
 /// changes (failover, catch-up) — one consistent cluster state per
-/// answer, like index_mutex_ in KnnService.
-class Router {
+/// answer, like a tenant's index mutex in KnnService.
+class Router : private ShardTransport {
  public:
   /// Spawns and prepares the cluster. On any spawn/connect/prepare
   /// failure every already-started worker is torn down and the error
@@ -131,22 +124,22 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// The k nearest target rows of one query point. Blocks until the
-  /// micro-batch holding it has been served.
-  Result<std::vector<Neighbor>> Search(const std::vector<float>& query_point,
-                                       int k);
-  /// Mode-selected Search: exact (the default above) or approx under a
-  /// recall SLA, answered by the workers' ANN tier (requires
-  /// service.enable_ann; approx against graph-free workers falls back to
-  /// the exact path shard by shard).
-  Result<std::vector<Neighbor>> Search(const std::vector<float>& query_point,
-                                       int k, const ann::SearchMode& mode);
-  /// The k nearest target rows for every row of `queries`, as one
-  /// request (rows ride in one micro-batch, order preserved).
-  Result<KnnResult> JoinBatch(const HostMatrix& queries, int k);
-  /// Mode-selected JoinBatch; see the Search overload.
-  Result<KnnResult> JoinBatch(const HostMatrix& queries, int k,
-                              const ann::SearchMode& mode);
+  /// As KnnService::Search (approx needs service.enable_ann; graph-free
+  /// workers fall back to exact shard by shard), plus Unavailable when a
+  /// shard has no live host.
+  Result<std::vector<Neighbor>> Search(
+      const std::vector<float>& query_point, int k,
+      const ann::SearchMode& mode = ann::SearchMode::Exact(),
+      const CallOptions& opts = {});
+  /// As KnnService::JoinBatch.
+  Result<KnnResult> JoinBatch(
+      const HostMatrix& queries, int k,
+      const ann::SearchMode& mode = ann::SearchMode::Exact(),
+      const CallOptions& opts = {});
+  /// As KnnService::RadiusSearch; each radius group runs as a kRange
+  /// wire job on every primary worker.
+  Result<RangeResult> RadiusSearch(const HostMatrix& queries, float radius,
+                                   const CallOptions& opts = {});
 
   // -- Offline jobs (docs/modalities.md) ------------------------------
   // Each runs as a wire-level job on every primary worker (kJobSubmit /
@@ -158,8 +151,6 @@ class Router {
   // death mid-job fails the job with Unavailable (jobs are not
   // re-fanned; the caller simply resubmits).
 
-  /// Every live point within the closed ball of each query row.
-  Result<RangeResult> RadiusSearch(const HostMatrix& queries, float radius);
   /// Every unordered live pair within `radius`, once per pair (a < b).
   Result<std::vector<SelfJoinPair>> SelfJoin(float radius);
   /// Exact kNN graph over the live set; output.query_ids pairs with
@@ -190,13 +181,22 @@ class Router {
   /// by the destructor.
   void Shutdown();
 
-  RouterStats stats() const;
-  /// Cluster metrics: the per-worker health/latency series
-  /// ("sweetknn_router_worker<w>_..." — RPC latency histogram, RPC and
-  /// failure counters, liveness gauge) plus router-level counters and
-  /// latency histograms, all through the PR-4 registry.
+  /// The cumulative counters: a read-only view over the registry.
+  ClusterStats stats() const;
+  /// Cluster metrics: the front-end's series under the in-process names
+  /// (sweetknn_requests_total, sweetknn_queue_wait_seconds, ...; the
+  /// per-shard sim-time, route, and ANN series from the workers'
+  /// answers), the mutation counters, and the cluster's own
+  /// failure-path and per-worker series ("sweetknn_router_worker<w>_..."
+  /// — RPC latency histogram, RPC and failure counters, liveness gauge).
   const common::MetricsRegistry& metrics() const { return metrics_; }
+  /// Registry export with the queue-depth gauges refreshed first.
   std::string ExportMetricsJson() const;
+
+  /// Test-only: see FrontEnd::SetPreDispatchHookForTest.
+  void SetPreDispatchHookForTest(std::function<void()> hook) {
+    front_end_.SetPreDispatchHookForTest(std::move(hook));
+  }
 
   int num_shards() const { return num_shards_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
@@ -212,19 +212,6 @@ class Router {
   Result<std::vector<std::string>> ListWorkerIndexes(int w);
 
  private:
-  struct Request {
-    std::vector<float> rows;
-    size_t num_rows = 0;
-    int k = 0;
-    /// Normalized at admission, like KnnService's.
-    ann::SearchMode mode;
-    std::chrono::steady_clock::time_point admit_time;
-    /// Unlike KnnService's, a group can fail here (every host of a shard
-    /// dead), so the promise carries a Result.
-    std::promise<Result<KnnResult>> promise;
-  };
-  using RequestPtr = std::unique_ptr<Request>;
-
   /// One in-flight RPC's resolution, pushed by the worker's IO thread.
   struct RpcReply {
     int worker = -1;
@@ -291,9 +278,26 @@ class Router {
   Status Bootstrap(const HostMatrix& target);
   Result<pid_t> SpawnWorker(const std::string& socket_path) const;
 
-  Result<std::future<Result<KnnResult>>> Submit(RequestPtr request);
-  void DispatchLoop();
-  void RunGroup(std::vector<RequestPtr> group);
+  /// The cluster's one tenant for `opts`, or NotFound.
+  Result<std::shared_ptr<TenantIndex>> ResolveTenant(
+      const CallOptions& opts) const;
+
+  // ShardTransport: the RPC fan-out, under mutex_ for the whole group.
+  Status SearchGroup(const TenantIndex& tenant, const HostMatrix& queries,
+                     int k, const ann::SearchMode& mode,
+                     std::vector<core::ShardAnswer>* answers,
+                     std::vector<core::ShardAnswer>* exact,
+                     double* fanout_seconds) override;
+  Status RangeGroup(const TenantIndex& tenant, const HostMatrix& queries,
+                    float radius,
+                    std::vector<core::RangeShardAnswer>* answers,
+                    double* fanout_seconds) override;
+  /// Fans one group out over the primaries, failing over and retrying
+  /// until every shard answered or a shard has no live host. Caller
+  /// holds mutex_.
+  Status FanoutLocked(const HostMatrix& queries, int k,
+                      const ann::SearchMode& mode,
+                      std::vector<core::ShardAnswer>* answers);
   /// One fan-out attempt over the current placement. Fills `answers`
   /// (indexed by shard) on success; on failure records the workers to
   /// declare dead in `failed`. Caller holds mutex_.
@@ -310,12 +314,17 @@ class Router {
                                 std::chrono::milliseconds timeout,
                                 net::MsgType expect_type);
 
+  /// The reply's frame when it is the expected type; its transport
+  /// status, decoded Error frame, or IoError otherwise.
+  static Result<net::Frame> ReplyFrame(RpcReply reply,
+                                       net::MsgType expect_type);
+
   /// Declares a worker dead: poisons its channel, SIGKILLs the process,
   /// promotes replicas of its primaries, drops it from replica lists.
   /// Caller holds mutex_.
   void MarkWorkerDeadLocked(int w, const std::string& why);
 
-  /// Bumps the RPC-timeout counter + stats. Called both when the
+  /// Bumps the RPC-timeout counter. Called both when the
   /// router-side reply wait expires and when a channel IO thread
   /// reports DeadlineExceeded for an individual call (the channel
   /// enforces the same deadline and usually loses the race by less).
@@ -334,11 +343,11 @@ class Router {
                                        const std::string& payload,
                                        net::MsgType expect_type);
 
-  /// The job fan-out plan: (worker, its primary shards), ascending by
-  /// worker, every shard covered exactly once. Unavailable when a shard
-  /// has no live host. Caller holds mutex_.
-  Result<std::vector<std::pair<int, std::vector<uint32_t>>>> JobPlanLocked()
-      const;
+  /// The fan-out plan of query groups and jobs: (worker, its primary
+  /// shards), ascending by worker, every shard covered exactly once.
+  /// Unavailable when a shard has no live host. Caller holds mutex_.
+  Result<std::vector<std::pair<int, std::vector<uint32_t>>>>
+  PrimaryPlanLocked() const;
 
   /// Runs one wire-level job over `plan` to completion: submit on every
   /// worker, poll rounds (each poll advances a worker by one chunk),
@@ -359,9 +368,6 @@ class Router {
   Status ExportLiveLocked(
       const std::vector<std::pair<int, std::vector<uint32_t>>>& plan,
       std::vector<uint32_t>* ids, HostMatrix* points);
-
-  /// Bumps the completed-jobs counter + stats.
-  void NoteJobDone();
 
   RouterConfig config_;
   size_t dims_ = 0;
@@ -385,21 +391,10 @@ class Router {
   uint64_t catchup_counter_ = 0;  ///< names catch-up snapshot files
   uint64_t next_wire_job_id_ = 1;  ///< names cluster jobs on the wire
 
-  common::BlockingQueue<RequestPtr> queue_;
-  std::thread dispatcher_;
-  std::atomic<bool> stopping_{false};
+  /// Set under mutex_ by Shutdown; mutations and jobs refuse after it.
   bool shut_down_ = false;
 
-  mutable std::mutex stats_mutex_;
-  RouterStats stats_;
-
   common::MetricsRegistry metrics_;
-  common::Counter* m_requests_ = nullptr;
-  common::Counter* m_queries_ = nullptr;
-  common::Counter* m_rejected_ = nullptr;
-  common::Counter* m_batches_ = nullptr;
-  common::Counter* m_engine_groups_ = nullptr;
-  common::Counter* m_batched_queries_ = nullptr;
   common::Counter* m_inserts_ = nullptr;
   common::Counter* m_removes_ = nullptr;
   common::Counter* m_remove_misses_ = nullptr;
@@ -409,15 +404,18 @@ class Router {
   common::Counter* m_retried_groups_ = nullptr;
   common::Counter* m_replicas_restored_ = nullptr;
   common::Counter* m_jobs_ = nullptr;
-  common::Histogram* m_queue_wait_ = nullptr;
-  common::Histogram* m_merge_ = nullptr;
-  common::Histogram* m_request_latency_ = nullptr;
   common::Gauge* m_workers_alive_ = nullptr;
   // Per-worker series, indexed by worker ("sweetknn_router_worker<w>_...").
   std::vector<common::Histogram*> m_worker_rpc_seconds_;
   std::vector<common::Counter*> m_worker_rpcs_;
   std::vector<common::Counter*> m_worker_failures_;
   std::vector<common::Gauge*> m_worker_alive_;
+
+  /// The cluster's one index as the front-end sees it: name, dims, and
+  /// its labeled request series (the shards live in the workers).
+  std::shared_ptr<TenantIndex> tenant_;
+  /// Declared after metrics_, which it registers into.
+  FrontEnd front_end_;
 };
 
 }  // namespace sweetknn::serve

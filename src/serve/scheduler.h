@@ -157,11 +157,6 @@ class FairScheduler {
     cv_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
   /// Total queued items across every tenant right now.
   size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "core/device_points.h"
 
 namespace sweetknn::serve {
@@ -12,11 +13,6 @@ namespace sweetknn::serve {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
-
-double SecondsBetween(SteadyClock::time_point from,
-                      SteadyClock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 /// Splits a profile's simulated kernel time by pipeline stage. Kernel
 /// names are stable identifiers ("level1_calub", "level2_full_filter",
@@ -407,6 +403,54 @@ void CarryOverlayForward(const ShardHost& old_shard,
   for (uint32_t id : old_shard.delta.tombstones) {
     if (plan.captured_tombstones.count(id) == 0) {
       fresh->delta.tombstones.insert(id);
+    }
+  }
+}
+
+void MergeLiveExports(const std::vector<std::vector<uint32_t>>& part_ids,
+                      const std::vector<HostMatrix>& part_points, size_t dims,
+                      std::vector<uint32_t>* ids, HostMatrix* points) {
+  std::vector<std::pair<uint32_t, std::pair<size_t, size_t>>> order;
+  for (size_t p = 0; p < part_ids.size(); ++p) {
+    for (size_t r = 0; r < part_ids[p].size(); ++r) {
+      order.emplace_back(part_ids[p][r], std::make_pair(p, r));
+    }
+  }
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  ids->clear();
+  ids->reserve(order.size());
+  *points = HostMatrix(order.size(), dims);
+  for (size_t r = 0; r < order.size(); ++r) {
+    const auto [p, row] = order[r].second;
+    ids->push_back(order[r].first);
+    std::memcpy(points->mutable_row(r), part_points[p].row(row),
+                dims * sizeof(float));
+  }
+}
+
+void KnnGraphRow(const Neighbor* row, int k, uint32_t self,
+                 std::vector<Neighbor>* out) {
+  out->clear();
+  bool dropped_self = false;
+  for (int j = 0; j < k + 1; ++j) {
+    if (row[j].index == kInvalidNeighbor) break;
+    if (!dropped_self && row[j].index == self) {
+      dropped_self = true;
+      continue;
+    }
+    if (static_cast<int>(out->size()) == k) break;
+    out->push_back(row[j]);
+  }
+}
+
+void AppendSelfJoinPairs(const RangeResult& matches, const uint32_t* ids,
+                         std::vector<SelfJoinPair>* pairs) {
+  for (size_t q = 0; q < matches.num_queries(); ++q) {
+    for (const Neighbor* nb = matches.begin(q); nb != matches.end(q); ++nb) {
+      if (nb->index > ids[q]) {
+        pairs->push_back(SelfJoinPair{ids[q], nb->index, nb->distance});
+      }
     }
   }
 }

@@ -227,6 +227,30 @@ std::unique_ptr<ShardHost> RebuildCompacted(
     const core::TiOptions& options, size_t dims, bool ann_enabled = false,
     const ann::GraphBuildParams& ann_params = ann::GraphBuildParams{});
 
+/// Pools per-part live exports (ShardHost::ExportLive of each shard, or
+/// of each worker over its shards) into one globally ascending stable-id
+/// order: parts interleave in id space (inserts route by id % S). The
+/// query source of both backends' live-set jobs.
+void MergeLiveExports(const std::vector<std::vector<uint32_t>>& part_ids,
+                      const std::vector<HostMatrix>& part_points, size_t dims,
+                      std::vector<uint32_t>* ids, HostMatrix* points);
+
+/// One kNN-graph row of the live point `self`, reduced from the merged
+/// top-(k+1) answer to its own query (`row`, k + 1 entries): the first
+/// entry naming `self` is dropped — the extra slot absorbs the query
+/// point — and at most k neighbors are kept, the exact k nearest other
+/// live points. Both backends' KnnGraph jobs build their rows with it.
+void KnnGraphRow(const Neighbor* row, int k, uint32_t self,
+                 std::vector<Neighbor>* out);
+
+/// Self-join reduction of one range chunk: query row q, the live point
+/// with stable id ids[q], keeps its in-ball matches with ids above its
+/// own — each unordered pair lands exactly once (on its smaller id),
+/// self-matches drop, exact duplicates survive (distinct ids). Both
+/// backends' SelfJoin jobs reduce through it.
+void AppendSelfJoinPairs(const RangeResult& matches, const uint32_t* ids,
+                         std::vector<SelfJoinPair>* pairs);
+
 /// Install-time carry-over: mutations that landed on `old_shard` while
 /// the rebuild ran move onto `fresh` — the delta suffix past the
 /// watermark verbatim (its entries are never tombstoned; removes past

@@ -140,7 +140,9 @@ TEST(MultiTenantTest, IndexLifecycle) {
   serve::CallOptions on_faces;
   on_faces.tenant = "faces";
   const std::vector<float> probe(service.dims(), 0.0f);
-  EXPECT_EQ(service.Search(on_faces, probe, 3).status().code(),
+  EXPECT_EQ(service.Search(probe, 3, ann::SearchMode::Exact(), on_faces)
+                .status()
+                .code(),
             StatusCode::kNotFound);
 }
 
@@ -159,7 +161,8 @@ TEST(MultiTenantTest, NamedTenantBitIdenticalToDedicatedService) {
   serve::CallOptions on_faces;
   on_faces.tenant = "faces";
   const KnnResult answer =
-      service.JoinBatch(on_faces, queries, kNeighbors).value();
+      service.JoinBatch(queries, kNeighbors, ann::SearchMode::Exact(), on_faces)
+          .value();
 
   ASSERT_EQ(answer.num_queries(), reference.num_queries());
   for (size_t q = 0; q < reference.num_queries(); ++q) {
@@ -186,10 +189,10 @@ TEST(MultiTenantTest, MutationsAreTenantIsolated) {
   // Ids are allocated per tenant: a fresh tenant with 80 rows hands out
   // 80 next, independent of the default tenant's allocator.
   const Result<uint32_t> id =
-      service.Insert(on_other, std::vector<float>(4, 0.5f));
+      service.Insert(std::vector<float>(4, 0.5f), on_other);
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(id.value(), 80u);
-  ASSERT_TRUE(service.Remove(on_other, 0).value());
+  ASSERT_TRUE(service.Remove(0, on_other).value());
 
   EXPECT_EQ(service.target_rows(), 100u);
   EXPECT_EQ(service.target_rows("other").value(), 80u);  // +1 -1
@@ -221,7 +224,8 @@ TEST(MultiTenantTest, QueuedRequestsOfADroppedTenantFailNotFound) {
   serve::CallOptions on_doomed;
   on_doomed.tenant = "doomed";
   auto queued = std::async(std::launch::async, [&] {
-    return service.Search(on_doomed, std::vector<float>(4, 0.1f), 2);
+    return service.Search(std::vector<float>(4, 0.1f), 2,
+                          ann::SearchMode::Exact(), on_doomed);
   });
   // Wait for admission (sentinel + this one).
   while (service.stats().requests < 2) {
@@ -250,7 +254,8 @@ TEST(MultiTenantTest, DeadlineExpiresInTheQueue) {
   serve::CallOptions hurried;
   hurried.timeout = std::chrono::microseconds(2000);
   auto doomed = std::async(std::launch::async, [&] {
-    return service.Search(hurried, std::vector<float>(4, 0.1f), 2);
+    return service.Search(std::vector<float>(4, 0.1f), 2,
+                          ann::SearchMode::Exact(), hurried);
   });
   while (service.stats().requests < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -266,7 +271,8 @@ TEST(MultiTenantTest, DeadlineExpiresInTheQueue) {
   // A roomy deadline is honored like no deadline at all.
   serve::CallOptions relaxed;
   relaxed.timeout = std::chrono::seconds(30);
-  EXPECT_TRUE(service.Search(relaxed, std::vector<float>(4, 0.2f), 2).ok());
+  EXPECT_TRUE(service.Search(std::vector<float>(4, 0.2f), 2,
+                             ann::SearchMode::Exact(), relaxed).ok());
 }
 
 TEST(MultiTenantTest, ShedsBeyondMaxQueueDepth) {
@@ -414,8 +420,10 @@ TEST(MultiTenantTest, PerTenantMetricSeries) {
   serve::CallOptions on_faces;
   on_faces.tenant = "faces";
   ASSERT_TRUE(service.Search(std::vector<float>(4, 0.0f), 2).ok());
-  ASSERT_TRUE(service.Search(on_faces, std::vector<float>(4, 0.0f), 2).ok());
-  ASSERT_TRUE(service.Search(on_faces, std::vector<float>(4, 0.3f), 2).ok());
+  ASSERT_TRUE(service.Search(std::vector<float>(4, 0.0f), 2,
+                             ann::SearchMode::Exact(), on_faces).ok());
+  ASSERT_TRUE(service.Search(std::vector<float>(4, 0.3f), 2,
+                             ann::SearchMode::Exact(), on_faces).ok());
 
   const std::string text = service.ExportMetricsText();
   EXPECT_EQ(CounterFromText(text, "sweetknn_tenant_requests_total",

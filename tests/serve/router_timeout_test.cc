@@ -135,7 +135,7 @@ TEST(RouterTimeoutTest, WedgedWorkerTimesOutAndDies) {
   EXPECT_LT(elapsed, milliseconds(5000));
   EXPECT_FALSE(router.worker_alive(0));
 
-  const RouterStats stats = router.stats();
+  const ClusterStats stats = router.stats();
   EXPECT_GE(stats.rpc_timeouts, 1u);
   EXPECT_EQ(stats.worker_deaths, 1u);
 

@@ -72,7 +72,7 @@ TEST(TenantStormTest, WeightedFairShareWithinTolerance) {
     std::vector<float> point(4, 0.01f * (lane + 1));
     while (std::chrono::steady_clock::now() < deadline) {
       const Result<std::vector<Neighbor>> result =
-          service.Search(opts, point, 3);
+          service.Search(point, 3, ann::SearchMode::Exact(), opts);
       if (result.ok()) {
         served->fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -144,7 +144,8 @@ TEST(TenantStormTest, CompactionStormLeavesOtherTenantBitIdentical) {
   serve::KnnService oracle(target_a, config);
 
   const KnnResult reference_b =
-      service.JoinBatch(serve::CallOptions{"b", {}}, queries_b, kNeighbors)
+      service.JoinBatch(queries_b, kNeighbors, ann::SearchMode::Exact(),
+                        serve::CallOptions{"b", {}})
           .value();
 
   std::atomic<bool> storm_done{false};
@@ -157,7 +158,8 @@ TEST(TenantStormTest, CompactionStormLeavesOtherTenantBitIdentical) {
       on_b.tenant = "b";
       while (!storm_done.load(std::memory_order_acquire)) {
         const Result<KnnResult> answer =
-            service.JoinBatch(on_b, queries_b, kNeighbors);
+            service.JoinBatch(queries_b, kNeighbors,
+                              ann::SearchMode::Exact(), on_b);
         if (!answer.ok()) {
           b_failed.store(true);
           ADD_FAILURE() << "tenant b query failed: "

@@ -128,6 +128,47 @@ TEST_F(CliTest, ServeBenchReportsServiceCounters) {
   EXPECT_NE(output.find("cache lookups"), std::string::npos) << output;
 }
 
+// Both legs print one report from the same stats view, and the cluster
+// leg honors --max-queue-depth: the admission queue never holds more
+// than the bound, and every offered request is served or shed.
+TEST_F(CliTest, ServeBenchClusterHonorsMaxQueueDepth) {
+  std::string output;
+  ASSERT_EQ(RunCommand(CliPath() + " serve-bench --target=" + csv_path_ +
+                           " --k=3 --shards=2 --cluster=1 --clients=4"
+                           " --requests=8 --rows=2 --max-batch=2"
+                           " --max-queue-depth=1 2>/dev/null",
+                       &output),
+            0)
+      << output;
+  // The line starting with `prefix`, or "" when the report lacks it.
+  auto line = [&](const char* prefix) {
+    const size_t at = output.find(prefix);
+    if (at == std::string::npos) return std::string();
+    return output.substr(at, output.find('\n', at) - at);
+  };
+  unsigned long long requests = 0, queries = 0, shed = 0, offered = 0;
+  unsigned long long peak = 0;
+  ASSERT_EQ(std::sscanf(line("requests ").c_str(),
+                        "requests %llu queries %llu", &requests, &queries),
+            2)
+      << output;
+  ASSERT_EQ(std::sscanf(line("shed total ").c_str(),
+                        "shed total %llu of %llu offered", &shed, &offered),
+            2)
+      << output;
+  ASSERT_EQ(std::sscanf(line("peak queue depth ").c_str(),
+                        "peak queue depth %llu", &peak),
+            1)
+      << output;
+  EXPECT_LE(peak, 1u) << output;
+  // The clients' 32 requests plus the bit-identity and radius probes.
+  EXPECT_EQ(offered, 34u) << output;
+  EXPECT_EQ(requests + shed, offered) << output;
+  EXPECT_EQ(queries, 2 * requests) << output;
+  EXPECT_NE(output.find("request latency p50"), std::string::npos) << output;
+  EXPECT_NE(output.find("worker deaths 0"), std::string::npos) << output;
+}
+
 TEST_F(CliTest, ServeBenchWritesMetricsJsonAndStatsRendersIt) {
   const std::string metrics_path = ::testing::TempDir() + "/cli_metrics.json";
   std::remove(metrics_path.c_str());

@@ -25,7 +25,10 @@
 # submit/poll/cancel from client threads racing the job thread and the
 # batch scheduler, including a mid-job cancel under live point lookups —
 # and range_query_test covers the range modalities' boundary cases on
-# the same service paths.
+# the same service paths; router_front_end_test parks the cluster
+# router's dispatcher to race deadlines and shedding, and races inserts
+# against recall-probed groups on both backends; thread_pool_test opens
+# fork-join regions nested on the calling thread.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -61,9 +64,12 @@ TESTS=(
   tenant_storm_test
   range_query_test
   job_test
+  router_front_end_test
+  thread_pool_test
 )
 
-# router_timeout_test spawns shard-worker processes from the CLI binary.
+# router_timeout_test and router_front_end_test spawn shard-worker
+# processes from the CLI binary.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}" sweetknn_cli
 export SWEETKNN_CLI="$PWD/$BUILD_DIR/tools/sweetknn_cli"
 

@@ -35,10 +35,12 @@
 // mode only) the bench hosts N named indexes over the same target set,
 // round-robins the client threads across them, applies the --weights
 // list to the weighted-fair scheduler, and prints a per-tenant
-// served/shed/latency breakdown; --max-queue-depth bounds admission so
-// overload sheds instead of queueing without limit (docs/serving.md,
-// "Multi-tenant serving"). --metrics-out=FILE dumps the full metrics registry as
-// JSON (see docs/serving.md, "Metrics"); render such a dump later with:
+// served/shed/latency breakdown; --max-queue-depth (either mode) bounds
+// admission so overload sheds instead of queueing without limit
+// (docs/serving.md, "Multi-tenant serving"). Both modes print the same
+// report, read from the same stats view and metric names.
+// --metrics-out=FILE dumps the full metrics registry as JSON (see
+// docs/serving.md, "Metrics"); render such a dump later with:
 //
 //   sweetknn_cli stats --metrics=FILE
 //
@@ -76,6 +78,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -236,6 +239,117 @@ std::string WorkerBinaryPath(const char* argv0) {
   return argv0;
 }
 
+// Per-tenant request outcomes of one serve-bench run.
+struct ServeTally {
+  explicit ServeTally(size_t tenants) : served(tenants), shed(tenants) {}
+  std::vector<std::atomic<uint64_t>> served;
+  std::vector<std::atomic<uint64_t>> shed;
+};
+
+using ServeJoin = std::function<sweetknn::Result<sweetknn::KnnResult>(
+    const sweetknn::HostMatrix&, const sweetknn::serve::CallOptions&)>;
+
+// Fires the bench's client threads through `join` — the same workload on
+// either backend — and returns the wall seconds. Client c drives tenant
+// c mod N for its whole run, so every tenant sees sustained load; query
+// rows cycle through the target set, staggered per client. A shed
+// (kUnavailable) is tallied, not retried — the bench reports the shed
+// rate --max-queue-depth produced; any other failure stops the client.
+double RunServeClients(const ServeBenchArgs& args,
+                       const sweetknn::HostMatrix& points,
+                       const std::vector<std::string>& tenants,
+                       const ServeJoin& join, ServeTally* tally) {
+  using namespace sweetknn;
+  const Stopwatch wall;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < args.clients; ++c) {
+    clients.emplace_back([&, c] {
+      const size_t tenant_idx = static_cast<size_t>(c) % tenants.size();
+      serve::CallOptions opts;
+      opts.tenant = tenants[tenant_idx];
+      for (int r = 0; r < args.requests; ++r) {
+        HostMatrix batch(static_cast<size_t>(args.rows), points.cols());
+        const size_t base = static_cast<size_t>(c * args.requests + r) *
+                            static_cast<size_t>(args.rows);
+        for (int row = 0; row < args.rows; ++row) {
+          const size_t src = (base + static_cast<size_t>(row)) %
+                             points.rows();
+          std::memcpy(batch.mutable_row(static_cast<size_t>(row)),
+                      points.row(src), points.cols() * sizeof(float));
+        }
+        const Result<KnnResult> answer = join(batch, opts);
+        if (answer.ok()) {
+          tally->served[tenant_idx].fetch_add(1, std::memory_order_relaxed);
+        } else if (answer.status().code() == StatusCode::kUnavailable) {
+          tally->shed[tenant_idx].fetch_add(1, std::memory_order_relaxed);
+        } else {
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  return wall.ElapsedSeconds();
+}
+
+// The report both serve-bench legs print: counters from the backend's
+// stats view, percentiles from the registry series both backends share.
+void PrintServeReport(const sweetknn::serve::ServiceStats& stats,
+                      const sweetknn::common::MetricsRegistry& metrics,
+                      const ServeBenchArgs& args, int num_shards,
+                      double wall_s) {
+  using namespace sweetknn;
+  std::printf("requests %llu queries %llu batches %llu groups %llu\n",
+              static_cast<unsigned long long>(stats.requests),
+              static_cast<unsigned long long>(stats.queries),
+              static_cast<unsigned long long>(stats.batches),
+              static_cast<unsigned long long>(stats.engine_groups));
+  std::printf("mean batch size %.2f, batch occupancy %.1f%%, "
+              "peak queue depth %llu\n",
+              stats.MeanBatchSize(),
+              stats.BatchOccupancy(args.max_batch) * 100.0,
+              static_cast<unsigned long long>(stats.peak_queue_depth));
+  std::printf("amortized sim time per query %.3f us "
+              "(critical %.6f s, total %.6f s over %d shards)\n",
+              stats.AmortizedSimTimePerQuery() * 1e6,
+              stats.critical_sim_time_s, stats.total_sim_time_s,
+              num_shards);
+  if (args.cache > 0) {
+    std::printf("cache lookups %llu hits %llu\n",
+                static_cast<unsigned long long>(stats.cache_lookups),
+                static_cast<unsigned long long>(stats.cache_hits));
+  }
+  const common::HistogramSnapshot latency =
+      metrics.SnapshotHistogram("sweetknn_request_latency_seconds");
+  const common::HistogramSnapshot queue_wait =
+      metrics.SnapshotHistogram("sweetknn_queue_wait_seconds");
+  std::printf("request latency p50 %.1f us p90 %.1f us p99 %.1f us "
+              "(queue wait p99 %.1f us)\n",
+              latency.Percentile(0.50) * 1e6, latency.Percentile(0.90) * 1e6,
+              latency.Percentile(0.99) * 1e6,
+              queue_wait.Percentile(0.99) * 1e6);
+  std::printf("shed total %llu of %llu offered\n",
+              static_cast<unsigned long long>(stats.shed_requests),
+              static_cast<unsigned long long>(stats.shed_requests +
+                                              stats.requests));
+  std::printf("wall %.3f s (%.0f queries/s)\n", wall_s,
+              static_cast<double>(stats.queries) / wall_s);
+}
+
+// Writes the registry export to --metrics-out when one was given; false
+// when the file cannot be written.
+bool WriteMetricsOut(const ServeBenchArgs& args, const std::string& json) {
+  if (args.metrics_out.empty()) return true;
+  std::ofstream out(args.metrics_out);
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", args.metrics_out.c_str());
+    return false;
+  }
+  out << json;
+  std::fprintf(stderr, "metrics written to %s\n", args.metrics_out.c_str());
+  return true;
+}
+
 // The --cluster run's scratch directory (worker sockets, catch-up
 // snapshots). Written once before the signal handlers install, cleared
 // when the run owns no directory; the handler removes it so a Ctrl-C'd
@@ -304,6 +418,7 @@ int ClusterServeBench(const sweetknn::HostMatrix& points,
   config.service.num_shards = args.shards;
   config.service.max_batch_size = args.max_batch;
   config.service.max_batch_wait = std::chrono::microseconds(args.wait_us);
+  config.service.max_queue_depth = static_cast<size_t>(args.max_queue_depth);
   config.num_workers = args.cluster;
   config.replicas = args.replicas;
   config.worker_binary = WorkerBinaryPath(argv0);
@@ -442,58 +557,23 @@ int ClusterServeBench(const sweetknn::HostMatrix& points,
                  graph_a.k());
   }
 
-  const Stopwatch wall;
-  std::vector<std::thread> clients;
-  for (int c = 0; c < args.clients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int r = 0; r < args.requests; ++r) {
-        HostMatrix batch(static_cast<size_t>(args.rows), points.cols());
-        const size_t base = static_cast<size_t>(c * args.requests + r) *
-                            static_cast<size_t>(args.rows);
-        for (int row = 0; row < args.rows; ++row) {
-          const size_t src = (base + static_cast<size_t>(row)) %
-                             points.rows();
-          std::memcpy(batch.mutable_row(static_cast<size_t>(row)),
-                      points.row(src), points.cols() * sizeof(float));
-        }
-        if (!router.JoinBatch(batch, args.k).ok()) return;
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  const double wall_s = wall.ElapsedSeconds();
+  ServeTally tally(1);
+  const double wall_s = RunServeClients(
+      args, points, {serve::kDefaultTenant},
+      [&](const HostMatrix& batch, const serve::CallOptions& opts) {
+        return router.JoinBatch(batch, args.k, ann::SearchMode::Exact(),
+                                opts);
+      },
+      &tally);
 
-  const serve::RouterStats stats = router.stats();
-  std::printf("requests %llu queries %llu batches %llu groups %llu\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.queries),
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.engine_groups));
+  const serve::ClusterStats stats = router.stats();
+  PrintServeReport(stats, router.metrics(), args, router.num_shards(),
+                   wall_s);
   std::printf("worker deaths %llu rpc timeouts %llu retried groups %llu\n",
               static_cast<unsigned long long>(stats.worker_deaths),
               static_cast<unsigned long long>(stats.rpc_timeouts),
               static_cast<unsigned long long>(stats.retried_groups));
-  const common::HistogramSnapshot latency = router.metrics().SnapshotHistogram(
-      "sweetknn_router_request_latency_seconds");
-  const common::HistogramSnapshot queue_wait =
-      router.metrics().SnapshotHistogram("sweetknn_router_queue_wait_seconds");
-  std::printf("request latency p50 %.1f us p90 %.1f us p99 %.1f us "
-              "(queue wait p99 %.1f us)\n",
-              latency.Percentile(0.50) * 1e6, latency.Percentile(0.90) * 1e6,
-              latency.Percentile(0.99) * 1e6,
-              queue_wait.Percentile(0.99) * 1e6);
-  std::printf("wall %.3f s (%.0f queries/s)\n", wall_s,
-              static_cast<double>(stats.queries) / wall_s);
-  if (!args.metrics_out.empty()) {
-    std::ofstream out(args.metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   args.metrics_out.c_str());
-      return 1;
-    }
-    out << router.ExportMetricsJson();
-    std::fprintf(stderr, "metrics written to %s\n", args.metrics_out.c_str());
-  }
+  if (!WriteMetricsOut(args, router.ExportMetricsJson())) return 1;
   router.Shutdown();
   return 0;
 }
@@ -571,76 +651,18 @@ int ServeBench(int argc, char** argv) {
                warm_shards > 0 ? "warm-started" : "cold-built",
                args.clients, args.requests, args.rows);
 
-  const Stopwatch wall;
-  std::vector<std::atomic<uint64_t>> tenant_served(tenant_names.size());
-  std::vector<std::atomic<uint64_t>> tenant_shed(tenant_names.size());
-  std::vector<std::thread> clients;
-  for (int c = 0; c < args.clients; ++c) {
-    clients.emplace_back([&, c] {
-      // Clients round-robin across tenants: client c drives tenant
-      // c mod N for its whole run, so every tenant sees sustained load.
-      const size_t tenant_idx =
-          static_cast<size_t>(c) % tenant_names.size();
-      serve::CallOptions opts;
-      opts.tenant = tenant_names[tenant_idx];
-      for (int r = 0; r < args.requests; ++r) {
-        HostMatrix batch(static_cast<size_t>(args.rows), points.cols());
-        // Query rows cycle through the target set, staggered per client.
-        const size_t base = static_cast<size_t>(c * args.requests + r) *
-                            static_cast<size_t>(args.rows);
-        for (int row = 0; row < args.rows; ++row) {
-          const size_t src = (base + static_cast<size_t>(row)) %
-                             points.rows();
-          std::memcpy(batch.mutable_row(static_cast<size_t>(row)),
-                      points.row(src), points.cols() * sizeof(float));
-        }
-        const Result<KnnResult> answer =
-            service.JoinBatch(opts, batch, args.k);
-        if (answer.ok()) {
-          tenant_served[tenant_idx].fetch_add(1, std::memory_order_relaxed);
-        } else if (answer.status().code() == StatusCode::kUnavailable) {
-          // Overload shed: counted, not retried — the bench reports the
-          // shed rate the chosen --max-queue-depth produced.
-          tenant_shed[tenant_idx].fetch_add(1, std::memory_order_relaxed);
-        } else {
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  const double wall_s = wall.ElapsedSeconds();
+  ServeTally tally(tenant_names.size());
+  const double wall_s = RunServeClients(
+      args, points, tenant_names,
+      [&](const HostMatrix& batch, const serve::CallOptions& opts) {
+        return service.JoinBatch(batch, args.k, ann::SearchMode::Exact(),
+                                 opts);
+      },
+      &tally);
   service.Shutdown();
 
-  const serve::ServiceStats stats = service.stats();
-  std::printf("requests %llu queries %llu batches %llu\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.queries),
-              static_cast<unsigned long long>(stats.batches));
-  std::printf("mean batch size %.2f, batch occupancy %.1f%%, "
-              "peak queue depth %llu\n",
-              stats.MeanBatchSize(),
-              stats.BatchOccupancy(config.max_batch_size) * 100.0,
-              static_cast<unsigned long long>(stats.peak_queue_depth));
-  std::printf("amortized sim time per query %.3f us "
-              "(critical %.6f s, total %.6f s over %d shards)\n",
-              stats.AmortizedSimTimePerQuery() * 1e6,
-              stats.critical_sim_time_s, stats.total_sim_time_s,
-              service.num_shards());
-  if (config.cache_capacity > 0) {
-    std::printf("cache lookups %llu hits %llu\n",
-                static_cast<unsigned long long>(stats.cache_lookups),
-                static_cast<unsigned long long>(stats.cache_hits));
-  }
-  const common::HistogramSnapshot latency =
-      service.metrics().SnapshotHistogram("sweetknn_request_latency_seconds");
-  const common::HistogramSnapshot queue_wait =
-      service.metrics().SnapshotHistogram("sweetknn_queue_wait_seconds");
-  std::printf("request latency p50 %.1f us p90 %.1f us p99 %.1f us "
-              "(queue wait p99 %.1f us)\n",
-              latency.Percentile(0.50) * 1e6, latency.Percentile(0.90) * 1e6,
-              latency.Percentile(0.99) * 1e6,
-              queue_wait.Percentile(0.99) * 1e6);
+  PrintServeReport(service.stats(), service.metrics(), args,
+                   service.num_shards(), wall_s);
   if (args.tenants > 1) {
     for (size_t t = 0; t < tenant_names.size(); ++t) {
       const common::HistogramSnapshot tenant_latency =
@@ -650,29 +672,13 @@ int ServeBench(int argc, char** argv) {
       std::printf("tenant %-12s weight %.2f served %llu shed %llu "
                   "p50 %.1f us p99 %.1f us\n",
                   tenant_names[t].c_str(), tenant_weight(static_cast<int>(t)),
-                  static_cast<unsigned long long>(tenant_served[t].load()),
-                  static_cast<unsigned long long>(tenant_shed[t].load()),
+                  static_cast<unsigned long long>(tally.served[t].load()),
+                  static_cast<unsigned long long>(tally.shed[t].load()),
                   tenant_latency.Percentile(0.50) * 1e6,
                   tenant_latency.Percentile(0.99) * 1e6);
     }
-    std::printf("shed total %llu of %llu offered\n",
-                static_cast<unsigned long long>(stats.shed_requests),
-                static_cast<unsigned long long>(stats.shed_requests +
-                                                stats.requests));
   }
-  std::printf("wall %.3f s (%.0f queries/s)\n", wall_s,
-              static_cast<double>(stats.queries) / wall_s);
-  if (!args.metrics_out.empty()) {
-    std::ofstream out(args.metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   args.metrics_out.c_str());
-      return 1;
-    }
-    out << service.ExportMetricsJson();
-    std::fprintf(stderr, "metrics written to %s\n", args.metrics_out.c_str());
-  }
-  return 0;
+  return WriteMetricsOut(args, service.ExportMetricsJson()) ? 0 : 1;
 }
 
 // --- stats: render a metrics dump ------------------------------------------
