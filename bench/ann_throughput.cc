@@ -3,13 +3,16 @@
 // recall target. For every sweep point it reports QPS, the speedup over
 // the exact path, the TRUE recall@k of the approx answers against the
 // exact ones, and the graph-search work counters (hops and distance
-// evaluations per query) — plus the one-off graph build cost per scale.
+// evaluations per query) — plus the one-off index build per scale, split
+// into the TI preparation and the graph build, and the graph build per
+// phase and per NN-descent round. At the second scale the graph is also
+// rebuilt at 1, 2 and 4 workers, which must give the same bytes.
 // Emits BENCH_ann.json.
 //
 // The run fails (exit 1) if the default mode (recall_target 0.9) does
-// not beat exact throughput at the largest scale, or if any sweep
-// point's measured recall falls below its target — the recall SLA,
-// checked on the bench's own workload.
+// not beat exact throughput at the largest scale, if any sweep point's
+// measured recall falls below its target — the recall SLA, checked on
+// the bench's own workload — or if the worker sweep's graphs differ.
 //
 // Usage: ann_throughput [--scale=F] [--k=N] [--queries=N]
 
@@ -22,6 +25,7 @@
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "core/device_points.h"
 #include "core/sweet_knn.h"
 
 namespace sweetknn::bench {
@@ -29,6 +33,22 @@ namespace {
 
 constexpr size_t kDims = 16;
 constexpr int kClusters = 32;
+
+/// One index build: wall-clock of the whole SweetKnnIndex constructor and
+/// the graph build's own per-phase account of its share.
+struct IndexBuild {
+  size_t rows = 0;
+  double index_s = 0.0;
+  ann::GraphBuildStats graph;
+};
+
+/// Graph builds of one point set at several worker counts.
+struct WorkerSweep {
+  size_t rows = 0;
+  std::vector<int> workers;
+  std::vector<double> seconds;
+  bool identical = true;
+};
 
 struct AnnRun {
   size_t rows = 0;
@@ -119,15 +139,14 @@ int Main(int argc, char** argv) {
                     "hops/q", "dists/q"});
 
   std::vector<AnnRun> runs;
-  std::vector<double> build_seconds;
-  std::vector<size_t> scales;
+  std::vector<IndexBuild> builds;
+  WorkerSweep sweep;
   bool sla_met = true;
   double largest_scale_speedup = 0.0;
   for (const size_t base : base_scales) {
     const size_t n = static_cast<size_t>(
         static_cast<double>(base) * args.scale);
     if (n < 64) continue;
-    scales.push_back(n);
     const HostMatrix target = ClusteredPoints(n, 42 + n);
     const HostMatrix queries = ClusteredPoints(num_queries, 4242 + n);
 
@@ -135,7 +154,31 @@ int Main(int argc, char** argv) {
     config.enable_ann = true;
     const Stopwatch build_wall;
     SweetKnnIndex index(target, config);
-    build_seconds.push_back(build_wall.ElapsedSeconds());
+    IndexBuild build;
+    build.rows = n;
+    build.index_s = build_wall.ElapsedSeconds();
+    build.graph = index.ann().build_stats();
+    builds.push_back(build);
+    if (builds.size() == 2) {
+      // Rebuild the index's graph (same params and entry seeds) at
+      // several worker counts: the bytes must not move.
+      const ann::KnnGraph& want = index.ann().graph();
+      sweep.rows = n;
+      for (const int workers : {1, 2, 4}) {
+        ann::GraphBuildParams params = config.ann_params;
+        params.workers = workers;
+        const Stopwatch sweep_wall;
+        const ann::KnnGraph got = ann::BuildKnnGraph(
+            target.data(), n, kDims, core::SimdDistFor(config.options.metric),
+            params, want.entry_points);
+        sweep.workers.push_back(workers);
+        sweep.seconds.push_back(sweep_wall.ElapsedSeconds());
+        sweep.identical = sweep.identical &&
+                          got.neighbors == want.neighbors &&
+                          got.build_iters == want.build_iters &&
+                          got.entry_points == want.entry_points;
+      }
+    }
 
     KnnResult exact(0, 0);
     const double exact_s =
@@ -180,8 +223,26 @@ int Main(int argc, char** argv) {
                      FormatDouble(run.dists_per_query, 0)});
       runs.push_back(run);
     }
-    std::printf("  graph build: %.3f s (%zu rows)\n", build_seconds.back(),
-                n);
+    const ann::GraphBuildStats& g = build.graph;
+    std::printf("  index build %.3f s (%zu rows) = TI prep %.3f s + graph "
+                "build %.3f s (init %.3f s, reverse lists %.3f s)\n",
+                build.index_s, n, build.index_s - g.total_seconds,
+                g.total_seconds, g.init_seconds, g.reverse_seconds);
+    for (size_t r = 0; r < g.rounds.size(); ++r) {
+      std::printf("    round %zu: %llu candidates, %llu accepted, %.3f s\n",
+                  r + 1,
+                  static_cast<unsigned long long>(g.rounds[r].candidates),
+                  static_cast<unsigned long long>(g.rounds[r].accepted),
+                  g.rounds[r].seconds);
+    }
+  }
+  if (!sweep.workers.empty()) {
+    std::printf("\ngraph build at %zu rows:", sweep.rows);
+    for (size_t i = 0; i < sweep.workers.size(); ++i) {
+      std::printf(" %d worker(s) %.3f s;", sweep.workers[i],
+                  sweep.seconds[i]);
+    }
+    std::printf(" identical graphs: %s\n", sweep.identical ? "yes" : "NO");
   }
 
   const bool approx_wins = largest_scale_speedup > 1.0;
@@ -196,14 +257,40 @@ int Main(int argc, char** argv) {
     std::fprintf(json,
                  "{\n  \"bench\": \"ann_throughput\",\n%s"
                  "  \"dims\": %zu,\n  \"k\": %d,\n  \"queries\": %zu,\n"
-                 "  \"scale\": %g,\n  \"graph_build_s\": [",
+                 "  \"scale\": %g,\n  \"index_builds\": [\n",
                  EnvJson(DetectEnv()).c_str(), kDims, k, num_queries,
                  args.scale);
-    for (size_t i = 0; i < build_seconds.size(); ++i) {
-      std::fprintf(json, "%s{\"rows\": %zu, \"seconds\": %.4f}",
-                   i == 0 ? "" : ", ", scales[i], build_seconds[i]);
+    for (size_t i = 0; i < builds.size(); ++i) {
+      const IndexBuild& b = builds[i];
+      std::fprintf(json,
+                   "    {\"rows\": %zu, \"index_build_s\": %.4f, "
+                   "\"ti_prep_s\": %.4f, \"graph_build_s\": %.4f, "
+                   "\"graph_init_s\": %.4f, \"graph_reverse_s\": %.4f, "
+                   "\"rounds\": [",
+                   b.rows, b.index_s, b.index_s - b.graph.total_seconds,
+                   b.graph.total_seconds, b.graph.init_seconds,
+                   b.graph.reverse_seconds);
+      for (size_t r = 0; r < b.graph.rounds.size(); ++r) {
+        const ann::GraphBuildStats::Round& round = b.graph.rounds[r];
+        std::fprintf(json,
+                     "%s{\"candidates\": %llu, \"accepted\": %llu, "
+                     "\"seconds\": %.4f}",
+                     r == 0 ? "" : ", ",
+                     static_cast<unsigned long long>(round.candidates),
+                     static_cast<unsigned long long>(round.accepted),
+                     round.seconds);
+      }
+      std::fprintf(json, "]}%s\n", i + 1 < builds.size() ? "," : "");
     }
-    std::fprintf(json, "],\n  \"runs\": [\n");
+    std::fprintf(json, "  ],\n  \"graph_build_workers\": {\"rows\": %zu, "
+                       "\"runs\": [",
+                 sweep.rows);
+    for (size_t i = 0; i < sweep.workers.size(); ++i) {
+      std::fprintf(json, "%s{\"workers\": %d, \"seconds\": %.4f}",
+                   i == 0 ? "" : ", ", sweep.workers[i], sweep.seconds[i]);
+    }
+    std::fprintf(json, "], \"identical\": %s},\n  \"runs\": [\n",
+                 sweep.identical ? "true" : "false");
     for (size_t i = 0; i < runs.size(); ++i) {
       const AnnRun& run = runs[i];
       if (run.recall_target == 0.0) {
@@ -231,7 +318,7 @@ int Main(int argc, char** argv) {
     std::fclose(json);
     std::printf("wrote BENCH_ann.json\n");
   }
-  return (sla_met && approx_wins) ? 0 : 1;
+  return (sla_met && approx_wins && sweep.identical) ? 0 : 1;
 }
 
 }  // namespace

@@ -38,6 +38,9 @@ class AnnIndex {
   bool empty() const { return graph_.empty(); }
   size_t rows() const { return graph_.num_nodes; }
   const KnnGraph& graph() const { return graph_; }
+  /// Per-phase cost of the build behind this index; all zero for an
+  /// adopted graph.
+  const GraphBuildStats& build_stats() const { return build_stats_; }
   simd::Dist dist() const { return dist_; }
 
   /// Answers `queries` with the k nearest graph candidates per query,
@@ -59,6 +62,7 @@ class AnnIndex {
   HostMatrix points_;
   simd::Dist dist_ = simd::Dist::kEuclidean;
   KnnGraph graph_;
+  GraphBuildStats build_stats_;
   /// Derived in-edge CSR (never persisted): search expands the union of
   /// out- and in-edges so fringe points with no in-links in the kNN rows
   /// stay reachable. Rebuilt here on every Build/Adopt.

@@ -101,6 +101,24 @@ inline float PointDistance(const float* a, const float* b, size_t dims,
   return dist == simd::Dist::kEuclidean ? std::sqrt(acc) : acc;
 }
 
+/// Where one BuildKnnGraph call spent its time (host wall-clock) and how
+/// much work each refinement round did. Observational only: collecting
+/// it never changes the graph.
+struct GraphBuildStats {
+  struct Round {
+    /// Distances scored: the node's deduplicated candidates, summed.
+    uint64_t candidates = 0;
+    /// Heap pushes accepted — the count the convergence rule reads.
+    uint64_t accepted = 0;
+    /// The local-join pass (gather, score, heap updates).
+    double seconds = 0.0;
+  };
+  double init_seconds = 0.0;     ///< Random initial neighborhoods.
+  double reverse_seconds = 0.0;  ///< Reverse-list passes, all rounds.
+  std::vector<Round> rounds;     ///< One entry per round run.
+  double total_seconds = 0.0;    ///< The whole call.
+};
+
 /// Builds the kNN graph by synchronous NN-descent: random neighborhoods,
 /// then rounds where every node offers itself the neighbors of its
 /// (forward and reverse) neighbors, keeping the `degree` best under
@@ -110,10 +128,12 @@ inline float PointDistance(const float* a, const float* b, size_t dims,
 ///
 /// `entry_points` seeds the search (invalid ids are dropped, duplicates
 /// removed); when none survive, a deterministic strided sample is used.
-/// `rows` may be 0 (an empty graph searches nothing).
+/// `rows` may be 0 (an empty graph searches nothing). `stats`, when
+/// non-null, receives the per-phase timings and per-round counters.
 KnnGraph BuildKnnGraph(const float* points, size_t rows, size_t dims,
                        simd::Dist dist, const GraphBuildParams& params,
-                       std::vector<uint32_t> entry_points);
+                       std::vector<uint32_t> entry_points,
+                       GraphBuildStats* stats = nullptr);
 
 /// Test-only: observer invoked by every BuildKnnGraph call with the
 /// worker count it resolved (params.workers, or the environment fallback

@@ -3,9 +3,11 @@
 // and exposes a test hook for pinning the tier. Also holds the
 // tier-independent pieces: packing, chunking, and PackedKnn.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "common/parallel_for.h"
 #include "simd/kernels_impl.h"
@@ -37,6 +39,42 @@ Level DetectLevel() {
     return Level::kAvx2;
   }
   return Level::kScalar;
+}
+
+/// Writes `count` <= kTileLanes rows into one dimension-major tile, row r
+/// in lane r; element (r, j) is base[r * row_stride + j * col_stride].
+void PackTile(const float* base, size_t count, size_t dims,
+              size_t row_stride, size_t col_stride, float* tile) {
+  for (size_t r = 0; r < count; ++r) {
+    const float* src = base + r * row_stride;
+    for (size_t j = 0; j < dims; ++j) {
+      tile[j * kTileLanes + r] = src[j * col_stride];
+    }
+  }
+}
+
+/// QueryDistances over a raw tile stream at a given tier.
+void QueryTileDistances(Level level, const float* query, const float* tiles,
+                        size_t dims, size_t row_begin, size_t row_end,
+                        Dist dist, float* out) {
+  switch (level) {
+#if SWEETKNN_SIMD_HAVE_AVX512
+    case Level::kAvx512:
+      internal::QueryDistancesAvx512(query, tiles, dims, row_begin, row_end,
+                                     dist, out);
+      return;
+#endif
+#if SWEETKNN_SIMD_HAVE_AVX2
+    case Level::kAvx2:
+      internal::QueryDistancesAvx2(query, tiles, dims, row_begin, row_end,
+                                   dist, out);
+      return;
+#endif
+    default:
+      internal::QueryDistancesScalar(query, tiles, dims, row_begin, row_end,
+                                     dist, out);
+      return;
+  }
 }
 
 }  // namespace
@@ -104,13 +142,9 @@ PackedTargets PackedTargets::PackStrided(const float* base, size_t n,
   out.n_ = n;
   out.dims_ = dims;
   out.data_.assign(out.num_tiles() * kTileLanes * dims, 0.0f);
-  for (size_t r = 0; r < n; ++r) {
-    float* tile = out.data_.data() + (r / kTileLanes) * kTileLanes * dims;
-    const size_t lane = r % kTileLanes;
-    const float* src = base + r * row_stride;
-    for (size_t j = 0; j < dims; ++j) {
-      tile[j * kTileLanes + lane] = src[j * col_stride];
-    }
+  for (size_t begin = 0; begin < n; begin += kTileLanes) {
+    PackTile(base + begin * row_stride, std::min(kTileLanes, n - begin), dims,
+             row_stride, col_stride, out.data_.data() + begin * dims);
   }
   return out;
 }
@@ -120,24 +154,8 @@ void QueryDistances(const float* query, const PackedTargets& targets,
   SK_DCHECK(row_begin % kTileLanes == 0);
   SK_DCHECK(row_end <= targets.n());
   if (row_begin >= row_end) return;
-  switch (ActiveLevel()) {
-#if SWEETKNN_SIMD_HAVE_AVX512
-    case Level::kAvx512:
-      internal::QueryDistancesAvx512(query, targets.tiles(), targets.dims(),
-                                     row_begin, row_end, dist, out);
-      return;
-#endif
-#if SWEETKNN_SIMD_HAVE_AVX2
-    case Level::kAvx2:
-      internal::QueryDistancesAvx2(query, targets.tiles(), targets.dims(),
-                                   row_begin, row_end, dist, out);
-      return;
-#endif
-    default:
-      internal::QueryDistancesScalar(query, targets.tiles(), targets.dims(),
-                                     row_begin, row_end, dist, out);
-      return;
-  }
+  QueryTileDistances(ActiveLevel(), query, targets.tiles(), targets.dims(),
+                     row_begin, row_end, dist, out);
 }
 
 void BlockDistances(const float* queries, size_t nq,
@@ -150,13 +168,17 @@ void BlockDistances(const float* queries, size_t nq,
 
 void QueryBlockDistances(const float* query, const float* rows, size_t n,
                          size_t dims, Dist dist, float* out) {
-  // Pack one tile-sized stripe at a time; the stripe result is identical
-  // to the corresponding rows of a full pack.
+  // Pack one tile-sized stripe at a time into a single reused buffer; the
+  // stripe result is identical to the corresponding rows of a full pack.
+  // Lanes past a short last stripe keep an earlier stripe's rows, which
+  // are computed and discarded like a full pack's zero padding.
+  const Level level = ActiveLevel();
+  std::vector<float> stripe(kTileLanes * dims, 0.0f);
   for (size_t begin = 0; begin < n; begin += kTileLanes) {
     const size_t count = std::min(kTileLanes, n - begin);
-    const PackedTargets stripe =
-        PackedTargets::Pack(rows + begin * dims, count, dims);
-    QueryDistances(query, stripe, 0, count, dist, out + begin);
+    PackTile(rows + begin * dims, count, dims, dims, 1, stripe.data());
+    QueryTileDistances(level, query, stripe.data(), dims, 0, count, dist,
+                       out + begin);
   }
 }
 

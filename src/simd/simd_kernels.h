@@ -118,9 +118,10 @@ void BlockDistances(const float* queries, size_t nq,
                     const PackedTargets& targets, Dist dist, float* out);
 
 /// One query row against an unpacked contiguous row-major block: packs
-/// tile-sized stripes on the fly into a stack buffer. Same canonical
-/// results as packing the whole block first; use when the block is
-/// scanned once (single-shot verification paths).
+/// tile-sized stripes on the fly into one buffer, allocated once per
+/// call. Same canonical results as packing the whole block first; use
+/// when the block is scanned once (single-shot verification paths, graph
+/// hops and graph-build candidate blocks).
 void QueryBlockDistances(const float* query, const float* rows, size_t n,
                          size_t dims, Dist dist, float* out);
 

@@ -4,15 +4,19 @@
 // k >= live points, empty graphs, all-tombstoned shards, and
 // recall_target = 1.0.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "ann/ann_index.h"
 #include "ann/knn_graph.h"
 #include "ann/search_mode.h"
 #include "baseline/brute_force_cpu.h"
+#include "common/rng.h"
+#include "common/topk.h"
 #include "core/sweet_knn.h"
 #include "gtest/gtest.h"
 #include "serve/knn_service.h"
@@ -21,7 +25,9 @@
 namespace sweetknn {
 namespace {
 
+using testing::AvailableLevels;
 using testing::ClusteredPoints;
+using testing::LevelGuard;
 using testing::UniformPoints;
 
 void ExpectBitIdentical(const KnnResult& a, const KnnResult& b) {
@@ -83,21 +89,228 @@ TEST(SearchModeTest, OrderingIsStrictWeakAndExactFirst) {
 
 // --- Graph build ------------------------------------------------------------
 
+/// NN-descent as first written: nested-vector adjacency, every node's
+/// raw candidate list sorted and deduplicated, scalar PointDistance, and
+/// every candidate offered to the heap. BuildKnnGraph must reproduce its
+/// graphs byte for byte, and its per-round candidate and accepted-push
+/// counts (`rounds`). Serial: its result never depended on workers.
+ann::KnnGraph ReferenceBuildKnnGraph(
+    const float* points, size_t rows, size_t dims, simd::Dist dist,
+    const ann::GraphBuildParams& params, std::vector<uint32_t> entry_points,
+    std::vector<ann::GraphBuildStats::Round>* rounds) {
+  ann::KnnGraph graph;
+  if (rows == 0) return graph;
+  const uint32_t n = static_cast<uint32_t>(rows);
+  const uint32_t degree = std::max<uint32_t>(
+      1, std::min<uint64_t>(params.degree, std::max<size_t>(rows - 1, 1)));
+
+  std::vector<std::vector<Neighbor>> adj(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<uint32_t> picks;
+    if (rows - 1 <= degree) {
+      for (uint32_t c = 0; c < n; ++c) {
+        if (c != static_cast<uint32_t>(i)) picks.push_back(c);
+      }
+    } else {
+      Rng rng(SplitMix64(params.seed ^ static_cast<uint64_t>(i)));
+      while (picks.size() < degree) {
+        const auto c = static_cast<uint32_t>(rng.NextBounded(n));
+        if (c == static_cast<uint32_t>(i)) continue;
+        if (std::find(picks.begin(), picks.end(), c) == picks.end()) {
+          picks.push_back(c);
+        }
+      }
+    }
+    for (const uint32_t c : picks) {
+      adj[i].push_back(Neighbor{
+          c, ann::PointDistance(points + i * dims, points + c * dims, dims,
+                                dist)});
+    }
+    std::sort(adj[i].begin(), adj[i].end(), NeighborLess);
+  }
+
+  uint32_t iters = 0;
+  if (rows > 2) {
+    std::vector<std::vector<uint32_t>> rev(rows);
+    for (uint32_t round = 0; round < params.max_iters; ++round) {
+      for (std::vector<uint32_t>& r : rev) r.clear();
+      for (uint32_t i = 0; i < n; ++i) {
+        for (const Neighbor& nb : adj[i]) {
+          if (rev[nb.index].size() < degree) rev[nb.index].push_back(i);
+        }
+      }
+      std::vector<std::vector<Neighbor>> next(rows);
+      uint64_t updates = 0;
+      uint64_t scored = 0;
+      for (size_t i = 0; i < rows; ++i) {
+        const auto self = static_cast<uint32_t>(i);
+        std::vector<uint32_t> cand;
+        const auto add = [&](uint32_t c) {
+          if (c != self) cand.push_back(c);
+        };
+        const auto expand = [&](uint32_t b) {
+          add(b);
+          for (const Neighbor& nb : adj[b]) add(nb.index);
+          for (const uint32_t r : rev[b]) add(r);
+        };
+        for (const Neighbor& nb : adj[i]) expand(nb.index);
+        for (const uint32_t r : rev[i]) expand(r);
+        std::sort(cand.begin(), cand.end());
+        cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+        std::vector<uint32_t> have;
+        for (const Neighbor& nb : adj[i]) have.push_back(nb.index);
+        std::sort(have.begin(), have.end());
+        TopK heap(static_cast<int>(degree));
+        for (const Neighbor& nb : adj[i]) heap.PushIfCloser(nb);
+        for (const uint32_t c : cand) {
+          if (std::binary_search(have.begin(), have.end(), c)) continue;
+          ++scored;
+          const float d = ann::PointDistance(points + i * dims,
+                                             points + c * dims, dims, dist);
+          if (heap.PushIfCloser(Neighbor{c, d})) ++updates;
+        }
+        next[i] = heap.Sorted();
+      }
+      adj.swap(next);
+      ++iters;
+      ann::GraphBuildStats::Round round_stats;
+      round_stats.candidates = scored;
+      round_stats.accepted = updates;
+      rounds->push_back(round_stats);
+      if (static_cast<double>(updates) <=
+          params.convergence_fraction * static_cast<double>(rows) *
+              static_cast<double>(degree)) {
+        break;
+      }
+    }
+  }
+
+  graph.num_nodes = n;
+  graph.degree = degree;
+  graph.build_iters = iters;
+  graph.build_seed = params.seed;
+  graph.neighbors.assign(static_cast<size_t>(n) * degree, kInvalidNeighbor);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < adj[i].size(); ++j) {
+      graph.neighbors[i * degree + j] = adj[i][j].index;
+    }
+  }
+  std::sort(entry_points.begin(), entry_points.end());
+  entry_points.erase(std::unique(entry_points.begin(), entry_points.end()),
+                     entry_points.end());
+  while (!entry_points.empty() && entry_points.back() >= n) {
+    entry_points.pop_back();
+  }
+  if (entry_points.empty()) {
+    const uint32_t count = std::min<uint32_t>(8, n);
+    for (uint32_t j = 0; j < count; ++j) {
+      entry_points.push_back(j * n / count);
+    }
+    entry_points.erase(
+        std::unique(entry_points.begin(), entry_points.end()),
+        entry_points.end());
+  }
+  graph.entry_points = std::move(entry_points);
+  return graph;
+}
+
+/// `rows` points drawn from rows / 8 distinct ones on a coarse integer
+/// grid: exact duplicates (distance 0) and equal distances between
+/// distinct points, so (distance, id) ties decide the heap.
+HostMatrix DuplicateHeavyPoints(size_t rows, size_t dims, uint64_t seed) {
+  Rng rng(seed);
+  const size_t distinct = std::max<size_t>(rows / 8, 1);
+  std::vector<float> pool(distinct * dims);
+  for (float& x : pool) x = static_cast<float>(rng.NextBounded(4));
+  HostMatrix points(rows, dims);
+  for (size_t i = 0; i < rows; ++i) {
+    const size_t pick = rng.NextBounded(distinct);
+    std::copy(pool.begin() + pick * dims, pool.begin() + (pick + 1) * dims,
+              points.mutable_row(i));
+  }
+  return points;
+}
+
 TEST(KnnGraphTest, BuildIsBitIdenticalAcrossWorkerCounts) {
-  const HostMatrix points = ClusteredPoints(300, 6, 5, 0xa11);
-  ann::GraphBuildParams params;
-  params.degree = 8;
-  params.workers = 1;
-  const ann::KnnGraph one = ann::BuildKnnGraph(
-      points.row(0), points.rows(), points.cols(), simd::Dist::kEuclidean,
-      params, {});
-  params.workers = 4;
-  const ann::KnnGraph four = ann::BuildKnnGraph(
-      points.row(0), points.rows(), points.cols(), simd::Dist::kEuclidean,
-      params, {});
-  EXPECT_EQ(one.neighbors, four.neighbors);
-  EXPECT_EQ(one.entry_points, four.entry_points);
-  EXPECT_EQ(one.build_iters, four.build_iters);
+  // Seeded sweep of BuildKnnGraph against the reference build: every
+  // graph byte, the round count, the entry seeds and the per-round
+  // candidate and accepted-push counts must match. Data
+  // kinds: clustered points under each distance kind, and a duplicate-
+  // heavy set under the Euclidean one. Each case runs at the next
+  // (SIMD tier, worker count) pair in turn, so every pair meets many
+  // shapes; at 2000 rows the data kind rotates too, which keeps the
+  // reference builds affordable.
+  LevelGuard guard;
+  const std::vector<simd::Level> levels = AvailableLevels();
+  const int kWorkers[] = {1, 3, 8};
+  uint64_t seed = 0x6b1d;
+  size_t turn = 0;
+  size_t large_cases = 0;
+  for (const uint32_t degree : {1u, 8u, 16u}) {
+    for (const size_t rows : {size_t{1}, size_t{2}, size_t{3},
+                              size_t{degree}, size_t{degree} + 1,
+                              size_t{300}, size_t{2000}}) {
+      for (const size_t dims : {1u, 4u, 42u}) {
+        const int only_data =
+            rows == 2000 ? static_cast<int>(large_cases++ % 4) : -1;
+        for (int data = 0; data < 4; ++data) {
+          ++seed;
+          if (only_data >= 0 && data != only_data) continue;
+          const simd::Level level = levels[turn % levels.size()];
+          const int workers = kWorkers[(turn / levels.size()) % 3];
+          ++turn;
+          const bool duplicates = data == 3;
+          const simd::Dist dist =
+              duplicates ? simd::Dist::kEuclidean
+                         : static_cast<simd::Dist>(data);
+          const HostMatrix points =
+              duplicates ? DuplicateHeavyPoints(rows, dims, seed)
+                         : ClusteredPoints(rows, dims, 5, seed);
+          ann::GraphBuildParams params;
+          params.degree = degree;
+          params.seed = seed;
+          params.workers = workers;
+          // Odd seeds also hand in messy landmark picks (out of range,
+          // repeated) for the entry-point cleanup.
+          std::vector<uint32_t> entries;
+          if (seed % 2 == 1) {
+            entries = {static_cast<uint32_t>(rows) + 3,
+                       static_cast<uint32_t>(rows / 2), 0u,
+                       static_cast<uint32_t>(rows / 2)};
+          }
+          std::vector<ann::GraphBuildStats::Round> want_rounds;
+          const ann::KnnGraph want = ReferenceBuildKnnGraph(
+              points.data(), rows, dims, dist, params, entries, &want_rounds);
+          simd::ForceLevelForTest(static_cast<int>(level));
+          ann::GraphBuildStats stats;
+          const ann::KnnGraph got = ann::BuildKnnGraph(
+              points.data(), rows, dims, dist, params, entries, &stats);
+          const std::string repro =
+              (::testing::Message()
+               << "rows=" << rows << " dims=" << dims << " degree=" << degree
+               << " dist=" << static_cast<int>(dist)
+               << " duplicates=" << duplicates << " seed=" << seed
+               << " workers=" << workers
+               << " tier=" << simd::LevelName(level))
+                  .GetString();
+          ASSERT_EQ(got.num_nodes, want.num_nodes) << repro;
+          ASSERT_EQ(got.degree, want.degree) << repro;
+          ASSERT_EQ(got.neighbors, want.neighbors) << repro;
+          ASSERT_EQ(got.build_iters, want.build_iters) << repro;
+          ASSERT_EQ(got.entry_points, want.entry_points) << repro;
+          // The accepted-push count depends on push order, and the
+          // convergence rule reads it; compare it round by round.
+          ASSERT_EQ(stats.rounds.size(), want_rounds.size()) << repro;
+          for (size_t r = 0; r < want_rounds.size(); ++r) {
+            ASSERT_EQ(stats.rounds[r].candidates, want_rounds[r].candidates)
+                << repro << " round=" << r;
+            ASSERT_EQ(stats.rounds[r].accepted, want_rounds[r].accepted)
+                << repro << " round=" << r;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(KnnGraphTest, DegreeClampsToRowsMinusOne) {

@@ -261,14 +261,16 @@ TEST(JobTest, CancelMidJobKeepsServingLookups) {
   const uint64_t id = service.SubmitJob(spec).value();
 
   // Point lookups keep flowing while the job runs and after the cancel.
+  // The client looks up before it first reads `stop`: the thread may only
+  // start after the main thread has already set it.
   std::atomic<bool> stop{false};
   std::atomic<int> lookups{0};
   std::thread client([&] {
     const HostMatrix probe = ClusteredPoints(4, 6, 2, 9011);
-    while (!stop.load()) {
+    do {
       ASSERT_TRUE(service.JoinBatch(probe, 3).ok());
       lookups.fetch_add(1);
-    }
+    } while (!stop.load());
   });
 
   // Wait for real progress, then cancel mid-job.

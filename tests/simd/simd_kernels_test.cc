@@ -14,22 +14,13 @@
 #include "core/device_points.h"
 #include "gtest/gtest.h"
 #include "simd/simd_kernels.h"
+#include "test_util.h"
 
 namespace sweetknn::simd {
 namespace {
 
-std::vector<Level> AvailableLevels() {
-  std::vector<Level> levels = {Level::kScalar};
-  for (Level l : {Level::kAvx2, Level::kAvx512}) {
-    if (CompiledIn(l) && CpuSupports(l)) levels.push_back(l);
-  }
-  return levels;
-}
-
-/// Restores normal dispatch when a test exits.
-struct LevelGuard {
-  ~LevelGuard() { ForceLevelForTest(-1); }
-};
+using testing::AvailableLevels;
+using testing::LevelGuard;
 
 std::vector<float> RandomBlock(Rng* rng, size_t n, size_t dims) {
   std::vector<float> out(n * dims);
@@ -111,7 +102,7 @@ TEST(SimdKernelsTest, AllTiersBitIdenticalAcrossDims1To130) {
           ForceLevelForTest(static_cast<int>(level));
           std::vector<float> got(n);
           QueryDistances(query.data(), packed, dist, got.data());
-          SCOPED_TRACE(testing::Message()
+          SCOPED_TRACE(::testing::Message()
                        << "level=" << LevelName(level) << " dims=" << dims
                        << " n=" << n << " dist=" << static_cast<int>(dist));
           ExpectBitEqual(want, got, "QueryDistances");
@@ -170,7 +161,7 @@ TEST(SimdKernelsTest, NanAndInfPropagateIdentically) {
       ForceLevelForTest(static_cast<int>(level));
       std::vector<float> got(n);
       QueryDistances(query.data(), packed, dist, got.data());
-      SCOPED_TRACE(testing::Message() << LevelName(level) << " dist="
+      SCOPED_TRACE(::testing::Message() << LevelName(level) << " dist="
                                       << static_cast<int>(dist));
       ASSERT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(float)), 0);
     }
@@ -222,7 +213,7 @@ TEST(SimdKernelsTest, SelectNearestMatchesScalarPushLoop) {
         SelectNearest(dists.data(), split, 0, &got);
         SelectNearest(dists.data() + split, n - split,
                       static_cast<uint32_t>(split), &got);
-        SCOPED_TRACE(testing::Message()
+        SCOPED_TRACE(::testing::Message()
                      << "level=" << LevelName(level) << " k=" << k
                      << " n=" << n);
         const auto ws = want.Sorted();
@@ -252,7 +243,7 @@ TEST(SimdKernelsTest, AddRowMatchesScalar) {
       ForceLevelForTest(static_cast<int>(level));
       std::vector<float> acc = base;
       AddRow(acc.data(), row.data(), dims);
-      SCOPED_TRACE(testing::Message() << LevelName(level) << " dims="
+      SCOPED_TRACE(::testing::Message() << LevelName(level) << " dims="
                                       << dims);
       ExpectBitEqual(want, acc, "AddRow");
     }
@@ -280,7 +271,7 @@ TEST(SimdKernelsTest, PackedKnnBitIdenticalAcrossTiersAndWorkers) {
     for (int workers : {1, 4}) {
       const KnnResult got =
           PackedKnn(queries, packed, 9, Dist::kEuclidean, workers);
-      SCOPED_TRACE(testing::Message() << LevelName(level) << " workers="
+      SCOPED_TRACE(::testing::Message() << LevelName(level) << " workers="
                                       << workers);
       ASSERT_EQ(want.num_queries(), got.num_queries());
       for (size_t q = 0; q < nq; ++q) {

@@ -2,12 +2,14 @@
 #define SWEETKNN_TESTS_TEST_UTIL_H_
 
 #include <string>
+#include <vector>
 
 #include "common/knn_result.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "gtest/gtest.h"
+#include "simd/simd_kernels.h"
 
 namespace sweetknn::testing {
 
@@ -38,6 +40,20 @@ inline void ExpectResultsMatch(const KnnResult& expected,
       CountResultMismatches(expected, actual, tolerance, &mismatch);
   EXPECT_EQ(bad, 0u) << "first mismatch: " << mismatch;
 }
+
+/// Every SIMD tier this build and CPU can run, scalar first.
+inline std::vector<simd::Level> AvailableLevels() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  for (const simd::Level l : {simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (simd::CompiledIn(l) && simd::CpuSupports(l)) levels.push_back(l);
+  }
+  return levels;
+}
+
+/// Restores normal SIMD dispatch when a test exits.
+struct LevelGuard {
+  ~LevelGuard() { simd::ForceLevelForTest(-1); }
+};
 
 }  // namespace sweetknn::testing
 

@@ -28,7 +28,9 @@
 # the same service paths; router_front_end_test parks the cluster
 # router's dispatcher to race deadlines and shedding, and races inserts
 # against recall-probed groups on both backends; thread_pool_test opens
-# fork-join regions nested on the calling thread.
+# fork-join regions nested on the calling thread; ann_tier_test builds
+# kNN graphs at 3 and 8 workers, whose participants share the flat
+# adjacency arrays and each own a per-slot candidate scratch.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -66,6 +68,7 @@ TESTS=(
   job_test
   router_front_end_test
   thread_pool_test
+  ann_tier_test
 )
 
 # router_timeout_test and router_front_end_test spawn shard-worker
