@@ -1,7 +1,6 @@
 #include "ann/knn_graph.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -32,7 +31,6 @@ struct alignas(64) JoinScratch {
   std::vector<uint64_t> bits;
   std::vector<uint64_t> summary;
   std::vector<uint32_t> cand;  ///< Candidate ids, ascending.
-  std::vector<float> rows;     ///< Their rows, gathered contiguously.
   std::vector<float> dists;    ///< Their distances to the node.
 
   void Reset(size_t n) {
@@ -154,6 +152,7 @@ KnnGraph BuildKnnGraph(const float* points, size_t rows, size_t dims,
       workers, rows, kNodeGrain,
       [&](size_t /*chunk*/, size_t begin, size_t end) {
         std::vector<uint32_t> picks;
+        std::vector<float> pick_dists;
         std::vector<Neighbor> mine;
         for (size_t i = begin; i < end; ++i) {
           picks.clear();
@@ -171,11 +170,12 @@ KnnGraph BuildKnnGraph(const float* points, size_t rows, size_t dims,
               }
             }
           }
+          pick_dists.resize(picks.size());
+          simd::GatherDistances(points + i * dims, points, rows, picks.data(),
+                                picks.size(), dims, dist, pick_dists.data());
           mine.clear();
-          for (const uint32_t c : picks) {
-            mine.push_back(Neighbor{
-                c, PointDistance(points + i * dims, points + c * dims, dims,
-                                 dist)});
+          for (size_t c = 0; c < picks.size(); ++c) {
+            mine.push_back(Neighbor{picks[c], pick_dists[c]});
           }
           std::sort(mine.begin(), mine.end(), NeighborLess);
           for (size_t j = 0; j < mine.size(); ++j) {
@@ -250,18 +250,13 @@ KnnGraph BuildKnnGraph(const float* points, size_t rows, size_t dims,
               for (uint32_t j = 0; j < degree; ++j) js.Unmark(mine[j]);
               js.Drain();
 
-              // Score every candidate in one vectorized block; the
+              // Score every candidate straight from the point base; the
               // distances are bit-identical to PointDistance.
               const size_t count = js.cand.size();
-              js.rows.resize(count * dims);
               js.dists.resize(count);
-              for (size_t c = 0; c < count; ++c) {
-                std::memcpy(js.rows.data() + c * dims,
-                            points + static_cast<size_t>(js.cand[c]) * dims,
-                            dims * sizeof(float));
-              }
-              simd::QueryBlockDistances(points + i * dims, js.rows.data(),
-                                        count, dims, dist, js.dists.data());
+              simd::GatherDistances(points + i * dims, points, rows,
+                                    js.cand.data(), count, dims, dist,
+                                    js.dists.data());
 
               // Offer the candidates in ascending id order, as the sorted
               // scan always has: the accepted-push count depends on it.

@@ -110,7 +110,8 @@ struct GraphBuildStats {
     uint64_t candidates = 0;
     /// Heap pushes accepted — the count the convergence rule reads.
     uint64_t accepted = 0;
-    /// The local-join pass (gather, score, heap updates).
+    /// The local-join pass (collect the candidates, score them in place
+    /// from the point base, heap updates).
     double seconds = 0.0;
   };
   double init_seconds = 0.0;     ///< Random initial neighborhoods.
