@@ -132,7 +132,7 @@ KnnGraph BuildKnnGraph(const float* points, size_t rows, size_t dims,
   const uint32_t degree = std::max<uint32_t>(
       1, std::min<uint64_t>(params.degree, std::max<size_t>(rows - 1, 1)));
   const int workers =
-      params.workers > 0 ? params.workers : common::SimThreadsFromEnv();
+      params.workers > 0 ? params.workers : common::HardwareThreads();
   NotifyObserver(workers);
   const size_t num_chunks = (rows + kNodeGrain - 1) / kNodeGrain;
   const size_t slots = static_cast<size_t>(rows) * degree;

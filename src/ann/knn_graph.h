@@ -27,8 +27,10 @@ struct GraphBuildParams {
   /// SplitMix64(seed ^ node), so the build is bit-identical at any
   /// worker count.
   uint64_t seed = 0x5ee7a9c3u;
-  /// Host threads for the refinement rounds; 0 = SimThreadsFromEnv().
-  /// Never affects the result, only wall-clock.
+  /// Host threads for the init and refinement rounds; 0 = every
+  /// hardware thread (common::HardwareThreads()). Never affects the
+  /// result, only wall-clock. A build called inside a fork-join region
+  /// (e.g. a shard fan-out) runs inline on one thread at any width.
   int workers = 0;
 };
 
@@ -137,9 +139,9 @@ KnnGraph BuildKnnGraph(const float* points, size_t rows, size_t dims,
                        GraphBuildStats* stats = nullptr);
 
 /// Test-only: observer invoked by every BuildKnnGraph call with the
-/// worker count it resolved (params.workers, or the environment fallback
-/// when unset). Thread-safe — builds may run concurrently on the host
-/// pool. Pass nullptr to clear.
+/// worker count it resolved (params.workers, or the hardware width when
+/// unset). Thread-safe — builds may run concurrently on the host pool.
+/// Pass nullptr to clear.
 void SetGraphBuildObserverForTest(std::function<void(int)> observer);
 
 }  // namespace sweetknn::ann

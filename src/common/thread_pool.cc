@@ -17,16 +17,18 @@ thread_local bool tls_in_region = false;
 
 }  // namespace
 
+int HardwareThreads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, kMaxSimThreads));
+}
+
 int SimThreadsFromEnv() {
   const char* raw = std::getenv("SWEETKNN_SIM_THREADS");
   if (raw == nullptr || *raw == '\0') return 1;
   char* end = nullptr;
   const long parsed = std::strtol(raw, &end, 10);
   if (end == raw || *end != '\0' || parsed < 0) return 1;
-  if (parsed == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, kMaxSimThreads));
-  }
+  if (parsed == 0) return HardwareThreads();
   return static_cast<int>(std::min<long>(parsed, kMaxSimThreads));
 }
 

@@ -16,10 +16,14 @@ namespace sweetknn::common {
 /// (determinism tests run 8 workers on single-core hosts).
 inline constexpr int kMaxSimThreads = 256;
 
+/// One worker per hardware thread, capped at kMaxSimThreads; 1 when the
+/// platform cannot tell.
+int HardwareThreads();
+
 /// Worker count selected by the SWEETKNN_SIM_THREADS environment variable.
 /// Unset or unparsable means 1 — the exact legacy serial path — so existing
 /// callers and tests see no behavioral change unless they opt in. The value
-/// "0" means one worker per hardware thread.
+/// "0" means HardwareThreads().
 int SimThreadsFromEnv();
 
 /// A persistent fork-join pool shared by the simulator's execution engine

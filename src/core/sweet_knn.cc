@@ -51,8 +51,9 @@ void SweetKnnIndex::RebuildAnn(const HostMatrix& base) {
     return;
   }
   ann::GraphBuildParams params = config_.ann_params;
-  // Inherit the engine's thread budget (serving pins shards to one
-  // thread and parallelizes across shards instead).
+  // An unset width inherits the engine's thread budget; with that unset
+  // too, the build (which blocks the caller) runs on every hardware
+  // thread.
   if (params.workers <= 0) params.workers = config_.options.sim_threads;
   ann_ = ann::AnnIndex::Build(
       base, core::SimdDistFor(config_.options.metric), params,

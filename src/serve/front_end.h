@@ -94,7 +94,10 @@ struct ServiceConfig {
   bool enable_ann = false;
   /// NN-descent build knobs for the ANN tier. When ann_params.workers
   /// is 0, graph builds use options.sim_threads (the service's
-  /// configured parallelism) before falling back to SWEETKNN_SIM_THREADS.
+  /// configured parallelism); with both unset, builds the caller waits
+  /// for (construction, CreateIndex, SwapIndex, warm start) run on every
+  /// hardware thread, one shard at a time, and in-process compactions,
+  /// which run beside serving, build on one thread.
   ann::GraphBuildParams ann_params;
   /// Recall self-measurement: every Nth approx group is also answered
   /// exactly (under the same lock, against the same index state) and the

@@ -134,10 +134,11 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
   const std::string& snapshot_dir = tenant->snapshot_dir;
 
   // Each shard simulates its own device, so the shard fan-out below is the
-  // host-parallel axis. The shard engines are pinned to one execution
-  // thread: a region nested inside the fan-out would only run inline
-  // anyway — and by the execution engine's guarantee this changes
-  // nothing but wall-clock.
+  // host-parallel axis for the TI preparation. The shard engines are
+  // pinned to one execution thread: a region nested inside the fan-out
+  // would only run inline anyway — and by the execution engine's
+  // guarantee this changes nothing but wall-clock. The ANN graphs are
+  // built after the fan-out, one shard at a time on the full width.
   core::TiOptions shard_options = config_.options;
   shard_options.sim_threads = 1;
 
@@ -153,8 +154,8 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
                 rows * dims * sizeof(float));
     slices.push_back(std::move(slice));
     auto shard = std::make_unique<Shard>(config_.device, shard_options);
-    // ann_params.workers falls back to the service's configured
-    // parallelism, not silently to SWEETKNN_SIM_THREADS.
+    // An unset ann_params.workers takes the service's configured
+    // parallelism, or every hardware thread when that is unset too.
     shard->ConfigureAnn(config_.enable_ann, config_.ann_params,
                         config_.options.sim_threads);
     shard->offset = static_cast<uint32_t>(offset);
@@ -215,7 +216,7 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
       // Warm or cold, the base bytes are the slice bytes (warm starts
       // byte-compare the snapshot against the slice above). Adopting the
       // (pristine) overlay first parks any persisted ANN graph so
-      // RestoreBase can adopt it instead of re-running NN-descent.
+      // BuildGraph can adopt it instead of re-running NN-descent.
       tenant->shards[idx]->AdoptOverlay(snapshots[idx]);
       tenant->shards[idx]->RestoreBase(snapshots[idx].target,
                                        snapshots[idx].clustering);
@@ -223,6 +224,9 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
       tenant->shards[idx]->BuildCold(slices[idx]);
     }
   });
+  for (size_t idx = 0; idx < slices.size(); ++idx) {
+    tenant->shards[idx]->BuildGraph(slices[idx]);
+  }
   if (warm) m_warm_started_shards_->Increment(num_shards);
 
   {
@@ -649,6 +653,7 @@ void KnnService::SnapshotLive(TenantIndex* tenant,
 
 void KnnService::FinishJob(Job* job, JobState state, Status status) {
   size_t active = 0;
+  double job_seconds = 0.0;
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     job->state = state;
@@ -657,6 +662,9 @@ void KnnService::FinishJob(Job* job, JobState state, Status status) {
       job->error = status.ToString();
     }
     active = ActiveJobsLocked();
+    // Last touch of the job: once notified, a waiter may take the
+    // result and free it.
+    job_seconds = SecondsBetween(job->submit_time, SteadyClock::now());
   }
   jobs_cv_.notify_all();
   switch (state) {
@@ -670,8 +678,7 @@ void KnnService::FinishJob(Job* job, JobState state, Status status) {
       m_jobs_failed_->Increment();
       break;
   }
-  m_job_seconds_->Observe(SecondsBetween(job->submit_time,
-                                         SteadyClock::now()));
+  m_job_seconds_->Observe(job_seconds);
   m_active_jobs_->Set(static_cast<double>(active));
 }
 
@@ -1115,11 +1122,15 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
       // overlay stays as is; queries keep answering all padding.
       return Status::Ok();
     }
-    // The live shard's params carry the resolved worker count
-    // (ConfigureAnn's fallback), so the rebuilt graph parallelizes the
-    // same way the original build did.
+    // A configured width (ann_params.workers, or ConfigureAnn's
+    // sim_threads fallback) rides on the live shard's params, so the
+    // rebuilt graph parallelizes as the original build did. An unset
+    // width stays at one worker, not every hardware thread: the rebuild
+    // runs beside serving, and a multi-worker build holds the host
+    // pool's region lock for every round, stalling the serving fan-out.
     ann_enabled = shard.ann_enabled();
     ann_params = shard.ann_params();
+    if (ann_params.workers <= 0) ann_params.workers = 1;
     CaptureCompaction(&shard, s, &plan);
   }
 
@@ -1132,8 +1143,8 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
   core::TiOptions shard_options = config_.options;
   shard_options.sim_threads = 1;
   std::unique_ptr<Shard> fresh =
-      RebuildCompacted(plan, config_.device, shard_options, tenant->dims,
-                       ann_enabled, ann_params);
+      RebuildCompacted(plan, config_.device, shard_options, ann_enabled,
+                       ann_params);
 
   // Install: only if the shard we captured from is still the live one
   // (a SwapIndex assigns fresh epochs, orphaning this rebuild).
@@ -1316,6 +1327,11 @@ KnnService::ShardSet KnnService::BuildShardsFromSnapshots(
     set.shards[idx]->RestoreBase(snapshots[idx].target,
                                  snapshots[idx].clustering);
   });
+  // Outside the fan-out, so each build that cannot adopt a persisted
+  // graph runs on the full width.
+  for (size_t idx = 0; idx < set.shards.size(); ++idx) {
+    set.shards[idx]->BuildGraph(snapshots[idx].target);
+  }
   return set;
 }
 

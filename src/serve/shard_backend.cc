@@ -41,11 +41,6 @@ void ShardHost::BuildCold(const HostMatrix& slice) {
       simd::PackedTargets::Pack(slice.data(), slice.rows(), slice.cols());
   set_base_rows(slice.rows());
   delta.dims = slice.cols();
-  if (ann_enabled_ && slice.rows() > 0) {
-    ann = ann::AnnIndex::Build(
-        slice, core::SimdDistFor(engine.options().metric), ann_params_,
-        core::AnnEntryPointsFromClustering(engine.ExportTargetClustering()));
-  }
 }
 
 void ShardHost::RestoreBase(const HostMatrix& target,
@@ -54,16 +49,18 @@ void ShardHost::RestoreBase(const HostMatrix& target,
   clustering_cache_.reset();
   packed_base = simd::PackedTargets::Pack(target.data(), target.rows(),
                                           target.cols());
-  if (ann_enabled_ && target.rows() > 0) {
+}
+
+void ShardHost::BuildGraph(const HostMatrix& base) {
+  if (ann_enabled_ && base.rows() > 0) {
     const simd::Dist dist_kind = core::SimdDistFor(engine.options().metric);
-    if (pending_graph_.num_nodes == target.rows()) {
+    if (pending_graph_.num_nodes == base.rows()) {
       // The snapshot carried the graph: adopt it verbatim (node ids are
       // local base rows, valid as-is) instead of re-running NN-descent.
-      ann = ann::AnnIndex::Adopt(target, dist_kind,
-                                 std::move(pending_graph_));
+      ann = ann::AnnIndex::Adopt(base, dist_kind, std::move(pending_graph_));
     } else {
       ann = ann::AnnIndex::Build(
-          target, dist_kind, ann_params_,
+          base, dist_kind, ann_params_,
           core::AnnEntryPointsFromClustering(
               engine.ExportTargetClustering()));
     }
@@ -365,24 +362,15 @@ void CaptureCompaction(ShardHost* shard, int shard_index,
 std::unique_ptr<ShardHost> RebuildCompacted(const CompactionPlan& plan,
                                             const gpusim::DeviceSpec& device,
                                             const core::TiOptions& options,
-                                            size_t dims, bool ann_enabled,
+                                            bool ann_enabled,
                                             const ann::GraphBuildParams&
                                                 ann_params) {
   auto fresh = std::make_unique<ShardHost>(device, options);
   fresh->ConfigureAnn(ann_enabled, ann_params);
-  fresh->engine.PrepareTarget(plan.points);
-  fresh->packed_base = simd::PackedTargets::Pack(
-      plan.points.data(), plan.points.rows(), plan.points.cols());
-  fresh->set_base_rows(plan.points.rows());
-  fresh->delta.dims = dims;
-  if (ann_enabled && plan.points.rows() > 0) {
-    // Fresh base, fresh graph — part of the off-lock rebuild, so graph
-    // construction never blocks serving.
-    fresh->ann = ann::AnnIndex::Build(
-        plan.points, core::SimdDistFor(options.metric), ann_params,
-        core::AnnEntryPointsFromClustering(
-            fresh->engine.ExportTargetClustering()));
-  }
+  fresh->BuildCold(plan.points);
+  // Fresh base, fresh graph — part of the off-lock rebuild, so graph
+  // construction never blocks serving.
+  fresh->BuildGraph(plan.points);
   const bool identity =
       !plan.ids.empty() && plan.ids.front() == 0 &&
       plan.ids.back() == static_cast<uint32_t>(plan.ids.size()) - 1;

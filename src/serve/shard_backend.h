@@ -55,10 +55,10 @@ struct ShardHost {
   /// Inserts since the base was clustered, plus tombstoned ids.
   core::DeltaBuffer delta;
   /// The approximate tier over the same frozen base (empty unless
-  /// ConfigureAnn enabled it). Rebuilt wherever the base is: BuildCold,
-  /// RestoreBase (adopting a snapshot's persisted graph when present),
-  /// RebuildCompacted. Never covers the delta — SearchGroup's side scan
-  /// and merge handle that exactly.
+  /// ConfigureAnn enabled it). Rebuilt by BuildGraph wherever the base
+  /// is replaced (cold build, snapshot restore, RebuildCompacted). Never
+  /// covers the delta — SearchGroup's side scan and merge handle that
+  /// exactly.
   ann::AnnIndex ann;
   /// Install ticket: bumped (from the owner's epoch counter) whenever
   /// the shard object is created or replaced. A compactor that captured
@@ -80,11 +80,11 @@ struct ShardHost {
     return base_rows_ - delta.tombstones.size() + delta.size();
   }
 
-  /// Opts this shard into the ANN tier. Call before BuildCold /
-  /// RestoreBase; the graph is built (or adopted) there. When
-  /// `params.workers` is unset (<= 0), `fallback_workers` — the host's
-  /// configured parallelism — fills it in, so graph builds stop silently
-  /// falling back to the SWEETKNN_SIM_THREADS environment default.
+  /// Opts this shard into the ANN tier; BuildGraph builds (or adopts)
+  /// the graph. When `params.workers` is unset (<= 0), `fallback_workers`
+  /// — the host's configured parallelism — fills it in when set; with
+  /// neither set, the width stays unset and a build runs on every
+  /// hardware thread (see GraphBuildParams::workers).
   void ConfigureAnn(bool enabled, const ann::GraphBuildParams& params,
                     int fallback_workers = 0) {
     ann_enabled_ = enabled;
@@ -97,18 +97,31 @@ struct ShardHost {
   const ann::GraphBuildParams& ann_params() const { return ann_params_; }
 
   /// Cold build: PrepareTarget (upload + Step-1 landmark clustering)
-  /// over this shard's slice, plus the packed host-route copy.
+  /// over this shard's slice, plus the packed host-route copy. Builds no
+  /// ANN graph; call BuildGraph next.
   void BuildCold(const HostMatrix& slice);
 
   /// Warm start: re-materializes the prepared index from a snapshot's
   /// bytes without re-clustering, plus the packed host-route copy.
+  /// Installs no ANN graph; call BuildGraph next.
   void RestoreBase(const HostMatrix& target,
                    const core::TargetClusteringHost& clustering);
 
+  /// Gives the base BuildCold / RestoreBase just installed its ANN graph
+  /// (a no-op unless ConfigureAnn enabled the tier). `base` must hold
+  /// that base's rows. A persisted graph parked by AdoptOverlay that
+  /// covers `base` is adopted verbatim; otherwise NN-descent runs at
+  /// ann_params().workers. Call it outside any fork-join region — owners
+  /// fan out BuildCold / RestoreBase across shards, then build the
+  /// graphs one shard at a time, each on the full width: a build nested
+  /// in the fan-out would run inline on one thread.
+  void BuildGraph(const HostMatrix& base);
+
   /// Adopts a snapshot's geometry and overlay fields (offset, id map,
-  /// delta, tombstones). Does NOT restore the engine — call RestoreBase
-  /// with the snapshot's target afterwards (KnnService batches the
-  /// restores onto the host pool).
+  /// delta, tombstones) and parks its persisted ANN graph. Does NOT
+  /// restore the engine — call RestoreBase and then BuildGraph with the
+  /// snapshot's target afterwards (KnnService batches the restores onto
+  /// the host pool).
   void AdoptOverlay(const store::IndexSnapshot& snap);
 
   /// Answers one same-k query group from this shard: the complete,
@@ -188,7 +201,7 @@ struct ShardHost {
   bool ann_enabled_ = false;
   ann::GraphBuildParams ann_params_;
   /// A snapshot's persisted graph, parked by AdoptOverlay until
-  /// RestoreBase has the points to pair it with.
+  /// BuildGraph has the points to pair it with.
   ann::KnnGraph pending_graph_;
   std::unique_ptr<core::TargetClusteringHost> clustering_cache_;
 };
@@ -221,10 +234,12 @@ void CaptureCompaction(ShardHost* shard, int shard_index,
 /// plan's ids become the new base's id map. `options` should carry the
 /// owner's effective shard options (sim_threads = 1). When the owner
 /// serves the ANN tier, pass its config so the fresh base gets a fresh
-/// graph at install.
+/// graph at install; `ann_params.workers` is the build's width as given
+/// (0 = every hardware thread), so an owner that rebuilds beside
+/// serving pins it first.
 std::unique_ptr<ShardHost> RebuildCompacted(
     const CompactionPlan& plan, const gpusim::DeviceSpec& device,
-    const core::TiOptions& options, size_t dims, bool ann_enabled = false,
+    const core::TiOptions& options, bool ann_enabled = false,
     const ann::GraphBuildParams& ann_params = ann::GraphBuildParams{});
 
 /// Pools per-part live exports (ShardHost::ExportLive of each shard, or

@@ -183,7 +183,9 @@ Status ShardWorker::HandlePrepareCold(const std::string& payload) {
               req.ann_params);
   // The shard engines are pinned to one execution thread, exactly like
   // KnnService's (the engine is bit-identical at any worker count; the
-  // fan-out across workers is the parallel axis here).
+  // fan-out across workers is the parallel axis here). The router waits
+  // for the graph build, so an unset width runs it on every hardware
+  // thread.
   core::TiOptions shard_options = options_;
   shard_options.sim_threads = 1;
   auto shard = std::make_unique<ShardHost>(device_, shard_options);
@@ -191,6 +193,7 @@ Status ShardWorker::HandlePrepareCold(const std::string& payload) {
   shard->offset = static_cast<uint32_t>(req.offset);
   shard->epoch = ++epoch_counter_;
   shard->BuildCold(req.slice);
+  shard->BuildGraph(req.slice);
   dims_ = req.slice.cols();
   shards_[req.shard_index] = std::move(shard);
   return Status::Ok();
@@ -234,6 +237,7 @@ Status ShardWorker::HandlePrepareSnapshot(const std::string& payload) {
   shard->ConfigureAnn(enable_ann_, ann_params_, options_.sim_threads);
   shard->AdoptOverlay(snap);
   shard->RestoreBase(snap.target, snap.clustering);
+  shard->BuildGraph(snap.target);
   shard->epoch = ++epoch_counter_;
   dims_ = snap.target.cols();
   shards_[req.shard_index] = std::move(shard);
@@ -343,14 +347,16 @@ Status ShardWorker::HandleCompact(const std::string& payload) {
   // single-threaded, so the capture/rebuild/install protocol runs
   // synchronously with nothing to race: the carried-forward overlay is
   // necessarily empty, but running the identical steps keeps the state
-  // byte-identical to the in-process compactor's.
+  // byte-identical to the in-process compactor's. Nothing is served
+  // beside the rebuild, so the graph takes the shard's resolved width
+  // (every hardware thread when unset).
   if (shard->Pristine() || shard->live_rows() == 0) return Status::Ok();
   CompactionPlan plan;
   CaptureCompaction(shard, static_cast<int>(req.shard_index), &plan);
   core::TiOptions shard_options = options_;
   shard_options.sim_threads = 1;
   std::unique_ptr<ShardHost> fresh = RebuildCompacted(
-      plan, device_, shard_options, dims_, enable_ann_, ann_params_);
+      plan, device_, shard_options, enable_ann_, shard->ann_params());
   CarryOverlayForward(*shard, plan, fresh.get());
   fresh->epoch = ++epoch_counter_;
   shards_[req.shard_index] = std::move(fresh);

@@ -31,7 +31,10 @@ namespace sweetknn::serve {
 /// per-worker concurrency would buy nothing and cost the determinism the
 /// differential harness depends on. Shard engines run with sim_threads=1
 /// like KnnService's (bit-identical at any worker count, but the
-/// fan-out across workers is already the parallel axis).
+/// fan-out across workers is already the parallel axis). ANN graph
+/// builds (prepare, compaction) block their request and run on the host
+/// pool at the shard's resolved width — every hardware thread unless
+/// configured.
 ///
 /// Protocol errors split two ways: a malformed or inapplicable request
 /// (bad payload, unknown shard) is answered with an Error frame and the

@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ann/ann_index.h"
@@ -20,6 +23,7 @@
 #include "core/sweet_knn.h"
 #include "gtest/gtest.h"
 #include "serve/knn_service.h"
+#include "store/snapshot.h"
 #include "test_util.h"
 
 namespace sweetknn {
@@ -330,6 +334,78 @@ TEST(KnnGraphTest, DegreeClampsToRowsMinusOne) {
     }
     EXPECT_EQ(live, 4u) << "node " << node;
   }
+}
+
+// A service builds each shard's graph after its shard fan-out, on every
+// hardware thread when no width is configured. Those graphs must be the
+// bytes a one-thread service builds, on each path that builds them: the
+// constructor, and FromSnapshots / SwapIndex over a snapshot set saved
+// without graphs (which makes them build rather than adopt).
+TEST(KnnGraphTest, ServiceDefaultWidthGraphsMatchOneThread) {
+  const HostMatrix points = ClusteredPoints(900, 6, 5, 0x51de);
+  const std::string root = ::testing::TempDir() + "/knn_graph_width";
+  std::filesystem::remove_all(root);
+  const auto save = [&](serve::KnnService* service, const std::string& name) {
+    const std::string dir = root + "/" + name;
+    EXPECT_TRUE(service->SaveSnapshots(dir).ok()) << name;
+    return dir;
+  };
+  const auto graphs = [](const std::string& dir) {
+    std::vector<ann::KnnGraph> out;
+    const Result<std::vector<std::string>> paths =
+        store::ListShardSnapshots(dir);
+    EXPECT_TRUE(paths.ok()) << dir;
+    if (!paths.ok()) return out;
+    for (const std::string& path : paths.value()) {
+      Result<store::IndexSnapshot> snap = store::LoadIndexSnapshot(path);
+      EXPECT_TRUE(snap.ok()) << path;
+      if (snap.ok()) out.push_back(std::move(snap).value().ann_graph);
+    }
+    return out;
+  };
+
+  serve::ServiceConfig config;
+  config.num_shards = 2;
+  config.auto_compact = false;
+  config.enable_ann = true;
+  config.options.sim_threads = 1;
+  serve::KnnService serial(points, config);
+  const std::vector<ann::KnnGraph> want = graphs(save(&serial, "serial"));
+  ASSERT_EQ(want.size(), 2u);
+
+  config.options.sim_threads = 0;  // and ann_params.workers = 0: default
+  serve::ServiceConfig no_ann = config;
+  no_ann.enable_ann = false;
+  serve::KnnService graph_free(points, no_ann);
+  const std::string pre_graph = save(&graph_free, "pre_graph");
+  for (const ann::KnnGraph& none : graphs(pre_graph)) {
+    ASSERT_TRUE(none.empty());
+  }
+
+  serve::KnnService constructed(points, config);
+  Result<std::unique_ptr<serve::KnnService>> adopted =
+      serve::KnnService::FromSnapshots(pre_graph, config);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  serve::KnnService swapped(UniformPoints(900, 6, 0x51df), config);
+  ASSERT_TRUE(swapped.SwapIndex(pre_graph).ok());
+  const std::pair<const char*, serve::KnnService*> built[] = {
+      {"constructor", &constructed},
+      {"from_snapshots", adopted.value().get()},
+      {"swap_index", &swapped}};
+  for (const auto& [name, service] : built) {
+    const std::vector<ann::KnnGraph> got = graphs(save(service, name));
+    ASSERT_EQ(got.size(), want.size()) << name;
+    for (size_t s = 0; s < want.size(); ++s) {
+      SCOPED_TRACE(::testing::Message() << name << " shard " << s);
+      ASSERT_FALSE(got[s].empty());
+      EXPECT_EQ(got[s].num_nodes, want[s].num_nodes);
+      EXPECT_EQ(got[s].degree, want[s].degree);
+      EXPECT_EQ(got[s].neighbors, want[s].neighbors);
+      EXPECT_EQ(got[s].entry_points, want[s].entry_points);
+      EXPECT_EQ(got[s].build_iters, want[s].build_iters);
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(AnnIndexTest, EmptyBaseSearchesNothing) {

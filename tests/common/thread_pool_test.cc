@@ -41,10 +41,10 @@ TEST(ThreadPoolTest, NestedForkJoinFromTheCallingThreadReturns) {
   EXPECT_EQ(slots, (std::set<int>{0, 1}));
 }
 
-// KnnService builds its shards inside a fork-join region, and each
-// shard's ANN graph build opens its own region with options.sim_threads
-// workers — nested on the calling thread for shard 0. The service must
-// come up and answer bit-identically to a serial build.
+// KnnService prepares its shards inside a fork-join region, then builds
+// each shard's ANN graph in its own region with options.sim_threads
+// workers. The service must come up and answer bit-identically to a
+// serial build.
 TEST(ThreadPoolTest, AnnServiceWithParallelSimThreadsMatchesSerial) {
   const HostMatrix target = testing::ClusteredPoints(400, 6, 4, 1301, 0.1f);
   const HostMatrix queries = testing::ClusteredPoints(12, 6, 3, 1302, 0.1f);

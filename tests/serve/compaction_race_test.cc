@@ -6,6 +6,7 @@
 // knn_service.h are exactly what this suite stresses).
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -154,9 +155,21 @@ TEST(CompactionRaceTest, MutationsSurviveConcurrentCompactions) {
   stop.store(true, std::memory_order_release);
   for (std::thread& t : pollers) t.join();
 
-  // Quiesce: fold everything, then verify no mutation was lost.
+  // Quiesce: fold everything, then verify no mutation was lost. The
+  // background compactor may still be folding a shard; wait it out.
+  const auto in_flight = [](const Status& status) {
+    return status.code() == StatusCode::kUnavailable &&
+           status.message().find("already has a compaction in flight") !=
+               std::string::npos;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
   Status compacted = service.CompactAll();
-  if (!compacted.ok()) compacted = service.CompactAll();  // abort retry
+  while (in_flight(compacted) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    compacted = service.CompactAll();
+  }
   ASSERT_TRUE(compacted.ok()) << compacted.ToString();
 
   std::map<uint32_t, std::vector<float>> survivors;

@@ -8,11 +8,13 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ann/knn_graph.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "serve/knn_service.h"
 #include "test_util.h"
@@ -369,8 +371,20 @@ TEST(MultiTenantTest, QueueDepthGaugeIsComputedAtExportTime) {
 // silently fell back to the SWEETKNN_SIM_THREADS environment default.
 // With ann_params.workers unset, builds must now resolve to
 // options.sim_threads — at construction AND at compaction rebuilds.
+// With both unset, the constructor's builds (which the caller waits for)
+// run on every hardware thread, one shard at a time, and the compaction
+// rebuild (which runs beside serving) on one.
 TEST(MultiTenantTest, GraphBuildWorkersFollowServiceConfig) {
+  struct Case {
+    int sim_threads;
+    int ctor_workers;
+    int compaction_workers;
+  };
   constexpr int kConfiguredThreads = 3;
+  const Case cases[] = {
+      {kConfiguredThreads, kConfiguredThreads, kConfiguredThreads},
+      {0, common::HardwareThreads(), 1},
+  };
   std::mutex mutex;
   std::vector<int> observed;
   ann::SetGraphBuildObserverForTest([&](int workers) {
@@ -379,18 +393,23 @@ TEST(MultiTenantTest, GraphBuildWorkersFollowServiceConfig) {
   });
 
   const HostMatrix base = ClusteredPoints(120, 4, 3, 971);
-  serve::ServiceConfig config = FastConfig();
-  config.enable_ann = true;
-  config.ann_params.workers = 0;  // unset: must inherit sim_threads
-  config.options.sim_threads = kConfiguredThreads;
-  {
+  for (const Case& c : cases) {
+    SCOPED_TRACE("sim_threads = " + std::to_string(c.sim_threads));
+    serve::ServiceConfig config = FastConfig();
+    config.enable_ann = true;
+    config.ann_params.workers = 0;  // unset: must inherit sim_threads
+    config.options.sim_threads = c.sim_threads;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      observed.clear();
+    }
     serve::KnnService service(base, config);
     {
       std::lock_guard<std::mutex> lock(mutex);
       ASSERT_EQ(observed.size(),
                 static_cast<size_t>(config.num_shards));
       for (const int workers : observed) {
-        EXPECT_EQ(workers, kConfiguredThreads);
+        EXPECT_EQ(workers, c.ctor_workers);
       }
       observed.clear();
     }
@@ -404,7 +423,7 @@ TEST(MultiTenantTest, GraphBuildWorkersFollowServiceConfig) {
       std::lock_guard<std::mutex> lock(mutex);
       ASSERT_GE(observed.size(), 1u);
       for (const int workers : observed) {
-        EXPECT_EQ(workers, kConfiguredThreads);
+        EXPECT_EQ(workers, c.compaction_workers);
       }
     }
   }

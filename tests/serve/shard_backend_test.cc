@@ -217,7 +217,7 @@ TEST(ShardBackendTest, CompactionRoundTripKeepsAnswers) {
     CompactionPlan plan;
     CaptureCompaction(shards[s].get(), static_cast<int>(s), &plan);
     auto fresh = RebuildCompacted(plan, gpusim::DeviceSpec::TeslaK20c(),
-                                  shard_options, dims);
+                                  shard_options);
     CarryOverlayForward(*shards[s], plan, fresh.get());
     shards[s] = std::move(fresh);
   }

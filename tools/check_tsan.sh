@@ -30,7 +30,11 @@
 # against recall-probed groups on both backends; thread_pool_test opens
 # fork-join regions nested on the calling thread; ann_tier_test builds
 # kNN graphs at 3 and 8 workers, whose participants share the flat
-# adjacency arrays and each own a per-slot candidate scratch.
+# adjacency arrays and each own a per-slot candidate scratch. Service
+# construction builds each shard's graph on every hardware thread after
+# the shard fan-out, so the ANN-enabled services of multitenant_test,
+# router_front_end_test and ann_tier_test run full-width graph builds
+# too (knn_service_test's services build no graph).
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
