@@ -218,7 +218,6 @@ int Main(int argc, char** argv) {
     serve::ServiceConfig service_config;
     service_config.num_shards = shards;
     service_config.max_batch_size = 8;
-    service_config.max_batch_wait = std::chrono::microseconds(300);
     const size_t requests_total =
         (queries.rows() + kRowsPerRequest - 1) / kRowsPerRequest;
     std::vector<KnnResult> reference(requests_total);

@@ -55,7 +55,6 @@ serve::ServiceConfig BenchConfig() {
   serve::ServiceConfig config;
   config.num_shards = kShards;
   config.max_batch_size = 16;
-  config.max_batch_wait = std::chrono::microseconds(200);
   config.auto_compact = false;
   return config;
 }

@@ -63,7 +63,6 @@ MutationRun RunOne(const HostMatrix& target, double fraction, int shards,
   serve::ServiceConfig config;
   config.num_shards = shards;
   config.max_batch_size = 8;
-  config.max_batch_wait = std::chrono::microseconds(200);
   config.compact_delta_fraction = fraction;
   config.auto_compact = true;
   serve::KnnService service(target, config);

@@ -358,27 +358,21 @@ void FrontEnd::DispatchLoop() {
       if (hook) hook();
     }
     if (FailFast(&first)) continue;
-    // Micro-batching: coalesce admitted requests OF THIS TENANT until
-    // max_batch_size query rows are on board or max_batch_wait has
-    // passed since the batch opened. Batches are single-tenant — a
-    // group answers against one tenant's index state — and the
-    // out-of-turn tenant pops below charge the same DRR deficit WaitPop
-    // does, so coalescing cannot cheat the fair shares.
+    // Micro-batching: drain what is queued of THIS TENANT, up to
+    // max_batch_size query rows; never wait. Requests that arrive while
+    // a group runs coalesce into the next batch, so batches grow with
+    // load. Batches are single-tenant — a group answers against one
+    // tenant's index state — and the out-of-turn tenant pops below
+    // charge the same DRR deficit WaitPop does, so coalescing cannot
+    // cheat the fair shares.
     const SteadyClock::time_point opened = SteadyClock::now();
     m_queue_wait_->Observe(SecondsBetween(first->admit_time, opened));
     std::vector<RequestPtr> batch;
     size_t rows = first->num_rows;
     batch.push_back(std::move(first));
-    const auto deadline = opened + config_.max_batch_wait;
     while (rows < static_cast<size_t>(config_.max_batch_size)) {
       RequestPtr next;
-      if (!queue_.TryPopTenant(tenant_name, &next)) {
-        if (SteadyClock::now() >= deadline ||
-            queue_.WaitPopTenantUntil(tenant_name, &next, deadline) !=
-                common::PopResult::kItem) {
-          break;  // the batch is as full as it will get
-        }
-      }
+      if (!queue_.TryPopTenant(tenant_name, &next)) break;
       if (FailFast(&next)) continue;
       m_queue_wait_->Observe(
           SecondsBetween(next->admit_time, SteadyClock::now()));

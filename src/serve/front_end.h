@@ -33,12 +33,12 @@ struct ServiceConfig {
   /// prepared TiKnnEngine index. Clamped per index to its target row
   /// count.
   int num_shards = 2;
-  /// Micro-batching: the dispatcher coalesces admitted requests of one
-  /// tenant until a batch holds this many query rows ...
+  /// Micro-batching: the dispatcher drains one tenant's queued requests
+  /// into a batch while it holds fewer than this many query rows, and
+  /// closes the batch when the queue runs dry; it never waits.
   int max_batch_size = 64;
-  /// ... or this much wall-clock has passed since the batch's first
-  /// request, whichever comes first.
-  std::chrono::microseconds max_batch_wait{500};
+  /// Ignored; kept only so e2ebench/e2e_bench.cc, which assigns it, compiles.
+  std::chrono::microseconds max_batch_wait{0};
   /// LRU result-cache entries, keyed on (tenant, k, query row bytes).
   /// 0 = off. Serves single-row Search() requests only.
   size_t cache_capacity = 0;
@@ -135,8 +135,8 @@ struct ServiceStats {
   /// Admitted requests whose deadline expired while queued; completed
   /// with kDeadlineExceeded without touching the shards.
   uint64_t deadline_exceeded = 0;
-  /// Micro-batches dispatched by the batching loop (one per coalescing
-  /// window, regardless of how many distinct k values it held).
+  /// Micro-batches dispatched by the batching loop (one per drain of a
+  /// tenant's queue, regardless of how many distinct k values it held).
   uint64_t batches = 0;
   /// Same-k groups run through the shard engines. A mixed-k micro-batch
   /// produces several engine groups, so engine_groups >= batches.

@@ -2,7 +2,6 @@
 #define SWEETKNN_SERVE_SCHEDULER_H_
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -32,11 +31,11 @@ Result<std::vector<double>> ParseWeightList(const std::string& spec);
 /// units it is allowed to consume. When the round-robin cursor arrives
 /// at a non-empty tenant, the tenant earns `quantum * weight`; items
 /// are served while the deficit covers their cost. The micro-batcher
-/// may also pull *specific* tenants out of turn (TryPopTenant /
-/// WaitPopTenantUntil) to coalesce a batch — those pops charge the same
-/// deficit, which simply goes negative: the tenant borrowed ahead and
-/// the cursor skips it until refills repay the debt. Fairness holds in
-/// the long run regardless of batch shapes.
+/// may also pull *specific* tenants out of turn (TryPopTenant) to
+/// coalesce a batch — those pops charge the same deficit, which simply
+/// goes negative: the tenant borrowed ahead and the cursor skips it
+/// until refills repay the debt. Fairness holds in the long run
+/// regardless of batch shapes.
 ///
 /// Admission is bounded: beyond `max_queue_depth` total queued items,
 /// Submit sheds (the service maps that to Status kUnavailable) instead
@@ -128,23 +127,6 @@ class FairScheduler {
   bool TryPopTenant(const std::string& tenant, T* out) {
     std::lock_guard<std::mutex> lock(mutex_);
     return PopTenantLocked(tenant, out);
-  }
-
-  /// Waits until `deadline` for an item of one specific tenant — the
-  /// micro-batcher keeping a batch window open for its current tenant.
-  /// kTimeout when the window closes empty-handed; kClosed when the
-  /// scheduler is closed and THIS tenant's queue is drained (other
-  /// tenants' backlogs do not keep the window open).
-  template <typename Clock, typename Duration>
-  common::PopResult WaitPopTenantUntil(
-      const std::string& tenant, T* out,
-      std::chrono::time_point<Clock, Duration> deadline) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait_until(lock, deadline, [this, &tenant] {
-      return closed_ || TenantDepthLocked(tenant) > 0;
-    });
-    if (PopTenantLocked(tenant, out)) return common::PopResult::kItem;
-    return closed_ ? common::PopResult::kClosed : common::PopResult::kTimeout;
   }
 
   /// Rejects future submits and wakes every waiter; queued items keep

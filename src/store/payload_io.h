@@ -84,8 +84,7 @@ class PayloadReader {
       return Truncated("float array");
     }
     out->resize(count);
-    std::memcpy(out->data(), data_.data() + cursor_, count * sizeof(float));
-    cursor_ += count * sizeof(float);
+    CopyOut(out->data(), count * sizeof(float));
     return Status::Ok();
   }
 
@@ -96,9 +95,7 @@ class PayloadReader {
       return Truncated("u32 array");
     }
     out->resize(count);
-    std::memcpy(out->data(), data_.data() + cursor_,
-                count * sizeof(uint32_t));
-    cursor_ += count * sizeof(uint32_t);
+    CopyOut(out->data(), count * sizeof(uint32_t));
     return Status::Ok();
   }
 
@@ -117,9 +114,7 @@ class PayloadReader {
     }
     SK_RETURN_IF_ERROR(CheckRemaining(rows * cols * sizeof(float), "matrix"));
     *out = HostMatrix(rows, cols);
-    std::memcpy(out->mutable_data(), data_.data() + cursor_,
-                rows * cols * sizeof(float));
-    cursor_ += rows * cols * sizeof(float);
+    CopyOut(out->mutable_data(), rows * cols * sizeof(float));
     return Status::Ok();
   }
 
@@ -135,6 +130,15 @@ class PayloadReader {
  private:
   size_t remaining() const { return data_.size() - cursor_; }
 
+  /// Copies the next `bytes` bytes to `dst` and advances. An empty
+  /// vector or a zero-row matrix may hand over a null `dst`, which
+  /// memcpy must never see, even for 0 bytes.
+  void CopyOut(void* dst, size_t bytes) {
+    if (bytes == 0) return;
+    std::memcpy(dst, data_.data() + cursor_, bytes);
+    cursor_ += bytes;
+  }
+
   Status Truncated(const char* kind) const {
     return Status::IoError(what_ + ": truncated " + kind + " at offset " +
                            std::to_string(cursor_));
@@ -147,8 +151,7 @@ class PayloadReader {
 
   Status GetRaw(void* out, size_t len, const char* kind) {
     SK_RETURN_IF_ERROR(CheckRemaining(len, kind));
-    std::memcpy(out, data_.data() + cursor_, len);
-    cursor_ += len;
+    CopyOut(out, len);
     return Status::Ok();
   }
 

@@ -137,7 +137,6 @@ void RunClusterSequence(const ClusterFuzzConfig& cfg) {
   serve::ServiceConfig service_config;
   service_config.num_shards = cfg.shards;
   service_config.max_batch_size = 8;
-  service_config.max_batch_wait = std::chrono::microseconds(200);
   service_config.options.metric = cfg.metric;
   service_config.auto_compact = false;  // compactions run in lockstep
   serve::KnnService local(target, service_config);
@@ -361,7 +360,6 @@ TEST(ClusterSlow, ReplicaCatchUpSurvivesSecondKill) {
   serve::ServiceConfig service_config;
   service_config.num_shards = 4;
   service_config.max_batch_size = 8;
-  service_config.max_batch_wait = std::chrono::microseconds(200);
   service_config.auto_compact = false;
   serve::KnnService local(target, service_config);
 

@@ -172,7 +172,6 @@ void RunConfig(const FuzzConfig& cfg) {
   serve::ServiceConfig service_config;
   service_config.num_shards = cfg.service_shards;
   service_config.max_batch_size = 16;
-  service_config.max_batch_wait = std::chrono::microseconds(300);
   service_config.options = cfg.options;
   serve::KnnService service(target, service_config);
 
@@ -434,7 +433,6 @@ void RunApproxConfig(const ApproxFuzzConfig& cfg) {
   serve::ServiceConfig service_config;
   service_config.num_shards = cfg.service_shards;
   service_config.max_batch_size = 16;
-  service_config.max_batch_wait = std::chrono::microseconds(300);
   service_config.options.metric = cfg.metric;
   service_config.enable_ann = true;
   serve::KnnService service(target, service_config);

@@ -512,7 +512,6 @@ void RunServiceSequence(const MutationFuzzConfig& cfg) {
   serve::ServiceConfig config;
   config.num_shards = cfg.service_shards;
   config.max_batch_size = 8;
-  config.max_batch_wait = std::chrono::microseconds(200);
   config.cache_capacity = cfg.cache_capacity;
   config.options.metric = cfg.metric;
   config.compact_delta_fraction = cfg.compact_fraction;

@@ -75,7 +75,6 @@ TEST(CompactionRaceTest, MutationsSurviveConcurrentCompactions) {
   ServiceConfig config;
   config.num_shards = 2;
   config.max_batch_size = 8;
-  config.max_batch_wait = std::chrono::microseconds(150);
   config.cache_capacity = 16;
   config.compact_delta_fraction = 0.05;  // compact eagerly
   config.auto_compact = true;
@@ -252,7 +251,6 @@ TEST(CompactionRaceTest, SwapsNeverMixGenerationsWithCompactionsInFlight) {
   ServiceConfig config;
   config.num_shards = 2;
   config.max_batch_size = 8;
-  config.max_batch_wait = std::chrono::microseconds(150);
   config.compact_delta_fraction = 0.5;
   config.auto_compact = false;  // compactions forced explicitly below
 

@@ -56,7 +56,6 @@ void ExpectRowEquals(const RangeResult& result, size_t q,
 serve::ServiceConfig SmallConfig(int shards) {
   serve::ServiceConfig config;
   config.num_shards = shards;
-  config.max_batch_wait = std::chrono::microseconds(200);
   return config;
 }
 

@@ -17,7 +17,9 @@
 namespace sweetknn {
 namespace {
 
+using testing::AwaitAdmitted;
 using testing::ClusteredPoints;
+using testing::DispatcherGate;
 
 /// Exact (bit-level) equality of one service answer row against the
 /// reference row: same neighbor ids AND same float distances.
@@ -50,7 +52,6 @@ TEST(KnnServiceTest, ConcurrentClientsBitIdenticalToSingleEngine) {
   serve::ServiceConfig config;
   config.num_shards = 3;
   config.max_batch_size = 16;
-  config.max_batch_wait = std::chrono::microseconds(1500);
   serve::KnnService service(target, config);
   ASSERT_EQ(service.num_shards(), 3);
 
@@ -132,16 +133,24 @@ TEST(KnnServiceTest, MixedKRequestsEachMatchOracle) {
   serve::ServiceConfig config;
   config.num_shards = 2;
   config.max_batch_size = 64;  // force mixed-k requests into one pop
-  config.max_batch_wait = std::chrono::microseconds(4000);
   serve::KnnService service(target, config);
+  DispatcherGate gate(&service);
 
+  // Park the dispatcher on the first request, queue the rest behind it,
+  // then release: the drain coalesces mixed-k requests into one batch.
   const std::vector<int> ks = {1, 3, 9, 30};
   std::vector<KnnResult> answers(ks.size());
   std::vector<std::thread> clients;
+  gate.Block();
   for (size_t i = 0; i < ks.size(); ++i) {
     clients.emplace_back(
         [&, i] { answers[i] = service.JoinBatch(queries, ks[i]).value(); });
+    if (i == 0) {
+      EXPECT_TRUE(gate.AwaitEntered(1));
+    }
   }
+  AwaitAdmitted(service, ks.size());
+  gate.Release();
   for (std::thread& t : clients) t.join();
 
   for (size_t i = 0; i < ks.size(); ++i) {
@@ -263,15 +272,17 @@ TEST(KnnServiceTest, BatchAccountingCountsMicroBatchesNotKGroups) {
   serve::ServiceConfig config;
   config.num_shards = 2;
   config.max_batch_size = 3;
-  config.max_batch_wait = std::chrono::microseconds(2'000'000);
   serve::KnnService service(target, config);
+  DispatcherGate gate(&service);
 
   // Three single-row requests with two distinct k values coalesce into
-  // one micro-batch (the batch seals the moment the third row lands,
-  // well inside the 2 s window): one batch, two engine groups. Counting
-  // a "batch" per k-group would report occupancy 0.5 here instead of 1.
+  // one micro-batch (the dispatcher is parked on the first while the
+  // other two queue, and the batch seals when the third row is on
+  // board): one batch, two engine groups. Counting a "batch" per
+  // k-group would report occupancy 0.5 here instead of 1.
   const std::vector<int> ks = {3, 3, 5};
   std::vector<std::thread> clients;
+  gate.Block();
   for (const int k : ks) {
     clients.emplace_back([&service, &target, k] {
       HostMatrix one(1, target.cols());
@@ -280,7 +291,12 @@ TEST(KnnServiceTest, BatchAccountingCountsMicroBatchesNotKGroups) {
       }
       EXPECT_TRUE(service.JoinBatch(one, k).ok());
     });
+    if (clients.size() == 1) {
+      EXPECT_TRUE(gate.AwaitEntered(1));
+    }
   }
+  AwaitAdmitted(service, ks.size());
+  gate.Release();
   for (std::thread& t : clients) t.join();
 
   const serve::ServiceStats stats = service.stats();
@@ -289,6 +305,26 @@ TEST(KnnServiceTest, BatchAccountingCountsMicroBatchesNotKGroups) {
   EXPECT_EQ(stats.batched_queries, 3u);
   EXPECT_DOUBLE_EQ(stats.MeanBatchSize(), 3.0);
   EXPECT_DOUBLE_EQ(stats.BatchOccupancy(config.max_batch_size), 1.0);
+}
+
+TEST(KnnServiceTest, LoneRequestsDispatchWithoutWaiting) {
+  // An idle service closes each batch the moment its tenant's queue
+  // runs dry: a lone request never waits for co-riders that are not
+  // there, so batch assembly costs a queue pop, not a timer.
+  const HostMatrix target = ClusteredPoints(200, 3, 3, 416);
+  serve::KnnService service(target);
+  constexpr int kRequests = 32;
+  for (int i = 0; i < kRequests; ++i) {
+    const float* row = target.row(static_cast<size_t>(i));
+    ASSERT_TRUE(
+        service.Search(std::vector<float>(row, row + target.cols()), 3).ok());
+  }
+
+  EXPECT_EQ(service.stats().batches, static_cast<uint64_t>(kRequests));
+  const common::HistogramSnapshot assembly =
+      service.metrics().SnapshotHistogram("sweetknn_batch_assembly_seconds");
+  ASSERT_EQ(assembly.count, static_cast<uint64_t>(kRequests));
+  EXPECT_LT(assembly.sum / static_cast<double>(assembly.count), 250e-6);
 }
 
 TEST(KnnServiceTest, MetricsMirrorStatsAndCarryStageBreakdown) {

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <string>
@@ -23,71 +22,15 @@ namespace sweetknn {
 namespace {
 
 using testing::ClusteredPoints;
+using testing::DispatcherGate;
 
 serve::ServiceConfig FastConfig() {
   serve::ServiceConfig config;
   config.num_shards = 2;
   config.max_batch_size = 16;
-  config.max_batch_wait = std::chrono::microseconds(200);
   config.auto_compact = false;
   return config;
 }
-
-/// Parks the dispatcher thread inside the pre-dispatch hook: after
-/// Block(), the next request it dequeues stalls until Release(), holding
-/// every later submission at a known queue depth.
-class DispatcherGate {
-  /// Shared with the installed hook, so a hook copy the dispatcher took
-  /// before the gate went out of scope can still run safely.
-  struct State {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool blocked = false;
-    int entered = 0;
-  };
-
- public:
-  explicit DispatcherGate(serve::KnnService* service)
-      : state_(std::make_shared<State>()) {
-    std::shared_ptr<State> state = state_;
-    service->SetPreDispatchHookForTest([state] {
-      std::unique_lock<std::mutex> lock(state->mutex);
-      ++state->entered;
-      state->cv.wait(lock, [&state] { return !state->blocked; });
-    });
-  }
-
-  void Block() {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->blocked = true;
-  }
-
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      state_->blocked = false;
-    }
-    state_->cv.notify_all();
-  }
-
-  /// Waits until the dispatcher has entered the hook `n` times (i.e. is
-  /// parked on its n-th batch). False on a 10 s timeout.
-  bool AwaitEntered(int n) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(state_->mutex);
-        if (state_->entered >= n) return true;
-      }
-      if (std::chrono::steady_clock::now() > deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-
- private:
-  std::shared_ptr<State> state_;
-};
 
 double GaugeFromText(const std::string& text, const std::string& name) {
   common::MetricsRegistry parsed;

@@ -10,12 +10,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,57 +27,8 @@ namespace sweetknn::serve {
 namespace {
 
 using std::chrono::milliseconds;
-
-/// Parks the front-end's dispatcher inside the pre-dispatch hook: after
-/// Block(), the next request it dequeues stalls until Release(), holding
-/// every later submission in the queue.
-class DispatcherGate {
-  /// Shared with the installed hook, so a hook copy the dispatcher took
-  /// before the gate went out of scope can still run safely.
-  struct State {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool blocked = false;
-    int entered = 0;
-  };
-
- public:
-  template <typename Backend>
-  explicit DispatcherGate(Backend* backend)
-      : state_(std::make_shared<State>()) {
-    std::shared_ptr<State> state = state_;
-    backend->SetPreDispatchHookForTest([state] {
-      std::unique_lock<std::mutex> lock(state->mutex);
-      ++state->entered;
-      state->cv.notify_all();
-      state->cv.wait(lock, [&state] { return !state->blocked; });
-    });
-  }
-
-  void Block() {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->blocked = true;
-  }
-
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      state_->blocked = false;
-    }
-    state_->cv.notify_all();
-  }
-
-  /// Waits until the dispatcher has entered the hook `n` times. False on
-  /// a 10 s timeout.
-  bool AwaitEntered(int n) {
-    std::unique_lock<std::mutex> lock(state_->mutex);
-    return state_->cv.wait_for(lock, std::chrono::seconds(10),
-                               [&] { return state_->entered >= n; });
-  }
-
- private:
-  std::shared_ptr<State> state_;
-};
+using testing::AwaitAdmitted;
+using testing::DispatcherGate;
 
 /// A two-shard, one-worker cluster over `target`, or nullptr (with the
 /// test skipped) when the worker binary is not available.
@@ -89,7 +38,6 @@ std::unique_ptr<Router> StartCluster(const HostMatrix& target,
   if (cli == nullptr) return nullptr;
   config.service.num_shards = 2;
   config.service.max_batch_size = 8;
-  config.service.max_batch_wait = std::chrono::microseconds(200);
   config.service.auto_compact = false;
   config.num_workers = 1;
   config.worker_binary = cli;
@@ -104,13 +52,6 @@ std::unique_ptr<Router> StartCluster(const HostMatrix& target,
   }                                                                      \
   std::unique_ptr<Router> var = StartCluster(target, config);            \
   ASSERT_NE(var, nullptr)
-
-template <typename Backend>
-void AwaitAdmitted(const Backend& backend, uint64_t requests) {
-  while (backend.stats().requests < requests) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-}
 
 TEST(RouterFrontEndTest, RequestExpiredInTheQueueNeverReachesAWorker) {
   const HostMatrix target = testing::ClusteredPoints(64, 3, 2, 1201, 0.08f);
@@ -319,7 +260,6 @@ ServiceConfig ProbeConfig() {
   ServiceConfig config;
   config.num_shards = 2;
   config.max_batch_size = 8;
-  config.max_batch_wait = std::chrono::microseconds(200);
   config.auto_compact = false;
   config.enable_ann = true;
   config.ann_recall_probe_interval = 1;

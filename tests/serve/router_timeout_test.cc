@@ -108,7 +108,6 @@ TEST(RouterTimeoutTest, WedgedWorkerTimesOutAndDies) {
   RouterConfig config;
   config.service.num_shards = 2;
   config.service.max_batch_size = 8;
-  config.service.max_batch_wait = std::chrono::microseconds(200);
   config.num_workers = 1;
   config.replicas = 0;
   config.rpc_timeout = milliseconds(300);
@@ -162,7 +161,6 @@ TEST(RouterTimeoutTest, TenantRidesTheWireAndShutdownIsNotATimeout) {
   RouterConfig config;
   config.service.num_shards = 2;
   config.service.max_batch_size = 8;
-  config.service.max_batch_wait = std::chrono::microseconds(200);
   config.num_workers = 1;
   config.replicas = 0;
   config.tenant = "faces";

@@ -194,21 +194,6 @@ TEST(FairSchedulerTest, TenantTargetedPops) {
   ASSERT_TRUE(sched.TryPopTenant("b", &item));
   EXPECT_EQ(item, 2);
   EXPECT_FALSE(sched.TryPopTenant("b", &item));
-  // The batch window: an empty tenant times out without stealing a's
-  // backlog; a closed, drained tenant reports kClosed.
-  const auto soon =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
-  EXPECT_EQ(sched.WaitPopTenantUntil("b", &item, soon), PopResult::kTimeout);
-  ASSERT_EQ(sched.WaitPopTenantUntil(
-                "a", &item,
-                std::chrono::steady_clock::now() + std::chrono::seconds(5)),
-            PopResult::kItem);
-  EXPECT_EQ(item, 1);
-  sched.Close();
-  EXPECT_EQ(sched.WaitPopTenantUntil(
-                "b", &item,
-                std::chrono::steady_clock::now() + std::chrono::seconds(5)),
-            PopResult::kClosed);
 }
 
 // Out-of-turn pops (batch coalescing) drive the tenant's deficit

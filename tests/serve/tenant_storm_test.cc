@@ -48,7 +48,6 @@ TEST(TenantStormTest, WeightedFairShareWithinTolerance) {
   serve::ServiceConfig config;
   config.num_shards = 2;
   config.max_batch_size = 4;
-  config.max_batch_wait = std::chrono::microseconds(100);
   config.max_queue_depth = 12;
   config.auto_compact = false;
   serve::KnnService service(base, config);
@@ -132,7 +131,6 @@ TEST(TenantStormTest, CompactionStormLeavesOtherTenantBitIdentical) {
   serve::ServiceConfig config;
   config.num_shards = 2;
   config.max_batch_size = 16;
-  config.max_batch_wait = std::chrono::microseconds(200);
   config.compact_delta_fraction = 0.05;  // storm: compact eagerly
   config.auto_compact = true;
   serve::KnnService service(target_a, config);

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/sweet_knn.h"
 #include "gtest/gtest.h"
+#include "store/payload_io.h"
 
 namespace sweetknn::store {
 namespace {
@@ -73,6 +74,35 @@ TEST(SnapshotWriterReaderTest, SectionRoundTrip) {
   EXPECT_TRUE(reader.value().Section(kSectionTarget)->empty());
   EXPECT_EQ(reader.value().Section(kSectionClustering), nullptr);
   std::remove(path.c_str());
+}
+
+// Regression: an empty vector or a 0-row matrix can hand the decoder a
+// null destination, and memcpy(nullptr, src, 0) is undefined behavior
+// (UBSan's nonnull-attribute check stops here without the zero-byte
+// guard). Empty arrays must round-trip and leave the cursor in place.
+TEST(PayloadIoTest, EmptyArraysAndZeroRowMatrixRoundTrip) {
+  PayloadWriter writer;
+  writer.PutFloats(nullptr, 0);
+  writer.PutU32s(nullptr, 0);
+  writer.PutMatrix(HostMatrix(0, 5));
+  writer.PutU32(0xC0FFEEu);  // sentinel: the cursor must land exactly here
+  const std::string payload = writer.Take();
+
+  PayloadReader reader(payload, "empty round trip");
+  std::vector<float> floats;
+  std::vector<uint32_t> u32s;
+  HostMatrix matrix(2, 2);
+  uint32_t sentinel = 0;
+  ASSERT_TRUE(reader.GetFloats(&floats).ok());
+  ASSERT_TRUE(reader.GetU32s(&u32s).ok());
+  ASSERT_TRUE(reader.GetMatrix(&matrix).ok());
+  ASSERT_TRUE(reader.GetU32(&sentinel).ok());
+  EXPECT_TRUE(reader.ExpectExhausted().ok());
+  EXPECT_TRUE(floats.empty());
+  EXPECT_TRUE(u32s.empty());
+  EXPECT_EQ(matrix.rows(), 0u);
+  EXPECT_EQ(matrix.cols(), 5u);
+  EXPECT_EQ(sentinel, 0xC0FFEEu);
 }
 
 TEST(SnapshotWriterReaderTest, EndMarkerIdIsReserved) {

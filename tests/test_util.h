@@ -1,7 +1,13 @@
 #ifndef SWEETKNN_TESTS_TEST_UTIL_H_
 #define SWEETKNN_TESTS_TEST_UTIL_H_
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/knn_result.h"
@@ -54,6 +60,69 @@ inline std::vector<simd::Level> AvailableLevels() {
 struct LevelGuard {
   ~LevelGuard() { simd::ForceLevelForTest(-1); }
 };
+
+/// Parks a serving backend's dispatcher inside its pre-dispatch hook:
+/// after Block(), the next request it dequeues stalls until Release(),
+/// holding every later submission in the queue at a known depth. Works
+/// with any backend that has SetPreDispatchHookForTest (KnnService,
+/// Router).
+class DispatcherGate {
+  /// Shared with the installed hook, so a hook copy the dispatcher took
+  /// before the gate went out of scope can still run safely.
+  struct State {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool blocked = false;
+    int entered = 0;
+  };
+
+ public:
+  template <typename Backend>
+  explicit DispatcherGate(Backend* backend)
+      : state_(std::make_shared<State>()) {
+    std::shared_ptr<State> state = state_;
+    backend->SetPreDispatchHookForTest([state] {
+      std::unique_lock<std::mutex> lock(state->mutex);
+      ++state->entered;
+      state->cv.notify_all();
+      state->cv.wait(lock, [&state] { return !state->blocked; });
+    });
+  }
+
+  void Block() {
+    std::lock_guard<std::mutex> lock(state_->mutex);
+    state_->blocked = true;
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(state_->mutex);
+      state_->blocked = false;
+    }
+    state_->cv.notify_all();
+  }
+
+  /// Waits until the dispatcher has entered the hook `n` times (i.e. is
+  /// parked on its n-th batch). False on a 10 s timeout.
+  bool AwaitEntered(int n) {
+    std::unique_lock<std::mutex> lock(state_->mutex);
+    return state_->cv.wait_for(lock, std::chrono::seconds(10),
+                               [&] { return state_->entered >= n; });
+  }
+
+ private:
+  std::shared_ptr<State> state_;
+};
+
+/// Waits until a serving backend has admitted `requests` calls — with
+/// the dispatcher parked by a DispatcherGate, the parked one plus
+/// everything queued behind it.
+template <typename Backend>
+void AwaitAdmitted(const Backend& backend, uint64_t requests) {
+  while (backend.stats().requests < requests) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 }  // namespace sweetknn::testing
 

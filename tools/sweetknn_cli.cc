@@ -14,7 +14,7 @@
 //
 //   sweetknn_cli serve-bench --target=points.csv [--k=10] [--shards=2]
 //                [--clients=4] [--requests=32] [--rows=4]
-//                [--max-batch=64] [--wait-us=500] [--cache=0]
+//                [--max-batch=64] [--cache=0]
 //                [--metrics-out=FILE] [--tenants=N [--weights=4,1,..]]
 //                [--max-queue-depth=N]
 //
@@ -151,7 +151,6 @@ struct ServeBenchArgs {
   int requests = 32;  // per client
   int rows = 4;       // query rows per JoinBatch request
   int max_batch = 64;
-  int wait_us = 500;
   size_t cache = 0;
   std::string snapshot_dir;  // warm-start source, empty = cold build
   bool require_warm = false;
@@ -167,7 +166,7 @@ int ServeBenchUsage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s serve-bench --target=FILE [--k=N] [--shards=N]\n"
                "          [--clients=N] [--requests=N] [--rows=N]\n"
-               "          [--max-batch=N] [--wait-us=N] [--cache=N]\n"
+               "          [--max-batch=N] [--cache=N]\n"
                "          [--snapshot-dir=DIR] [--require-warm]\n"
                "          [--cluster=N [--replicas=R]] [--metrics-out=FILE]\n"
                "          [--tenants=N [--weights=W1,..,WN]]\n"
@@ -197,8 +196,6 @@ bool ParseServeBenchArgs(int argc, char** argv, ServeBenchArgs* out) {
       out->rows = std::atoi(v);
     } else if (const char* v = value("--max-batch=")) {
       out->max_batch = std::atoi(v);
-    } else if (const char* v = value("--wait-us=")) {
-      out->wait_us = std::atoi(v);
     } else if (const char* v = value("--cache=")) {
       out->cache = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--snapshot-dir=")) {
@@ -223,9 +220,8 @@ bool ParseServeBenchArgs(int argc, char** argv, ServeBenchArgs* out) {
   }
   return !out->target_path.empty() && out->k > 0 && out->shards > 0 &&
          out->clients > 0 && out->requests > 0 && out->rows > 0 &&
-         out->max_batch > 0 && out->wait_us >= 0 && out->cluster >= 0 &&
-         out->replicas >= 0 && out->tenants >= 1 &&
-         out->max_queue_depth >= 0;
+         out->max_batch > 0 && out->cluster >= 0 && out->replicas >= 0 &&
+         out->tenants >= 1 && out->max_queue_depth >= 0;
 }
 
 // The binary to re-exec as `shard-worker` for --cluster runs: this very
@@ -417,7 +413,6 @@ int ClusterServeBench(const sweetknn::HostMatrix& points,
   config.work_dir = work_dir;
   config.service.num_shards = args.shards;
   config.service.max_batch_size = args.max_batch;
-  config.service.max_batch_wait = std::chrono::microseconds(args.wait_us);
   config.service.max_queue_depth = static_cast<size_t>(args.max_queue_depth);
   config.num_workers = args.cluster;
   config.replicas = args.replicas;
@@ -612,7 +607,6 @@ int ServeBench(int argc, char** argv) {
   serve::ServiceConfig config;
   config.num_shards = args.shards;
   config.max_batch_size = args.max_batch;
-  config.max_batch_wait = std::chrono::microseconds(args.wait_us);
   config.cache_capacity = args.cache;
   config.snapshot_dir = args.snapshot_dir;
   config.max_queue_depth = static_cast<size_t>(args.max_queue_depth);
