@@ -1,45 +1,40 @@
 #include "core/range_search.h"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 
 #include "common/logging.h"
 #include "core/device_points.h"
+#include "core/host_image.h"
 
 namespace sweetknn::core {
 namespace {
 
-/// Tile-aligned chunk of the packed base scanned per QueryDistances call
-/// (keeps the distance buffer cache-resident).
-constexpr size_t kScanChunk = 4096;
-
-static_assert(kScanChunk % simd::kTileLanes == 0,
-              "scan chunks must stay tile-aligned");
+/// Appends to `row` every position in [first, last) of the image within
+/// the closed ball, as (base row, distance). `dists` holds
+/// min(n, HostImage::kScoreChunk) floats.
+void CollectWindow(const float* query, const HostImage& image, size_t first,
+                   size_t last, float radius, simd::Dist dist_kind,
+                   float* dists, std::vector<Neighbor>* row) {
+  image.ScoreSpan(query, dist_kind, first, last, dists,
+                  [&](size_t p, float d) {
+                    if (d <= radius) row->push_back(Neighbor{image.row(p), d});
+                  });
+}
 
 }  // namespace
 
-RangeResult FullRangeScan(const HostMatrix& queries,
-                          const simd::PackedTargets& targets, float radius,
-                          simd::Dist dist_kind, RangeScanStats* stats) {
+RangeResult FullRangeScan(const HostMatrix& queries, const HostImage& image,
+                          float radius, simd::Dist dist_kind,
+                          RangeScanStats* stats) {
   RangeResult result;
-  const size_t n = targets.n();
-  std::vector<float> dists(std::min(n, kScanChunk));
+  const size_t n = image.n();
+  std::vector<float> dists(std::min(n, HostImage::kScoreChunk));
   std::vector<Neighbor> row;
   for (size_t q = 0; q < queries.rows(); ++q) {
     row.clear();
-    for (size_t begin = 0; begin < n; begin += kScanChunk) {
-      const size_t end = std::min(n, begin + kScanChunk);
-      simd::QueryDistances(queries.row(q), targets, begin, end, dist_kind,
-                           dists.data());
-      for (size_t t = begin; t < end; ++t) {
-        const float d = dists[t - begin];
-        if (d <= radius) {
-          row.push_back(Neighbor{static_cast<uint32_t>(t), d});
-        }
-      }
-    }
-    // Collected in index order; canonical rows sort by (distance, index).
+    CollectWindow(queries.row(q), image, 0, n, radius, dist_kind,
+                  dists.data(), &row);
+    // Collected in member order; canonical rows sort by (distance, row).
     std::sort(row.begin(), row.end(), NeighborLess);
     result.AppendRow(row);
     if (stats != nullptr) {
@@ -50,31 +45,19 @@ RangeResult FullRangeScan(const HostMatrix& queries,
   return result;
 }
 
-RangeResult TiRangeScan(const HostMatrix& queries,
-                        const simd::PackedTargets& targets,
-                        const TargetClusteringHost& clustering, float radius,
-                        simd::Dist dist_kind, RangeScanStats* stats) {
-  const size_t n = targets.n();
-  const size_t dims = targets.dims();
+RangeResult TiRangeScan(const HostMatrix& queries, const HostImage& image,
+                        float radius, simd::Dist dist_kind,
+                        RangeScanStats* stats) {
+  const size_t n = image.n();
+  const TargetClusteringHost& clustering = image.clustering();
   const int m = clustering.num_clusters;
-  SK_CHECK_EQ(clustering.member_ids.size(), n);
   RangeResult result;
   std::vector<float> center_dists(static_cast<size_t>(m));
-  // One packed tile's worth of exact distances, memoized per query so
-  // candidates sharing a tile pay one kernel call.
-  float tile_dists[simd::kTileLanes];
+  std::vector<float> dists(std::min(n, HostImage::kScoreChunk));
   std::vector<Neighbor> row;
   for (size_t q = 0; q < queries.rows(); ++q) {
     row.clear();
-    // d(q, center_c) for every landmark, through the same canonical
-    // kernels (bits do not matter for pruning — the slack covers them —
-    // but one code path is one code path).
-    if (m > 0) {
-      simd::QueryBlockDistances(queries.row(q), clustering.centers.data(),
-                                static_cast<size_t>(m), dims, dist_kind,
-                                center_dists.data());
-    }
-    size_t memo_tile = static_cast<size_t>(-1);
+    image.CenterDistances(queries.row(q), dist_kind, center_dists.data());
     for (int c = 0; c < m; ++c) {
       const uint32_t begin = clustering.member_offsets[c];
       const uint32_t end = clustering.member_offsets[c + 1];
@@ -90,40 +73,14 @@ RangeResult TiRangeScan(const HostMatrix& queries,
         }
         continue;
       }
-      // Level 2: members with d(t, c) in [d_qc - r - slack,
-      // d_qc + r + slack]. member_dists is sorted descending, so the
-      // window's first member is found by binary search on the upper
-      // edge and the walk stops when the lower edge is crossed.
-      const float hi = d_qc + radius + slack;
-      const float lo = d_qc - radius - slack;
-      const float* md = clustering.member_dists.data();
-      const float* first =
-          std::lower_bound(md + begin, md + end, hi, std::greater<float>());
+      // Level 2: members with d(t, c) within radius + slack of d_qc.
+      const auto [first, last] = image.Window(c, d_qc, radius + slack);
       if (stats != nullptr) {
-        stats->members_pruned += static_cast<uint64_t>(first - (md + begin));
+        stats->candidates += last - first;
+        stats->members_pruned += (end - begin) - (last - first);
       }
-      for (const float* it = first; it != md + end; ++it) {
-        if (*it < lo) {
-          if (stats != nullptr) {
-            stats->members_pruned += static_cast<uint64_t>((md + end) - it);
-          }
-          break;
-        }
-        const uint32_t t =
-            clustering.member_ids[static_cast<size_t>(it - md)];
-        // Exact distance via the tile containing t — the identical bits
-        // FullRangeScan computes for row t.
-        const size_t tile = (t / simd::kTileLanes) * simd::kTileLanes;
-        if (tile != memo_tile) {
-          simd::QueryDistances(queries.row(q), targets, tile,
-                               std::min(n, tile + simd::kTileLanes),
-                               dist_kind, tile_dists);
-          memo_tile = tile;
-        }
-        const float d = tile_dists[t - tile];
-        if (stats != nullptr) stats->candidates += 1;
-        if (d <= radius) row.push_back(Neighbor{t, d});
-      }
+      CollectWindow(queries.row(q), image, first, last, radius, dist_kind,
+                    dists.data(), &row);
     }
     std::sort(row.begin(), row.end(), NeighborLess);
     result.AppendRow(row);

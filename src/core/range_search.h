@@ -6,21 +6,25 @@
 
 #include "common/matrix.h"
 #include "common/range_result.h"
-#include "core/clustering.h"
 #include "core/delta_overlay.h"
 #include "core/options.h"
 #include "simd/simd_kernels.h"
 
 namespace sweetknn::core {
 
-/// Work counters of one range scan (docs/modalities.md). The TI route
-/// reports how much of the base the landmark bounds pruned away; the
-/// full-scan route evaluates every pair.
+class HostImage;
+
+/// Work counters of one host scan over a HostImage: a range scan
+/// (docs/modalities.md) or the kNN scan (HostImage::Knn). The TI routes
+/// report how much of the base the landmark bounds pruned away; the
+/// full range scan evaluates every pair.
 struct RangeScanStats {
   uint64_t candidates = 0;      ///< Pairs whose distance was evaluated.
   uint64_t total_pairs = 0;     ///< |Q| * base rows.
   uint64_t clusters_pruned = 0; ///< Level-1: whole clusters skipped.
-  uint64_t members_pruned = 0;  ///< Level-2: members outside the annulus.
+  /// Rows never evaluated: members of level-1-pruned clusters plus
+  /// members outside a surviving cluster's level-2 annulus.
+  uint64_t members_pruned = 0;
 
   void Accumulate(const RangeScanStats& other) {
     candidates += other.candidates;
@@ -31,13 +35,13 @@ struct RangeScanStats {
 };
 
 /// All base rows within the closed ball distance(q, t) <= radius, for
-/// every query row, by exhaustive scan over the packed base: chunked
-/// simd::QueryDistances (the canonical accumulation order) plus the
-/// membership test. Neighbor indices are base row numbers; rows are
-/// sorted ascending under NeighborLess.
-RangeResult FullRangeScan(const HostMatrix& queries,
-                          const simd::PackedTargets& targets, float radius,
-                          simd::Dist dist_kind, RangeScanStats* stats = nullptr);
+/// every query row, by exhaustive scan over the image's packed rows:
+/// chunked simd::QueryDistances (the canonical accumulation order) plus
+/// the membership test. Matches are collected by position, mapped to
+/// base rows, and sorted ascending under NeighborLess.
+RangeResult FullRangeScan(const HostMatrix& queries, const HostImage& image,
+                          float radius, simd::Dist dist_kind,
+                          RangeScanStats* stats = nullptr);
 
 /// The same closed-ball membership, answered through the Step-1 landmark
 /// clustering's triangle-inequality bounds (PAPER.md §III, repurposed
@@ -48,19 +52,18 @@ RangeResult FullRangeScan(const HostMatrix& queries,
 ///    within the ball;
 ///  - level 2: member t of a surviving cluster is skipped when
 ///    |d(q, center_c) - d(t, center_c)| exceeds radius (+ slack). The
-///    per-cluster member lists are sorted descending by
-///    distance-to-center, so the surviving window is found by binary
-///    search and walked until the monotone lower bound crosses radius.
+///    image keeps each cluster's members contiguous and sorted
+///    descending by distance-to-center, so the surviving members are one
+///    window found by binary search (HostImage::Window).
 ///
-/// Candidates that survive both filters get their exact distance from
-/// the same packed-tile kernels FullRangeScan runs, and the exact
-/// closed-ball test decides membership — the slack only ever admits
-/// extra candidates, so the result is bit-identical to FullRangeScan
-/// whatever the pruning did.
-RangeResult TiRangeScan(const HostMatrix& queries,
-                        const simd::PackedTargets& targets,
-                        const TargetClusteringHost& clustering, float radius,
-                        simd::Dist dist_kind, RangeScanStats* stats = nullptr);
+/// Each window's exact distances come from one tile-aligned call of the
+/// same kernels FullRangeScan runs, and the exact closed-ball test
+/// decides membership — the slack only ever admits extra candidates, so
+/// the result is bit-identical to FullRangeScan whatever the pruning
+/// did.
+RangeResult TiRangeScan(const HostMatrix& queries, const HostImage& image,
+                        float radius, simd::Dist dist_kind,
+                        RangeScanStats* stats = nullptr);
 
 /// All non-tombstoned delta points within the closed ball, per query
 /// row. Neighbor indices are positions into `delta.ids` (the caller maps

@@ -11,14 +11,16 @@ namespace sweetknn::core {
 
 /// Which execution path answers a query fragment. Both paths return
 /// bit-identical neighbor lists (the mutation-differential fuzz suite
-/// proves engine == brute force, and the vectorized host path IS the
-/// brute-force kernels), so routing is purely a latency decision.
+/// proves engine == brute force, and the host path's TI scan over the
+/// member-order HostImage is byte-identical to the brute-force kernels:
+/// its pruning only ever skips rows that cannot enter the top k), so
+/// routing is purely a latency decision.
 enum class QueryRoute { kDevice, kHost };
 
 enum class PlannerMode {
   kAuto,         ///< cost model decides per fragment
   kForceDevice,  ///< always the simulated-GPU TI engine (pre-planner behavior)
-  kForceHost,    ///< always the vectorized host kernels
+  kForceHost,    ///< always the host route's TI scan (HostImage)
 };
 
 /// Calibrated per-fragment cost model, all costs in wall-clock seconds
@@ -47,7 +49,7 @@ struct PlannerConfig {
 };
 
 /// Thread-safe cost-based router between the simulated-GPU TI engine
-/// and the vectorized host path. Choose() and the observers are
+/// and the host route's TI scan. Choose() and the observers are
 /// lock-free (plain atomics): the serving dispatcher calls Choose per
 /// shard per group while tests and the fuzz harness flip the mode
 /// concurrently.

@@ -16,12 +16,11 @@ SweetKnnIndex::SweetKnnIndex(const HostMatrix& target,
       engine_(std::make_unique<core::TiKnnEngine>(device_.get(),
                                                   config.options)),
       planner_(config.planner),
-      packed_base_(simd::PackedTargets::Pack(target.data(), target.rows(),
-                                             target.cols())),
       dims_(target.cols()),
       base_rows_(target.rows()),
       next_id_(static_cast<uint32_t>(target.rows())) {
   engine_->PrepareTarget(target);
+  host_image_ = core::HostImage(target, engine_->ExportTargetClustering());
   delta_.dims = dims_;
   RebuildAnn(target);
 }
@@ -34,8 +33,7 @@ SweetKnnIndex::SweetKnnIndex(WarmStartTag, const HostMatrix& target,
       engine_(std::make_unique<core::TiKnnEngine>(device_.get(),
                                                   config.options)),
       planner_(config.planner),
-      packed_base_(simd::PackedTargets::Pack(target.data(), target.rows(),
-                                             target.cols())),
+      host_image_(target, clustering),
       dims_(target.cols()),
       base_rows_(target.rows()),
       next_id_(static_cast<uint32_t>(target.rows())) {
@@ -57,7 +55,7 @@ void SweetKnnIndex::RebuildAnn(const HostMatrix& base) {
   if (params.workers <= 0) params.workers = config_.options.sim_threads;
   ann_ = ann::AnnIndex::Build(
       base, core::SimdDistFor(config_.options.metric), params,
-      core::AnnEntryPointsFromClustering(engine_->ExportTargetClustering()));
+      core::AnnEntryPointsFromClustering(host_image_.clustering()));
 }
 
 void SweetKnnIndex::AdoptAnnGraph(const HostMatrix& base,
@@ -89,10 +87,10 @@ KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
                                core::KnnRunStats* stats) {
   SK_CHECK_EQ(queries.cols(), dims_);
   // Route the base scan by cost. Both routes return bit-identical
-  // neighbor lists (the host path runs the same canonical float
-  // pipeline the engine is fuzz-proven against), so only wall-clock and
-  // the stats differ: a host-routed batch reports empty KnnRunStats —
-  // no simulated device ran.
+  // neighbor lists (the host path's TI scan runs the same canonical
+  // float pipeline the engine is fuzz-proven against), so only
+  // wall-clock and the stats differ: a host-routed batch reports empty
+  // KnnRunStats — no simulated device ran.
   const core::QueryRoute route =
       planner_.Choose(queries.rows(), base_rows_, dims_);
   const auto run_base = [&](int base_k,
@@ -102,7 +100,7 @@ KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
       const int workers = config_.options.sim_threads > 0
                               ? config_.options.sim_threads
                               : common::SimThreadsFromEnv();
-      return simd::PackedKnn(queries, packed_base_, base_k,
+      return host_image_.Knn(queries, base_k,
                              core::SimdDistFor(config_.options.metric),
                              workers);
     }
@@ -190,14 +188,6 @@ std::vector<Neighbor> SweetKnnIndex::Query(const std::vector<float>& point,
   return std::vector<Neighbor>(result.row(0), result.row(0) + result.k());
 }
 
-const core::TargetClusteringHost& SweetKnnIndex::CachedClustering() {
-  if (clustering_cache_ == nullptr) {
-    clustering_cache_ = std::make_unique<core::TargetClusteringHost>(
-        engine_->ExportTargetClustering());
-  }
-  return *clustering_cache_;
-}
-
 RangeResult SweetKnnIndex::RadiusSearch(const HostMatrix& queries,
                                         float radius,
                                         core::RangeScanStats* stats) {
@@ -209,9 +199,9 @@ RangeResult SweetKnnIndex::RadiusSearch(const HostMatrix& queries,
     const core::QueryRoute route =
         planner_.Choose(queries.rows(), base_rows_, dims_);
     base = route == core::QueryRoute::kDevice
-               ? core::TiRangeScan(queries, packed_base_, CachedClustering(),
-                                   radius, dist_kind, stats)
-               : core::FullRangeScan(queries, packed_base_, radius, dist_kind,
+               ? core::TiRangeScan(queries, host_image_, radius, dist_kind,
+                                   stats)
+               : core::FullRangeScan(queries, host_image_, radius, dist_kind,
                                      stats);
   } else {
     for (size_t q = 0; q < queries.rows(); ++q) base.AppendRow(nullptr, 0);
@@ -404,14 +394,14 @@ void SweetKnnIndex::Compact() {
 
   // A fresh device, not a re-used one: the adaptive scheme reads free
   // device memory, so rebuilding on the old device (with the old base
-  // still allocated) could cluster differently than a cold build.
+  // still allocated) could cluster differently than a cold build. The
+  // old engine goes first: its buffers release into the old device.
+  engine_.reset();
   device_ = std::make_unique<gpusim::Device>(config_.device);
   engine_ =
       std::make_unique<core::TiKnnEngine>(device_.get(), config_.options);
   engine_->PrepareTarget(fresh);
-  packed_base_ =
-      simd::PackedTargets::Pack(fresh.data(), fresh.rows(), fresh.cols());
-  clustering_cache_.reset();  // the base (and its clustering) changed
+  host_image_ = core::HostImage(fresh, engine_->ExportTargetClustering());
   RebuildAnn(fresh);
   base_rows_ = live;
   // Normalize: ids 0..live-1 need no map (lets Save emit v1 again).

@@ -13,12 +13,12 @@
 #include "common/range_result.h"
 #include "common/status.h"
 #include "core/delta_overlay.h"
+#include "core/host_image.h"
 #include "core/options.h"
 #include "core/range_search.h"
 #include "core/route_planner.h"
 #include "core/ti_knn_gpu.h"
 #include "gpusim/device.h"
-#include "simd/simd_kernels.h"
 
 namespace sweetknn {
 
@@ -40,11 +40,11 @@ class SweetKnn {
     /// auto-compaction (Compact() stays available).
     double compact_delta_fraction = 0.25;
     /// SweetKnnIndex only: cost-based routing of each query batch
-    /// between the simulated-GPU TI engine and the vectorized host
-    /// kernels (docs/performance.md). Both routes answer bit-
-    /// identically; force-device restores pre-planner behavior (and is
-    /// what stats-asserting callers should pin, since host-routed
-    /// batches report no simulated-device stats).
+    /// between the simulated-GPU TI engine and the host route's TI scan
+    /// over the base's HostImage (docs/performance.md). Both routes
+    /// answer bit-identically; force-device restores pre-planner
+    /// behavior (and is what stats-asserting callers should pin, since
+    /// host-routed batches report no simulated-device stats).
     core::PlannerConfig planner;
     /// SweetKnnIndex only: build the approximate kNN-graph tier over the
     /// frozen base (and rebuild it at every compaction), enabling
@@ -249,6 +249,8 @@ class SweetKnnIndex {
 
   gpusim::Device& device() { return *device_; }
   const core::TiKnnEngine& engine() const { return *engine_; }
+  /// The host route's image of the frozen base (rebuilt with it).
+  const core::HostImage& host_image() const { return host_image_; }
   /// The batch router (live mode switch; route counters).
   core::RoutePlanner& planner() { return planner_; }
   const core::RoutePlanner& planner() const { return planner_; }
@@ -268,8 +270,8 @@ class SweetKnnIndex {
                     uint32_t next_id);
 
   /// (Re)builds the ANN tier over `base` when enabled, seeding the entry
-  /// points from the engine's Step-1 landmark clustering. Clears the
-  /// tier when disabled or the base is empty.
+  /// points from the base's Step-1 landmark clustering (the host
+  /// image's copy). Clears the tier when disabled or the base is empty.
   void RebuildAnn(const HostMatrix& base);
   /// Installs a persisted graph (Load's v3 path) instead of rebuilding.
   void AdoptAnnGraph(const HostMatrix& base, ann::KnnGraph graph);
@@ -281,18 +283,13 @@ class SweetKnnIndex {
   bool BaseContains(uint32_t id) const;
   void MaybeCompact();
 
-  /// The host image of the engine's Step-1 target clustering, exported
-  /// lazily and cached until the next Compact() replaces the base (the
-  /// export is charge-free, so caching is purely to avoid re-copying).
-  const core::TargetClusteringHost& CachedClustering();
-
   SweetKnn::Config config_;
   std::unique_ptr<gpusim::Device> device_;
   std::unique_ptr<core::TiKnnEngine> engine_;
   core::RoutePlanner planner_;
-  /// The frozen base, pre-packed for the vectorized host route (rebuilt
-  /// by Compact alongside the engine).
-  simd::PackedTargets packed_base_;
+  /// The frozen base in member order plus its Step-1 clustering: what
+  /// the host routes scan (rebuilt by Compact alongside the engine).
+  core::HostImage host_image_;
   /// The approximate tier over the same frozen base (empty when
   /// Config::enable_ann is off).
   ann::AnnIndex ann_;
@@ -304,8 +301,6 @@ class SweetKnnIndex {
   core::DeltaBuffer delta_;
   uint32_t next_id_ = 0;
   uint64_t compactions_ = 0;
-  /// See CachedClustering().
-  std::unique_ptr<core::TargetClusteringHost> clustering_cache_;
 };
 
 }  // namespace sweetknn

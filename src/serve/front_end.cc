@@ -95,6 +95,9 @@ void FrontEnd::InitMetrics() {
   m_distance_calcs_ = m.GetCounter(
       "sweetknn_distance_calcs_total",
       "Level-2 distance computations summed over shards");
+  m_host_distance_calcs_ = m.GetCounter(
+      "sweetknn_host_distance_calcs_total",
+      "Base rows the host route's TI scan scored, summed over shards");
   m_sim_level1_ = m.GetCounter(
       "sweetknn_sim_level1_seconds_total",
       "Simulated seconds in level-1 (landmark filter) kernels");
@@ -133,7 +136,7 @@ void FrontEnd::InitMetrics() {
       "Shard base scans routed to the simulated-GPU TI engine");
   m_planner_host_routes_ = m.GetCounter(
       "sweetknn_planner_host_routes_total",
-      "Shard base scans routed to the vectorized host kernels");
+      "Shard base scans routed to the host route's TI scan");
   m_route_device_seconds_ = m.GetHistogram(
       "sweetknn_planner_device_route_seconds",
       "Host wall-clock of one device-routed shard base scan", latency);
@@ -550,6 +553,7 @@ void FrontEnd::RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
   double transfer = 0.0;
   double preprocess = 0.0;
   uint64_t distance_calcs = 0;
+  uint64_t host_distance_calcs = 0;
   bool any_approx = false;
   uint64_t ann_hops = 0;
   uint64_t ann_candidates = 0;
@@ -561,8 +565,12 @@ void FrontEnd::RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
     }
     // A host-routed shard ran no simulated device: its answer carries no
     // device stats and it made no adaptive decisions, so it contributes
-    // to neither the sim-time counters nor the decision counts.
-    if (!s.device_routed) continue;
+    // to neither the sim-time counters nor the decision counts — only
+    // its exact scan's work reaches the host counter.
+    if (!s.device_routed) {
+      if (!s.approx) host_distance_calcs += s.distance_calcs;
+      continue;
+    }
     total += s.sim_time_s;
     slowest = std::max(slowest, s.sim_time_s);
     distance_calcs += s.distance_calcs;
@@ -591,6 +599,8 @@ void FrontEnd::RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
   m_sim_total_->Increment(total);
   m_sim_critical_->Increment(slowest);
   m_distance_calcs_->Increment(static_cast<double>(distance_calcs));
+  m_host_distance_calcs_->Increment(
+      static_cast<double>(host_distance_calcs));
   m_sim_level1_->Increment(level1);
   m_sim_level2_->Increment(level2);
   m_sim_transfer_->Increment(transfer);

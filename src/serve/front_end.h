@@ -344,7 +344,8 @@ class FrontEnd {
   void RunRangeGroup(std::vector<RequestPtr> group);
   void ObserveLatency(const Request& request);
   /// Folds one group's shard answers into the registry; host-routed
-  /// shards ran no device, so they add no sim time or decisions.
+  /// shards ran no device, so they add no sim time or decisions — only
+  /// their host-scan work counter.
   void RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
                         size_t rows);
 
@@ -372,6 +373,7 @@ class FrontEnd {
   common::Counter* m_engine_groups_ = nullptr;
   common::Counter* m_batched_queries_ = nullptr;
   common::Counter* m_distance_calcs_ = nullptr;
+  common::Counter* m_host_distance_calcs_ = nullptr;
   common::Counter* m_sim_level1_ = nullptr;
   common::Counter* m_sim_level2_ = nullptr;
   common::Counter* m_sim_transfer_ = nullptr;

@@ -36,9 +36,7 @@ void AccumulateStageTimes(const gpusim::Profile& profile, double* level1,
 
 void ShardHost::BuildCold(const HostMatrix& slice) {
   engine.PrepareTarget(slice);
-  clustering_cache_.reset();
-  packed_base =
-      simd::PackedTargets::Pack(slice.data(), slice.rows(), slice.cols());
+  image = core::HostImage(slice, engine.ExportTargetClustering());
   set_base_rows(slice.rows());
   delta.dims = slice.cols();
 }
@@ -46,9 +44,7 @@ void ShardHost::BuildCold(const HostMatrix& slice) {
 void ShardHost::RestoreBase(const HostMatrix& target,
                             const core::TargetClusteringHost& clustering) {
   engine.RestoreTarget(target, clustering);
-  clustering_cache_.reset();
-  packed_base = simd::PackedTargets::Pack(target.data(), target.rows(),
-                                          target.cols());
+  image = core::HostImage(target, clustering);
 }
 
 void ShardHost::BuildGraph(const HostMatrix& base) {
@@ -61,8 +57,7 @@ void ShardHost::BuildGraph(const HostMatrix& base) {
     } else {
       ann = ann::AnnIndex::Build(
           base, dist_kind, ann_params_,
-          core::AnnEntryPointsFromClustering(
-              engine.ExportTargetClustering()));
+          core::AnnEntryPointsFromClustering(image.clustering()));
     }
   }
   pending_graph_ = ann::KnnGraph{};
@@ -100,6 +95,7 @@ core::ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
                            : static_cast<int>(delta.tombstones.size()));
   const simd::Dist dist_kind = core::SimdDistFor(metric);
   core::KnnRunStats stats;
+  core::RangeScanStats host_stats;
   KnnResult base_result;
   KnnResult delta_result;
   const SteadyClock::time_point start = SteadyClock::now();
@@ -113,8 +109,8 @@ core::ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     answer.ann_hops = ann_stats.hops;
     answer.ann_candidates = ann_stats.candidates_visited;
   } else if (route == core::QueryRoute::kHost) {
-    base_result = simd::PackedKnn(queries, packed_base, base_k, dist_kind,
-                                  /*workers=*/1);
+    base_result =
+        image.Knn(queries, base_k, dist_kind, /*workers=*/1, &host_stats);
   } else {
     base_result = engine.RunQueries(queries, base_k, &stats);
   }
@@ -158,16 +154,11 @@ core::ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     AccumulateStageTimes(stats.profile, &answer.level1_s, &answer.level2_s,
                          &answer.preprocess_s);
     answer.transfer_s = stats.profile.transfer_time_s;
+  } else if (!approx) {
+    answer.distance_calcs = host_stats.candidates;
+    answer.total_pairs = host_stats.total_pairs;
   }
   return answer;
-}
-
-const core::TargetClusteringHost& ShardHost::CachedClustering() {
-  if (clustering_cache_ == nullptr) {
-    clustering_cache_ = std::make_unique<core::TargetClusteringHost>(
-        engine.ExportTargetClustering());
-  }
-  return *clustering_cache_;
 }
 
 core::RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
@@ -181,9 +172,9 @@ core::RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
   RangeResult base;
   if (base_rows() > 0) {
     base = answer.device_routed
-               ? core::TiRangeScan(queries, packed_base, CachedClustering(),
-                                   radius, dist_kind, &answer.stats)
-               : core::FullRangeScan(queries, packed_base, radius, dist_kind,
+               ? core::TiRangeScan(queries, image, radius, dist_kind,
+                                   &answer.stats)
+               : core::FullRangeScan(queries, image, radius, dist_kind,
                                      &answer.stats);
   } else {
     for (size_t q = 0; q < queries.rows(); ++q) {
@@ -282,7 +273,7 @@ store::IndexSnapshot ShardHost::Export(const std::string& dataset_name,
   snap.shard_count = shard_count;
   snap.shard_offset = offset;
   snap.target = engine.ExportTarget();
-  snap.clustering = engine.ExportTargetClustering();
+  snap.clustering = image.clustering();
   snap.options_fingerprint = options_fingerprint;
   snap.device_fingerprint = device_fingerprint;
   if (!Pristine()) {

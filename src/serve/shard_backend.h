@@ -12,20 +12,20 @@
 #include "common/matrix.h"
 #include "common/range_result.h"
 #include "core/delta_overlay.h"
+#include "core/host_image.h"
 #include "core/range_search.h"
 #include "core/options.h"
 #include "core/route_planner.h"
 #include "core/shard_merge.h"
 #include "core/ti_knn_gpu.h"
 #include "gpusim/device.h"
-#include "simd/simd_kernels.h"
 #include "store/snapshot.h"
 
 namespace sweetknn::serve {
 
 /// One target-set shard: a simulated device with a prepared TiKnnEngine
-/// index, the pre-packed host-route copy of the same base, and the
-/// mutation overlay. This is the transport-free unit both shard backends
+/// index, the host route's image of the same base, and the mutation
+/// overlay. This is the transport-free unit both shard backends
 /// host — KnnService's in-process threads and the shard-worker processes
 /// hold the identical object, so a query group answered locally and one
 /// answered over a socket run exactly the same code against exactly the
@@ -44,10 +44,11 @@ struct ShardHost {
 
   gpusim::Device dev;
   core::TiKnnEngine engine;
-  /// The frozen base pre-packed for the vectorized host route; holds
-  /// exactly the bytes PrepareTarget/RestoreTarget uploaded. Replaced
-  /// together with the engine (compaction installs, swaps).
-  simd::PackedTargets packed_base;
+  /// The frozen base in member order plus its Step-1 clustering, for
+  /// the host routes; holds exactly the bytes PrepareTarget/RestoreTarget
+  /// uploaded. Replaced together with the engine (compaction installs,
+  /// swaps).
+  core::HostImage image;
   uint32_t offset = 0;  ///< First global target row of this slice.
   /// Base row -> stable id, strictly increasing; empty = identity
   /// shifted by `offset`.
@@ -97,13 +98,13 @@ struct ShardHost {
   const ann::GraphBuildParams& ann_params() const { return ann_params_; }
 
   /// Cold build: PrepareTarget (upload + Step-1 landmark clustering)
-  /// over this shard's slice, plus the packed host-route copy. Builds no
-  /// ANN graph; call BuildGraph next.
+  /// over this shard's slice, plus the host image. Builds no ANN graph;
+  /// call BuildGraph next.
   void BuildCold(const HostMatrix& slice);
 
   /// Warm start: re-materializes the prepared index from a snapshot's
-  /// bytes without re-clustering, plus the packed host-route copy.
-  /// Installs no ANN graph; call BuildGraph next.
+  /// bytes without re-clustering, plus the host image. Installs no ANN
+  /// graph; call BuildGraph next.
   void RestoreBase(const HostMatrix& target,
                    const core::TargetClusteringHost& clustering);
 
@@ -139,8 +140,9 @@ struct ShardHost {
   ///
   /// `route` picks the base-scan path (the caller's planner decides, so
   /// decision order stays deterministic); both routes answer
-  /// bit-identically. Host-routed scans report no simulated-device
-  /// stats (device_routed = false).
+  /// bit-identically. Host-routed scans (device_routed = false) report
+  /// no simulated-device stats; their distance_calcs / total_pairs
+  /// count the host image's TI scan instead (rows offered / |Q| * n).
   ///
   /// `mode` selects the base-scan backend per group: an effectively
   /// approx mode (and a built graph) answers the base from the ANN tier
@@ -157,8 +159,8 @@ struct ShardHost {
   /// point within the closed ball of each query row, as stable ids
   /// (tombstones masked, delta matches merged in — see
   /// core::RangeShardAnswer). `route` picks the TI-pruned scan
-  /// (kDevice) or the exhaustive host scan (kHost); both answer
-  /// bit-identically and neither touches the simulated device.
+  /// (kDevice) or the exhaustive scan (kHost) over the host image; both
+  /// answer bit-identically and neither touches the simulated device.
   core::RangeShardAnswer RangeGroup(const HostMatrix& queries, float radius,
                                     core::QueryRoute route,
                                     core::Metric metric);
@@ -192,18 +194,12 @@ struct ShardHost {
                               uint32_t next_id) const;
 
  private:
-  /// The host image of the engine's Step-1 clustering, exported lazily
-  /// for the TI range scans and cached until the base is replaced
-  /// (BuildCold / RestoreBase; compaction installs a fresh ShardHost).
-  const core::TargetClusteringHost& CachedClustering();
-
   size_t base_rows_ = 0;
   bool ann_enabled_ = false;
   ann::GraphBuildParams ann_params_;
   /// A snapshot's persisted graph, parked by AdoptOverlay until
   /// BuildGraph has the points to pair it with.
   ann::KnnGraph pending_graph_;
-  std::unique_ptr<core::TargetClusteringHost> clustering_cache_;
 };
 
 /// Everything a compaction captures under the owner's lock before

@@ -150,6 +150,22 @@ PackedTargets PackedTargets::PackStrided(const float* base, size_t n,
   return out;
 }
 
+PackedTargets PackedTargets::PackGather(const float* rows, size_t dims,
+                                        const uint32_t* ids, size_t n) {
+  PackedTargets out;
+  out.n_ = n;
+  out.dims_ = dims;
+  out.data_.assign(out.num_tiles() * kTileLanes * dims, 0.0f);
+  for (size_t r = 0; r < n; ++r) {
+    const float* src = rows + static_cast<size_t>(ids[r]) * dims;
+    float* tile = out.data_.data() + (r - r % kTileLanes) * dims;
+    for (size_t j = 0; j < dims; ++j) {
+      tile[j * kTileLanes + r % kTileLanes] = src[j];
+    }
+  }
+  return out;
+}
+
 void QueryDistances(const float* query, const PackedTargets& targets,
                     size_t row_begin, size_t row_end, Dist dist, float* out) {
   SK_DCHECK(row_begin % kTileLanes == 0);

@@ -87,6 +87,12 @@ class PackedTargets {
   static PackedTargets PackStrided(const float* base, size_t n, size_t dims,
                                    size_t row_stride, size_t col_stride);
 
+  /// Packs `n` rows picked by id from a contiguous row-major block of
+  /// `dims`-float rows: packed row r is rows[ids[r]]. Reorders a base
+  /// (for example cluster by cluster) without copying it first.
+  static PackedTargets PackGather(const float* rows, size_t dims,
+                                  const uint32_t* ids, size_t n);
+
   size_t n() const { return n_; }
   size_t dims() const { return dims_; }
   size_t num_tiles() const { return (n_ + kTileLanes - 1) / kTileLanes; }

@@ -3,7 +3,6 @@
 // (store links core, not the other way around).
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -23,7 +22,7 @@ Status SweetKnnIndex::Save(const std::string& path,
   snapshot.shard_count = 1;
   snapshot.shard_offset = 0;
   snapshot.target = engine_->ExportTarget();
-  snapshot.clustering = engine_->ExportTargetClustering();
+  snapshot.clustering = host_image_.clustering();
   snapshot.options_fingerprint =
       store::OptionsFingerprint(engine_->options());
   snapshot.device_fingerprint = store::DeviceFingerprint(device_->spec());
@@ -31,8 +30,10 @@ Status SweetKnnIndex::Save(const std::string& path,
     snapshot.id_map = id_map_;
     snapshot.delta_ids = delta_.ids;
     snapshot.delta_points = HostMatrix(delta_.size(), dims_);
-    std::memcpy(snapshot.delta_points.mutable_data(), delta_.points.data(),
-                delta_.points.size() * sizeof(float));
+    // std::copy, not memcpy: a tombstones-only overlay has no delta
+    // points, and memcpy must not see the empty vectors' null pointers.
+    std::copy(delta_.points.begin(), delta_.points.end(),
+              snapshot.delta_points.mutable_data());
     snapshot.tombstones.assign(delta_.tombstones.begin(),
                                delta_.tombstones.end());
     std::sort(snapshot.tombstones.begin(), snapshot.tombstones.end());

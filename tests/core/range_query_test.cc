@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/range_search.h"
@@ -296,20 +297,21 @@ TEST(RangeQueryTest, MergeRangeShardAnswersEqualsFlatScan) {
   const HostMatrix queries = ClusteredPoints(11, 5, 4, 912);
   const float radius = 0.3f;
   // Flat scan over the whole set.
-  const simd::PackedTargets whole =
-      simd::PackedTargets::Pack(target.data(), target.rows(), target.cols());
-  const RangeResult flat = core::FullRangeScan(queries, whole, radius,
-                                               simd::Dist::kEuclidean);
+  const SweetKnnIndex whole(target);
+  const RangeResult flat = core::FullRangeScan(
+      queries, whole.host_image(), radius, simd::Dist::kEuclidean);
   // Two shards, stable ids via per-shard offsets.
   std::vector<core::RangeShardAnswer> answers(2);
   const size_t split = 120;
   for (int s = 0; s < 2; ++s) {
     const size_t begin = s == 0 ? 0 : split;
     const size_t end = s == 0 ? split : target.rows();
-    const simd::PackedTargets packed = simd::PackedTargets::Pack(
-        target.row(begin), end - begin, target.cols());
-    const RangeResult local = core::FullRangeScan(queries, packed, radius,
-                                                  simd::Dist::kEuclidean);
+    HostMatrix slice(end - begin, target.cols());
+    std::memcpy(slice.mutable_data(), target.row(begin),
+                (end - begin) * target.cols() * sizeof(float));
+    const SweetKnnIndex shard(slice);
+    const RangeResult local = core::FullRangeScan(
+        queries, shard.host_image(), radius, simd::Dist::kEuclidean);
     for (size_t q = 0; q < queries.rows(); ++q) {
       std::vector<Neighbor> row = local.Row(q);
       for (Neighbor& nb : row) nb.index += static_cast<uint32_t>(begin);

@@ -87,7 +87,8 @@ std::string Repro(const FuzzConfig& cfg) {
       << " elastic=" << (cfg.options.elastic_parallelism ? 1 : 0)
       << " tpq=" << cfg.options.threads_per_query_override
       << " sim_threads=" << cfg.options.sim_threads
-      << " shards=" << cfg.service_shards;
+      << " shards=" << cfg.service_shards
+      << " landmarks=" << cfg.options.landmarks_override;
   return out.str();
 }
 
@@ -137,6 +138,12 @@ FuzzConfig DrawConfig(uint64_t seed) {
   const uint64_t tpq = rng.NextBounded(4);
   opt.threads_per_query_override = tpq < 2 ? 0 : static_cast<int>(tpq);
   opt.sim_threads = rng.NextBounded(2) == 0 ? 1 : 4;
+  // A third of the configs force a few landmarks, so shards whose
+  // clusters fill a SIMD tile each take the host route's pruning side
+  // (under the 3*sqrt(n) rule every fuzzed shard scans one window).
+  if (rng.NextBounded(3) == 0) {
+    opt.landmarks_override = 1 + static_cast<int>(rng.NextBounded(8));
+  }
   return cfg;
 }
 

@@ -86,6 +86,7 @@ struct MutationFuzzConfig {
   bool auto_compact = true;        // service tier only
   size_t cache_capacity = 0;       // service tier only
   core::Metric metric = core::Metric::kEuclidean;
+  int landmarks = 0;  // TiOptions::landmarks_override (0 = 3*sqrt(n))
 };
 
 std::string Repro(const char* tier, const MutationFuzzConfig& cfg) {
@@ -97,7 +98,8 @@ std::string Repro(const char* tier, const MutationFuzzConfig& cfg) {
       << " auto_compact=" << (cfg.auto_compact ? 1 : 0)
       << " cache=" << cfg.cache_capacity << " metric="
       << (cfg.metric == core::Metric::kEuclidean ? "euclidean"
-                                                 : "manhattan");
+                                                 : "manhattan")
+      << " landmarks=" << cfg.landmarks;
   return out.str();
 }
 
@@ -120,6 +122,15 @@ MutationFuzzConfig DrawConfig(uint64_t seed, bool fast) {
   cfg.cache_capacity = rng.NextBounded(3) == 0 ? 8 : 0;
   cfg.metric = rng.NextBounded(2) == 0 ? core::Metric::kEuclidean
                                        : core::Metric::kManhattan;
+  // A third of the configs force a few landmarks, so bases whose
+  // clusters fill a SIMD tile each take the host route's pruning side
+  // (under the 3*sqrt(n) rule every fuzzed base scans one window). At
+  // least two: one landmark gives the ANN graph one entry point, and
+  // the approx checkpoint then trips the unreachable-component recall
+  // miss the ANN tier already has (seed 20281815, recall 0.19).
+  if (rng.NextBounded(3) == 0) {
+    cfg.landmarks = 2 + static_cast<int>(rng.NextBounded(7));
+  }
   return cfg;
 }
 
@@ -358,6 +369,7 @@ void RunIndexSequence(const MutationFuzzConfig& cfg) {
       cfg.n0, cfg.dims, cfg.clusters, SplitMix64(cfg.seed), 0.08f);
   SweetKnn::Config config;
   config.options.metric = cfg.metric;
+  config.options.landmarks_override = cfg.landmarks;
   config.compact_delta_fraction =
       cfg.auto_compact ? cfg.compact_fraction : 0.0;
   config.enable_ann = true;
@@ -514,6 +526,7 @@ void RunServiceSequence(const MutationFuzzConfig& cfg) {
   config.max_batch_size = 8;
   config.cache_capacity = cfg.cache_capacity;
   config.options.metric = cfg.metric;
+  config.options.landmarks_override = cfg.landmarks;
   config.compact_delta_fraction = cfg.compact_fraction;
   config.auto_compact = cfg.auto_compact;
   config.enable_ann = true;

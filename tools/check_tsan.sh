@@ -34,7 +34,9 @@
 # construction builds each shard's graph on every hardware thread after
 # the shard fan-out, so the ANN-enabled services of multitenant_test,
 # router_front_end_test and ann_tier_test run full-width graph builds
-# too (knn_service_test's services build no graph).
+# too (knn_service_test's services build no graph). host_image_test
+# runs the host route's TI scan at 4 workers, whose participants share
+# the read-only image and write disjoint result rows.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -73,6 +75,7 @@ TESTS=(
   router_front_end_test
   thread_pool_test
   ann_tier_test
+  host_image_test
 )
 
 # router_timeout_test and router_front_end_test spawn shard-worker
