@@ -381,6 +381,44 @@ Status GetRangeResult(PayloadReader* r, const std::string& payload,
   return Status::Ok();
 }
 
+void PutRangeAnswer(PayloadWriter* w, const core::RangeShardAnswer& a) {
+  PutRangeResult(w, a.result);
+  PutBool(w, a.device_routed);
+  w->PutDouble(a.route_seconds);
+  w->PutU64(a.stats.candidates);
+  w->PutU64(a.stats.total_pairs);
+  w->PutU64(a.stats.clusters_pruned);
+  w->PutU64(a.stats.members_pruned);
+}
+
+Status GetRangeAnswer(PayloadReader* r, const std::string& payload,
+                      core::RangeShardAnswer* a) {
+  SK_RETURN_IF_ERROR(GetRangeResult(r, payload, &a->result));
+  SK_RETURN_IF_ERROR(GetBool(r, &a->device_routed));
+  SK_RETURN_IF_ERROR(r->GetDouble(&a->route_seconds));
+  SK_RETURN_IF_ERROR(r->GetU64(&a->stats.candidates));
+  SK_RETURN_IF_ERROR(r->GetU64(&a->stats.total_pairs));
+  SK_RETURN_IF_ERROR(r->GetU64(&a->stats.clusters_pruned));
+  SK_RETURN_IF_ERROR(r->GetU64(&a->stats.members_pruned));
+  return Status::Ok();
+}
+
+/// The shard-index list and answer count that open both per-shard
+/// replies; the count must match the list, which the payload bounds.
+Status GetShardIndices(PayloadReader* r, const char* what,
+                       std::vector<uint32_t>* shard_indices) {
+  SK_RETURN_IF_ERROR(r->GetU32s(shard_indices));
+  uint64_t count = 0;
+  SK_RETURN_IF_ERROR(r->GetU64(&count));
+  if (count != shard_indices->size()) {
+    return Status::IoError(std::string(what) + ": " + std::to_string(count) +
+                           " answers for " +
+                           std::to_string(shard_indices->size()) +
+                           " shard indices");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 // --- Messages ---------------------------------------------------------------
@@ -466,21 +504,49 @@ std::string EncodeQueryReply(const QueryReply& reply) {
 
 Status DecodeQueryReply(const std::string& payload, QueryReply* reply) {
   PayloadReader r(payload, "QueryReply");
-  SK_RETURN_IF_ERROR(r.GetU32s(&reply->shard_indices));
-  uint64_t count = 0;
-  SK_RETURN_IF_ERROR(r.GetU64(&count));
-  if (count != reply->shard_indices.size()) {
-    return Status::IoError("QueryReply: " + std::to_string(count) +
-                           " answers for " +
-                           std::to_string(reply->shard_indices.size()) +
-                           " shard indices");
-  }
-  reply->answers.clear();
-  reply->answers.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    core::ShardAnswer a;
+  SK_RETURN_IF_ERROR(GetShardIndices(&r, "QueryReply", &reply->shard_indices));
+  reply->answers.assign(reply->shard_indices.size(), core::ShardAnswer{});
+  for (core::ShardAnswer& a : reply->answers) {
     SK_RETURN_IF_ERROR(GetAnswer(&r, &a));
-    reply->answers.push_back(std::move(a));
+  }
+  return r.ExpectExhausted();
+}
+
+std::string EncodeRangeQuery(const RangeQueryRequest& req) {
+  PayloadWriter w;
+  PutFloat(&w, req.radius);
+  w.PutMatrix(req.queries);
+  w.PutU32s(req.shard_indices.data(), req.shard_indices.size());
+  w.PutString(req.tenant);
+  return w.Take();
+}
+
+Status DecodeRangeQuery(const std::string& payload, RangeQueryRequest* req) {
+  PayloadReader r(payload, "RangeQuery");
+  SK_RETURN_IF_ERROR(GetFloat(&r, &req->radius));
+  SK_RETURN_IF_ERROR(r.GetMatrix(&req->queries));
+  SK_RETURN_IF_ERROR(r.GetU32s(&req->shard_indices));
+  SK_RETURN_IF_ERROR(r.GetString(&req->tenant));
+  return r.ExpectExhausted();
+}
+
+std::string EncodeRangeQueryReply(const RangeQueryReply& reply) {
+  PayloadWriter w;
+  w.PutU32s(reply.shard_indices.data(), reply.shard_indices.size());
+  w.PutU64(reply.answers.size());
+  for (const core::RangeShardAnswer& a : reply.answers) PutRangeAnswer(&w, a);
+  return w.Take();
+}
+
+Status DecodeRangeQueryReply(const std::string& payload,
+                             RangeQueryReply* reply) {
+  PayloadReader r(payload, "RangeQueryReply");
+  SK_RETURN_IF_ERROR(
+      GetShardIndices(&r, "RangeQueryReply", &reply->shard_indices));
+  reply->answers.assign(reply->shard_indices.size(),
+                        core::RangeShardAnswer{});
+  for (core::RangeShardAnswer& a : reply->answers) {
+    SK_RETURN_IF_ERROR(GetRangeAnswer(&r, payload, &a));
   }
   return r.ExpectExhausted();
 }
@@ -594,103 +660,6 @@ Status DecodeHealthReply(const std::string& payload, HealthReply* reply) {
     SK_RETURN_IF_ERROR(r.GetU64(&s.live_rows));
     reply->shards.push_back(s);
   }
-  return r.ExpectExhausted();
-}
-
-std::string EncodeJobSubmit(const JobSubmitRequest& req) {
-  PayloadWriter w;
-  w.PutU64(req.job_id);
-  w.PutU32(static_cast<uint32_t>(req.kind));
-  PutFloat(&w, req.radius);
-  w.PutU32(req.k);
-  w.PutMatrix(req.queries);
-  w.PutU32s(req.shard_indices.data(), req.shard_indices.size());
-  w.PutU32(req.chunk_rows);
-  w.PutString(req.tenant);
-  return w.Take();
-}
-
-Status DecodeJobSubmit(const std::string& payload, JobSubmitRequest* req) {
-  PayloadReader r(payload, "JobSubmit");
-  SK_RETURN_IF_ERROR(r.GetU64(&req->job_id));
-  SK_RETURN_IF_ERROR(GetEnum(&r, 1, "job kind", &req->kind));
-  SK_RETURN_IF_ERROR(GetFloat(&r, &req->radius));
-  SK_RETURN_IF_ERROR(r.GetU32(&req->k));
-  SK_RETURN_IF_ERROR(r.GetMatrix(&req->queries));
-  SK_RETURN_IF_ERROR(r.GetU32s(&req->shard_indices));
-  SK_RETURN_IF_ERROR(r.GetU32(&req->chunk_rows));
-  SK_RETURN_IF_ERROR(r.GetString(&req->tenant));
-  return r.ExpectExhausted();
-}
-
-std::string EncodeJobPoll(const JobPollRequest& req) {
-  PayloadWriter w;
-  w.PutU64(req.job_id);
-  return w.Take();
-}
-
-Status DecodeJobPoll(const std::string& payload, JobPollRequest* req) {
-  PayloadReader r(payload, "JobPoll");
-  SK_RETURN_IF_ERROR(r.GetU64(&req->job_id));
-  return r.ExpectExhausted();
-}
-
-std::string EncodeJobPollReply(const JobPollReply& reply) {
-  PayloadWriter w;
-  w.PutU32(static_cast<uint32_t>(reply.state));
-  w.PutU64(reply.total_rows);
-  w.PutU64(reply.done_rows);
-  w.PutString(reply.error);
-  return w.Take();
-}
-
-Status DecodeJobPollReply(const std::string& payload, JobPollReply* reply) {
-  PayloadReader r(payload, "JobPollReply");
-  SK_RETURN_IF_ERROR(GetEnum(&r, 2, "job state", &reply->state));
-  SK_RETURN_IF_ERROR(r.GetU64(&reply->total_rows));
-  SK_RETURN_IF_ERROR(r.GetU64(&reply->done_rows));
-  SK_RETURN_IF_ERROR(r.GetString(&reply->error));
-  return r.ExpectExhausted();
-}
-
-std::string EncodeJobCancel(const JobCancelRequest& req) {
-  PayloadWriter w;
-  w.PutU64(req.job_id);
-  return w.Take();
-}
-
-Status DecodeJobCancel(const std::string& payload, JobCancelRequest* req) {
-  PayloadReader r(payload, "JobCancel");
-  SK_RETURN_IF_ERROR(r.GetU64(&req->job_id));
-  return r.ExpectExhausted();
-}
-
-std::string EncodeJobResult(const JobResultRequest& req) {
-  PayloadWriter w;
-  w.PutU64(req.job_id);
-  return w.Take();
-}
-
-Status DecodeJobResult(const std::string& payload, JobResultRequest* req) {
-  PayloadReader r(payload, "JobResult");
-  SK_RETURN_IF_ERROR(r.GetU64(&req->job_id));
-  return r.ExpectExhausted();
-}
-
-std::string EncodeJobResultReply(const JobResultReply& reply) {
-  PayloadWriter w;
-  w.PutU32(static_cast<uint32_t>(reply.kind));
-  PutRangeResult(&w, reply.range);
-  PutResult(&w, reply.knn);
-  return w.Take();
-}
-
-Status DecodeJobResultReply(const std::string& payload,
-                            JobResultReply* reply) {
-  PayloadReader r(payload, "JobResultReply");
-  SK_RETURN_IF_ERROR(GetEnum(&r, 1, "job kind", &reply->kind));
-  SK_RETURN_IF_ERROR(GetRangeResult(&r, payload, &reply->range));
-  SK_RETURN_IF_ERROR(GetResult(&r, &reply->knn));
   return r.ExpectExhausted();
 }
 

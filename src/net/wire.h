@@ -12,6 +12,7 @@
 #include "common/range_result.h"
 #include "common/status.h"
 #include "core/options.h"
+#include "core/range_search.h"
 #include "core/route_planner.h"
 #include "core/shard_merge.h"
 #include "gpusim/device_spec.h"
@@ -31,6 +32,8 @@ enum class MsgType : uint32_t {
 
   kQuery = 20,  ///< One same-k group against this worker's shards.
   kQueryReply = 21,
+  kRangeQuery = 22,  ///< One same-radius group against its shards.
+  kRangeQueryReply = 23,
 
   kInsert = 30,  ///< Append one point to a shard's delta.
   kRemove = 31,
@@ -47,16 +50,8 @@ enum class MsgType : uint32_t {
   kListIndexes = 70,  ///< Names of the indexes this worker hosts.
   kListIndexesReply = 71,
 
-  // Offline jobs (docs/modalities.md): the router drives a worker-side
-  // job slot through submit / poll / cancel / result. Each poll advances
-  // the job by one chunk — bounded work per RPC, so the worker's
-  // single-threaded serve loop stays responsive to point lookups.
-  kJobSubmit = 80,
-  kJobPoll = 81,
-  kJobPollReply = 82,
-  kJobCancel = 83,
-  kJobResult = 84,
-  kJobResultReply = 85,
+  // 80-85 are retired and must not be reused: a peer still sending them
+  // gets an "unknown message type" Error frame, never a misread payload.
   kExportLive = 86,  ///< Live ids + points of the named shards.
   kExportLiveReply = 87,
 };
@@ -125,6 +120,21 @@ struct QueryReply {
   std::vector<core::ShardAnswer> answers;
 };
 
+/// One same-radius range group, the radius twin of QueryRequest.
+struct RangeQueryRequest {
+  float radius = 0.0f;
+  HostMatrix queries;
+  std::vector<uint32_t> shard_indices;
+  std::string tenant = "default";
+};
+
+/// Per-shard range answers (stable ids, route, scan counters), parallel
+/// to `shard_indices`.
+struct RangeQueryReply {
+  std::vector<uint32_t> shard_indices;
+  std::vector<core::RangeShardAnswer> answers;
+};
+
 // --- Mutations --------------------------------------------------------------
 
 struct InsertRequest {
@@ -168,69 +178,11 @@ struct ListIndexesReply {
   std::vector<std::string> names;
 };
 
-// --- Offline jobs -----------------------------------------------------------
-
-/// The two scan primitives a worker job executes. The modality split
-/// (radius search / self-join / kNN graph) lives at the router: a
-/// self-join is a range job whose answers the router pair-filters, a
-/// graph build is a knn job at k + 1 whose answers it self-drops —
-/// identical to the in-process KnnService reductions.
-enum class WireJobKind : uint32_t { kRange = 0, kKnn = 1 };
-
-/// A worker job's lifecycle on the wire. There is no pending state: a
-/// submitted job is running from its first poll.
-enum class WireJobState : uint32_t { kRunning = 0, kDone = 1, kFailed = 2 };
-
-/// Installs one job in the worker's single job slot. The worker rejects
-/// a submit while another job id is active (the router runs at most one
-/// cluster job at a time per worker).
-struct JobSubmitRequest {
-  uint64_t job_id = 0;  ///< Router-allocated, echoed by every poll.
-  WireJobKind kind = WireJobKind::kRange;
-  float radius = 0.0f;  ///< kRange: closed-ball radius.
-  uint32_t k = 0;       ///< kKnn: neighbors per query row.
-  HostMatrix queries;
-  /// Shards this worker answers for (primaries only, like QueryRequest).
-  std::vector<uint32_t> shard_indices;
-  /// Query rows advanced per poll.
-  uint32_t chunk_rows = 64;
-  std::string tenant = "default";
-};
-
-struct JobPollRequest {
-  uint64_t job_id = 0;
-};
-
-struct JobPollReply {
-  WireJobState state = WireJobState::kRunning;
-  uint64_t total_rows = 0;
-  uint64_t done_rows = 0;
-  std::string error;  ///< Set when state == kFailed.
-};
-
-/// Drops the job (idempotent: unknown ids ack too — the router cancels
-/// on cleanup paths where the worker may already have forgotten it).
-struct JobCancelRequest {
-  uint64_t job_id = 0;
-};
-
-struct JobResultRequest {
-  uint64_t job_id = 0;
-};
-
-/// The finished job's accumulated answer in stable-id space, merged
-/// over the worker's shards (MergeRangeShardAnswers / MergeShardAnswers
-/// — the same exact merges the in-process backend runs per chunk). The
-/// router merges these across workers.
-struct JobResultReply {
-  WireJobKind kind = WireJobKind::kRange;
-  RangeResult range;  ///< kRange: one row per query row.
-  KnnResult knn;      ///< kKnn: stable-id top-k rows.
-};
+// --- Live-set export --------------------------------------------------------
 
 /// Asks for the live points of the named shards — the query source of
-/// the router's self-join and kNN-graph jobs (the cluster counterpart
-/// of ShardHost::ExportLive).
+/// the self-join and kNN-graph jobs on the cluster (the wire side of
+/// Router::ExportLive, over ShardHost::ExportLive).
 struct ExportLiveRequest {
   std::vector<uint32_t> shard_indices;
   std::string tenant = "default";
@@ -273,6 +225,13 @@ Status DecodeQuery(const std::string& payload, QueryRequest* req);
 std::string EncodeQueryReply(const QueryReply& reply);
 Status DecodeQueryReply(const std::string& payload, QueryReply* reply);
 
+std::string EncodeRangeQuery(const RangeQueryRequest& req);
+Status DecodeRangeQuery(const std::string& payload, RangeQueryRequest* req);
+
+std::string EncodeRangeQueryReply(const RangeQueryReply& reply);
+Status DecodeRangeQueryReply(const std::string& payload,
+                             RangeQueryReply* reply);
+
 std::string EncodeInsert(const InsertRequest& req);
 Status DecodeInsert(const std::string& payload, InsertRequest* req);
 
@@ -290,25 +249,6 @@ Status DecodeSaveShard(const std::string& payload, SaveShardRequest* req);
 
 std::string EncodeHealthReply(const HealthReply& reply);
 Status DecodeHealthReply(const std::string& payload, HealthReply* reply);
-
-std::string EncodeJobSubmit(const JobSubmitRequest& req);
-Status DecodeJobSubmit(const std::string& payload, JobSubmitRequest* req);
-
-std::string EncodeJobPoll(const JobPollRequest& req);
-Status DecodeJobPoll(const std::string& payload, JobPollRequest* req);
-
-std::string EncodeJobPollReply(const JobPollReply& reply);
-Status DecodeJobPollReply(const std::string& payload, JobPollReply* reply);
-
-std::string EncodeJobCancel(const JobCancelRequest& req);
-Status DecodeJobCancel(const std::string& payload, JobCancelRequest* req);
-
-std::string EncodeJobResult(const JobResultRequest& req);
-Status DecodeJobResult(const std::string& payload, JobResultRequest* req);
-
-std::string EncodeJobResultReply(const JobResultReply& reply);
-Status DecodeJobResultReply(const std::string& payload,
-                            JobResultReply* reply);
 
 std::string EncodeExportLive(const ExportLiveRequest& req);
 Status DecodeExportLive(const std::string& payload, ExportLiveRequest* req);

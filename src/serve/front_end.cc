@@ -61,9 +61,20 @@ FrontEnd::~FrontEnd() { Shutdown(); }
 
 void FrontEnd::Start() {
   dispatcher_ = std::thread(&FrontEnd::DispatchLoop, this);
+  job_thread_ = std::thread(&FrontEnd::JobLoop, this);
 }
 
 void FrontEnd::Shutdown() {
+  // The job thread goes down before the queue closes: a running job
+  // sees the stop at its next chunk boundary and fails Unavailable, and
+  // its in-flight chunk — admitted before the close — is still drained
+  // by the dispatcher, so the join below cannot deadlock.
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    jobs_stop_.store(true, std::memory_order_release);
+  }
+  jobs_cv_.notify_all();
+  if (job_thread_.joinable()) job_thread_.join();
   queue_.Close();
   if (dispatcher_.joinable()) dispatcher_.join();
 }
@@ -193,6 +204,19 @@ void FrontEnd::InitMetrics() {
   m_queue_depth_ = m.GetGauge("sweetknn_queue_depth", "Admission-queue depth");
   m_peak_queue_depth_ = m.GetGauge("sweetknn_peak_queue_depth",
                                    "Admission-queue high-water mark");
+  m_jobs_submitted_ =
+      m.GetCounter("sweetknn_jobs_submitted_total", "Offline jobs admitted");
+  m_jobs_completed_ = m.GetCounter("sweetknn_jobs_completed_total",
+                                   "Offline jobs finished kDone");
+  m_jobs_cancelled_ = m.GetCounter("sweetknn_jobs_cancelled_total",
+                                   "Offline jobs finished kCancelled");
+  m_jobs_failed_ = m.GetCounter("sweetknn_jobs_failed_total",
+                                "Offline jobs finished kFailed");
+  m_job_seconds_ = m.GetHistogram(
+      "sweetknn_job_seconds", "Submit to terminal state of one offline job",
+      latency);
+  m_active_jobs_ =
+      m.GetGauge("sweetknn_active_jobs", "Offline jobs pending or running");
 }
 
 void FrontEnd::RegisterTenant(TenantIndex* tenant) {
@@ -524,6 +548,9 @@ void FrontEnd::RunRangeGroup(std::vector<RequestPtr> group) {
   }
   m_shard_fanout_->Observe(fanout_seconds);
   const SteadyClock::time_point merge_start = SteadyClock::now();
+  for (const core::RangeShardAnswer& answer : answers) {
+    ObserveRoute(answer.device_routed, answer.route_seconds);
+  }
   const RangeResult merged = core::MergeRangeShardAnswers(answers, rows);
   m_merge_->Observe(SecondsBetween(merge_start, SteadyClock::now()));
 
@@ -605,6 +632,332 @@ void FrontEnd::RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
   m_sim_level2_->Increment(level2);
   m_sim_transfer_->Increment(transfer);
   m_sim_preprocess_->Increment(preprocess);
+}
+
+// ---------------------------------------------------------------------------
+// Offline jobs (docs/modalities.md)
+// ---------------------------------------------------------------------------
+
+Result<uint64_t> FrontEnd::SubmitJob(std::shared_ptr<TenantIndex> tenant,
+                                     const JobSpec& spec) {
+  switch (spec.kind) {
+    case JobKind::kRadiusSearch:
+      if (spec.queries.empty()) {
+        return Status::InvalidArgument("radius-search jobs need query rows");
+      }
+      if (spec.queries.cols() != tenant->dims) {
+        return Status::InvalidArgument(
+            "job queries have " + std::to_string(spec.queries.cols()) +
+            " dims, index '" + tenant->name + "' serves " +
+            std::to_string(tenant->dims));
+      }
+      [[fallthrough]];
+    case JobKind::kSelfJoin:
+      if (!(spec.radius >= 0.0f)) {
+        return Status::InvalidArgument("job radius must be >= 0");
+      }
+      break;
+    case JobKind::kKnnGraph:
+      if (spec.k <= 0) {
+        return Status::InvalidArgument("kNN-graph jobs need k > 0");
+      }
+      break;
+  }
+  auto job = std::make_unique<Job>();
+  job->spec = spec;
+  job->spec.chunk_rows = std::max<size_t>(spec.chunk_rows, 1);
+  job->tenant = std::move(tenant);
+  job->submit_time = SteadyClock::now();
+  uint64_t id = 0;
+  size_t active = 0;
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    if (jobs_stop_.load(std::memory_order_relaxed)) {
+      return Status::Unavailable(
+          "serving front-end is shut down; job rejected");
+    }
+    id = next_job_id_++;
+    job->id = id;
+    jobs_.emplace(id, std::move(job));
+    pending_jobs_.push_back(id);
+    active = ActiveJobsLocked();
+  }
+  jobs_cv_.notify_all();
+  m_jobs_submitted_->Increment();
+  m_active_jobs_->Set(static_cast<double>(active));
+  return id;
+}
+
+Result<JobProgress> FrontEnd::PollJob(uint64_t job_id) const {
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  auto it = jobs_.find(job_id);
+  if (it == jobs_.end()) {
+    return Status::NotFound("no job " + std::to_string(job_id));
+  }
+  JobProgress progress;
+  progress.state = it->second->state;
+  progress.total_rows = it->second->total_rows;
+  progress.done_rows = it->second->done_rows;
+  progress.error = it->second->error;
+  return progress;
+}
+
+Status FrontEnd::CancelJob(uint64_t job_id) {
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  auto it = jobs_.find(job_id);
+  if (it == jobs_.end()) {
+    return Status::NotFound("no job " + std::to_string(job_id));
+  }
+  // Terminal jobs keep their outcome; the flag only steers pending and
+  // running jobs (honored at the next chunk boundary).
+  it->second->cancel.store(true, std::memory_order_release);
+  return Status::Ok();
+}
+
+Result<JobOutput> FrontEnd::TakeJobResult(uint64_t job_id) {
+  std::unique_ptr<Job> job;
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    auto it = jobs_.find(job_id);
+    if (it == jobs_.end()) {
+      return Status::NotFound("no job " + std::to_string(job_id));
+    }
+    if (it->second->state == JobState::kPending ||
+        it->second->state == JobState::kRunning) {
+      return Status::InvalidArgument(
+          "job " + std::to_string(job_id) + " is still running");
+    }
+    // Any terminal job is reaped here — cancelled and failed jobs
+    // surrender their slot too, reporting why instead of an output.
+    job = std::move(it->second);
+    jobs_.erase(it);
+  }
+  return JobOutcome(job.get());
+}
+
+Result<std::vector<SelfJoinPair>> FrontEnd::SelfJoin(
+    std::shared_ptr<TenantIndex> tenant, float radius) {
+  JobSpec spec;
+  spec.kind = JobKind::kSelfJoin;
+  spec.radius = radius;
+  Result<uint64_t> id = SubmitJob(std::move(tenant), spec);
+  if (!id.ok()) return id.status();
+  Result<JobOutput> out = WaitAndTake(id.value());
+  if (!out.ok()) return out.status();
+  return std::move(out.value().pairs);
+}
+
+Result<JobOutput> FrontEnd::KnnGraph(std::shared_ptr<TenantIndex> tenant,
+                                     int k) {
+  JobSpec spec;
+  spec.kind = JobKind::kKnnGraph;
+  spec.k = k;
+  Result<uint64_t> id = SubmitJob(std::move(tenant), spec);
+  if (!id.ok()) return id.status();
+  return WaitAndTake(id.value());
+}
+
+size_t FrontEnd::ActiveJobsLocked() const {
+  size_t active = 0;
+  for (const auto& entry : jobs_) {
+    const JobState state = entry.second->state;
+    if (state == JobState::kPending || state == JobState::kRunning) ++active;
+  }
+  return active;
+}
+
+Result<JobOutput> FrontEnd::JobOutcome(Job* job) {
+  switch (job->state) {
+    case JobState::kDone:
+      return std::move(job->output);
+    case JobState::kCancelled:
+      return Status::Unavailable("job " + std::to_string(job->id) +
+                                 " was cancelled");
+    case JobState::kFailed:
+      return job->fail_status;
+    default:
+      return Status::Internal("job " + std::to_string(job->id) +
+                              " is not terminal");
+  }
+}
+
+Result<JobOutput> FrontEnd::WaitAndTake(uint64_t job_id) {
+  std::unique_ptr<Job> job;
+  {
+    std::unique_lock<std::mutex> lock(jobs_mutex_);
+    jobs_cv_.wait(lock, [&] {
+      auto it = jobs_.find(job_id);
+      return it == jobs_.end() || (it->second->state != JobState::kPending &&
+                                   it->second->state != JobState::kRunning);
+    });
+    auto it = jobs_.find(job_id);
+    if (it == jobs_.end()) {
+      return Status::NotFound("job " + std::to_string(job_id) +
+                              " was taken concurrently");
+    }
+    job = std::move(it->second);
+    jobs_.erase(it);
+  }
+  return JobOutcome(job.get());
+}
+
+void FrontEnd::FinishJob(Job* job, JobState state, Status status) {
+  size_t active = 0;
+  double job_seconds = 0.0;
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    job->state = state;
+    if (!status.ok()) {
+      job->fail_status = status;
+      job->error = status.ToString();
+    }
+    active = ActiveJobsLocked();
+    // Last touch of the job: once notified, a waiter may take the
+    // result and free it.
+    job_seconds = SecondsBetween(job->submit_time, SteadyClock::now());
+  }
+  jobs_cv_.notify_all();
+  switch (state) {
+    case JobState::kDone:
+      m_jobs_completed_->Increment();
+      break;
+    case JobState::kCancelled:
+      m_jobs_cancelled_->Increment();
+      break;
+    default:
+      m_jobs_failed_->Increment();
+      break;
+  }
+  m_job_seconds_->Observe(job_seconds);
+  m_active_jobs_->Set(static_cast<double>(active));
+}
+
+void FrontEnd::JobLoop() {
+  for (;;) {
+    Job* job = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(jobs_mutex_);
+      jobs_cv_.wait(lock, [this] {
+        return jobs_stop_.load(std::memory_order_relaxed) ||
+               !pending_jobs_.empty();
+      });
+      // At shutdown the loop still drains the queue: RunJob fails each
+      // job that had not started.
+      if (pending_jobs_.empty()) return;
+      job = jobs_.at(pending_jobs_.front()).get();
+      pending_jobs_.pop_front();
+      job->state = JobState::kRunning;
+    }
+    // The Job object outlives this call: only a terminal state makes it
+    // takeable, and RunJob publishes that itself, last.
+    RunJob(job);
+  }
+}
+
+void FrontEnd::RunJob(Job* job) {
+  const std::shared_ptr<TenantIndex> tenant = job->tenant;
+  if (job->cancel.load(std::memory_order_acquire)) {
+    FinishJob(job, JobState::kCancelled);
+    return;
+  }
+  if (jobs_stop_.load(std::memory_order_acquire)) {
+    FinishJob(job, JobState::kFailed,
+              Status::Unavailable(
+                  "serving front-end shut down before the job ran"));
+    return;
+  }
+  if (tenant->dropped.load(std::memory_order_acquire)) {
+    FinishJob(job, JobState::kFailed,
+              Status::NotFound("index '" + tenant->name + "' was dropped"));
+    return;
+  }
+
+  JobOutput out;
+  out.kind = job->spec.kind;
+  const size_t chunk_rows = job->spec.chunk_rows;
+  const size_t dims = tenant->dims;
+  const int k = job->spec.k;
+
+  // Query source: radius jobs bring their own rows; the live-set kinds
+  // snapshot the tenant's points once, at job start, on either
+  // transport. Each chunk then answers against the index state of its
+  // own group (every chunk is internally consistent; mutations landing
+  // mid-job affect only later chunks).
+  HostMatrix live;
+  if (job->spec.kind != JobKind::kRadiusSearch) {
+    const Status exported =
+        transport_->ExportLive(*tenant, &out.query_ids, &live);
+    if (!exported.ok()) {
+      FinishJob(job, JobState::kFailed, exported);
+      return;
+    }
+  }
+  const HostMatrix& queries =
+      job->spec.kind == JobKind::kRadiusSearch ? job->spec.queries : live;
+  const size_t total = queries.rows();
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    job->total_rows = total;
+  }
+  if (job->spec.kind == JobKind::kKnnGraph) {
+    out.graph = KnnResult(total, k);
+  }
+
+  std::vector<Neighbor> rowbuf;
+  for (size_t begin = 0; begin < total; begin += chunk_rows) {
+    if (job->cancel.load(std::memory_order_acquire)) {
+      FinishJob(job, JobState::kCancelled);
+      return;
+    }
+    if (jobs_stop_.load(std::memory_order_acquire)) {
+      FinishJob(job, JobState::kFailed,
+                Status::Unavailable("serving front-end shut down mid-job"));
+      return;
+    }
+    const size_t end = std::min(total, begin + chunk_rows);
+    std::vector<float> chunk(queries.row(begin),
+                             queries.row(begin) + (end - begin) * dims);
+    if (job->spec.kind == JobKind::kKnnGraph) {
+      // One ordinary kNN request at k+1 (the one extra slot absorbs the
+      // query point itself; see core::SweetKnnIndex::KnnGraph for the
+      // exactness argument), fair-shared through the admission queue.
+      Result<KnnResult> answer =
+          Knn(tenant, std::move(chunk), end - begin, k + 1,
+              ann::SearchMode::Exact(), std::chrono::microseconds{0});
+      if (!answer.ok()) {
+        FinishJob(job, JobState::kFailed, answer.status());
+        return;
+      }
+      for (size_t q = 0; q < end - begin; ++q) {
+        KnnGraphRow(answer.value().row(q), k, out.query_ids[begin + q],
+                    &rowbuf);
+        out.graph.SetRow(begin + q, rowbuf);
+      }
+    } else {
+      Result<RangeResult> answer =
+          Range(tenant, std::move(chunk), end - begin, job->spec.radius,
+                std::chrono::microseconds{0});
+      if (!answer.ok()) {
+        FinishJob(job, JobState::kFailed, answer.status());
+        return;
+      }
+      if (job->spec.kind == JobKind::kRadiusSearch) {
+        out.range.AppendRows(answer.value());
+      } else {
+        AppendSelfJoinPairs(answer.value(), &out.query_ids[begin],
+                            &out.pairs);
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(jobs_mutex_);
+      job->done_rows = end;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    job->output = std::move(out);
+  }
+  FinishJob(job, JobState::kDone);
 }
 
 // ---------------------------------------------------------------------------

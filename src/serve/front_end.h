@@ -1,14 +1,18 @@
 #ifndef SWEETKNN_SERVE_FRONT_END_H_
 #define SWEETKNN_SERVE_FRONT_END_H_
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "ann/search_mode.h"
@@ -105,6 +109,60 @@ struct ServiceConfig {
   /// histogram. 0 disables the probe; small N is for tests/benchmarks —
   /// each probe costs one exact group.
   int ann_recall_probe_interval = 0;
+};
+
+/// The three offline modalities both backends run as long-running jobs
+/// (docs/modalities.md). Radius jobs carry their own query rows;
+/// self-join and kNN-graph jobs run over the tenant's live set as
+/// snapshotted at job start.
+enum class JobKind { kRadiusSearch, kSelfJoin, kKnnGraph };
+
+/// Job lifecycle: kPending (queued behind earlier jobs) -> kRunning ->
+/// one of kDone / kCancelled / kFailed. CancelJob flips the cancel
+/// flag; the job thread honors it between chunks, so a cancel lands
+/// within one chunk's worth of work.
+enum class JobState { kPending, kRunning, kDone, kCancelled, kFailed };
+
+/// What SubmitJob takes. `chunk_rows` bounds how many query rows each
+/// admitted chunk carries — chunks ride the same weighted-fair admission
+/// queue as point lookups, so a job never monopolizes the dispatcher
+/// and a mid-job CancelJob takes effect at the next chunk boundary.
+struct JobSpec {
+  JobKind kind = JobKind::kRadiusSearch;
+  /// Closed-ball radius (kRadiusSearch / kSelfJoin).
+  float radius = 0.0f;
+  /// Neighbors per node (kKnnGraph).
+  int k = 0;
+  /// Query rows (kRadiusSearch only; the other kinds query the live set).
+  HostMatrix queries;
+  /// Query rows per admitted chunk (clamped to >= 1).
+  size_t chunk_rows = 64;
+  std::string tenant = kDefaultTenant;
+};
+
+/// PollJob's answer.
+struct JobProgress {
+  JobState state = JobState::kPending;
+  uint64_t total_rows = 0;  ///< Query rows the job will run.
+  uint64_t done_rows = 0;   ///< Query rows completed so far.
+  std::string error;        ///< Set when state == kFailed.
+};
+
+/// A finished job's result (TakeJobResult). Which fields are populated
+/// depends on the kind; `query_ids` gives the stable id behind each
+/// result row for the live-set kinds.
+struct JobOutput {
+  JobKind kind = JobKind::kRadiusSearch;
+  /// kSelfJoin / kKnnGraph: stable ids of the snapshot rows, ascending.
+  std::vector<uint32_t> query_ids;
+  /// kRadiusSearch: row q = matches of input query q.
+  RangeResult range;
+  /// kSelfJoin: each unordered live pair within the radius exactly once
+  /// (a < b), ascending (a, distance, b).
+  std::vector<SelfJoinPair> pairs;
+  /// kKnnGraph: row i = exact k nearest live points of query_ids[i],
+  /// excluding itself.
+  KnnResult graph;
 };
 
 /// Per-call options of every query and mutation entry point; the
@@ -216,9 +274,10 @@ struct ServiceStats {
 /// Where a group's shards run — the one difference between the backends:
 /// host-pool threads (KnnService) or shard-worker processes over RPC
 /// (Router), both running the transport-free ShardHost code. Each method
-/// answers one group of one tenant against one index state (never
+/// answers one request of one tenant against one index state (never
 /// straddling a mutation, install, swap, or failover); a non-Ok status
-/// fails the whole group. Called from the dispatcher thread only.
+/// fails the whole request. The group methods are called from the
+/// dispatcher thread only, ExportLive from the job thread.
 class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
@@ -235,19 +294,26 @@ class ShardTransport {
                              double* fanout_seconds) = 0;
 
   /// Range answers that pool into each query row's global in-ball set
-  /// (per shard, or per host over its shards).
+  /// (per shard).
   virtual Status RangeGroup(const TenantIndex& tenant,
                             const HostMatrix& queries, float radius,
                             std::vector<core::RangeShardAnswer>* answers,
                             double* fanout_seconds) = 0;
+
+  /// The tenant's live points and their stable ids, globally ascending
+  /// by id: the query source of the live-set jobs.
+  virtual Status ExportLive(const TenantIndex& tenant,
+                            std::vector<uint32_t>* ids,
+                            HostMatrix* points) = 0;
 };
 
 /// The serving front-end both backends own: weighted-fair admission
 /// (shedding, deadlines, dropped tenants), micro-batching, (k, mode) and
 /// radius grouping, the exact merge of the transport's answers, the
-/// recall probe, per-request slicing, and the request/stage series.
-/// Knn/Range/CountCacheHit are thread-safe; one dispatcher thread drains
-/// the scheduler and calls the transport with no front-end lock held.
+/// recall probe, per-request slicing, the offline-job engine, and the
+/// request/stage/job series. Every public method is thread-safe; one
+/// dispatcher thread drains the scheduler and calls the transport with
+/// no front-end lock held.
 class FrontEnd {
  public:
   /// Registers its series on `metrics`; both pointers outlive it.
@@ -258,10 +324,10 @@ class FrontEnd {
   FrontEnd(const FrontEnd&) = delete;
   FrontEnd& operator=(const FrontEnd&) = delete;
 
-  /// Starts the dispatcher thread.
+  /// Starts the dispatcher and the job thread.
   void Start();
-  /// Rejects new requests, serves everything already admitted, and joins
-  /// the dispatcher. Idempotent.
+  /// Fails queued and running jobs, rejects new requests, serves
+  /// everything already admitted, and joins both threads. Idempotent.
   void Shutdown();
 
   /// Registers the tenant's labeled request series (TenantLabel(name)).
@@ -286,8 +352,36 @@ class FrontEnd {
 
   /// Counts a one-row request the result cache answered.
   void CountCacheHit(TenantIndex* tenant, double seconds);
-  /// Records one planner route decision of a shard scan.
-  void ObserveRoute(bool device_routed, double seconds);
+
+  // -- Offline jobs (docs/modalities.md) ------------------------------
+  // The backends resolve spec.tenant / CallOptions::tenant and forward.
+
+  /// Enqueues a long-running job on `tenant`; returns its id at once.
+  /// Jobs run one at a time on the job thread, chunked through the same
+  /// weighted-fair admission queue as point lookups. Unavailable when
+  /// shut down; InvalidArgument on a malformed spec (kRadiusSearch
+  /// without queries or with the wrong dims, a negative radius, kKnnGraph
+  /// with k <= 0).
+  Result<uint64_t> SubmitJob(std::shared_ptr<TenantIndex> tenant,
+                             const JobSpec& spec);
+  /// The job's state and progress. NotFound for an unknown (or already
+  /// taken) id.
+  Result<JobProgress> PollJob(uint64_t job_id) const;
+  /// Requests cancellation. Takes effect at the next chunk boundary
+  /// (kPending jobs cancel before running at all); terminal jobs are
+  /// left as they ended. NotFound for an unknown id.
+  Status CancelJob(uint64_t job_id);
+  /// Takes any terminal job and erases it (poll/take of the id fail with
+  /// NotFound afterwards): a kDone job's output, or why it has none.
+  /// InvalidArgument while the job is pending or running.
+  Result<JobOutput> TakeJobResult(uint64_t job_id);
+  /// Synchronous self-join (submit + wait + take): every unordered live
+  /// pair within the closed radius, exactly once (a < b).
+  Result<std::vector<SelfJoinPair>> SelfJoin(
+      std::shared_ptr<TenantIndex> tenant, float radius);
+  /// Synchronous exact kNN graph over the live set: output.query_ids
+  /// pairs with output.graph rows.
+  Result<JobOutput> KnnGraph(std::shared_ptr<TenantIndex> tenant, int k);
 
   /// Every ServiceStats counter read from the registry by series name
   /// (absent series read 0), plus the peak queue depth; the overlay
@@ -325,6 +419,25 @@ class FrontEnd {
   };
   using RequestPtr = std::unique_ptr<Request>;
 
+  /// One queued/running offline job (jobs_mutex_ guards everything but
+  /// `cancel`, and the job thread's private use of `output` while
+  /// kRunning).
+  struct Job {
+    uint64_t id = 0;
+    JobSpec spec;
+    std::shared_ptr<TenantIndex> tenant;
+    JobState state = JobState::kPending;
+    uint64_t total_rows = 0;
+    uint64_t done_rows = 0;
+    std::string error;
+    /// The status that killed a kFailed job (the synchronous wrappers
+    /// propagate it verbatim).
+    Status fail_status = Status::Ok();
+    std::atomic<bool> cancel{false};
+    std::chrono::steady_clock::time_point submit_time;
+    JobOutput output;
+  };
+
   void InitMetrics();
   /// Queue submit + accounting; on Ok the request's future resolves (the
   /// dispatcher drains everything admitted before the close).
@@ -342,12 +455,31 @@ class FrontEnd {
   /// fulfills its promises; RunRangeGroup is the radius twin.
   void RunGroup(std::vector<RequestPtr> group);
   void RunRangeGroup(std::vector<RequestPtr> group);
+  /// Records one planner route decision of a shard scan.
+  void ObserveRoute(bool device_routed, double seconds);
   void ObserveLatency(const Request& request);
   /// Folds one group's shard answers into the registry; host-routed
   /// shards ran no device, so they add no sim time or decisions — only
   /// their host-scan work counter.
   void RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
                         size_t rows);
+
+  /// The job thread: runs queued jobs one at a time; at shutdown fails
+  /// what is still pending.
+  void JobLoop();
+  /// Executes one job end to end (live-set export, chunk loop, cancel
+  /// and shutdown checks) with no lock held; publishes progress and the
+  /// terminal state under jobs_mutex_.
+  void RunJob(Job* job);
+  /// Marks the job terminal and updates the job series.
+  void FinishJob(Job* job, JobState state, Status status = Status::Ok());
+  /// Jobs pending or running. Caller holds jobs_mutex_.
+  size_t ActiveJobsLocked() const;
+  /// A taken terminal job's output (kDone) or why it has none.
+  static Result<JobOutput> JobOutcome(Job* job);
+  /// Blocks until the job is terminal, then takes it — the synchronous
+  /// wrappers' tail.
+  Result<JobOutput> WaitAndTake(uint64_t job_id);
 
   const ServiceConfig config_;
   ShardTransport* const transport_;
@@ -407,9 +539,26 @@ class FrontEnd {
   common::Histogram* m_recall_estimate_ = nullptr;
   common::Gauge* m_queue_depth_ = nullptr;
   common::Gauge* m_peak_queue_depth_ = nullptr;
+  common::Counter* m_jobs_submitted_ = nullptr;
+  common::Counter* m_jobs_completed_ = nullptr;
+  common::Counter* m_jobs_cancelled_ = nullptr;
+  common::Counter* m_jobs_failed_ = nullptr;
+  common::Histogram* m_job_seconds_ = nullptr;
+  common::Gauge* m_active_jobs_ = nullptr;
 
-  /// Declared last: it uses every member above.
+  /// Offline-job state. jobs_mutex_ is a leaf lock: never held while
+  /// admitting a chunk or calling the transport. `jobs_stop_` is written
+  /// under it and read lock-free at chunk boundaries.
+  mutable std::mutex jobs_mutex_;
+  std::condition_variable jobs_cv_;
+  std::unordered_map<uint64_t, std::unique_ptr<Job>> jobs_;
+  std::deque<uint64_t> pending_jobs_;  // FIFO by submit order
+  uint64_t next_job_id_ = 1;
+  std::atomic<bool> jobs_stop_{false};
+
+  /// Declared last: they use every member above.
   std::thread dispatcher_;
+  std::thread job_thread_;
 };
 
 }  // namespace sweetknn::serve

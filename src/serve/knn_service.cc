@@ -90,7 +90,6 @@ void KnnService::Open(std::shared_ptr<TenantIndex> tenant) {
   RefreshGlobalOverlayGauges();
   m_tenants_->Set(static_cast<double>(manager_.size()));
   front_end_.Start();
-  job_thread_ = std::thread(&KnnService::JobLoop, this);
   if (config_.auto_compact) {
     compactor_ = std::thread(&KnnService::CompactorLoop, this);
   }
@@ -341,19 +340,6 @@ void KnnService::InitMetrics() {
       "sweetknn_compaction_seconds",
       "Host wall-clock of one shard compaction (capture to install)",
       latency);
-  m_jobs_submitted_ = metrics_.GetCounter(
-      "sweetknn_jobs_submitted_total", "Offline jobs admitted");
-  m_jobs_completed_ = metrics_.GetCounter(
-      "sweetknn_jobs_completed_total", "Offline jobs finished kDone");
-  m_jobs_cancelled_ = metrics_.GetCounter(
-      "sweetknn_jobs_cancelled_total", "Offline jobs finished kCancelled");
-  m_jobs_failed_ = metrics_.GetCounter(
-      "sweetknn_jobs_failed_total", "Offline jobs finished kFailed");
-  m_job_seconds_ = metrics_.GetHistogram(
-      "sweetknn_job_seconds",
-      "Submit to terminal state of one offline job", latency);
-  m_active_jobs_ = metrics_.GetGauge(
-      "sweetknn_active_jobs", "Offline jobs pending or running");
   m_tenants_ = metrics_.GetGauge(
       "sweetknn_tenants", "Live named indexes (including the default)");
   m_index_generation_ = metrics_.GetGauge(
@@ -376,16 +362,6 @@ void KnnService::Shutdown() {
   }
   compact_cv_.notify_all();
   if (compactor_.joinable()) compactor_.join();
-  // The job thread goes down before the queue closes: a running job
-  // sees stopping_ at its next chunk boundary and fails Unavailable,
-  // and its in-flight chunk — admitted before the close — is still
-  // drained by the dispatcher, so the join below cannot deadlock.
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    jobs_stop_ = true;
-  }
-  jobs_cv_.notify_all();
-  if (job_thread_.joinable()) job_thread_.join();
   front_end_.Shutdown();
 }
 
@@ -464,362 +440,34 @@ Result<RangeResult> KnnService::RadiusSearch(const HostMatrix& queries,
 }
 
 Result<uint64_t> KnnService::SubmitJob(const JobSpec& spec) {
-  if (stopping_.load(std::memory_order_acquire)) {
-    return Status::Unavailable("KnnService is shut down; job rejected");
-  }
-  Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(spec.tenant);
-  if (!resolved.ok()) return resolved.status();
-  switch (spec.kind) {
-    case JobKind::kRadiusSearch:
-      if (spec.queries.empty()) {
-        return Status::InvalidArgument(
-            "radius-search jobs need query rows");
-      }
-      if (spec.queries.cols() != resolved.value()->dims) {
-        return Status::InvalidArgument(
-            "job queries have " + std::to_string(spec.queries.cols()) +
-            " dims, index '" + spec.tenant + "' serves " +
-            std::to_string(resolved.value()->dims));
-      }
-      if (!(spec.radius >= 0.0f)) {
-        return Status::InvalidArgument("job radius must be >= 0");
-      }
-      break;
-    case JobKind::kSelfJoin:
-      if (!(spec.radius >= 0.0f)) {
-        return Status::InvalidArgument("job radius must be >= 0");
-      }
-      break;
-    case JobKind::kKnnGraph:
-      if (spec.k <= 0) {
-        return Status::InvalidArgument("kNN-graph jobs need k > 0");
-      }
-      break;
-  }
-  auto job = std::make_unique<Job>();
-  job->spec = spec;
-  if (job->spec.chunk_rows == 0) job->spec.chunk_rows = 1;
-  job->tenant = std::move(resolved).value();
-  job->submit_time = SteadyClock::now();
-  uint64_t id = 0;
-  size_t active = 0;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    if (jobs_stop_) {
-      return Status::Unavailable("KnnService is shut down; job rejected");
-    }
-    id = next_job_id_++;
-    job->id = id;
-    jobs_.emplace(id, std::move(job));
-    pending_jobs_.push_back(id);
-    active = ActiveJobsLocked();
-  }
-  jobs_cv_.notify_all();
-  m_jobs_submitted_->Increment();
-  m_active_jobs_->Set(static_cast<double>(active));
-  return id;
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(spec.tenant);
+  if (!tenant.ok()) return tenant.status();
+  return front_end_.SubmitJob(std::move(tenant).value(), spec);
 }
 
 Result<JobProgress> KnnService::PollJob(uint64_t job_id) const {
-  std::lock_guard<std::mutex> lock(jobs_mutex_);
-  auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) {
-    return Status::NotFound("no job " + std::to_string(job_id));
-  }
-  JobProgress progress;
-  progress.state = it->second->state;
-  progress.total_rows = it->second->total_rows;
-  progress.done_rows = it->second->done_rows;
-  progress.error = it->second->error;
-  return progress;
+  return front_end_.PollJob(job_id);
 }
 
 Status KnnService::CancelJob(uint64_t job_id) {
-  std::lock_guard<std::mutex> lock(jobs_mutex_);
-  auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) {
-    return Status::NotFound("no job " + std::to_string(job_id));
-  }
-  // Terminal jobs keep their outcome; the flag only steers pending and
-  // running jobs (honored at the next chunk boundary).
-  it->second->cancel.store(true, std::memory_order_release);
-  return Status::Ok();
+  return front_end_.CancelJob(job_id);
 }
 
 Result<JobOutput> KnnService::TakeJobResult(uint64_t job_id) {
-  std::unique_ptr<Job> job;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    auto it = jobs_.find(job_id);
-    if (it == jobs_.end()) {
-      return Status::NotFound("no job " + std::to_string(job_id));
-    }
-    if (it->second->state == JobState::kPending ||
-        it->second->state == JobState::kRunning) {
-      return Status::InvalidArgument(
-          "job " + std::to_string(job_id) + " is still running");
-    }
-    // Any terminal job is reaped here — cancelled and failed jobs
-    // surrender their slot too, reporting why instead of an output.
-    job = std::move(it->second);
-    jobs_.erase(it);
-  }
-  return JobOutcome(job.get());
-}
-
-size_t KnnService::ActiveJobsLocked() const {
-  size_t active = 0;
-  for (const auto& entry : jobs_) {
-    const JobState state = entry.second->state;
-    if (state == JobState::kPending || state == JobState::kRunning) ++active;
-  }
-  return active;
-}
-
-Result<JobOutput> KnnService::JobOutcome(Job* job) {
-  switch (job->state) {
-    case JobState::kDone:
-      return std::move(job->output);
-    case JobState::kCancelled:
-      return Status::Unavailable("job " + std::to_string(job->id) +
-                                 " was cancelled");
-    case JobState::kFailed:
-      return job->fail_status;
-    default:
-      return Status::Internal("job " + std::to_string(job->id) +
-                              " is not terminal");
-  }
-}
-
-Result<JobOutput> KnnService::WaitAndTake(uint64_t job_id) {
-  std::unique_ptr<Job> job;
-  {
-    std::unique_lock<std::mutex> lock(jobs_mutex_);
-    jobs_cv_.wait(lock, [&] {
-      auto it = jobs_.find(job_id);
-      return it == jobs_.end() || (it->second->state != JobState::kPending &&
-                                   it->second->state != JobState::kRunning);
-    });
-    auto it = jobs_.find(job_id);
-    if (it == jobs_.end()) {
-      return Status::NotFound("job " + std::to_string(job_id) +
-                              " was taken concurrently");
-    }
-    job = std::move(it->second);
-    jobs_.erase(it);
-  }
-  return JobOutcome(job.get());
+  return front_end_.TakeJobResult(job_id);
 }
 
 Result<std::vector<SelfJoinPair>> KnnService::SelfJoin(
     float radius, const CallOptions& opts) {
-  JobSpec spec;
-  spec.kind = JobKind::kSelfJoin;
-  spec.radius = radius;
-  spec.tenant = opts.tenant;
-  Result<uint64_t> id = SubmitJob(spec);
-  if (!id.ok()) return id.status();
-  Result<JobOutput> out = WaitAndTake(id.value());
-  if (!out.ok()) return out.status();
-  return std::move(out.value().pairs);
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
+  if (!tenant.ok()) return tenant.status();
+  return front_end_.SelfJoin(std::move(tenant).value(), radius);
 }
 
 Result<JobOutput> KnnService::KnnGraph(int k, const CallOptions& opts) {
-  JobSpec spec;
-  spec.kind = JobKind::kKnnGraph;
-  spec.k = k;
-  spec.tenant = opts.tenant;
-  Result<uint64_t> id = SubmitJob(spec);
-  if (!id.ok()) return id.status();
-  return WaitAndTake(id.value());
-}
-
-void KnnService::SnapshotLive(TenantIndex* tenant,
-                              std::vector<uint32_t>* ids,
-                              HostMatrix* points) const {
-  std::vector<std::vector<uint32_t>> shard_ids;
-  std::vector<HostMatrix> shard_points;
-  {
-    std::lock_guard<std::mutex> lock(tenant->mutex);
-    shard_ids.resize(tenant->shards.size());
-    shard_points.resize(tenant->shards.size());
-    for (size_t s = 0; s < tenant->shards.size(); ++s) {
-      tenant->shards[s]->ExportLive(&shard_ids[s], &shard_points[s]);
-    }
-  }
-  // The cross-shard sort runs off the lock.
-  MergeLiveExports(shard_ids, shard_points, tenant->dims, ids, points);
-}
-
-void KnnService::FinishJob(Job* job, JobState state, Status status) {
-  size_t active = 0;
-  double job_seconds = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    job->state = state;
-    if (!status.ok()) {
-      job->fail_status = status;
-      job->error = status.ToString();
-    }
-    active = ActiveJobsLocked();
-    // Last touch of the job: once notified, a waiter may take the
-    // result and free it.
-    job_seconds = SecondsBetween(job->submit_time, SteadyClock::now());
-  }
-  jobs_cv_.notify_all();
-  switch (state) {
-    case JobState::kDone:
-      m_jobs_completed_->Increment();
-      break;
-    case JobState::kCancelled:
-      m_jobs_cancelled_->Increment();
-      break;
-    default:
-      m_jobs_failed_->Increment();
-      break;
-  }
-  m_job_seconds_->Observe(job_seconds);
-  m_active_jobs_->Set(static_cast<double>(active));
-}
-
-void KnnService::JobLoop() {
-  for (;;) {
-    Job* job = nullptr;
-    std::vector<uint64_t> orphaned;
-    {
-      std::unique_lock<std::mutex> lock(jobs_mutex_);
-      jobs_cv_.wait(lock,
-                    [this] { return jobs_stop_ || !pending_jobs_.empty(); });
-      if (jobs_stop_) {
-        orphaned = std::move(pending_jobs_);
-        pending_jobs_.clear();
-      } else {
-        const uint64_t id = pending_jobs_.front();
-        pending_jobs_.erase(pending_jobs_.begin());
-        auto it = jobs_.find(id);
-        if (it != jobs_.end()) {
-          job = it->second.get();
-          job->state = JobState::kRunning;
-        }
-      }
-    }
-    if (job != nullptr) {
-      // The Job object outlives this call: only a terminal state makes
-      // it takeable, and RunJob publishes that itself, last.
-      RunJob(job);
-      continue;
-    }
-    // Shutdown: fail everything still pending, then exit.
-    for (uint64_t id : orphaned) {
-      Job* pending = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(jobs_mutex_);
-        auto it = jobs_.find(id);
-        if (it != jobs_.end()) pending = it->second.get();
-      }
-      if (pending != nullptr) {
-        FinishJob(pending, JobState::kFailed,
-                  Status::Unavailable(
-                      "KnnService shut down before the job ran"));
-      }
-    }
-    return;
-  }
-}
-
-void KnnService::RunJob(Job* job) {
-  const std::shared_ptr<TenantIndex> tenant = job->tenant;
-  if (job->cancel.load(std::memory_order_acquire)) {
-    FinishJob(job, JobState::kCancelled);
-    return;
-  }
-  if (tenant->dropped.load(std::memory_order_acquire)) {
-    FinishJob(job, JobState::kFailed,
-              Status::NotFound("index '" + tenant->name + "' was dropped"));
-    return;
-  }
-
-  JobOutput out;
-  out.kind = job->spec.kind;
-  const size_t chunk_rows = std::max<size_t>(job->spec.chunk_rows, 1);
-  const size_t dims = tenant->dims;
-  const int k = job->spec.k;
-
-  // Query source: radius jobs bring their own rows; the live-set kinds
-  // snapshot the tenant's points once, at job start — each chunk then
-  // answers against the index state of its own admission (every chunk
-  // is internally consistent; mutations landing mid-job affect only
-  // later chunks).
-  HostMatrix queries;
-  if (job->spec.kind == JobKind::kRadiusSearch) {
-    queries = job->spec.queries;
-  } else {
-    SnapshotLive(tenant.get(), &out.query_ids, &queries);
-  }
-  const size_t total = queries.rows();
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    job->total_rows = total;
-  }
-  if (job->spec.kind == JobKind::kKnnGraph) {
-    out.graph = KnnResult(total, k);
-  }
-
-  std::vector<Neighbor> rowbuf;
-  for (size_t begin = 0; begin < total; begin += chunk_rows) {
-    if (job->cancel.load(std::memory_order_acquire)) {
-      FinishJob(job, JobState::kCancelled);
-      return;
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      FinishJob(job, JobState::kFailed,
-                Status::Unavailable("KnnService shut down mid-job"));
-      return;
-    }
-    const size_t end = std::min(total, begin + chunk_rows);
-    std::vector<float> chunk(queries.row(begin),
-                             queries.row(begin) + (end - begin) * dims);
-    if (job->spec.kind == JobKind::kKnnGraph) {
-      // One ordinary kNN request at k+1 (the one extra slot absorbs the
-      // query point itself; see core::SweetKnnIndex::KnnGraph for the
-      // exactness argument), fair-shared through the admission queue.
-      Result<KnnResult> answer = front_end_.Knn(
-          tenant, std::move(chunk), end - begin, k + 1,
-          ann::SearchMode::Exact(), std::chrono::microseconds{0});
-      if (!answer.ok()) {
-        FinishJob(job, JobState::kFailed, answer.status());
-        return;
-      }
-      for (size_t q = 0; q < end - begin; ++q) {
-        KnnGraphRow(answer.value().row(q), k, out.query_ids[begin + q],
-                    &rowbuf);
-        out.graph.SetRow(begin + q, rowbuf);
-      }
-    } else {
-      Result<RangeResult> answer =
-          front_end_.Range(tenant, std::move(chunk), end - begin,
-                           job->spec.radius, std::chrono::microseconds{0});
-      if (!answer.ok()) {
-        FinishJob(job, JobState::kFailed, answer.status());
-        return;
-      }
-      if (job->spec.kind == JobKind::kRadiusSearch) {
-        out.range.AppendRows(answer.value());
-      } else {
-        AppendSelfJoinPairs(answer.value(), &out.query_ids[begin],
-                            &out.pairs);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(jobs_mutex_);
-      job->done_rows = end;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    job->output = std::move(out);
-  }
-  FinishJob(job, JobState::kDone);
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
+  if (!tenant.ok()) return tenant.status();
+  return front_end_.KnnGraph(std::move(tenant).value(), k);
 }
 
 // ---------------------------------------------------------------------------
@@ -991,11 +639,24 @@ Status KnnService::RangeGroup(const TenantIndex& tenant,
         queries, radius, routes[idx], config_.options.metric);
   });
   *fanout_seconds = SecondsBetween(start, SteadyClock::now());
-  // Per-shard range answers carry their routes (the cluster's per-worker
-  // ones cannot).
-  for (const core::RangeShardAnswer& answer : *answers) {
-    front_end_.ObserveRoute(answer.device_routed, answer.route_seconds);
+  return Status::Ok();
+}
+
+Status KnnService::ExportLive(const TenantIndex& tenant,
+                              std::vector<uint32_t>* ids,
+                              HostMatrix* points) {
+  std::vector<std::vector<uint32_t>> shard_ids;
+  std::vector<HostMatrix> shard_points;
+  {
+    std::lock_guard<std::mutex> lock(tenant.mutex);
+    shard_ids.resize(tenant.shards.size());
+    shard_points.resize(tenant.shards.size());
+    for (size_t s = 0; s < tenant.shards.size(); ++s) {
+      tenant.shards[s]->ExportLive(&shard_ids[s], &shard_points[s]);
+    }
   }
+  // The cross-shard sort runs off the lock.
+  MergeLiveExports(shard_ids, shard_points, tenant.dims, ids, points);
   return Status::Ok();
 }
 

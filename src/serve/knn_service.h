@@ -28,60 +28,6 @@
 
 namespace sweetknn::serve {
 
-/// The three offline modalities KnnService runs as long-running jobs
-/// (docs/modalities.md). Radius jobs carry their own query rows;
-/// self-join and kNN-graph jobs run over the tenant's live set as
-/// snapshotted at job start.
-enum class JobKind { kRadiusSearch, kSelfJoin, kKnnGraph };
-
-/// Job lifecycle: kPending (queued behind earlier jobs) -> kRunning ->
-/// one of kDone / kCancelled / kFailed. CancelJob flips the cancel
-/// flag; the job thread honors it between chunks, so a cancel lands
-/// within one chunk's worth of work.
-enum class JobState { kPending, kRunning, kDone, kCancelled, kFailed };
-
-/// What SubmitJob takes. `chunk_rows` bounds how many query rows each
-/// admitted chunk carries — chunks ride the same weighted-fair admission
-/// queue as point lookups, so a job never monopolizes the dispatcher
-/// and a mid-job CancelJob takes effect at the next chunk boundary.
-struct JobSpec {
-  JobKind kind = JobKind::kRadiusSearch;
-  /// Closed-ball radius (kRadiusSearch / kSelfJoin).
-  float radius = 0.0f;
-  /// Neighbors per node (kKnnGraph).
-  int k = 0;
-  /// Query rows (kRadiusSearch only; the other kinds query the live set).
-  HostMatrix queries;
-  /// Query rows per admitted chunk (clamped to >= 1).
-  size_t chunk_rows = 64;
-  std::string tenant = kDefaultTenant;
-};
-
-/// PollJob's answer.
-struct JobProgress {
-  JobState state = JobState::kPending;
-  uint64_t total_rows = 0;  ///< Query rows the job will run.
-  uint64_t done_rows = 0;   ///< Query rows completed so far.
-  std::string error;        ///< Set when state == kFailed.
-};
-
-/// A finished job's result (TakeJobResult). Which fields are populated
-/// depends on the kind; `query_ids` gives the stable id behind each
-/// result row for the live-set kinds.
-struct JobOutput {
-  JobKind kind = JobKind::kRadiusSearch;
-  /// kSelfJoin / kKnnGraph: stable ids of the snapshot rows, ascending.
-  std::vector<uint32_t> query_ids;
-  /// kRadiusSearch: row q = matches of input query q.
-  RangeResult range;
-  /// kSelfJoin: each unordered live pair within the radius exactly once
-  /// (a < b), ascending (a, distance, b).
-  std::vector<SelfJoinPair> pairs;
-  /// kKnnGraph: row i = exact k nearest live points of query_ids[i],
-  /// excluding itself.
-  KnnResult graph;
-};
-
 /// A concurrent batched KNN serving front-end over sharded
 /// TiKnnEngine indexes — the "many users, many datasets" code path of
 /// the ROADMAP's north star.
@@ -200,36 +146,15 @@ class KnnService : private ShardTransport {
                                    const CallOptions& opts = {});
 
   // -- Offline jobs (docs/modalities.md) ------------------------------
+  // Thin forwards to the front-end's job engine (FrontEnd::SubmitJob and
+  // friends), after resolving the tenant: NotFound for an unknown one.
 
-  /// Enqueues a long-running job; returns its id immediately. Jobs run
-  /// one at a time on the job thread, chunked through the same
-  /// weighted-fair admission queue as point lookups — lookups keep
-  /// being served while a job runs. Unavailable when shutting down;
-  /// NotFound for an unknown tenant; InvalidArgument on a malformed
-  /// spec (kRadiusSearch without queries, kKnnGraph with k <= 0, ...).
   Result<uint64_t> SubmitJob(const JobSpec& spec);
-
-  /// The job's state and progress. NotFound for an unknown (or already
-  /// taken) id.
   Result<JobProgress> PollJob(uint64_t job_id) const;
-
-  /// Requests cancellation. Takes effect at the next chunk boundary
-  /// (kPending jobs cancel before running at all); terminal jobs are
-  /// left as they ended. NotFound for an unknown id.
   Status CancelJob(uint64_t job_id);
-
-  /// Moves a kDone job's output out and erases the job (poll/take of
-  /// the id fail with NotFound afterwards). InvalidArgument while the
-  /// job is pending/running/cancelled/failed.
   Result<JobOutput> TakeJobResult(uint64_t job_id);
-
-  /// Synchronous self-join: submit + poll + take. Every unordered pair
-  /// of live points within the closed radius, exactly once (a < b).
   Result<std::vector<SelfJoinPair>> SelfJoin(float radius,
                                              const CallOptions& opts = {});
-
-  /// Synchronous exact kNN graph over the live set: output.query_ids
-  /// pairs with output.graph rows.
   Result<JobOutput> KnnGraph(int k, const CallOptions& opts = {});
 
   // -- Mutations ------------------------------------------------------
@@ -347,35 +272,16 @@ class KnnService : private ShardTransport {
   /// code against the same state.
   using Shard = ShardHost;
 
-  /// One queued/running offline job (jobs_mutex_ guards everything but
-  /// `cancel`, which PollJob-era readers never touch, and the job
-  /// thread's private use of `output` while kRunning).
-  struct Job {
-    uint64_t id = 0;
-    JobSpec spec;
-    std::shared_ptr<TenantIndex> tenant;
-    JobState state = JobState::kPending;
-    uint64_t total_rows = 0;
-    uint64_t done_rows = 0;
-    std::string error;
-    /// The chunk status that killed a kFailed job (sync wrappers
-    /// propagate it verbatim).
-    Status fail_status = Status::Ok();
-    std::atomic<bool> cancel{false};
-    std::chrono::steady_clock::time_point submit_time;
-    JobOutput output;
-  };
-
   /// Snapshot-set adoption (FromSnapshots).
   struct AdoptTag {};
   KnnService(AdoptTag, std::vector<store::IndexSnapshot> snapshots,
              const ServiceConfig& config);
 
-  /// Registers the service's own series (index, mutation, cache, job)
-  /// and caches the pointers; the front-end registers the rest.
+  /// Registers the service's own series (index, mutation, cache) and
+  /// caches the pointers; the front-end registers the rest.
   void InitMetrics();
   /// Publishes the constructor's default tenant, then starts the
-  /// dispatcher, the job thread and (if configured) the compactor.
+  /// front-end and (if configured) the compactor.
   void Open(std::shared_ptr<TenantIndex> tenant);
 
   /// "<snapshot_dir>/<name>/" for named tenants, the root for the
@@ -407,33 +313,14 @@ class KnnService : private ShardTransport {
                     float radius,
                     std::vector<core::RangeShardAnswer>* answers,
                     double* fanout_seconds) override;
+  /// Per-shard ShardHost::ExportLive under the tenant's index mutex,
+  /// merged off the lock.
+  Status ExportLive(const TenantIndex& tenant, std::vector<uint32_t>* ids,
+                    HostMatrix* points) override;
   /// The planner's route for each shard of `tenant`. Caller holds the
   /// index mutex.
   std::vector<core::QueryRoute> PlanRoutes(const TenantIndex& tenant,
                                            size_t rows);
-
-  /// The job thread: runs queued jobs one at a time, chunking each
-  /// through the admission queue. See docs/modalities.md.
-  void JobLoop();
-  /// Executes one job end to end (chunk loop, cancel checks). Called by
-  /// the job thread with no locks held; publishes progress and the
-  /// terminal state under jobs_mutex_.
-  void RunJob(Job* job);
-  /// The tenant's live points and stable ids, globally ascending by id
-  /// (per-shard ExportLive merged). Takes and releases the tenant's
-  /// index mutex.
-  void SnapshotLive(TenantIndex* tenant, std::vector<uint32_t>* ids,
-                    HostMatrix* points) const;
-  /// Marks the job terminal and updates the job counters/gauge.
-  void FinishJob(Job* job, JobState state, Status status = Status::Ok());
-  /// Jobs pending or running. Caller holds jobs_mutex_.
-  size_t ActiveJobsLocked() const;
-  /// A taken terminal job's output (kDone) or why it has none.
-  static Result<JobOutput> JobOutcome(Job* job);
-  /// Blocks until the job is terminal, then takes its output (kDone) or
-  /// propagates the cancelled/failed status, erasing the job either way
-  /// — the synchronous wrappers' tail.
-  Result<JobOutput> WaitAndTake(uint64_t job_id);
 
   /// The background compactor: sleeps until a mutation pushes some shard
   /// over the threshold (or Shutdown), then rebuilds candidates one at a
@@ -549,20 +436,13 @@ class KnnService : private ShardTransport {
   common::Counter* m_compaction_aborts_ = nullptr;
   common::Counter* m_compacted_rows_ = nullptr;
   common::Histogram* m_compaction_seconds_ = nullptr;
-  common::Counter* m_jobs_submitted_ = nullptr;
-  common::Counter* m_jobs_completed_ = nullptr;
-  common::Counter* m_jobs_cancelled_ = nullptr;
-  common::Counter* m_jobs_failed_ = nullptr;
-  common::Histogram* m_job_seconds_ = nullptr;
-  common::Gauge* m_active_jobs_ = nullptr;
   common::Gauge* m_tenants_ = nullptr;
   common::Gauge* m_index_generation_ = nullptr;
   common::Gauge* m_delta_points_ = nullptr;
   common::Gauge* m_tombstones_ = nullptr;
   common::Gauge* m_live_rows_ = nullptr;
 
-  /// Declared after metrics_, which it registers into, and before the
-  /// job thread, which submits through it.
+  /// Declared after metrics_, which it registers into.
   FrontEnd front_end_;
 
   /// Compactor wake-up state. compact_mutex_ may be taken while holding
@@ -575,17 +455,6 @@ class KnnService : private ShardTransport {
   std::thread compactor_;
   /// Set by Shutdown before the queue closes; mutations check it.
   std::atomic<bool> stopping_{false};
-
-  /// Offline-job state. jobs_mutex_ is a leaf lock: never held while
-  /// taking a tenant's index mutex, the scheduler, or any other service
-  /// lock (the job thread drops it before touching the index).
-  mutable std::mutex jobs_mutex_;
-  std::condition_variable jobs_cv_;
-  std::unordered_map<uint64_t, std::unique_ptr<Job>> jobs_;
-  std::vector<uint64_t> pending_jobs_;  // FIFO by submit order
-  uint64_t next_job_id_ = 1;
-  bool jobs_stop_ = false;
-  std::thread job_thread_;
 
   std::function<void()> pre_cache_insert_hook_;
 

@@ -188,13 +188,11 @@ void Router::InitMetrics() {
       "sweetknn_router_rpc_timeouts_total", "RPCs that missed rpc_timeout");
   m_retried_groups_ = metrics_.GetCounter(
       "sweetknn_router_retried_groups_total",
-      "Query groups re-fanned after a failover");
+      "Fan-outs (kNN and range groups, live-set exports) re-sent after a "
+      "failover");
   m_replicas_restored_ = metrics_.GetCounter(
       "sweetknn_router_replicas_restored_total",
       "Replicas re-established by snapshot catch-up");
-  m_jobs_ = metrics_.GetCounter(
-      "sweetknn_router_jobs_total",
-      "Completed cluster jobs (self-join, knn graph)");
   m_workers_alive_ = metrics_.GetGauge("sweetknn_router_workers_alive",
                                        "Live worker processes");
   for (int w = 0; w < config_.num_workers; ++w) {
@@ -489,11 +487,9 @@ Result<net::Frame> Router::MutateShardLocked(int s, net::MsgType type,
 // --- Queries: the front-end over the RPC transport -------------------------
 
 Result<std::shared_ptr<TenantIndex>> Router::ResolveTenant(
-    const CallOptions& opts) const {
-  if (opts.tenant == config_.tenant || opts.tenant == kDefaultTenant) {
-    return tenant_;
-  }
-  return Status::NotFound("no index named '" + opts.tenant +
+    const std::string& name) const {
+  if (name == config_.tenant || name == kDefaultTenant) return tenant_;
+  return Status::NotFound("no index named '" + name +
                           "' (this cluster serves '" + config_.tenant + "')");
 }
 
@@ -502,7 +498,7 @@ Result<std::vector<Neighbor>> Router::Search(
     const ann::SearchMode& mode, const CallOptions& opts) {
   SK_CHECK_EQ(query_point.size(), dims_);
   SK_CHECK_GT(k, 0);
-  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts);
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
   if (!tenant.ok()) return tenant.status();
   Result<KnnResult> result = front_end_.Knn(
       std::move(tenant).value(), query_point, 1, k, mode, opts.timeout);
@@ -517,7 +513,7 @@ Result<KnnResult> Router::JoinBatch(const HostMatrix& queries, int k,
   SK_CHECK(!queries.empty());
   SK_CHECK_EQ(queries.cols(), dims_);
   SK_CHECK_GT(k, 0);
-  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts);
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
   if (!tenant.ok()) return tenant.status();
   return front_end_.Knn(std::move(tenant).value(), queries.storage(),
                         queries.rows(), k, mode, opts.timeout);
@@ -529,15 +525,71 @@ Result<RangeResult> Router::RadiusSearch(const HostMatrix& queries,
   SK_CHECK(!queries.empty());
   SK_CHECK_EQ(queries.cols(), dims_);
   SK_CHECK_GE(radius, 0.0f);
-  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts);
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
   if (!tenant.ok()) return tenant.status();
   return front_end_.Range(std::move(tenant).value(), queries.storage(),
                           queries.rows(), radius, opts.timeout);
 }
 
-bool Router::TryFanout(const HostMatrix& queries, int k,
-                       const ann::SearchMode& mode,
-                       std::vector<core::ShardAnswer>* answers,
+// --- Offline jobs: the front-end's engine (docs/modalities.md) -------------
+
+Result<uint64_t> Router::SubmitJob(const JobSpec& spec) {
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(spec.tenant);
+  if (!tenant.ok()) return tenant.status();
+  return front_end_.SubmitJob(std::move(tenant).value(), spec);
+}
+
+Result<JobProgress> Router::PollJob(uint64_t job_id) const {
+  return front_end_.PollJob(job_id);
+}
+
+Status Router::CancelJob(uint64_t job_id) {
+  return front_end_.CancelJob(job_id);
+}
+
+Result<JobOutput> Router::TakeJobResult(uint64_t job_id) {
+  return front_end_.TakeJobResult(job_id);
+}
+
+Result<std::vector<SelfJoinPair>> Router::SelfJoin(float radius,
+                                                   const CallOptions& opts) {
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
+  if (!tenant.ok()) return tenant.status();
+  return front_end_.SelfJoin(std::move(tenant).value(), radius);
+}
+
+Result<JobOutput> Router::KnnGraph(int k, const CallOptions& opts) {
+  Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
+  if (!tenant.ok()) return tenant.status();
+  return front_end_.KnnGraph(std::move(tenant).value(), k);
+}
+
+// --- The fan-out: one request per primary worker, with failover ------------
+
+Result<std::vector<std::pair<int, std::vector<uint32_t>>>>
+Router::PrimaryPlanLocked() const {
+  std::vector<std::pair<int, std::vector<uint32_t>>> plan;
+  for (int s = 0; s < num_shards_; ++s) {
+    const int p = primary_[static_cast<size_t>(s)];
+    if (p < 0 || !alive_[static_cast<size_t>(p)]) {
+      return Status::Unavailable("shard " + std::to_string(s) +
+                                 " has no live host; cluster cannot answer");
+    }
+    auto it = std::find_if(plan.begin(), plan.end(),
+                           [p](const auto& e) { return e.first == p; });
+    if (it == plan.end()) {
+      plan.emplace_back(p, std::vector<uint32_t>{static_cast<uint32_t>(s)});
+    } else {
+      it->second.push_back(static_cast<uint32_t>(s));
+    }
+  }
+  std::sort(plan.begin(), plan.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return plan;
+}
+
+bool Router::TryFanout(net::MsgType type, net::MsgType reply_type,
+                       const EncodeFn& encode, const AbsorbFn& absorb,
                        std::vector<int>* failed) {
   Result<std::vector<std::pair<int, std::vector<uint32_t>>>> plan =
       PrimaryPlanLocked();
@@ -547,15 +599,9 @@ bool Router::TryFanout(const HostMatrix& queries, int k,
   std::vector<const std::vector<uint32_t>*> pending(workers_.size(), nullptr);
   int outstanding = 0;
   for (const auto& [w, shards] : plan.value()) {
-    net::QueryRequest req;
-    req.k = static_cast<uint32_t>(k);
-    req.queries = queries;
-    req.shard_indices = shards;
-    req.mode = mode;
-    req.tenant = config_.tenant;
     Call call;
-    call.type = static_cast<uint32_t>(net::MsgType::kQuery);
-    call.payload = net::EncodeQuery(req);
+    call.type = static_cast<uint32_t>(type);
+    call.payload = encode(shards);
     call.timeout = config_.rpc_timeout;
     call.reply_to = replies;
     if (!workers_[static_cast<size_t>(w)]->Submit(std::move(call))) {
@@ -585,61 +631,64 @@ bool Router::TryFanout(const HostMatrix& queries, int k,
       return false;
     }
     const auto widx = static_cast<size_t>(reply.worker);
-    const std::vector<uint32_t>& expected = *pending[widx];
+    const std::vector<uint32_t>& shards = *pending[widx];
     pending[widx] = nullptr;
-    if (!reply.status.ok()) {
-      if (reply.status.code() == StatusCode::kDeadlineExceeded) {
-        NoteRpcTimeout();
-      }
+    if (reply.status.code() == StatusCode::kDeadlineExceeded) {
+      NoteRpcTimeout();
+    }
+    // A transport failure, an Error frame (the worker's view of the
+    // placement disagrees with ours), or a reply that does not decode to
+    // exactly the shards asked for: the worker is treated as dead and
+    // the retry re-plans.
+    if (!reply.status.ok() ||
+        reply.frame.type != static_cast<uint32_t>(reply_type) ||
+        !absorb(reply.frame.payload, shards).ok()) {
       failed->push_back(reply.worker);
       ok = false;
-      continue;
-    }
-    if (reply.frame.type != static_cast<uint32_t>(net::MsgType::kQueryReply)) {
-      // An Error frame (or junk) on the query path means the worker's
-      // view of the placement disagrees with ours — treat as dead and
-      // let the retry re-plan.
-      failed->push_back(reply.worker);
-      ok = false;
-      continue;
-    }
-    net::QueryReply decoded;
-    const Status status = net::DecodeQueryReply(reply.frame.payload, &decoded);
-    if (!status.ok() || decoded.shard_indices != expected) {
-      failed->push_back(reply.worker);
-      ok = false;
-      continue;
-    }
-    for (size_t j = 0; j < decoded.shard_indices.size(); ++j) {
-      (*answers)[decoded.shard_indices[j]] = std::move(decoded.answers[j]);
     }
   }
   return ok;
 }
 
-Status Router::FanoutLocked(const HostMatrix& queries, int k,
-                            const ann::SearchMode& mode,
-                            std::vector<core::ShardAnswer>* answers) {
-  answers->assign(static_cast<size_t>(num_shards_), core::ShardAnswer{});
+Status Router::FanoutLocked(net::MsgType type, net::MsgType reply_type,
+                            const EncodeFn& encode, const AbsorbFn& absorb) {
   for (int attempts = 0;; ++attempts) {
     std::vector<int> failed;
-    if (TryFanout(queries, k, mode, answers, &failed)) return Status::Ok();
+    if (TryFanout(type, reply_type, encode, absorb, &failed)) {
+      return Status::Ok();
+    }
     for (const int w : failed) {
-      MarkWorkerDeadLocked(w, "query fan-out failed");
+      MarkWorkerDeadLocked(w, "fan-out failed");
     }
-    for (int s = 0; s < num_shards_; ++s) {
-      const int p = primary_[static_cast<size_t>(s)];
-      if (p < 0 || !alive_[static_cast<size_t>(p)]) {
-        return Status::Unavailable(
-            "a shard has no live host; cluster cannot answer");
-      }
-    }
+    SK_RETURN_IF_ERROR(PrimaryPlanLocked().status());
     if (attempts >= static_cast<int>(workers_.size())) {
-      return Status::Unavailable("query fan-out kept failing");
+      return Status::Unavailable("fan-out kept failing");
     }
     m_retried_groups_->Increment();
   }
 }
+
+namespace {
+
+/// Moves a per-shard reply's answers into `out`, indexed by shard.
+/// IoError unless the reply answers exactly `shards`, each with `rows`
+/// rows.
+template <typename Reply, typename Answer>
+Status ScatterByShard(Reply* reply, const std::vector<uint32_t>& shards,
+                      size_t rows, std::vector<Answer>* out) {
+  if (reply->shard_indices != shards) {
+    return Status::IoError("reply answers other shards than asked");
+  }
+  for (size_t j = 0; j < shards.size(); ++j) {
+    if (reply->answers[j].result.num_queries() != rows) {
+      return Status::IoError("reply answers the wrong number of rows");
+    }
+    (*out)[shards[j]] = std::move(reply->answers[j]);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Status Router::SearchGroup(const TenantIndex& /*tenant*/,
                            const HostMatrix& queries, int k,
@@ -652,11 +701,31 @@ Status Router::SearchGroup(const TenantIndex& /*tenant*/,
   // compactions, and topology changes. A failover in between moves a
   // shard to a replica that tracks its primary exactly.
   std::lock_guard<std::mutex> lock(mutex_);
+  auto fan_out = [&](const ann::SearchMode& fan_mode,
+                     std::vector<core::ShardAnswer>* out) {
+    out->assign(static_cast<size_t>(num_shards_), core::ShardAnswer{});
+    return FanoutLocked(
+        net::MsgType::kQuery, net::MsgType::kQueryReply,
+        [&](const std::vector<uint32_t>& shards) {
+          net::QueryRequest req;
+          req.k = static_cast<uint32_t>(k);
+          req.queries = queries;
+          req.shard_indices = shards;
+          req.mode = fan_mode;
+          req.tenant = config_.tenant;
+          return net::EncodeQuery(req);
+        },
+        [&](const std::string& payload, const std::vector<uint32_t>& shards) {
+          net::QueryReply reply;
+          SK_RETURN_IF_ERROR(net::DecodeQueryReply(payload, &reply));
+          return ScatterByShard(&reply, shards, queries.rows(), out);
+        });
+  };
   const SteadyClock::time_point start = SteadyClock::now();
-  SK_RETURN_IF_ERROR(FanoutLocked(queries, k, mode, answers));
+  SK_RETURN_IF_ERROR(fan_out(mode, answers));
   *fanout_seconds = SecondsBetween(start, SteadyClock::now());
   if (exact == nullptr) return Status::Ok();
-  return FanoutLocked(queries, k, ann::SearchMode::Exact(), exact);
+  return fan_out(ann::SearchMode::Exact(), exact);
 }
 
 Status Router::RangeGroup(const TenantIndex& /*tenant*/,
@@ -664,261 +733,62 @@ Status Router::RangeGroup(const TenantIndex& /*tenant*/,
                           std::vector<core::RangeShardAnswer>* answers,
                           double* fanout_seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Result<std::vector<std::pair<int, std::vector<uint32_t>>>> plan =
-      PrimaryPlanLocked();
-  if (!plan.ok()) return plan.status();
+  answers->assign(static_cast<size_t>(num_shards_), core::RangeShardAnswer{});
   const SteadyClock::time_point start = SteadyClock::now();
-  std::vector<net::JobResultReply> replies;
-  SK_RETURN_IF_ERROR(RunWireJobLocked(net::WireJobKind::kRange, radius, 0,
-                                      queries, plan.value(), &replies));
+  SK_RETURN_IF_ERROR(FanoutLocked(
+      net::MsgType::kRangeQuery, net::MsgType::kRangeQueryReply,
+      [&](const std::vector<uint32_t>& shards) {
+        net::RangeQueryRequest req;
+        req.radius = radius;
+        req.queries = queries;
+        req.shard_indices = shards;
+        req.tenant = config_.tenant;
+        return net::EncodeRangeQuery(req);
+      },
+      [&](const std::string& payload, const std::vector<uint32_t>& shards) {
+        net::RangeQueryReply reply;
+        SK_RETURN_IF_ERROR(net::DecodeRangeQueryReply(payload, &reply));
+        return ScatterByShard(&reply, shards, queries.rows(), answers);
+      }));
   *fanout_seconds = SecondsBetween(start, SteadyClock::now());
-  // One answer per worker, already merged over its shards: pooling them
-  // is the same flat merge over every shard. The wire job carries no
-  // per-shard routes, so none are observed.
-  answers->clear();
-  for (net::JobResultReply& reply : replies) {
-    core::RangeShardAnswer answer;
-    answer.result = std::move(reply.range);
-    answers->push_back(std::move(answer));
-  }
   return Status::Ok();
 }
 
-// --- Offline jobs (docs/modalities.md) --------------------------------------
-
-namespace {
-
-/// True for failures that mean the worker (or its channel) is gone, as
-/// opposed to a clean worker-side Error frame.
-bool IsTransportFailure(const Status& status) {
-  return status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kDeadlineExceeded ||
-         status.code() == StatusCode::kIoError;
-}
-
-}  // namespace
-
-Result<std::vector<std::pair<int, std::vector<uint32_t>>>>
-Router::PrimaryPlanLocked() const {
-  std::vector<std::pair<int, std::vector<uint32_t>>> plan;
-  for (int s = 0; s < num_shards_; ++s) {
-    const int p = primary_[static_cast<size_t>(s)];
-    if (p < 0 || !alive_[static_cast<size_t>(p)]) {
-      return Status::Unavailable("shard " + std::to_string(s) +
-                                 " has no live host; cluster cannot run "
-                                 "the job");
-    }
-    auto it = std::find_if(plan.begin(), plan.end(),
-                           [p](const auto& e) { return e.first == p; });
-    if (it == plan.end()) {
-      plan.emplace_back(p, std::vector<uint32_t>{static_cast<uint32_t>(s)});
-    } else {
-      it->second.push_back(static_cast<uint32_t>(s));
-    }
+Status Router::ExportLive(const TenantIndex& /*tenant*/,
+                          std::vector<uint32_t>* ids, HostMatrix* points) {
+  // One part per worker, already merged over its shards. It lands in the
+  // slot of the worker's first shard and empties its other shards'
+  // slots, so a part from an attempt that a failover superseded never
+  // survives into the merge.
+  std::vector<std::vector<uint32_t>> part_ids(
+      static_cast<size_t>(num_shards_));
+  std::vector<HostMatrix> part_points(static_cast<size_t>(num_shards_));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    SK_RETURN_IF_ERROR(FanoutLocked(
+        net::MsgType::kExportLive, net::MsgType::kExportLiveReply,
+        [&](const std::vector<uint32_t>& shards) {
+          net::ExportLiveRequest req;
+          req.shard_indices = shards;
+          req.tenant = config_.tenant;
+          return net::EncodeExportLive(req);
+        },
+        [&](const std::string& payload,
+            const std::vector<uint32_t>& shards) {
+          net::ExportLiveReply reply;
+          SK_RETURN_IF_ERROR(net::DecodeExportLiveReply(payload, &reply));
+          if (!reply.ids.empty() && reply.points.cols() != dims_) {
+            return Status::IoError("ExportLiveReply has the wrong dims");
+          }
+          for (const uint32_t s : shards) part_ids[s].clear();
+          part_ids[shards.front()] = std::move(reply.ids);
+          part_points[shards.front()] = std::move(reply.points);
+          return Status::Ok();
+        }));
   }
-  std::sort(plan.begin(), plan.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return plan;
-}
-
-Status Router::RunWireJobLocked(
-    net::WireJobKind kind, float radius, uint32_t k,
-    const HostMatrix& queries,
-    const std::vector<std::pair<int, std::vector<uint32_t>>>& plan,
-    std::vector<net::JobResultReply>* replies) {
-  const uint64_t job_id = next_wire_job_id_++;
-  // Best-effort cleanup on any failure: drop the job from every worker
-  // that might still hold it (cancel is idempotent on the worker).
-  auto cancel_all = [&] {
-    net::JobCancelRequest cancel;
-    cancel.job_id = job_id;
-    for (const auto& [w, shards] : plan) {
-      (void)shards;
-      if (!alive_[static_cast<size_t>(w)]) continue;
-      (void)CallWorker(w, net::MsgType::kJobCancel,
-                       net::EncodeJobCancel(cancel), config_.rpc_timeout,
-                       net::MsgType::kAck);
-    }
-  };
-  auto fail = [&](int w, const Status& status) {
-    if (IsTransportFailure(status)) {
-      MarkWorkerDeadLocked(w, "job RPC failed: " + status.ToString());
-    }
-    cancel_all();
-    return Status::Unavailable("cluster job failed on worker " +
-                               std::to_string(w) + ": " + status.ToString());
-  };
-
-  for (const auto& [w, shards] : plan) {
-    net::JobSubmitRequest req;
-    req.job_id = job_id;
-    req.kind = kind;
-    req.radius = radius;
-    req.k = k;
-    req.queries = queries;
-    req.shard_indices = shards;
-    req.tenant = config_.tenant;
-    Result<net::Frame> reply =
-        CallWorker(w, net::MsgType::kJobSubmit, net::EncodeJobSubmit(req),
-                   config_.rpc_timeout, net::MsgType::kAck);
-    if (!reply.ok()) return fail(w, reply.status());
-  }
-
-  // Poll rounds: each poll advances its worker by one chunk, so the
-  // cluster's workers make progress concurrently, one bounded RPC each.
-  std::vector<bool> done(plan.size(), false);
-  size_t remaining = plan.size();
-  net::JobPollRequest poll;
-  poll.job_id = job_id;
-  while (remaining > 0) {
-    for (size_t i = 0; i < plan.size(); ++i) {
-      if (done[i]) continue;
-      const int w = plan[i].first;
-      Result<net::Frame> reply =
-          CallWorker(w, net::MsgType::kJobPoll, net::EncodeJobPoll(poll),
-                     config_.rpc_timeout, net::MsgType::kJobPollReply);
-      if (!reply.ok()) return fail(w, reply.status());
-      net::JobPollReply progress;
-      const Status decoded =
-          net::DecodeJobPollReply(reply.value().payload, &progress);
-      if (!decoded.ok()) return fail(w, decoded);
-      if (progress.state == net::WireJobState::kFailed) {
-        return fail(w, Status::Internal("worker job failed: " +
-                                        progress.error));
-      }
-      if (progress.state == net::WireJobState::kDone) {
-        done[i] = true;
-        --remaining;
-      }
-    }
-  }
-
-  replies->clear();
-  replies->reserve(plan.size());
-  net::JobResultRequest fetch;
-  fetch.job_id = job_id;
-  for (const auto& [w, shards] : plan) {
-    (void)shards;
-    Result<net::Frame> reply =
-        CallWorker(w, net::MsgType::kJobResult, net::EncodeJobResult(fetch),
-                   config_.rpc_timeout, net::MsgType::kJobResultReply);
-    if (!reply.ok()) return fail(w, reply.status());
-    net::JobResultReply result;
-    const Status decoded =
-        net::DecodeJobResultReply(reply.value().payload, &result);
-    if (!decoded.ok()) return fail(w, decoded);
-    const size_t answered = kind == net::WireJobKind::kRange
-                                ? result.range.num_queries()
-                                : result.knn.num_queries();
-    if (result.kind != kind || answered != queries.rows()) {
-      return fail(w, Status::IoError("job result shape mismatch"));
-    }
-    replies->push_back(std::move(result));
-  }
-  return Status::Ok();
-}
-
-Status Router::ExportLiveLocked(
-    const std::vector<std::pair<int, std::vector<uint32_t>>>& plan,
-    std::vector<uint32_t>* ids, HostMatrix* points) {
-  std::vector<std::vector<uint32_t>> part_ids;
-  std::vector<HostMatrix> part_points;
-  for (const auto& [w, shards] : plan) {
-    net::ExportLiveRequest req;
-    req.shard_indices = shards;
-    req.tenant = config_.tenant;
-    Result<net::Frame> reply =
-        CallWorker(w, net::MsgType::kExportLive, net::EncodeExportLive(req),
-                   config_.rpc_timeout, net::MsgType::kExportLiveReply);
-    if (!reply.ok()) {
-      if (IsTransportFailure(reply.status())) {
-        MarkWorkerDeadLocked(w, "export-live RPC failed");
-      }
-      return Status::Unavailable("cluster export-live failed on worker " +
-                                 std::to_string(w) + ": " +
-                                 reply.status().ToString());
-    }
-    net::ExportLiveReply part;
-    SK_RETURN_IF_ERROR(
-        net::DecodeExportLiveReply(reply.value().payload, &part));
-    part_ids.push_back(std::move(part.ids));
-    part_points.push_back(std::move(part.points));
-  }
+  // The cross-worker sort runs off the lock.
   MergeLiveExports(part_ids, part_points, dims_, ids, points);
   return Status::Ok();
-}
-
-Result<std::vector<SelfJoinPair>> Router::SelfJoin(float radius) {
-  SK_CHECK_GE(radius, 0.0f);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (shut_down_) {
-    return Status::Unavailable("Router is shut down; job rejected");
-  }
-  Result<std::vector<std::pair<int, std::vector<uint32_t>>>> plan =
-      PrimaryPlanLocked();
-  if (!plan.ok()) return plan.status();
-  std::vector<uint32_t> ids;
-  HostMatrix live;
-  SK_RETURN_IF_ERROR(ExportLiveLocked(plan.value(), &ids, &live));
-  std::vector<SelfJoinPair> pairs;
-  if (ids.empty()) {
-    m_jobs_->Increment();
-    return pairs;
-  }
-  std::vector<net::JobResultReply> replies;
-  SK_RETURN_IF_ERROR(RunWireJobLocked(net::WireJobKind::kRange, radius, 0,
-                                      live, plan.value(), &replies));
-  // Each worker's rows are already merged over its shards, so pooling
-  // them is the flat merge; then the pair reduction KnnService::RunJob
-  // applies over query rows in ascending id order.
-  std::vector<core::RangeShardAnswer> parts(replies.size());
-  for (size_t w = 0; w < replies.size(); ++w) {
-    parts[w].result = std::move(replies[w].range);
-  }
-  AppendSelfJoinPairs(core::MergeRangeShardAnswers(parts, ids.size()),
-                      ids.data(), &pairs);
-  m_jobs_->Increment();
-  return pairs;
-}
-
-Result<JobOutput> Router::KnnGraph(int k) {
-  SK_CHECK_GT(k, 0);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (shut_down_) {
-    return Status::Unavailable("Router is shut down; job rejected");
-  }
-  Result<std::vector<std::pair<int, std::vector<uint32_t>>>> plan =
-      PrimaryPlanLocked();
-  if (!plan.ok()) return plan.status();
-  JobOutput out;
-  out.kind = JobKind::kKnnGraph;
-  HostMatrix live;
-  SK_RETURN_IF_ERROR(ExportLiveLocked(plan.value(), &out.query_ids, &live));
-  out.graph = KnnResult(out.query_ids.size(), k);
-  if (out.query_ids.empty()) {
-    m_jobs_->Increment();
-    return out;
-  }
-  std::vector<net::JobResultReply> replies;
-  SK_RETURN_IF_ERROR(RunWireJobLocked(net::WireJobKind::kKnn, 0.0f,
-                                      static_cast<uint32_t>(k) + 1, live,
-                                      plan.value(), &replies));
-  // Cross-worker top-(k+1) — the workers' rows carry stable ids, so this
-  // is the mutated-shard merge — then the self-drop KnnService::RunJob
-  // applies: the one extra slot absorbs the query point itself.
-  std::vector<core::ShardAnswer> parts(replies.size());
-  for (size_t w = 0; w < replies.size(); ++w) {
-    parts[w].pristine = false;
-    parts[w].result = std::move(replies[w].knn);
-  }
-  const KnnResult merged = core::MergeShardAnswers(parts, k + 1);
-  std::vector<Neighbor> rowbuf;
-  for (size_t q = 0; q < out.query_ids.size(); ++q) {
-    KnnGraphRow(merged.row(q), k, out.query_ids[q], &rowbuf);
-    out.graph.SetRow(q, rowbuf);
-  }
-  m_jobs_->Increment();
-  return out;
 }
 
 // --- Mutations ---------------------------------------------------------------
@@ -1108,7 +978,6 @@ ClusterStats Router::stats() const {
   stats.retried_groups = static_cast<uint64_t>(m_retried_groups_->value());
   stats.replicas_restored =
       static_cast<uint64_t>(m_replicas_restored_->value());
-  stats.jobs = static_cast<uint64_t>(m_jobs_->value());
   return stats;
 }
 

@@ -21,7 +21,6 @@
 #include "net/frame.h"
 #include "net/wire.h"
 #include "serve/front_end.h"
-#include "serve/knn_service.h"
 
 namespace sweetknn::serve {
 
@@ -68,12 +67,11 @@ struct ClusterStats : ServiceStats {
   uint64_t worker_deaths = 0;
   /// RPCs that missed their deadline.
   uint64_t rpc_timeouts = 0;
-  /// Query groups re-fanned after a failover.
+  /// Fan-outs (kNN and range groups, live-set exports) re-sent after a
+  /// failover.
   uint64_t retried_groups = 0;
   /// Replicas re-established by RestoreReplication.
   uint64_t replicas_restored = 0;
-  /// Completed cluster jobs (SelfJoin / KnnGraph).
-  uint64_t jobs = 0;
 };
 
 /// The multi-process cluster backend: KnnService's serving FrontEnd over
@@ -84,13 +82,15 @@ struct ClusterStats : ServiceStats {
 /// unix socket, and cold-builds the same contiguous target slices
 /// KnnService would build, placing shard s's primary on worker s % W and
 /// its replicas on the following workers. Each kNN group fans out one
-/// Query RPC per primary worker, each range group runs as a kRange wire
-/// job, and the front-end merges the answers exactly as in process, so
+/// Query RPC per primary worker, each range group one RangeQuery RPC, and
+/// the front-end merges the per-shard answers exactly as in process, so
 /// cluster answers are bit-identical to a local KnnService over the same
 /// target and mutation sequence (tests/integration/
 /// cluster_differential_test.cc proves this byte for byte, across worker
-/// counts and through worker kills). The cluster serves one index,
-/// config.tenant; CallOptions name it or the default tenant.
+/// counts and through worker kills). Offline jobs run on the front-end's
+/// job engine, as in process: asynchronous, cancellable, and chunked
+/// through the fair queue. The cluster serves one index, config.tenant;
+/// CallOptions and JobSpec name it or the default tenant.
 ///
 /// Mutations mirror KnnService's semantics: Insert allocates stable ids
 /// upward and lands id on shard id % S; Remove resolves its owner
@@ -102,16 +102,17 @@ struct ClusterStats : ServiceStats {
 /// Failure handling: every RPC carries rpc_timeout. A worker that times
 /// out, drops its connection, or answers garbage is declared dead
 /// (SIGKILLed for good measure); its primaries fail over to their
-/// replicas and the in-flight group is re-fanned — callers just see the
-/// answer, a little later. A shard with no live host left fails requests
-/// with Unavailable. RestoreReplication() re-establishes missing
-/// replicas on surviving workers via snapshot catch-up (primary exports
-/// a .sksnap, the new host adopts it).
+/// replicas and the in-flight fan-out (a kNN or range group, or a job's
+/// live-set export) is re-sent — callers just see the answer, a little
+/// later. A shard with no live host left fails requests with
+/// Unavailable. RestoreReplication() re-establishes missing replicas on
+/// surviving workers via snapshot catch-up (primary exports a .sksnap,
+/// the new host adopts it).
 ///
-/// Thread model: Search/JoinBatch/Insert/Remove/Compact* are
-/// thread-safe. mutex_ serializes query groups, mutations, and topology
-/// changes (failover, catch-up) — one consistent cluster state per
-/// answer, like a tenant's index mutex in KnnService.
+/// Thread model: every public method is thread-safe. mutex_ serializes
+/// fan-outs, mutations, and topology changes (failover, catch-up) — one
+/// consistent cluster state per answer, like a tenant's index mutex in
+/// KnnService.
 class Router : private ShardTransport {
  public:
   /// Spawns and prepares the cluster. On any spawn/connect/prepare
@@ -136,26 +137,21 @@ class Router : private ShardTransport {
       const HostMatrix& queries, int k,
       const ann::SearchMode& mode = ann::SearchMode::Exact(),
       const CallOptions& opts = {});
-  /// As KnnService::RadiusSearch; each radius group runs as a kRange
-  /// wire job on every primary worker.
+  /// As KnnService::RadiusSearch; each radius group is one RangeQuery
+  /// RPC per primary worker.
   Result<RangeResult> RadiusSearch(const HostMatrix& queries, float radius,
                                    const CallOptions& opts = {});
 
-  // -- Offline jobs (docs/modalities.md) ------------------------------
-  // Each runs as a wire-level job on every primary worker (kJobSubmit /
-  // kJobPoll / kJobResult; one chunk per poll) and merges the per-worker
-  // stable-id answers with the same reductions KnnService applies —
-  // cluster job answers are bit-identical to local ones. The calls are
-  // synchronous and serialize with queries and mutations on the
-  // cluster mutex (one consistent cluster state per job). A worker
-  // death mid-job fails the job with Unavailable (jobs are not
-  // re-fanned; the caller simply resubmits).
-
-  /// Every unordered live pair within `radius`, once per pair (a < b).
-  Result<std::vector<SelfJoinPair>> SelfJoin(float radius);
-  /// Exact kNN graph over the live set; output.query_ids pairs with
-  /// output.graph rows, ascending stable-id order.
-  Result<JobOutput> KnnGraph(int k);
+  // -- Offline jobs (docs/modalities.md): as KnnService's, forwarded to
+  // the front-end's job engine. The live-set kinds snapshot the cluster
+  // through one ExportLive fan-out at job start.
+  Result<uint64_t> SubmitJob(const JobSpec& spec);
+  Result<JobProgress> PollJob(uint64_t job_id) const;
+  Status CancelJob(uint64_t job_id);
+  Result<JobOutput> TakeJobResult(uint64_t job_id);
+  Result<std::vector<SelfJoinPair>> SelfJoin(float radius,
+                                             const CallOptions& opts = {});
+  Result<JobOutput> KnnGraph(int k, const CallOptions& opts = {});
 
   /// Adds a point; returns its stable id (same allocation sequence as
   /// KnnService::Insert). Applied to the shard's primary and replicas.
@@ -278,11 +274,12 @@ class Router : private ShardTransport {
   Status Bootstrap(const HostMatrix& target);
   Result<pid_t> SpawnWorker(const std::string& socket_path) const;
 
-  /// The cluster's one tenant for `opts`, or NotFound.
+  /// The cluster's one tenant for `name` (its own name or the default
+  /// tenant's), or NotFound.
   Result<std::shared_ptr<TenantIndex>> ResolveTenant(
-      const CallOptions& opts) const;
+      const std::string& name) const;
 
-  // ShardTransport: the RPC fan-out, under mutex_ for the whole group.
+  // ShardTransport: the RPC fan-out, under mutex_ for the whole request.
   Status SearchGroup(const TenantIndex& tenant, const HostMatrix& queries,
                      int k, const ann::SearchMode& mode,
                      std::vector<core::ShardAnswer>* answers,
@@ -292,18 +289,28 @@ class Router : private ShardTransport {
                     float radius,
                     std::vector<core::RangeShardAnswer>* answers,
                     double* fanout_seconds) override;
-  /// Fans one group out over the primaries, failing over and retrying
-  /// until every shard answered or a shard has no live host. Caller
-  /// holds mutex_.
-  Status FanoutLocked(const HostMatrix& queries, int k,
-                      const ann::SearchMode& mode,
-                      std::vector<core::ShardAnswer>* answers);
-  /// One fan-out attempt over the current placement. Fills `answers`
-  /// (indexed by shard) on success; on failure records the workers to
+  Status ExportLive(const TenantIndex& tenant, std::vector<uint32_t>* ids,
+                    HostMatrix* points) override;
+
+  /// One fan-out request: `encode` builds the payload asking a worker
+  /// for its primary shards; `absorb` takes in that worker's reply
+  /// payload for those shards (a non-Ok status fails the worker).
+  using EncodeFn =
+      std::function<std::string(const std::vector<uint32_t>& shards)>;
+  using AbsorbFn = std::function<Status(const std::string& payload,
+                                        const std::vector<uint32_t>& shards)>;
+  /// Sends `type` to every primary worker, failing over and retrying
+  /// until every worker of the placement answered `reply_type` or a
+  /// shard has no live host. Every shard is covered exactly once per
+  /// attempt, so per-shard state `absorb` writes is complete on Ok.
+  /// Caller holds mutex_.
+  Status FanoutLocked(net::MsgType type, net::MsgType reply_type,
+                      const EncodeFn& encode, const AbsorbFn& absorb);
+  /// One fan-out attempt over the current placement. True when every
+  /// worker answered and was absorbed; otherwise records the workers to
   /// declare dead in `failed`. Caller holds mutex_.
-  bool TryFanout(const HostMatrix& queries, int k,
-                 const ann::SearchMode& mode,
-                 std::vector<core::ShardAnswer>* answers,
+  bool TryFanout(net::MsgType type, net::MsgType reply_type,
+                 const EncodeFn& encode, const AbsorbFn& absorb,
                  std::vector<int>* failed);
 
   /// Sends one RPC to worker `w` and waits for its reply frame,
@@ -343,31 +350,11 @@ class Router : private ShardTransport {
                                        const std::string& payload,
                                        net::MsgType expect_type);
 
-  /// The fan-out plan of query groups and jobs: (worker, its primary
-  /// shards), ascending by worker, every shard covered exactly once.
-  /// Unavailable when a shard has no live host. Caller holds mutex_.
+  /// The fan-out plan: (worker, its primary shards), ascending by
+  /// worker, every shard covered exactly once. Unavailable when a shard
+  /// has no live host. Caller holds mutex_.
   Result<std::vector<std::pair<int, std::vector<uint32_t>>>>
   PrimaryPlanLocked() const;
-
-  /// Runs one wire-level job over `plan` to completion: submit on every
-  /// worker, poll rounds (each poll advances a worker by one chunk),
-  /// result fetch. Fills `replies` in plan order. On any worker failure
-  /// the job is cancelled on the survivors and the error returned (the
-  /// failing worker is declared dead on transport-level errors). Caller
-  /// holds mutex_.
-  Status RunWireJobLocked(
-      net::WireJobKind kind, float radius, uint32_t k,
-      const HostMatrix& queries,
-      const std::vector<std::pair<int, std::vector<uint32_t>>>& plan,
-      std::vector<net::JobResultReply>* replies);
-
-  /// The cluster's live points in globally ascending stable-id order
-  /// (kExportLive per worker + merge) — the query source of SelfJoin
-  /// and KnnGraph, mirroring KnnService::SnapshotLive. Caller holds
-  /// mutex_.
-  Status ExportLiveLocked(
-      const std::vector<std::pair<int, std::vector<uint32_t>>>& plan,
-      std::vector<uint32_t>* ids, HostMatrix* points);
 
   RouterConfig config_;
   size_t dims_ = 0;
@@ -389,9 +376,8 @@ class Router : private ShardTransport {
   uint32_t next_id_ = 0;
   size_t target_rows_ = 0;
   uint64_t catchup_counter_ = 0;  ///< names catch-up snapshot files
-  uint64_t next_wire_job_id_ = 1;  ///< names cluster jobs on the wire
 
-  /// Set under mutex_ by Shutdown; mutations and jobs refuse after it.
+  /// Set under mutex_ by Shutdown; mutations refuse after it.
   bool shut_down_ = false;
 
   common::MetricsRegistry metrics_;
@@ -403,7 +389,6 @@ class Router : private ShardTransport {
   common::Counter* m_rpc_timeouts_ = nullptr;
   common::Counter* m_retried_groups_ = nullptr;
   common::Counter* m_replicas_restored_ = nullptr;
-  common::Counter* m_jobs_ = nullptr;
   common::Gauge* m_workers_alive_ = nullptr;
   // Per-worker series, indexed by worker ("sweetknn_router_worker<w>_...").
   std::vector<common::Histogram*> m_worker_rpc_seconds_;

@@ -92,6 +92,11 @@ net::Frame ShardWorker::Dispatch(const net::Frame& request, bool* shutdown) {
       const Status status = HandleQuery(request.payload, &reply);
       return status.ok() ? std::move(reply) : ErrorFrame(status);
     }
+    case net::MsgType::kRangeQuery: {
+      net::Frame reply;
+      const Status status = HandleRangeQuery(request.payload, &reply);
+      return status.ok() ? std::move(reply) : ErrorFrame(status);
+    }
     case net::MsgType::kInsert: {
       const Status status = HandleInsert(request.payload);
       return status.ok() ? AckFrame() : ErrorFrame(status);
@@ -108,22 +113,6 @@ net::Frame ShardWorker::Dispatch(const net::Frame& request, bool* shutdown) {
     case net::MsgType::kSaveShard: {
       const Status status = HandleSaveShard(request.payload);
       return status.ok() ? AckFrame() : ErrorFrame(status);
-    }
-    case net::MsgType::kJobSubmit: {
-      const Status status = HandleJobSubmit(request.payload);
-      return status.ok() ? AckFrame() : ErrorFrame(status);
-    }
-    case net::MsgType::kJobPoll: {
-      net::Frame reply;
-      const Status status = HandleJobPoll(request.payload, &reply);
-      return status.ok() ? std::move(reply) : ErrorFrame(status);
-    }
-    case net::MsgType::kJobCancel:
-      return HandleJobCancel(request.payload);
-    case net::MsgType::kJobResult: {
-      net::Frame reply;
-      const Status status = HandleJobResult(request.payload, &reply);
-      return status.ok() ? std::move(reply) : ErrorFrame(status);
     }
     case net::MsgType::kExportLive: {
       net::Frame reply;
@@ -244,35 +233,51 @@ Status ShardWorker::HandlePrepareSnapshot(const std::string& payload) {
   return Status::Ok();
 }
 
+Status ShardWorker::ResolveGroup(const char* what, const std::string& tenant,
+                                 const HostMatrix& queries,
+                                 const std::vector<uint32_t>& shard_indices,
+                                 std::vector<ShardHost*>* shards) {
+  const std::string where(what);
+  if (tenant != tenant_) {
+    return Status::InvalidArgument(where + ": names index '" + tenant +
+                                   "', this worker hosts '" + tenant_ + "'");
+  }
+  if (queries.empty()) {
+    return Status::InvalidArgument(where + ": empty query matrix");
+  }
+  if (queries.cols() != dims_) {
+    return Status::InvalidArgument(
+        where + ": " + std::to_string(queries.cols()) +
+        "-dimensional queries, this worker serves " + std::to_string(dims_));
+  }
+  if (shard_indices.empty()) {
+    return Status::InvalidArgument(where + ": no shard indices named");
+  }
+  shards->clear();
+  for (const uint32_t index : shard_indices) {
+    ShardHost* shard = FindShard(index);
+    if (shard == nullptr) {
+      return Status::NotFound(where + ": shard " + std::to_string(index) +
+                              " is not hosted by this worker");
+    }
+    shards->push_back(shard);
+  }
+  queries_served_ += queries.rows();
+  return Status::Ok();
+}
+
 Status ShardWorker::HandleQuery(const std::string& payload,
                                 net::Frame* reply) {
   net::QueryRequest req;
   SK_RETURN_IF_ERROR(net::DecodeQuery(payload, &req));
-  if (req.tenant != tenant_) {
-    return Status::InvalidArgument("Query: names index '" + req.tenant +
-                                   "', this worker hosts '" + tenant_ + "'");
-  }
   if (req.k == 0) return Status::InvalidArgument("Query: k must be > 0");
-  if (req.queries.empty()) {
-    return Status::InvalidArgument("Query: empty query matrix");
-  }
-  if (req.queries.cols() != dims_) {
-    return Status::InvalidArgument(
-        "Query: " + std::to_string(req.queries.cols()) +
-        "-dimensional queries, this worker serves " + std::to_string(dims_));
-  }
-  if (req.shard_indices.empty()) {
-    return Status::InvalidArgument("Query: no shard indices named");
-  }
+  std::vector<ShardHost*> shards;
+  SK_RETURN_IF_ERROR(ResolveGroup("Query", req.tenant, req.queries,
+                                  req.shard_indices, &shards));
   net::QueryReply out;
   out.shard_indices = req.shard_indices;
-  out.answers.reserve(req.shard_indices.size());
-  for (const uint32_t index : req.shard_indices) {
-    ShardHost* shard = FindShard(index);
-    if (shard == nullptr) {
-      return Status::NotFound("Query: shard " + std::to_string(index) +
-                              " is not hosted by this worker");
-    }
+  out.answers.reserve(shards.size());
+  for (ShardHost* shard : shards) {
     // Per-shard routing, same decision inputs as KnnService's planner
     // pass. Both routes answer bit-identically, so the cluster's answers
     // cannot depend on which side of the cost model a shard lands on.
@@ -282,9 +287,34 @@ Status ShardWorker::HandleQuery(const std::string& payload,
                                              static_cast<int>(req.k), route,
                                              options_.metric, req.mode));
   }
-  queries_served_ += req.queries.rows();
   reply->type = static_cast<uint32_t>(net::MsgType::kQueryReply);
   reply->payload = net::EncodeQueryReply(out);
+  return Status::Ok();
+}
+
+Status ShardWorker::HandleRangeQuery(const std::string& payload,
+                                     net::Frame* reply) {
+  net::RangeQueryRequest req;
+  SK_RETURN_IF_ERROR(net::DecodeRangeQuery(payload, &req));
+  if (!(req.radius >= 0.0f)) {
+    return Status::InvalidArgument("RangeQuery: radius must be >= 0");
+  }
+  std::vector<ShardHost*> shards;
+  SK_RETURN_IF_ERROR(ResolveGroup("RangeQuery", req.tenant, req.queries,
+                                  req.shard_indices, &shards));
+  net::RangeQueryReply out;
+  out.shard_indices = req.shard_indices;
+  out.answers.reserve(shards.size());
+  for (ShardHost* shard : shards) {
+    // Routed like KnnService::RangeGroup; both range routes answer
+    // bit-identically.
+    const core::QueryRoute route = planner_->Choose(
+        req.queries.rows(), shard->base_rows(), dims_);
+    out.answers.push_back(
+        shard->RangeGroup(req.queries, req.radius, route, options_.metric));
+  }
+  reply->type = static_cast<uint32_t>(net::MsgType::kRangeQueryReply);
+  reply->payload = net::EncodeRangeQueryReply(out);
   return Status::Ok();
 }
 
@@ -377,153 +407,6 @@ Status ShardWorker::HandleSaveShard(const std::string& payload) {
       req.shard_count, store::OptionsFingerprint(options_),
       store::DeviceFingerprint(device_), req.next_id);
   return store::SaveIndexSnapshot(snap, req.path);
-}
-
-Status ShardWorker::HandleJobSubmit(const std::string& payload) {
-  net::JobSubmitRequest req;
-  SK_RETURN_IF_ERROR(net::DecodeJobSubmit(payload, &req));
-  if (req.tenant != tenant_) {
-    return Status::InvalidArgument("JobSubmit: names index '" + req.tenant +
-                                   "', this worker hosts '" + tenant_ + "'");
-  }
-  if (job_ != nullptr) {
-    return Status::InvalidArgument(
-        "JobSubmit: job " + std::to_string(job_->spec.job_id) +
-        " is already active (one job slot per worker)");
-  }
-  if (req.queries.rows() > 0 && req.queries.cols() != dims_) {
-    return Status::InvalidArgument(
-        "JobSubmit: " + std::to_string(req.queries.cols()) +
-        "-dimensional queries, this worker serves " + std::to_string(dims_));
-  }
-  if (req.kind == net::WireJobKind::kKnn && req.k == 0) {
-    return Status::InvalidArgument("JobSubmit: knn jobs need k > 0");
-  }
-  if (req.shard_indices.empty()) {
-    return Status::InvalidArgument("JobSubmit: no shard indices named");
-  }
-  for (const uint32_t index : req.shard_indices) {
-    if (FindShard(index) == nullptr) {
-      return Status::NotFound("JobSubmit: shard " + std::to_string(index) +
-                              " is not hosted by this worker");
-    }
-  }
-  if (req.chunk_rows == 0) req.chunk_rows = 1;
-  auto job = std::make_unique<WorkerJob>();
-  if (req.kind == net::WireJobKind::kKnn) {
-    job->knn = KnnResult(req.queries.rows(), static_cast<int>(req.k));
-  }
-  job->spec = std::move(req);
-  job_ = std::move(job);
-  return Status::Ok();
-}
-
-void ShardWorker::AdvanceJob() {
-  WorkerJob& job = *job_;
-  const size_t total = job.spec.queries.rows();
-  if (job.failed || job.done_rows >= total) return;
-  const size_t begin = job.done_rows;
-  const size_t end =
-      std::min<size_t>(total, begin + job.spec.chunk_rows);
-  HostMatrix chunk(end - begin, dims_);
-  std::memcpy(chunk.mutable_data(), job.spec.queries.row(begin),
-              (end - begin) * dims_ * sizeof(float));
-  std::vector<core::RangeShardAnswer> range_answers;
-  std::vector<core::ShardAnswer> knn_answers;
-  for (const uint32_t index : job.spec.shard_indices) {
-    ShardHost* shard = FindShard(index);
-    if (shard == nullptr) {  // cannot happen in the single-threaded loop
-      job.failed = true;
-      job.error = "shard " + std::to_string(index) + " disappeared mid-job";
-      return;
-    }
-    const core::QueryRoute route =
-        planner_->Choose(chunk.rows(), shard->base_rows(), dims_);
-    if (job.spec.kind == net::WireJobKind::kRange) {
-      range_answers.push_back(
-          shard->RangeGroup(chunk, job.spec.radius, route, options_.metric));
-    } else {
-      knn_answers.push_back(shard->SearchGroup(
-          chunk, static_cast<int>(job.spec.k), route, options_.metric));
-    }
-  }
-  if (job.spec.kind == net::WireJobKind::kRange) {
-    job.range.AppendRows(
-        core::MergeRangeShardAnswers(range_answers, chunk.rows()));
-  } else {
-    const KnnResult merged =
-        core::MergeShardAnswers(knn_answers, static_cast<int>(job.spec.k));
-    for (size_t q = 0; q < merged.num_queries(); ++q) {
-      std::memcpy(job.knn.mutable_row(begin + q), merged.row(q),
-                  job.spec.k * sizeof(Neighbor));
-    }
-  }
-  job.done_rows = end;
-  queries_served_ += chunk.rows();
-}
-
-Status ShardWorker::HandleJobPoll(const std::string& payload,
-                                  net::Frame* reply) {
-  net::JobPollRequest req;
-  SK_RETURN_IF_ERROR(net::DecodeJobPoll(payload, &req));
-  if (job_ == nullptr || job_->spec.job_id != req.job_id) {
-    return Status::NotFound("JobPoll: no active job " +
-                            std::to_string(req.job_id));
-  }
-  AdvanceJob();
-  net::JobPollReply out;
-  out.total_rows = job_->spec.queries.rows();
-  out.done_rows = job_->done_rows;
-  if (job_->failed) {
-    out.state = net::WireJobState::kFailed;
-    out.error = job_->error;
-  } else if (job_->done_rows >= out.total_rows) {
-    out.state = net::WireJobState::kDone;
-  } else {
-    out.state = net::WireJobState::kRunning;
-  }
-  reply->type = static_cast<uint32_t>(net::MsgType::kJobPollReply);
-  reply->payload = net::EncodeJobPollReply(out);
-  return Status::Ok();
-}
-
-net::Frame ShardWorker::HandleJobCancel(const std::string& payload) {
-  net::JobCancelRequest req;
-  const Status status = net::DecodeJobCancel(payload, &req);
-  if (!status.ok()) return ErrorFrame(status);
-  // Idempotent: cancelling an unknown (already finished, never started)
-  // job is an ack — the router cancels on cleanup paths where the
-  // worker may have forgotten the job long ago.
-  if (job_ != nullptr && job_->spec.job_id == req.job_id) job_.reset();
-  return AckFrame();
-}
-
-Status ShardWorker::HandleJobResult(const std::string& payload,
-                                    net::Frame* reply) {
-  net::JobResultRequest req;
-  SK_RETURN_IF_ERROR(net::DecodeJobResult(payload, &req));
-  if (job_ == nullptr || job_->spec.job_id != req.job_id) {
-    return Status::NotFound("JobResult: no active job " +
-                            std::to_string(req.job_id));
-  }
-  if (job_->failed) {
-    const std::string error = job_->error;
-    job_.reset();
-    return Status::Internal("JobResult: job failed: " + error);
-  }
-  if (job_->done_rows < job_->spec.queries.rows()) {
-    return Status::InvalidArgument(
-        "JobResult: job " + std::to_string(req.job_id) +
-        " is still running");
-  }
-  net::JobResultReply out;
-  out.kind = job_->spec.kind;
-  out.range = std::move(job_->range);
-  out.knn = std::move(job_->knn);
-  job_.reset();
-  reply->type = static_cast<uint32_t>(net::MsgType::kJobResultReply);
-  reply->payload = net::EncodeJobResultReply(out);
-  return Status::Ok();
 }
 
 Status ShardWorker::HandleExportLive(const std::string& payload,

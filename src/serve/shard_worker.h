@@ -5,9 +5,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "common/knn_result.h"
-#include "common/range_result.h"
 #include "common/status.h"
 #include "core/options.h"
 #include "core/route_planner.h"
@@ -60,7 +59,14 @@ class ShardWorker {
 
   Status HandlePrepareCold(const std::string& payload);
   Status HandlePrepareSnapshot(const std::string& payload);
+  /// Validates a query or range group (tenant, query shape, named
+  /// shards) and resolves its shards; counts the rows as served.
+  Status ResolveGroup(const char* what, const std::string& tenant,
+                      const HostMatrix& queries,
+                      const std::vector<uint32_t>& shard_indices,
+                      std::vector<ShardHost*>* shards);
   Status HandleQuery(const std::string& payload, net::Frame* reply);
+  Status HandleRangeQuery(const std::string& payload, net::Frame* reply);
   Status HandleInsert(const std::string& payload);
   Status HandleRemove(const std::string& payload, net::Frame* reply);
   Status HandleCompact(const std::string& payload);
@@ -68,13 +74,8 @@ class ShardWorker {
   net::Frame HandleHealth() const;
   net::Frame HandleListIndexes() const;
 
-  // Offline jobs (docs/modalities.md): the worker holds one job slot
-  // that each poll advances by one chunk — bounded work per RPC, so the
-  // serve loop stays responsive between polls.
-  Status HandleJobSubmit(const std::string& payload);
-  Status HandleJobPoll(const std::string& payload, net::Frame* reply);
-  net::Frame HandleJobCancel(const std::string& payload);
-  Status HandleJobResult(const std::string& payload, net::Frame* reply);
+  /// The live-set export of the named shards (the cluster's query
+  /// source of the self-join and kNN-graph jobs).
   Status HandleExportLive(const std::string& payload, net::Frame* reply);
 
   /// Adopts the config blocks that ride in every prepare (options,
@@ -88,22 +89,6 @@ class ShardWorker {
 
   /// The shard named by a request, or nullptr (callers answer NotFound).
   ShardHost* FindShard(uint32_t shard_index);
-
-  /// The worker's single active job: the submit request plus the
-  /// accumulated stable-id answer (range rows or knn rows, merged over
-  /// this worker's shards chunk by chunk).
-  struct WorkerJob {
-    net::JobSubmitRequest spec;
-    uint64_t done_rows = 0;
-    bool failed = false;
-    std::string error;
-    RangeResult range;
-    KnnResult knn;
-  };
-
-  /// Advances the active job by one chunk; a handler error marks the
-  /// job failed instead of erroring the poll RPC.
-  void AdvanceJob();
 
   std::string socket_path_;
 
@@ -129,8 +114,6 @@ class ShardWorker {
   /// Source of shard epochs (ShardHost::epoch), worker-local.
   uint64_t epoch_counter_ = 0;
   uint64_t queries_served_ = 0;
-  /// Active job, nullptr when idle (at most one per worker).
-  std::unique_ptr<WorkerJob> job_;
 };
 
 }  // namespace sweetknn::serve

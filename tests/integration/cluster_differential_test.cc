@@ -250,8 +250,9 @@ void RunClusterSequence(const ClusterFuzzConfig& cfg) {
   }
 
   // Job modalities (docs/modalities.md): the same offline jobs against
-  // both backends — cluster jobs run through the kJobSubmit/kJobPoll/
-  // kJobResult wire protocol and must still be byte-equal to local.
+  // both backends — cluster jobs run on the shared front-end's job
+  // engine over the RangeQuery / Query / ExportLive fan-outs and must
+  // still be byte-equal to local.
   if (!::testing::Test::HasFailure()) {
     const float radius = 0.05f + rng.NextFloat() * 0.5f;
     const HostMatrix range_queries = RandomQueries(&rng, 3, cfg.dims);

@@ -12,15 +12,22 @@
 // byte may still decode (the frame layer is what vouches for bytes);
 // there the bar is bounds-safety: no crash, no absurd allocation.
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "net/frame.h"
+#include "net/socket.h"
 #include "net/wire.h"
+#include "serve/shard_worker.h"
 #include "store/payload_io.h"
 
 namespace sweetknn::net {
@@ -273,69 +280,36 @@ std::vector<CodecSample> AllCodecSamples() {
                        return DecodeHealthReply(p, &r);
                      }});
 
-  // Offline-job codecs (docs/modalities.md): the range payloads carry a
-  // variable-cardinality CSR section, so their truncation/flip coverage
-  // guards the offset-monotonicity and allocation checks.
-  JobSubmitRequest job_submit;
-  job_submit.job_id = 9;
-  job_submit.kind = WireJobKind::kRange;
-  job_submit.radius = 0.5f;
-  job_submit.k = 3;
-  job_submit.queries = SmallMatrix(2, 3, 9);
-  job_submit.shard_indices = {0, 1};
-  job_submit.chunk_rows = 16;
-  job_submit.tenant = "faces";
-  samples.push_back({"JobSubmit", EncodeJobSubmit(job_submit),
+  // The range payloads carry a variable-cardinality CSR section per
+  // shard, so their truncation/flip coverage guards the
+  // offset-monotonicity and allocation checks.
+  RangeQueryRequest range_query;
+  range_query.radius = 0.5f;
+  range_query.queries = SmallMatrix(2, 3, 9);
+  range_query.shard_indices = {0, 1};
+  range_query.tenant = "faces";
+  samples.push_back({"RangeQuery", EncodeRangeQuery(range_query),
                      [](const std::string& p) {
-                       JobSubmitRequest req;
-                       return DecodeJobSubmit(p, &req);
+                       RangeQueryRequest req;
+                       return DecodeRangeQuery(p, &req);
                      }});
 
-  JobPollRequest job_poll;
-  job_poll.job_id = 9;
-  samples.push_back({"JobPoll", EncodeJobPoll(job_poll),
+  RangeQueryReply range_reply;
+  range_reply.shard_indices = {0, 3};
+  range_reply.answers.resize(2);
+  range_reply.answers[0].result.AppendRow(
+      {Neighbor{3, 0.25f}, Neighbor{8, 0.5f}});
+  range_reply.answers[0].result.AppendRow({});
+  range_reply.answers[0].device_routed = true;
+  range_reply.answers[0].route_seconds = 1e-5;
+  range_reply.answers[0].stats.candidates = 7;
+  range_reply.answers[0].stats.total_pairs = 40;
+  range_reply.answers[1].result.AppendRow({Neighbor{1, 0.125f}});
+  range_reply.answers[1].result.AppendRow({});
+  samples.push_back({"RangeQueryReply", EncodeRangeQueryReply(range_reply),
                      [](const std::string& p) {
-                       JobPollRequest req;
-                       return DecodeJobPoll(p, &req);
-                     }});
-
-  JobPollReply job_progress;
-  job_progress.state = WireJobState::kRunning;
-  job_progress.total_rows = 100;
-  job_progress.done_rows = 40;
-  job_progress.error = "still chewing";
-  samples.push_back({"JobPollReply", EncodeJobPollReply(job_progress),
-                     [](const std::string& p) {
-                       JobPollReply r;
-                       return DecodeJobPollReply(p, &r);
-                     }});
-
-  JobCancelRequest job_cancel;
-  job_cancel.job_id = 9;
-  samples.push_back({"JobCancel", EncodeJobCancel(job_cancel),
-                     [](const std::string& p) {
-                       JobCancelRequest req;
-                       return DecodeJobCancel(p, &req);
-                     }});
-
-  JobResultRequest job_result;
-  job_result.job_id = 9;
-  samples.push_back({"JobResult", EncodeJobResult(job_result),
-                     [](const std::string& p) {
-                       JobResultRequest req;
-                       return DecodeJobResult(p, &req);
-                     }});
-
-  JobResultReply job_answer;
-  job_answer.kind = WireJobKind::kRange;
-  job_answer.range.AppendRow({Neighbor{3, 0.25f}, Neighbor{8, 0.5f}});
-  job_answer.range.AppendRow({});
-  job_answer.range.AppendRow({Neighbor{1, 0.125f}});
-  job_answer.knn = KnnResult(1, 2);
-  samples.push_back({"JobResultReply", EncodeJobResultReply(job_answer),
-                     [](const std::string& p) {
-                       JobResultReply r;
-                       return DecodeJobResultReply(p, &r);
+                       RangeQueryReply r;
+                       return DecodeRangeQueryReply(p, &r);
                      }});
 
   ExportLiveRequest export_live;
@@ -452,6 +426,77 @@ TEST(WireFuzzTest, ListIndexesReplyRoundTripAndAbsurdCountRejected) {
   const Status absurd = DecodeListIndexesReply(w.Take(), &out);
   ASSERT_FALSE(absurd.ok());
   EXPECT_EQ(absurd.code(), StatusCode::kIoError) << absurd.ToString();
+}
+
+TEST(WireFuzzTest, RangeQueryReplyRoundTripAndAbsurdShardCountRejected) {
+  RangeQueryReply reply;
+  reply.shard_indices = {2};
+  reply.answers.resize(1);
+  reply.answers[0].result.AppendRow({Neighbor{4, 0.5f}, Neighbor{9, 0.75f}});
+  reply.answers[0].device_routed = true;
+  reply.answers[0].route_seconds = 0.25;
+  reply.answers[0].stats.members_pruned = 11;
+  RangeQueryReply out;
+  ASSERT_TRUE(
+      DecodeRangeQueryReply(EncodeRangeQueryReply(reply), &out).ok());
+  ASSERT_EQ(out.shard_indices, reply.shard_indices);
+  ASSERT_EQ(out.answers.size(), 1u);
+  EXPECT_TRUE(BitIdentical(out.answers[0].result, reply.answers[0].result));
+  EXPECT_TRUE(out.answers[0].device_routed);
+  EXPECT_EQ(out.answers[0].route_seconds, 0.25);
+  EXPECT_EQ(out.answers[0].stats.members_pruned, 11u);
+
+  // A shard-index count no payload of this size could carry, and an
+  // answer count that disagrees with the index list, must both be
+  // refused before anything is reserved for them.
+  store::PayloadWriter absurd_indices;
+  absurd_indices.PutU64(~uint64_t{0});
+  EXPECT_EQ(DecodeRangeQueryReply(absurd_indices.Take(), &out).code(),
+            StatusCode::kIoError);
+  store::PayloadWriter absurd_answers;
+  const uint32_t one_shard = 0;
+  absurd_answers.PutU32s(&one_shard, 1);
+  absurd_answers.PutU64(~uint64_t{0});
+  EXPECT_EQ(DecodeRangeQueryReply(absurd_answers.Take(), &out).code(),
+            StatusCode::kIoError);
+}
+
+// The worker-side job protocol (types 80-85) is gone, and its numbers
+// are not reused: a peer still speaking it gets a clean Error frame
+// naming the unknown type, and the worker keeps serving.
+TEST(WireFuzzTest, WorkerAnswersRetiredJobTypeWithAnErrorFrame) {
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       ("sweetknn-frame-fuzz-" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  serve::ShardWorker worker(socket_path);
+  Status served = Status::Ok();
+  std::thread serve([&] { served = worker.Run(); });
+
+  const auto deadline = [] {
+    return std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  };
+  Result<Connection> conn = Connection::Connect(socket_path, deadline());
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ASSERT_TRUE(SendFrame(conn.value(), 80, "", deadline()).ok());
+  Result<Frame> reply = RecvFrame(conn.value(), deadline());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value().type, static_cast<uint32_t>(MsgType::kError));
+  const Status error = DecodeError(reply.value().payload);
+  EXPECT_EQ(error.code(), StatusCode::kInvalidArgument) << error.ToString();
+  EXPECT_NE(error.message().find("unknown message type 80"),
+            std::string::npos)
+      << error.ToString();
+
+  ASSERT_TRUE(SendFrame(conn.value(),
+                        static_cast<uint32_t>(MsgType::kShutdown), "",
+                        deadline())
+                  .ok());
+  reply = RecvFrame(conn.value(), deadline());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value().type, static_cast<uint32_t>(MsgType::kAck));
+  serve.join();
+  EXPECT_TRUE(served.ok()) << served.ToString();
 }
 
 TEST(WireFuzzTest, ErrorRoundTrip) {

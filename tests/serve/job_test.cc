@@ -1,21 +1,32 @@
-// Offline jobs on KnnService (ISSUE 10): radius search, similarity
-// self-join, and exact kNN-graph construction as long-running jobs with
-// progress, cancellation, and chunked execution through the same
-// admission queue the point lookups use. Every modality is checked
-// against an O(n^2) oracle over the service's live set; the lifecycle
-// tests pin down the poll/cancel/take state machine docs/modalities.md
-// documents.
+// Offline jobs on both transports: radius search, similarity self-join,
+// and exact kNN-graph construction as long-running jobs with progress,
+// cancellation, and chunked execution through the same admission queue
+// the point lookups use. The job engine lives in the serving front-end
+// both backends share, so every case runs against the in-process
+// KnnService and against a two-worker Router cluster. Every modality is
+// checked against an O(n^2) oracle over the backend's live set; the
+// lifecycle tests pin down the poll/cancel/take state machine
+// docs/modalities.md documents.
+//
+// The cluster legs need the worker binary; they skip unless SWEETKNN_CLI
+// points at the sweetknn_cli executable (ctest exports it). Runs under
+// TSan via tools/check_tsan.sh.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/range_result.h"
 #include "gtest/gtest.h"
 #include "serve/knn_service.h"
+#include "serve/router.h"
 #include "simd/simd_kernels.h"
 #include "test_util.h"
 
@@ -59,10 +70,60 @@ serve::ServiceConfig SmallConfig(int shards) {
   return config;
 }
 
-TEST(JobTest, RadiusSearchMatchesOracle) {
+/// Inserts every row of `rows`; returns their stable ids in row order.
+template <typename Backend>
+std::vector<uint32_t> InsertRows(Backend* backend, const HostMatrix& rows) {
+  std::vector<uint32_t> ids;
+  for (size_t r = 0; r < rows.rows(); ++r) {
+    ids.push_back(
+        backend->Insert(std::vector<float>(rows.row(r),
+                                           rows.row(r) + rows.cols()))
+            .value());
+  }
+  return ids;
+}
+
+template <typename Backend>
+class JobTest : public ::testing::Test {
+ protected:
+  static constexpr bool kCluster = std::is_same_v<Backend, serve::Router>;
+
+  void SetUp() override {
+    if (kCluster && std::getenv("SWEETKNN_CLI") == nullptr) {
+      GTEST_SKIP() << "SWEETKNN_CLI not set; the cluster leg needs the CLI";
+    }
+  }
+
+  /// The backend over `target` with `shards` shards: the in-process
+  /// service, or a two-worker cluster (nullptr if it failed to start).
+  static std::unique_ptr<Backend> Make(const HostMatrix& target, int shards) {
+    if constexpr (kCluster) {
+      serve::RouterConfig config;
+      config.service = SmallConfig(shards);
+      config.num_workers = 2;
+      config.worker_binary = std::getenv("SWEETKNN_CLI");
+      Result<std::unique_ptr<serve::Router>> started =
+          serve::Router::Start(target, config);
+      EXPECT_TRUE(started.ok()) << started.status().ToString();
+      return started.ok() ? std::move(started).value() : nullptr;
+    } else {
+      return std::make_unique<serve::KnnService>(target, SmallConfig(shards));
+    }
+  }
+};
+
+using Backends = ::testing::Types<serve::KnnService, serve::Router>;
+TYPED_TEST_SUITE(JobTest, Backends);
+
+#define MAKE_BACKEND(var, target, shards)                         \
+  const auto var##_owner = TestFixture::Make(target, shards);     \
+  ASSERT_NE(var##_owner, nullptr);                                \
+  auto& var = *var##_owner
+
+TYPED_TEST(JobTest, RadiusSearchMatchesOracle) {
   const HostMatrix target = ClusteredPoints(300, 6, 5, 9001);
   const HostMatrix queries = ClusteredPoints(40, 6, 3, 9002);
-  serve::KnnService service(target, SmallConfig(3));
+  MAKE_BACKEND(service, target, 3);
   std::vector<uint32_t> ids(target.rows());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
 
@@ -79,16 +140,15 @@ TEST(JobTest, RadiusSearchMatchesOracle) {
   EXPECT_EQ(stats.range_queries, 4 * queries.rows());
 }
 
-TEST(JobTest, RadiusSearchSeesMutations) {
+TYPED_TEST(JobTest, RadiusSearchSeesMutations) {
   const HostMatrix target = ClusteredPoints(200, 5, 4, 9003);
   const HostMatrix queries = ClusteredPoints(16, 5, 2, 9004);
-  serve::KnnService service(target, SmallConfig(2));
+  MAKE_BACKEND(service, target, 2);
 
   // Live set = base minus a few removes plus a few inserts.
   std::vector<uint32_t> ids;
   HostMatrix extra = ClusteredPoints(10, 5, 2, 9005);
-  std::vector<uint32_t> fresh =
-      service.InsertBatch(extra).value();
+  const std::vector<uint32_t> fresh = InsertRows(&service, extra);
   ASSERT_TRUE(service.Remove(3).value());
   ASSERT_TRUE(service.Remove(77).value());
   ASSERT_TRUE(service.Remove(fresh[4]).value());
@@ -116,9 +176,9 @@ TEST(JobTest, RadiusSearchSeesMutations) {
   }
 }
 
-TEST(JobTest, SelfJoinMatchesOracle) {
+TYPED_TEST(JobTest, SelfJoinMatchesOracle) {
   const HostMatrix target = ClusteredPoints(180, 4, 4, 9006);
-  serve::KnnService service(target, SmallConfig(3));
+  MAKE_BACKEND(service, target, 3);
   ASSERT_TRUE(service.Remove(10).value());
   std::vector<float> extra_point(target.row(5), target.row(5) + 4);
   const uint32_t dup_id = service.Insert(extra_point).value();
@@ -167,9 +227,9 @@ TEST(JobTest, SelfJoinMatchesOracle) {
   EXPECT_TRUE(has_dup);
 }
 
-TEST(JobTest, KnnGraphMatchesOracle) {
+TYPED_TEST(JobTest, KnnGraphMatchesOracle) {
   const HostMatrix target = ClusteredPoints(150, 6, 4, 9007);
-  serve::KnnService service(target, SmallConfig(2));
+  MAKE_BACKEND(service, target, 2);
   ASSERT_TRUE(service.Remove(42).value());
   constexpr int kNeighbors = 5;
 
@@ -205,9 +265,9 @@ TEST(JobTest, KnnGraphMatchesOracle) {
   }
 }
 
-TEST(JobTest, JobLifecyclePollAndTake) {
+TYPED_TEST(JobTest, JobLifecyclePollAndTake) {
   const HostMatrix target = ClusteredPoints(120, 4, 3, 9008);
-  serve::KnnService service(target, SmallConfig(2));
+  MAKE_BACKEND(service, target, 2);
 
   serve::JobSpec spec;
   spec.kind = serve::JobKind::kRadiusSearch;
@@ -249,9 +309,9 @@ TEST(JobTest, JobLifecyclePollAndTake) {
   EXPECT_EQ(stats.jobs_completed, 1u);
 }
 
-TEST(JobTest, CancelMidJobKeepsServingLookups) {
+TYPED_TEST(JobTest, CancelMidJobKeepsServingLookups) {
   const HostMatrix target = ClusteredPoints(400, 6, 5, 9010);
-  serve::KnnService service(target, SmallConfig(2));
+  MAKE_BACKEND(service, target, 2);
 
   serve::JobSpec spec;
   spec.kind = serve::JobKind::kSelfJoin;
@@ -305,9 +365,10 @@ TEST(JobTest, CancelMidJobKeepsServingLookups) {
   EXPECT_EQ(service.stats().jobs_cancelled, 1u);
 }
 
-TEST(JobTest, ShutdownFailsPendingJobs) {
+TYPED_TEST(JobTest, ShutdownFailsPendingJobs) {
   const HostMatrix target = ClusteredPoints(100, 4, 3, 9013);
-  auto service = std::make_unique<serve::KnnService>(target, SmallConfig(2));
+  const auto service = TestFixture::Make(target, 2);
+  ASSERT_NE(service, nullptr);
 
   std::vector<uint64_t> ids;
   for (int i = 0; i < 3; ++i) {
@@ -339,9 +400,9 @@ TEST(JobTest, ShutdownFailsPendingJobs) {
             StatusCode::kUnavailable);
 }
 
-TEST(JobTest, ValidationAndUnknownIds) {
+TYPED_TEST(JobTest, ValidationAndUnknownIds) {
   const HostMatrix target = ClusteredPoints(60, 4, 2, 9014);
-  serve::KnnService service(target, SmallConfig(1));
+  MAKE_BACKEND(service, target, 1);
 
   serve::JobSpec spec;
   spec.kind = serve::JobKind::kRadiusSearch;
@@ -363,6 +424,19 @@ TEST(JobTest, ValidationAndUnknownIds) {
   graph.kind = serve::JobKind::kKnnGraph;
   graph.k = 0;
   EXPECT_EQ(service.SubmitJob(graph).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Unknown tenant.
+  serve::JobSpec elsewhere;
+  elsewhere.kind = serve::JobKind::kSelfJoin;
+  elsewhere.tenant = "no-such-index";
+  EXPECT_EQ(service.SubmitJob(elsewhere).status().code(),
+            StatusCode::kNotFound);
+  // The synchronous wrappers validate through the same engine: a clean
+  // status, never an abort.
+  EXPECT_EQ(service.SelfJoin(-1.0f).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.KnnGraph(0).status().code(),
             StatusCode::kInvalidArgument);
 
   EXPECT_EQ(service.PollJob(999).status().code(), StatusCode::kNotFound);

@@ -1,16 +1,20 @@
 // The cluster router serves through the same FrontEnd as the in-process
 // KnnService, so it inherits admission, deadlines, shedding, the recall
-// probe, and the request/stage metric names. These tests pin each of
-// those on the cluster path, plus the recall probe's one-index-state
-// guarantee on both transports.
+// probe, the offline-job engine, and the request/stage/job metric names.
+// These tests pin each of those on the cluster path, plus the recall
+// probe's one-index-state guarantee on both transports and the failover
+// that range groups and jobs share with kNN groups.
 //
 // The cluster legs need the worker binary; they skip unless SWEETKNN_CLI
 // points at the sweetknn_cli executable (ctest exports it). Runs under
 // TSan via tools/check_tsan.sh.
 
+#include <signal.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <memory>
@@ -30,16 +34,22 @@ using std::chrono::milliseconds;
 using testing::AwaitAdmitted;
 using testing::DispatcherGate;
 
-/// A two-shard, one-worker cluster over `target`, or nullptr (with the
-/// test skipped) when the worker binary is not available.
+/// The service knobs every cluster here and its local twin share.
+ServiceConfig TwoShards(ServiceConfig config) {
+  config.num_shards = 2;
+  config.max_batch_size = 8;
+  config.auto_compact = false;
+  return config;
+}
+
+/// A two-shard cluster of `workers` workers over `target`, or nullptr
+/// when the worker binary is not available.
 std::unique_ptr<Router> StartCluster(const HostMatrix& target,
-                                     RouterConfig config) {
+                                     RouterConfig config, int workers = 1) {
   const char* cli = std::getenv("SWEETKNN_CLI");
   if (cli == nullptr) return nullptr;
-  config.service.num_shards = 2;
-  config.service.max_batch_size = 8;
-  config.service.auto_compact = false;
-  config.num_workers = 1;
+  config.service = TwoShards(config.service);
+  config.num_workers = workers;
   config.worker_binary = cli;
   Result<std::unique_ptr<Router>> started = Router::Start(target, config);
   EXPECT_TRUE(started.ok()) << started.status().ToString();
@@ -144,12 +154,23 @@ TEST(RouterFrontEndTest, ExportsTheInProcessSeriesWithWorkerSimTime) {
   }
   EXPECT_GT(router->stats().total_sim_time_s, 0.0);
 
+  // Cluster jobs run on the front-end's job engine and count under the
+  // in-process job series.
+  ASSERT_TRUE(router->SelfJoin(0.2f).ok());
+  const ClusterStats stats = router->stats();
+  EXPECT_EQ(stats.jobs_submitted, 1u);
+  EXPECT_EQ(stats.jobs_completed, 1u);
+  EXPECT_EQ(stats.jobs_cancelled + stats.jobs_failed, 0u);
+  EXPECT_EQ(metrics.SnapshotHistogram("sweetknn_job_seconds").count, 1u);
+
   const std::string json = router->ExportMetricsJson();
   EXPECT_NE(json.find("\"sweetknn_tenant_requests_total\""),
             std::string::npos);
+  EXPECT_NE(json.find("\"sweetknn_active_jobs\""), std::string::npos);
   EXPECT_EQ(json.find("sweetknn_router_requests_total"), std::string::npos);
   EXPECT_EQ(json.find("sweetknn_router_queue_wait_seconds"),
             std::string::npos);
+  EXPECT_EQ(json.find("sweetknn_router_jobs_total"), std::string::npos);
   router->Shutdown();
 }
 
@@ -159,10 +180,7 @@ TEST(RouterFrontEndTest, RadiusSearchMatchesLocalServiceByteForByte) {
   constexpr float kRadius = 0.35f;
   RouterConfig config;
   START_CLUSTER_OR_SKIP(router, target, config);
-  ServiceConfig local_config = config.service;
-  local_config.num_shards = 2;
-  local_config.auto_compact = false;
-  KnnService local(target, local_config);
+  KnnService local(target, TwoShards(config.service));
 
   // The same mutations on both, so the answers cover the overlay too.
   for (int step = 0; step < 3; ++step) {
@@ -172,6 +190,12 @@ TEST(RouterFrontEndTest, RadiusSearchMatchesLocalServiceByteForByte) {
   ASSERT_TRUE(local.Remove(5).value());
   ASSERT_TRUE(router->Remove(5).value());
 
+  auto routes = [](const common::MetricsRegistry& metrics) {
+    return metrics.CounterValue("sweetknn_planner_device_routes_total") +
+           metrics.CounterValue("sweetknn_planner_host_routes_total");
+  };
+  const double local_routes = routes(local.metrics());
+  const double cluster_routes = routes(router->metrics());
   const Result<RangeResult> want = local.RadiusSearch(queries, kRadius);
   const Result<RangeResult> got = router->RadiusSearch(queries, kRadius);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
@@ -180,12 +204,68 @@ TEST(RouterFrontEndTest, RadiusSearchMatchesLocalServiceByteForByte) {
   EXPECT_TRUE(BitIdentical(want.value(), got.value()));
 
   // It went through the front-end: one range group, counted like the
-  // in-process one.
+  // in-process one, with one observed route per shard on both backends.
   const ClusterStats stats = router->stats();
   EXPECT_EQ(stats.range_groups, 1u);
   EXPECT_EQ(stats.range_queries, queries.rows());
   EXPECT_EQ(stats.range_matches, want.value().total_matches());
+  EXPECT_EQ(routes(router->metrics()), cluster_routes + 2.0);
+  EXPECT_EQ(routes(local.metrics()), local_routes + 2.0);
   router->Shutdown();
+}
+
+bool SameBytes(const KnnResult& a, const KnnResult& b) {
+  return a.num_queries() == b.num_queries() && a.k() == b.k() &&
+         std::memcmp(a.row(0), b.row(0),
+                     a.num_queries() * static_cast<size_t>(a.k()) *
+                         sizeof(Neighbor)) == 0;
+}
+
+// Range groups and a job's live-set export ride the same fan-out as kNN
+// groups: a worker that died before any request noticed fails over to
+// its replica, and the answer is still the in-process one, bit for bit.
+// Each modality runs on a fresh cluster, so its own fan-out is the one
+// that meets the dead worker.
+TEST(RouterFrontEndTest, RangeGroupsAndJobsFailOverLikeKnnGroups) {
+  if (std::getenv("SWEETKNN_CLI") == nullptr) {
+    GTEST_SKIP() << "SWEETKNN_CLI not set; cluster leg needs the CLI";
+  }
+  const HostMatrix target = testing::ClusteredPoints(90, 3, 3, 1209, 0.1f);
+  const HostMatrix queries = testing::ClusteredPoints(7, 3, 2, 1210, 0.1f);
+  constexpr float kRadius = 0.3f;
+  constexpr int kGraphK = 4;
+  RouterConfig config;
+  config.replicas = 1;
+  KnnService local(target, TwoShards(config.service));
+  const RangeResult want_range = local.RadiusSearch(queries, kRadius).value();
+  const std::vector<SelfJoinPair> want_pairs = local.SelfJoin(kRadius).value();
+  const JobOutput want_graph = local.KnnGraph(kGraphK).value();
+  ASSERT_GT(want_range.total_matches(), 0u);
+  ASSERT_FALSE(want_pairs.empty());
+
+  for (const char* modality : {"RadiusSearch", "SelfJoin", "KnnGraph"}) {
+    SCOPED_TRACE(modality);
+    std::unique_ptr<Router> router = StartCluster(target, config, 2);
+    ASSERT_NE(router, nullptr);
+    ASSERT_EQ(::kill(router->worker_pid(0), SIGKILL), 0);
+    if (std::strcmp(modality, "RadiusSearch") == 0) {
+      const Result<RangeResult> got = router->RadiusSearch(queries, kRadius);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(BitIdentical(want_range, got.value()));
+    } else if (std::strcmp(modality, "SelfJoin") == 0) {
+      const Result<std::vector<SelfJoinPair>> got = router->SelfJoin(kRadius);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(got.value() == want_pairs);
+    } else {
+      const Result<JobOutput> got = router->KnnGraph(kGraphK);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value().query_ids, want_graph.query_ids);
+      EXPECT_TRUE(SameBytes(got.value().graph, want_graph.graph));
+    }
+    EXPECT_FALSE(router->worker_alive(0));
+    EXPECT_GE(router->stats().retried_groups, 1u);
+    router->Shutdown();
+  }
 }
 
 TEST(RouterFrontEndTest, OnlyTheClusterIndexAndTheDefaultNameResolve) {

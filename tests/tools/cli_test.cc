@@ -161,10 +161,15 @@ TEST_F(CliTest, ServeBenchClusterHonorsMaxQueueDepth) {
             1)
       << output;
   EXPECT_LE(peak, 1u) << output;
-  // The clients' 32 requests plus the bit-identity and radius probes.
-  EXPECT_EQ(offered, 34u) << output;
+  // The clients' 32 requests, the bit-identity and radius probes, and the
+  // job probe's chunks: a self-join and a kNN graph, each over the 150
+  // live rows in chunks of 64, ride the router's admission queue too.
+  constexpr unsigned long long kJobChunks = 2 * 3;
+  EXPECT_EQ(offered, 34u + kJobChunks) << output;
   EXPECT_EQ(requests + shed, offered) << output;
-  EXPECT_EQ(queries, 2 * requests) << output;
+  // Every other request carries 2 rows; the chunks carry the rows twice.
+  EXPECT_EQ(queries, 2 * (requests - kJobChunks) + 2 * data_.points.rows())
+      << output;
   EXPECT_NE(output.find("request latency p50"), std::string::npos) << output;
   EXPECT_NE(output.find("worker deaths 0"), std::string::npos) << output;
 }

@@ -21,13 +21,16 @@
 # submits; multitenant_test parks the dispatcher to race metric exports
 # and drops against queued requests; tenant_storm_test floods two
 # weighted tenants past capacity and runs a compaction storm on one
-# tenant while another serves; job_test runs the offline-job engine —
-# submit/poll/cancel from client threads racing the job thread and the
-# batch scheduler, including a mid-job cancel under live point lookups —
-# and range_query_test covers the range modalities' boundary cases on
-# the same service paths; router_front_end_test parks the cluster
-# router's dispatcher to race deadlines and shedding, and races inserts
-# against recall-probed groups on both backends; thread_pool_test opens
+# tenant while another serves; job_test runs the front-end's offline-job
+# engine on KnnService and on a two-worker Router — submit/poll/cancel
+# from client threads racing the job thread and the batch scheduler,
+# including a mid-job cancel under live point lookups, and on the
+# cluster the router's fan-out and channel IO threads under the job's
+# chunks — and range_query_test covers the range modalities' boundary
+# cases on the same service paths; router_front_end_test parks the
+# cluster router's dispatcher to race deadlines and shedding, races
+# inserts against recall-probed groups on both backends, and fails
+# range groups and jobs over a killed worker; thread_pool_test opens
 # fork-join regions nested on the calling thread; ann_tier_test builds
 # kNN graphs at 3 and 8 workers, whose participants share the flat
 # adjacency arrays and each own a per-slot candidate scratch. Service
@@ -78,8 +81,8 @@ TESTS=(
   host_image_test
 )
 
-# router_timeout_test and router_front_end_test spawn shard-worker
-# processes from the CLI binary.
+# router_timeout_test, router_front_end_test and job_test spawn
+# shard-worker processes from the CLI binary.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}" sweetknn_cli
 export SWEETKNN_CLI="$PWD/$BUILD_DIR/tools/sweetknn_cli"
 

@@ -472,10 +472,10 @@ int ClusterServeBench(const sweetknn::HostMatrix& points,
                  probe_rows, args.k);
 
     // Job-mode probe (docs/modalities.md): a radius scan, a self-join,
-    // and a kNN graph through the cluster's wire-job pipeline must also
-    // match the in-process service byte for byte. The radius is the
-    // first probe row's kth-neighbor distance, so it tracks the data
-    // scale whatever the dataset.
+    // and a kNN graph through the cluster's RangeQuery / Query / ExportLive
+    // fan-outs must also match the in-process service byte for byte.
+    // The radius is the first probe row's kth-neighbor distance, so it
+    // tracks the data scale whatever the dataset.
     float probe_radius = 1.0f;
     for (int i = args.k - 1; i >= 0; --i) {
       if (want.value().row(0)[i].index != kInvalidNeighbor) {
