@@ -1,4 +1,4 @@
-#include "serve/shard_backend.h"
+#include "core/shard_host.h"
 
 #include <algorithm>
 #include <chrono>
@@ -8,7 +8,7 @@
 #include "common/stopwatch.h"
 #include "core/device_points.h"
 
-namespace sweetknn::serve {
+namespace sweetknn::core {
 
 namespace {
 
@@ -36,56 +36,44 @@ void AccumulateStageTimes(const gpusim::Profile& profile, double* level1,
 
 void ShardHost::BuildCold(const HostMatrix& slice) {
   engine.PrepareTarget(slice);
-  image = core::HostImage(slice, engine.ExportTargetClustering());
+  image = HostImage(slice, engine.ExportTargetClustering());
   set_base_rows(slice.rows());
   delta.dims = slice.cols();
 }
 
 void ShardHost::RestoreBase(const HostMatrix& target,
-                            const core::TargetClusteringHost& clustering) {
+                            const TargetClusteringHost& clustering) {
   engine.RestoreTarget(target, clustering);
-  image = core::HostImage(target, clustering);
+  image = HostImage(target, clustering);
 }
 
-void ShardHost::BuildGraph(const HostMatrix& base) {
-  if (ann_enabled_ && base.rows() > 0) {
-    const simd::Dist dist_kind = core::SimdDistFor(engine.options().metric);
-    if (pending_graph_.num_nodes == base.rows()) {
-      // The snapshot carried the graph: adopt it verbatim (node ids are
-      // local base rows, valid as-is) instead of re-running NN-descent.
-      ann = ann::AnnIndex::Adopt(base, dist_kind, std::move(pending_graph_));
-    } else {
-      ann = ann::AnnIndex::Build(
-          base, dist_kind, ann_params_,
-          core::AnnEntryPointsFromClustering(image.clustering()));
-    }
+void ShardHost::BuildGraph(const HostMatrix& base, ann::KnnGraph persisted) {
+  if (!ann_enabled_ || base.rows() == 0) return;
+  const simd::Dist dist_kind = SimdDistFor(engine.options().metric);
+  if (persisted.num_nodes == base.rows()) {
+    // The snapshot carried the graph: adopt it verbatim (node ids are
+    // local base rows, valid as-is) instead of re-running NN-descent.
+    ann = ann::AnnIndex::Adopt(base, dist_kind, std::move(persisted));
+  } else {
+    ann = ann::AnnIndex::Build(
+        base, dist_kind, ann_params_,
+        AnnEntryPointsFromClustering(image.clustering()));
   }
-  pending_graph_ = ann::KnnGraph{};
 }
 
-void ShardHost::AdoptOverlay(const store::IndexSnapshot& snap) {
-  pending_graph_ = snap.ann_graph;
-  offset = static_cast<uint32_t>(snap.shard_offset);
-  set_base_rows(snap.target.rows());
-  id_map = snap.id_map;
-  delta.dims = snap.target.cols();
-  delta.ids = snap.delta_ids;
-  delta.points = snap.delta_points.storage();
-  delta.tombstones.insert(snap.tombstones.begin(), snap.tombstones.end());
-}
-
-core::ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
-                                         core::QueryRoute route,
-                                         core::Metric metric,
-                                         const ann::SearchMode& mode) {
-  core::ShardAnswer answer;
+ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
+                                   QueryRoute route, Metric metric,
+                                   const ann::SearchMode& mode, int workers,
+                                   KnnRunStats* device_stats,
+                                   ann::AnnSearchStats* ann_stats) {
+  ShardAnswer answer;
   answer.offset = offset;
   answer.pristine = Pristine();
   // Effectively exact modes — and approx against a graph-free shard —
   // run the exact base scan below, bit-identically to a plain call.
   const bool approx = !mode.EffectiveExact() && !ann.empty();
   answer.approx = approx;
-  answer.device_routed = !approx && route == core::QueryRoute::kDevice;
+  answer.device_routed = !approx && route == QueryRoute::kDevice;
   // A pristine shard's contribution is the same whether the rest of the
   // service is mutated or not (base_k = k + 0 tombstones; offset remap
   // equals the identity merge source), so the pristine/mutated decision
@@ -93,9 +81,9 @@ core::ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   const int base_k =
       k + (answer.pristine ? 0
                            : static_cast<int>(delta.tombstones.size()));
-  const simd::Dist dist_kind = core::SimdDistFor(metric);
-  core::KnnRunStats stats;
-  core::RangeScanStats host_stats;
+  const simd::Dist dist_kind = SimdDistFor(metric);
+  KnnRunStats stats;
+  RangeScanStats host_stats;
   KnnResult base_result;
   KnnResult delta_result;
   const SteadyClock::time_point start = SteadyClock::now();
@@ -103,14 +91,13 @@ core::ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     // The graph search over-queries at base_k too, so tombstone masking
     // below never eats into the requested k.
     const int ef = std::max(ann::EffectiveEf(mode, k), base_k);
-    ann::AnnSearchStats ann_stats;
-    // workers=1: the shard fan-out is already the host-parallel axis.
-    base_result = ann.Search(queries, base_k, ef, /*workers=*/1, &ann_stats);
-    answer.ann_hops = ann_stats.hops;
-    answer.ann_candidates = ann_stats.candidates_visited;
-  } else if (route == core::QueryRoute::kHost) {
-    base_result =
-        image.Knn(queries, base_k, dist_kind, /*workers=*/1, &host_stats);
+    ann::AnnSearchStats searched;
+    base_result = ann.Search(queries, base_k, ef, workers, &searched);
+    answer.ann_hops = searched.hops;
+    answer.ann_candidates = searched.candidates_visited;
+    if (ann_stats != nullptr) *ann_stats += searched;
+  } else if (route == QueryRoute::kHost) {
+    base_result = image.Knn(queries, base_k, dist_kind, workers, &host_stats);
   } else {
     base_result = engine.RunQueries(queries, base_k, &stats);
   }
@@ -118,7 +105,7 @@ core::ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   if (!answer.pristine && has_delta) {
     // The delta scan contributes no simulated device time — it models
     // host-side work the GPU index never sees.
-    delta_result = core::ScanDelta(delta, queries, k, metric);
+    delta_result = ScanDelta(delta, queries, k, metric);
   }
   answer.route_seconds = SecondsBetween(start, SteadyClock::now());
 
@@ -128,20 +115,20 @@ core::ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     // Shard-local exact merge: over-queried base (tombstones masked,
     // local indices -> stable ids) plus the delta side scan. The rows
     // are this shard's exact live top-k under (distance, stable id).
-    std::vector<core::MergeSource> sources;
-    core::MergeSource base;
+    std::vector<MergeSource> sources;
+    MergeSource base;
     base.result = &base_result;
     base.id_map = id_map.empty() ? nullptr : id_map.data();
     base.offset = offset;
     base.tombstones = delta.tombstones.empty() ? nullptr : &delta.tombstones;
     sources.push_back(base);
     if (has_delta) {
-      core::MergeSource side;
+      MergeSource side;
       side.result = &delta_result;
       side.id_map = delta.ids.data();
       sources.push_back(side);
     }
-    answer.result = core::MergeMutableResults(sources, k);
+    answer.result = MergeMutableResults(sources, k);
   }
 
   if (answer.device_routed) {
@@ -158,24 +145,23 @@ core::ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     answer.distance_calcs = host_stats.candidates;
     answer.total_pairs = host_stats.total_pairs;
   }
+  if (device_stats != nullptr) *device_stats = std::move(stats);
   return answer;
 }
 
-core::RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
-                                             float radius,
-                                             core::QueryRoute route,
-                                             core::Metric metric) {
-  core::RangeShardAnswer answer;
-  answer.device_routed = route == core::QueryRoute::kDevice;
-  const simd::Dist dist_kind = core::SimdDistFor(metric);
+RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
+                                       float radius, QueryRoute route,
+                                       Metric metric) {
+  RangeShardAnswer answer;
+  answer.device_routed = route == QueryRoute::kDevice;
+  const simd::Dist dist_kind = SimdDistFor(metric);
   const SteadyClock::time_point start = SteadyClock::now();
   RangeResult base;
   if (base_rows() > 0) {
     base = answer.device_routed
-               ? core::TiRangeScan(queries, image, radius, dist_kind,
-                                   &answer.stats)
-               : core::FullRangeScan(queries, image, radius, dist_kind,
-                                     &answer.stats);
+               ? TiRangeScan(queries, image, radius, dist_kind, &answer.stats)
+               : FullRangeScan(queries, image, radius, dist_kind,
+                               &answer.stats);
   } else {
     for (size_t q = 0; q < queries.rows(); ++q) {
       base.AppendRow(nullptr, 0);
@@ -184,7 +170,7 @@ core::RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
   const bool has_delta = delta.size() > 0;
   RangeResult delta_matches;
   if (has_delta) {
-    delta_matches = core::RangeScanDelta(delta, queries, radius, metric);
+    delta_matches = RangeScanDelta(delta, queries, radius, metric);
   }
   // Stable-id substitution happens here unconditionally — range answers
   // have no pristine fast path (a pristine shard's BaseId is just the
@@ -236,7 +222,7 @@ void ShardHost::ExportLive(std::vector<uint32_t>* ids,
 }
 
 bool ShardHost::Owns(uint32_t id) const {
-  if (delta.Find(id) != core::DeltaBuffer::kNotFound) return true;
+  if (delta.Find(id) != DeltaBuffer::kNotFound) return true;
   if (id_map.empty()) {
     return id >= offset && id < offset + base_rows();
   }
@@ -247,7 +233,7 @@ bool ShardHost::ApplyRemove(uint32_t id) {
   if (!Owns(id)) return false;
   if (delta.tombstones.count(id) != 0) return false;  // already removed
   const size_t pos = delta.Find(id);
-  if (pos == core::DeltaBuffer::kNotFound ||
+  if (pos == DeltaBuffer::kNotFound ||
       (compact_watermark != kNoCompaction && pos < compact_watermark)) {
     // A base point, or a delta entry an in-flight compaction has
     // already consumed (the rebuild contains it): mask it. Erasing
@@ -257,55 +243,6 @@ bool ShardHost::ApplyRemove(uint32_t id) {
     delta.EraseAt(pos);
   }
   return true;
-}
-
-store::IndexSnapshot ShardHost::Export(const std::string& dataset_name,
-                                       const std::string& builder,
-                                       uint32_t shard_index,
-                                       uint32_t shard_count,
-                                       const std::string& options_fingerprint,
-                                       const std::string& device_fingerprint,
-                                       uint32_t next_id) const {
-  store::IndexSnapshot snap;
-  snap.dataset_name = dataset_name;
-  snap.builder = builder;
-  snap.shard_index = shard_index;
-  snap.shard_count = shard_count;
-  snap.shard_offset = offset;
-  snap.target = engine.ExportTarget();
-  snap.clustering = image.clustering();
-  snap.options_fingerprint = options_fingerprint;
-  snap.device_fingerprint = device_fingerprint;
-  if (!Pristine()) {
-    const size_t dims = delta.dims;
-    snap.id_map = id_map;
-    // Normalization: a tombstoned delta entry (the transient state of a
-    // remove that hit a compaction-consumed row) is simply dead — the
-    // snapshot drops both the entry and its tombstone, restoring the
-    // file invariant that tombstones name base rows only.
-    for (size_t j = 0; j < delta.size(); ++j) {
-      if (delta.tombstones.count(delta.ids[j]) == 0) {
-        snap.delta_ids.push_back(delta.ids[j]);
-      }
-    }
-    snap.delta_points = HostMatrix(snap.delta_ids.size(), dims);
-    size_t out = 0;
-    for (size_t j = 0; j < delta.size(); ++j) {
-      if (delta.tombstones.count(delta.ids[j]) == 0) {
-        std::memcpy(snap.delta_points.mutable_row(out++), delta.point(j),
-                    dims * sizeof(float));
-      }
-    }
-    for (uint32_t id : delta.tombstones) {
-      if (delta.Find(id) == core::DeltaBuffer::kNotFound) {
-        snap.tombstones.push_back(id);
-      }
-    }
-    std::sort(snap.tombstones.begin(), snap.tombstones.end());
-    snap.next_id = next_id;
-  }
-  if (!ann.empty()) snap.ann_graph = ann.graph();
-  return snap;
 }
 
 void CaptureCompaction(ShardHost* shard, int shard_index,
@@ -350,27 +287,22 @@ void CaptureCompaction(ShardHost* shard, int shard_index,
   }
 }
 
-std::unique_ptr<ShardHost> RebuildCompacted(const CompactionPlan& plan,
-                                            const gpusim::DeviceSpec& device,
-                                            const core::TiOptions& options,
-                                            bool ann_enabled,
-                                            const ann::GraphBuildParams&
-                                                ann_params) {
+std::unique_ptr<ShardHost> RebuildCompacted(
+    const CompactionPlan& plan, const gpusim::DeviceSpec& device,
+    const TiOptions& options, bool ann_enabled,
+    const ann::GraphBuildParams& ann_params) {
   auto fresh = std::make_unique<ShardHost>(device, options);
   fresh->ConfigureAnn(ann_enabled, ann_params);
   fresh->BuildCold(plan.points);
   // Fresh base, fresh graph — part of the off-lock rebuild, so graph
   // construction never blocks serving.
-  fresh->BuildGraph(plan.points);
+  fresh->BuildGraph(plan.points, ann::KnnGraph{});
+  // Offset 0 either way: ids that are literally 0..n-1 are back in
+  // pristine form, and an explicit id map leaves the offset unused.
   const bool identity =
       !plan.ids.empty() && plan.ids.front() == 0 &&
       plan.ids.back() == static_cast<uint32_t>(plan.ids.size()) - 1;
-  if (identity) {
-    fresh->offset = 0;  // ids are literally 0..n-1: back to pristine form
-  } else {
-    fresh->id_map = plan.ids;
-    fresh->offset = 0;  // unused once an explicit id map is set
-  }
+  if (!identity) fresh->id_map = plan.ids;
   return fresh;
 }
 
@@ -386,26 +318,15 @@ void CarryOverlayForward(const ShardHost& old_shard,
   }
 }
 
-void MergeLiveExports(const std::vector<std::vector<uint32_t>>& part_ids,
-                      const std::vector<HostMatrix>& part_points, size_t dims,
-                      std::vector<uint32_t>* ids, HostMatrix* points) {
-  std::vector<std::pair<uint32_t, std::pair<size_t, size_t>>> order;
-  for (size_t p = 0; p < part_ids.size(); ++p) {
-    for (size_t r = 0; r < part_ids[p].size(); ++r) {
-      order.emplace_back(part_ids[p][r], std::make_pair(p, r));
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  ids->clear();
-  ids->reserve(order.size());
-  *points = HostMatrix(order.size(), dims);
-  for (size_t r = 0; r < order.size(); ++r) {
-    const auto [p, row] = order[r].second;
-    ids->push_back(order[r].first);
-    std::memcpy(points->mutable_row(r), part_points[p].row(row),
-                dims * sizeof(float));
-  }
+std::unique_ptr<ShardHost> CompactNow(ShardHost* shard) {
+  if (shard->Pristine() || shard->live_rows() == 0) return nullptr;
+  CompactionPlan plan;
+  CaptureCompaction(shard, /*shard_index=*/0, &plan);
+  std::unique_ptr<ShardHost> fresh = RebuildCompacted(
+      plan, shard->dev.spec(), shard->engine.options(), shard->ann_enabled(),
+      shard->ann_params());
+  CarryOverlayForward(*shard, plan, fresh.get());
+  return fresh;
 }
 
 void KnnGraphRow(const Neighbor* row, int k, uint32_t self,
@@ -434,4 +355,4 @@ void AppendSelfJoinPairs(const RangeResult& matches, const uint32_t* ids,
   }
 }
 
-}  // namespace sweetknn::serve
+}  // namespace sweetknn::core

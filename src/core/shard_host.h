@@ -1,5 +1,5 @@
-#ifndef SWEETKNN_SERVE_SHARD_BACKEND_H_
-#define SWEETKNN_SERVE_SHARD_BACKEND_H_
+#ifndef SWEETKNN_CORE_SHARD_HOST_H_
+#define SWEETKNN_CORE_SHARD_HOST_H_
 
 #include <cstdint>
 #include <memory>
@@ -19,42 +19,45 @@
 #include "core/shard_merge.h"
 #include "core/ti_knn_gpu.h"
 #include "gpusim/device.h"
-#include "store/snapshot.h"
 
-namespace sweetknn::serve {
+namespace sweetknn::store {
+struct IndexSnapshot;
+}  // namespace sweetknn::store
 
-/// One target-set shard: a simulated device with a prepared TiKnnEngine
-/// index, the host route's image of the same base, and the mutation
-/// overlay. This is the transport-free unit both shard backends
-/// host — KnnService's in-process threads and the shard-worker processes
-/// hold the identical object, so a query group answered locally and one
+namespace sweetknn::core {
+
+/// One mutable target-set shard: a simulated device with a prepared
+/// TiKnnEngine index, the host route's image of the same base, and the
+/// mutation overlay. This is the only implementation of the overlay:
+/// KnnService's in-process threads and the shard-worker processes hold
+/// the identical object, so a query group answered locally and one
 /// answered over a socket run exactly the same code against exactly the
-/// same state (the basis of the cluster-vs-local bit-identity harness).
+/// same state (the basis of the cluster-vs-local bit-identity harness),
+/// and SweetKnnIndex is one of them at offset 0.
 ///
 /// Thread model: the host is externally synchronized. KnnService guards
-/// every access with index_mutex_; a ShardWorker serves its requests
-/// from one thread.
+/// every access with the tenant's index mutex; a ShardWorker serves its
+/// requests from one thread; SweetKnnIndex is not thread-safe.
 struct ShardHost {
   /// No active compaction on this shard (see compact_watermark).
   static constexpr size_t kNoCompaction = static_cast<size_t>(-1);
 
-  explicit ShardHost(const gpusim::DeviceSpec& spec,
-                     const core::TiOptions& options)
+  explicit ShardHost(const gpusim::DeviceSpec& spec, const TiOptions& options)
       : dev(spec), engine(&dev, options) {}
 
   gpusim::Device dev;
-  core::TiKnnEngine engine;
+  TiKnnEngine engine;
   /// The frozen base in member order plus its Step-1 clustering, for
   /// the host routes; holds exactly the bytes PrepareTarget/RestoreTarget
   /// uploaded. Replaced together with the engine (compaction installs,
   /// swaps).
-  core::HostImage image;
+  HostImage image;
   uint32_t offset = 0;  ///< First global target row of this slice.
   /// Base row -> stable id, strictly increasing; empty = identity
   /// shifted by `offset`.
   std::vector<uint32_t> id_map;
   /// Inserts since the base was clustered, plus tombstoned ids.
-  core::DeltaBuffer delta;
+  DeltaBuffer delta;
   /// The approximate tier over the same frozen base (empty unless
   /// ConfigureAnn enabled it). Rebuilt by BuildGraph wherever the base
   /// is replaced (cold build, snapshot restore, RebuildCompacted). Never
@@ -106,23 +109,24 @@ struct ShardHost {
   /// bytes without re-clustering, plus the host image. Installs no ANN
   /// graph; call BuildGraph next.
   void RestoreBase(const HostMatrix& target,
-                   const core::TargetClusteringHost& clustering);
+                   const TargetClusteringHost& clustering);
 
   /// Gives the base BuildCold / RestoreBase just installed its ANN graph
   /// (a no-op unless ConfigureAnn enabled the tier). `base` must hold
-  /// that base's rows. A persisted graph parked by AdoptOverlay that
-  /// covers `base` is adopted verbatim; otherwise NN-descent runs at
-  /// ann_params().workers. Call it outside any fork-join region — owners
-  /// fan out BuildCold / RestoreBase across shards, then build the
-  /// graphs one shard at a time, each on the full width: a build nested
-  /// in the fan-out would run inline on one thread.
-  void BuildGraph(const HostMatrix& base);
+  /// that base's rows. `persisted` is the graph a snapshot carried
+  /// (empty on cold builds): adopted verbatim when it covers `base`,
+  /// otherwise NN-descent runs at ann_params().workers. Call it outside
+  /// any fork-join region — owners fan out BuildCold / RestoreBase
+  /// across shards, then build the graphs one shard at a time, each on
+  /// the full width: a build nested in the fan-out would run inline on
+  /// one thread.
+  void BuildGraph(const HostMatrix& base, ann::KnnGraph persisted);
 
   /// Adopts a snapshot's geometry and overlay fields (offset, id map,
-  /// delta, tombstones) and parks its persisted ANN graph. Does NOT
-  /// restore the engine — call RestoreBase and then BuildGraph with the
-  /// snapshot's target afterwards (KnnService batches the restores onto
-  /// the host pool).
+  /// delta, tombstones). Restores neither the engine nor the graph —
+  /// call RestoreBase and then BuildGraph with the snapshot's target and
+  /// graph afterwards (KnnService batches the restores onto the host
+  /// pool). Defined in src/store/index_io.cc; link sweetknn_store.
   void AdoptOverlay(const store::IndexSnapshot& snap);
 
   /// Answers one same-k query group from this shard: the complete,
@@ -150,20 +154,27 @@ struct ShardHost {
   /// tombstones, still merged exactly with the delta scan — and reports
   /// the graph-search work counters on the answer. Exact modes (the
   /// default) are untouched.
-  core::ShardAnswer SearchGroup(const HostMatrix& queries, int k,
-                                core::QueryRoute route, core::Metric metric,
-                                const ann::SearchMode& mode =
-                                    ann::SearchMode::Exact());
+  ///
+  /// `workers` is the host-side width of the host route and the graph
+  /// search (1 on the serving backends, whose shard fan-out is already
+  /// the parallel axis). `device_stats`, when set, receives the device
+  /// run's full KnnRunStats (empty unless device_routed); `ann_stats`,
+  /// when set, accumulates the graph search's counters.
+  ShardAnswer SearchGroup(const HostMatrix& queries, int k, QueryRoute route,
+                          Metric metric,
+                          const ann::SearchMode& mode =
+                              ann::SearchMode::Exact(),
+                          int workers = 1, KnnRunStats* device_stats = nullptr,
+                          ann::AnnSearchStats* ann_stats = nullptr);
 
   /// Answers one same-radius range group from this shard: every live
   /// point within the closed ball of each query row, as stable ids
   /// (tombstones masked, delta matches merged in — see
-  /// core::RangeShardAnswer). `route` picks the TI-pruned scan
-  /// (kDevice) or the exhaustive scan (kHost) over the host image; both
-  /// answer bit-identically and neither touches the simulated device.
-  core::RangeShardAnswer RangeGroup(const HostMatrix& queries, float radius,
-                                    core::QueryRoute route,
-                                    core::Metric metric);
+  /// RangeShardAnswer). `route` picks the TI-pruned scan (kDevice) or
+  /// the exhaustive scan (kHost) over the host image; both answer
+  /// bit-identically and neither touches the simulated device.
+  RangeShardAnswer RangeGroup(const HostMatrix& queries, float radius,
+                              QueryRoute route, Metric metric);
 
   /// This shard's live points and their stable ids, ascending id order
   /// (base survivors then delta — every delta id postdates the base).
@@ -185,21 +196,17 @@ struct ShardHost {
   /// (delta entries tombstoned mid-compaction are dropped outright,
   /// restoring the file invariant that tombstones name base rows only).
   /// `next_id` is the owner's id-allocator watermark, recorded in
-  /// mutated snapshots.
+  /// mutated snapshots. The fingerprints are this shard's engine options
+  /// and device. Defined in src/store/index_io.cc; link sweetknn_store.
   store::IndexSnapshot Export(const std::string& dataset_name,
                               const std::string& builder,
                               uint32_t shard_index, uint32_t shard_count,
-                              const std::string& options_fingerprint,
-                              const std::string& device_fingerprint,
                               uint32_t next_id) const;
 
  private:
   size_t base_rows_ = 0;
   bool ann_enabled_ = false;
   ann::GraphBuildParams ann_params_;
-  /// A snapshot's persisted graph, parked by AdoptOverlay until
-  /// BuildGraph has the points to pair it with.
-  ann::KnnGraph pending_graph_;
 };
 
 /// Everything a compaction captures under the owner's lock before
@@ -228,39 +235,15 @@ void CaptureCompaction(ShardHost* shard, int shard_index,
 /// full Step-1 clustering over the captured points. Captured ids that
 /// are literally 0..n-1 restore pristine form (no id map); otherwise the
 /// plan's ids become the new base's id map. `options` should carry the
-/// owner's effective shard options (sim_threads = 1). When the owner
-/// serves the ANN tier, pass its config so the fresh base gets a fresh
-/// graph at install; `ann_params.workers` is the build's width as given
-/// (0 = every hardware thread), so an owner that rebuilds beside
-/// serving pins it first.
+/// owner's effective shard options. When the owner serves the ANN tier,
+/// pass its config so the fresh base gets a fresh graph at install;
+/// `ann_params.workers` is the build's width as given (0 = every
+/// hardware thread), so an owner that rebuilds beside serving pins it
+/// first.
 std::unique_ptr<ShardHost> RebuildCompacted(
     const CompactionPlan& plan, const gpusim::DeviceSpec& device,
-    const core::TiOptions& options, bool ann_enabled = false,
+    const TiOptions& options, bool ann_enabled = false,
     const ann::GraphBuildParams& ann_params = ann::GraphBuildParams{});
-
-/// Pools per-part live exports (ShardHost::ExportLive of each shard, or
-/// of each worker over its shards) into one globally ascending stable-id
-/// order: parts interleave in id space (inserts route by id % S). The
-/// query source of both backends' live-set jobs.
-void MergeLiveExports(const std::vector<std::vector<uint32_t>>& part_ids,
-                      const std::vector<HostMatrix>& part_points, size_t dims,
-                      std::vector<uint32_t>* ids, HostMatrix* points);
-
-/// One kNN-graph row of the live point `self`, reduced from the merged
-/// top-(k+1) answer to its own query (`row`, k + 1 entries): the first
-/// entry naming `self` is dropped — the extra slot absorbs the query
-/// point — and at most k neighbors are kept, the exact k nearest other
-/// live points. Both backends' KnnGraph jobs build their rows with it.
-void KnnGraphRow(const Neighbor* row, int k, uint32_t self,
-                 std::vector<Neighbor>* out);
-
-/// Self-join reduction of one range chunk: query row q, the live point
-/// with stable id ids[q], keeps its in-ball matches with ids above its
-/// own — each unordered pair lands exactly once (on its smaller id),
-/// self-matches drop, exact duplicates survive (distinct ids). Both
-/// backends' SelfJoin jobs reduce through it.
-void AppendSelfJoinPairs(const RangeResult& matches, const uint32_t* ids,
-                         std::vector<SelfJoinPair>* pairs);
 
 /// Install-time carry-over: mutations that landed on `old_shard` while
 /// the rebuild ran move onto `fresh` — the delta suffix past the
@@ -271,6 +254,36 @@ void AppendSelfJoinPairs(const RangeResult& matches, const uint32_t* ids,
 void CarryOverlayForward(const ShardHost& old_shard,
                          const CompactionPlan& plan, ShardHost* fresh);
 
-}  // namespace sweetknn::serve
+/// The whole protocol in one synchronous step, for owners that serve
+/// nothing beside the rebuild (a ShardWorker, SweetKnnIndex): capture,
+/// rebuild under the shard's own device, options and ANN config (the
+/// graph at its configured width, every hardware thread when unset),
+/// and the carry-over, which is necessarily empty. Returns the
+/// replacement, or null when there is nothing to fold: a pristine
+/// shard, or one with no live point (an empty base cannot be clustered;
+/// the overlay keeps masking). The old shard, and its engine's buffers
+/// in its own device, live until the owner drops it.
+std::unique_ptr<ShardHost> CompactNow(ShardHost* shard);
 
-#endif  // SWEETKNN_SERVE_SHARD_BACKEND_H_
+/// One kNN-graph row of the live point `self`, reduced from the merged
+/// top-(k+1) answer to its own query (`row`, k + 1 entries): the first
+/// entry naming `self` is dropped — the extra slot absorbs the query
+/// point — and at most k neighbors are kept. A point absent from its own
+/// top k+1 (duplicate-heavy sets) leaves the top k of the others
+/// intact, so the row is the exact k nearest other live points either
+/// way. The serving KnnGraph job and SweetKnnIndex::KnnGraph build their
+/// rows with it.
+void KnnGraphRow(const Neighbor* row, int k, uint32_t self,
+                 std::vector<Neighbor>* out);
+
+/// Self-join reduction of one range chunk: query row q, the live point
+/// with stable id ids[q], keeps its in-ball matches with ids above its
+/// own — each unordered pair lands exactly once (on its smaller id),
+/// self-matches drop, exact duplicates survive (distinct ids). The
+/// serving SelfJoin job and SweetKnnIndex::SelfJoin reduce through it.
+void AppendSelfJoinPairs(const RangeResult& matches, const uint32_t* ids,
+                         std::vector<SelfJoinPair>* pairs);
+
+}  // namespace sweetknn::core
+
+#endif  // SWEETKNN_CORE_SHARD_HOST_H_

@@ -12,11 +12,11 @@
 #include "common/matrix.h"
 #include "common/range_result.h"
 #include "common/status.h"
-#include "core/delta_overlay.h"
 #include "core/host_image.h"
 #include "core/options.h"
 #include "core/range_search.h"
 #include "core/route_planner.h"
+#include "core/shard_host.h"
 #include "core/ti_knn_gpu.h"
 #include "gpusim/device.h"
 
@@ -112,7 +112,9 @@ class SweetKnn {
 /// index answers bit-identically to a cold-built index over the
 /// surviving point set arranged in ascending stable-id order (the
 /// mutation-differential fuzz suite proves this; docs/mutability.md has
-/// the argument).
+/// the argument). The index is one core::ShardHost at offset 0 — the
+/// same shard code both serving backends run — plus a route planner and
+/// the id allocator.
 ///
 /// Rows are named by stable ids: the initial target's rows get ids
 /// 0..rows-1, every Insert allocates the next id, and ids are never
@@ -224,81 +226,46 @@ class SweetKnnIndex {
       const std::string& path, const SweetKnn::Config& config = {});
 
   /// Live points: base rows minus tombstones plus delta points.
-  size_t size() const {
-    return base_rows_ - delta_.tombstones.size() + delta_.size();
-  }
-  size_t dims() const { return dims_; }
+  size_t size() const { return shard_->live_rows(); }
+  size_t dims() const { return shard_->delta.dims; }
   /// Rows in the frozen TI-clustered base (including tombstoned ones).
-  size_t base_rows() const { return base_rows_; }
-  size_t delta_size() const { return delta_.size(); }
-  size_t tombstone_count() const { return delta_.tombstones.size(); }
+  size_t base_rows() const { return shard_->base_rows(); }
+  size_t delta_size() const { return shard_->delta.size(); }
+  size_t tombstone_count() const { return shard_->delta.tombstones.size(); }
   /// The next stable id Insert will allocate.
   uint32_t next_id() const { return next_id_; }
   /// Compactions run so far (auto or manual).
   uint64_t compactions() const { return compactions_; }
   /// True when the index has no overlay and answers straight from the
   /// base (a never-mutated or freshly compacted-to-identity index).
-  bool pristine() const { return delta_.Pristine() && id_map_.empty(); }
-  /// The live stable ids, ascending.
-  std::vector<uint32_t> LiveIds() const;
+  bool pristine() const { return shard_->Pristine(); }
 
   /// The ANN tier (empty unless Config::enable_ann and the base is
   /// non-empty). Covers the frozen base as of the last (re)build.
-  const ann::AnnIndex& ann() const { return ann_; }
+  const ann::AnnIndex& ann() const { return shard_->ann; }
   bool ann_enabled() const { return config_.enable_ann; }
 
-  gpusim::Device& device() { return *device_; }
-  const core::TiKnnEngine& engine() const { return *engine_; }
+  gpusim::Device& device() { return shard_->dev; }
+  const core::TiKnnEngine& engine() const { return shard_->engine; }
   /// The host route's image of the frozen base (rebuilt with it).
-  const core::HostImage& host_image() const { return host_image_; }
+  const core::HostImage& host_image() const { return shard_->image; }
   /// The batch router (live mode switch; route counters).
   core::RoutePlanner& planner() { return planner_; }
   const core::RoutePlanner& planner() const { return planner_; }
 
  private:
-  struct WarmStartTag {};
-  SweetKnnIndex(WarmStartTag, const HostMatrix& target,
-                const core::TargetClusteringHost& clustering,
-                const SweetKnn::Config& config);
+  /// An index whose shard (offset 0) is configured for `config` but
+  /// holds no base yet: the public constructor builds it cold, Load
+  /// restores it from a snapshot.
+  SweetKnnIndex(const SweetKnn::Config& config, uint32_t next_id);
 
-  /// Installs a restored overlay (Load's v2 path). `id_map` empty means
-  /// identity; `next_id` 0 means pristine (base rows).
-  void AdoptOverlay(std::vector<uint32_t> id_map,
-                    std::vector<uint32_t> delta_ids,
-                    std::vector<float> delta_points,
-                    const std::vector<uint32_t>& tombstones,
-                    uint32_t next_id);
-
-  /// (Re)builds the ANN tier over `base` when enabled, seeding the entry
-  /// points from the base's Step-1 landmark clustering (the host
-  /// image's copy). Clears the tier when disabled or the base is empty.
-  void RebuildAnn(const HostMatrix& base);
-  /// Installs a persisted graph (Load's v3 path) instead of rebuilding.
-  void AdoptAnnGraph(const HostMatrix& base, ann::KnnGraph graph);
-
-  /// Stable id of base row `i`.
-  uint32_t BaseId(size_t i) const {
-    return id_map_.empty() ? static_cast<uint32_t>(i) : id_map_[i];
-  }
-  bool BaseContains(uint32_t id) const;
   void MaybeCompact();
 
   SweetKnn::Config config_;
-  std::unique_ptr<gpusim::Device> device_;
-  std::unique_ptr<core::TiKnnEngine> engine_;
+  /// The frozen base, its engine, host image, ANN tier and overlay.
+  /// Replaced wholesale by Compact.
+  std::unique_ptr<core::ShardHost> shard_;
   core::RoutePlanner planner_;
-  /// The frozen base in member order plus its Step-1 clustering: what
-  /// the host routes scan (rebuilt by Compact alongside the engine).
-  core::HostImage host_image_;
-  /// The approximate tier over the same frozen base (empty when
-  /// Config::enable_ann is off).
-  ann::AnnIndex ann_;
-  size_t dims_ = 0;
-  size_t base_rows_ = 0;
-  /// Base row -> stable id, strictly increasing; empty = identity
-  /// (initial build, or a compaction that produced ids 0..rows-1).
-  std::vector<uint32_t> id_map_;
-  core::DeltaBuffer delta_;
   uint32_t next_id_ = 0;
   uint64_t compactions_ = 0;
 };

@@ -182,7 +182,7 @@ struct ListIndexesReply {
 
 /// Asks for the live points of the named shards — the query source of
 /// the self-join and kNN-graph jobs on the cluster (the wire side of
-/// Router::ExportLive, over ShardHost::ExportLive).
+/// Router::ExportLive, over core::ShardHost::ExportLive).
 struct ExportLiveRequest {
   std::vector<uint32_t> shard_indices;
   std::string tenant = "default";

@@ -43,6 +43,28 @@ double MeanRecall(const KnnResult& approx, const KnnResult& exact, int k) {
 
 }  // namespace
 
+void MergeLiveExports(const std::vector<std::vector<uint32_t>>& part_ids,
+                      const std::vector<HostMatrix>& part_points, size_t dims,
+                      std::vector<uint32_t>* ids, HostMatrix* points) {
+  std::vector<std::pair<uint32_t, std::pair<size_t, size_t>>> order;
+  for (size_t p = 0; p < part_ids.size(); ++p) {
+    for (size_t r = 0; r < part_ids[p].size(); ++r) {
+      order.emplace_back(part_ids[p][r], std::make_pair(p, r));
+    }
+  }
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  ids->clear();
+  ids->reserve(order.size());
+  *points = HostMatrix(order.size(), dims);
+  for (size_t r = 0; r < order.size(); ++r) {
+    const auto [p, row] = order[r].second;
+    ids->push_back(order[r].first);
+    std::memcpy(points->mutable_row(r), part_points[p].row(row),
+                dims * sizeof(float));
+  }
+}
+
 FrontEnd::FrontEnd(const ServiceConfig& config, ShardTransport* transport,
                    common::MetricsRegistry* metrics)
     : config_(config),
@@ -816,7 +838,6 @@ void FrontEnd::FinishJob(Job* job, JobState state, Status status) {
     // result and free it.
     job_seconds = SecondsBetween(job->submit_time, SteadyClock::now());
   }
-  jobs_cv_.notify_all();
   switch (state) {
     case JobState::kDone:
       m_jobs_completed_->Increment();
@@ -830,6 +851,9 @@ void FrontEnd::FinishJob(Job* job, JobState state, Status status) {
   }
   m_job_seconds_->Observe(job_seconds);
   m_active_jobs_->Set(static_cast<double>(active));
+  // Notify last, so a caller woken by its job's end already sees the
+  // job counted.
+  jobs_cv_.notify_all();
 }
 
 void FrontEnd::JobLoop() {
@@ -919,8 +943,8 @@ void FrontEnd::RunJob(Job* job) {
                              queries.row(begin) + (end - begin) * dims);
     if (job->spec.kind == JobKind::kKnnGraph) {
       // One ordinary kNN request at k+1 (the one extra slot absorbs the
-      // query point itself; see core::SweetKnnIndex::KnnGraph for the
-      // exactness argument), fair-shared through the admission queue.
+      // query point itself; see core::KnnGraphRow for the exactness
+      // argument), fair-shared through the admission queue.
       Result<KnnResult> answer =
           Knn(tenant, std::move(chunk), end - begin, k + 1,
               ann::SearchMode::Exact(), std::chrono::microseconds{0});
@@ -929,8 +953,8 @@ void FrontEnd::RunJob(Job* job) {
         return;
       }
       for (size_t q = 0; q < end - begin; ++q) {
-        KnnGraphRow(answer.value().row(q), k, out.query_ids[begin + q],
-                    &rowbuf);
+        core::KnnGraphRow(answer.value().row(q), k,
+                          out.query_ids[begin + q], &rowbuf);
         out.graph.SetRow(begin + q, rowbuf);
       }
     } else {
@@ -944,8 +968,8 @@ void FrontEnd::RunJob(Job* job) {
       if (job->spec.kind == JobKind::kRadiusSearch) {
         out.range.AppendRows(answer.value());
       } else {
-        AppendSelfJoinPairs(answer.value(), &out.query_ids[begin],
-                            &out.pairs);
+        core::AppendSelfJoinPairs(answer.value(), &out.query_ids[begin],
+                                  &out.pairs);
       }
     }
     {

@@ -273,10 +273,10 @@ struct ServiceStats {
 
 /// Where a group's shards run — the one difference between the backends:
 /// host-pool threads (KnnService) or shard-worker processes over RPC
-/// (Router), both running the transport-free ShardHost code. Each method
-/// answers one request of one tenant against one index state (never
-/// straddling a mutation, install, swap, or failover); a non-Ok status
-/// fails the whole request. The group methods are called from the
+/// (Router), both running the transport-free core::ShardHost code. Each
+/// method answers one request of one tenant against one index state
+/// (never straddling a mutation, install, swap, or failover); a non-Ok
+/// status fails the whole request. The group methods are called from the
 /// dispatcher thread only, ExportLive from the job thread.
 class ShardTransport {
  public:
@@ -306,6 +306,14 @@ class ShardTransport {
                             std::vector<uint32_t>* ids,
                             HostMatrix* points) = 0;
 };
+
+/// Pools per-part live exports (core::ShardHost::ExportLive of each
+/// shard, or of each worker over its shards) into one globally ascending
+/// stable-id order: parts interleave in id space (inserts route by
+/// id % S). Both transports' ExportLive end here.
+void MergeLiveExports(const std::vector<std::vector<uint32_t>>& part_ids,
+                      const std::vector<HostMatrix>& part_points, size_t dims,
+                      std::vector<uint32_t>* ids, HostMatrix* points);
 
 /// The serving front-end both backends own: weighted-fair admission
 /// (shedding, deadlines, dropped tenants), micro-batching, (k, mode) and

@@ -11,7 +11,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "serve/shard_backend.h"
+#include "core/shard_host.h"
 
 namespace sweetknn::serve {
 
@@ -46,7 +46,7 @@ struct TenantIndex {
   /// old service-wide index_mutex_.
   mutable std::mutex mutex;
   size_t target_rows = 0;
-  std::vector<std::unique_ptr<ShardHost>> shards;
+  std::vector<std::unique_ptr<core::ShardHost>> shards;
   std::vector<uint32_t> shard_offsets;
   /// Next stable id Insert allocates; starts at the initial row count.
   uint32_t next_id = 0;

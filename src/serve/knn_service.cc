@@ -212,19 +212,21 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
   common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
     const auto idx = static_cast<size_t>(s);
     if (warm) {
-      // Warm or cold, the base bytes are the slice bytes (warm starts
-      // byte-compare the snapshot against the slice above). Adopting the
-      // (pristine) overlay first parks any persisted ANN graph so
-      // BuildGraph can adopt it instead of re-running NN-descent.
-      tenant->shards[idx]->AdoptOverlay(snapshots[idx]);
+      // A warm set is pristine and tiles this target exactly (checked
+      // above), so the geometry set from the slices already holds.
       tenant->shards[idx]->RestoreBase(snapshots[idx].target,
                                        snapshots[idx].clustering);
     } else {
       tenant->shards[idx]->BuildCold(slices[idx]);
     }
   });
+  // Warm or cold, the base bytes are the slice bytes (warm starts
+  // byte-compare the snapshot against the slice above); a warm start
+  // hands over any persisted ANN graph instead of re-running NN-descent.
   for (size_t idx = 0; idx < slices.size(); ++idx) {
-    tenant->shards[idx]->BuildGraph(slices[idx]);
+    tenant->shards[idx]->BuildGraph(
+        slices[idx],
+        warm ? std::move(snapshots[idx].ann_graph) : ann::KnnGraph{});
   }
   if (warm) m_warm_started_shards_->Increment(num_shards);
 
@@ -762,7 +764,7 @@ Status KnnService::CompactAll(const std::string& tenant_name) {
 
 Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
   const SteadyClock::time_point start = SteadyClock::now();
-  CompactionPlan plan;
+  core::CompactionPlan plan;
   bool ann_enabled = false;
   ann::GraphBuildParams ann_params;
   // Capture: everything the rebuild needs, snapshotted under the tenant's
@@ -792,20 +794,19 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
     ann_enabled = shard.ann_enabled();
     ann_params = shard.ann_params();
     if (ann_params.workers <= 0) ann_params.workers = 1;
-    CaptureCompaction(&shard, s, &plan);
+    core::CaptureCompaction(&shard, s, &plan);
   }
 
   // Rebuild off-lock: a fresh simulated device (so the adaptive scheme
   // sees the same free memory a cold build would) and a full Step-1
   // clustering over the captured points. Serving continues against the
   // old shard the whole time. The capture/rebuild/carry-over protocol is
-  // shared with the shard workers (serve/shard_backend.h), so a
-  // compaction on either backend produces the identical fresh shard.
+  // shared with the shard workers (core/shard_host.h), so a compaction
+  // on either backend produces the identical fresh shard.
   core::TiOptions shard_options = config_.options;
   shard_options.sim_threads = 1;
-  std::unique_ptr<Shard> fresh =
-      RebuildCompacted(plan, config_.device, shard_options, ann_enabled,
-                       ann_params);
+  std::unique_ptr<Shard> fresh = core::RebuildCompacted(
+      plan, config_.device, shard_options, ann_enabled, ann_params);
 
   // Install: only if the shard we captured from is still the live one
   // (a SwapIndex assigns fresh epochs, orphaning this rebuild).
@@ -823,8 +824,8 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
     // suffix verbatim (its entries are never tombstoned — removes past
     // the watermark erase physically), and removes of captured rows as
     // tombstones of the new base.
-    CarryOverlayForward(*tenant->shards[static_cast<size_t>(s)], plan,
-                        fresh.get());
+    core::CarryOverlayForward(*tenant->shards[static_cast<size_t>(s)], plan,
+                              fresh.get());
     fresh->epoch = ++epoch_counter_;
     tenant->shards[static_cast<size_t>(s)].swap(fresh);
     tenant->shard_offsets[static_cast<size_t>(s)] =
@@ -874,8 +875,6 @@ Result<std::vector<store::IndexSnapshot>> KnnService::LoadShardSet(
     }
   });
 
-  const std::string want_options = store::OptionsFingerprint(config.options);
-  const std::string want_device = store::DeviceFingerprint(config.device);
   bool any_overlay = false;
   for (int s = 0; s < num_shards; ++s) {
     const auto idx = static_cast<size_t>(s);
@@ -897,18 +896,8 @@ Result<std::vector<store::IndexSnapshot>> KnnService::LoadShardSet(
           "-dimensional points, this service serves " +
           std::to_string(dims) + " dimensions");
     }
-    if (snap.options_fingerprint != want_options) {
-      return Status::InvalidArgument(
-          where + " was built under different options: file has [" +
-          snap.options_fingerprint + "], this service is [" + want_options +
-          "]");
-    }
-    if (snap.device_fingerprint != want_device) {
-      return Status::InvalidArgument(
-          where + " was built for a different device: file has [" +
-          snap.device_fingerprint + "], this service is [" + want_device +
-          "]");
-    }
+    SK_RETURN_IF_ERROR(
+        store::CheckFingerprints(snap, where, config.options, config.device));
     if (snap.HasOverlay()) {
       if (!allow_overlay) {
         return Status::InvalidArgument(
@@ -991,7 +980,8 @@ KnnService::ShardSet KnnService::BuildShardsFromSnapshots(
   // Outside the fan-out, so each build that cannot adopt a persisted
   // graph runs on the full width.
   for (size_t idx = 0; idx < set.shards.size(); ++idx) {
-    set.shards[idx]->BuildGraph(snapshots[idx].target);
+    set.shards[idx]->BuildGraph(snapshots[idx].target,
+                                std::move(snapshots[idx].ann_graph));
   }
   return set;
 }
@@ -1001,8 +991,7 @@ store::IndexSnapshot KnnService::ExportShard(const TenantIndex& tenant,
   return tenant.shards[static_cast<size_t>(s)]->Export(
       config_.dataset_name, "KnnService::SaveSnapshots",
       static_cast<uint32_t>(s), static_cast<uint32_t>(tenant.shards.size()),
-      store::OptionsFingerprint(config_.options),
-      store::DeviceFingerprint(config_.device), tenant.next_id);
+      tenant.next_id);
 }
 
 Status KnnService::SaveTenantSnapshots(TenantIndex* tenant,

@@ -23,7 +23,6 @@
 #include "core/shard_merge.h"
 #include "serve/front_end.h"
 #include "serve/index_manager.h"
-#include "serve/shard_backend.h"
 #include "store/snapshot.h"
 
 namespace sweetknn::serve {
@@ -263,14 +262,14 @@ class KnnService : private ShardTransport {
 
  private:
   /// No active compaction on this shard.
-  static constexpr size_t kNoCompaction = ShardHost::kNoCompaction;
+  static constexpr size_t kNoCompaction = core::ShardHost::kNoCompaction;
 
-  /// The per-shard state lives in the transport-free ShardHost
-  /// (serve/shard_backend.h) so the in-process backend here and the
-  /// shard-worker processes (serve/shard_worker.h) host the identical
-  /// object — queries answered locally and over a socket run the same
-  /// code against the same state.
-  using Shard = ShardHost;
+  /// The per-shard state lives in the transport-free core::ShardHost
+  /// (core/shard_host.h) so the in-process backend here, the
+  /// shard-worker processes (serve/shard_worker.h) and SweetKnnIndex
+  /// host the identical object — queries answered locally and over a
+  /// socket run the same code against the same state.
+  using Shard = core::ShardHost;
 
   /// Snapshot-set adoption (FromSnapshots).
   struct AdoptTag {};

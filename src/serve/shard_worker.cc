@@ -146,7 +146,7 @@ void ShardWorker::AdoptConfig(const core::TiOptions& options,
   configured_ = true;
 }
 
-ShardHost* ShardWorker::FindShard(uint32_t shard_index) {
+core::ShardHost* ShardWorker::FindShard(uint32_t shard_index) {
   const auto it = shards_.find(shard_index);
   return it == shards_.end() ? nullptr : it->second.get();
 }
@@ -177,12 +177,12 @@ Status ShardWorker::HandlePrepareCold(const std::string& payload) {
   // thread.
   core::TiOptions shard_options = options_;
   shard_options.sim_threads = 1;
-  auto shard = std::make_unique<ShardHost>(device_, shard_options);
+  auto shard = std::make_unique<core::ShardHost>(device_, shard_options);
   shard->ConfigureAnn(enable_ann_, ann_params_, options_.sim_threads);
   shard->offset = static_cast<uint32_t>(req.offset);
   shard->epoch = ++epoch_counter_;
   shard->BuildCold(req.slice);
-  shard->BuildGraph(req.slice);
+  shard->BuildGraph(req.slice, ann::KnnGraph{});
   dims_ = req.slice.cols();
   shards_[req.shard_index] = std::move(shard);
   return Status::Ok();
@@ -193,20 +193,14 @@ Status ShardWorker::HandlePrepareSnapshot(const std::string& payload) {
   SK_RETURN_IF_ERROR(net::DecodePrepareSnapshot(payload, &req));
   Result<store::IndexSnapshot> loaded = store::LoadIndexSnapshot(req.path);
   SK_RETURN_IF_ERROR(loaded.status());
-  const store::IndexSnapshot& snap = loaded.value();
+  store::IndexSnapshot& snap = loaded.value();
   if (snap.shard_index != req.shard_index) {
     return Status::InvalidArgument(
         req.path + " records shard " + std::to_string(snap.shard_index) +
         ", expected " + std::to_string(req.shard_index));
   }
-  if (snap.options_fingerprint != store::OptionsFingerprint(req.options)) {
-    return Status::InvalidArgument(
-        req.path + " was built under different options");
-  }
-  if (snap.device_fingerprint != store::DeviceFingerprint(req.device)) {
-    return Status::InvalidArgument(
-        req.path + " was built for a different device");
-  }
+  SK_RETURN_IF_ERROR(
+      store::CheckFingerprints(snap, req.path, req.options, req.device));
   if (dims_ != 0 && snap.target.cols() != dims_) {
     return Status::InvalidArgument(
         req.path + " holds " + std::to_string(snap.target.cols()) +
@@ -222,11 +216,11 @@ Status ShardWorker::HandlePrepareSnapshot(const std::string& payload) {
               req.ann_params);
   core::TiOptions shard_options = options_;
   shard_options.sim_threads = 1;
-  auto shard = std::make_unique<ShardHost>(device_, shard_options);
+  auto shard = std::make_unique<core::ShardHost>(device_, shard_options);
   shard->ConfigureAnn(enable_ann_, ann_params_, options_.sim_threads);
   shard->AdoptOverlay(snap);
   shard->RestoreBase(snap.target, snap.clustering);
-  shard->BuildGraph(snap.target);
+  shard->BuildGraph(snap.target, std::move(snap.ann_graph));
   shard->epoch = ++epoch_counter_;
   dims_ = snap.target.cols();
   shards_[req.shard_index] = std::move(shard);
@@ -236,7 +230,7 @@ Status ShardWorker::HandlePrepareSnapshot(const std::string& payload) {
 Status ShardWorker::ResolveGroup(const char* what, const std::string& tenant,
                                  const HostMatrix& queries,
                                  const std::vector<uint32_t>& shard_indices,
-                                 std::vector<ShardHost*>* shards) {
+                                 std::vector<core::ShardHost*>* shards) {
   const std::string where(what);
   if (tenant != tenant_) {
     return Status::InvalidArgument(where + ": names index '" + tenant +
@@ -255,7 +249,7 @@ Status ShardWorker::ResolveGroup(const char* what, const std::string& tenant,
   }
   shards->clear();
   for (const uint32_t index : shard_indices) {
-    ShardHost* shard = FindShard(index);
+    core::ShardHost* shard = FindShard(index);
     if (shard == nullptr) {
       return Status::NotFound(where + ": shard " + std::to_string(index) +
                               " is not hosted by this worker");
@@ -271,13 +265,13 @@ Status ShardWorker::HandleQuery(const std::string& payload,
   net::QueryRequest req;
   SK_RETURN_IF_ERROR(net::DecodeQuery(payload, &req));
   if (req.k == 0) return Status::InvalidArgument("Query: k must be > 0");
-  std::vector<ShardHost*> shards;
+  std::vector<core::ShardHost*> shards;
   SK_RETURN_IF_ERROR(ResolveGroup("Query", req.tenant, req.queries,
                                   req.shard_indices, &shards));
   net::QueryReply out;
   out.shard_indices = req.shard_indices;
   out.answers.reserve(shards.size());
-  for (ShardHost* shard : shards) {
+  for (core::ShardHost* shard : shards) {
     // Per-shard routing, same decision inputs as KnnService's planner
     // pass. Both routes answer bit-identically, so the cluster's answers
     // cannot depend on which side of the cost model a shard lands on.
@@ -299,13 +293,13 @@ Status ShardWorker::HandleRangeQuery(const std::string& payload,
   if (!(req.radius >= 0.0f)) {
     return Status::InvalidArgument("RangeQuery: radius must be >= 0");
   }
-  std::vector<ShardHost*> shards;
+  std::vector<core::ShardHost*> shards;
   SK_RETURN_IF_ERROR(ResolveGroup("RangeQuery", req.tenant, req.queries,
                                   req.shard_indices, &shards));
   net::RangeQueryReply out;
   out.shard_indices = req.shard_indices;
   out.answers.reserve(shards.size());
-  for (ShardHost* shard : shards) {
+  for (core::ShardHost* shard : shards) {
     // Routed like KnnService::RangeGroup; both range routes answer
     // bit-identically.
     const core::QueryRoute route = planner_->Choose(
@@ -321,7 +315,7 @@ Status ShardWorker::HandleRangeQuery(const std::string& payload,
 Status ShardWorker::HandleInsert(const std::string& payload) {
   net::InsertRequest req;
   SK_RETURN_IF_ERROR(net::DecodeInsert(payload, &req));
-  ShardHost* shard = FindShard(req.shard_index);
+  core::ShardHost* shard = FindShard(req.shard_index);
   if (shard == nullptr) {
     return Status::NotFound("Insert: shard " +
                             std::to_string(req.shard_index) +
@@ -351,7 +345,7 @@ Status ShardWorker::HandleRemove(const std::string& payload,
                                  net::Frame* reply) {
   net::RemoveRequest req;
   SK_RETURN_IF_ERROR(net::DecodeRemove(payload, &req));
-  ShardHost* shard = FindShard(req.shard_index);
+  core::ShardHost* shard = FindShard(req.shard_index);
   if (shard == nullptr) {
     return Status::NotFound("Remove: shard " +
                             std::to_string(req.shard_index) +
@@ -367,27 +361,17 @@ Status ShardWorker::HandleRemove(const std::string& payload,
 Status ShardWorker::HandleCompact(const std::string& payload) {
   net::CompactRequest req;
   SK_RETURN_IF_ERROR(net::DecodeCompact(payload, &req));
-  ShardHost* shard = FindShard(req.shard_index);
+  core::ShardHost* shard = FindShard(req.shard_index);
   if (shard == nullptr) {
     return Status::NotFound("Compact: shard " +
                             std::to_string(req.shard_index) +
                             " is not hosted by this worker");
   }
-  // Same pre-checks as KnnService::CompactShardInternal. The worker is
-  // single-threaded, so the capture/rebuild/install protocol runs
-  // synchronously with nothing to race: the carried-forward overlay is
-  // necessarily empty, but running the identical steps keeps the state
-  // byte-identical to the in-process compactor's. Nothing is served
-  // beside the rebuild, so the graph takes the shard's resolved width
-  // (every hardware thread when unset).
-  if (shard->Pristine() || shard->live_rows() == 0) return Status::Ok();
-  CompactionPlan plan;
-  CaptureCompaction(shard, static_cast<int>(req.shard_index), &plan);
-  core::TiOptions shard_options = options_;
-  shard_options.sim_threads = 1;
-  std::unique_ptr<ShardHost> fresh = RebuildCompacted(
-      plan, device_, shard_options, enable_ann_, shard->ann_params());
-  CarryOverlayForward(*shard, plan, fresh.get());
+  // The worker is single-threaded, so the capture/rebuild/install
+  // protocol runs synchronously with nothing to race; the identical
+  // steps keep the state byte-identical to the in-process compactor's.
+  std::unique_ptr<core::ShardHost> fresh = core::CompactNow(shard);
+  if (fresh == nullptr) return Status::Ok();  // nothing to fold
   fresh->epoch = ++epoch_counter_;
   shards_[req.shard_index] = std::move(fresh);
   return Status::Ok();
@@ -396,17 +380,16 @@ Status ShardWorker::HandleCompact(const std::string& payload) {
 Status ShardWorker::HandleSaveShard(const std::string& payload) {
   net::SaveShardRequest req;
   SK_RETURN_IF_ERROR(net::DecodeSaveShard(payload, &req));
-  ShardHost* shard = FindShard(req.shard_index);
+  core::ShardHost* shard = FindShard(req.shard_index);
   if (shard == nullptr) {
     return Status::NotFound("SaveShard: shard " +
                             std::to_string(req.shard_index) +
                             " is not hosted by this worker");
   }
-  const store::IndexSnapshot snap = shard->Export(
-      req.dataset_name, "ShardWorker::SaveShard", req.shard_index,
-      req.shard_count, store::OptionsFingerprint(options_),
-      store::DeviceFingerprint(device_), req.next_id);
-  return store::SaveIndexSnapshot(snap, req.path);
+  return store::SaveIndexSnapshot(
+      shard->Export(req.dataset_name, "ShardWorker::SaveShard",
+                    req.shard_index, req.shard_count, req.next_id),
+      req.path);
 }
 
 Status ShardWorker::HandleExportLive(const std::string& payload,
@@ -424,7 +407,7 @@ Status ShardWorker::HandleExportLive(const std::string& payload,
   std::vector<HostMatrix> points(req.shard_indices.size());
   size_t total = 0;
   for (size_t s = 0; s < req.shard_indices.size(); ++s) {
-    ShardHost* shard = FindShard(req.shard_indices[s]);
+    core::ShardHost* shard = FindShard(req.shard_indices[s]);
     if (shard == nullptr) {
       return Status::NotFound("ExportLive: shard " +
                               std::to_string(req.shard_indices[s]) +

@@ -13,12 +13,12 @@
 #include "gpusim/device_spec.h"
 #include "net/frame.h"
 #include "net/wire.h"
-#include "serve/shard_backend.h"
+#include "core/shard_host.h"
 
 namespace sweetknn::serve {
 
 /// One worker process of the shard cluster: hosts a set of ShardHosts
-/// (serve/shard_backend.h) and serves the router's framed RPCs over a
+/// (core/shard_host.h) and serves the router's framed RPCs over a
 /// unix socket (net/wire.h, docs/distributed.md). The worker is the
 /// remote counterpart of KnnService's in-process fan-out — both backends
 /// run the identical ShardHost code against identical state, which is
@@ -64,7 +64,7 @@ class ShardWorker {
   Status ResolveGroup(const char* what, const std::string& tenant,
                       const HostMatrix& queries,
                       const std::vector<uint32_t>& shard_indices,
-                      std::vector<ShardHost*>* shards);
+                      std::vector<core::ShardHost*>* shards);
   Status HandleQuery(const std::string& payload, net::Frame* reply);
   Status HandleRangeQuery(const std::string& payload, net::Frame* reply);
   Status HandleInsert(const std::string& payload);
@@ -88,7 +88,7 @@ class ShardWorker {
                    const ann::GraphBuildParams& ann_params);
 
   /// The shard named by a request, or nullptr (callers answer NotFound).
-  ShardHost* FindShard(uint32_t shard_index);
+  core::ShardHost* FindShard(uint32_t shard_index);
 
   std::string socket_path_;
 
@@ -109,9 +109,9 @@ class ShardWorker {
 
   /// Hosted shards by global shard index (primaries and replicas look
   /// identical here; the role lives in the router's placement tables).
-  std::map<uint32_t, std::unique_ptr<ShardHost>> shards_;
+  std::map<uint32_t, std::unique_ptr<core::ShardHost>> shards_;
   size_t dims_ = 0;
-  /// Source of shard epochs (ShardHost::epoch), worker-local.
+  /// Source of shard epochs (core::ShardHost::epoch), worker-local.
   uint64_t epoch_counter_ = 0;
   uint64_t queries_served_ = 0;
 };

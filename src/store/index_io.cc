@@ -1,101 +1,123 @@
-// SweetKnnIndex::Save/Load. Declared in core/sweet_knn.h but defined
-// here so that sweetknn_core does not depend on the store library
-// (store links core, not the other way around).
+// The snapshot side of the mutable shard: core::ShardHost::Export and
+// AdoptOverlay, and SweetKnnIndex::Save/Load on top of them. Declared in
+// core/ but defined here so that sweetknn_core does not depend on the
+// store library (store links core, not the other way around).
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
 
+#include "core/shard_host.h"
 #include "core/sweet_knn.h"
 #include "store/snapshot.h"
 
 namespace sweetknn {
 
+namespace core {
+
+store::IndexSnapshot ShardHost::Export(const std::string& dataset_name,
+                                       const std::string& builder,
+                                       uint32_t shard_index,
+                                       uint32_t shard_count,
+                                       uint32_t next_id) const {
+  store::IndexSnapshot snap;
+  snap.dataset_name = dataset_name;
+  snap.builder = builder;
+  snap.shard_index = shard_index;
+  snap.shard_count = shard_count;
+  snap.shard_offset = offset;
+  snap.target = engine.ExportTarget();
+  snap.clustering = image.clustering();
+  snap.options_fingerprint = store::OptionsFingerprint(engine.options());
+  snap.device_fingerprint = store::DeviceFingerprint(dev.spec());
+  if (!Pristine()) {
+    const size_t dims = delta.dims;
+    snap.id_map = id_map;
+    // Normalization: a tombstoned delta entry (the transient state of a
+    // remove that hit a compaction-consumed row) is simply dead — the
+    // snapshot drops both the entry and its tombstone, restoring the
+    // file invariant that tombstones name base rows only.
+    for (size_t j = 0; j < delta.size(); ++j) {
+      if (delta.tombstones.count(delta.ids[j]) == 0) {
+        snap.delta_ids.push_back(delta.ids[j]);
+      }
+    }
+    snap.delta_points = HostMatrix(snap.delta_ids.size(), dims);
+    size_t out = 0;
+    for (size_t j = 0; j < delta.size(); ++j) {
+      if (delta.tombstones.count(delta.ids[j]) == 0) {
+        std::memcpy(snap.delta_points.mutable_row(out++), delta.point(j),
+                    dims * sizeof(float));
+      }
+    }
+    for (uint32_t id : delta.tombstones) {
+      if (delta.Find(id) == DeltaBuffer::kNotFound) {
+        snap.tombstones.push_back(id);
+      }
+    }
+    std::sort(snap.tombstones.begin(), snap.tombstones.end());
+    snap.next_id = next_id;
+  }
+  // Persisting the graph lets a warm start skip the NN-descent build the
+  // same way the clustering section lets it skip the Step-1 landmarks.
+  if (!ann.empty()) snap.ann_graph = ann.graph();
+  return snap;
+}
+
+void ShardHost::AdoptOverlay(const store::IndexSnapshot& snap) {
+  offset = static_cast<uint32_t>(snap.shard_offset);
+  set_base_rows(snap.target.rows());
+  id_map = snap.id_map;
+  delta.dims = snap.target.cols();
+  delta.ids = snap.delta_ids;
+  delta.points = snap.delta_points.storage();
+  delta.tombstones.insert(snap.tombstones.begin(), snap.tombstones.end());
+}
+
+}  // namespace core
+
 Status SweetKnnIndex::Save(const std::string& path,
                            const std::string& dataset_name) const {
-  store::IndexSnapshot snapshot;
-  snapshot.dataset_name = dataset_name;
-  snapshot.builder = "SweetKnnIndex::Save";
-  snapshot.shard_index = 0;
-  snapshot.shard_count = 1;
-  snapshot.shard_offset = 0;
-  snapshot.target = engine_->ExportTarget();
-  snapshot.clustering = host_image_.clustering();
-  snapshot.options_fingerprint =
-      store::OptionsFingerprint(engine_->options());
-  snapshot.device_fingerprint = store::DeviceFingerprint(device_->spec());
-  if (!pristine()) {
-    snapshot.id_map = id_map_;
-    snapshot.delta_ids = delta_.ids;
-    snapshot.delta_points = HostMatrix(delta_.size(), dims_);
-    // std::copy, not memcpy: a tombstones-only overlay has no delta
-    // points, and memcpy must not see the empty vectors' null pointers.
-    std::copy(delta_.points.begin(), delta_.points.end(),
-              snapshot.delta_points.mutable_data());
-    snapshot.tombstones.assign(delta_.tombstones.begin(),
-                               delta_.tombstones.end());
-    std::sort(snapshot.tombstones.begin(), snapshot.tombstones.end());
-    snapshot.next_id = next_id_;
-  }
-  // Persisting the graph lets Load skip the NN-descent build the same
-  // way the clustering section lets it skip the Step-1 landmark build.
-  if (!ann_.empty()) snapshot.ann_graph = ann_.graph();
-  return store::SaveIndexSnapshot(snapshot, path);
+  return store::SaveIndexSnapshot(
+      shard_->Export(dataset_name, "SweetKnnIndex::Save", /*shard_index=*/0,
+                     /*shard_count=*/1, next_id_),
+      path);
 }
 
 Result<std::unique_ptr<SweetKnnIndex>> SweetKnnIndex::Load(
     const std::string& path, const SweetKnn::Config& config) {
-  Result<store::IndexSnapshot> snapshot = store::LoadIndexSnapshot(path);
-  if (!snapshot.ok()) return snapshot.status();
-  store::IndexSnapshot& snap = snapshot.value();
+  Result<store::IndexSnapshot> loaded = store::LoadIndexSnapshot(path);
+  if (!loaded.ok()) return loaded.status();
+  store::IndexSnapshot& snap = loaded.value();
+  SK_RETURN_IF_ERROR(store::CheckFingerprints(snap, "snapshot " + path,
+                                              config.options, config.device));
 
-  const std::string want_options = store::OptionsFingerprint(config.options);
-  if (snap.options_fingerprint != want_options) {
-    return Status::InvalidArgument(
-        "snapshot " + path + " was built under different options: file has [" +
-        snap.options_fingerprint + "], this config is [" +
-        want_options + "]");
-  }
-  const std::string want_device = store::DeviceFingerprint(config.device);
-  if (snap.device_fingerprint != want_device) {
-    return Status::InvalidArgument(
-        "snapshot " + path + " was built for a different device: file has [" +
-        snap.device_fingerprint + "], this config is [" +
-        want_device + "]");
-  }
-
-  std::unique_ptr<SweetKnnIndex> index(new SweetKnnIndex(
-      WarmStartTag{}, snap.target, snap.clustering, config));
+  // The allocator resumes at the file's watermark; a pristine file
+  // (next_id 0) resumes just past its last base row.
+  const uint32_t next_id =
+      snap.next_id != 0
+          ? snap.next_id
+          : static_cast<uint32_t>(snap.shard_offset + snap.target.rows());
+  std::unique_ptr<SweetKnnIndex> index(new SweetKnnIndex(config, next_id));
+  core::ShardHost& shard = *index->shard_;
+  shard.AdoptOverlay(snap);
   // A shard snapshot with no explicit id map names its rows
-  // shard_offset..shard_offset+rows-1; standalone, that needs the map
-  // materialized so stable ids survive the round trip.
-  std::vector<uint32_t> id_map = std::move(snap.id_map);
-  if (id_map.empty() && snap.shard_offset != 0) {
-    id_map.resize(snap.target.rows());
-    std::iota(id_map.begin(), id_map.end(),
-              static_cast<uint32_t>(snap.shard_offset));
+  // shard_offset..shard_offset+rows-1; standalone, the index sits at
+  // offset 0, so the map is materialized to keep stable ids intact.
+  if (shard.id_map.empty() && shard.offset != 0) {
+    shard.id_map.resize(shard.base_rows());
+    std::iota(shard.id_map.begin(), shard.id_map.end(), shard.offset);
+    shard.offset = 0;
   }
-  if (snap.HasOverlay() || !id_map.empty()) {
-    uint32_t next_id = snap.next_id;
-    if (next_id == 0 && !id_map.empty()) next_id = id_map.back() + 1;
-    index->AdoptOverlay(std::move(id_map), std::move(snap.delta_ids),
-                        snap.delta_points.storage(), snap.tombstones,
-                        next_id);
-  }
-  // ANN tier: adopt the persisted graph when the config wants one (its
-  // node ids are local base rows, so it is valid verbatim); rebuild when
-  // the config wants a graph the file lacks. A persisted graph under a
-  // graph-free config is simply ignored — exact answers never depend on
-  // it.
-  if (config.enable_ann) {
-    if (snap.HasAnnGraph()) {
-      index->AdoptAnnGraph(snap.target, std::move(snap.ann_graph));
-    } else {
-      index->RebuildAnn(snap.target);
-    }
-  }
+  shard.RestoreBase(snap.target, snap.clustering);
+  // The persisted graph is adopted when the config wants a graph (its
+  // node ids are local base rows, valid verbatim) and rebuilt when the
+  // file lacks one; a graph-free config ignores it — exact answers never
+  // depend on it.
+  shard.BuildGraph(snap.target, std::move(snap.ann_graph));
   return index;
 }
 

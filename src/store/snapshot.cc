@@ -226,6 +226,27 @@ std::string DeviceFingerprint(const gpusim::DeviceSpec& s) {
   return fp;
 }
 
+Status CheckFingerprints(const IndexSnapshot& snapshot,
+                         const std::string& where,
+                         const core::TiOptions& options,
+                         const gpusim::DeviceSpec& device) {
+  const std::string want_options = OptionsFingerprint(options);
+  if (snapshot.options_fingerprint != want_options) {
+    return Status::InvalidArgument(
+        where + " was built under different options: file has [" +
+        snapshot.options_fingerprint + "], this config is [" +
+        want_options + "]");
+  }
+  const std::string want_device = DeviceFingerprint(device);
+  if (snapshot.device_fingerprint != want_device) {
+    return Status::InvalidArgument(
+        where + " was built for a different device: file has [" +
+        snapshot.device_fingerprint + "], this config is [" + want_device +
+        "]");
+  }
+  return Status::Ok();
+}
+
 // --- SnapshotWriter ---------------------------------------------------------
 
 SnapshotWriter::SnapshotWriter(const std::string& path, uint32_t version)

@@ -130,6 +130,15 @@ struct IndexSnapshot {
   bool HasAnnGraph() const { return !ann_graph.empty(); }
 };
 
+/// The one warm-start compatibility check: Ok when `snapshot` was built
+/// under `options` (sim_threads aside) for `device`, otherwise
+/// InvalidArgument naming `where` and both the file's and the config's
+/// fingerprints.
+Status CheckFingerprints(const IndexSnapshot& snapshot,
+                         const std::string& where,
+                         const core::TiOptions& options,
+                         const gpusim::DeviceSpec& device);
+
 /// Streaming writer: sections are appended one at a time, each CRC'd as
 /// it goes, and Finish() seals the file with the end marker and the
 /// whole-file CRC. Any filesystem failure surfaces as a Status from the

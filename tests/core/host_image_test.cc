@@ -12,10 +12,10 @@
 
 #include "common/rng.h"
 #include "core/host_image.h"
+#include "core/shard_host.h"
 #include "core/shard_merge.h"
 #include "core/ti_knn_gpu.h"
 #include "gtest/gtest.h"
-#include "serve/shard_backend.h"
 #include "simd/simd_kernels.h"
 #include "test_util.h"
 
@@ -199,7 +199,7 @@ TEST(HostImageTest, MutatedShardHostAnswersIdenticallyOnBothRoutes) {
     options.metric = metric;
     options.sim_threads = 1;
     options.landmarks_override = 6;  // pruning side: 6 * 16 <= 400
-    serve::ShardHost shard(gpusim::DeviceSpec::TeslaK20c(), options);
+    core::ShardHost shard(gpusim::DeviceSpec::TeslaK20c(), options);
     shard.offset = 1000;
     shard.BuildCold(base);
     ASSERT_FALSE(shard.image.single_window());

@@ -296,8 +296,10 @@ std::string RangeTableLines(const std::string& snapshot_text) {
   return out.str();
 }
 
-/// The same radius scan and self-join, answered through a 2-worker
-/// cluster's wire-job pipeline, formatted as golden table lines.
+/// The same radius scan and self-join, answered by a 2-worker cluster
+/// (the radius group as one RangeQuery RPC per primary worker, the
+/// self-join on the front-end's job engine), formatted as golden table
+/// lines.
 std::string ClusterRangeSnapshot(const std::string& dataset_name,
                                  double size_factor, float radius,
                                  const char* worker_binary) {

@@ -1,4 +1,4 @@
-// ShardHost (serve/shard_backend.h) is the transport-free unit both
+// ShardHost (core/shard_host.h) is the transport-free unit both
 // serving backends host — KnnService's in-process threads and the
 // shard-worker processes. These tests pin its contract directly:
 // SearchGroup answers merged with core::MergeShardAnswers are
@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "baseline/brute_force_cpu.h"
+#include "core/shard_host.h"
 #include "core/shard_merge.h"
 #include "core/ti_knn_gpu.h"
 #include "gtest/gtest.h"
-#include "serve/shard_backend.h"
 #include "test_util.h"
 
 namespace sweetknn::serve {
@@ -33,11 +33,11 @@ core::TiOptions ShardOptions(core::Metric metric) {
 /// Cold-builds `num_shards` hosts over the same contiguous slices
 /// KnnService and the Router carve: rows / S each, the remainder spread
 /// over the first shards.
-std::vector<std::unique_ptr<ShardHost>> BuildShards(
+std::vector<std::unique_ptr<core::ShardHost>> BuildShards(
     const HostMatrix& target, int num_shards,
     const core::TiOptions& options) {
   const gpusim::DeviceSpec spec = gpusim::DeviceSpec::TeslaK20c();
-  std::vector<std::unique_ptr<ShardHost>> shards;
+  std::vector<std::unique_ptr<core::ShardHost>> shards;
   const size_t per = target.rows() / static_cast<size_t>(num_shards);
   const size_t rem = target.rows() % static_cast<size_t>(num_shards);
   size_t offset = 0;
@@ -46,7 +46,7 @@ std::vector<std::unique_ptr<ShardHost>> BuildShards(
     HostMatrix slice(rows, target.cols());
     std::memcpy(slice.mutable_row(0), target.row(offset),
                 rows * target.cols() * sizeof(float));
-    auto shard = std::make_unique<ShardHost>(spec, options);
+    auto shard = std::make_unique<core::ShardHost>(spec, options);
     shard->offset = static_cast<uint32_t>(offset);
     shard->BuildCold(slice);
     shards.push_back(std::move(shard));
@@ -55,9 +55,10 @@ std::vector<std::unique_ptr<ShardHost>> BuildShards(
   return shards;
 }
 
-KnnResult MergedAnswer(const std::vector<std::unique_ptr<ShardHost>>& shards,
-                       const HostMatrix& queries, int k,
-                       core::QueryRoute route, core::Metric metric) {
+KnnResult MergedAnswer(
+    const std::vector<std::unique_ptr<core::ShardHost>>& shards,
+    const HostMatrix& queries, int k, core::QueryRoute route,
+    core::Metric metric) {
   std::vector<core::ShardAnswer> answers;
   answers.reserve(shards.size());
   for (const auto& shard : shards) {
@@ -214,11 +215,11 @@ TEST(ShardBackendTest, CompactionRoundTripKeepsAnswers) {
   // The worker's compaction protocol: capture, rebuild, carry forward.
   for (size_t s = 0; s < shards.size(); ++s) {
     core::TiOptions shard_options = options;
-    CompactionPlan plan;
-    CaptureCompaction(shards[s].get(), static_cast<int>(s), &plan);
-    auto fresh = RebuildCompacted(plan, gpusim::DeviceSpec::TeslaK20c(),
-                                  shard_options);
-    CarryOverlayForward(*shards[s], plan, fresh.get());
+    core::CompactionPlan plan;
+    core::CaptureCompaction(shards[s].get(), static_cast<int>(s), &plan);
+    auto fresh = core::RebuildCompacted(
+        plan, gpusim::DeviceSpec::TeslaK20c(), shard_options);
+    core::CarryOverlayForward(*shards[s], plan, fresh.get());
     shards[s] = std::move(fresh);
   }
 

@@ -8,10 +8,12 @@
 #include <string>
 #include <vector>
 
+#include "ann/search_mode.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "core/sweet_knn.h"
 #include "gtest/gtest.h"
+#include "serve/knn_service.h"
 #include "store/payload_io.h"
 
 namespace sweetknn::store {
@@ -524,6 +526,129 @@ TEST(ShardDirectoryTest, IncompleteOrInconsistentSetsRejected) {
   WriteFile(ShardSnapshotPath(dir, 0, 2), "x");  // mixed shard counts
   EXPECT_FALSE(ListShardSnapshots(dir).ok());
   std::filesystem::remove_all(dir);
+}
+
+// -- One snapshot model ------------------------------------------------------
+// SweetKnnIndex is one core::ShardHost at offset 0, the shard both
+// serving backends run, so each side reads the other's files: a mutated
+// index saved as a one-shard set serves from KnnService::FromSnapshots,
+// and a mutated one-shard service's SaveSnapshots file loads through
+// SweetKnnIndex::Load, each answering bit-identically to its source.
+
+void ExpectSameKnn(const KnnResult& want, const KnnResult& got,
+                   const std::string& what) {
+  ASSERT_EQ(want.num_queries(), got.num_queries()) << what;
+  ASSERT_EQ(want.k(), got.k()) << what;
+  for (size_t q = 0; q < want.num_queries(); ++q) {
+    ASSERT_EQ(std::memcmp(want.row(q), got.row(q),
+                          static_cast<size_t>(want.k()) * sizeof(Neighbor)),
+              0)
+        << what << ": query " << q;
+  }
+}
+
+/// Exact kNN, approx at a saturated ef, RadiusSearch and KnnGraph.
+void ExpectSameAnswers(SweetKnnIndex* index, serve::KnnService* service,
+                       const std::string& what) {
+  const HostMatrix queries = RandomMatrix(9, index->dims(), 101);
+  // An ef past the live count saturates the graph search.
+  const ann::SearchMode saturated = ann::SearchMode::Approx(0.9, 4096);
+  for (const int k : {1, 5, 13}) {
+    const std::string at = what + " k=" + std::to_string(k);
+    Result<KnnResult> exact = service->JoinBatch(queries, k);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    ExpectSameKnn(index->Query(queries, k), exact.value(), at + " exact");
+    Result<KnnResult> approx = service->JoinBatch(queries, k, saturated);
+    ASSERT_TRUE(approx.ok()) << approx.status().ToString();
+    ExpectSameKnn(index->Query(queries, k, saturated), approx.value(),
+                  at + " approx");
+  }
+
+  const float radius = 4.0f;
+  const RangeResult want_range = index->RadiusSearch(queries, radius);
+  Result<RangeResult> range = service->RadiusSearch(queries, radius);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  ASSERT_EQ(want_range.num_queries(), range.value().num_queries()) << what;
+  EXPECT_GT(want_range.total_matches(), 0u) << what;
+  for (size_t q = 0; q < want_range.num_queries(); ++q) {
+    ASSERT_EQ(want_range.count(q), range.value().count(q))
+        << what << " radius query " << q;
+    EXPECT_EQ(std::memcmp(want_range.begin(q), range.value().begin(q),
+                          want_range.count(q) * sizeof(Neighbor)),
+              0)
+        << what << " radius query " << q;
+  }
+
+  const SweetKnnIndex::KnnGraphResult graph = index->KnnGraph(4);
+  Result<serve::JobOutput> job = service->KnnGraph(4);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  EXPECT_EQ(graph.ids, job.value().query_ids) << what;
+  ExpectSameKnn(graph.neighbors, job.value().graph, what + " knn graph");
+}
+
+/// Five inserts and four removes: both the delta and the tombstones end
+/// up non-empty, well under the auto-compaction threshold.
+template <typename InsertFn, typename RemoveFn>
+void Mutate(size_t dims, InsertFn insert, RemoveFn remove) {
+  Rng rng(59);
+  for (int i = 0; i < 5; ++i) {
+    std::vector<float> p(dims);
+    for (float& x : p) x = static_cast<float>(rng.NextDouble() * 10.0 - 5.0);
+    insert(p);
+  }
+  for (const uint32_t id : {3u, 17u, 64u, 121u}) remove(id);
+}
+
+TEST(SnapshotInteropTest, IndexAndServiceShareOneSnapshotModel) {
+  const HostMatrix target = RandomMatrix(120, 6, 53);
+  SweetKnn::Config config;
+  config.enable_ann = true;
+  serve::ServiceConfig service_config;
+  service_config.num_shards = 1;
+  service_config.options = config.options;
+  service_config.device = config.device;
+  service_config.enable_ann = true;
+  service_config.ann_params = config.ann_params;
+
+  // SweetKnnIndex::Save -> KnnService::FromSnapshots.
+  SweetKnnIndex index(target, config);
+  Mutate(
+      target.cols(), [&](const std::vector<float>& p) { index.Insert(p); },
+      [&](uint32_t id) { ASSERT_TRUE(index.Remove(id)); });
+  ASSERT_GT(index.delta_size(), 0u);
+  ASSERT_GT(index.tombstone_count(), 0u);
+  const std::string index_dir = TempPath("interop_index");
+  std::filesystem::remove_all(index_dir);
+  std::filesystem::create_directories(index_dir);
+  ASSERT_TRUE(index.Save(ShardSnapshotPath(index_dir, 0, 1)).ok());
+  Result<std::unique_ptr<serve::KnnService>> adopted =
+      serve::KnnService::FromSnapshots(index_dir, service_config);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  ExpectSameAnswers(&index, adopted.value().get(), "index -> service");
+
+  // KnnService::SaveSnapshots -> SweetKnnIndex::Load.
+  serve::KnnService service(target, service_config);
+  Mutate(
+      target.cols(),
+      [&](const std::vector<float>& p) {
+        ASSERT_TRUE(service.Insert(p).ok());
+      },
+      [&](uint32_t id) {
+        Result<bool> removed = service.Remove(id);
+        ASSERT_TRUE(removed.ok() && removed.value());
+      });
+  const std::string service_dir = TempPath("interop_service");
+  std::filesystem::remove_all(service_dir);
+  ASSERT_TRUE(service.SaveSnapshots(service_dir).ok());
+  Result<std::unique_ptr<SweetKnnIndex>> loaded =
+      SweetKnnIndex::Load(ShardSnapshotPath(service_dir, 0, 1), config);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_GT(loaded.value()->delta_size(), 0u);
+  EXPECT_GT(loaded.value()->tombstone_count(), 0u);
+  ExpectSameAnswers(loaded.value().get(), &service, "service -> index");
+
+  std::filesystem::remove_all(index_dir);
+  std::filesystem::remove_all(service_dir);
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 # swaps against live clients; route_planner_test flips the hybrid
 # planner's mode and feeds its selectivity EMA from many threads while
 # Choose() races the lock-free route counters; shard_backend_test covers
-# the transport-free shard dispatch/merge core both serving backends
-# share; router_timeout_test drives the cluster router's channel IO
+# core::ShardHost, the transport-free shard dispatch/merge core both
+# serving backends and SweetKnnIndex share; router_timeout_test drives the cluster router's channel IO
 # threads, reply queues, and worker-death path (it spawns shard-worker
 # processes through the CLI binary); scheduler_test hammers the
 # deficit-round-robin admission scheduler's pops against concurrent
