@@ -3,11 +3,12 @@
 // recall target. For every sweep point it reports QPS, the speedup over
 // the exact path, the TRUE recall@k of the approx answers against the
 // exact ones, and the graph-search work counters (hops and distance
-// evaluations per query) — plus the one-off index build per scale, split
-// into the TI preparation and the graph build, and the graph build per
-// phase and per NN-descent round. At the second scale the graph is also
-// rebuilt at 1, 2 and 4 workers, which must give the same bytes.
-// Emits BENCH_ann.json.
+// evaluations per query) — plus the one-off index build per scale: the
+// whole SweetKnnIndex constructor, and a second production build
+// (core::ShardHost) split into the TI preparation and the graph build,
+// the base's TI kNN self-join, with the rows that join scored per node.
+// At the second scale that graph is rebuilt at 1, 2 and 4 workers,
+// which must give the index's bytes. Emits BENCH_ann.json.
 //
 // The run fails (exit 1) if the default mode (recall_target 0.9) does
 // not beat exact throughput at the largest scale, if any sweep point's
@@ -25,7 +26,7 @@
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "core/device_points.h"
+#include "core/shard_host.h"
 #include "core/sweet_knn.h"
 
 namespace sweetknn::bench {
@@ -34,12 +35,14 @@ namespace {
 constexpr size_t kDims = 16;
 constexpr int kClusters = 32;
 
-/// One index build: wall-clock of the whole SweetKnnIndex constructor and
-/// the graph build's own per-phase account of its share.
+/// One index build: wall-clock of the whole SweetKnnIndex constructor,
+/// and of a second production build's two steps.
 struct IndexBuild {
   size_t rows = 0;
   double index_s = 0.0;
-  ann::GraphBuildStats graph;
+  double ti_prep_s = 0.0;    ///< ShardHost::BuildCold
+  double graph_s = 0.0;      ///< ShardHost::BuildGraph: the TI self-join
+  double rows_scored = 0.0;  ///< Per node, by the self-join's TI scan
 };
 
 /// Graph builds of one point set at several worker counts.
@@ -157,26 +160,36 @@ int Main(int argc, char** argv) {
     IndexBuild build;
     build.rows = n;
     build.index_s = build_wall.ElapsedSeconds();
-    build.graph = index.ann().build_stats();
+    // The same build on a bare shard, step by step: the TI preparation,
+    // then the graph, with the self-join's scan counters.
+    core::ShardHost host(config.device, config.options);
+    host.ConfigureAnn(true, config.ann_params, config.options.sim_threads);
+    Stopwatch step_wall;
+    host.BuildCold(target);
+    build.ti_prep_s = step_wall.ElapsedSeconds();
+    core::RangeScanStats join;
+    step_wall.Reset();
+    host.BuildGraph(target, ann::KnnGraph{}, &join);
+    build.graph_s = step_wall.ElapsedSeconds();
+    build.rows_scored =
+        static_cast<double>(join.candidates) / static_cast<double>(n);
     builds.push_back(build);
     if (builds.size() == 2) {
-      // Rebuild the index's graph (same params and entry seeds) at
-      // several worker counts: the bytes must not move.
+      // Rebuild the graph at several worker counts: the bytes must be
+      // the index's.
       const ann::KnnGraph& want = index.ann().graph();
       sweep.rows = n;
       for (const int workers : {1, 2, 4}) {
         ann::GraphBuildParams params = config.ann_params;
         params.workers = workers;
+        host.ConfigureAnn(true, params);
         const Stopwatch sweep_wall;
-        const ann::KnnGraph got = ann::BuildKnnGraph(
-            target.data(), n, kDims, core::SimdDistFor(config.options.metric),
-            params, want.entry_points);
+        host.BuildGraph(target, ann::KnnGraph{});
         sweep.workers.push_back(workers);
         sweep.seconds.push_back(sweep_wall.ElapsedSeconds());
         sweep.identical = sweep.identical &&
-                          got.neighbors == want.neighbors &&
-                          got.build_iters == want.build_iters &&
-                          got.entry_points == want.entry_points;
+                          host.ann.graph().neighbors == want.neighbors &&
+                          host.ann.graph().entry_points == want.entry_points;
       }
     }
 
@@ -223,18 +236,12 @@ int Main(int argc, char** argv) {
                      FormatDouble(run.dists_per_query, 0)});
       runs.push_back(run);
     }
-    const ann::GraphBuildStats& g = build.graph;
-    std::printf("  index build %.3f s (%zu rows) = TI prep %.3f s + graph "
-                "build %.3f s (init %.3f s, reverse lists %.3f s)\n",
-                build.index_s, n, build.index_s - g.total_seconds,
-                g.total_seconds, g.init_seconds, g.reverse_seconds);
-    for (size_t r = 0; r < g.rounds.size(); ++r) {
-      std::printf("    round %zu: %llu candidates, %llu accepted, %.3f s\n",
-                  r + 1,
-                  static_cast<unsigned long long>(g.rounds[r].candidates),
-                  static_cast<unsigned long long>(g.rounds[r].accepted),
-                  g.rounds[r].seconds);
-    }
+    std::printf("  index build %.3f s (%zu rows); step by step: TI prep "
+                "%.3f s + graph build %.3f s (self-join scored %.0f rows "
+                "per node, %.1f %%)\n",
+                build.index_s, n, build.ti_prep_s, build.graph_s,
+                build.rows_scored,
+                100.0 * build.rows_scored / static_cast<double>(n));
   }
   if (!sweep.workers.empty()) {
     std::printf("\ngraph build at %zu rows:", sweep.rows);
@@ -265,22 +272,9 @@ int Main(int argc, char** argv) {
       std::fprintf(json,
                    "    {\"rows\": %zu, \"index_build_s\": %.4f, "
                    "\"ti_prep_s\": %.4f, \"graph_build_s\": %.4f, "
-                   "\"graph_init_s\": %.4f, \"graph_reverse_s\": %.4f, "
-                   "\"rounds\": [",
-                   b.rows, b.index_s, b.index_s - b.graph.total_seconds,
-                   b.graph.total_seconds, b.graph.init_seconds,
-                   b.graph.reverse_seconds);
-      for (size_t r = 0; r < b.graph.rounds.size(); ++r) {
-        const ann::GraphBuildStats::Round& round = b.graph.rounds[r];
-        std::fprintf(json,
-                     "%s{\"candidates\": %llu, \"accepted\": %llu, "
-                     "\"seconds\": %.4f}",
-                     r == 0 ? "" : ", ",
-                     static_cast<unsigned long long>(round.candidates),
-                     static_cast<unsigned long long>(round.accepted),
-                     round.seconds);
-      }
-      std::fprintf(json, "]}%s\n", i + 1 < builds.size() ? "," : "");
+                   "\"rows_scored_per_node\": %.1f}%s\n",
+                   b.rows, b.index_s, b.ti_prep_s, b.graph_s, b.rows_scored,
+                   i + 1 < builds.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n  \"graph_build_workers\": {\"rows\": %zu, "
                        "\"runs\": [",

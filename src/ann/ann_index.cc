@@ -16,18 +16,6 @@ constexpr size_t kQueryGrain = 8;
 
 }  // namespace
 
-AnnIndex AnnIndex::Build(const HostMatrix& points, simd::Dist dist,
-                         const GraphBuildParams& params,
-                         std::vector<uint32_t> entry_points) {
-  GraphBuildStats stats;
-  KnnGraph graph = BuildKnnGraph(points.data(), points.rows(), points.cols(),
-                                 dist, params, std::move(entry_points),
-                                 &stats);
-  AnnIndex index(points, dist, std::move(graph));
-  index.build_stats_ = std::move(stats);
-  return index;
-}
-
 AnnIndex AnnIndex::Adopt(const HostMatrix& points, simd::Dist dist,
                          KnnGraph graph) {
   SK_CHECK(graph.num_nodes == points.rows())

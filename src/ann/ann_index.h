@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <utility>
-#include <vector>
 
 #include "ann/graph_search.h"
 #include "ann/knn_graph.h"
@@ -18,29 +17,20 @@ namespace sweetknn::ann {
 /// search. Covers base rows only — mutable-overlay deltas are scanned
 /// exactly by the caller (ScanDelta) and merged downstream, and the
 /// owner rebuilds this index whenever the base changes (compaction
-/// install, cold build, snapshot restore).
+/// install, cold build, snapshot restore): it builds the graph
+/// (core::ShardHost::BuildGraph) and adopts it here.
 class AnnIndex {
  public:
   AnnIndex() = default;
 
-  /// Builds the graph over `points` with NN-descent. `entry_points` are
-  /// the Step-1 landmark picks (may be empty — a deterministic strided
-  /// sample takes over).
-  static AnnIndex Build(const HostMatrix& points, simd::Dist dist,
-                        const GraphBuildParams& params,
-                        std::vector<uint32_t> entry_points);
-
-  /// Wraps an already-built graph (snapshot restore). The graph must
-  /// cover exactly `points.rows()` nodes.
+  /// Wraps a built graph (a fresh build or a snapshot's). The graph
+  /// must cover exactly `points.rows()` nodes.
   static AnnIndex Adopt(const HostMatrix& points, simd::Dist dist,
                         KnnGraph graph);
 
   bool empty() const { return graph_.empty(); }
   size_t rows() const { return graph_.num_nodes; }
   const KnnGraph& graph() const { return graph_; }
-  /// Per-phase cost of the build behind this index; all zero for an
-  /// adopted graph.
-  const GraphBuildStats& build_stats() const { return build_stats_; }
   simd::Dist dist() const { return dist_; }
 
   /// Answers `queries` with the k nearest graph candidates per query,
@@ -62,10 +52,9 @@ class AnnIndex {
   HostMatrix points_;
   simd::Dist dist_ = simd::Dist::kEuclidean;
   KnnGraph graph_;
-  GraphBuildStats build_stats_;
   /// Derived in-edge CSR (never persisted): search expands the union of
   /// out- and in-edges so fringe points with no in-links in the kNN rows
-  /// stay reachable. Rebuilt here on every Build/Adopt.
+  /// stay reachable. Rebuilt here on every Adopt.
   ReverseAdjacency reverse_;
 };
 

@@ -12,32 +12,23 @@
 
 namespace sweetknn::ann {
 
-/// Build knobs of the NN-descent construction (docs/approx.md).
+/// Build knobs of the kNN graph (docs/approx.md).
 struct GraphBuildParams {
-  /// Out-degree of every node (edges kept per point). Clamped to the
-  /// point count minus one at build time; the stored row stride stays
-  /// `degree`, short rows pad with kInvalidNeighbor.
+  /// Out-degree of every node (edges kept per point). Clamped to
+  /// max(1, min(degree, rows - 1)) at build time; the stored row stride
+  /// stays the clamped degree, short rows pad with kInvalidNeighbor.
   uint32_t degree = 16;
-  /// NN-descent refinement rounds. The build usually converges earlier
-  /// (see convergence_fraction) — this is the hard cap.
-  uint32_t max_iters = 10;
-  /// Stop once a round improves fewer than this fraction of all edges.
-  double convergence_fraction = 0.002;
-  /// Seed of the random initial neighborhoods. Per-node streams are
-  /// SplitMix64(seed ^ node), so the build is bit-identical at any
-  /// worker count.
-  uint64_t seed = 0x5ee7a9c3u;
-  /// Host threads for the init and refinement rounds; 0 = every
-  /// hardware thread (common::HardwareThreads()). Never affects the
-  /// result, only wall-clock. A build called inside a fork-join region
-  /// (e.g. a shard fan-out) runs inline on one thread at any width.
+  /// Host threads for the self-join; 0 = every hardware thread
+  /// (common::HardwareThreads()). Never affects the result, only
+  /// wall-clock. A build called inside a fork-join region (e.g. a shard
+  /// fan-out) runs inline on one thread at any width.
   int workers = 0;
 };
 
 /// A directed kNN graph over a frozen base point set: `degree` edges per
-/// node toward its (approximately) nearest neighbors, plus the search
-/// entry seeds. Node ids are local base rows — the same index space the
-/// exact kernels report — so graph candidates merge through the existing
+/// node toward its nearest other points, plus the search entry seeds.
+/// Node ids are local base rows — the same index space the exact
+/// kernels report — so graph candidates merge through the existing
 /// MergeMutableResults machinery unchanged.
 struct KnnGraph {
   uint32_t num_nodes = 0;
@@ -49,8 +40,10 @@ struct KnnGraph {
   /// to each center), so best-first descent starts inside every region
   /// of the space.
   std::vector<uint32_t> entry_points;
-  // Build provenance, persisted with the graph (.sksnap v3).
-  uint32_t build_iters = 0;  ///< Refinement rounds the build actually ran.
+  // Build provenance, persisted with the graph (.sksnap v3). The
+  // self-join build writes 0 to both; files from the earlier NN-descent
+  // build carry its round count and random seed, and adopt unchanged.
+  uint32_t build_iters = 0;
   uint64_t build_seed = 0;
 
   bool empty() const { return num_nodes == 0; }
@@ -103,45 +96,46 @@ inline float PointDistance(const float* a, const float* b, size_t dims,
   return dist == simd::Dist::kEuclidean ? std::sqrt(acc) : acc;
 }
 
-/// Where one BuildKnnGraph call spent its time (host wall-clock) and how
-/// much work each refinement round did. Observational only: collecting
-/// it never changes the graph.
-struct GraphBuildStats {
-  struct Round {
-    /// Distances scored: the node's deduplicated candidates, summed.
-    uint64_t candidates = 0;
-    /// Heap pushes accepted — the count the convergence rule reads.
-    uint64_t accepted = 0;
-    /// The local-join pass (collect the candidates, score them in place
-    /// from the point base, heap updates).
-    double seconds = 0.0;
-  };
-  double init_seconds = 0.0;     ///< Random initial neighborhoods.
-  double reverse_seconds = 0.0;  ///< Reverse-list passes, all rounds.
-  std::vector<Round> rounds;     ///< One entry per round run.
-  double total_seconds = 0.0;    ///< The whole call.
-};
+/// One kNN-graph row of the point `self`, reduced from its own exact
+/// top-(k+1) answer (`row`, k + 1 entries): the first entry naming
+/// `self` is dropped — the extra slot absorbs the query point — and at
+/// most k neighbors are kept. A point absent from its own top k+1
+/// (duplicate-heavy sets) leaves the top k of the others intact, so the
+/// row is the exact k nearest other points either way. The graph build
+/// below, the serving KnnGraph job and SweetKnnIndex::KnnGraph build
+/// their rows with it.
+void KnnGraphRow(const Neighbor* row, int k, uint32_t self,
+                 std::vector<Neighbor>* out);
 
-/// Builds the kNN graph by synchronous NN-descent: random neighborhoods,
-/// then rounds where every node offers itself the neighbors of its
-/// (forward and reverse) neighbors, keeping the `degree` best under
-/// (distance, id). Each round reads the previous round's adjacency
-/// read-only and writes its own, parallelized over nodes with
-/// ParallelForChunks — the result is bit-identical at any worker count.
-///
-/// `entry_points` seeds the search (invalid ids are dropped, duplicates
-/// removed); when none survive, a deterministic strided sample is used.
-/// `rows` may be 0 (an empty graph searches nothing). `stats`, when
-/// non-null, receives the per-phase timings and per-round counters.
+/// An exact self-join of the base being built: the (k, workers) call
+/// returns the k nearest base rows of every base row, in row order,
+/// ascending by (distance, id), computed on up to `workers` threads.
+using SelfJoin = std::function<KnnResult(int k, int workers)>;
+
+/// Builds the exact kNN graph of a `rows`-point base from its self-join.
+/// Clamps the degree (GraphBuildParams::degree), resolves the width
+/// (params.workers, else every hardware thread), runs `join` at
+/// k = degree + 1 and reduces every row with KnnGraphRow, so row i holds
+/// the degree nearest other rows under (distance, id). `entry_points`
+/// seeds the search: sorted, deduplicated, ids >= rows dropped, and a
+/// deterministic strided sample when none survive. `rows` may be 0 (an
+/// empty graph searches nothing; `join` is not called).
+KnnGraph KnnGraphFromSelfJoin(size_t rows, const GraphBuildParams& params,
+                              std::vector<uint32_t> entry_points,
+                              const SelfJoin& join);
+
+/// The clustering-free reference build: KnnGraphFromSelfJoin over a
+/// brute-force simd::PackedKnn self-join of `points` (`rows` x `dims`,
+/// row-major). Production bases build through their TI host scan
+/// instead (core::ShardHost::BuildGraph); both give the same bytes.
 KnnGraph BuildKnnGraph(const float* points, size_t rows, size_t dims,
                        simd::Dist dist, const GraphBuildParams& params,
-                       std::vector<uint32_t> entry_points,
-                       GraphBuildStats* stats = nullptr);
+                       std::vector<uint32_t> entry_points);
 
-/// Test-only: observer invoked by every BuildKnnGraph call with the
-/// worker count it resolved (params.workers, or the hardware width when
-/// unset). Thread-safe — builds may run concurrently on the host pool.
-/// Pass nullptr to clear.
+/// Test-only: observer invoked by every graph build with the worker
+/// count it resolved (params.workers, or the hardware width when unset).
+/// Thread-safe — builds may run concurrently on the host pool. Pass
+/// nullptr to clear.
 void SetGraphBuildObserverForTest(std::function<void(int)> observer);
 
 }  // namespace sweetknn::ann

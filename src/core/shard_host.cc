@@ -47,18 +47,22 @@ void ShardHost::RestoreBase(const HostMatrix& target,
   image = HostImage(target, clustering);
 }
 
-void ShardHost::BuildGraph(const HostMatrix& base, ann::KnnGraph persisted) {
+void ShardHost::BuildGraph(const HostMatrix& base, ann::KnnGraph persisted,
+                           RangeScanStats* join_stats) {
   if (!ann_enabled_ || base.rows() == 0) return;
   const simd::Dist dist_kind = SimdDistFor(engine.options().metric);
-  if (persisted.num_nodes == base.rows()) {
-    // The snapshot carried the graph: adopt it verbatim (node ids are
-    // local base rows, valid as-is) instead of re-running NN-descent.
-    ann = ann::AnnIndex::Adopt(base, dist_kind, std::move(persisted));
-  } else {
-    ann = ann::AnnIndex::Build(
-        base, dist_kind, ann_params_,
-        AnnEntryPointsFromClustering(image.clustering()));
+  if (persisted.num_nodes != base.rows()) {
+    // No snapshot graph covers this base: join it with itself through
+    // the paper's TI filters. (A persisted graph's node ids are local
+    // base rows, valid as-is.)
+    persisted = ann::KnnGraphFromSelfJoin(
+        base.rows(), ann_params_,
+        AnnEntryPointsFromClustering(image.clustering()),
+        [&](int k, int workers) {
+          return image.Knn(base, k, dist_kind, workers, join_stats);
+        });
   }
+  ann = ann::AnnIndex::Adopt(base, dist_kind, std::move(persisted));
 }
 
 ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
@@ -245,10 +249,8 @@ bool ShardHost::ApplyRemove(uint32_t id) {
   return true;
 }
 
-void CaptureCompaction(ShardHost* shard, int shard_index,
-                       CompactionPlan* plan) {
+void CaptureCompaction(ShardHost* shard, CompactionPlan* plan) {
   SK_CHECK_EQ(shard->compact_watermark, ShardHost::kNoCompaction);
-  plan->shard = shard_index;
   plan->epoch = shard->epoch;
   plan->watermark = shard->delta.size();
   plan->captured_tombstones = shard->delta.tombstones;
@@ -319,29 +321,14 @@ void CarryOverlayForward(const ShardHost& old_shard,
 }
 
 std::unique_ptr<ShardHost> CompactNow(ShardHost* shard) {
-  if (shard->Pristine() || shard->live_rows() == 0) return nullptr;
+  if (shard->delta.Pristine() || shard->live_rows() == 0) return nullptr;
   CompactionPlan plan;
-  CaptureCompaction(shard, /*shard_index=*/0, &plan);
+  CaptureCompaction(shard, &plan);
   std::unique_ptr<ShardHost> fresh = RebuildCompacted(
       plan, shard->dev.spec(), shard->engine.options(), shard->ann_enabled(),
       shard->ann_params());
   CarryOverlayForward(*shard, plan, fresh.get());
   return fresh;
-}
-
-void KnnGraphRow(const Neighbor* row, int k, uint32_t self,
-                 std::vector<Neighbor>* out) {
-  out->clear();
-  bool dropped_self = false;
-  for (int j = 0; j < k + 1; ++j) {
-    if (row[j].index == kInvalidNeighbor) break;
-    if (!dropped_self && row[j].index == self) {
-      dropped_self = true;
-      continue;
-    }
-    if (static_cast<int>(out->size()) == k) break;
-    out->push_back(row[j]);
-  }
 }
 
 void AppendSelfJoinPairs(const RangeResult& matches, const uint32_t* ids,

@@ -114,13 +114,19 @@ struct ShardHost {
   /// Gives the base BuildCold / RestoreBase just installed its ANN graph
   /// (a no-op unless ConfigureAnn enabled the tier). `base` must hold
   /// that base's rows. `persisted` is the graph a snapshot carried
-  /// (empty on cold builds): adopted verbatim when it covers `base`,
-  /// otherwise NN-descent runs at ann_params().workers. Call it outside
-  /// any fork-join region — owners fan out BuildCold / RestoreBase
-  /// across shards, then build the graphs one shard at a time, each on
-  /// the full width: a build nested in the fan-out would run inline on
-  /// one thread.
-  void BuildGraph(const HostMatrix& base, ann::KnnGraph persisted);
+  /// (empty on cold builds): adopted verbatim when it covers `base`.
+  /// Otherwise the graph is the base's exact kNN self-join: the host
+  /// image's TI scan (HostImage::Knn) of every base row at
+  /// degree + 1, run at ann_params().workers and reduced by
+  /// ann::KnnGraphFromSelfJoin — the bytes ann::BuildKnnGraph's
+  /// brute-force join gives. `join_stats`, when set, accumulates that
+  /// scan's counters (untouched on adoption). Call it outside any
+  /// fork-join region — owners fan out BuildCold / RestoreBase across
+  /// shards, then build the graphs one shard at a time, each on the full
+  /// width: a build nested in the fan-out would run inline on one
+  /// thread.
+  void BuildGraph(const HostMatrix& base, ann::KnnGraph persisted,
+                  RangeScanStats* join_stats = nullptr);
 
   /// Adopts a snapshot's geometry and overlay fields (offset, id map,
   /// delta, tombstones). Restores neither the engine nor the graph —
@@ -212,7 +218,6 @@ struct ShardHost {
 /// Everything a compaction captures under the owner's lock before
 /// rebuilding off-lock (docs/mutability.md).
 struct CompactionPlan {
-  int shard = -1;
   uint64_t epoch = 0;    ///< Shard epoch at capture.
   size_t watermark = 0;  ///< Delta entries consumed by the plan.
   HostMatrix points;     ///< Survivors + consumed delta, id order.
@@ -227,8 +232,7 @@ struct CompactionPlan {
 /// Caller must hold the lock that guards `shard` and must have checked
 /// that the shard is compactable (no compaction in flight, non-pristine
 /// overlay, live_rows > 0).
-void CaptureCompaction(ShardHost* shard, int shard_index,
-                       CompactionPlan* plan);
+void CaptureCompaction(ShardHost* shard, CompactionPlan* plan);
 
 /// Rebuild step, safe to run off-lock: a fresh simulated device (so the
 /// adaptive scheme sees the same free memory a cold build would) and a
@@ -259,22 +263,13 @@ void CarryOverlayForward(const ShardHost& old_shard,
 /// rebuild under the shard's own device, options and ANN config (the
 /// graph at its configured width, every hardware thread when unset),
 /// and the carry-over, which is necessarily empty. Returns the
-/// replacement, or null when there is nothing to fold: a pristine
-/// shard, or one with no live point (an empty base cannot be clustered;
-/// the overlay keeps masking). The old shard, and its engine's buffers
-/// in its own device, live until the owner drops it.
+/// replacement, or null when there is nothing to fold: an empty overlay
+/// (an id-mapped base without one is already compacted — the test
+/// KnnService's compactor applies too), or no live point (an empty base
+/// cannot be clustered; the overlay keeps masking). The old shard, and
+/// its engine's buffers in its own device, live until the owner drops
+/// it.
 std::unique_ptr<ShardHost> CompactNow(ShardHost* shard);
-
-/// One kNN-graph row of the live point `self`, reduced from the merged
-/// top-(k+1) answer to its own query (`row`, k + 1 entries): the first
-/// entry naming `self` is dropped — the extra slot absorbs the query
-/// point — and at most k neighbors are kept. A point absent from its own
-/// top k+1 (duplicate-heavy sets) leaves the top k of the others
-/// intact, so the row is the exact k nearest other live points either
-/// way. The serving KnnGraph job and SweetKnnIndex::KnnGraph build their
-/// rows with it.
-void KnnGraphRow(const Neighbor* row, int k, uint32_t self,
-                 std::vector<Neighbor>* out);
 
 /// Self-join reduction of one range chunk: query row q, the live point
 /// with stable id ids[q], keeps its in-ball matches with ids above its

@@ -127,7 +127,7 @@ SweetKnnIndex::KnnGraphResult SweetKnnIndex::KnnGraph(int k) {
   for (size_t begin = 0; begin < out.ids.size(); begin += kJobChunkRows) {
     const KnnResult answer = Query(JobChunk(points, begin), k + 1);
     for (size_t q = 0; q < answer.num_queries(); ++q) {
-      core::KnnGraphRow(answer.row(q), k, out.ids[begin + q], &row);
+      ann::KnnGraphRow(answer.row(q), k, out.ids[begin + q], &row);
       out.neighbors.SetRow(begin + q, row);
     }
   }

@@ -51,7 +51,7 @@ class SweetKnn {
     /// SearchMode::Approx queries (docs/approx.md). Exact queries — and
     /// every index built without this — are completely unaffected.
     bool enable_ann = false;
-    /// SweetKnnIndex only: NN-descent build knobs for the ANN tier.
+    /// SweetKnnIndex only: graph build knobs for the ANN tier.
     ann::GraphBuildParams ann_params;
   };
 

@@ -211,9 +211,6 @@ void PutAnnConfig(PayloadWriter* w, bool enable_ann,
                   const ann::GraphBuildParams& p) {
   PutBool(w, enable_ann);
   w->PutU32(p.degree);
-  w->PutU32(p.max_iters);
-  w->PutDouble(p.convergence_fraction);
-  w->PutU64(p.seed);
   w->PutU32(static_cast<uint32_t>(p.workers));
 }
 
@@ -222,9 +219,6 @@ Status GetAnnConfig(PayloadReader* r, bool* enable_ann,
   uint32_t v = 0;
   SK_RETURN_IF_ERROR(GetBool(r, enable_ann));
   SK_RETURN_IF_ERROR(r->GetU32(&p->degree));
-  SK_RETURN_IF_ERROR(r->GetU32(&p->max_iters));
-  SK_RETURN_IF_ERROR(r->GetDouble(&p->convergence_fraction));
-  SK_RETURN_IF_ERROR(r->GetU64(&p->seed));
   SK_RETURN_IF_ERROR(r->GetU32(&v));
   p->workers = static_cast<int>(v);
   return Status::Ok();

@@ -70,7 +70,7 @@ struct PrepareColdRequest {
   gpusim::DeviceSpec device;
   core::PlannerConfig planner;
   /// ANN tier (docs/approx.md): when enabled the worker builds the
-  /// kNN graph right after the cold build, with these NN-descent knobs.
+  /// kNN graph right after the cold build, with these build knobs.
   bool enable_ann = false;
   ann::GraphBuildParams ann_params;
   /// Named index this shard belongs to (docs/serving.md). The distributed

@@ -943,7 +943,7 @@ void FrontEnd::RunJob(Job* job) {
                              queries.row(begin) + (end - begin) * dims);
     if (job->spec.kind == JobKind::kKnnGraph) {
       // One ordinary kNN request at k+1 (the one extra slot absorbs the
-      // query point itself; see core::KnnGraphRow for the exactness
+      // query point itself; see ann::KnnGraphRow for the exactness
       // argument), fair-shared through the admission queue.
       Result<KnnResult> answer =
           Knn(tenant, std::move(chunk), end - begin, k + 1,
@@ -953,8 +953,8 @@ void FrontEnd::RunJob(Job* job) {
         return;
       }
       for (size_t q = 0; q < end - begin; ++q) {
-        core::KnnGraphRow(answer.value().row(q), k,
-                          out.query_ids[begin + q], &rowbuf);
+        ann::KnnGraphRow(answer.value().row(q), k,
+                         out.query_ids[begin + q], &rowbuf);
         out.graph.SetRow(begin + q, rowbuf);
       }
     } else {

@@ -96,7 +96,7 @@ struct ServiceConfig {
   /// (docs/approx.md). Exact traffic — and every service built without
   /// this — is completely unaffected.
   bool enable_ann = false;
-  /// NN-descent build knobs for the ANN tier. When ann_params.workers
+  /// Graph build knobs for the ANN tier. When ann_params.workers
   /// is 0, graph builds use options.sim_threads (the service's
   /// configured parallelism); with both unset, builds the caller waits
   /// for (construction, CreateIndex, SwapIndex, warm start) run on every

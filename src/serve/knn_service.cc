@@ -222,7 +222,7 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
   });
   // Warm or cold, the base bytes are the slice bytes (warm starts
   // byte-compare the snapshot against the slice above); a warm start
-  // hands over any persisted ANN graph instead of re-running NN-descent.
+  // hands over any persisted ANN graph instead of rebuilding it.
   for (size_t idx = 0; idx < slices.size(); ++idx) {
     tenant->shards[idx]->BuildGraph(
         slices[idx],
@@ -794,7 +794,7 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
     ann_enabled = shard.ann_enabled();
     ann_params = shard.ann_params();
     if (ann_params.workers <= 0) ann_params.workers = 1;
-    core::CaptureCompaction(&shard, s, &plan);
+    core::CaptureCompaction(&shard, &plan);
   }
 
   // Rebuild off-lock: a fresh simulated device (so the adaptive scheme

@@ -61,8 +61,8 @@ store::IndexSnapshot ShardHost::Export(const std::string& dataset_name,
     std::sort(snap.tombstones.begin(), snap.tombstones.end());
     snap.next_id = next_id;
   }
-  // Persisting the graph lets a warm start skip the NN-descent build the
-  // same way the clustering section lets it skip the Step-1 landmarks.
+  // Persisting the graph lets a warm start skip the graph build the same
+  // way the clustering section lets it skip the Step-1 landmarks.
   if (!ann.empty()) snap.ann_graph = ann.graph();
   return snap;
 }

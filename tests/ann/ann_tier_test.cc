@@ -19,7 +19,9 @@
 #include "ann/search_mode.h"
 #include "baseline/brute_force_cpu.h"
 #include "common/rng.h"
-#include "common/topk.h"
+#include "core/clustering.h"
+#include "core/device_points.h"
+#include "core/shard_host.h"
 #include "core/sweet_knn.h"
 #include "gtest/gtest.h"
 #include "serve/knn_service.h"
@@ -93,131 +95,6 @@ TEST(SearchModeTest, OrderingIsStrictWeakAndExactFirst) {
 
 // --- Graph build ------------------------------------------------------------
 
-/// NN-descent as first written: nested-vector adjacency, every node's
-/// raw candidate list sorted and deduplicated, scalar PointDistance, and
-/// every candidate offered to the heap. BuildKnnGraph must reproduce its
-/// graphs byte for byte, and its per-round candidate and accepted-push
-/// counts (`rounds`). Serial: its result never depended on workers.
-ann::KnnGraph ReferenceBuildKnnGraph(
-    const float* points, size_t rows, size_t dims, simd::Dist dist,
-    const ann::GraphBuildParams& params, std::vector<uint32_t> entry_points,
-    std::vector<ann::GraphBuildStats::Round>* rounds) {
-  ann::KnnGraph graph;
-  if (rows == 0) return graph;
-  const uint32_t n = static_cast<uint32_t>(rows);
-  const uint32_t degree = std::max<uint32_t>(
-      1, std::min<uint64_t>(params.degree, std::max<size_t>(rows - 1, 1)));
-
-  std::vector<std::vector<Neighbor>> adj(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    std::vector<uint32_t> picks;
-    if (rows - 1 <= degree) {
-      for (uint32_t c = 0; c < n; ++c) {
-        if (c != static_cast<uint32_t>(i)) picks.push_back(c);
-      }
-    } else {
-      Rng rng(SplitMix64(params.seed ^ static_cast<uint64_t>(i)));
-      while (picks.size() < degree) {
-        const auto c = static_cast<uint32_t>(rng.NextBounded(n));
-        if (c == static_cast<uint32_t>(i)) continue;
-        if (std::find(picks.begin(), picks.end(), c) == picks.end()) {
-          picks.push_back(c);
-        }
-      }
-    }
-    for (const uint32_t c : picks) {
-      adj[i].push_back(Neighbor{
-          c, ann::PointDistance(points + i * dims, points + c * dims, dims,
-                                dist)});
-    }
-    std::sort(adj[i].begin(), adj[i].end(), NeighborLess);
-  }
-
-  uint32_t iters = 0;
-  if (rows > 2) {
-    std::vector<std::vector<uint32_t>> rev(rows);
-    for (uint32_t round = 0; round < params.max_iters; ++round) {
-      for (std::vector<uint32_t>& r : rev) r.clear();
-      for (uint32_t i = 0; i < n; ++i) {
-        for (const Neighbor& nb : adj[i]) {
-          if (rev[nb.index].size() < degree) rev[nb.index].push_back(i);
-        }
-      }
-      std::vector<std::vector<Neighbor>> next(rows);
-      uint64_t updates = 0;
-      uint64_t scored = 0;
-      for (size_t i = 0; i < rows; ++i) {
-        const auto self = static_cast<uint32_t>(i);
-        std::vector<uint32_t> cand;
-        const auto add = [&](uint32_t c) {
-          if (c != self) cand.push_back(c);
-        };
-        const auto expand = [&](uint32_t b) {
-          add(b);
-          for (const Neighbor& nb : adj[b]) add(nb.index);
-          for (const uint32_t r : rev[b]) add(r);
-        };
-        for (const Neighbor& nb : adj[i]) expand(nb.index);
-        for (const uint32_t r : rev[i]) expand(r);
-        std::sort(cand.begin(), cand.end());
-        cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-        std::vector<uint32_t> have;
-        for (const Neighbor& nb : adj[i]) have.push_back(nb.index);
-        std::sort(have.begin(), have.end());
-        TopK heap(static_cast<int>(degree));
-        for (const Neighbor& nb : adj[i]) heap.PushIfCloser(nb);
-        for (const uint32_t c : cand) {
-          if (std::binary_search(have.begin(), have.end(), c)) continue;
-          ++scored;
-          const float d = ann::PointDistance(points + i * dims,
-                                             points + c * dims, dims, dist);
-          if (heap.PushIfCloser(Neighbor{c, d})) ++updates;
-        }
-        next[i] = heap.Sorted();
-      }
-      adj.swap(next);
-      ++iters;
-      ann::GraphBuildStats::Round round_stats;
-      round_stats.candidates = scored;
-      round_stats.accepted = updates;
-      rounds->push_back(round_stats);
-      if (static_cast<double>(updates) <=
-          params.convergence_fraction * static_cast<double>(rows) *
-              static_cast<double>(degree)) {
-        break;
-      }
-    }
-  }
-
-  graph.num_nodes = n;
-  graph.degree = degree;
-  graph.build_iters = iters;
-  graph.build_seed = params.seed;
-  graph.neighbors.assign(static_cast<size_t>(n) * degree, kInvalidNeighbor);
-  for (size_t i = 0; i < rows; ++i) {
-    for (size_t j = 0; j < adj[i].size(); ++j) {
-      graph.neighbors[i * degree + j] = adj[i][j].index;
-    }
-  }
-  std::sort(entry_points.begin(), entry_points.end());
-  entry_points.erase(std::unique(entry_points.begin(), entry_points.end()),
-                     entry_points.end());
-  while (!entry_points.empty() && entry_points.back() >= n) {
-    entry_points.pop_back();
-  }
-  if (entry_points.empty()) {
-    const uint32_t count = std::min<uint32_t>(8, n);
-    for (uint32_t j = 0; j < count; ++j) {
-      entry_points.push_back(j * n / count);
-    }
-    entry_points.erase(
-        std::unique(entry_points.begin(), entry_points.end()),
-        entry_points.end());
-  }
-  graph.entry_points = std::move(entry_points);
-  return graph;
-}
-
 /// `rows` points drawn from rows / 8 distinct ones on a coarse integer
 /// grid: exact duplicates (distance 0) and equal distances between
 /// distinct points, so (distance, id) ties decide the heap.
@@ -236,14 +113,15 @@ HostMatrix DuplicateHeavyPoints(size_t rows, size_t dims, uint64_t seed) {
 }
 
 TEST(KnnGraphTest, BuildIsBitIdenticalAcrossWorkerCounts) {
-  // Seeded sweep of BuildKnnGraph against the reference build: every
-  // graph byte, the round count, the entry seeds and the per-round
-  // candidate and accepted-push counts must match. Data
-  // kinds: clustered points under each distance kind, and a duplicate-
-  // heavy set under the Euclidean one. Each case runs at the next
-  // (SIMD tier, worker count) pair in turn, so every pair meets many
-  // shapes; at 2000 rows the data kind rotates too, which keeps the
-  // reference builds affordable.
+  // Seeded sweep of the production build — core::ShardHost::BuildGraph,
+  // the base's TI self-join — against BuildKnnGraph's brute-force
+  // reference: the neighbor bytes, the degree and the entry seeds must
+  // match. Data kinds: clustered and duplicate-heavy points, each under
+  // both metrics. Odd seeds force 1-8 landmarks, so small bases reach
+  // the per-cluster windows as well as the small-shard rule's one-window
+  // scan. Each case runs at the next (SIMD tier, worker count) pair in
+  // turn, so every pair meets many shapes; at 2000 rows the data kind
+  // rotates too, which keeps the case count affordable.
   LevelGuard guard;
   const std::vector<simd::Level> levels = AvailableLevels();
   const int kWorkers[] = {1, 3, 8};
@@ -263,53 +141,79 @@ TEST(KnnGraphTest, BuildIsBitIdenticalAcrossWorkerCounts) {
           const simd::Level level = levels[turn % levels.size()];
           const int workers = kWorkers[(turn / levels.size()) % 3];
           ++turn;
-          const bool duplicates = data == 3;
-          const simd::Dist dist =
-              duplicates ? simd::Dist::kEuclidean
-                         : static_cast<simd::Dist>(data);
+          const bool duplicates = data >= 2;
+          const core::Metric metric = data % 2 == 0
+                                          ? core::Metric::kEuclidean
+                                          : core::Metric::kManhattan;
+          const simd::Dist dist = core::SimdDistFor(metric);
           const HostMatrix points =
               duplicates ? DuplicateHeavyPoints(rows, dims, seed)
                          : ClusteredPoints(rows, dims, 5, seed);
+          core::TiOptions options = core::TiOptions::Sweet();
+          options.metric = metric;
+          options.sim_threads = 1;
+          options.landmarks_override =
+              seed % 2 == 1 ? 1 + static_cast<int>(seed / 2 % 8) : 0;
           ann::GraphBuildParams params;
           params.degree = degree;
-          params.seed = seed;
           params.workers = workers;
-          // Odd seeds also hand in messy landmark picks (out of range,
-          // repeated) for the entry-point cleanup.
-          std::vector<uint32_t> entries;
-          if (seed % 2 == 1) {
-            entries = {static_cast<uint32_t>(rows) + 3,
-                       static_cast<uint32_t>(rows / 2), 0u,
-                       static_cast<uint32_t>(rows / 2)};
-          }
-          std::vector<ann::GraphBuildStats::Round> want_rounds;
-          const ann::KnnGraph want = ReferenceBuildKnnGraph(
-              points.data(), rows, dims, dist, params, entries, &want_rounds);
-          simd::ForceLevelForTest(static_cast<int>(level));
-          ann::GraphBuildStats stats;
-          const ann::KnnGraph got = ann::BuildKnnGraph(
-              points.data(), rows, dims, dist, params, entries, &stats);
           const std::string repro =
               (::testing::Message()
                << "rows=" << rows << " dims=" << dims << " degree=" << degree
-               << " dist=" << static_cast<int>(dist)
+               << " metric=" << static_cast<int>(metric)
                << " duplicates=" << duplicates << " seed=" << seed
+               << " landmarks=" << options.landmarks_override
                << " workers=" << workers
                << " tier=" << simd::LevelName(level))
                   .GetString();
+          simd::ForceLevelForTest(static_cast<int>(level));
+          core::ShardHost shard(gpusim::DeviceSpec::TeslaK20c(), options);
+          shard.ConfigureAnn(true, params);
+          shard.BuildCold(points);
+          shard.BuildGraph(points, ann::KnnGraph{});
+          const ann::KnnGraph& got = shard.ann.graph();
+          const ann::KnnGraph want = ann::BuildKnnGraph(
+              points.data(), rows, dims, dist, params,
+              core::AnnEntryPointsFromClustering(shard.image.clustering()));
           ASSERT_EQ(got.num_nodes, want.num_nodes) << repro;
           ASSERT_EQ(got.degree, want.degree) << repro;
           ASSERT_EQ(got.neighbors, want.neighbors) << repro;
-          ASSERT_EQ(got.build_iters, want.build_iters) << repro;
           ASSERT_EQ(got.entry_points, want.entry_points) << repro;
-          // The accepted-push count depends on push order, and the
-          // convergence rule reads it; compare it round by round.
-          ASSERT_EQ(stats.rounds.size(), want_rounds.size()) << repro;
-          for (size_t r = 0; r < want_rounds.size(); ++r) {
-            ASSERT_EQ(stats.rounds[r].candidates, want_rounds[r].candidates)
-                << repro << " round=" << r;
-            ASSERT_EQ(stats.rounds[r].accepted, want_rounds[r].accepted)
-                << repro << " round=" << r;
+          // The reference against the definition, on the smaller bases:
+          // row i is the degree nearest other rows under (distance, id).
+          if (rows <= 300) {
+            std::vector<Neighbor> others;
+            for (size_t i = 0; i < rows; ++i) {
+              others.clear();
+              for (size_t j = 0; j < rows; ++j) {
+                if (j == i) continue;
+                others.push_back(Neighbor{
+                    static_cast<uint32_t>(j),
+                    ann::PointDistance(points.row(i), points.row(j), dims,
+                                       dist)});
+              }
+              std::sort(others.begin(), others.end(), NeighborLess);
+              std::vector<uint32_t> row(want.degree, kInvalidNeighbor);
+              for (size_t e = 0; e < row.size() && e < others.size(); ++e) {
+                row[e] = others[e].index;
+              }
+              ASSERT_TRUE(std::equal(row.begin(), row.end(),
+                                     want.row(static_cast<uint32_t>(i))))
+                  << repro << " node=" << i;
+            }
+          }
+          // Every third seed also hands the reference messy landmark
+          // picks (out of range, repeated) for the entry-point cleanup.
+          if (seed % 3 == 0) {
+            const auto half = static_cast<uint32_t>(rows / 2);
+            const ann::KnnGraph cleaned = ann::BuildKnnGraph(
+                points.data(), rows, dims, dist, params,
+                {static_cast<uint32_t>(rows) + 3, half, 0u, half});
+            ASSERT_EQ(cleaned.neighbors, want.neighbors) << repro;
+            const std::vector<uint32_t> expected =
+                half == 0 ? std::vector<uint32_t>{0u}
+                          : std::vector<uint32_t>{0u, half};
+            ASSERT_EQ(cleaned.entry_points, expected) << repro;
           }
         }
       }
@@ -410,8 +314,8 @@ TEST(KnnGraphTest, ServiceDefaultWidthGraphsMatchOneThread) {
 
 TEST(AnnIndexTest, EmptyBaseSearchesNothing) {
   HostMatrix empty(0, 4);
-  const ann::AnnIndex index = ann::AnnIndex::Build(
-      empty, simd::Dist::kEuclidean, ann::GraphBuildParams{}, {});
+  const ann::AnnIndex index =
+      ann::AnnIndex::Adopt(empty, simd::Dist::kEuclidean, ann::KnnGraph{});
   EXPECT_TRUE(index.empty());
   const HostMatrix queries = UniformPoints(3, 4, 0xeee);
   ann::AnnSearchStats stats;
@@ -500,6 +404,27 @@ TEST(AnnIndexEdgeTest, AllTombstonedIndexAnswersAllPadding) {
       EXPECT_EQ(approx.row(q)[j].index, kInvalidNeighbor);
     }
   }
+}
+
+TEST(AnnIndexEdgeTest, SecondCompactionOfIdMappedIndexIsANoOp) {
+  // A compaction that leaves non-identity ids installs an id map over an
+  // empty overlay. A second Compact() then has nothing to fold: it must
+  // neither re-cluster the identical base nor rebuild its graph.
+  const HostMatrix points = ClusteredPoints(200, 5, 4, 0xc0c0);
+  SweetKnn::Config config = AnnConfig();
+  config.compact_delta_fraction = 0.0;
+  SweetKnnIndex index(points, config);
+  ASSERT_TRUE(index.Remove(0));
+  index.Compact();
+  ASSERT_EQ(index.compactions(), 1u);
+  ASSERT_FALSE(index.pristine());
+  ASSERT_EQ(index.delta_size() + index.tombstone_count(), 0u);
+  int builds = 0;
+  ann::SetGraphBuildObserverForTest([&](int) { ++builds; });
+  index.Compact();
+  ann::SetGraphBuildObserverForTest(nullptr);
+  EXPECT_EQ(index.compactions(), 1u);
+  EXPECT_EQ(builds, 0);
 }
 
 TEST(AnnIndexEdgeTest, MutationsAreServedExactlyUnderApprox) {

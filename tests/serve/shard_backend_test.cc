@@ -216,7 +216,7 @@ TEST(ShardBackendTest, CompactionRoundTripKeepsAnswers) {
   for (size_t s = 0; s < shards.size(); ++s) {
     core::TiOptions shard_options = options;
     core::CompactionPlan plan;
-    core::CaptureCompaction(shards[s].get(), static_cast<int>(s), &plan);
+    core::CaptureCompaction(shards[s].get(), &plan);
     auto fresh = core::RebuildCompacted(
         plan, gpusim::DeviceSpec::TeslaK20c(), shard_options);
     core::CarryOverlayForward(*shards[s], plan, fresh.get());

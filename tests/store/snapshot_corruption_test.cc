@@ -120,7 +120,7 @@ TEST(SnapshotCorruptionTest, SeededRandomCorruptionsAreRejected) {
 }
 
 TEST(SnapshotCorruptionTest, EveryTruncationIsRejected) {
-  const std::string path = TempPath("trunc.sksnap");
+  const std::string path = TempPath("corruption_trunc.sksnap");
   const std::string good = BuildSnapshotBytes(path);
   ASSERT_FALSE(good.empty());
 

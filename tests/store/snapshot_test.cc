@@ -167,7 +167,7 @@ TEST(SnapshotWriterReaderTest, TrailingGarbageRejected) {
 }
 
 TEST(SnapshotWriterReaderTest, EveryTruncationRejected) {
-  const std::string path = TempPath("trunc.sksnap");
+  const std::string path = TempPath("writer_trunc.sksnap");
   {
     SnapshotWriter writer(path);
     ASSERT_TRUE(writer.WriteSection(kSectionMeta, "payload").ok());

@@ -32,8 +32,8 @@
 # inserts against recall-probed groups on both backends, and fails
 # range groups and jobs over a killed worker; thread_pool_test opens
 # fork-join regions nested on the calling thread; ann_tier_test builds
-# kNN graphs at 3 and 8 workers, whose participants share the flat
-# adjacency arrays and each own a per-slot candidate scratch. Service
+# kNN graphs at 3 and 8 workers, each a self-join whose participants
+# share the base's read-only host image and write disjoint rows. Service
 # construction builds each shard's graph on every hardware thread after
 # the shard fan-out, so the ANN-enabled services of multitenant_test,
 # router_front_end_test and ann_tier_test run full-width graph builds

@@ -867,10 +867,13 @@ int IndexInspect(int argc, char** argv) {
   }
   if (index.HasAnnGraph()) {
     const ann::KnnGraph& g = index.ann_graph;
-    std::printf("ann graph: %u nodes x degree %u, built in %u rounds "
-                "(seed %llu)\n",
-                g.num_nodes, g.degree, g.build_iters,
-                static_cast<unsigned long long>(g.build_seed));
+    std::printf("ann graph: %u nodes x degree %u", g.num_nodes, g.degree);
+    if (g.build_iters > 0) {
+      // Written by the NN-descent build that preceded the self-join.
+      std::printf(", NN-descent in %u rounds (seed %llu)", g.build_iters,
+                  static_cast<unsigned long long>(g.build_seed));
+    }
+    std::printf("\n");
     std::printf("  entry points (%zu):", g.entry_points.size());
     const size_t show = std::min<size_t>(g.entry_points.size(), 8);
     for (size_t i = 0; i < show; ++i) {
