@@ -6,15 +6,9 @@
 // kernel — the speedup claim is only meaningful because the answers are
 // the same bytes.
 //
-// A second sweep scores base rows named by random ids both ways the
-// ANN code does: GatherDistances in place (the graph build's ~900
-// candidates per node) and memcpy into a block plus QueryBlockDistances
-// (a graph-search hop's ~16 rows). It records which path is cheaper per
-// row at n in {16, 1024} and dims in {4, 42}.
-//
 // Emits BENCH_distance_kernels.json (with the host/build env block) for
-// the CI artifact. Exits non-zero if any tier diverges from scalar in
-// either sweep, or if the dims >= 16 geomean speedup of the best tier
+// the CI artifact. Exits non-zero if any tier diverges from scalar, or
+// if the dims >= 16 geomean speedup of the best tier
 // falls below 4x while AVX2 is available — the acceptance bar of the
 // SIMD kernel work.
 
@@ -40,30 +34,12 @@ constexpr size_t kTotalFloats = size_t{1} << 20;
 constexpr size_t kQueries = 8;
 constexpr double kMinSeconds = 0.05;
 
-// The id-scoring sweep: a kdd-shaped and a 3DNet-shaped row, one hop's
-// worth and one build node's worth of ids, drawn from a base the size of
-// one e2e lookup shard. kIdLists distinct lists rotate so a timed loop
-// does not rescore one hot set of rows.
-constexpr size_t kGatherDims[] = {4, 42};
-constexpr size_t kGatherCounts[] = {16, 1024};
-constexpr size_t kGatherBaseRows = 12288;
-constexpr size_t kIdLists = 64;
-
 struct Row {
   size_t dims = 0;
   size_t n = 0;
   simd::Level level = simd::Level::kScalar;
   double gbps = 0.0;
   double speedup = 1.0;  // vs pinned scalar on the same config
-  bool identical = true;
-};
-
-struct GatherRow {
-  size_t dims = 0;
-  size_t n = 0;
-  simd::Level level = simd::Level::kScalar;
-  double gather_ns = 0.0;  // per scored row, GatherDistances
-  double copy_ns = 0.0;    // per scored row, memcpy + QueryBlockDistances
   bool identical = true;
 };
 
@@ -91,85 +67,6 @@ double TimeSweep(const HostMatrix& queries, const simd::PackedTargets& packed,
                            out->data() + q * packed.n());
     }
   });
-}
-
-/// The id-scoring sweep at every tier. Returns false when any tier's
-/// answer, by either path, differs from the scalar gather's bytes.
-bool GatherSweep(std::vector<GatherRow>* out) {
-  std::printf("\nscoring rows by id: GatherDistances vs memcpy + "
-              "QueryBlockDistances (%zu-row base)\n",
-              kGatherBaseRows);
-  PrintTableHeader({"dims", "n", "tier", "gather ns/row", "copy ns/row",
-                    "copy/gather", "identical"});
-  bool all_identical = true;
-  for (const size_t dims : kGatherDims) {
-    for (const size_t n : kGatherCounts) {
-      Rng rng(20261017 + dims * 7919 + n);
-      HostMatrix base(kGatherBaseRows, dims);
-      for (size_t r = 0; r < kGatherBaseRows; ++r) {
-        for (size_t j = 0; j < dims; ++j) base.at(r, j) = rng.NextFloat();
-      }
-      std::vector<float> query(dims);
-      for (float& x : query) x = rng.NextFloat();
-      std::vector<uint32_t> ids(kIdLists * n);
-      for (uint32_t& id : ids) {
-        id = static_cast<uint32_t>(rng.NextBounded(kGatherBaseRows));
-      }
-      std::vector<float> block(n * dims);
-      // Every list scored by one path, at the pinned tier.
-      const auto gather_all = [&](std::vector<float>* dists) {
-        for (size_t l = 0; l < kIdLists; ++l) {
-          simd::GatherDistances(query.data(), base.data(), kGatherBaseRows,
-                                ids.data() + l * n, n, dims,
-                                simd::Dist::kEuclidean,
-                                dists->data() + l * n);
-        }
-      };
-      const auto copy_all = [&](std::vector<float>* dists) {
-        for (size_t l = 0; l < kIdLists; ++l) {
-          const uint32_t* list = ids.data() + l * n;
-          for (size_t c = 0; c < n; ++c) {
-            std::memcpy(block.data() + c * dims, base.row(list[c]),
-                        dims * sizeof(float));
-          }
-          simd::QueryBlockDistances(query.data(), block.data(), n, dims,
-                                    simd::Dist::kEuclidean,
-                                    dists->data() + l * n);
-        }
-      };
-      simd::ForceLevelForTest(static_cast<int>(simd::Level::kScalar));
-      std::vector<float> want(kIdLists * n);
-      gather_all(&want);
-      for (const simd::Level level :
-           {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
-        if (!simd::CompiledIn(level) || !simd::CpuSupports(level)) continue;
-        simd::ForceLevelForTest(static_cast<int>(level));
-        std::vector<float> gathered(kIdLists * n);
-        std::vector<float> copied(kIdLists * n);
-        const double rows_scored = static_cast<double>(kIdLists * n);
-        GatherRow row;
-        row.dims = dims;
-        row.n = n;
-        row.level = level;
-        row.gather_ns =
-            SecondsPerCall([&] { gather_all(&gathered); }) / rows_scored * 1e9;
-        row.copy_ns =
-            SecondsPerCall([&] { copy_all(&copied); }) / rows_scored * 1e9;
-        const size_t bytes = want.size() * sizeof(float);
-        row.identical = std::memcmp(gathered.data(), want.data(), bytes) == 0 &&
-                        std::memcmp(copied.data(), want.data(), bytes) == 0;
-        all_identical = all_identical && row.identical;
-        out->push_back(row);
-        PrintTableRow({std::to_string(dims), std::to_string(n),
-                       simd::LevelName(level), FormatDouble(row.gather_ns, 2),
-                       FormatDouble(row.copy_ns, 2),
-                       FormatDouble(row.copy_ns / row.gather_ns, 2) + "x",
-                       row.identical ? "yes" : "NO"});
-      }
-    }
-  }
-  simd::ForceLevelForTest(-1);
-  return all_identical;
 }
 
 int Main(int argc, char** argv) {
@@ -245,18 +142,14 @@ int Main(int argc, char** argv) {
     }
   }
   simd::ForceLevelForTest(-1);
-  std::vector<GatherRow> gather_rows;
-  const bool gather_identical = GatherSweep(&gather_rows);
 
   const double geomean =
       geomean_count == 0 ? 1.0
                          : std::exp(geomean_log_sum /
                                     static_cast<double>(geomean_count));
   std::printf("\ngeomean speedup (best tier, dims >= 16): %.2fx; "
-              "bit-identical across tiers: %s; id scoring bit-identical: "
-              "%s\n",
-              geomean, all_identical ? "yes" : "NO",
-              gather_identical ? "yes" : "NO");
+              "bit-identical across tiers: %s\n",
+              geomean, all_identical ? "yes" : "NO");
 
   FILE* json = std::fopen("BENCH_distance_kernels.json", "w");
   if (json != nullptr) {
@@ -274,28 +167,15 @@ int Main(int argc, char** argv) {
                    row.speedup, row.identical ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(json, "  ],\n  \"gather_runs\": [\n");
-    for (size_t i = 0; i < gather_rows.size(); ++i) {
-      const GatherRow& row = gather_rows[i];
-      std::fprintf(json,
-                   "    {\"dims\": %zu, \"n\": %zu, \"tier\": \"%s\", "
-                   "\"gather_ns_per_row\": %.3f, "
-                   "\"copy_ns_per_row\": %.3f, \"identical\": %s}%s\n",
-                   row.dims, row.n, simd::LevelName(row.level),
-                   row.gather_ns, row.copy_ns,
-                   row.identical ? "true" : "false",
-                   i + 1 < gather_rows.size() ? "," : "");
-    }
     std::fprintf(json,
                  "  ],\n  \"geomean_speedup_dims_ge16\": %.3f,\n"
                  "  \"all_bit_identical\": %s\n}\n",
-                 geomean,
-                 all_identical && gather_identical ? "true" : "false");
+                 geomean, all_identical ? "true" : "false");
     std::fclose(json);
     std::printf("wrote BENCH_distance_kernels.json\n");
   }
 
-  if (!all_identical || !gather_identical) return 1;
+  if (!all_identical) return 1;
   // The acceptance bar only binds where a vector tier exists to win.
   if (env.avx2_supported && geomean_count > 0 && geomean < 4.0) {
     std::fprintf(stderr, "FAIL: dims >= 16 geomean speedup %.2fx < 4x\n",

@@ -38,7 +38,9 @@ struct RangeScanStats {
 /// every query row, by exhaustive scan over the image's packed rows:
 /// chunked simd::QueryDistances (the canonical accumulation order) plus
 /// the membership test. Matches are collected by position, mapped to
-/// base rows, and sorted ascending under NeighborLess.
+/// base rows, and sorted ascending under NeighborLess. No serving path
+/// runs it: it is the exhaustive reference that tests and
+/// bench/range_query measure TiRangeScan against.
 RangeResult FullRangeScan(const HostMatrix& queries, const HostImage& image,
                           float radius, simd::Dist dist_kind,
                           RangeScanStats* stats = nullptr);
@@ -79,11 +81,12 @@ RangeResult RangeScanDelta(const DeltaBuffer& delta, const HostMatrix& queries,
 /// id maps already applied, delta matches already merged in), so the
 /// cross-shard merge never needs the shard's overlay. `result` rows are
 /// each sorted ascending under NeighborLess on (distance, stable id).
+/// Range answers carry no route: every shard runs TiRangeScan on the
+/// host, and the serving metrics count each answer as one host route.
 struct RangeShardAnswer {
   RangeResult result;
-  bool device_routed = false;  ///< TI-pruned route (vs full scan).
   double route_seconds = 0.0;  ///< Host wall-clock of this shard's scan.
-  RangeScanStats stats;
+  RangeScanStats stats;        ///< The TI scan's work counters.
 };
 
 /// Merges per-shard range answers into the global per-query match

@@ -154,18 +154,13 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
 }
 
 RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
-                                       float radius, QueryRoute route,
-                                       Metric metric) {
+                                       float radius, Metric metric) {
   RangeShardAnswer answer;
-  answer.device_routed = route == QueryRoute::kDevice;
-  const simd::Dist dist_kind = SimdDistFor(metric);
   const SteadyClock::time_point start = SteadyClock::now();
   RangeResult base;
   if (base_rows() > 0) {
-    base = answer.device_routed
-               ? TiRangeScan(queries, image, radius, dist_kind, &answer.stats)
-               : FullRangeScan(queries, image, radius, dist_kind,
-                               &answer.stats);
+    base = TiRangeScan(queries, image, radius, SimdDistFor(metric),
+                       &answer.stats);
   } else {
     for (size_t q = 0; q < queries.rows(); ++q) {
       base.AppendRow(nullptr, 0);

@@ -176,11 +176,10 @@ struct ShardHost {
   /// Answers one same-radius range group from this shard: every live
   /// point within the closed ball of each query row, as stable ids
   /// (tombstones masked, delta matches merged in — see
-  /// RangeShardAnswer). `route` picks the TI-pruned scan (kDevice) or
-  /// the exhaustive scan (kHost) over the host image; both answer
-  /// bit-identically and neither touches the simulated device.
+  /// RangeShardAnswer). The base scan is always TiRangeScan over the
+  /// host image: no planner decision, no simulated device.
   RangeShardAnswer RangeGroup(const HostMatrix& queries, float radius,
-                              QueryRoute route, Metric metric);
+                              Metric metric);
 
   /// This shard's live points and their stable ids, ascending id order
   /// (base survivors then delta — every delta id postdates the base).

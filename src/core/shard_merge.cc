@@ -124,29 +124,4 @@ KnnResult MergeShardAnswers(const std::vector<ShardAnswer>& answers, int k) {
   return merged;
 }
 
-void AccumulateRunStats(const KnnRunStats& shard, KnnRunStats* total) {
-  total->distance_calcs += shard.distance_calcs;
-  total->total_pairs += shard.total_pairs;
-  total->sim_time_s = std::max(total->sim_time_s, shard.sim_time_s);
-  total->landmarks_query = std::max(total->landmarks_query,
-                                    shard.landmarks_query);
-  total->landmarks_target += shard.landmarks_target;
-  total->query_partitions = std::max(total->query_partitions,
-                                     shard.query_partitions);
-  // Adaptive decisions may legitimately differ per shard (each shard sees
-  // its own |T|); report the last shard's as representative.
-  total->filter_used = shard.filter_used;
-  total->placement_used = shard.placement_used;
-  total->threads_per_query = shard.threads_per_query;
-  for (const gpusim::LaunchRecord& record : shard.profile.launches) {
-    total->profile.launches.push_back(record);
-  }
-  total->profile.transfer_time_s += shard.profile.transfer_time_s;
-  gpusim::KernelStats filter_stats =
-      total->profile.StatsForKernelsMatching("level2_full_filter");
-  filter_stats.Merge(
-      total->profile.StatsForKernelsMatching("level2_partial_filter"));
-  total->level2_warp_efficiency = filter_stats.WarpEfficiency();
-}
-
 }  // namespace sweetknn::core

@@ -62,14 +62,6 @@ struct MergeSource {
 KnnResult MergeMutableResults(const std::vector<MergeSource>& sources,
                               int k);
 
-/// Accumulates one shard's run stats into a service-level aggregate:
-/// work counters (distance_calcs, total_pairs) and landmark counts add;
-/// sim_time_s takes the max, since shards model devices running
-/// concurrently and the batch completes when the slowest shard does;
-/// launches are concatenated and level2_warp_efficiency is recomputed
-/// over the merged profile.
-void AccumulateRunStats(const KnnRunStats& shard, KnnRunStats* total);
-
 /// One shard's complete contribution to a same-k query group, in the
 /// transport-free form both shard backends produce: the in-process
 /// threads (KnnService) and the remote shard-worker processes hand the

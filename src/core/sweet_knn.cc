@@ -55,15 +55,14 @@ KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
                                core::KnnRunStats* stats,
                                ann::AnnSearchStats* ann_stats) {
   SK_CHECK_EQ(queries.cols(), dims());
-  // Only exact batches are routed by cost (an approx batch against a
-  // built graph scans no base). Both routes return bit-identical
+  // Only exact batches take a planner decision (an approx batch against
+  // a built graph scans no base). Both routes return bit-identical
   // neighbor lists, so only wall-clock and the stats differ: a
   // host-routed batch reports empty KnnRunStats — no simulated device
   // ran.
   const bool approx = !mode.EffectiveExact() && !shard_->ann.empty();
   const core::QueryRoute route =
-      approx ? core::QueryRoute::kHost
-             : planner_.Choose(queries.rows(), base_rows(), dims());
+      approx ? core::QueryRoute::kHost : planner_.Choose();
   const int workers = config_.options.sim_threads > 0
                           ? config_.options.sim_threads
                           : common::SimThreadsFromEnv();
@@ -71,7 +70,6 @@ KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
   core::ShardAnswer answer =
       shard_->SearchGroup(queries, k, route, config_.options.metric, mode,
                           workers, &device_stats, ann_stats);
-  if (answer.device_routed) planner_.ObserveDeviceRun(device_stats);
   if (stats != nullptr) *stats = std::move(device_stats);
   // One shard at offset 0: its answer is already the final top-k.
   return std::move(answer.result);
@@ -90,12 +88,8 @@ RangeResult SweetKnnIndex::RadiusSearch(const HostMatrix& queries,
                                         float radius,
                                         core::RangeScanStats* stats) {
   SK_CHECK_EQ(queries.cols(), dims());
-  // An empty base scans nothing, so it consults no planner.
-  const core::QueryRoute route =
-      base_rows() > 0 ? planner_.Choose(queries.rows(), base_rows(), dims())
-                      : core::QueryRoute::kHost;
   core::RangeShardAnswer answer =
-      shard_->RangeGroup(queries, radius, route, config_.options.metric);
+      shard_->RangeGroup(queries, radius, config_.options.metric);
   if (stats != nullptr) *stats = answer.stats;
   return std::move(answer.result);
 }

@@ -39,12 +39,14 @@ class SweetKnn {
     /// tombstones) exceeds this fraction of the base rows. <= 0 disables
     /// auto-compaction (Compact() stays available).
     double compact_delta_fraction = 0.25;
-    /// SweetKnnIndex only: cost-based routing of each query batch
-    /// between the simulated-GPU TI engine and the host route's TI scan
-    /// over the base's HostImage (docs/performance.md). Both routes
+    /// SweetKnnIndex only: routing of each exact kNN batch between the
+    /// simulated-GPU TI engine and the host route's TI scan over the
+    /// base's HostImage (docs/performance.md). kAuto samples the device
+    /// on every 16th batch and runs the rest on the host. Both routes
     /// answer bit-identically; force-device restores pre-planner
     /// behavior (and is what stats-asserting callers should pin, since
-    /// host-routed batches report no simulated-device stats).
+    /// host-routed batches report no simulated-device stats). Radius
+    /// searches take no route.
     core::PlannerConfig planner;
     /// SweetKnnIndex only: build the approximate kNN-graph tier over the
     /// frozen base (and rebuild it at every compaction), enabling
@@ -154,11 +156,11 @@ class SweetKnnIndex {
 
   /// Every live point within the closed ball distance <= radius of each
   /// query row, as stable ids, each row sorted ascending under
-  /// NeighborLess on (distance, id). The planner picks the base-scan
-  /// route — the TI-pruned scan reusing the Step-1 landmark bounds
-  /// (kDevice) or the exhaustive vectorized host scan (kHost) — and
-  /// both answer bit-identically; neither touches the simulated device,
-  /// so kNN stats and the adaptive state are unperturbed. `stats`
+  /// NeighborLess on (distance, id). The base scan is the TI-pruned
+  /// host scan reusing the Step-1 landmark bounds (core::TiRangeScan,
+  /// bit-identical to the exhaustive core::FullRangeScan). It takes no
+  /// planner decision and never touches the simulated device, so kNN
+  /// routes, stats and the adaptive state are unperturbed. `stats`
   /// (optional) reports the base-scan work/pruning counters.
   RangeResult RadiusSearch(const HostMatrix& queries, float radius,
                            core::RangeScanStats* stats = nullptr);

@@ -182,27 +182,10 @@ Status GetDevice(PayloadReader* r, gpusim::DeviceSpec* d) {
 
 void PutPlanner(PayloadWriter* w, const core::PlannerConfig& p) {
   w->PutU32(static_cast<uint32_t>(p.mode));
-  w->PutDouble(p.host_fixed_s);
-  w->PutDouble(p.host_per_pair_dim_s);
-  w->PutDouble(p.device_fixed_s);
-  w->PutDouble(p.device_per_query_s);
-  w->PutDouble(p.device_per_pair_dim_s);
-  w->PutDouble(p.selectivity_alpha);
-  w->PutU32(static_cast<uint32_t>(p.explore_interval));
 }
 
 Status GetPlanner(PayloadReader* r, core::PlannerConfig* p) {
-  uint32_t v = 0;
-  SK_RETURN_IF_ERROR(GetEnum(r, 2, "planner mode", &p->mode));
-  SK_RETURN_IF_ERROR(r->GetDouble(&p->host_fixed_s));
-  SK_RETURN_IF_ERROR(r->GetDouble(&p->host_per_pair_dim_s));
-  SK_RETURN_IF_ERROR(r->GetDouble(&p->device_fixed_s));
-  SK_RETURN_IF_ERROR(r->GetDouble(&p->device_per_query_s));
-  SK_RETURN_IF_ERROR(r->GetDouble(&p->device_per_pair_dim_s));
-  SK_RETURN_IF_ERROR(r->GetDouble(&p->selectivity_alpha));
-  SK_RETURN_IF_ERROR(r->GetU32(&v));
-  p->explore_interval = static_cast<int>(v);
-  return Status::Ok();
+  return GetEnum(r, 2, "planner mode", &p->mode);
 }
 
 // --- ANN config / SearchMode ------------------------------------------------
@@ -377,7 +360,6 @@ Status GetRangeResult(PayloadReader* r, const std::string& payload,
 
 void PutRangeAnswer(PayloadWriter* w, const core::RangeShardAnswer& a) {
   PutRangeResult(w, a.result);
-  PutBool(w, a.device_routed);
   w->PutDouble(a.route_seconds);
   w->PutU64(a.stats.candidates);
   w->PutU64(a.stats.total_pairs);
@@ -388,7 +370,6 @@ void PutRangeAnswer(PayloadWriter* w, const core::RangeShardAnswer& a) {
 Status GetRangeAnswer(PayloadReader* r, const std::string& payload,
                       core::RangeShardAnswer* a) {
   SK_RETURN_IF_ERROR(GetRangeResult(r, payload, &a->result));
-  SK_RETURN_IF_ERROR(GetBool(r, &a->device_routed));
   SK_RETURN_IF_ERROR(r->GetDouble(&a->route_seconds));
   SK_RETURN_IF_ERROR(r->GetU64(&a->stats.candidates));
   SK_RETURN_IF_ERROR(r->GetU64(&a->stats.total_pairs));

@@ -70,11 +70,9 @@ FrontEnd::FrontEnd(const ServiceConfig& config, ShardTransport* transport,
     : config_(config),
       transport_(transport),
       metrics_(metrics),
-      // A fair_quantum of 0 lets one round fund about one micro-batch.
+      // One round of the fair scheduler funds about one micro-batch.
       queue_({.max_queue_depth = config.max_queue_depth,
-              .quantum = config.fair_quantum > 0
-                             ? config.fair_quantum
-                             : static_cast<size_t>(config.max_batch_size)}) {
+              .quantum = static_cast<size_t>(config.max_batch_size)}) {
   SK_CHECK_GT(config_.max_batch_size, 0);
   InitMetrics();
 }
@@ -570,8 +568,9 @@ void FrontEnd::RunRangeGroup(std::vector<RequestPtr> group) {
   }
   m_shard_fanout_->Observe(fanout_seconds);
   const SteadyClock::time_point merge_start = SteadyClock::now();
+  // Every range shard scan ran on the host (ShardHost::RangeGroup).
   for (const core::RangeShardAnswer& answer : answers) {
-    ObserveRoute(answer.device_routed, answer.route_seconds);
+    ObserveRoute(/*device_routed=*/false, answer.route_seconds);
   }
   const RangeResult merged = core::MergeRangeShardAnswers(answers, rows);
   m_merge_->Observe(SecondsBetween(merge_start, SteadyClock::now()));

@@ -53,10 +53,6 @@ struct ServiceConfig {
   /// and the sweetknn_shed_requests_total counter. 0 = unbounded (the
   /// legacy behavior).
   size_t max_queue_depth = 0;
-  /// Cost units (query rows) a weight-1.0 tenant earns per round of the
-  /// weighted-fair scheduler (see serve/scheduler.h). 0 = use
-  /// max_batch_size, so one round roughly funds one micro-batch.
-  size_t fair_quantum = 0;
   gpusim::DeviceSpec device = gpusim::DeviceSpec::TeslaK20c();
   core::TiOptions options = core::TiOptions::Sweet();
   /// If non-empty, warm start: restore each shard's prepared index from
@@ -83,13 +79,16 @@ struct ServiceConfig {
   /// explicit CompactShard/CompactAll calls (deterministic; tests use
   /// this).
   bool auto_compact = true;
-  /// Cost-based routing of each query group's per-shard base scan
-  /// between the shard's simulated-GPU TI engine and the vectorized
-  /// host kernels (docs/performance.md). Both routes answer bit-
+  /// Routing of each exact kNN group's per-shard base scan between the
+  /// shard's simulated-GPU TI engine and the host route's TI scan
+  /// (docs/performance.md). kAuto samples the device on every 16th
+  /// decision and runs the rest on the host. Both routes answer bit-
   /// identically; host-routed shard runs report no simulated-device
   /// stats (sim-time counters, filter/placement decisions), so tests
   /// asserting those pin mode = kForceDevice. SWEETKNN_PLANNER
   /// ("auto" | "device" | "host") overrides the mode at construction.
+  /// Range groups take no route: every shard runs its TI range scan on
+  /// the host.
   core::PlannerConfig planner;
   /// Build the approximate kNN-graph tier on every shard (and rebuild it
   /// at each compaction install), enabling SearchMode::Approx requests

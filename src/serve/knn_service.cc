@@ -564,20 +564,6 @@ int KnnService::OwningShard(const TenantIndex& tenant, uint32_t id) const {
 // In-process shard transport
 // ---------------------------------------------------------------------------
 
-std::vector<core::QueryRoute> KnnService::PlanRoutes(
-    const TenantIndex& tenant, size_t rows) {
-  // Serially, before the fan-out, so the decision order is deterministic.
-  // Both routes return bit-identical per-shard lists (the host path runs
-  // the same canonical float pipeline the engine is fuzz-proven
-  // against), so the merged answer cannot depend on the route.
-  std::vector<core::QueryRoute> routes;
-  routes.reserve(tenant.shards.size());
-  for (const std::unique_ptr<Shard>& shard : tenant.shards) {
-    routes.push_back(planner_.Choose(rows, shard->base_rows(), tenant.dims));
-  }
-  return routes;
-}
-
 Status KnnService::SearchGroup(const TenantIndex& tenant,
                                const HostMatrix& queries, int k,
                                const ann::SearchMode& mode,
@@ -591,8 +577,12 @@ Status KnnService::SearchGroup(const TenantIndex& tenant,
   // touched, so their mutations never stall this group.
   std::lock_guard<std::mutex> index_lock(tenant.mutex);
   const int num_shards = static_cast<int>(tenant.shards.size());
-  const std::vector<core::QueryRoute> routes =
-      PlanRoutes(tenant, queries.rows());
+  // Serially, before the fan-out, so the decision order is deterministic.
+  // Both routes return bit-identical per-shard lists (the host path runs
+  // the same canonical float pipeline the engine is fuzz-proven
+  // against), so the merged answer cannot depend on the route.
+  std::vector<core::QueryRoute> routes(tenant.shards.size());
+  for (core::QueryRoute& route : routes) route = planner_.Choose();
   // The per-shard work — base scan (over-queried when mutated), delta
   // side scan, shard-local merge — lives in ShardHost::SearchGroup, the
   // one code path the remote shard workers run too.
@@ -608,15 +598,6 @@ Status KnnService::SearchGroup(const TenantIndex& tenant,
   const SteadyClock::time_point start = SteadyClock::now();
   fan_out(mode, answers);
   *fanout_seconds = SecondsBetween(start, SteadyClock::now());
-  for (const core::ShardAnswer& answer : *answers) {
-    // The planner's selectivity EMA needs exactly the work counters a
-    // device-routed exact answer carries.
-    if (answer.approx || !answer.device_routed) continue;
-    core::KnnRunStats observed;
-    observed.distance_calcs = answer.distance_calcs;
-    observed.total_pairs = answer.total_pairs;
-    planner_.ObserveDeviceRun(observed);
-  }
   if (exact != nullptr) fan_out(ann::SearchMode::Exact(), exact);
   return Status::Ok();
 }
@@ -625,20 +606,16 @@ Status KnnService::RangeGroup(const TenantIndex& tenant,
                               const HostMatrix& queries, float radius,
                               std::vector<core::RangeShardAnswer>* answers,
                               double* fanout_seconds) {
-  // Same index-mutex scope as SearchGroup. The planner routes each
-  // shard's base scan exactly as it does for kNN groups, but range scans
-  // never feed the device-selectivity EMA (no simulated device runs for
-  // them).
+  // Same index-mutex scope as SearchGroup; no planner decision (every
+  // shard runs its TI range scan on the host).
   std::lock_guard<std::mutex> index_lock(tenant.mutex);
   const int num_shards = static_cast<int>(tenant.shards.size());
-  const std::vector<core::QueryRoute> routes =
-      PlanRoutes(tenant, queries.rows());
   answers->assign(static_cast<size_t>(num_shards), core::RangeShardAnswer{});
   const SteadyClock::time_point start = SteadyClock::now();
   common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
     const auto idx = static_cast<size_t>(s);
-    (*answers)[idx] = tenant.shards[idx]->RangeGroup(
-        queries, radius, routes[idx], config_.options.metric);
+    (*answers)[idx] =
+        tenant.shards[idx]->RangeGroup(queries, radius, config_.options.metric);
   });
   *fanout_seconds = SecondsBetween(start, SteadyClock::now());
   return Status::Ok();

@@ -316,10 +316,6 @@ class KnnService : private ShardTransport {
   /// merged off the lock.
   Status ExportLive(const TenantIndex& tenant, std::vector<uint32_t>* ids,
                     HostMatrix* points) override;
-  /// The planner's route for each shard of `tenant`. Caller holds the
-  /// index mutex.
-  std::vector<core::QueryRoute> PlanRoutes(const TenantIndex& tenant,
-                                           size_t rows);
 
   /// The background compactor: sleeps until a mutation pushes some shard
   /// over the threshold (or Shutdown), then rebuilds candidates one at a

@@ -27,7 +27,7 @@ namespace sweetknn::serve {
 /// Knobs of the cluster front-end (docs/distributed.md).
 struct RouterConfig {
   /// The serving knobs shared with the in-process backend: num_shards,
-  /// the front-end's (micro-batching, max_queue_depth, fair_quantum,
+  /// the front-end's (micro-batching, max_queue_depth,
   /// ann_recall_probe_interval), options/device/planner/ANN, and
   /// dataset_name. cache_capacity, snapshot_dir, auto_compact and
   /// compact_delta_fraction are ignored (the router has no result cache

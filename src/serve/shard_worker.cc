@@ -272,14 +272,12 @@ Status ShardWorker::HandleQuery(const std::string& payload,
   out.shard_indices = req.shard_indices;
   out.answers.reserve(shards.size());
   for (core::ShardHost* shard : shards) {
-    // Per-shard routing, same decision inputs as KnnService's planner
-    // pass. Both routes answer bit-identically, so the cluster's answers
-    // cannot depend on which side of the cost model a shard lands on.
-    const core::QueryRoute route = planner_->Choose(
-        req.queries.rows(), shard->base_rows(), dims_);
-    out.answers.push_back(shard->SearchGroup(req.queries,
-                                             static_cast<int>(req.k), route,
-                                             options_.metric, req.mode));
+    // One planner decision per shard, as in KnnService's planner pass.
+    // Both routes answer bit-identically, so the cluster's answers
+    // cannot depend on which route a shard lands on.
+    out.answers.push_back(shard->SearchGroup(
+        req.queries, static_cast<int>(req.k), planner_->Choose(),
+        options_.metric, req.mode));
   }
   reply->type = static_cast<uint32_t>(net::MsgType::kQueryReply);
   reply->payload = net::EncodeQueryReply(out);
@@ -300,12 +298,8 @@ Status ShardWorker::HandleRangeQuery(const std::string& payload,
   out.shard_indices = req.shard_indices;
   out.answers.reserve(shards.size());
   for (core::ShardHost* shard : shards) {
-    // Routed like KnnService::RangeGroup; both range routes answer
-    // bit-identically.
-    const core::QueryRoute route = planner_->Choose(
-        req.queries.rows(), shard->base_rows(), dims_);
     out.answers.push_back(
-        shard->RangeGroup(req.queries, req.radius, route, options_.metric));
+        shard->RangeGroup(req.queries, req.radius, options_.metric));
   }
   reply->type = static_cast<uint32_t>(net::MsgType::kRangeQueryReply);
   reply->payload = net::EncodeRangeQueryReply(out);

@@ -7,7 +7,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -47,48 +46,6 @@ inline void TileDistances(const float* query, const float* tile, size_t dims,
       const float* row = tile + j * kTileLanes;
       const __m256 d0 = _mm256_sub_ps(qj, _mm256_loadu_ps(row));
       const __m256 d1 = _mm256_sub_ps(qj, _mm256_loadu_ps(row + 8));
-      acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(d0, d0));
-      acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(d1, d1));
-    }
-    if (dist == Dist::kEuclidean) {
-      acc0 = _mm256_sqrt_ps(acc0);
-      acc1 = _mm256_sqrt_ps(acc1);
-    }
-  }
-  _mm256_storeu_ps(out16, acc0);
-  _mm256_storeu_ps(out16 + 8, acc1);
-}
-
-/// Distances of the 16 base rows ids16[0..16), as two 8-lane halves:
-/// each gather fetches dimension j of 8 rows at element offsets
-/// id * dims (fits an int32, see kernels_impl.h), and each lane runs the
-/// same recurrence as TileDistances.
-inline void GatherTile(const float* query, const float* base,
-                       const uint32_t* ids16, size_t dims, Dist dist,
-                       float* out16) {
-  const __m256i stride = _mm256_set1_epi32(static_cast<int>(dims));
-  const __m256i off0 = _mm256_mullo_epi32(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids16)), stride);
-  const __m256i off1 = _mm256_mullo_epi32(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids16 + 8)),
-      stride);
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  if (dist == Dist::kManhattan) {
-    for (size_t j = 0; j < dims; ++j) {
-      const __m256 qj = _mm256_set1_ps(query[j]);
-      const __m256 v0 = _mm256_i32gather_ps(base + j, off0, 4);
-      const __m256 v1 = _mm256_i32gather_ps(base + j, off1, 4);
-      acc0 = _mm256_add_ps(acc0, Abs256(_mm256_sub_ps(qj, v0)));
-      acc1 = _mm256_add_ps(acc1, Abs256(_mm256_sub_ps(qj, v1)));
-    }
-  } else {
-    for (size_t j = 0; j < dims; ++j) {
-      const __m256 qj = _mm256_set1_ps(query[j]);
-      const __m256 d0 =
-          _mm256_sub_ps(qj, _mm256_i32gather_ps(base + j, off0, 4));
-      const __m256 d1 =
-          _mm256_sub_ps(qj, _mm256_i32gather_ps(base + j, off1, 4));
       acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(d0, d0));
       acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(d1, d1));
     }
@@ -155,26 +112,6 @@ void AddRowAvx2(float* acc, const float* row, size_t dims) {
                                             _mm256_loadu_ps(row + j)));
   }
   for (; j < dims; ++j) acc[j] += row[j];
-}
-
-void GatherDistancesAvx2(const float* query, const float* base,
-                         const uint32_t* ids, size_t n, size_t dims,
-                         Dist dist, float* out) {
-  size_t i = 0;
-  for (; i + kTileLanes <= n; i += kTileLanes) {
-    GatherTile(query, base, ids + i, dims, dist, out + i);
-  }
-  if (i < n) {
-    // A short last step repeats a live id in its spare lanes; they are
-    // computed and discarded, like a packed tile's zero padding.
-    const size_t active = n - i;
-    uint32_t tail_ids[kTileLanes];
-    float lanes[kTileLanes];
-    std::memcpy(tail_ids, ids + i, active * sizeof(uint32_t));
-    std::fill(tail_ids + active, tail_ids + kTileLanes, ids[i]);
-    GatherTile(query, base, tail_ids, dims, dist, lanes);
-    std::memcpy(out + i, lanes, active * sizeof(float));
-  }
 }
 
 }  // namespace sweetknn::simd::internal

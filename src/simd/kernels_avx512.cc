@@ -6,7 +6,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -42,33 +41,6 @@ inline void TileDistances(const float* query, const float* tile, size_t dims,
       const __m512 qj = _mm512_set1_ps(query[j]);
       const __m512 d =
           _mm512_sub_ps(qj, _mm512_loadu_ps(tile + j * kTileLanes));
-      acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
-    }
-    if (dist == Dist::kEuclidean) acc = _mm512_sqrt_ps(acc);
-  }
-  _mm512_storeu_ps(out16, acc);
-}
-
-/// Distances of the 16 base rows ids16[0..16): lane l gathers dimension
-/// j of row ids16[l] at element offset ids16[l] * dims (fits an int32,
-/// see kernels_impl.h) and runs the same recurrence as TileDistances.
-inline void GatherTile(const float* query, const float* base,
-                       const uint32_t* ids16, size_t dims, Dist dist,
-                       float* out16) {
-  const __m512i offsets =
-      _mm512_mullo_epi32(_mm512_loadu_si512(ids16),
-                         _mm512_set1_epi32(static_cast<int>(dims)));
-  __m512 acc = _mm512_setzero_ps();
-  if (dist == Dist::kManhattan) {
-    for (size_t j = 0; j < dims; ++j) {
-      const __m512 v = _mm512_i32gather_ps(offsets, base + j, 4);
-      acc = _mm512_add_ps(acc,
-                          Abs512(_mm512_sub_ps(_mm512_set1_ps(query[j]), v)));
-    }
-  } else {
-    for (size_t j = 0; j < dims; ++j) {
-      const __m512 d = _mm512_sub_ps(_mm512_set1_ps(query[j]),
-                                     _mm512_i32gather_ps(offsets, base + j, 4));
       acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
     }
     if (dist == Dist::kEuclidean) acc = _mm512_sqrt_ps(acc);
@@ -125,26 +97,6 @@ void AddRowAvx512(float* acc, const float* row, size_t dims) {
                                             _mm512_loadu_ps(row + j)));
   }
   for (; j < dims; ++j) acc[j] += row[j];
-}
-
-void GatherDistancesAvx512(const float* query, const float* base,
-                           const uint32_t* ids, size_t n, size_t dims,
-                           Dist dist, float* out) {
-  size_t i = 0;
-  for (; i + kTileLanes <= n; i += kTileLanes) {
-    GatherTile(query, base, ids + i, dims, dist, out + i);
-  }
-  if (i < n) {
-    // A short last step repeats a live id in its spare lanes; they are
-    // computed and discarded, like a packed tile's zero padding.
-    const size_t active = n - i;
-    uint32_t tail_ids[kTileLanes];
-    float lanes[kTileLanes];
-    std::memcpy(tail_ids, ids + i, active * sizeof(uint32_t));
-    std::fill(tail_ids + active, tail_ids + kTileLanes, ids[i]);
-    GatherTile(query, base, tail_ids, dims, dist, lanes);
-    std::memcpy(out + i, lanes, active * sizeof(float));
-  }
 }
 
 }  // namespace sweetknn::simd::internal

@@ -16,10 +16,7 @@
 // documents): per output row, dimensions accumulate in ascending j into
 // one float; tiles are processed in ascending order; within a tile,
 // lane l is row tile*kTileLanes + l. `tiles` points at the tile stream
-// of a PackedTargets; `row_begin` is tile-aligned. GatherDistances*
-// score base rows by id in place, lane l of a step being ids[step + l];
-// the vector tiers may assume every element offset id * dims fits in an
-// int32 (the dispatcher guarantees it).
+// of a PackedTargets; `row_begin` is tile-aligned.
 
 namespace sweetknn::simd::internal {
 
@@ -29,9 +26,6 @@ void QueryDistancesScalar(const float* query, const float* tiles, size_t dims,
 void SelectNearestScalar(const float* dists, size_t n, uint32_t index_base,
                          TopK* heap);
 void AddRowScalar(float* acc, const float* row, size_t dims);
-void GatherDistancesScalar(const float* query, const float* base,
-                           const uint32_t* ids, size_t n, size_t dims,
-                           Dist dist, float* out);
 
 #if SWEETKNN_SIMD_HAVE_AVX2
 void QueryDistancesAvx2(const float* query, const float* tiles, size_t dims,
@@ -40,9 +34,6 @@ void QueryDistancesAvx2(const float* query, const float* tiles, size_t dims,
 void SelectNearestAvx2(const float* dists, size_t n, uint32_t index_base,
                        TopK* heap);
 void AddRowAvx2(float* acc, const float* row, size_t dims);
-void GatherDistancesAvx2(const float* query, const float* base,
-                         const uint32_t* ids, size_t n, size_t dims,
-                         Dist dist, float* out);
 #endif
 
 #if SWEETKNN_SIMD_HAVE_AVX512
@@ -52,9 +43,6 @@ void QueryDistancesAvx512(const float* query, const float* tiles, size_t dims,
 void SelectNearestAvx512(const float* dists, size_t n, uint32_t index_base,
                          TopK* heap);
 void AddRowAvx512(float* acc, const float* row, size_t dims);
-void GatherDistancesAvx512(const float* query, const float* base,
-                           const uint32_t* ids, size_t n, size_t dims,
-                           Dist dist, float* out);
 #endif
 
 }  // namespace sweetknn::simd::internal

@@ -46,23 +46,4 @@ void AddRowScalar(float* acc, const float* row, size_t dims) {
   for (size_t j = 0; j < dims; ++j) acc[j] += row[j];
 }
 
-void GatherDistancesScalar(const float* query, const float* base,
-                           const uint32_t* ids, size_t n, size_t dims,
-                           Dist dist, float* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const float* row = base + static_cast<size_t>(ids[i]) * dims;
-    float acc = 0.0f;
-    if (dist == Dist::kManhattan) {
-      for (size_t j = 0; j < dims; ++j) acc += std::fabs(query[j] - row[j]);
-    } else {
-      for (size_t j = 0; j < dims; ++j) {
-        const float diff = query[j] - row[j];
-        acc += diff * diff;
-      }
-      if (dist == Dist::kEuclidean) acc = std::sqrt(acc);
-    }
-    out[i] = acc;
-  }
-}
-
 }  // namespace sweetknn::simd::internal

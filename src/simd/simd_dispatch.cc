@@ -199,30 +199,6 @@ void QueryBlockDistances(const float* query, const float* rows, size_t n,
   }
 }
 
-void GatherDistances(const float* query, const float* base, size_t base_rows,
-                     const uint32_t* ids, size_t n, size_t dims, Dist dist,
-                     float* out) {
-  // The vector tiers gather at 32-bit element offsets id * dims; a base
-  // too large for those takes the scalar tier rather than wrap.
-  const bool offsets_fit =
-      base_rows * dims <= static_cast<size_t>(INT32_MAX);
-  switch (offsets_fit ? ActiveLevel() : Level::kScalar) {
-#if SWEETKNN_SIMD_HAVE_AVX512
-    case Level::kAvx512:
-      internal::GatherDistancesAvx512(query, base, ids, n, dims, dist, out);
-      return;
-#endif
-#if SWEETKNN_SIMD_HAVE_AVX2
-    case Level::kAvx2:
-      internal::GatherDistancesAvx2(query, base, ids, n, dims, dist, out);
-      return;
-#endif
-    default:
-      internal::GatherDistancesScalar(query, base, ids, n, dims, dist, out);
-      return;
-  }
-}
-
 void AddRow(float* acc, const float* row, size_t dims) {
   switch (ActiveLevel()) {
 #if SWEETKNN_SIMD_HAVE_AVX512

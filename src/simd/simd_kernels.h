@@ -127,24 +127,10 @@ void BlockDistances(const float* queries, size_t nq,
 /// tile-sized stripes on the fly into one buffer, allocated once per
 /// call. Same canonical results as packing the whole block first; use
 /// when the block is scanned once (single-shot verification paths and
-/// graph-search hops; the graph build scores its scattered candidate
-/// rows in place with GatherDistances instead).
+/// graph-search hops, which copy each hop's scattered rows into one
+/// block first).
 void QueryBlockDistances(const float* query, const float* rows, size_t n,
                          size_t dims, Dist dist, float* out);
-
-/// out[i] = distance(query, base row ids[i]) for i in [0, n), scored in
-/// place: `base` is `base_rows` contiguous row-major rows of `dims`
-/// floats, and every id must be below `base_rows`. Ids may repeat and
-/// come in any order. Lanes are candidates: the vector tiers fetch
-/// dimension j of 16 (AVX-512) or 8 (AVX2) rows with one hardware
-/// gather, so nothing is copied or packed, and each lane still
-/// accumulates ascending j in one float — the same bytes as
-/// QueryDistances. The vector tiers form 32-bit element offsets
-/// id * dims; a base with more than INT32_MAX elements takes the scalar
-/// tier, so an offset never wraps.
-void GatherDistances(const float* query, const float* base, size_t base_rows,
-                     const uint32_t* ids, size_t n, size_t dims, Dist dist,
-                     float* out);
 
 /// acc[j] += row[j] for j in [0, dims). Elementwise (lane-independent),
 /// so vectorization cannot change any result bit.

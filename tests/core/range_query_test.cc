@@ -1,15 +1,19 @@
-// Boundary-condition suite for the range modalities (ISSUE 10 satellite):
-// r = 0, r exactly on a pair distance (the closed-ball tie must be
-// included deterministically), empty result sets, all-tombstoned
-// indexes, self-match exclusion and duplicate handling in SelfJoin, and
-// cross-route / merge bit-identity. docs/modalities.md states the
-// semantics these tests pin down.
+// Boundary-condition suite for the range modalities: r = 0, r exactly on
+// a pair distance (the closed-ball tie must be included
+// deterministically), empty result sets, all-tombstoned indexes,
+// self-match exclusion and duplicate handling in SelfJoin, the TI range
+// scan against the exhaustive one, and merge bit-identity.
+// docs/modalities.md states the semantics these tests pin down.
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/device_points.h"
+#include "core/host_image.h"
 #include "core/range_search.h"
 #include "core/sweet_knn.h"
 #include "gtest/gtest.h"
@@ -20,6 +24,36 @@ namespace sweetknn {
 namespace {
 
 using testing::ClusteredPoints;
+
+/// The Step-1 clustering of `target` under `landmarks` forced landmarks,
+/// packed into a host image.
+core::HostImage BuildImage(const HostMatrix& target, int landmarks,
+                           core::Metric metric) {
+  core::TiOptions options = core::TiOptions::Sweet();
+  options.metric = metric;
+  options.landmarks_override = landmarks;
+  gpusim::Device dev(gpusim::DeviceSpec::TeslaK20c());
+  core::TiKnnEngine engine(&dev, options);
+  engine.PrepareTarget(target);
+  return core::HostImage(target, engine.ExportTargetClustering());
+}
+
+/// `fresh` clustered queries followed by every 5th target row, so radius
+/// 0 has matches.
+HostMatrix QueriesWithBaseRows(const HostMatrix& target, size_t fresh,
+                               uint64_t seed) {
+  const HostMatrix distinct =
+      ClusteredPoints(fresh, target.cols(), 3, seed, 0.08f);
+  const size_t copies = (target.rows() + 4) / 5;
+  HostMatrix out(fresh + copies, target.cols());
+  std::memcpy(out.mutable_data(), distinct.data(),
+              fresh * target.cols() * sizeof(float));
+  for (size_t i = 0; i < copies; ++i) {
+    std::memcpy(out.mutable_row(fresh + i), target.row(i * 5),
+                target.cols() * sizeof(float));
+  }
+  return out;
+}
 
 SweetKnn::Config ForcedConfig(core::PlannerMode mode) {
   SweetKnn::Config config;
@@ -288,6 +322,83 @@ TEST(RangeQueryTest, KnnGraphPadsWhenFewerThanKOthers) {
     EXPECT_NE(row[1].index, kInvalidNeighbor);
     for (int j = 2; j < 5; ++j) {
       EXPECT_EQ(row[j].index, kInvalidNeighbor);
+    }
+  }
+}
+
+// The serving path's only range scan against the exhaustive reference,
+// byte for byte: clustered, duplicate-heavy and one-window images
+// (m * 16 > n), both metrics, every SIMD tier, at radius 0, at a radius
+// exactly on a pair distance, and one past the largest query-to-row
+// distance (every row matches).
+TEST(RangeQueryTest, TiRangeScanMatchesFullRangeScanByteForByte) {
+  testing::LevelGuard guard;
+  Rng rng(913);
+  HostMatrix lattice(2 * 150, 3);  // every row stored twice
+  for (size_t i = 0; i < 150; ++i) {
+    for (size_t j = 0; j < 3; ++j) {
+      const float v = static_cast<float>(rng.NextBounded(4));
+      lattice.at(i, j) = v;
+      lattice.at(150 + i, j) = v;
+    }
+  }
+  struct Shape {
+    const char* name;
+    HostMatrix target;
+    int landmarks;
+  };
+  const std::vector<Shape> shapes = {
+      {"clustered", ClusteredPoints(400, 6, 5, 914, 0.05f), 5},
+      {"duplicates", lattice, 4},
+      {"one-window", ClusteredPoints(300, 6, 5, 915, 0.05f), 24},
+  };
+  for (const Shape& shape : shapes) {
+    const HostMatrix queries = QueriesWithBaseRows(shape.target, 12, 916);
+    const size_t n = shape.target.rows();
+    for (const core::Metric metric :
+         {core::Metric::kEuclidean, core::Metric::kManhattan}) {
+      const core::HostImage image =
+          BuildImage(shape.target, shape.landmarks, metric);
+      EXPECT_EQ(image.single_window(),
+                static_cast<size_t>(shape.landmarks) * 16 > n);
+      const simd::Dist dist = core::SimdDistFor(metric);
+      simd::ForceLevelForTest(static_cast<int>(simd::Level::kScalar));
+      const RangeResult all = core::FullRangeScan(
+          queries, image, std::numeric_limits<float>::infinity(), dist);
+      float farthest = 0.0f;
+      for (size_t q = 0; q < queries.rows(); ++q) {
+        ASSERT_EQ(all.count(q), n);
+        farthest = std::max(farthest, all.end(q)[-1].distance);
+      }
+      const float on_pair = all.begin(0)[n / 2].distance;
+      for (const float radius : {0.0f, on_pair, farthest + 1.0f}) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.name << " metric=" << static_cast<int>(metric)
+                     << " radius=" << radius);
+        simd::ForceLevelForTest(static_cast<int>(simd::Level::kScalar));
+        const RangeResult want =
+            core::FullRangeScan(queries, image, radius, dist);
+        for (const simd::Level level : testing::AvailableLevels()) {
+          simd::ForceLevelForTest(static_cast<int>(level));
+          core::RangeScanStats stats;
+          const RangeResult got =
+              core::TiRangeScan(queries, image, radius, dist, &stats);
+          EXPECT_TRUE(BitIdentical(want, got)) << simd::LevelName(level);
+          EXPECT_TRUE(BitIdentical(
+              want, core::FullRangeScan(queries, image, radius, dist)))
+              << simd::LevelName(level);
+          EXPECT_EQ(stats.total_pairs, queries.rows() * n);
+          EXPECT_EQ(stats.candidates + stats.members_pruned,
+                    stats.total_pairs);
+        }
+        if (radius == 0.0f) {
+          EXPECT_GT(want.total_matches(), 0u);  // the copied base rows
+        } else if (radius > farthest) {
+          EXPECT_EQ(want.total_matches(), queries.rows() * n);
+        } else {
+          EXPECT_GE(want.count(0), n / 2 + 1);  // the tie is in the ball
+        }
+      }
     }
   }
 }

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "common/matrix.h"
+#include "common/rng.h"
 #include "core/sweet_knn.h"
+#include "dataset/paper_datasets.h"
 #include "gtest/gtest.h"
 #include "serve/knn_service.h"
 #include "test_util.h"
@@ -36,21 +38,12 @@ void ExpectBitIdentical(const KnnResult& want, const KnnResult& got,
   }
 }
 
-core::KnnRunStats StatsWithSelectivity(double fraction_computed) {
-  core::KnnRunStats stats;
-  stats.total_pairs = 1'000'000;
-  stats.distance_calcs =
-      static_cast<uint64_t>(fraction_computed * 1'000'000);
-  return stats;
-}
-
 TEST(RoutePlannerTest, ForcedModesAlwaysRouteAndCount) {
   core::PlannerConfig config;
   config.mode = core::PlannerMode::kForceDevice;
   core::RoutePlanner device_planner(config);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(device_planner.Choose(8, 1000, 16),
-              core::QueryRoute::kDevice);
+    EXPECT_EQ(device_planner.Choose(), core::QueryRoute::kDevice);
   }
   EXPECT_EQ(device_planner.device_routes(), 10u);
   EXPECT_EQ(device_planner.host_routes(), 0u);
@@ -58,67 +51,26 @@ TEST(RoutePlannerTest, ForcedModesAlwaysRouteAndCount) {
   config.mode = core::PlannerMode::kForceHost;
   core::RoutePlanner host_planner(config);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(host_planner.Choose(8, 1000, 16), core::QueryRoute::kHost);
+    EXPECT_EQ(host_planner.Choose(), core::QueryRoute::kHost);
   }
   EXPECT_EQ(host_planner.device_routes(), 0u);
   EXPECT_EQ(host_planner.host_routes(), 10u);
 }
 
 TEST(RoutePlannerTest, ColdAutoExploresFirstThenPrefersHost) {
-  core::RoutePlanner planner;  // defaults: kAuto, explore_interval = 16
+  core::RoutePlanner planner;  // defaults: kAuto
   ASSERT_EQ(planner.mode(), core::PlannerMode::kAuto);
-  ASSERT_DOUBLE_EQ(planner.PredictedSelectivity(), 1.0);
-  // A cold planner is pessimistic about the TI filter, so for a
-  // moderate fragment the host path must model cheaper.
-  EXPECT_LT(planner.HostCost(8, 1000, 16), planner.DeviceCost(8, 1000, 16));
 
-  // Decision 0 explores on the device (this also seeds the selectivity
-  // estimate and keeps single-query sim-stats assertions meaningful);
-  // the next 15 follow the cost model onto the host; decision 16
-  // explores again.
-  EXPECT_EQ(planner.Choose(8, 1000, 16), core::QueryRoute::kDevice);
+  // Decision 0 samples the device (which keeps single-query sim-stats
+  // assertions meaningful); the next 15 run on the host; decision 16
+  // samples again.
+  EXPECT_EQ(planner.Choose(), core::QueryRoute::kDevice);
   for (int i = 1; i < 16; ++i) {
-    EXPECT_EQ(planner.Choose(8, 1000, 16), core::QueryRoute::kHost)
+    EXPECT_EQ(planner.Choose(), core::QueryRoute::kHost)
         << "decision " << i;
   }
-  EXPECT_EQ(planner.Choose(8, 1000, 16), core::QueryRoute::kDevice);
+  EXPECT_EQ(planner.Choose(), core::QueryRoute::kDevice);
   EXPECT_EQ(planner.device_routes() + planner.host_routes(), 17u);
-}
-
-TEST(RoutePlannerTest, SelectivityEmaTracksObservations) {
-  core::RoutePlanner planner;
-  const double alpha = planner.config().selectivity_alpha;
-  // An empty run (no pairs) must not disturb the estimate.
-  planner.ObserveDeviceRun(core::KnnRunStats{});
-  EXPECT_DOUBLE_EQ(planner.PredictedSelectivity(), 1.0);
-
-  planner.ObserveDeviceRun(StatsWithSelectivity(0.2));
-  EXPECT_DOUBLE_EQ(planner.PredictedSelectivity(),
-                   alpha * 0.2 + (1.0 - alpha) * 1.0);
-  planner.ObserveDeviceRun(StatsWithSelectivity(0.2));
-  EXPECT_NEAR(planner.PredictedSelectivity(),
-              alpha * 0.2 + (1.0 - alpha) * (alpha * 0.2 + (1.0 - alpha)),
-              1e-12);
-}
-
-TEST(RoutePlannerTest, LearnedSelectivityFlipsLargeFragmentsToDevice) {
-  core::PlannerConfig config;
-  config.explore_interval = 0;  // pure cost decisions
-  core::RoutePlanner planner(config);
-  // Cold (selectivity 1): even a huge fragment stays on the host.
-  EXPECT_EQ(planner.Choose(64, 1'000'000, 128), core::QueryRoute::kHost);
-  // A sharply selective filter (1% of pairs computed) makes the device's
-  // dominant term collapse; the same fragment now routes to the device.
-  for (int i = 0; i < 64; ++i) {
-    planner.ObserveDeviceRun(StatsWithSelectivity(0.01));
-  }
-  EXPECT_LT(planner.PredictedSelectivity(), 0.02);
-  EXPECT_LT(planner.DeviceCost(64, 1'000'000, 128),
-            planner.HostCost(64, 1'000'000, 128));
-  EXPECT_EQ(planner.Choose(64, 1'000'000, 128), core::QueryRoute::kDevice);
-  // Small fragments still prefer the host: the device's fixed cost
-  // dominates regardless of selectivity.
-  EXPECT_EQ(planner.Choose(1, 200, 4), core::QueryRoute::kHost);
 }
 
 TEST(RoutePlannerTest, EnvVariableOverridesConfiguredMode) {
@@ -138,9 +90,8 @@ TEST(RoutePlannerTest, EnvVariableOverridesConfiguredMode) {
   ::unsetenv("SWEETKNN_PLANNER");
 }
 
-// TSan target (tools/check_tsan.sh): Choose, set_mode, and
-// ObserveDeviceRun race freely; every decision must land in exactly one
-// route counter.
+// TSan target (tools/check_tsan.sh): Choose and set_mode race freely;
+// every decision must land in exactly one route counter.
 TEST(RoutePlannerTest, ConcurrentChooseAndModeFlipsLoseNoDecisions) {
   core::RoutePlanner planner;
   constexpr int kThreads = 8;
@@ -161,13 +112,10 @@ TEST(RoutePlannerTest, ConcurrentChooseAndModeFlipsLoseNoDecisions) {
           case 2:
             planner.set_mode(core::PlannerMode::kAuto);
             break;
-          case 3:
-            planner.ObserveDeviceRun(StatsWithSelectivity(0.5));
-            break;
           default:
             break;
         }
-        planner.Choose(1 + rng() % 64, 1000, 16);
+        planner.Choose();
       }
     });
   }
@@ -216,6 +164,45 @@ TEST(RoutePlannerTest, IndexAnswersBitIdenticallyOnEveryRoute) {
     ExpectBitIdentical(mutated, auto_index.Query(queries, 5),
                        "mutated auto");
   }
+}
+
+// The kAuto rule holds at any group size: the device routes are exactly
+// decisions 0, 16, 32, ... The index is one e2e `lookup` shard (the
+// first half of the kdd stand-in). 513 one-row exact reads sample the
+// device 33 times; the 64-row batch after them is decision 513, not a
+// multiple of 16, so it runs on the host. A planner that priced routes
+// from the device runs it observed would send that batch to the device.
+TEST(RoutePlannerTest, AutoSamplesTheDeviceOnEvery16thDecisionAtAnyGroupSize) {
+  const dataset::Dataset kdd =
+      dataset::MakePaperDataset(dataset::PaperDatasetByName("kdd"), 0.5);
+  ASSERT_GE(kdd.n(), 12288u);
+  ASSERT_EQ(kdd.dims(), 42u);
+  SweetKnnIndex index(
+      kdd.points,
+      IndexConfig(core::PlannerMode::kAuto, core::Metric::kEuclidean));
+  Rng rng(1);
+  // Base rows nudged off their exact coordinates.
+  const auto perturbed = [&](size_t rows) {
+    HostMatrix queries(rows, kdd.dims());
+    for (size_t q = 0; q < rows; ++q) {
+      const float* base = kdd.points.row(rng.NextBounded(kdd.n()));
+      for (size_t j = 0; j < kdd.dims(); ++j) {
+        queries.at(q, j) = base[j] + 1e-3f * (rng.NextFloat() - 0.5f);
+      }
+    }
+    return queries;
+  };
+  constexpr uint64_t kOneRowReads = 513;
+  for (uint64_t decision = 0; decision < kOneRowReads; ++decision) {
+    const uint64_t before = index.planner().device_routes();
+    index.Query(perturbed(1), 10);
+    EXPECT_EQ(index.planner().device_routes() - before,
+              decision % 16 == 0 ? 1u : 0u)
+        << "decision " << decision;
+  }
+  index.Query(perturbed(64), 10);
+  EXPECT_EQ(index.planner().device_routes(), 33u);
+  EXPECT_EQ(index.planner().host_routes(), kOneRowReads + 1 - 33);
 }
 
 TEST(RoutePlannerTest, ServiceAnswersBitIdenticallyOnEveryRoute) {

@@ -221,25 +221,5 @@ TEST(MergeMutableTest, MatchesColdBruteForceOverLiveSetBitwise) {
   }
 }
 
-TEST(AccumulateRunStatsTest, CountersAddAndSimTimeTakesMax) {
-  KnnRunStats total;
-  KnnRunStats a;
-  a.distance_calcs = 100;
-  a.total_pairs = 1000;
-  a.sim_time_s = 0.5;
-  a.landmarks_target = 10;
-  KnnRunStats b;
-  b.distance_calcs = 50;
-  b.total_pairs = 500;
-  b.sim_time_s = 0.75;
-  b.landmarks_target = 7;
-  AccumulateRunStats(a, &total);
-  AccumulateRunStats(b, &total);
-  EXPECT_EQ(total.distance_calcs, 150u);
-  EXPECT_EQ(total.total_pairs, 1500u);
-  EXPECT_DOUBLE_EQ(total.sim_time_s, 0.75);
-  EXPECT_EQ(total.landmarks_target, 17);
-}
-
 }  // namespace
 }  // namespace sweetknn::core

@@ -481,14 +481,16 @@ TEST(DifferentialFuzzTest, ApproxSweepMeetsRecallSlaOnEveryConfig) {
 // ---------------------------------------------------------------------------
 // Range modalities (docs/modalities.md): RadiusSearch, SelfJoin, and
 // KnnGraph vs their brute-force oracles, ≥200 seeded configs per
-// modality. Every config runs the modality through a fuzzed planner
-// route at a fuzzed SIMD dispatch tier, then re-runs it through the
-// OPPOSITE forced route at a DIFFERENT tier and demands the two answers
-// be bit-identical — the canonical accumulation order is what makes
-// that hold, and these sweeps are its proof for the unbounded-
-// cardinality result shape. Mutations (inserts + removes) run before
-// the scan so the delta overlay and tombstone masking are on the
-// fuzzed path too.
+// modality. Every config runs the modality under a fuzzed planner mode
+// at a fuzzed SIMD dispatch tier, then re-runs it under the OPPOSITE
+// forced mode at a DIFFERENT tier and demands the two answers be
+// bit-identical. KnnGraph's kNN chunks switch routes between the legs;
+// RadiusSearch and SelfJoin run the TI range scan on both (range
+// groups take no route), so for them the second leg changes the tier
+// only. The canonical accumulation order is what makes that hold, and
+// these sweeps are its proof for the unbounded-cardinality result
+// shape. Mutations (inserts + removes) run before the scan so the
+// delta overlay and tombstone masking are on the fuzzed path too.
 // ---------------------------------------------------------------------------
 
 struct RangeFuzzConfig {

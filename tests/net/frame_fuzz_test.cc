@@ -300,7 +300,6 @@ std::vector<CodecSample> AllCodecSamples() {
   range_reply.answers[0].result.AppendRow(
       {Neighbor{3, 0.25f}, Neighbor{8, 0.5f}});
   range_reply.answers[0].result.AppendRow({});
-  range_reply.answers[0].device_routed = true;
   range_reply.answers[0].route_seconds = 1e-5;
   range_reply.answers[0].stats.candidates = 7;
   range_reply.answers[0].stats.total_pairs = 40;
@@ -433,7 +432,6 @@ TEST(WireFuzzTest, RangeQueryReplyRoundTripAndAbsurdShardCountRejected) {
   reply.shard_indices = {2};
   reply.answers.resize(1);
   reply.answers[0].result.AppendRow({Neighbor{4, 0.5f}, Neighbor{9, 0.75f}});
-  reply.answers[0].device_routed = true;
   reply.answers[0].route_seconds = 0.25;
   reply.answers[0].stats.members_pruned = 11;
   RangeQueryReply out;
@@ -442,7 +440,6 @@ TEST(WireFuzzTest, RangeQueryReplyRoundTripAndAbsurdShardCountRejected) {
   ASSERT_EQ(out.shard_indices, reply.shard_indices);
   ASSERT_EQ(out.answers.size(), 1u);
   EXPECT_TRUE(BitIdentical(out.answers[0].result, reply.answers[0].result));
-  EXPECT_TRUE(out.answers[0].device_routed);
   EXPECT_EQ(out.answers[0].route_seconds, 0.25);
   EXPECT_EQ(out.answers[0].stats.members_pruned, 11u);
 

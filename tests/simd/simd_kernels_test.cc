@@ -1,12 +1,10 @@
 // Kernel-equivalence suite: every compiled-in SIMD tier must return
 // bytes identical to the canonical scalar fallback — for all distance
 // kinds, dims 1..130 (odd sizes and remainder lanes included),
-// unaligned bases, NaN/inf inputs, and gathers from bases past 32-bit
-// element offsets. This is the contract that lets the rewired callers
-// (BruteForceCpu, ScanDelta, clustering, the planner's host route, the
-// graph build) keep the repo's bit-exactness invariants.
-
-#include <sys/mman.h>
+// unaligned bases and NaN/inf inputs. This is the contract that lets the
+// rewired callers (BruteForceCpu, ScanDelta, clustering, the host
+// route's TI scans, graph search) keep the repo's bit-exactness
+// invariants.
 
 #include <cmath>
 #include <cstdint>
@@ -55,29 +53,6 @@ std::vector<float> ReferenceDistances(const float* query, const float* rows,
   return out;
 }
 
-/// `count` ids below `rows` in random order; the last repeats the first,
-/// so every list of two or more holds a duplicate.
-std::vector<uint32_t> UnsortedIdsWithRepeats(Rng* rng, size_t count,
-                                             size_t rows) {
-  std::vector<uint32_t> ids(count);
-  for (uint32_t& id : ids) id = static_cast<uint32_t>(rng->NextBounded(rows));
-  if (count > 1) ids.back() = ids.front();
-  return ids;
-}
-
-/// The base rows `ids` names, copied out contiguously: what
-/// GatherDistances must score as if they were one block.
-std::vector<float> GatherRows(const float* base, const uint32_t* ids,
-                              size_t count, size_t dims) {
-  std::vector<float> out(count * dims);
-  for (size_t i = 0; i < count; ++i) {
-    std::memcpy(out.data() + i * dims,
-                base + static_cast<size_t>(ids[i]) * dims,
-                dims * sizeof(float));
-  }
-  return out;
-}
-
 void ExpectBitEqual(const std::vector<float>& want,
                     const std::vector<float>& got, const char* what) {
   ASSERT_EQ(want.size(), got.size()) << what;
@@ -121,15 +96,10 @@ TEST(SimdKernelsTest, AllTiersBitIdenticalAcrossDims1To130) {
       const PackedTargets packed = PackedTargets::Pack(rows.data(), n, dims);
       ASSERT_EQ(packed.n(), n);
       ASSERT_EQ(packed.dims(), dims);
-      const std::vector<uint32_t> ids = UnsortedIdsWithRepeats(&rng, n, n);
-      const std::vector<float> gathered =
-          GatherRows(rows.data(), ids.data(), n, dims);
       for (Dist dist :
            {Dist::kEuclidean, Dist::kSquaredEuclidean, Dist::kManhattan}) {
         const std::vector<float> want =
             ReferenceDistances(query.data(), rows.data(), n, dims, dist);
-        const std::vector<float> want_gathered =
-            ReferenceDistances(query.data(), gathered.data(), n, dims, dist);
         for (Level level : AvailableLevels()) {
           ForceLevelForTest(static_cast<int>(level));
           std::vector<float> got(n);
@@ -143,10 +113,6 @@ TEST(SimdKernelsTest, AllTiersBitIdenticalAcrossDims1To130) {
           QueryBlockDistances(query.data(), rows.data(), n, dims, dist,
                               unpacked.data());
           ExpectBitEqual(want, unpacked, "QueryBlockDistances");
-          std::vector<float> by_id(n);
-          GatherDistances(query.data(), rows.data(), n, ids.data(), n, dims,
-                          dist, by_id.data());
-          ExpectBitEqual(want_gathered, by_id, "GatherDistances");
         }
       }
     }
@@ -166,24 +132,12 @@ TEST(SimdKernelsTest, UnalignedBasesMatch) {
   const PackedTargets packed = PackedTargets::Pack(rows, n, dims);
   const std::vector<float> want =
       ReferenceDistances(query, rows, n, dims, Dist::kEuclidean);
-  // The id list is shifted off alignment too.
-  const size_t count = 40;
-  const std::vector<uint32_t> id_raw =
-      UnsortedIdsWithRepeats(&rng, count + 1, n);
-  const uint32_t* ids = id_raw.data() + 1;
-  const std::vector<float> want_gathered = ReferenceDistances(
-      query, GatherRows(rows, ids, count, dims).data(), count, dims,
-      Dist::kEuclidean);
   for (Level level : AvailableLevels()) {
     ForceLevelForTest(static_cast<int>(level));
     std::vector<float> got(n);
     QueryDistances(query, packed, Dist::kEuclidean, got.data());
     SCOPED_TRACE(LevelName(level));
     ExpectBitEqual(want, got, "unaligned QueryDistances");
-    std::vector<float> by_id(count);
-    GatherDistances(query, rows, n, ids, count, dims, Dist::kEuclidean,
-                    by_id.data());
-    ExpectBitEqual(want_gathered, by_id, "unaligned GatherDistances");
   }
 }
 
@@ -201,20 +155,10 @@ TEST(SimdKernelsTest, NanAndInfPropagateIdentically) {
   rows[17 * dims + 8] = -kInf;
   query[4] = kInf;
   const PackedTargets packed = PackedTargets::Pack(rows.data(), n, dims);
-  // Every special row, in scattered lanes, next to random repeats.
-  std::vector<uint32_t> ids = UnsortedIdsWithRepeats(&rng, 24, n);
-  ids[2] = 0;
-  ids[9] = 5;
-  ids[16] = 17;
-  ids[21] = 0;
-  const std::vector<float> gathered =
-      GatherRows(rows.data(), ids.data(), ids.size(), dims);
   for (Dist dist :
        {Dist::kEuclidean, Dist::kSquaredEuclidean, Dist::kManhattan}) {
     const std::vector<float> want =
         ReferenceDistances(query.data(), rows.data(), n, dims, dist);
-    const std::vector<float> want_gathered = ReferenceDistances(
-        query.data(), gathered.data(), ids.size(), dims, dist);
     for (Level level : AvailableLevels()) {
       ForceLevelForTest(static_cast<int>(level));
       std::vector<float> got(n);
@@ -222,70 +166,6 @@ TEST(SimdKernelsTest, NanAndInfPropagateIdentically) {
       SCOPED_TRACE(::testing::Message() << LevelName(level) << " dist="
                                       << static_cast<int>(dist));
       ASSERT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(float)), 0);
-      std::vector<float> by_id(ids.size());
-      GatherDistances(query.data(), rows.data(), n, ids.data(), ids.size(),
-                      dims, dist, by_id.data());
-      ASSERT_EQ(std::memcmp(want_gathered.data(), by_id.data(),
-                            ids.size() * sizeof(float)),
-                0);
-    }
-  }
-}
-
-TEST(SimdKernelsTest, GatherDistancesPastInt32OffsetsMatchScalar) {
-  LevelGuard guard;
-  // A base of more than INT32_MAX floats, mapped sparsely: only the pages
-  // of the rows written below are ever backed. Element offsets id * dims
-  // of its last rows do not fit an int32.
-  const size_t dims = 3;
-  const size_t rows = static_cast<size_t>(INT32_MAX) / dims + 64;
-  const size_t bytes = rows * dims * sizeof(float);
-  void* map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (map == MAP_FAILED) {
-    GTEST_SKIP() << "sparse " << bytes << "-byte mapping refused";
-  }
-  struct Unmap {
-    void* addr;
-    size_t len;
-    ~Unmap() { munmap(addr, len); }
-  } unmap{map, bytes};
-  float* base = static_cast<float*>(map);
-
-  // The first rows and the last 60, whose offsets are all past
-  // INT32_MAX, in random order with repeats.
-  Rng rng(0x7fffffff);
-  std::vector<uint32_t> written;
-  for (uint32_t r = 0; r < 4; ++r) written.push_back(r);
-  for (size_t r = rows - 60; r < rows; ++r) {
-    ASSERT_GT(r * dims, static_cast<size_t>(INT32_MAX));
-    written.push_back(static_cast<uint32_t>(r));
-  }
-  for (const uint32_t r : written) {
-    for (size_t j = 0; j < dims; ++j) {
-      base[static_cast<size_t>(r) * dims + j] = rng.NextFloat() * 4.0f - 2.0f;
-    }
-  }
-  std::vector<uint32_t> ids;
-  for (const uint32_t pick :
-       UnsortedIdsWithRepeats(&rng, 45, written.size())) {
-    ids.push_back(written[pick]);
-  }
-  const std::vector<float> query = RandomBlock(&rng, 1, dims);
-  const std::vector<float> gathered =
-      GatherRows(base, ids.data(), ids.size(), dims);
-  for (Dist dist :
-       {Dist::kEuclidean, Dist::kSquaredEuclidean, Dist::kManhattan}) {
-    const std::vector<float> want = ReferenceDistances(
-        query.data(), gathered.data(), ids.size(), dims, dist);
-    for (Level level : AvailableLevels()) {
-      ForceLevelForTest(static_cast<int>(level));
-      std::vector<float> got(ids.size());
-      GatherDistances(query.data(), base, rows, ids.data(), ids.size(), dims,
-                      dist, got.data());
-      SCOPED_TRACE(::testing::Message() << LevelName(level) << " dist="
-                                      << static_cast<int>(dist));
-      ExpectBitEqual(want, got, "GatherDistances past INT32_MAX");
     }
   }
 }

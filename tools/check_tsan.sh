@@ -11,8 +11,8 @@
 # Shutdown; swap_staleness_test races cache inserts against SwapIndex;
 # compaction_race_test races mutations, forced compactions, and hot
 # swaps against live clients; route_planner_test flips the hybrid
-# planner's mode and feeds its selectivity EMA from many threads while
-# Choose() races the lock-free route counters; shard_backend_test covers
+# planner's mode from many threads while Choose() races the lock-free
+# decision and route counters; shard_backend_test covers
 # core::ShardHost, the transport-free shard dispatch/merge core both
 # serving backends and SweetKnnIndex share; router_timeout_test drives the cluster router's channel IO
 # threads, reply queues, and worker-death path (it spawns shard-worker
