@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "dataset/paper_datasets.h"
 #include "gtest/gtest.h"
 #include "serve/knn_service.h"
+#include "serve/router.h"
 #include "test_util.h"
 
 namespace sweetknn {
@@ -223,6 +225,110 @@ TEST(RoutePlannerTest, ServiceAnswersBitIdenticallyOnEveryRoute) {
   ExpectBitIdentical(want.value(), got.value(), "service host route");
   EXPECT_GT(host_service.planner().host_routes(), 0u);
   EXPECT_GT(device_service.planner().device_routes(), 0u);
+}
+
+// Range searches take no planner decision: ShardHost::RangeGroup always
+// runs the TI range scan. In every mode they answer the same bytes and
+// leave the route counters at zero, so the first kNN batch after them is
+// still decision 0 — which kAuto samples on the device.
+TEST(RoutePlannerTest, RangeSearchesTakeNoPlannerDecision) {
+  const HostMatrix target = ClusteredPoints(300, 5, 4, 519, 0.1f);
+  const HostMatrix queries = ClusteredPoints(12, 5, 3, 520, 0.1f);
+  constexpr float kRadius = 0.35f;
+  SweetKnnIndex reference(
+      target,
+      IndexConfig(core::PlannerMode::kForceHost, core::Metric::kEuclidean));
+  const RangeResult want = reference.RadiusSearch(queries, kRadius);
+  const std::vector<SelfJoinPair> want_pairs = reference.SelfJoin(kRadius);
+  ASSERT_GT(want.total_matches(), 0u);
+  ASSERT_FALSE(want_pairs.empty());
+
+  for (const core::PlannerMode mode :
+       {core::PlannerMode::kAuto, core::PlannerMode::kForceDevice,
+        core::PlannerMode::kForceHost}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    SweetKnnIndex index(target, IndexConfig(mode, core::Metric::kEuclidean));
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_TRUE(BitIdentical(want, index.RadiusSearch(queries, kRadius)));
+      EXPECT_TRUE(index.SelfJoin(kRadius) == want_pairs);
+    }
+    EXPECT_EQ(index.planner().device_routes(), 0u);
+    EXPECT_EQ(index.planner().host_routes(), 0u);
+
+    index.Query(queries, 5);
+    const bool device = mode != core::PlannerMode::kForceHost;
+    EXPECT_EQ(index.planner().device_routes(), device ? 1u : 0u);
+    EXPECT_EQ(index.planner().host_routes(), device ? 0u : 1u);
+  }
+}
+
+// A service counts each range shard scan as one host route, in every
+// planner mode, because that is where it ran; its planner takes no
+// decision for it.
+TEST(RoutePlannerTest, ServiceCountsEachRangeShardAsOneHostRoute) {
+  const HostMatrix target = ClusteredPoints(260, 4, 3, 521, 0.1f);
+  const HostMatrix queries = ClusteredPoints(9, 4, 2, 522, 0.1f);
+  for (const core::PlannerMode mode :
+       {core::PlannerMode::kAuto, core::PlannerMode::kForceDevice,
+        core::PlannerMode::kForceHost}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    serve::ServiceConfig config;
+    config.num_shards = 2;
+    config.planner.mode = mode;
+    serve::KnnService service(target, config);
+    const Result<RangeResult> got = service.RadiusSearch(queries, 0.35f);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_GT(got.value().total_matches(), 0u);
+    const common::MetricsRegistry& metrics = service.metrics();
+    EXPECT_EQ(metrics.CounterValue("sweetknn_planner_host_routes_total"), 2.0);
+    EXPECT_EQ(metrics.CounterValue("sweetknn_planner_device_routes_total"),
+              0.0);
+    EXPECT_EQ(service.planner().device_routes(), 0u);
+    EXPECT_EQ(service.planner().host_routes(), 0u);
+  }
+}
+
+// The same across the wire: a shard worker takes no planner decision for
+// a range group, so with the device forced the router counts a radius
+// search as two host routes, one per shard, and a kNN group as two
+// device routes. The cluster leg needs the worker binary; it skips
+// unless SWEETKNN_CLI points at sweetknn_cli (ctest exports it).
+TEST(RoutePlannerTest, ClusterCountsEachRangeShardAsOneHostRoute) {
+  const char* cli = std::getenv("SWEETKNN_CLI");
+  if (cli == nullptr) {
+    GTEST_SKIP() << "SWEETKNN_CLI not set; cluster leg needs the CLI";
+  }
+  const HostMatrix target = ClusteredPoints(260, 4, 3, 521, 0.1f);
+  const HostMatrix queries = ClusteredPoints(9, 4, 2, 522, 0.1f);
+  serve::RouterConfig config;
+  config.service.num_shards = 2;
+  config.service.planner.mode = core::PlannerMode::kForceDevice;
+  config.num_workers = 1;
+  config.worker_binary = cli;
+  Result<std::unique_ptr<serve::Router>> started =
+      serve::Router::Start(target, config);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  const std::unique_ptr<serve::Router> router = std::move(started).value();
+  const common::MetricsRegistry& metrics = router->metrics();
+  const auto device_routes = [&] {
+    return metrics.CounterValue("sweetknn_planner_device_routes_total");
+  };
+  const auto host_routes = [&] {
+    return metrics.CounterValue("sweetknn_planner_host_routes_total");
+  };
+  const double device_before = device_routes();
+  const double host_before = host_routes();
+
+  const Result<RangeResult> got = router->RadiusSearch(queries, 0.35f);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_GT(got.value().total_matches(), 0u);
+  EXPECT_EQ(device_routes(), device_before);
+  EXPECT_EQ(host_routes(), host_before + 2.0);
+
+  ASSERT_TRUE(router->JoinBatch(queries, 4).ok());
+  EXPECT_EQ(device_routes(), device_before + 2.0);
+  EXPECT_EQ(host_routes(), host_before + 2.0);
+  router->Shutdown();
 }
 
 }  // namespace

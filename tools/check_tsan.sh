@@ -81,8 +81,8 @@ TESTS=(
   host_image_test
 )
 
-# router_timeout_test, router_front_end_test and job_test spawn
-# shard-worker processes from the CLI binary.
+# route_planner_test, router_timeout_test, router_front_end_test and
+# job_test spawn shard-worker processes from the CLI binary.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}" sweetknn_cli
 export SWEETKNN_CLI="$PWD/$BUILD_DIR/tools/sweetknn_cli"
 
