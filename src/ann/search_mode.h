@@ -1,29 +1,26 @@
 #ifndef SWEETKNN_ANN_SEARCH_MODE_H_
 #define SWEETKNN_ANN_SEARCH_MODE_H_
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 namespace sweetknn::ann {
 
-/// Which backend answers a query (docs/approx.md).
+/// What a request asked for (docs/approx.md).
 enum class SearchKind : uint32_t {
-  kExact = 0,   ///< The TI engine / vectorized host scan: exact by construction.
-  kApprox = 1,  ///< The kNN-graph tier: bounded recall, large speedup.
+  kExact = 0,
+  kApprox = 1,  ///< Any recall target below 1.0 is acceptable.
 };
 
-/// Per-request search mode, selectable through SweetKnnIndex::Query,
-/// KnnService and Router. Exact is the default everywhere, so every
-/// pre-existing call site keeps its bit-identical answers.
+/// Per-request search mode, accepted by SweetKnnIndex::Query,
+/// KnnService and Router. Every mode is answered by the exact path: the
+/// host route's TI scan answers an exact read faster than the kNN-graph
+/// search this mode once selected, and recall 1.0 meets any target, so
+/// an approximate request returns the bytes an exact one does.
 struct SearchMode {
   SearchKind kind = SearchKind::kExact;
-  /// Approx only: the recall SLA this request is willing to accept.
-  /// Drives the candidate budget when `ef` is 0; >= 1.0 demands
-  /// exactness and routes to the exact path outright.
+  /// Approx only: the lowest recall@k the caller accepts.
   double recall_target = 0.0;
-  /// Approx only: explicit candidate-queue budget for the graph search
-  /// (HNSW's ef). 0 derives a budget from recall_target.
+  /// Approx only: the candidate budget the caller suggested. Unused.
   int ef = 0;
 
   static SearchMode Exact() { return SearchMode{}; }
@@ -35,56 +32,17 @@ struct SearchMode {
     return mode;
   }
 
-  /// True when this request must run the exact path: either it asked for
-  /// it, or its SLA (recall >= 1.0) is one only the exact path honors.
-  bool EffectiveExact() const {
-    return kind == SearchKind::kExact || recall_target >= 1.0;
-  }
-
   friend bool operator==(const SearchMode& a, const SearchMode& b) {
     return a.kind == b.kind && a.recall_target == b.recall_target &&
            a.ef == b.ef;
   }
 };
 
-/// Canonical form used for batching and cache keys: every effectively
-/// exact mode collapses to Exact(), so exact traffic groups identically
-/// whether it arrived as exact or approx(recall_target = 1.0).
-inline SearchMode Normalize(const SearchMode& mode) {
-  return mode.EffectiveExact() ? SearchMode::Exact() : mode;
-}
-
-/// Strict weak ordering over normalized modes, for deterministic group
-/// iteration in the dispatchers (exact groups sort first).
-inline bool SearchModeLess(const SearchMode& a, const SearchMode& b) {
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.recall_target != b.recall_target) {
-    return a.recall_target < b.recall_target;
-  }
-  return a.ef < b.ef;
-}
-
-/// The candidate-queue budget a request actually runs with: the explicit
-/// ef when given, otherwise a budget derived from the recall target —
-/// a floor of max(64, 4k) at recall 0.9, quadrupling for every halving
-/// of the allowed miss rate (greedy best-first terminates once the
-/// frontier stops improving, so the beam must widen super-linearly to
-/// buy the last points of recall; at small bases a high target pushes
-/// the budget past the point count, where the search degenerates to the
-/// exact full scan — the honest cost of near-perfect recall). Always at
-/// least k (the queue must be able to hold a full answer). Callers that
-/// over-query (tombstone masking) clamp again with their widened k.
-inline int EffectiveEf(const SearchMode& mode, int k) {
-  if (mode.ef > 0) return std::max(mode.ef, k);
-  const double slack =
-      std::clamp(1.0 - mode.recall_target, 1e-3, 1.0);
-  // The 1e-9 slop keeps float residue (1.0 - 0.9 > 0.1 in doubles) from
-  // ceiling an intended-integral factor up a full step.
-  const double ratio = 0.1 / slack;
-  const double factor = std::max(1.0, std::ceil(ratio * ratio - 1e-9));
-  const double base = std::max(64.0, 4.0 * static_cast<double>(k));
-  const double ef = std::min(base * factor, 1e7);
-  return std::max(k, static_cast<int>(ef));
+/// The mode a request is served under: Exact() for every mode, so
+/// approximate and exact requests batch, cache and answer as one
+/// traffic class.
+inline SearchMode Normalize(const SearchMode& /*mode*/) {
+  return SearchMode::Exact();
 }
 
 }  // namespace sweetknn::ann

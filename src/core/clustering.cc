@@ -720,18 +720,4 @@ TargetClustering BuildTargetClustering(Device* dev,
   return out;
 }
 
-std::vector<uint32_t> AnnEntryPointsFromClustering(
-    const TargetClusteringHost& tc) {
-  std::vector<uint32_t> entries;
-  entries.reserve(tc.num_clusters);
-  for (int c = 0; c < tc.num_clusters; ++c) {
-    const uint32_t begin = tc.member_offsets[c];
-    const uint32_t end = tc.member_offsets[c + 1];
-    // Members are sorted descending by distance-to-center, so the last
-    // one is the closest to the landmark.
-    if (end > begin) entries.push_back(tc.member_ids[end - 1]);
-  }
-  return entries;
-}
-
 }  // namespace sweetknn::core

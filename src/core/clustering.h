@@ -112,14 +112,6 @@ TargetClustering UploadTargetClustering(gpusim::Device* dev,
                                         PointLayout layout, int vector_width,
                                         Metric metric);
 
-/// Entry seeds for the ANN graph search: per non-empty cluster, the
-/// member closest to its landmark center (member lists are sorted
-/// descending by distance, so that is the last member). One seed per
-/// Step-1 landmark starts the best-first descent inside every region of
-/// the space.
-std::vector<uint32_t> AnnEntryPointsFromClustering(
-    const TargetClusteringHost& tc);
-
 }  // namespace sweetknn::core
 
 #endif  // SWEETKNN_CORE_CLUSTERING_H_

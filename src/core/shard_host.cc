@@ -47,37 +47,13 @@ void ShardHost::RestoreBase(const HostMatrix& target,
   image = HostImage(target, clustering);
 }
 
-void ShardHost::BuildGraph(const HostMatrix& base, ann::KnnGraph persisted,
-                           RangeScanStats* join_stats) {
-  if (!ann_enabled_ || base.rows() == 0) return;
-  const simd::Dist dist_kind = SimdDistFor(engine.options().metric);
-  if (persisted.num_nodes != base.rows()) {
-    // No snapshot graph covers this base: join it with itself through
-    // the paper's TI filters. (A persisted graph's node ids are local
-    // base rows, valid as-is.)
-    persisted = ann::KnnGraphFromSelfJoin(
-        base.rows(), ann_params_,
-        AnnEntryPointsFromClustering(image.clustering()),
-        [&](int k, int workers) {
-          return image.Knn(base, k, dist_kind, workers, join_stats);
-        });
-  }
-  ann = ann::AnnIndex::Adopt(base, dist_kind, std::move(persisted));
-}
-
 ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
                                    QueryRoute route, Metric metric,
-                                   const ann::SearchMode& mode, int workers,
-                                   KnnRunStats* device_stats,
-                                   ann::AnnSearchStats* ann_stats) {
+                                   int workers, KnnRunStats* device_stats) {
   ShardAnswer answer;
   answer.offset = offset;
   answer.pristine = Pristine();
-  // Effectively exact modes — and approx against a graph-free shard —
-  // run the exact base scan below, bit-identically to a plain call.
-  const bool approx = !mode.EffectiveExact() && !ann.empty();
-  answer.approx = approx;
-  answer.device_routed = !approx && route == QueryRoute::kDevice;
+  answer.device_routed = route == QueryRoute::kDevice;
   // A pristine shard's contribution is the same whether the rest of the
   // service is mutated or not (base_k = k + 0 tombstones; offset remap
   // equals the identity merge source), so the pristine/mutated decision
@@ -91,16 +67,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   KnnResult base_result;
   KnnResult delta_result;
   const SteadyClock::time_point start = SteadyClock::now();
-  if (approx) {
-    // The graph search over-queries at base_k too, so tombstone masking
-    // below never eats into the requested k.
-    const int ef = std::max(ann::EffectiveEf(mode, k), base_k);
-    ann::AnnSearchStats searched;
-    base_result = ann.Search(queries, base_k, ef, workers, &searched);
-    answer.ann_hops = searched.hops;
-    answer.ann_candidates = searched.candidates_visited;
-    if (ann_stats != nullptr) *ann_stats += searched;
-  } else if (route == QueryRoute::kHost) {
+  if (route == QueryRoute::kHost) {
     base_result = image.Knn(queries, base_k, dist_kind, workers, &host_stats);
   } else {
     base_result = engine.RunQueries(queries, base_k, &stats);
@@ -145,7 +112,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     AccumulateStageTimes(stats.profile, &answer.level1_s, &answer.level2_s,
                          &answer.preprocess_s);
     answer.transfer_s = stats.profile.transfer_time_s;
-  } else if (!approx) {
+  } else {
     answer.distance_calcs = host_stats.candidates;
     answer.total_pairs = host_stats.total_pairs;
   }
@@ -284,16 +251,11 @@ void CaptureCompaction(ShardHost* shard, CompactionPlan* plan) {
   }
 }
 
-std::unique_ptr<ShardHost> RebuildCompacted(
-    const CompactionPlan& plan, const gpusim::DeviceSpec& device,
-    const TiOptions& options, bool ann_enabled,
-    const ann::GraphBuildParams& ann_params) {
+std::unique_ptr<ShardHost> RebuildCompacted(const CompactionPlan& plan,
+                                            const gpusim::DeviceSpec& device,
+                                            const TiOptions& options) {
   auto fresh = std::make_unique<ShardHost>(device, options);
-  fresh->ConfigureAnn(ann_enabled, ann_params);
   fresh->BuildCold(plan.points);
-  // Fresh base, fresh graph — part of the off-lock rebuild, so graph
-  // construction never blocks serving.
-  fresh->BuildGraph(plan.points, ann::KnnGraph{});
   // Offset 0 either way: ids that are literally 0..n-1 are back in
   // pristine form, and an explicit id map leaves the offset unused.
   const bool identity =
@@ -319,9 +281,8 @@ std::unique_ptr<ShardHost> CompactNow(ShardHost* shard) {
   if (shard->delta.Pristine() || shard->live_rows() == 0) return nullptr;
   CompactionPlan plan;
   CaptureCompaction(shard, &plan);
-  std::unique_ptr<ShardHost> fresh = RebuildCompacted(
-      plan, shard->dev.spec(), shard->engine.options(), shard->ann_enabled(),
-      shard->ann_params());
+  std::unique_ptr<ShardHost> fresh =
+      RebuildCompacted(plan, shard->dev.spec(), shard->engine.options());
   CarryOverlayForward(*shard, plan, fresh.get());
   return fresh;
 }

@@ -7,8 +7,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "ann/ann_index.h"
-#include "ann/search_mode.h"
 #include "common/matrix.h"
 #include "common/range_result.h"
 #include "core/delta_overlay.h"
@@ -58,12 +56,6 @@ struct ShardHost {
   std::vector<uint32_t> id_map;
   /// Inserts since the base was clustered, plus tombstoned ids.
   DeltaBuffer delta;
-  /// The approximate tier over the same frozen base (empty unless
-  /// ConfigureAnn enabled it). Rebuilt by BuildGraph wherever the base
-  /// is replaced (cold build, snapshot restore, RebuildCompacted). Never
-  /// covers the delta — SearchGroup's side scan and merge handle that
-  /// exactly.
-  ann::AnnIndex ann;
   /// Install ticket: bumped (from the owner's epoch counter) whenever
   /// the shard object is created or replaced. A compactor that captured
   /// an older epoch must abandon its install.
@@ -84,55 +76,20 @@ struct ShardHost {
     return base_rows_ - delta.tombstones.size() + delta.size();
   }
 
-  /// Opts this shard into the ANN tier; BuildGraph builds (or adopts)
-  /// the graph. When `params.workers` is unset (<= 0), `fallback_workers`
-  /// — the host's configured parallelism — fills it in when set; with
-  /// neither set, the width stays unset and a build runs on every
-  /// hardware thread (see GraphBuildParams::workers).
-  void ConfigureAnn(bool enabled, const ann::GraphBuildParams& params,
-                    int fallback_workers = 0) {
-    ann_enabled_ = enabled;
-    ann_params_ = params;
-    if (ann_params_.workers <= 0 && fallback_workers > 0) {
-      ann_params_.workers = fallback_workers;
-    }
-  }
-  bool ann_enabled() const { return ann_enabled_; }
-  const ann::GraphBuildParams& ann_params() const { return ann_params_; }
-
   /// Cold build: PrepareTarget (upload + Step-1 landmark clustering)
-  /// over this shard's slice, plus the host image. Builds no ANN graph;
-  /// call BuildGraph next.
+  /// over this shard's slice, plus the host image.
   void BuildCold(const HostMatrix& slice);
 
   /// Warm start: re-materializes the prepared index from a snapshot's
-  /// bytes without re-clustering, plus the host image. Installs no ANN
-  /// graph; call BuildGraph next.
+  /// bytes without re-clustering, plus the host image.
   void RestoreBase(const HostMatrix& target,
                    const TargetClusteringHost& clustering);
 
-  /// Gives the base BuildCold / RestoreBase just installed its ANN graph
-  /// (a no-op unless ConfigureAnn enabled the tier). `base` must hold
-  /// that base's rows. `persisted` is the graph a snapshot carried
-  /// (empty on cold builds): adopted verbatim when it covers `base`.
-  /// Otherwise the graph is the base's exact kNN self-join: the host
-  /// image's TI scan (HostImage::Knn) of every base row at
-  /// degree + 1, run at ann_params().workers and reduced by
-  /// ann::KnnGraphFromSelfJoin — the bytes ann::BuildKnnGraph's
-  /// brute-force join gives. `join_stats`, when set, accumulates that
-  /// scan's counters (untouched on adoption). Call it outside any
-  /// fork-join region — owners fan out BuildCold / RestoreBase across
-  /// shards, then build the graphs one shard at a time, each on the full
-  /// width: a build nested in the fan-out would run inline on one
-  /// thread.
-  void BuildGraph(const HostMatrix& base, ann::KnnGraph persisted,
-                  RangeScanStats* join_stats = nullptr);
-
   /// Adopts a snapshot's geometry and overlay fields (offset, id map,
-  /// delta, tombstones). Restores neither the engine nor the graph —
-  /// call RestoreBase and then BuildGraph with the snapshot's target and
-  /// graph afterwards (KnnService batches the restores onto the host
-  /// pool). Defined in src/store/index_io.cc; link sweetknn_store.
+  /// delta, tombstones). Does not restore the engine — call RestoreBase
+  /// with the snapshot's target afterwards (KnnService batches the
+  /// restores onto the host pool). Defined in src/store/index_io.cc;
+  /// link sweetknn_store.
   void AdoptOverlay(const store::IndexSnapshot& snap);
 
   /// Answers one same-k query group from this shard: the complete,
@@ -154,24 +111,13 @@ struct ShardHost {
   /// no simulated-device stats; their distance_calcs / total_pairs
   /// count the host image's TI scan instead (rows offered / |Q| * n).
   ///
-  /// `mode` selects the base-scan backend per group: an effectively
-  /// approx mode (and a built graph) answers the base from the ANN tier
-  /// under the mode's candidate budget — still over-queried for
-  /// tombstones, still merged exactly with the delta scan — and reports
-  /// the graph-search work counters on the answer. Exact modes (the
-  /// default) are untouched.
-  ///
-  /// `workers` is the host-side width of the host route and the graph
-  /// search (1 on the serving backends, whose shard fan-out is already
-  /// the parallel axis). `device_stats`, when set, receives the device
-  /// run's full KnnRunStats (empty unless device_routed); `ann_stats`,
-  /// when set, accumulates the graph search's counters.
+  /// `workers` is the host route's width (1 on the serving backends,
+  /// whose shard fan-out is already the parallel axis). `device_stats`,
+  /// when set, receives the device run's full KnnRunStats (empty unless
+  /// device_routed).
   ShardAnswer SearchGroup(const HostMatrix& queries, int k, QueryRoute route,
-                          Metric metric,
-                          const ann::SearchMode& mode =
-                              ann::SearchMode::Exact(),
-                          int workers = 1, KnnRunStats* device_stats = nullptr,
-                          ann::AnnSearchStats* ann_stats = nullptr);
+                          Metric metric, int workers = 1,
+                          KnnRunStats* device_stats = nullptr);
 
   /// Answers one same-radius range group from this shard: every live
   /// point within the closed ball of each query row, as stable ids
@@ -210,8 +156,6 @@ struct ShardHost {
 
  private:
   size_t base_rows_ = 0;
-  bool ann_enabled_ = false;
-  ann::GraphBuildParams ann_params_;
 };
 
 /// Everything a compaction captures under the owner's lock before
@@ -238,15 +182,10 @@ void CaptureCompaction(ShardHost* shard, CompactionPlan* plan);
 /// full Step-1 clustering over the captured points. Captured ids that
 /// are literally 0..n-1 restore pristine form (no id map); otherwise the
 /// plan's ids become the new base's id map. `options` should carry the
-/// owner's effective shard options. When the owner serves the ANN tier,
-/// pass its config so the fresh base gets a fresh graph at install;
-/// `ann_params.workers` is the build's width as given (0 = every
-/// hardware thread), so an owner that rebuilds beside serving pins it
-/// first.
-std::unique_ptr<ShardHost> RebuildCompacted(
-    const CompactionPlan& plan, const gpusim::DeviceSpec& device,
-    const TiOptions& options, bool ann_enabled = false,
-    const ann::GraphBuildParams& ann_params = ann::GraphBuildParams{});
+/// owner's effective shard options.
+std::unique_ptr<ShardHost> RebuildCompacted(const CompactionPlan& plan,
+                                            const gpusim::DeviceSpec& device,
+                                            const TiOptions& options);
 
 /// Install-time carry-over: mutations that landed on `old_shard` while
 /// the rebuild ran move onto `fresh` — the delta suffix past the
@@ -259,9 +198,8 @@ void CarryOverlayForward(const ShardHost& old_shard,
 
 /// The whole protocol in one synchronous step, for owners that serve
 /// nothing beside the rebuild (a ShardWorker, SweetKnnIndex): capture,
-/// rebuild under the shard's own device, options and ANN config (the
-/// graph at its configured width, every hardware thread when unset),
-/// and the carry-over, which is necessarily empty. Returns the
+/// rebuild under the shard's own device and options, and the
+/// carry-over, which is necessarily empty. Returns the
 /// replacement, or null when there is nothing to fold: an empty overlay
 /// (an id-mapped base without one is already compacted — the test
 /// KnnService's compactor applies too), or no live point (an empty base

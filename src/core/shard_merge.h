@@ -94,13 +94,6 @@ struct ShardAnswer {
   int threads_per_query = 1;
   /// Host wall-clock of this shard's scan (route latency observation).
   double route_seconds = 0.0;
-
-  /// Approximate tier: true when the base scan ran the ANN graph search
-  /// instead of an exact kernel (device_routed is then false). The work
-  /// counters feed the per-mode service metrics.
-  bool approx = false;
-  uint64_t ann_hops = 0;        ///< Graph nodes expanded, group total.
-  uint64_t ann_candidates = 0;  ///< Distance evaluations, group total.
 };
 
 /// Merges per-shard answers into the exact global top-k. When every

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "ann/knn_graph.h"
 #include "common/thread_pool.h"
 
 namespace sweetknn {
@@ -30,46 +31,34 @@ SweetKnnIndex::SweetKnnIndex(const HostMatrix& target,
                              const SweetKnn::Config& config)
     : SweetKnnIndex(config, static_cast<uint32_t>(target.rows())) {
   shard_->BuildCold(target);
-  shard_->BuildGraph(target, ann::KnnGraph{});
 }
 
 SweetKnnIndex::SweetKnnIndex(const SweetKnn::Config& config, uint32_t next_id)
     : config_(config),
       shard_(std::make_unique<core::ShardHost>(config.device, config.options)),
       planner_(config.planner),
-      next_id_(next_id) {
-  // The engine runs the caller's options unpinned. An unset graph-build
-  // width inherits the engine's thread budget; with that unset too, the
-  // build (which blocks the caller) runs on every hardware thread.
-  shard_->ConfigureAnn(config.enable_ann, config.ann_params,
-                       config.options.sim_threads);
+      next_id_(next_id) {}
+
+KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
+                               const ann::SearchMode& /*mode*/,
+                               core::KnnRunStats* stats) {
+  return Query(queries, k, stats);
 }
 
 KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
                                core::KnnRunStats* stats) {
-  return Query(queries, k, ann::SearchMode::Exact(), stats);
-}
-
-KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
-                               const ann::SearchMode& mode,
-                               core::KnnRunStats* stats,
-                               ann::AnnSearchStats* ann_stats) {
   SK_CHECK_EQ(queries.cols(), dims());
-  // Only exact batches take a planner decision (an approx batch against
-  // a built graph scans no base). Both routes return bit-identical
-  // neighbor lists, so only wall-clock and the stats differ: a
-  // host-routed batch reports empty KnnRunStats — no simulated device
-  // ran.
-  const bool approx = !mode.EffectiveExact() && !shard_->ann.empty();
-  const core::QueryRoute route =
-      approx ? core::QueryRoute::kHost : planner_.Choose();
+  // Every batch takes a planner decision. Both routes return
+  // bit-identical neighbor lists, so only wall-clock and the stats
+  // differ: a host-routed batch reports empty KnnRunStats — no simulated
+  // device ran.
+  const core::QueryRoute route = planner_.Choose();
   const int workers = config_.options.sim_threads > 0
                           ? config_.options.sim_threads
                           : common::SimThreadsFromEnv();
   core::KnnRunStats device_stats;
-  core::ShardAnswer answer =
-      shard_->SearchGroup(queries, k, route, config_.options.metric, mode,
-                          workers, &device_stats, ann_stats);
+  core::ShardAnswer answer = shard_->SearchGroup(
+      queries, k, route, config_.options.metric, workers, &device_stats);
   if (stats != nullptr) *stats = std::move(device_stats);
   // One shard at offset 0: its answer is already the final top-k.
   return std::move(answer.result);

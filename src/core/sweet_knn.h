@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "ann/ann_index.h"
 #include "ann/search_mode.h"
 #include "common/knn_result.h"
 #include "common/matrix.h"
@@ -48,13 +47,6 @@ class SweetKnn {
     /// host-routed batches report no simulated-device stats). Radius
     /// searches take no route.
     core::PlannerConfig planner;
-    /// SweetKnnIndex only: build the approximate kNN-graph tier over the
-    /// frozen base (and rebuild it at every compaction), enabling
-    /// SearchMode::Approx queries (docs/approx.md). Exact queries — and
-    /// every index built without this — are completely unaffected.
-    bool enable_ann = false;
-    /// SweetKnnIndex only: graph build knobs for the ANN tier.
-    ann::GraphBuildParams ann_params;
   };
 
   SweetKnn() : SweetKnn(Config{}) {}
@@ -137,17 +129,12 @@ class SweetKnnIndex {
   KnnResult Query(const HostMatrix& queries, int k,
                   core::KnnRunStats* stats = nullptr);
 
-  /// Mode-selected query. Exact (or effectively exact: recall_target >=
-  /// 1.0) modes — and approx requests against an index without a graph —
-  /// run the exact path above, bit-identically. Approx modes answer the
-  /// frozen base from the kNN-graph tier under the mode's candidate
-  /// budget, still scanning delta points exactly and masking tombstones,
-  /// so mutations never weaken below the graph's recall. `ann_stats`
-  /// (optional) accumulates the graph-search work counters.
+  /// Mode-selected query: every mode runs the exact path above and
+  /// returns its bytes (recall 1.0 meets any approximate target;
+  /// docs/approx.md).
   KnnResult Query(const HostMatrix& queries, int k,
                   const ann::SearchMode& mode,
-                  core::KnnRunStats* stats = nullptr,
-                  ann::AnnSearchStats* ann_stats = nullptr);
+                  core::KnnRunStats* stats = nullptr);
 
   /// Single-point convenience.
   std::vector<Neighbor> Query(const std::vector<float>& point, int k);
@@ -242,11 +229,6 @@ class SweetKnnIndex {
   /// base (a never-mutated or freshly compacted-to-identity index).
   bool pristine() const { return shard_->Pristine(); }
 
-  /// The ANN tier (empty unless Config::enable_ann and the base is
-  /// non-empty). Covers the frozen base as of the last (re)build.
-  const ann::AnnIndex& ann() const { return shard_->ann; }
-  bool ann_enabled() const { return config_.enable_ann; }
-
   gpusim::Device& device() { return shard_->dev; }
   const core::TiKnnEngine& engine() const { return shard_->engine; }
   /// The host route's image of the frozen base (rebuilt with it).
@@ -264,7 +246,7 @@ class SweetKnnIndex {
   void MaybeCompact();
 
   SweetKnn::Config config_;
-  /// The frozen base, its engine, host image, ANN tier and overlay.
+  /// The frozen base, its engine, host image and overlay.
   /// Replaced wholesale by Compact.
   std::unique_ptr<core::ShardHost> shard_;
   core::RoutePlanner planner_;

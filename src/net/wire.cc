@@ -188,40 +188,6 @@ Status GetPlanner(PayloadReader* r, core::PlannerConfig* p) {
   return GetEnum(r, 2, "planner mode", &p->mode);
 }
 
-// --- ANN config / SearchMode ------------------------------------------------
-
-void PutAnnConfig(PayloadWriter* w, bool enable_ann,
-                  const ann::GraphBuildParams& p) {
-  PutBool(w, enable_ann);
-  w->PutU32(p.degree);
-  w->PutU32(static_cast<uint32_t>(p.workers));
-}
-
-Status GetAnnConfig(PayloadReader* r, bool* enable_ann,
-                    ann::GraphBuildParams* p) {
-  uint32_t v = 0;
-  SK_RETURN_IF_ERROR(GetBool(r, enable_ann));
-  SK_RETURN_IF_ERROR(r->GetU32(&p->degree));
-  SK_RETURN_IF_ERROR(r->GetU32(&v));
-  p->workers = static_cast<int>(v);
-  return Status::Ok();
-}
-
-void PutSearchMode(PayloadWriter* w, const ann::SearchMode& m) {
-  w->PutU32(static_cast<uint32_t>(m.kind));
-  w->PutDouble(m.recall_target);
-  w->PutU32(static_cast<uint32_t>(m.ef));
-}
-
-Status GetSearchMode(PayloadReader* r, ann::SearchMode* m) {
-  uint32_t v = 0;
-  SK_RETURN_IF_ERROR(GetEnum(r, 1, "search mode", &m->kind));
-  SK_RETURN_IF_ERROR(r->GetDouble(&m->recall_target));
-  SK_RETURN_IF_ERROR(r->GetU32(&v));
-  m->ef = static_cast<int>(v);
-  return Status::Ok();
-}
-
 // --- KnnResult / ShardAnswer ------------------------------------------------
 
 void PutResult(PayloadWriter* w, const KnnResult& result) {
@@ -279,9 +245,6 @@ void PutAnswer(PayloadWriter* w, const core::ShardAnswer& a) {
   w->PutU32(static_cast<uint32_t>(a.placement_used));
   w->PutU32(static_cast<uint32_t>(a.threads_per_query));
   w->PutDouble(a.route_seconds);
-  PutBool(w, a.approx);
-  w->PutU64(a.ann_hops);
-  w->PutU64(a.ann_candidates);
 }
 
 Status GetAnswer(PayloadReader* r, core::ShardAnswer* a) {
@@ -302,9 +265,6 @@ Status GetAnswer(PayloadReader* r, core::ShardAnswer* a) {
   SK_RETURN_IF_ERROR(r->GetU32(&v));
   a->threads_per_query = static_cast<int>(v);
   SK_RETURN_IF_ERROR(r->GetDouble(&a->route_seconds));
-  SK_RETURN_IF_ERROR(GetBool(r, &a->approx));
-  SK_RETURN_IF_ERROR(r->GetU64(&a->ann_hops));
-  SK_RETURN_IF_ERROR(r->GetU64(&a->ann_candidates));
   return Status::Ok();
 }
 
@@ -406,7 +366,6 @@ std::string EncodePrepareCold(const PrepareColdRequest& req) {
   PutOptions(&w, req.options);
   PutDevice(&w, req.device);
   PutPlanner(&w, req.planner);
-  PutAnnConfig(&w, req.enable_ann, req.ann_params);
   w.PutString(req.tenant);
   return w.Take();
 }
@@ -419,7 +378,6 @@ Status DecodePrepareCold(const std::string& payload, PrepareColdRequest* req) {
   SK_RETURN_IF_ERROR(GetOptions(&r, &req->options));
   SK_RETURN_IF_ERROR(GetDevice(&r, &req->device));
   SK_RETURN_IF_ERROR(GetPlanner(&r, &req->planner));
-  SK_RETURN_IF_ERROR(GetAnnConfig(&r, &req->enable_ann, &req->ann_params));
   SK_RETURN_IF_ERROR(r.GetString(&req->tenant));
   return r.ExpectExhausted();
 }
@@ -431,7 +389,6 @@ std::string EncodePrepareSnapshot(const PrepareSnapshotRequest& req) {
   PutOptions(&w, req.options);
   PutDevice(&w, req.device);
   PutPlanner(&w, req.planner);
-  PutAnnConfig(&w, req.enable_ann, req.ann_params);
   w.PutString(req.tenant);
   return w.Take();
 }
@@ -444,7 +401,6 @@ Status DecodePrepareSnapshot(const std::string& payload,
   SK_RETURN_IF_ERROR(GetOptions(&r, &req->options));
   SK_RETURN_IF_ERROR(GetDevice(&r, &req->device));
   SK_RETURN_IF_ERROR(GetPlanner(&r, &req->planner));
-  SK_RETURN_IF_ERROR(GetAnnConfig(&r, &req->enable_ann, &req->ann_params));
   SK_RETURN_IF_ERROR(r.GetString(&req->tenant));
   return r.ExpectExhausted();
 }
@@ -454,7 +410,6 @@ std::string EncodeQuery(const QueryRequest& req) {
   w.PutU32(req.k);
   w.PutMatrix(req.queries);
   w.PutU32s(req.shard_indices.data(), req.shard_indices.size());
-  PutSearchMode(&w, req.mode);
   w.PutString(req.tenant);
   return w.Take();
 }
@@ -464,7 +419,6 @@ Status DecodeQuery(const std::string& payload, QueryRequest* req) {
   SK_RETURN_IF_ERROR(r.GetU32(&req->k));
   SK_RETURN_IF_ERROR(r.GetMatrix(&req->queries));
   SK_RETURN_IF_ERROR(r.GetU32s(&req->shard_indices));
-  SK_RETURN_IF_ERROR(GetSearchMode(&r, &req->mode));
   SK_RETURN_IF_ERROR(r.GetString(&req->tenant));
   return r.ExpectExhausted();
 }

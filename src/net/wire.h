@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "ann/knn_graph.h"
-#include "ann/search_mode.h"
 #include "common/knn_result.h"
 #include "common/matrix.h"
 #include "common/range_result.h"
@@ -69,10 +67,6 @@ struct PrepareColdRequest {
   core::TiOptions options;
   gpusim::DeviceSpec device;
   core::PlannerConfig planner;
-  /// ANN tier (docs/approx.md): when enabled the worker builds the
-  /// kNN graph right after the cold build, with these build knobs.
-  bool enable_ann = false;
-  ann::GraphBuildParams ann_params;
   /// Named index this shard belongs to (docs/serving.md). The distributed
   /// tier serves one tenant per cluster today; workers record the name at
   /// prepare time and reject queries that name a different one.
@@ -88,10 +82,6 @@ struct PrepareSnapshotRequest {
   core::TiOptions options;
   gpusim::DeviceSpec device;
   core::PlannerConfig planner;
-  /// ANN tier: adopt the snapshot's persisted graph when present (v3),
-  /// rebuild otherwise.
-  bool enable_ann = false;
-  ann::GraphBuildParams ann_params;
   /// Named index this shard belongs to (see PrepareColdRequest::tenant).
   std::string tenant = "default";
 };
@@ -105,9 +95,6 @@ struct QueryRequest {
   uint32_t k = 0;
   HostMatrix queries;
   std::vector<uint32_t> shard_indices;
-  /// Per-group search mode (normalized by the router); every named shard
-  /// answers under the same mode, exactly like the in-process groups.
-  ann::SearchMode mode;
   /// Named index the group targets. Workers answer only for the tenant
   /// they were prepared with — a mismatch is an InvalidArgument error
   /// frame, never a silent cross-tenant answer.

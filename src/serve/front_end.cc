@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -15,33 +14,31 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-/// recall@k per row, |approx ids ∩ exact ids| / |exact live ids|,
-/// averaged over the rows that have any truth (padding rows measure
-/// nothing). Negative when no row does.
-double MeanRecall(const KnnResult& approx, const KnnResult& exact, int k) {
-  double recall_sum = 0.0;
-  size_t measured = 0;
-  std::unordered_set<uint32_t> truth;
-  for (size_t q = 0; q < exact.num_queries(); ++q) {
-    truth.clear();
-    for (int j = 0; j < k; ++j) {
-      const Neighbor& nb = exact.row(q)[j];
-      if (nb.index == kInvalidNeighbor) break;
-      truth.insert(nb.index);
-    }
-    if (truth.empty()) continue;
-    size_t hits = 0;
-    for (int j = 0; j < k; ++j) {
-      if (truth.count(approx.row(q)[j].index) != 0) ++hits;
-    }
-    recall_sum +=
-        static_cast<double>(hits) / static_cast<double>(truth.size());
-    ++measured;
+}  // namespace
+
+Status CheckPoints(const char* what, size_t rows, size_t cols, size_t dims) {
+  if (rows == 0) {
+    return Status::InvalidArgument(std::string(what) + ": no points given");
   }
-  return measured == 0 ? -1.0 : recall_sum / static_cast<double>(measured);
+  if (cols != dims) {
+    return Status::InvalidArgument(
+        std::string(what) + ": " + std::to_string(cols) +
+        "-dimensional points, the index serves " + std::to_string(dims));
+  }
+  return Status::Ok();
 }
 
-}  // namespace
+Status CheckK(const char* what, int k) {
+  if (k > 0) return Status::Ok();
+  return Status::InvalidArgument(std::string(what) + ": k must be > 0, got " +
+                                 std::to_string(k));
+}
+
+Status CheckRadius(const char* what, float radius) {
+  if (radius >= 0.0f) return Status::Ok();
+  return Status::InvalidArgument(std::string(what) +
+                                 ": radius must be >= 0");
+}
 
 void MergeLiveExports(const std::vector<std::vector<uint32_t>>& part_ids,
                       const std::vector<HostMatrix>& part_points, size_t dims,
@@ -202,25 +199,6 @@ void FrontEnd::InitMetrics() {
                                   "Query rows answered by range groups");
   m_range_matches_ = m.GetCounter("sweetknn_range_matches_total",
                                   "In-ball matches returned by range groups");
-  m_approx_groups_ = m.GetCounter(
-      "sweetknn_approx_groups_total",
-      "Engine groups answered through the ANN graph tier");
-  m_approx_queries_ = m.GetCounter(
-      "sweetknn_approx_queries_total",
-      "Query rows answered through the ANN graph tier");
-  m_ann_hops_ = m.GetCounter(
-      "sweetknn_ann_hops_total",
-      "Graph nodes expanded by ANN searches, summed over shards");
-  m_ann_candidates_ = m.GetCounter(
-      "sweetknn_ann_candidates_total",
-      "Distance evaluations made by ANN searches, summed over shards");
-  m_recall_probes_ = m.GetCounter(
-      "sweetknn_ann_recall_probes_total",
-      "Approx groups re-answered exactly to measure recall");
-  m_recall_estimate_ = m.GetHistogram(
-      "sweetknn_ann_recall_estimate",
-      "Measured recall@k of probed approx groups against the exact answer",
-      {0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0});
   m_queue_depth_ = m.GetGauge("sweetknn_queue_depth", "Admission-queue depth");
   m_peak_queue_depth_ = m.GetGauge("sweetknn_peak_queue_depth",
                                    "Admission-queue high-water mark");
@@ -271,14 +249,12 @@ void FrontEnd::Forget(const std::string& tenant) { queue_.Forget(tenant); }
 
 Result<KnnResult> FrontEnd::Knn(std::shared_ptr<TenantIndex> tenant,
                                 std::vector<float> rows, size_t num_rows,
-                                int k, const ann::SearchMode& mode,
-                                std::chrono::microseconds timeout) {
+                                int k, std::chrono::microseconds timeout) {
   auto request = std::make_unique<Request>();
   request->tenant = std::move(tenant);
   request->rows = std::move(rows);
   request->num_rows = num_rows;
   request->k = k;
-  request->mode = ann::Normalize(mode);
   std::future<Result<KnnResult>> future = request->promise.get_future();
   SK_RETURN_IF_ERROR(Admit(std::move(request), timeout));
   return future.get();
@@ -433,31 +409,26 @@ void FrontEnd::DispatchLoop() {
     // inflate the batch count and skew occupancy.
     m_batches_->Increment();
 
-    // One engine batch per distinct (k, mode) — or per distinct radius
-    // for range requests — preserving admission order within each group
-    // and a deterministic order across groups (kNN groups by k
-    // ascending, exact before approx; range groups after them by
-    // radius). Modes were normalized at admission, so effectively exact
-    // traffic lands in one group.
+    // One engine batch per distinct k — or per distinct radius for
+    // range requests — preserving admission order within each group and
+    // a deterministic order across groups (kNN groups by k ascending,
+    // range groups after them by radius).
     struct GroupKey {
       bool is_range;
       float radius;
       int k;
-      ann::SearchMode mode;
     };
     struct GroupKeyLess {
       bool operator()(const GroupKey& a, const GroupKey& b) const {
         if (a.is_range != b.is_range) return b.is_range;
         if (a.is_range) return a.radius < b.radius;
-        if (a.k != b.k) return a.k < b.k;
-        return ann::SearchModeLess(a.mode, b.mode);
+        return a.k < b.k;
       }
     };
     std::map<GroupKey, std::vector<RequestPtr>, GroupKeyLess> by_key;
     for (RequestPtr& request : batch) {
-      by_key[{request->is_range, request->radius, request->k,
-              request->mode}]
-          .push_back(std::move(request));
+      by_key[{request->is_range, request->radius, request->k}].push_back(
+          std::move(request));
     }
     for (auto& [key, group] : by_key) {
       if (key.is_range) {
@@ -493,27 +464,13 @@ void FrontEnd::ObserveLatency(const Request& request) {
 void FrontEnd::RunGroup(std::vector<RequestPtr> group) {
   const TenantIndex& tenant = *group[0]->tenant;
   const int k = group[0]->k;
-  const ann::SearchMode mode = group[0]->mode;
   const HostMatrix queries = GatherRows(group);
   const size_t rows = queries.rows();
 
-  // Recall self-measurement: every Nth approx group is also answered
-  // exactly — same queries, same index state, inside the same transport
-  // call — and the measured recall@k lands in the histogram. The probe
-  // costs one exact group; interval 0 disables it.
-  bool probe = false;
-  if (!mode.EffectiveExact()) {
-    const int interval = config_.ann_recall_probe_interval;
-    probe = interval > 0 &&
-            approx_group_counter_ % static_cast<uint64_t>(interval) == 0;
-    ++approx_group_counter_;
-  }
   std::vector<core::ShardAnswer> answers;
-  std::vector<core::ShardAnswer> exact_answers;
   double fanout_seconds = 0.0;
-  const Status status = transport_->SearchGroup(
-      tenant, queries, k, mode, &answers, probe ? &exact_answers : nullptr,
-      &fanout_seconds);
+  const Status status =
+      transport_->SearchGroup(tenant, queries, k, &answers, &fanout_seconds);
   if (!status.ok()) {
     for (RequestPtr& request : group) FailRequest(request.get(), status);
     return;
@@ -522,22 +479,12 @@ void FrontEnd::RunGroup(std::vector<RequestPtr> group) {
 
   const SteadyClock::time_point merge_start = SteadyClock::now();
   for (const core::ShardAnswer& answer : answers) {
-    // An approx shard ran the graph search, not a planner route; it
-    // belongs to neither route counter.
-    if (answer.approx) continue;
     ObserveRoute(answer.device_routed, answer.route_seconds);
   }
   // The identical exact merge on both transports: this is where cluster
   // answers become bit-identical to in-process ones.
   const KnnResult merged = core::MergeShardAnswers(answers, k);
   m_merge_->Observe(SecondsBetween(merge_start, SteadyClock::now()));
-
-  if (probe) {
-    const double recall =
-        MeanRecall(merged, core::MergeShardAnswers(exact_answers, k), k);
-    m_recall_probes_->Increment();
-    if (recall >= 0.0) m_recall_estimate_->Observe(recall);
-  }
   RecordGroupStats(answers, rows);
 
   // Slice the merged result back into per-request answers.
@@ -602,21 +549,13 @@ void FrontEnd::RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
   double preprocess = 0.0;
   uint64_t distance_calcs = 0;
   uint64_t host_distance_calcs = 0;
-  bool any_approx = false;
-  uint64_t ann_hops = 0;
-  uint64_t ann_candidates = 0;
   for (const core::ShardAnswer& s : answers) {
-    if (s.approx) {
-      any_approx = true;
-      ann_hops += s.ann_hops;
-      ann_candidates += s.ann_candidates;
-    }
     // A host-routed shard ran no simulated device: its answer carries no
     // device stats and it made no adaptive decisions, so it contributes
     // to neither the sim-time counters nor the decision counts — only
     // its exact scan's work reaches the host counter.
     if (!s.device_routed) {
-      if (!s.approx) host_distance_calcs += s.distance_calcs;
+      host_distance_calcs += s.distance_calcs;
       continue;
     }
     total += s.sim_time_s;
@@ -635,12 +574,6 @@ void FrontEnd::RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
                                                       : m_placement_registers_)
         ->Increment();
     m_threads_per_query_->Observe(static_cast<double>(s.threads_per_query));
-  }
-  if (any_approx) {
-    m_approx_groups_->Increment();
-    m_approx_queries_->Increment(static_cast<double>(rows));
-    m_ann_hops_->Increment(static_cast<double>(ann_hops));
-    m_ann_candidates_->Increment(static_cast<double>(ann_candidates));
   }
   m_engine_groups_->Increment();
   m_batched_queries_->Increment(static_cast<double>(rows));
@@ -944,9 +877,8 @@ void FrontEnd::RunJob(Job* job) {
       // One ordinary kNN request at k+1 (the one extra slot absorbs the
       // query point itself; see ann::KnnGraphRow for the exactness
       // argument), fair-shared through the admission queue.
-      Result<KnnResult> answer =
-          Knn(tenant, std::move(chunk), end - begin, k + 1,
-              ann::SearchMode::Exact(), std::chrono::microseconds{0});
+      Result<KnnResult> answer = Knn(tenant, std::move(chunk), end - begin,
+                                     k + 1, std::chrono::microseconds{0});
       if (!answer.ok()) {
         FinishJob(job, JobState::kFailed, answer.status());
         return;
@@ -1014,8 +946,6 @@ ServiceStats FrontEnd::Stats() const {
   s.remove_misses = count("sweetknn_remove_misses_total");
   s.compactions = count("sweetknn_compactions_total");
   s.compaction_aborts = count("sweetknn_compaction_aborts_total");
-  s.approx_groups = count("sweetknn_approx_groups_total");
-  s.approx_queries = count("sweetknn_approx_queries_total");
   s.range_groups = count("sweetknn_range_groups_total");
   s.range_queries = count("sweetknn_range_queries_total");
   s.range_matches = count("sweetknn_range_matches_total");

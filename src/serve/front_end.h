@@ -15,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ann/search_mode.h"
+#include "ann/knn_graph.h"
 #include "common/knn_result.h"
 #include "common/matrix.h"
 #include "common/metrics.h"
@@ -90,24 +90,12 @@ struct ServiceConfig {
   /// Range groups take no route: every shard runs its TI range scan on
   /// the host.
   core::PlannerConfig planner;
-  /// Build the approximate kNN-graph tier on every shard (and rebuild it
-  /// at each compaction install), enabling SearchMode::Approx requests
-  /// (docs/approx.md). Exact traffic — and every service built without
-  /// this — is completely unaffected.
+  /// Ignored; kept only so e2ebench/e2e_bench.cc, which assigns it,
+  /// compiles. Every search mode is served exactly (docs/approx.md).
   bool enable_ann = false;
-  /// Graph build knobs for the ANN tier. When ann_params.workers
-  /// is 0, graph builds use options.sim_threads (the service's
-  /// configured parallelism); with both unset, builds the caller waits
-  /// for (construction, CreateIndex, SwapIndex, warm start) run on every
-  /// hardware thread, one shard at a time, and in-process compactions,
-  /// which run beside serving, build on one thread.
+  /// Ignored by the service, like enable_ann; e2ebench/e2e_bench.cc
+  /// passes it to its ann::BuildKnnGraph probe.
   ann::GraphBuildParams ann_params;
-  /// Recall self-measurement: every Nth approx group is also answered
-  /// exactly (under the same lock, against the same index state) and the
-  /// observed recall@k lands in the sweetknn_ann_recall_estimate
-  /// histogram. 0 disables the probe; small N is for tests/benchmarks —
-  /// each probe costs one exact group.
-  int ann_recall_probe_interval = 0;
 };
 
 /// The three offline modalities both backends run as long-running jobs
@@ -233,10 +221,6 @@ struct ServiceStats {
   /// not cumulative).
   uint64_t delta_points = 0;
   uint64_t tombstones = 0;
-  /// Approximate tier: engine groups / query rows answered through the
-  /// ANN graph search (a subset of engine_groups / batched_queries).
-  uint64_t approx_groups = 0;
-  uint64_t approx_queries = 0;
   /// Range modality: same-radius groups run through the shards, query
   /// rows in them, and in-ball matches returned.
   uint64_t range_groups = 0;
@@ -281,15 +265,11 @@ class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
 
-  /// Every shard's answer to one same-(k, mode) group, indexed by shard;
-  /// `exact`, when non-null (the recall probe), also gets the exact
-  /// answers from the same index state. `fanout_seconds` is the primary
-  /// fan-out's wall-clock, without lock wait or probe.
+  /// Every shard's answer to one same-k group, indexed by shard.
+  /// `fanout_seconds` is the fan-out's wall-clock, without lock wait.
   virtual Status SearchGroup(const TenantIndex& tenant,
                              const HostMatrix& queries, int k,
-                             const ann::SearchMode& mode,
                              std::vector<core::ShardAnswer>* answers,
-                             std::vector<core::ShardAnswer>* exact,
                              double* fanout_seconds) = 0;
 
   /// Range answers that pool into each query row's global in-ball set
@@ -306,6 +286,18 @@ class ShardTransport {
                             HostMatrix* points) = 0;
 };
 
+/// Argument checks of the client entry points both backends share
+/// (Search, JoinBatch, RadiusSearch, Insert), run before a request
+/// touches a queue or an index, so a malformed call returns
+/// InvalidArgument instead of aborting the serving process — the answers
+/// a shard worker gives the same inputs on the wire. `what` names the
+/// call in the message. CheckPoints: at least one row, of `dims` columns.
+Status CheckPoints(const char* what, size_t rows, size_t cols, size_t dims);
+/// k > 0.
+Status CheckK(const char* what, int k);
+/// radius >= 0 (NaN fails).
+Status CheckRadius(const char* what, float radius);
+
 /// Pools per-part live exports (core::ShardHost::ExportLive of each
 /// shard, or of each worker over its shards) into one globally ascending
 /// stable-id order: parts interleave in id space (inserts route by
@@ -315,10 +307,9 @@ void MergeLiveExports(const std::vector<std::vector<uint32_t>>& part_ids,
                       std::vector<uint32_t>* ids, HostMatrix* points);
 
 /// The serving front-end both backends own: weighted-fair admission
-/// (shedding, deadlines, dropped tenants), micro-batching, (k, mode) and
-/// radius grouping, the exact merge of the transport's answers, the
-/// recall probe, per-request slicing, the offline-job engine, and the
-/// request/stage/job series. Every public method is thread-safe; one
+/// (shedding, deadlines, dropped tenants), micro-batching, k and radius
+/// grouping, the exact merge of the transport's answers, per-request
+/// slicing, the offline-job engine, and the request/stage/job series. Every public method is thread-safe; one
 /// dispatcher thread drains the scheduler and calls the transport with
 /// no front-end lock held.
 class FrontEnd {
@@ -350,9 +341,8 @@ class FrontEnd {
   /// tenant is dropped meanwhile; else the transport's group status.
   Result<KnnResult> Knn(std::shared_ptr<TenantIndex> tenant,
                         std::vector<float> rows, size_t num_rows, int k,
-                        const ann::SearchMode& mode,
                         std::chrono::microseconds timeout);
-  /// The range twin of Knn: groups on radius instead of (k, mode).
+  /// The range twin of Knn: groups on radius instead of k.
   Result<RangeResult> Range(std::shared_ptr<TenantIndex> tenant,
                             std::vector<float> rows, size_t num_rows,
                             float radius, std::chrono::microseconds timeout);
@@ -411,15 +401,12 @@ class FrontEnd {
     std::vector<float> rows;  ///< num_rows * dims query coordinates.
     size_t num_rows = 0;
     int k = 0;
-    /// Normalized at admission, so grouping treats approx(recall 1.0)
-    /// and exact as the same traffic.
-    ann::SearchMode mode;
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline;
     std::chrono::steady_clock::time_point admit_time;
     std::promise<Result<KnnResult>> promise;
-    /// Range requests (is_range) group on radius instead of (k, mode)
-    /// and resolve range_promise; k/mode/promise are unused for them.
+    /// Range requests (is_range) group on radius instead of k and
+    /// resolve range_promise; k/promise are unused for them.
     bool is_range = false;
     float radius = 0.0f;
     std::promise<Result<RangeResult>> range_promise;
@@ -458,8 +445,8 @@ class FrontEnd {
   bool FailFast(RequestPtr* request);
   /// Concatenates a group's query rows in admission order.
   static HostMatrix GatherRows(const std::vector<RequestPtr>& group);
-  /// Runs one same-(k, mode) group through the transport, merges, and
-  /// fulfills its promises; RunRangeGroup is the radius twin.
+  /// Runs one same-k group through the transport, merges, and fulfills
+  /// its promises; RunRangeGroup is the radius twin.
   void RunGroup(std::vector<RequestPtr> group);
   void RunRangeGroup(std::vector<RequestPtr> group);
   /// Records one planner route decision of a shard scan.
@@ -492,10 +479,6 @@ class FrontEnd {
   ShardTransport* const transport_;
   common::MetricsRegistry* const metrics_;
   FairScheduler<RequestPtr> queue_;
-
-  /// Approx groups seen by the dispatcher (recall-probe cadence).
-  /// Dispatcher-thread only.
-  uint64_t approx_group_counter_ = 0;
 
   /// Guarded by hook_mutex_ (the dispatcher copies it per batch, so a
   /// test may install it while traffic is flowing).
@@ -538,12 +521,6 @@ class FrontEnd {
   common::Counter* m_range_groups_ = nullptr;
   common::Counter* m_range_queries_ = nullptr;
   common::Counter* m_range_matches_ = nullptr;
-  common::Counter* m_approx_groups_ = nullptr;
-  common::Counter* m_approx_queries_ = nullptr;
-  common::Counter* m_ann_hops_ = nullptr;
-  common::Counter* m_ann_candidates_ = nullptr;
-  common::Counter* m_recall_probes_ = nullptr;
-  common::Histogram* m_recall_estimate_ = nullptr;
   common::Gauge* m_queue_depth_ = nullptr;
   common::Gauge* m_peak_queue_depth_ = nullptr;
   common::Counter* m_jobs_submitted_ = nullptr;

@@ -136,8 +136,7 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
   // host-parallel axis for the TI preparation. The shard engines are
   // pinned to one execution thread: a region nested inside the fan-out
   // would only run inline anyway — and by the execution engine's
-  // guarantee this changes nothing but wall-clock. The ANN graphs are
-  // built after the fan-out, one shard at a time on the full width.
+  // guarantee this changes nothing but wall-clock.
   core::TiOptions shard_options = config_.options;
   shard_options.sim_threads = 1;
 
@@ -153,10 +152,6 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
                 rows * dims * sizeof(float));
     slices.push_back(std::move(slice));
     auto shard = std::make_unique<Shard>(config_.device, shard_options);
-    // An unset ann_params.workers takes the service's configured
-    // parallelism, or every hardware thread when that is unset too.
-    shard->ConfigureAnn(config_.enable_ann, config_.ann_params,
-                        config_.options.sim_threads);
     shard->offset = static_cast<uint32_t>(offset);
     shard->set_base_rows(rows);
     shard->delta.dims = dims;
@@ -220,14 +215,6 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
       tenant->shards[idx]->BuildCold(slices[idx]);
     }
   });
-  // Warm or cold, the base bytes are the slice bytes (warm starts
-  // byte-compare the snapshot against the slice above); a warm start
-  // hands over any persisted ANN graph instead of rebuilding it.
-  for (size_t idx = 0; idx < slices.size(); ++idx) {
-    tenant->shards[idx]->BuildGraph(
-        slices[idx],
-        warm ? std::move(snapshots[idx].ann_graph) : ann::KnnGraph{});
-  }
   if (warm) m_warm_started_shards_->Increment(num_shards);
 
   {
@@ -373,15 +360,13 @@ void KnnService::Shutdown() {
 
 Result<std::vector<Neighbor>> KnnService::Search(
     const std::vector<float>& query_point, int k,
-    const ann::SearchMode& mode, const CallOptions& opts) {
+    const ann::SearchMode& /*mode*/, const CallOptions& opts) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(opts.tenant);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<TenantIndex> tenant = std::move(resolved).value();
-  SK_CHECK_EQ(query_point.size(), tenant->dims);
-  SK_CHECK_GT(k, 0);
-  // Normalized up front: approx(recall 1.0) is exact traffic, and must
-  // batch and cache exactly like it.
-  const ann::SearchMode normalized = ann::Normalize(mode);
+  SK_RETURN_IF_ERROR(
+      CheckPoints("Search", 1, query_point.size(), tenant->dims));
+  SK_RETURN_IF_ERROR(CheckK("Search", k));
   const SteadyClock::time_point start = SteadyClock::now();
   // Captured before the answer is computed: if a swap, mutation, or
   // compaction completes while this request is in flight, the cache
@@ -389,8 +374,7 @@ Result<std::vector<Neighbor>> KnnService::Search(
   const uint64_t epoch = cache_epoch_.load(std::memory_order_acquire);
   std::string key;
   if (config_.cache_capacity > 0) {
-    key = CacheKey(tenant->name, query_point.data(), tenant->dims, k,
-                   normalized);
+    key = CacheKey(tenant->name, query_point.data(), tenant->dims, k);
     std::vector<Neighbor> cached;
     if (CacheLookup(key, &cached)) {
       front_end_.CountCacheHit(tenant.get(),
@@ -400,7 +384,7 @@ Result<std::vector<Neighbor>> KnnService::Search(
   }
 
   Result<KnnResult> result =
-      front_end_.Knn(tenant, query_point, 1, k, normalized, opts.timeout);
+      front_end_.Knn(tenant, query_point, 1, k, opts.timeout);
   if (!result.ok()) return result.status();
   const KnnResult& answer = result.value();
   std::vector<Neighbor> neighbors(answer.row(0), answer.row(0) + answer.k());
@@ -412,15 +396,15 @@ Result<std::vector<Neighbor>> KnnService::Search(
 }
 
 Result<KnnResult> KnnService::JoinBatch(const HostMatrix& queries, int k,
-                                        const ann::SearchMode& mode,
+                                        const ann::SearchMode& /*mode*/,
                                         const CallOptions& opts) {
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(opts.tenant);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<TenantIndex> tenant = std::move(resolved).value();
-  SK_CHECK(!queries.empty());
-  SK_CHECK_EQ(queries.cols(), tenant->dims);
-  SK_CHECK_GT(k, 0);
-  return front_end_.Knn(tenant, queries.storage(), queries.rows(), k, mode,
+  SK_RETURN_IF_ERROR(CheckPoints("JoinBatch", queries.rows(), queries.cols(),
+                                 tenant->dims));
+  SK_RETURN_IF_ERROR(CheckK("JoinBatch", k));
+  return front_end_.Knn(tenant, queries.storage(), queries.rows(), k,
                         opts.timeout);
 }
 
@@ -434,9 +418,9 @@ Result<RangeResult> KnnService::RadiusSearch(const HostMatrix& queries,
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(opts.tenant);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<TenantIndex> tenant = std::move(resolved).value();
-  SK_CHECK(!queries.empty());
-  SK_CHECK_EQ(queries.cols(), tenant->dims);
-  SK_CHECK_GE(radius, 0.0f);
+  SK_RETURN_IF_ERROR(CheckPoints("RadiusSearch", queries.rows(),
+                                 queries.cols(), tenant->dims));
+  SK_RETURN_IF_ERROR(CheckRadius("RadiusSearch", radius));
   return front_end_.Range(tenant, queries.storage(), queries.rows(), radius,
                           opts.timeout);
 }
@@ -478,7 +462,7 @@ Result<JobOutput> KnnService::KnnGraph(int k, const CallOptions& opts) {
 
 Result<uint32_t> KnnService::Insert(const std::vector<float>& point,
                                     const CallOptions& opts) {
-  SK_CHECK(!point.empty());
+  if (point.empty()) return Status::InvalidArgument("Insert: empty point");
   HostMatrix one(1, point.size());
   std::memcpy(one.mutable_data(), point.data(),
               point.size() * sizeof(float));
@@ -492,8 +476,8 @@ Result<std::vector<uint32_t>> KnnService::InsertBatch(
   Result<std::shared_ptr<TenantIndex>> resolved = ResolveTenant(opts.tenant);
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<TenantIndex> tenant = std::move(resolved).value();
-  SK_CHECK(!points.empty());
-  SK_CHECK_EQ(points.cols(), tenant->dims);
+  SK_RETURN_IF_ERROR(CheckPoints("Insert", points.rows(), points.cols(),
+                                 tenant->dims));
   std::vector<uint32_t> ids;
   ids.reserve(points.rows());
   {
@@ -566,9 +550,7 @@ int KnnService::OwningShard(const TenantIndex& tenant, uint32_t id) const {
 
 Status KnnService::SearchGroup(const TenantIndex& tenant,
                                const HostMatrix& queries, int k,
-                               const ann::SearchMode& mode,
                                std::vector<core::ShardAnswer>* answers,
-                               std::vector<core::ShardAnswer>* exact,
                                double* fanout_seconds) {
   // The whole group runs against one index state of one tenant: a
   // concurrent SwapIndex, mutation, or compaction install of this
@@ -586,19 +568,14 @@ Status KnnService::SearchGroup(const TenantIndex& tenant,
   // The per-shard work — base scan (over-queried when mutated), delta
   // side scan, shard-local merge — lives in ShardHost::SearchGroup, the
   // one code path the remote shard workers run too.
-  auto fan_out = [&](const ann::SearchMode& fan_mode,
-                     std::vector<core::ShardAnswer>* out) {
-    out->assign(static_cast<size_t>(num_shards), core::ShardAnswer{});
-    common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
-      const auto idx = static_cast<size_t>(s);
-      (*out)[idx] = tenant.shards[idx]->SearchGroup(
-          queries, k, routes[idx], config_.options.metric, fan_mode);
-    });
-  };
+  answers->assign(static_cast<size_t>(num_shards), core::ShardAnswer{});
   const SteadyClock::time_point start = SteadyClock::now();
-  fan_out(mode, answers);
+  common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
+    const auto idx = static_cast<size_t>(s);
+    (*answers)[idx] = tenant.shards[idx]->SearchGroup(
+        queries, k, routes[idx], config_.options.metric);
+  });
   *fanout_seconds = SecondsBetween(start, SteadyClock::now());
-  if (exact != nullptr) fan_out(ann::SearchMode::Exact(), exact);
   return Status::Ok();
 }
 
@@ -722,8 +699,10 @@ Status KnnService::CompactShard(const std::string& tenant_name, int shard) {
   if (!resolved.ok()) return resolved.status();
   // The shard count is fixed at build time (SwapIndex replaces the shards
   // but never their number), so checking it needs no index mutex.
-  SK_CHECK_GE(shard, 0);
-  SK_CHECK_LT(shard, resolved.value()->num_shards);
+  if (shard < 0 || shard >= resolved.value()->num_shards) {
+    return Status::InvalidArgument("no such shard: " +
+                                   std::to_string(shard));
+  }
   return CompactShardInternal(resolved.value().get(), shard);
 }
 
@@ -742,8 +721,6 @@ Status KnnService::CompactAll(const std::string& tenant_name) {
 Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
   const SteadyClock::time_point start = SteadyClock::now();
   core::CompactionPlan plan;
-  bool ann_enabled = false;
-  ann::GraphBuildParams ann_params;
   // Capture: everything the rebuild needs, snapshotted under the tenant's
   // index lock. The consumed prefix is delta[0..watermark); entries
   // appended after the capture stay in the suffix and carry over
@@ -762,15 +739,6 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
       // overlay stays as is; queries keep answering all padding.
       return Status::Ok();
     }
-    // A configured width (ann_params.workers, or ConfigureAnn's
-    // sim_threads fallback) rides on the live shard's params, so the
-    // rebuilt graph parallelizes as the original build did. An unset
-    // width stays at one worker, not every hardware thread: the rebuild
-    // runs beside serving, and a multi-worker build holds the host
-    // pool's region lock for every round, stalling the serving fan-out.
-    ann_enabled = shard.ann_enabled();
-    ann_params = shard.ann_params();
-    if (ann_params.workers <= 0) ann_params.workers = 1;
     core::CaptureCompaction(&shard, &plan);
   }
 
@@ -782,8 +750,8 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
   // on either backend produces the identical fresh shard.
   core::TiOptions shard_options = config_.options;
   shard_options.sim_threads = 1;
-  std::unique_ptr<Shard> fresh = core::RebuildCompacted(
-      plan, config_.device, shard_options, ann_enabled, ann_params);
+  std::unique_ptr<Shard> fresh =
+      core::RebuildCompacted(plan, config_.device, shard_options);
 
   // Install: only if the shard we captured from is still the live one
   // (a SwapIndex assigns fresh epochs, orphaning this rebuild).
@@ -932,10 +900,8 @@ KnnService::ShardSet KnnService::BuildShardsFromSnapshots(
   set.next_id = 0;
   for (int s = 0; s < num_shards; ++s) {
     const auto idx = static_cast<size_t>(s);
-    store::IndexSnapshot& snap = snapshots[idx];
+    const store::IndexSnapshot& snap = snapshots[idx];
     auto shard = std::make_unique<Shard>(config_.device, shard_options);
-    shard->ConfigureAnn(config_.enable_ann, config_.ann_params,
-                        config_.options.sim_threads);
     shard->AdoptOverlay(snap);
     set.live_rows += shard->live_rows();
     // The id allocator restarts strictly above every id any shard knows
@@ -954,12 +920,6 @@ KnnService::ShardSet KnnService::BuildShardsFromSnapshots(
     set.shards[idx]->RestoreBase(snapshots[idx].target,
                                  snapshots[idx].clustering);
   });
-  // Outside the fan-out, so each build that cannot adopt a persisted
-  // graph runs on the full width.
-  for (size_t idx = 0; idx < set.shards.size(); ++idx) {
-    set.shards[idx]->BuildGraph(snapshots[idx].target,
-                                std::move(snapshots[idx].ann_graph));
-  }
   return set;
 }
 
@@ -1150,26 +1110,15 @@ std::string KnnService::ExportMetricsText() const {
 }
 
 std::string KnnService::CacheKey(const std::string& tenant, const float* row,
-                                 size_t dims, int k,
-                                 const ann::SearchMode& mode) {
-  // `mode` arrives normalized, so every effectively exact request maps
-  // to the one exact key for its (tenant, k, point). The tenant prefix
-  // ends at the NUL — tenant names cannot contain one (ValidName) — so
-  // two tenants' keys can never alias.
-  const uint32_t kind = static_cast<uint32_t>(mode.kind);
-  std::string key(tenant.size() + 1 + sizeof(int) + sizeof(uint32_t) +
-                      sizeof(double) + sizeof(int) + dims * sizeof(float),
+                                 size_t dims, int k) {
+  // The tenant prefix ends at the NUL — tenant names cannot contain one
+  // (ValidName) — so two tenants' keys can never alias.
+  std::string key(tenant.size() + 1 + sizeof(int) + dims * sizeof(float),
                   '\0');
   char* p = key.data();
   std::memcpy(p, tenant.data(), tenant.size());
   p += tenant.size() + 1;  // the NUL separator is already there
   std::memcpy(p, &k, sizeof(int));
-  p += sizeof(int);
-  std::memcpy(p, &kind, sizeof(uint32_t));
-  p += sizeof(uint32_t);
-  std::memcpy(p, &mode.recall_target, sizeof(double));
-  p += sizeof(double);
-  std::memcpy(p, &mode.ef, sizeof(int));
   p += sizeof(int);
   std::memcpy(p, row, dims * sizeof(float));
   return key;

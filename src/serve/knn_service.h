@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ann/search_mode.h"
 #include "common/knn_result.h"
 #include "common/matrix.h"
 #include "common/metrics.h"
@@ -113,16 +114,17 @@ class KnnService : private ShardTransport {
 
   // -- Queries --------------------------------------------------------
 
-  /// The k nearest target rows of one query point, exact (the default)
-  /// or approx under the mode's recall SLA — effectively exact modes
-  /// (recall_target >= 1.0) batch, cache, and answer identically to
-  /// exact. Targets opts.tenant (NotFound when unknown) and honors
-  /// opts.timeout (kDeadlineExceeded when it expires in the queue).
-  /// Thread-safe; blocks until the request's micro-batch has been served
-  /// (or a cache hit answers immediately). Returns Unavailable — without
-  /// aborting and without side effects — if the request raced a
-  /// concurrent Shutdown() (counted in stats().rejected_requests) or was
-  /// shed by the max_queue_depth bound (counted in stats().shed_requests).
+  /// The exact k nearest target rows of one query point. Every `mode`
+  /// is served exactly — approximate requests batch, cache, and answer
+  /// identically to exact ones (docs/approx.md). Targets opts.tenant
+  /// (NotFound when unknown) and honors opts.timeout (kDeadlineExceeded
+  /// when it expires in the queue). InvalidArgument when the point does
+  /// not have the tenant's dims or k <= 0. Thread-safe; blocks until the
+  /// request's micro-batch has been served (or a cache hit answers
+  /// immediately). Returns Unavailable — without aborting and without
+  /// side effects — if the request raced a concurrent Shutdown() (counted
+  /// in stats().rejected_requests) or was shed by the max_queue_depth
+  /// bound (counted in stats().shed_requests).
   Result<std::vector<Neighbor>> Search(
       const std::vector<float>& query_point, int k,
       const ann::SearchMode& mode = ann::SearchMode::Exact(),
@@ -130,7 +132,8 @@ class KnnService : private ShardTransport {
 
   /// The k nearest target rows for every row of `queries`, as one
   /// request (the rows always ride in the same micro-batch and the row
-  /// order is preserved). Same modes, options, and failures as Search.
+  /// order is preserved). Same modes, options, and failures as Search,
+  /// plus InvalidArgument for an empty batch.
   Result<KnnResult> JoinBatch(
       const HostMatrix& queries, int k,
       const ann::SearchMode& mode = ann::SearchMode::Exact(),
@@ -140,7 +143,9 @@ class KnnService : private ShardTransport {
   /// request through the admission queue (variable-cardinality rows;
   /// see common/range_result.h). Answers are bit-identical across
   /// planner routes, SIMD tiers, and shard counts. Thread-safe; blocks
-  /// until served; Unavailable on shutdown/shed like JoinBatch.
+  /// until served; Unavailable on shutdown/shed and InvalidArgument on a
+  /// malformed batch like JoinBatch, and InvalidArgument for a negative
+  /// radius.
   Result<RangeResult> RadiusSearch(const HostMatrix& queries, float radius,
                                    const CallOptions& opts = {});
 
@@ -161,12 +166,13 @@ class KnnService : private ShardTransport {
   /// Adds a point to the serving set; returns its stable id. The point
   /// is served exactly from the next admitted query group on.
   /// Thread-safe; never blocks on a compaction. Returns Unavailable
-  /// when racing a Shutdown().
+  /// when racing a Shutdown(), InvalidArgument when the point does not
+  /// have the tenant's dims.
   Result<uint32_t> Insert(const std::vector<float>& point,
                           const CallOptions& opts = {});
 
   /// Insert for many rows under one lock acquisition; returns their
-  /// stable ids in row order.
+  /// stable ids in row order. InvalidArgument for an empty batch.
   Result<std::vector<uint32_t>> InsertBatch(const HostMatrix& points,
                                             const CallOptions& opts = {});
 
@@ -180,7 +186,8 @@ class KnnService : private ShardTransport {
   /// base (same protocol as the background compactor: capture under the
   /// lock, rebuild off-lock, install behind the in-flight group).
   /// Returns Unavailable if a competing compaction or swap superseded
-  /// the rebuild; Ok when installed or when there was nothing to do.
+  /// the rebuild; Ok when installed or when there was nothing to do;
+  /// InvalidArgument for a shard index out of range.
   Status CompactShard(int shard);
   Status CompactShard(const std::string& tenant, int shard);
   /// CompactShard over every shard, stopping at the first error.
@@ -304,9 +311,7 @@ class KnnService : private ShardTransport {
 
   // ShardTransport: the in-process fan-out over the host pool.
   Status SearchGroup(const TenantIndex& tenant, const HostMatrix& queries,
-                     int k, const ann::SearchMode& mode,
-                     std::vector<core::ShardAnswer>* answers,
-                     std::vector<core::ShardAnswer>* exact,
+                     int k, std::vector<core::ShardAnswer>* answers,
                      double* fanout_seconds) override;
   Status RangeGroup(const TenantIndex& tenant, const HostMatrix& queries,
                     float radius,
@@ -382,11 +387,10 @@ class KnnService : private ShardTransport {
 
   // LRU result cache (single-row Search results), guarded by cache_mutex_
   // and shared across tenants. Keys are tenant-prefixed, so two tenants'
-  // answers for the same point bytes never collide; keys also include
-  // the (normalized) mode, so exact and approx answers never collide.
+  // answers for the same point bytes never collide. Every mode is served
+  // exactly, so keys carry none.
   static std::string CacheKey(const std::string& tenant, const float* row,
-                              size_t dims, int k,
-                              const ann::SearchMode& mode);
+                              size_t dims, int k);
   bool CacheLookup(const std::string& key, std::vector<Neighbor>* out);
   /// Inserts unless `epoch` (captured before the query ran) is no
   /// longer the live cache epoch — a swap, mutation, or compaction

@@ -306,8 +306,6 @@ Status Router::Bootstrap(const HostMatrix& target) {
     req.options = config_.service.options;
     req.device = config_.service.device;
     req.planner = config_.service.planner;
-    req.enable_ann = config_.service.enable_ann;
-    req.ann_params = config_.service.ann_params;
     req.tenant = config_.tenant;
     shard_offsets_.push_back(static_cast<uint32_t>(offset));
     offset += rows;
@@ -495,36 +493,36 @@ Result<std::shared_ptr<TenantIndex>> Router::ResolveTenant(
 
 Result<std::vector<Neighbor>> Router::Search(
     const std::vector<float>& query_point, int k,
-    const ann::SearchMode& mode, const CallOptions& opts) {
-  SK_CHECK_EQ(query_point.size(), dims_);
-  SK_CHECK_GT(k, 0);
+    const ann::SearchMode& /*mode*/, const CallOptions& opts) {
+  SK_RETURN_IF_ERROR(CheckPoints("Search", 1, query_point.size(), dims_));
+  SK_RETURN_IF_ERROR(CheckK("Search", k));
   Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
   if (!tenant.ok()) return tenant.status();
   Result<KnnResult> result = front_end_.Knn(
-      std::move(tenant).value(), query_point, 1, k, mode, opts.timeout);
+      std::move(tenant).value(), query_point, 1, k, opts.timeout);
   if (!result.ok()) return result.status();
   const KnnResult& answer = result.value();
   return std::vector<Neighbor>(answer.row(0), answer.row(0) + answer.k());
 }
 
 Result<KnnResult> Router::JoinBatch(const HostMatrix& queries, int k,
-                                    const ann::SearchMode& mode,
+                                    const ann::SearchMode& /*mode*/,
                                     const CallOptions& opts) {
-  SK_CHECK(!queries.empty());
-  SK_CHECK_EQ(queries.cols(), dims_);
-  SK_CHECK_GT(k, 0);
+  SK_RETURN_IF_ERROR(
+      CheckPoints("JoinBatch", queries.rows(), queries.cols(), dims_));
+  SK_RETURN_IF_ERROR(CheckK("JoinBatch", k));
   Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
   if (!tenant.ok()) return tenant.status();
   return front_end_.Knn(std::move(tenant).value(), queries.storage(),
-                        queries.rows(), k, mode, opts.timeout);
+                        queries.rows(), k, opts.timeout);
 }
 
 Result<RangeResult> Router::RadiusSearch(const HostMatrix& queries,
                                          float radius,
                                          const CallOptions& opts) {
-  SK_CHECK(!queries.empty());
-  SK_CHECK_EQ(queries.cols(), dims_);
-  SK_CHECK_GE(radius, 0.0f);
+  SK_RETURN_IF_ERROR(
+      CheckPoints("RadiusSearch", queries.rows(), queries.cols(), dims_));
+  SK_RETURN_IF_ERROR(CheckRadius("RadiusSearch", radius));
   Result<std::shared_ptr<TenantIndex>> tenant = ResolveTenant(opts.tenant);
   if (!tenant.ok()) return tenant.status();
   return front_end_.Range(std::move(tenant).value(), queries.storage(),
@@ -692,40 +690,32 @@ Status ScatterByShard(Reply* reply, const std::vector<uint32_t>& shards,
 
 Status Router::SearchGroup(const TenantIndex& /*tenant*/,
                            const HostMatrix& queries, int k,
-                           const ann::SearchMode& mode,
                            std::vector<core::ShardAnswer>* answers,
-                           std::vector<core::ShardAnswer>* exact,
                            double* fanout_seconds) {
   // One consistent cluster state per group, like a tenant's index mutex:
-  // the fan-out — and the recall probe's exact one — excludes mutations,
-  // compactions, and topology changes. A failover in between moves a
-  // shard to a replica that tracks its primary exactly.
+  // the fan-out excludes mutations, compactions, and topology changes. A
+  // failover in between moves a shard to a replica that tracks its
+  // primary exactly.
   std::lock_guard<std::mutex> lock(mutex_);
-  auto fan_out = [&](const ann::SearchMode& fan_mode,
-                     std::vector<core::ShardAnswer>* out) {
-    out->assign(static_cast<size_t>(num_shards_), core::ShardAnswer{});
-    return FanoutLocked(
-        net::MsgType::kQuery, net::MsgType::kQueryReply,
-        [&](const std::vector<uint32_t>& shards) {
-          net::QueryRequest req;
-          req.k = static_cast<uint32_t>(k);
-          req.queries = queries;
-          req.shard_indices = shards;
-          req.mode = fan_mode;
-          req.tenant = config_.tenant;
-          return net::EncodeQuery(req);
-        },
-        [&](const std::string& payload, const std::vector<uint32_t>& shards) {
-          net::QueryReply reply;
-          SK_RETURN_IF_ERROR(net::DecodeQueryReply(payload, &reply));
-          return ScatterByShard(&reply, shards, queries.rows(), out);
-        });
-  };
+  answers->assign(static_cast<size_t>(num_shards_), core::ShardAnswer{});
   const SteadyClock::time_point start = SteadyClock::now();
-  SK_RETURN_IF_ERROR(fan_out(mode, answers));
+  SK_RETURN_IF_ERROR(FanoutLocked(
+      net::MsgType::kQuery, net::MsgType::kQueryReply,
+      [&](const std::vector<uint32_t>& shards) {
+        net::QueryRequest req;
+        req.k = static_cast<uint32_t>(k);
+        req.queries = queries;
+        req.shard_indices = shards;
+        req.tenant = config_.tenant;
+        return net::EncodeQuery(req);
+      },
+      [&](const std::string& payload, const std::vector<uint32_t>& shards) {
+        net::QueryReply reply;
+        SK_RETURN_IF_ERROR(net::DecodeQueryReply(payload, &reply));
+        return ScatterByShard(&reply, shards, queries.rows(), answers);
+      }));
   *fanout_seconds = SecondsBetween(start, SteadyClock::now());
-  if (exact == nullptr) return Status::Ok();
-  return fan_out(ann::SearchMode::Exact(), exact);
+  return Status::Ok();
 }
 
 Status Router::RangeGroup(const TenantIndex& /*tenant*/,
@@ -794,7 +784,7 @@ Status Router::ExportLive(const TenantIndex& /*tenant*/,
 // --- Mutations ---------------------------------------------------------------
 
 Result<uint32_t> Router::Insert(const std::vector<float>& point) {
-  SK_CHECK_EQ(point.size(), dims_);
+  SK_RETURN_IF_ERROR(CheckPoints("Insert", 1, point.size(), dims_));
   std::lock_guard<std::mutex> lock(mutex_);
   if (shut_down_) {
     return Status::Unavailable("Router is shut down; insert rejected");
@@ -918,8 +908,6 @@ Status Router::RestoreReplication() {
       prep.options = config_.service.options;
       prep.device = config_.service.device;
       prep.planner = config_.service.planner;
-      prep.enable_ann = config_.service.enable_ann;
-      prep.ann_params = config_.service.ann_params;
       prep.tenant = config_.tenant;
       Result<net::Frame> adopted = CallWorker(
           candidate, net::MsgType::kPrepareSnapshot,

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "ann/search_mode.h"
 #include "common/blocking_queue.h"
 #include "common/knn_result.h"
 #include "common/matrix.h"
@@ -27,9 +28,8 @@ namespace sweetknn::serve {
 /// Knobs of the cluster front-end (docs/distributed.md).
 struct RouterConfig {
   /// The serving knobs shared with the in-process backend: num_shards,
-  /// the front-end's (micro-batching, max_queue_depth,
-  /// ann_recall_probe_interval), options/device/planner/ANN, and
-  /// dataset_name. cache_capacity, snapshot_dir, auto_compact and
+  /// the front-end's (micro-batching, max_queue_depth),
+  /// options/device/planner, and dataset_name. cache_capacity, snapshot_dir, auto_compact and
   /// compact_delta_fraction are ignored (the router has no result cache
   /// and compacts only explicitly).
   ServiceConfig service;
@@ -125,9 +125,8 @@ class Router : private ShardTransport {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// As KnnService::Search (approx needs service.enable_ann; graph-free
-  /// workers fall back to exact shard by shard), plus Unavailable when a
-  /// shard has no live host.
+  /// As KnnService::Search (every mode is served exactly), plus
+  /// Unavailable when a shard has no live host.
   Result<std::vector<Neighbor>> Search(
       const std::vector<float>& query_point, int k,
       const ann::SearchMode& mode = ann::SearchMode::Exact(),
@@ -155,6 +154,7 @@ class Router : private ShardTransport {
 
   /// Adds a point; returns its stable id (same allocation sequence as
   /// KnnService::Insert). Applied to the shard's primary and replicas.
+  /// InvalidArgument when the point does not have the cluster's dims.
   Result<uint32_t> Insert(const std::vector<float>& point);
   /// Deletes a stable id. True if it was live, false if unknown or
   /// already removed.
@@ -181,8 +181,7 @@ class Router : private ShardTransport {
   ClusterStats stats() const;
   /// Cluster metrics: the front-end's series under the in-process names
   /// (sweetknn_requests_total, sweetknn_queue_wait_seconds, ...; the
-  /// per-shard sim-time, route, and ANN series from the workers'
-  /// answers), the mutation counters, and the cluster's own
+  /// per-shard sim-time and route series from the workers' answers), the mutation counters, and the cluster's own
   /// failure-path and per-worker series ("sweetknn_router_worker<w>_..."
   /// — RPC latency histogram, RPC and failure counters, liveness gauge).
   const common::MetricsRegistry& metrics() const { return metrics_; }
@@ -281,9 +280,7 @@ class Router : private ShardTransport {
 
   // ShardTransport: the RPC fan-out, under mutex_ for the whole request.
   Status SearchGroup(const TenantIndex& tenant, const HostMatrix& queries,
-                     int k, const ann::SearchMode& mode,
-                     std::vector<core::ShardAnswer>* answers,
-                     std::vector<core::ShardAnswer>* exact,
+                     int k, std::vector<core::ShardAnswer>* answers,
                      double* fanout_seconds) override;
   Status RangeGroup(const TenantIndex& tenant, const HostMatrix& queries,
                     float radius,

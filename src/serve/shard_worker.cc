@@ -135,14 +135,10 @@ net::Frame ShardWorker::Dispatch(const net::Frame& request, bool* shutdown) {
 
 void ShardWorker::AdoptConfig(const core::TiOptions& options,
                               const gpusim::DeviceSpec& device,
-                              const core::PlannerConfig& planner,
-                              bool enable_ann,
-                              const ann::GraphBuildParams& ann_params) {
+                              const core::PlannerConfig& planner) {
   options_ = options;
   device_ = device;
   if (!planner_) planner_ = std::make_unique<core::RoutePlanner>(planner);
-  enable_ann_ = enable_ann;
-  ann_params_ = ann_params;
   configured_ = true;
 }
 
@@ -168,21 +164,16 @@ Status ShardWorker::HandlePrepareCold(const std::string& payload) {
                                    tenant_ + "'");
   }
   tenant_ = req.tenant;
-  AdoptConfig(req.options, req.device, req.planner, req.enable_ann,
-              req.ann_params);
+  AdoptConfig(req.options, req.device, req.planner);
   // The shard engines are pinned to one execution thread, exactly like
   // KnnService's (the engine is bit-identical at any worker count; the
-  // fan-out across workers is the parallel axis here). The router waits
-  // for the graph build, so an unset width runs it on every hardware
-  // thread.
+  // fan-out across workers is the parallel axis here).
   core::TiOptions shard_options = options_;
   shard_options.sim_threads = 1;
   auto shard = std::make_unique<core::ShardHost>(device_, shard_options);
-  shard->ConfigureAnn(enable_ann_, ann_params_, options_.sim_threads);
   shard->offset = static_cast<uint32_t>(req.offset);
   shard->epoch = ++epoch_counter_;
   shard->BuildCold(req.slice);
-  shard->BuildGraph(req.slice, ann::KnnGraph{});
   dims_ = req.slice.cols();
   shards_[req.shard_index] = std::move(shard);
   return Status::Ok();
@@ -212,15 +203,12 @@ Status ShardWorker::HandlePrepareSnapshot(const std::string& payload) {
         "', this worker hosts '" + tenant_ + "'");
   }
   tenant_ = req.tenant;
-  AdoptConfig(req.options, req.device, req.planner, req.enable_ann,
-              req.ann_params);
+  AdoptConfig(req.options, req.device, req.planner);
   core::TiOptions shard_options = options_;
   shard_options.sim_threads = 1;
   auto shard = std::make_unique<core::ShardHost>(device_, shard_options);
-  shard->ConfigureAnn(enable_ann_, ann_params_, options_.sim_threads);
   shard->AdoptOverlay(snap);
   shard->RestoreBase(snap.target, snap.clustering);
-  shard->BuildGraph(snap.target, std::move(snap.ann_graph));
   shard->epoch = ++epoch_counter_;
   dims_ = snap.target.cols();
   shards_[req.shard_index] = std::move(shard);
@@ -277,7 +265,7 @@ Status ShardWorker::HandleQuery(const std::string& payload,
     // cannot depend on which route a shard lands on.
     out.answers.push_back(shard->SearchGroup(
         req.queries, static_cast<int>(req.k), planner_->Choose(),
-        options_.metric, req.mode));
+        options_.metric));
   }
   reply->type = static_cast<uint32_t>(net::MsgType::kQueryReply);
   reply->payload = net::EncodeQueryReply(out);

@@ -30,10 +30,7 @@ namespace sweetknn::serve {
 /// per-worker concurrency would buy nothing and cost the determinism the
 /// differential harness depends on. Shard engines run with sim_threads=1
 /// like KnnService's (bit-identical at any worker count, but the
-/// fan-out across workers is already the parallel axis). ANN graph
-/// builds (prepare, compaction) block their request and run on the host
-/// pool at the shard's resolved width — every hardware thread unless
-/// configured.
+/// fan-out across workers is already the parallel axis).
 ///
 /// Protocol errors split two ways: a malformed or inapplicable request
 /// (bad payload, unknown shard) is answered with an Error frame and the
@@ -80,12 +77,10 @@ class ShardWorker {
 
   /// Adopts the config blocks that ride in every prepare (options,
   /// device, planner — the planner only on the first prepare, so its
-  /// decision counter spans the worker's lifetime like KnnService's —
-  /// and the ANN tier config, needed again at compaction installs).
+  /// decision counter spans the worker's lifetime like KnnService's).
   void AdoptConfig(const core::TiOptions& options,
                    const gpusim::DeviceSpec& device,
-                   const core::PlannerConfig& planner, bool enable_ann,
-                   const ann::GraphBuildParams& ann_params);
+                   const core::PlannerConfig& planner);
 
   /// The shard named by a request, or nullptr (callers answer NotFound).
   core::ShardHost* FindShard(uint32_t shard_index);
@@ -97,9 +92,6 @@ class ShardWorker {
   gpusim::DeviceSpec device_;
   std::unique_ptr<core::RoutePlanner> planner_;
   bool configured_ = false;
-  /// ANN tier config (docs/approx.md), adopted from the prepare RPCs.
-  bool enable_ann_ = false;
-  ann::GraphBuildParams ann_params_;
   /// The named index this worker's shards belong to, adopted from the
   /// first prepare. Every later prepare must name the same tenant, and
   /// queries naming a different one are rejected — the cluster serves

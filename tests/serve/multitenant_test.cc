@@ -1,19 +1,18 @@
 // Multi-tenant KnnService: index lifecycle, per-tenant isolation (bit-
 // identical to a dedicated single-tenant service), deadlines, the
-// admission bound, the queue-depth gauge regression, and the
-// GraphBuildParams::workers plumbing regression.
+// admission bound, the queue-depth gauge regression, and approximate
+// requests answered exactly per tenant.
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ann/knn_graph.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "serve/knn_service.h"
 #include "test_util.h"
@@ -309,68 +308,43 @@ TEST(MultiTenantTest, QueueDepthGaugeIsComputedAtExportTime) {
             0.0);
 }
 
-// Regression (satellite: workers plumbing): GraphBuildParams::workers
-// was never filled from the service config, so every graph build
-// silently fell back to the SWEETKNN_SIM_THREADS environment default.
-// With ann_params.workers unset, builds must now resolve to
-// options.sim_threads — at construction AND at compaction rebuilds.
-// With both unset, the constructor's builds (which the caller waits for)
-// run on every hardware thread, one shard at a time, and the compaction
-// rebuild (which runs beside serving) on one.
-TEST(MultiTenantTest, GraphBuildWorkersFollowServiceConfig) {
-  struct Case {
-    int sim_threads;
-    int ctor_workers;
-    int compaction_workers;
-  };
-  constexpr int kConfiguredThreads = 3;
-  const Case cases[] = {
-      {kConfiguredThreads, kConfiguredThreads, kConfiguredThreads},
-      {0, common::HardwareThreads(), 1},
-  };
-  std::mutex mutex;
-  std::vector<int> observed;
-  ann::SetGraphBuildObserverForTest([&](int workers) {
-    std::lock_guard<std::mutex> lock(mutex);
-    observed.push_back(workers);
-  });
-
+// Every search mode is served exactly, so an approximate request on a
+// named tenant gets that tenant's exact bytes, and a single-row approx
+// Search shares the exact answer's cache entry — but only within its
+// tenant: the same point on another tenant misses.
+TEST(MultiTenantTest, ApproxRequestsAnswerExactlyPerTenant) {
   const HostMatrix base = ClusteredPoints(120, 4, 3, 971);
-  for (const Case& c : cases) {
-    SCOPED_TRACE("sim_threads = " + std::to_string(c.sim_threads));
-    serve::ServiceConfig config = FastConfig();
-    config.enable_ann = true;
-    config.ann_params.workers = 0;  // unset: must inherit sim_threads
-    config.options.sim_threads = c.sim_threads;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      observed.clear();
-    }
-    serve::KnnService service(base, config);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      ASSERT_EQ(observed.size(),
-                static_cast<size_t>(config.num_shards));
-      for (const int workers : observed) {
-        EXPECT_EQ(workers, c.ctor_workers);
-      }
-      observed.clear();
-    }
+  const HostMatrix faces = ClusteredPoints(90, 4, 3, 972);
+  serve::ServiceConfig config = FastConfig();
+  config.cache_capacity = 64;
+  serve::KnnService service(base, config);
+  ASSERT_TRUE(service.CreateIndex("faces", faces).ok());
+  const HostMatrix queries = ClusteredPoints(5, 4, 2, 973);
+  const ann::SearchMode approx = ann::SearchMode::Approx(0.9);
 
-    // Compaction rebuilds the graph with the shard's resolved params,
-    // not a fresh (unset) copy of the config.
-    ASSERT_TRUE(service.Insert(std::vector<float>(4, 0.5f)).ok());
-    ASSERT_TRUE(service.Remove(0).value());
-    ASSERT_TRUE(service.CompactAll().ok());
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      ASSERT_GE(observed.size(), 1u);
-      for (const int workers : observed) {
-        EXPECT_EQ(workers, c.compaction_workers);
-      }
-    }
+  for (const char* tenant : {"default", "faces"}) {
+    SCOPED_TRACE(tenant);
+    serve::CallOptions opts;
+    opts.tenant = tenant;
+    const KnnResult want =
+        service.JoinBatch(queries, 4, ann::SearchMode::Exact(), opts).value();
+    const KnnResult got = service.JoinBatch(queries, 4, approx, opts).value();
+    ASSERT_EQ(got.num_queries(), want.num_queries());
+    EXPECT_EQ(std::memcmp(got.row(0), want.row(0),
+                          want.num_queries() * 4 * sizeof(Neighbor)),
+              0);
   }
-  ann::SetGraphBuildObserverForTest(nullptr);
+
+  const std::vector<float> point(queries.row(0), queries.row(0) + 4);
+  serve::CallOptions on_faces;
+  on_faces.tenant = "faces";
+  const std::vector<Neighbor> exact =
+      service.Search(point, 3, ann::SearchMode::Exact(), on_faces).value();
+  const uint64_t hits = service.stats().cache_hits;
+  EXPECT_EQ(service.Search(point, 3, approx, on_faces).value(), exact);
+  EXPECT_EQ(service.stats().cache_hits, hits + 1);
+  ASSERT_TRUE(service.Search(point, 3, approx).ok());
+  EXPECT_EQ(service.stats().cache_hits, hits + 1);
 }
 
 TEST(MultiTenantTest, PerTenantMetricSeries) {

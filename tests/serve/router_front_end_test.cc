@@ -1,9 +1,9 @@
 // The cluster router serves through the same FrontEnd as the in-process
-// KnnService, so it inherits admission, deadlines, shedding, the recall
-// probe, the offline-job engine, and the request/stage/job metric names.
-// These tests pin each of those on the cluster path, plus the recall
-// probe's one-index-state guarantee on both transports and the failover
-// that range groups and jobs share with kNN groups.
+// KnnService, so it inherits admission, deadlines, shedding, the
+// offline-job engine, and the request/stage/job metric names. These
+// tests pin each of those on the cluster path, plus, on both transports,
+// approximate requests riding the exact groups and the failover that
+// range groups and jobs share with kNN groups.
 //
 // The cluster legs need the worker binary; they skip unless SWEETKNN_CLI
 // points at the sweetknn_cli executable (ctest exports it). Runs under
@@ -17,6 +17,7 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -292,16 +293,15 @@ TEST(RouterFrontEndTest, OnlyTheClusterIndexAndTheDefaultNameResolve) {
   router->Shutdown();
 }
 
-// The recall probe answers a probed approx group exactly against the
-// same index state. With a saturated candidate budget the approx search
-// is itself exact, so every probe must measure recall 1.0 — even while
-// each query point's nearest neighbor keeps changing: a copy of the
-// point is re-inserted under a fresh id and the previous copy removed.
-// A probe whose exact half saw another state would measure less.
+// Approximate requests are exact traffic. Queued beside an exact request
+// of the same k, an approx one joins its group — one fan-out against one
+// index state — and gets the same bytes, while each query point's
+// nearest neighbor keeps changing: a copy of the point is re-inserted
+// under a fresh id and the previous copy removed.
 template <typename Backend>
-void ExpectProbesSeeOneIndexState(Backend* backend, const HostMatrix& queries,
-                                  const common::MetricsRegistry& metrics) {
-  const ann::SearchMode saturated = ann::SearchMode::Approx(0.9, 1 << 20);
+void ExpectApproxJoinsTheExactGroup(Backend* backend,
+                                    const HostMatrix& queries) {
+  DispatcherGate gate(backend);
   std::atomic<bool> done{false};
   std::thread mutator([&] {
     std::vector<Result<uint32_t>> copies(queries.rows(),
@@ -320,47 +320,200 @@ void ExpectProbesSeeOneIndexState(Backend* backend, const HostMatrix& queries,
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
-  constexpr int kGroups = 16;
-  for (int g = 0; g < kGroups; ++g) {
-    ASSERT_TRUE(backend->JoinBatch(queries, 4, saturated).ok());
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    const uint64_t requests = backend->stats().requests;
+    const uint64_t groups = backend->stats().engine_groups;
+    gate.Block();
+    // The sentinel parks the dispatcher; both requests queue behind it
+    // and drain into its batch (1 + 2 * 6 rows past max_batch_size 8).
+    auto sentinel = std::async(std::launch::async, [&] {
+      return backend->Search(std::vector<float>(queries.cols(), 0.0f), 1);
+    });
+    ASSERT_TRUE(gate.AwaitEntered(round + 1));
+    auto exact = std::async(std::launch::async,
+                            [&] { return backend->JoinBatch(queries, 4); });
+    auto approx = std::async(std::launch::async, [&] {
+      return backend->JoinBatch(queries, 4, ann::SearchMode::Approx(0.9));
+    });
+    AwaitAdmitted(*backend, requests + 3);
+    gate.Release();
+
+    ASSERT_TRUE(sentinel.get().ok());
+    const Result<KnnResult> want = exact.get();
+    const Result<KnnResult> got = approx.get();
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_EQ(got.value().num_queries(), want.value().num_queries());
+    EXPECT_EQ(std::memcmp(got.value().row(0), want.value().row(0),
+                          want.value().num_queries() * 4 * sizeof(Neighbor)),
+              0)
+        << "round " << round;
+    // The sentinel's k = 1 group and one k = 4 group for both requests.
+    EXPECT_EQ(backend->stats().engine_groups, groups + 2) << "round " << round;
   }
   done.store(true, std::memory_order_release);
   mutator.join();
-
-  EXPECT_EQ(metrics.CounterValue("sweetknn_ann_recall_probes_total"),
-            static_cast<double>(kGroups));
-  const common::HistogramSnapshot recall =
-      metrics.SnapshotHistogram("sweetknn_ann_recall_estimate");
-  EXPECT_EQ(recall.count, static_cast<uint64_t>(kGroups));
-  EXPECT_EQ(recall.sum, static_cast<double>(kGroups))
-      << "a probe compared answers from two index states";
 }
 
-ServiceConfig ProbeConfig() {
-  ServiceConfig config;
-  config.num_shards = 2;
-  config.max_batch_size = 8;
-  config.auto_compact = false;
-  config.enable_ann = true;
-  config.ann_recall_probe_interval = 1;
-  return config;
-}
-
-TEST(RecallProbeTest, InProcessProbeSeesOneIndexState) {
+TEST(ApproxRequestTest, InProcessApproxJoinsTheExactGroup) {
   const HostMatrix target = testing::ClusteredPoints(160, 4, 3, 1207, 0.1f);
   const HostMatrix queries = testing::ClusteredPoints(6, 4, 2, 1208, 0.1f);
-  KnnService service(target, ProbeConfig());
-  ExpectProbesSeeOneIndexState(&service, queries, service.metrics());
+  KnnService service(target, TwoShards(ServiceConfig{}));
+  ExpectApproxJoinsTheExactGroup(&service, queries);
   service.Shutdown();
 }
 
-TEST(RecallProbeTest, ClusterProbeSeesOneIndexState) {
+TEST(ApproxRequestTest, ClusterApproxJoinsTheExactGroup) {
   const HostMatrix target = testing::ClusteredPoints(160, 4, 3, 1207, 0.1f);
   const HostMatrix queries = testing::ClusteredPoints(6, 4, 2, 1208, 0.1f);
-  RouterConfig config;
-  config.service = ProbeConfig();
-  START_CLUSTER_OR_SKIP(router, target, config);
-  ExpectProbesSeeOneIndexState(router.get(), queries, router->metrics());
+  START_CLUSTER_OR_SKIP(router, target, RouterConfig{});
+  ExpectApproxJoinsTheExactGroup(router.get(), queries);
+  router->Shutdown();
+}
+
+// A malformed client call returns InvalidArgument before it reaches a
+// queue or an index — it must never abort the serving process — and a
+// well-formed call right after it is served as usual.
+template <typename Backend>
+void ExpectStillServing(Backend* backend, size_t dims) {
+  EXPECT_TRUE(backend->Search(std::vector<float>(dims, 0.1f), 2).ok());
+}
+
+void ExpectInvalid(const Status& status, const char* what) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << what << ": " << status.ToString();
+}
+
+template <typename Backend>
+void ExpectMalformedSearchRejected(Backend* backend, size_t dims) {
+  const uint64_t requests = backend->stats().requests;
+  ExpectInvalid(backend->Search(std::vector<float>(dims + 1, 0.0f), 2)
+                    .status(),
+                "wrong dims");
+  ExpectInvalid(backend->Search(std::vector<float>(), 2).status(),
+                "empty point");
+  ExpectInvalid(backend->Search(std::vector<float>(dims, 0.0f), 0).status(),
+                "k = 0");
+  ExpectInvalid(
+      backend->Search(std::vector<float>(dims, 0.0f), -3).status(),
+      "k < 0");
+  EXPECT_EQ(backend->stats().requests, requests);
+  ExpectStillServing(backend, dims);
+}
+
+template <typename Backend>
+void ExpectMalformedJoinBatchRejected(Backend* backend, size_t dims) {
+  const uint64_t requests = backend->stats().requests;
+  ExpectInvalid(backend->JoinBatch(HostMatrix(0, dims), 2).status(),
+                "empty batch");
+  ExpectInvalid(
+      backend->JoinBatch(testing::UniformPoints(3, dims + 2, 5), 2).status(),
+      "wrong dims");
+  ExpectInvalid(backend->JoinBatch(testing::UniformPoints(3, dims, 5), 0)
+                    .status(),
+                "k = 0");
+  EXPECT_EQ(backend->stats().requests, requests);
+  ExpectStillServing(backend, dims);
+}
+
+template <typename Backend>
+void ExpectMalformedRadiusSearchRejected(Backend* backend, size_t dims) {
+  const uint64_t requests = backend->stats().requests;
+  const HostMatrix queries = testing::UniformPoints(3, dims, 6);
+  ExpectInvalid(backend->RadiusSearch(HostMatrix(0, dims), 0.5f).status(),
+                "empty batch");
+  ExpectInvalid(
+      backend->RadiusSearch(testing::UniformPoints(3, dims + 1, 6), 0.5f)
+          .status(),
+      "wrong dims");
+  ExpectInvalid(backend->RadiusSearch(queries, -0.5f).status(),
+                "negative radius");
+  ExpectInvalid(
+      backend->RadiusSearch(queries, std::numeric_limits<float>::quiet_NaN())
+          .status(),
+      "NaN radius");
+  EXPECT_EQ(backend->stats().requests, requests);
+  EXPECT_TRUE(backend->RadiusSearch(queries, 0.5f).ok());
+}
+
+template <typename Backend>
+void ExpectMalformedInsertRejected(Backend* backend, size_t dims) {
+  ExpectInvalid(backend->Insert(std::vector<float>(dims + 1, 0.0f)).status(),
+                "wrong dims");
+  ExpectInvalid(backend->Insert(std::vector<float>()).status(),
+                "empty point");
+  EXPECT_EQ(backend->stats().inserts, 0u);
+  // No id was consumed: the first good insert takes the next one.
+  const Result<uint32_t> id = backend->Insert(std::vector<float>(dims, 0.2f));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(id.value(), 40u);
+  ExpectStillServing(backend, dims);
+}
+
+constexpr size_t kMalformedDims = 3;
+
+HostMatrix MalformedTarget() {
+  return testing::ClusteredPoints(40, kMalformedDims, 2, 1209, 0.1f);
+}
+
+TEST(MalformedCallTest, InProcessSearchReturnsInvalidArgument) {
+  KnnService service(MalformedTarget(), TwoShards(ServiceConfig{}));
+  ExpectMalformedSearchRejected(&service, kMalformedDims);
+  service.Shutdown();
+}
+
+TEST(MalformedCallTest, InProcessJoinBatchReturnsInvalidArgument) {
+  KnnService service(MalformedTarget(), TwoShards(ServiceConfig{}));
+  ExpectMalformedJoinBatchRejected(&service, kMalformedDims);
+  service.Shutdown();
+}
+
+TEST(MalformedCallTest, InProcessRadiusSearchReturnsInvalidArgument) {
+  KnnService service(MalformedTarget(), TwoShards(ServiceConfig{}));
+  ExpectMalformedRadiusSearchRejected(&service, kMalformedDims);
+  service.Shutdown();
+}
+
+TEST(MalformedCallTest, InProcessInsertReturnsInvalidArgument) {
+  KnnService service(MalformedTarget(), TwoShards(ServiceConfig{}));
+  ExpectMalformedInsertRejected(&service, kMalformedDims);
+  ExpectInvalid(service.InsertBatch(HostMatrix(0, kMalformedDims)).status(),
+                "empty batch");
+  service.Shutdown();
+}
+
+TEST(MalformedCallTest, CompactShardOutOfRangeReturnsInvalidArgument) {
+  KnnService service(MalformedTarget(), TwoShards(ServiceConfig{}));
+  ExpectInvalid(service.CompactShard(2), "in-process shard 2 of 2");
+  ExpectInvalid(service.CompactShard(-1), "in-process shard -1");
+  service.Shutdown();
+  START_CLUSTER_OR_SKIP(router, MalformedTarget(), RouterConfig{});
+  ExpectInvalid(router->CompactShard(2), "cluster shard 2 of 2");
+  ExpectInvalid(router->CompactShard(-1), "cluster shard -1");
+  router->Shutdown();
+}
+
+TEST(MalformedCallTest, ClusterSearchReturnsInvalidArgument) {
+  START_CLUSTER_OR_SKIP(router, MalformedTarget(), RouterConfig{});
+  ExpectMalformedSearchRejected(router.get(), kMalformedDims);
+  router->Shutdown();
+}
+
+TEST(MalformedCallTest, ClusterJoinBatchReturnsInvalidArgument) {
+  START_CLUSTER_OR_SKIP(router, MalformedTarget(), RouterConfig{});
+  ExpectMalformedJoinBatchRejected(router.get(), kMalformedDims);
+  router->Shutdown();
+}
+
+TEST(MalformedCallTest, ClusterRadiusSearchReturnsInvalidArgument) {
+  START_CLUSTER_OR_SKIP(router, MalformedTarget(), RouterConfig{});
+  ExpectMalformedRadiusSearchRejected(router.get(), kMalformedDims);
+  router->Shutdown();
+}
+
+TEST(MalformedCallTest, ClusterInsertReturnsInvalidArgument) {
+  START_CLUSTER_OR_SKIP(router, MalformedTarget(), RouterConfig{});
+  ExpectMalformedInsertRejected(router.get(), kMalformedDims);
   router->Shutdown();
 }
 

@@ -547,21 +547,23 @@ void ExpectSameKnn(const KnnResult& want, const KnnResult& got,
   }
 }
 
-/// Exact kNN, approx at a saturated ef, RadiusSearch and KnnGraph.
+/// Exact kNN, approx kNN (the exact bytes on both sides), RadiusSearch
+/// and KnnGraph.
 void ExpectSameAnswers(SweetKnnIndex* index, serve::KnnService* service,
                        const std::string& what) {
   const HostMatrix queries = RandomMatrix(9, index->dims(), 101);
-  // An ef past the live count saturates the graph search.
-  const ann::SearchMode saturated = ann::SearchMode::Approx(0.9, 4096);
+  const ann::SearchMode approx = ann::SearchMode::Approx(0.9);
   for (const int k : {1, 5, 13}) {
     const std::string at = what + " k=" + std::to_string(k);
+    const KnnResult want = index->Query(queries, k);
     Result<KnnResult> exact = service->JoinBatch(queries, k);
     ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-    ExpectSameKnn(index->Query(queries, k), exact.value(), at + " exact");
-    Result<KnnResult> approx = service->JoinBatch(queries, k, saturated);
-    ASSERT_TRUE(approx.ok()) << approx.status().ToString();
-    ExpectSameKnn(index->Query(queries, k, saturated), approx.value(),
-                  at + " approx");
+    ExpectSameKnn(want, exact.value(), at + " exact");
+    Result<KnnResult> served = service->JoinBatch(queries, k, approx);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectSameKnn(want, served.value(), at + " approx");
+    ExpectSameKnn(want, index->Query(queries, k, approx),
+                  at + " index approx");
   }
 
   const float radius = 4.0f;
@@ -602,13 +604,10 @@ void Mutate(size_t dims, InsertFn insert, RemoveFn remove) {
 TEST(SnapshotInteropTest, IndexAndServiceShareOneSnapshotModel) {
   const HostMatrix target = RandomMatrix(120, 6, 53);
   SweetKnn::Config config;
-  config.enable_ann = true;
   serve::ServiceConfig service_config;
   service_config.num_shards = 1;
   service_config.options = config.options;
   service_config.device = config.device;
-  service_config.enable_ann = true;
-  service_config.ann_params = config.ann_params;
 
   // SweetKnnIndex::Save -> KnnService::FromSnapshots.
   SweetKnnIndex index(target, config);
@@ -648,6 +647,63 @@ TEST(SnapshotInteropTest, IndexAndServiceShareOneSnapshotModel) {
   ExpectSameAnswers(loaded.value().get(), &service, "service -> index");
 
   std::filesystem::remove_all(index_dir);
+  std::filesystem::remove_all(service_dir);
+}
+
+// -- Format v3 ----------------------------------------------------------------
+// tests/goldens/v3_graph holds a one-shard set written by the last build
+// that persisted ANN graphs (300 clustered 4-d rows, degree-4 graph):
+//   sweetknn_cli index-build --target=points.csv --out-dir=v3_graph
+//       --shards=1 --dataset=v3_graph --ann --ann-degree=4
+// Both load paths must still take it: the graph section passes its CRC
+// and is ignored, the answers are a cold build's bytes, and a re-save
+// drops the section (v1: the set is pristine).
+
+TEST(SnapshotVersionTest, V3GraphSnapshotLoadsAndResavesWithoutGraph) {
+  const std::string dir = std::string(SWEETKNN_GOLDEN_DIR) + "/v3_graph";
+  const std::string path = ShardSnapshotPath(dir, 0, 1);
+  Result<SnapshotReader> reader = SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader.value().format_version(), kSnapshotFormatV3);
+  const std::string* graph = reader.value().Section(kSectionAnnGraph);
+  ASSERT_NE(graph, nullptr);
+  Result<IndexSnapshot> snap = LoadIndexSnapshot(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap.value().ignored_graph_bytes, graph->size());
+  EXPECT_TRUE(VerifySnapshotDistances(snap.value()).ok());
+  ASSERT_EQ(snap.value().target.rows(), 300u);
+
+  SweetKnnIndex cold(snap.value().target);
+  Result<std::unique_ptr<SweetKnnIndex>> loaded = SweetKnnIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  serve::ServiceConfig service_config;
+  service_config.num_shards = 1;
+  Result<std::unique_ptr<serve::KnnService>> adopted =
+      serve::KnnService::FromSnapshots(dir, service_config);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  ExpectSameAnswers(&cold, adopted.value().get(), "cold vs FromSnapshots");
+  ExpectSameAnswers(loaded.value().get(), adopted.value().get(),
+                    "Load vs FromSnapshots");
+
+  const std::string resaved = TempPath("v3_resaved.sksnap");
+  ASSERT_TRUE(loaded.value()->Save(resaved, "v3_graph").ok());
+  const std::string service_dir = TempPath("v3_resaved_set");
+  std::filesystem::remove_all(service_dir);
+  ASSERT_TRUE(adopted.value()->SaveSnapshots(service_dir).ok());
+  for (const std::string& out :
+       {resaved, ShardSnapshotPath(service_dir, 0, 1)}) {
+    Result<SnapshotReader> again = SnapshotReader::Open(out);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.value().format_version(), kSnapshotFormatV1) << out;
+    EXPECT_EQ(again.value().Section(kSectionAnnGraph), nullptr) << out;
+    Result<IndexSnapshot> reloaded = LoadIndexSnapshot(out);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_EQ(reloaded.value().ignored_graph_bytes, 0u) << out;
+    EXPECT_EQ(reloaded.value().target.storage(), snap.value().target.storage())
+        << out;
+  }
+  adopted.value()->Shutdown();
+  std::remove(resaved.c_str());
   std::filesystem::remove_all(service_dir);
 }
 

@@ -29,17 +29,14 @@
 # chunks — and range_query_test covers the range modalities' boundary
 # cases on the same service paths; router_front_end_test parks the
 # cluster router's dispatcher to race deadlines and shedding, races
-# inserts against recall-probed groups on both backends, and fails
-# range groups and jobs over a killed worker; thread_pool_test opens
-# fork-join regions nested on the calling thread; ann_tier_test builds
-# kNN graphs at 3 and 8 workers, each a self-join whose participants
-# share the base's read-only host image and write disjoint rows. Service
-# construction builds each shard's graph on every hardware thread after
-# the shard fan-out, so the ANN-enabled services of multitenant_test,
-# router_front_end_test and ann_tier_test run full-width graph builds
-# too (knn_service_test's services build no graph). host_image_test
-# runs the host route's TI scan at 4 workers, whose participants share
-# the read-only image and write disjoint result rows.
+# inserts against groups that approx and exact requests share on both
+# backends, and fails range groups and jobs over a killed worker;
+# thread_pool_test opens fork-join regions nested on the calling
+# thread; ann_tier_test builds brute-force kNN graphs at 3 and 8
+# workers, each a PackedKnn self-join whose participants share the
+# read-only packed base and write disjoint rows. host_image_test runs
+# the host route's TI scan at 4 workers, whose participants share the
+# read-only image and write disjoint result rows.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -81,8 +78,9 @@ TESTS=(
   host_image_test
 )
 
-# route_planner_test, router_timeout_test, router_front_end_test and
-# job_test spawn shard-worker processes from the CLI binary.
+# route_planner_test, router_timeout_test, router_front_end_test,
+# job_test and ann_tier_test spawn shard-worker processes from the CLI
+# binary.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}" sweetknn_cli
 export SWEETKNN_CLI="$PWD/$BUILD_DIR/tools/sweetknn_cli"
 

@@ -51,19 +51,16 @@
 // Index persistence (docs/persistence.md):
 //
 //   sweetknn_cli index-build --target=points.csv --out-dir=DIR
-//                [--shards=N] [--dataset=NAME] [--ann [--ann-degree=N]]
+//                [--shards=N] [--dataset=NAME]
 //   sweetknn_cli index-inspect --snapshot=FILE
 //   sweetknn_cli index-verify --snapshot=FILE | --snapshot-dir=DIR
 //
 // index-build prepares the sharded index (Step-1 landmark clustering)
-// and persists one snapshot per shard; with --ann it also builds the
-// approximate tier's kNN graph per shard (docs/approx.md), persisted as
-// the snapshot's v3 ANN section. index-inspect prints a snapshot's
-// sections and provenance, including the ANN graph block (build params,
-// entry points, degree histogram) when present; index-verify re-reads
-// and fully validates snapshots (checksums + structural consistency +
-// recomputed distances, including ANN graph edge ordering), exiting
-// non-zero on the first bad file.
+// and persists one snapshot per shard. index-inspect prints a
+// snapshot's sections and provenance; index-verify re-reads and fully
+// validates snapshots (checksums + structural consistency + recomputed
+// distances), exiting non-zero on the first bad file. Both report the
+// ANN graph section of an older v3 file as ignored (docs/persistence.md).
 //
 // Finally, `shard-worker --socket=PATH` is the cluster worker entry
 // point (docs/distributed.md): it binds the unix socket and serves one
@@ -722,8 +719,6 @@ int IndexBuild(int argc, char** argv) {
   std::string out_dir;
   std::string dataset_name;
   int shards = 2;
-  bool ann = false;
-  int ann_degree = 0;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* prefix) -> const char* {
@@ -738,21 +733,15 @@ int IndexBuild(int argc, char** argv) {
       dataset_name = v;
     } else if (const char* v = value("--shards=")) {
       shards = std::atoi(v);
-    } else if (arg == "--ann") {
-      ann = true;
-    } else if (const char* v = value("--ann-degree=")) {
-      ann = true;  // an explicit degree implies the tier
-      ann_degree = std::atoi(v);
     } else {
       target_path.clear();
       break;
     }
   }
-  if (target_path.empty() || out_dir.empty() || shards <= 0 ||
-      ann_degree < 0) {
+  if (target_path.empty() || out_dir.empty() || shards <= 0) {
     std::fprintf(stderr,
                  "usage: %s index-build --target=FILE --out-dir=DIR"
-                 " [--shards=N] [--dataset=NAME] [--ann [--ann-degree=N]]\n",
+                 " [--shards=N] [--dataset=NAME]\n",
                  argv[0]);
     return 2;
   }
@@ -768,10 +757,6 @@ int IndexBuild(int argc, char** argv) {
   serve::ServiceConfig config;
   config.num_shards = shards;
   config.dataset_name = target.value().name;
-  config.enable_ann = ann;
-  if (ann_degree > 0) {
-    config.ann_params.degree = static_cast<uint32_t>(ann_degree);
-  }
   const Stopwatch build;
   serve::KnnService service(points, config);
   const double build_s = build.ElapsedSeconds();
@@ -806,7 +791,7 @@ const char* SectionName(uint32_t id) {
     case sweetknn::store::kSectionTarget: return "target";
     case sweetknn::store::kSectionClustering: return "clustering";
     case sweetknn::store::kSectionMutation: return "mutation";
-    case sweetknn::store::kSectionAnnGraph: return "ann-graph";
+    case sweetknn::store::kSectionAnnGraph: return "ann-graph, ignored";
     default: return "?";
   }
 }
@@ -865,28 +850,10 @@ int IndexInspect(int argc, char** argv) {
                 index.delta_ids.size(), index.tombstones.size(),
                 index.next_id);
   }
-  if (index.HasAnnGraph()) {
-    const ann::KnnGraph& g = index.ann_graph;
-    std::printf("ann graph: %u nodes x degree %u", g.num_nodes, g.degree);
-    if (g.build_iters > 0) {
-      // Written by the NN-descent build that preceded the self-join.
-      std::printf(", NN-descent in %u rounds (seed %llu)", g.build_iters,
-                  static_cast<unsigned long long>(g.build_seed));
-    }
-    std::printf("\n");
-    std::printf("  entry points (%zu):", g.entry_points.size());
-    const size_t show = std::min<size_t>(g.entry_points.size(), 8);
-    for (size_t i = 0; i < show; ++i) {
-      std::printf(" %u", g.entry_points[i]);
-    }
-    if (show < g.entry_points.size()) std::printf(" ...");
-    std::printf("\n");
-    const std::vector<size_t> hist = g.DegreeHistogram();
-    std::printf("  degree histogram:");
-    for (size_t d = 0; d < hist.size(); ++d) {
-      if (hist[d] != 0) std::printf(" %zu:%zu", d, hist[d]);
-    }
-    std::printf("\n");
+  if (index.ignored_graph_bytes > 0) {
+    std::printf("ann graph: %llu bytes, ignored (nothing searches a graph; "
+                "a re-save drops it)\n",
+                static_cast<unsigned long long>(index.ignored_graph_bytes));
   }
   return 0;
 }
@@ -940,7 +907,8 @@ int IndexVerify(int argc, char** argv) {
                 snap.value().shard_count, snap.value().target.rows(),
                 snap.value().target.cols(),
                 snap.value().clustering.num_clusters,
-                snap.value().HasAnnGraph() ? ", ann graph" : "");
+                snap.value().ignored_graph_bytes > 0 ? ", ann graph ignored"
+                                                     : "");
   }
   return 0;
 }
