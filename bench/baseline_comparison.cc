@@ -1,8 +1,7 @@
 // Validates the paper's baseline choice (section V-A): the CUBLAS-based
 // brute force of Garcia et al. outperforms plain-CUDA brute-force
 // implementations by up to 10x, which is why it is the baseline all
-// speedups are measured against. Also reports the sequential CPU TI-KNN
-// for context (the TOP framework the algorithm originates from).
+// speedups are measured against.
 
 #include <cstdio>
 

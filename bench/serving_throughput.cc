@@ -5,11 +5,12 @@
 // amortized simulated device time per query — the number dynamic
 // micro-batching drives down — plus request-latency and queue-wait
 // percentiles and the per-stage simulated-time split from the service's
-// metrics registry, and the planner's device-route count (each device
-// run costs far more wall-clock than a host scan, so a point's QPS
-// moves with it), while asserting that every served answer is
+// metrics registry, while asserting that every served answer is
 // bit-identical to a single-engine RunOnce over the unsharded target
-// set. Exits 1 on any mismatch. Emits BENCH_serving.json.
+// set. The service pins the device route, so every shard scan runs the
+// paper's engine and the simulated columns report (SWEETKNN_PLANNER=host
+// overrides it; those columns then read 0). Exits 1 on any mismatch.
+// Emits BENCH_serving.json.
 //
 // Usage: serving_throughput [--scale=F] [--only=a,b] [--shards=N]
 //        [--clients=N]
@@ -57,8 +58,6 @@ struct ServingRun {
   double sim_level2_s = 0.0;
   double sim_transfer_s = 0.0;
   double sim_preprocess_s = 0.0;
-  // Shard scans the planner routed to the simulated device.
-  double device_routes = 0.0;
   bool exact = false;
 };
 
@@ -84,6 +83,7 @@ ServingRun RunOne(const dataset::Dataset& data, const HostMatrix& queries,
   serve::ServiceConfig config;
   config.num_shards = shards;
   config.max_batch_size = max_batch_size;
+  config.planner.mode = core::PlannerMode::kForceDevice;
   serve::KnnService service(data.points, config);
 
   const size_t requests_total =
@@ -161,8 +161,6 @@ ServingRun RunOne(const dataset::Dataset& data, const HostMatrix& queries,
         CounterValue(&parsed, "sweetknn_sim_transfer_seconds_total");
     run.sim_preprocess_s =
         CounterValue(&parsed, "sweetknn_sim_preprocess_seconds_total");
-    run.device_routes =
-        CounterValue(&parsed, "sweetknn_planner_device_routes_total");
   }
   run.exact = exact;
   return run;
@@ -192,7 +190,7 @@ int Main(int argc, char** argv) {
               shards, clients, kRowsPerRequest, kNeighbors);
   PrintTableHeader({"dataset", "n", "batch", "wall(s)", "qps", "mean_b",
                     "occup", "amort_sim(us)", "p50(us)", "p99(us)",
-                    "dev_routes", "exact"});
+                    "exact"});
 
   std::vector<ServingRun> runs;
   bool all_exact = true;
@@ -217,7 +215,6 @@ int Main(int argc, char** argv) {
                      FormatDouble(run.amortized_sim_s * 1e6, 3),
                      FormatDouble(run.latency_p50_s * 1e6, 1),
                      FormatDouble(run.latency_p99_s * 1e6, 1),
-                     FormatDouble(run.device_routes, 0),
                      run.exact ? "yes" : "NO"});
       runs.push_back(std::move(run));
     }
@@ -247,7 +244,6 @@ int Main(int argc, char** argv) {
           "\"queue_wait_s\": {\"p50\": %.9g, \"p90\": %.9g, \"p99\": %.9g}, "
           "\"sim_stage_s\": {\"level1\": %.9g, \"level2\": %.9g, "
           "\"transfer\": %.9g, \"preprocess\": %.9g}, "
-          "\"planner_device_routes\": %.0f, "
           "\"exact\": %s}%s\n",
           run.name.c_str(), run.n, run.num_queries, run.max_batch_size,
           run.wall_s, run.qps, run.mean_batch, run.occupancy,
@@ -255,8 +251,8 @@ int Main(int argc, char** argv) {
           run.latency_p50_s, run.latency_p90_s, run.latency_p99_s,
           run.queue_wait_p50_s, run.queue_wait_p90_s, run.queue_wait_p99_s,
           run.sim_level1_s, run.sim_level2_s, run.sim_transfer_s,
-          run.sim_preprocess_s, run.device_routes,
-          run.exact ? "true" : "false", i + 1 < runs.size() ? "," : "");
+          run.sim_preprocess_s, run.exact ? "true" : "false",
+          i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n  \"all_exact\": %s\n}\n",
                  all_exact ? "true" : "false");

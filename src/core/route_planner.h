@@ -14,33 +14,30 @@ namespace sweetknn::core {
 /// routing is purely a latency decision.
 enum class QueryRoute { kDevice, kHost };
 
+/// The values are the wire encoding (net/wire.cc); 0 was the retired
+/// device-sampling mode and is not reused.
 enum class PlannerMode {
-  kAuto,         ///< the host route, sampling the device every 16th decision
-  kForceDevice,  ///< always the simulated-GPU TI engine (pre-planner behavior)
-  kForceHost,    ///< always the host route's TI scan (HostImage)
+  kForceDevice = 1,  ///< always the simulated-GPU TI engine (the paper's)
+  kForceHost = 2,    ///< always the host route's TI scan (HostImage)
 };
 
 struct PlannerConfig {
-  PlannerMode mode = PlannerMode::kAuto;
+  PlannerMode mode = PlannerMode::kForceHost;
 };
 
 /// Thread-safe router between the simulated-GPU TI engine and the host
 /// route's TI scan. Both run the paper's two TI filters and the host
 /// route wins at every measured shape (docs/performance.md, "The route
-/// planner"), so kAuto routes by rule: decision 0 and every
-/// kSampleInterval-th decision after it run on the device — which keeps
-/// the simulated-device series reporting — and every other decision
-/// runs on the host. A route depends only on the mode and the decision
-/// count. Choose() is lock-free (plain atomics): the serving dispatcher
-/// calls it per shard per kNN group while tests and the fuzz harness
-/// flip the mode concurrently.
+/// planner"), so the default sends every decision to the host; the
+/// device runs only where a caller forces it (tests, the cross-route
+/// fuzz, the paper benches). Choose() is lock-free (plain atomics): the
+/// serving dispatcher calls it per shard per kNN group while tests and
+/// the fuzz harness flip the mode concurrently.
 class RoutePlanner {
  public:
-  /// In kAuto, one decision in this many runs on the device.
-  static constexpr uint64_t kSampleInterval = 16;
-
   /// `config.mode` may be overridden by SWEETKNN_PLANNER
-  /// ("auto" | "device" | "host"); unknown values are ignored.
+  /// ("device" | "host", and "auto", which selects the host);
+  /// unknown values are ignored.
   explicit RoutePlanner(const PlannerConfig& config = {});
 
   /// Routes one kNN fragment and counts the decision.
@@ -63,7 +60,6 @@ class RoutePlanner {
 
  private:
   std::atomic<int> mode_;
-  std::atomic<uint64_t> decisions_{0};
   std::atomic<uint64_t> device_routes_{0};
   std::atomic<uint64_t> host_routes_{0};
 };

@@ -7,40 +7,6 @@
 
 namespace sweetknn::core {
 
-KnnResult MergeShardResults(const std::vector<KnnResult>& shard_results,
-                            const std::vector<uint32_t>& shard_offsets,
-                            int k) {
-  SK_CHECK_GT(k, 0);
-  SK_CHECK(!shard_results.empty());
-  SK_CHECK_EQ(shard_results.size(), shard_offsets.size());
-  const size_t num_queries = shard_results[0].num_queries();
-  for (const KnnResult& r : shard_results) {
-    SK_CHECK_EQ(r.num_queries(), num_queries);
-    SK_CHECK_EQ(r.k(), k);
-  }
-
-  KnnResult merged(num_queries, k);
-  std::vector<Neighbor> pool;
-  pool.reserve(shard_results.size() * static_cast<size_t>(k));
-  for (size_t q = 0; q < num_queries; ++q) {
-    pool.clear();
-    for (size_t s = 0; s < shard_results.size(); ++s) {
-      const Neighbor* row = shard_results[s].row(q);
-      for (int i = 0; i < k; ++i) {
-        if (row[i].index == kInvalidNeighbor) break;  // padding: rest too
-        pool.push_back(
-            Neighbor{row[i].index + shard_offsets[s], row[i].distance});
-      }
-    }
-    const size_t keep = std::min(pool.size(), static_cast<size_t>(k));
-    std::partial_sort(pool.begin(), pool.begin() + keep, pool.end(),
-                      NeighborLess);
-    pool.resize(keep);
-    merged.SetRow(q, pool);
-  }
-  return merged;
-}
-
 KnnResult MergeMutableResults(const std::vector<MergeSource>& sources,
                               int k) {
   SK_CHECK_GT(k, 0);

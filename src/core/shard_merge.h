@@ -10,22 +10,6 @@
 
 namespace sweetknn::core {
 
-/// Merges per-shard KNN results into the exact global top-k.
-///
-/// Shard s holds a contiguous slice of the target set starting at global
-/// row `shard_offsets[s]`, and `shard_results[s]` is the exact top-k of
-/// that slice (rows ascending under NeighborLess, indices local to the
-/// slice, padded with kInvalidNeighbor when the slice has fewer than k
-/// rows). Because every global top-k neighbor lives in exactly one slice
-/// and appears in that slice's top-k, the k smallest entries of the union
-/// (after remapping local indices to global) are exactly the global
-/// top-k; NeighborLess is a total order (distance, then index), so the
-/// merged rows are bit-identical to a single-engine run over the whole
-/// target set.
-KnnResult MergeShardResults(const std::vector<KnnResult>& shard_results,
-                            const std::vector<uint32_t>& shard_offsets,
-                            int k);
-
 /// One input of MergeMutableResults: a per-source exact KNN result plus
 /// how its local indices translate to stable ids and which of those ids
 /// are dead. Sources are views; the caller keeps everything alive for
@@ -96,13 +80,20 @@ struct ShardAnswer {
   double route_seconds = 0.0;
 };
 
-/// Merges per-shard answers into the exact global top-k. When every
-/// answer is pristine this is MergeShardResults verbatim (offset remap,
-/// pool, partial sort under NeighborLess); otherwise each answer's rows
-/// are already that shard's exact live top-k under (distance, stable
-/// id), every stable id lives in exactly one shard, and pooling the
-/// per-shard lists and keeping the k smallest under the same total order
-/// is exactly the flat MergeMutableResults over all base + delta
+/// Merges per-shard answers into the exact global top-k.
+///
+/// A pristine answer's slice starts at stable id `offset` and its rows
+/// are the exact top-k of that slice (ascending under NeighborLess,
+/// padded with kInvalidNeighbor when the slice has fewer than k rows).
+/// Every global top-k neighbor lives in exactly one slice and appears in
+/// that slice's top-k, so the k smallest entries of the union (after the
+/// offset remap) are exactly the global top-k; NeighborLess is a total
+/// order (distance, then index), so the merged rows are bit-identical to
+/// a single-engine run over the whole target set. A mutated answer's
+/// rows are already that shard's exact live top-k under (distance,
+/// stable id), every stable id lives in exactly one shard, and pooling
+/// the per-shard lists and keeping the k smallest under the same total
+/// order is exactly the flat MergeMutableResults over all base + delta
 /// sources — so the merged rows are bit-identical to the in-process
 /// single-merge path, which is itself fuzz-proven against brute force.
 KnnResult MergeShardAnswers(const std::vector<ShardAnswer>& answers, int k);

@@ -40,12 +40,11 @@ class SweetKnn {
     double compact_delta_fraction = 0.25;
     /// SweetKnnIndex only: routing of each exact kNN batch between the
     /// simulated-GPU TI engine and the host route's TI scan over the
-    /// base's HostImage (docs/performance.md). kAuto samples the device
-    /// on every 16th batch and runs the rest on the host. Both routes
-    /// answer bit-identically; force-device restores pre-planner
-    /// behavior (and is what stats-asserting callers should pin, since
-    /// host-routed batches report no simulated-device stats). Radius
-    /// searches take no route.
+    /// base's HostImage (docs/performance.md). The default runs every
+    /// batch on the host. Both routes answer bit-identically;
+    /// force-device runs the paper's engine (and is what stats-asserting
+    /// callers should pin, since host-routed batches report no
+    /// simulated-device stats). Radius searches take no route.
     core::PlannerConfig planner;
   };
 

@@ -185,7 +185,13 @@ void PutPlanner(PayloadWriter* w, const core::PlannerConfig& p) {
 }
 
 Status GetPlanner(PayloadReader* r, core::PlannerConfig* p) {
-  return GetEnum(r, 2, "planner mode", &p->mode);
+  SK_RETURN_IF_ERROR(GetEnum(r, 2, "planner mode", &p->mode));
+  // 0 was the retired device-sampling mode.
+  if (p->mode != core::PlannerMode::kForceDevice &&
+      p->mode != core::PlannerMode::kForceHost) {
+    return Status::IoError("wire: planner mode 0 is retired");
+  }
+  return Status::Ok();
 }
 
 // --- KnnResult / ShardAnswer ------------------------------------------------

@@ -81,12 +81,12 @@ struct ServiceConfig {
   bool auto_compact = true;
   /// Routing of each exact kNN group's per-shard base scan between the
   /// shard's simulated-GPU TI engine and the host route's TI scan
-  /// (docs/performance.md). kAuto samples the device on every 16th
-  /// decision and runs the rest on the host. Both routes answer bit-
-  /// identically; host-routed shard runs report no simulated-device
-  /// stats (sim-time counters, filter/placement decisions), so tests
-  /// asserting those pin mode = kForceDevice. SWEETKNN_PLANNER
-  /// ("auto" | "device" | "host") overrides the mode at construction.
+  /// (docs/performance.md). The default runs every decision on the
+  /// host. Both routes answer bit-identically; host-routed shard runs
+  /// report no simulated-device stats (sim-time counters,
+  /// filter/placement decisions), so tests asserting those pin mode =
+  /// kForceDevice. SWEETKNN_PLANNER ("device" | "host"; "auto" selects
+  /// the host) overrides the mode at construction.
   /// Range groups take no route: every shard runs its TI range scan on
   /// the host.
   core::PlannerConfig planner;

@@ -51,7 +51,10 @@ TEST(SweetKnnIndexTest, SinglePointQuery) {
 
 TEST(SweetKnnIndexTest, StatsIncludeAmortizedPreparation) {
   const HostMatrix gallery = ClusteredPoints(300, 5, 5, 157);
-  SweetKnnIndex index(gallery);
+  // Host-routed batches report no simulated-device stats.
+  SweetKnn::Config config;
+  config.planner.mode = core::PlannerMode::kForceDevice;
+  SweetKnnIndex index(gallery, config);
   const HostMatrix batch = ClusteredPoints(60, 5, 2, 158);
   core::KnnRunStats stats;
   index.Query(batch, 4, &stats);

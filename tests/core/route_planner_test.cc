@@ -59,20 +59,14 @@ TEST(RoutePlannerTest, ForcedModesAlwaysRouteAndCount) {
   EXPECT_EQ(host_planner.host_routes(), 10u);
 }
 
-TEST(RoutePlannerTest, ColdAutoExploresFirstThenPrefersHost) {
-  core::RoutePlanner planner;  // defaults: kAuto
-  ASSERT_EQ(planner.mode(), core::PlannerMode::kAuto);
-
-  // Decision 0 samples the device (which keeps single-query sim-stats
-  // assertions meaningful); the next 15 run on the host; decision 16
-  // samples again.
-  EXPECT_EQ(planner.Choose(), core::QueryRoute::kDevice);
-  for (int i = 1; i < 16; ++i) {
-    EXPECT_EQ(planner.Choose(), core::QueryRoute::kHost)
-        << "decision " << i;
+TEST(RoutePlannerTest, DefaultRoutesToTheHostFromDecisionZero) {
+  core::RoutePlanner planner;
+  ASSERT_EQ(planner.mode(), core::PlannerMode::kForceHost);
+  for (int i = 0; i < 17; ++i) {
+    EXPECT_EQ(planner.Choose(), core::QueryRoute::kHost) << "decision " << i;
   }
-  EXPECT_EQ(planner.Choose(), core::QueryRoute::kDevice);
-  EXPECT_EQ(planner.device_routes() + planner.host_routes(), 17u);
+  EXPECT_EQ(planner.device_routes(), 0u);
+  EXPECT_EQ(planner.host_routes(), 17u);
 }
 
 TEST(RoutePlannerTest, EnvVariableOverridesConfiguredMode) {
@@ -83,8 +77,9 @@ TEST(RoutePlannerTest, EnvVariableOverridesConfiguredMode) {
             core::PlannerMode::kForceHost);
   ::setenv("SWEETKNN_PLANNER", "device", 1);
   EXPECT_EQ(core::RoutePlanner().mode(), core::PlannerMode::kForceDevice);
+  // "auto" names the default, which is the host route.
   ::setenv("SWEETKNN_PLANNER", "auto", 1);
-  EXPECT_EQ(core::RoutePlanner(config).mode(), core::PlannerMode::kAuto);
+  EXPECT_EQ(core::RoutePlanner(config).mode(), core::PlannerMode::kForceHost);
   // Unknown values are ignored, not an error.
   ::setenv("SWEETKNN_PLANNER", "quantum", 1);
   EXPECT_EQ(core::RoutePlanner(config).mode(),
@@ -110,9 +105,6 @@ TEST(RoutePlannerTest, ConcurrentChooseAndModeFlipsLoseNoDecisions) {
             break;
           case 1:
             planner.set_mode(core::PlannerMode::kForceDevice);
-            break;
-          case 2:
-            planner.set_mode(core::PlannerMode::kAuto);
             break;
           default:
             break;
@@ -145,16 +137,13 @@ TEST(RoutePlannerTest, IndexAnswersBitIdenticallyOnEveryRoute) {
         target, IndexConfig(core::PlannerMode::kForceDevice, metric));
     SweetKnnIndex host_index(
         target, IndexConfig(core::PlannerMode::kForceHost, metric));
-    SweetKnnIndex auto_index(
-        target, IndexConfig(core::PlannerMode::kAuto, metric));
 
     const KnnResult want = device_index.Query(queries, 5);
     ExpectBitIdentical(want, host_index.Query(queries, 5), "pristine host");
-    ExpectBitIdentical(want, auto_index.Query(queries, 5), "pristine auto");
 
-    // Mutate all three identically; the base scan now over-queries and
-    // merges with the delta overlay on whichever route.
-    for (SweetKnnIndex* index : {&device_index, &host_index, &auto_index}) {
+    // Mutate both identically; the base scan now over-queries and merges
+    // with the delta overlay on whichever route.
+    for (SweetKnnIndex* index : {&device_index, &host_index}) {
       index->Insert({0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f});
       index->Insert({-0.4f, 0.0f, 0.7f, -0.1f, 0.2f, 0.9f});
       index->Remove(7);
@@ -163,27 +152,14 @@ TEST(RoutePlannerTest, IndexAnswersBitIdenticallyOnEveryRoute) {
     const KnnResult mutated = device_index.Query(queries, 5);
     ExpectBitIdentical(mutated, host_index.Query(queries, 5),
                        "mutated host");
-    ExpectBitIdentical(mutated, auto_index.Query(queries, 5),
-                       "mutated auto");
   }
 }
 
-// The kAuto rule holds at any group size: the device routes are exactly
-// decisions 0, 16, 32, ... The index is one e2e `lookup` shard (the
-// first half of the kdd stand-in). 513 one-row exact reads sample the
-// device 33 times; the 64-row batch after them is decision 513, not a
-// multiple of 16, so it runs on the host. A planner that priced routes
-// from the device runs it observed would send that batch to the device.
-TEST(RoutePlannerTest, AutoSamplesTheDeviceOnEvery16thDecisionAtAnyGroupSize) {
-  const dataset::Dataset kdd =
-      dataset::MakePaperDataset(dataset::PaperDatasetByName("kdd"), 0.5);
-  ASSERT_GE(kdd.n(), 12288u);
-  ASSERT_EQ(kdd.dims(), 42u);
-  SweetKnnIndex index(
-      kdd.points,
-      IndexConfig(core::PlannerMode::kAuto, core::Metric::kEuclidean));
+/// 513 one-row reads of base rows nudged off their exact coordinates,
+/// then one 64-row batch, through `read` (seed 1 on every backend).
+template <typename Read>
+void ReadLikeLookup(const dataset::Dataset& kdd, Read&& read) {
   Rng rng(1);
-  // Base rows nudged off their exact coordinates.
   const auto perturbed = [&](size_t rows) {
     HostMatrix queries(rows, kdd.dims());
     for (size_t q = 0; q < rows; ++q) {
@@ -194,17 +170,56 @@ TEST(RoutePlannerTest, AutoSamplesTheDeviceOnEvery16thDecisionAtAnyGroupSize) {
     }
     return queries;
   };
-  constexpr uint64_t kOneRowReads = 513;
-  for (uint64_t decision = 0; decision < kOneRowReads; ++decision) {
-    const uint64_t before = index.planner().device_routes();
-    index.Query(perturbed(1), 10);
-    EXPECT_EQ(index.planner().device_routes() - before,
-              decision % 16 == 0 ? 1u : 0u)
-        << "decision " << decision;
+  for (int read_index = 0; read_index < 513; ++read_index) {
+    read(perturbed(1));
   }
-  index.Query(perturbed(64), 10);
-  EXPECT_EQ(index.planner().device_routes(), 33u);
-  EXPECT_EQ(index.planner().host_routes(), kOneRowReads + 1 - 33);
+  read(perturbed(64));
+}
+
+// The default config never runs the simulated device, at any group size
+// and on every backend. The base is one e2e `lookup` shard (the first
+// half of the kdd stand-in): 513 one-row reads and a 64-row batch take
+// 514 host routes on a default index, and a default 2-shard service
+// and a default one-worker router report no device route and no
+// simulated seconds. The router leg needs the worker binary; it runs
+// only when SWEETKNN_CLI points at sweetknn_cli (ctest exports it).
+TEST(RoutePlannerTest, DefaultConfigTakesNoDeviceRouteOnAnyBackend) {
+  const dataset::Dataset kdd =
+      dataset::MakePaperDataset(dataset::PaperDatasetByName("kdd"), 0.5);
+  ASSERT_GE(kdd.n(), 12288u);
+  ASSERT_EQ(kdd.dims(), 42u);
+  SweetKnnIndex index(kdd.points);
+  ReadLikeLookup(kdd, [&](const HostMatrix& queries) {
+    index.Query(queries, 10);
+  });
+  EXPECT_EQ(index.planner().device_routes(), 0u);
+  EXPECT_EQ(index.planner().host_routes(), 514u);
+
+  const auto expect_no_device_time = [](const common::MetricsRegistry& m) {
+    EXPECT_EQ(m.CounterValue("sweetknn_planner_device_routes_total"), 0.0);
+    EXPECT_EQ(m.CounterValue("sweetknn_sim_device_seconds_total"), 0.0);
+    EXPECT_GT(m.CounterValue("sweetknn_planner_host_routes_total"), 0.0);
+  };
+  serve::KnnService service(kdd.points);
+  ReadLikeLookup(kdd, [&](const HostMatrix& queries) {
+    ASSERT_TRUE(service.JoinBatch(queries, 10).ok());
+  });
+  expect_no_device_time(service.metrics());
+
+  const char* cli = std::getenv("SWEETKNN_CLI");
+  if (cli == nullptr) return;
+  serve::RouterConfig config;
+  config.num_workers = 1;
+  config.worker_binary = cli;
+  Result<std::unique_ptr<serve::Router>> started =
+      serve::Router::Start(kdd.points, config);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  const std::unique_ptr<serve::Router> router = std::move(started).value();
+  ReadLikeLookup(kdd, [&](const HostMatrix& queries) {
+    ASSERT_TRUE(router->JoinBatch(queries, 10).ok());
+  });
+  expect_no_device_time(router->metrics());
+  router->Shutdown();
 }
 
 TEST(RoutePlannerTest, ServiceAnswersBitIdenticallyOnEveryRoute) {
@@ -228,9 +243,9 @@ TEST(RoutePlannerTest, ServiceAnswersBitIdenticallyOnEveryRoute) {
 }
 
 // Range searches take no planner decision: ShardHost::RangeGroup always
-// runs the TI range scan. In every mode they answer the same bytes and
+// runs the TI range scan. In both modes they answer the same bytes and
 // leave the route counters at zero, so the first kNN batch after them is
-// still decision 0 — which kAuto samples on the device.
+// the planner's first decision, taken on the mode's route.
 TEST(RoutePlannerTest, RangeSearchesTakeNoPlannerDecision) {
   const HostMatrix target = ClusteredPoints(300, 5, 4, 519, 0.1f);
   const HostMatrix queries = ClusteredPoints(12, 5, 3, 520, 0.1f);
@@ -244,8 +259,7 @@ TEST(RoutePlannerTest, RangeSearchesTakeNoPlannerDecision) {
   ASSERT_FALSE(want_pairs.empty());
 
   for (const core::PlannerMode mode :
-       {core::PlannerMode::kAuto, core::PlannerMode::kForceDevice,
-        core::PlannerMode::kForceHost}) {
+       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
     SCOPED_TRACE(static_cast<int>(mode));
     SweetKnnIndex index(target, IndexConfig(mode, core::Metric::kEuclidean));
     for (int round = 0; round < 3; ++round) {
@@ -256,21 +270,20 @@ TEST(RoutePlannerTest, RangeSearchesTakeNoPlannerDecision) {
     EXPECT_EQ(index.planner().host_routes(), 0u);
 
     index.Query(queries, 5);
-    const bool device = mode != core::PlannerMode::kForceHost;
+    const bool device = mode == core::PlannerMode::kForceDevice;
     EXPECT_EQ(index.planner().device_routes(), device ? 1u : 0u);
     EXPECT_EQ(index.planner().host_routes(), device ? 0u : 1u);
   }
 }
 
-// A service counts each range shard scan as one host route, in every
-// planner mode, because that is where it ran; its planner takes no
+// A service counts each range shard scan as one host route, in both
+// planner modes, because that is where it ran; its planner takes no
 // decision for it.
 TEST(RoutePlannerTest, ServiceCountsEachRangeShardAsOneHostRoute) {
   const HostMatrix target = ClusteredPoints(260, 4, 3, 521, 0.1f);
   const HostMatrix queries = ClusteredPoints(9, 4, 2, 522, 0.1f);
   for (const core::PlannerMode mode :
-       {core::PlannerMode::kAuto, core::PlannerMode::kForceDevice,
-        core::PlannerMode::kForceHost}) {
+       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
     SCOPED_TRACE(static_cast<int>(mode));
     serve::ServiceConfig config;
     config.num_shards = 2;

@@ -1,5 +1,6 @@
 #include "core/shard_merge.h"
 
+#include <utility>
 #include <vector>
 
 #include "baseline/brute_force_cpu.h"
@@ -16,13 +17,25 @@ KnnResult ResultFromRows(
   return out;
 }
 
+/// Pristine answers: results[s] is the slice-local top-k of shard s,
+/// whose slice starts at stable id offsets[s].
+std::vector<ShardAnswer> Pristine(std::vector<KnnResult> results,
+                                  const std::vector<uint32_t>& offsets) {
+  std::vector<ShardAnswer> answers(results.size());
+  for (size_t s = 0; s < results.size(); ++s) {
+    answers[s].result = std::move(results[s]);
+    answers[s].offset = offsets[s];
+  }
+  return answers;
+}
+
 TEST(ShardMergeTest, RemapsAndPicksGlobalTopK) {
   // Shard 0 holds target rows [0, 3), shard 1 holds [3, 6).
   const KnnResult s0 = ResultFromRows(
       {{{0, 1.0f}, {2, 4.0f}}, {{1, 0.5f}, {0, 9.0f}}}, 2);
   const KnnResult s1 = ResultFromRows(
       {{{1, 2.0f}, {0, 3.0f}}, {{2, 0.25f}, {1, 0.75f}}}, 2);
-  const KnnResult merged = MergeShardResults({s0, s1}, {0, 3}, 2);
+  const KnnResult merged = MergeShardAnswers(Pristine({s0, s1}, {0, 3}), 2);
   ASSERT_EQ(merged.num_queries(), 2u);
   EXPECT_EQ(merged.row(0)[0], (Neighbor{0, 1.0f}));
   EXPECT_EQ(merged.row(0)[1], (Neighbor{4, 2.0f}));
@@ -33,7 +46,7 @@ TEST(ShardMergeTest, RemapsAndPicksGlobalTopK) {
 TEST(ShardMergeTest, ExactDistanceTiesBreakOnGlobalIndex) {
   const KnnResult s0 = ResultFromRows({{{1, 2.0f}, {0, 7.0f}}}, 2);
   const KnnResult s1 = ResultFromRows({{{0, 2.0f}, {1, 2.0f}}}, 2);
-  const KnnResult merged = MergeShardResults({s0, s1}, {0, 2}, 2);
+  const KnnResult merged = MergeShardAnswers(Pristine({s0, s1}, {0, 2}), 2);
   // Three candidates at distance 2.0: global ids 1, 2, 3 — keep 1 and 2.
   EXPECT_EQ(merged.row(0)[0], (Neighbor{1, 2.0f}));
   EXPECT_EQ(merged.row(0)[1], (Neighbor{2, 2.0f}));
@@ -43,7 +56,7 @@ TEST(ShardMergeTest, PaddedShardRowsAreSkipped) {
   // Shard 1's slice has one row: its second slot is padding.
   const KnnResult s0 = ResultFromRows({{{0, 5.0f}, {1, 6.0f}}}, 2);
   const KnnResult s1 = ResultFromRows({{{0, 1.0f}}}, 2);
-  const KnnResult merged = MergeShardResults({s0, s1}, {0, 2}, 2);
+  const KnnResult merged = MergeShardAnswers(Pristine({s0, s1}, {0, 2}), 2);
   EXPECT_EQ(merged.row(0)[0], (Neighbor{2, 1.0f}));
   EXPECT_EQ(merged.row(0)[1], (Neighbor{0, 5.0f}));
 }
@@ -51,7 +64,7 @@ TEST(ShardMergeTest, PaddedShardRowsAreSkipped) {
 TEST(ShardMergeTest, FewerCandidatesThanKPadsLikeSingleEngine) {
   const KnnResult s0 = ResultFromRows({{{0, 1.0f}}}, 3);
   const KnnResult s1 = ResultFromRows({{{0, 2.0f}}}, 3);
-  const KnnResult merged = MergeShardResults({s0, s1}, {0, 1}, 3);
+  const KnnResult merged = MergeShardAnswers(Pristine({s0, s1}, {0, 1}), 3);
   EXPECT_EQ(merged.row(0)[0], (Neighbor{0, 1.0f}));
   EXPECT_EQ(merged.row(0)[1], (Neighbor{1, 2.0f}));
   EXPECT_EQ(merged.row(0)[2].index, kInvalidNeighbor);
@@ -82,7 +95,7 @@ TEST(ShardMergeTest, MergedBruteForceShardsEqualWholeSetBitwise) {
     offsets.push_back(static_cast<uint32_t>(cuts[s]));
   }
   const KnnResult merged =
-      MergeShardResults(shard_results, offsets, kNeighbors);
+      MergeShardAnswers(Pristine(shard_results, offsets), kNeighbors);
   for (size_t q = 0; q < queries.rows(); ++q) {
     for (int i = 0; i < kNeighbors; ++i) {
       EXPECT_EQ(whole.row(q)[i].index, merged.row(q)[i].index);
@@ -98,7 +111,7 @@ TEST(ShardMergeTest, CrossShardTiesAtDifferentRanksStillOrderGlobally) {
   // rank they happened to hold locally.
   const KnnResult s0 = ResultFromRows({{{0, 1.0f}, {2, 3.0f}}}, 2);
   const KnnResult s1 = ResultFromRows({{{0, 3.0f}, {2, 3.0f}}}, 2);
-  const KnnResult merged = MergeShardResults({s0, s1}, {0, 3}, 2);
+  const KnnResult merged = MergeShardAnswers(Pristine({s0, s1}, {0, 3}), 2);
   EXPECT_EQ(merged.row(0)[0], (Neighbor{0, 1.0f}));
   EXPECT_EQ(merged.row(0)[1], (Neighbor{2, 3.0f}));
 }

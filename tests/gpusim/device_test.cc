@@ -76,6 +76,17 @@ TEST(DeviceTest, LaunchRejectsOversizedBlocks) {
                "block_threads");
 }
 
+TEST(DeviceSpecPresetsTest, PresetsDiffer) {
+  const DeviceSpec k20 = DeviceSpec::TeslaK20c();
+  const DeviceSpec k40 = DeviceSpec::TeslaK40();
+  const DeviceSpec small = DeviceSpec::GtxSmall();
+  EXPECT_GT(k40.num_sms, k20.num_sms);
+  EXPECT_GT(k40.peak_sp_flops, k20.peak_sp_flops);
+  EXPECT_LT(small.num_sms, k20.num_sms);
+  EXPECT_LT(small.mem_bandwidth_bytes_per_s,
+            k20.mem_bandwidth_bytes_per_s);
+}
+
 TEST(CacheSimTest, MissThenHit) {
   CacheSim cache(16);
   EXPECT_FALSE(cache.Access(100));

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "baseline/brute_force_cpu.h"
-#include "baseline/ti_knn_cpu.h"
 #include "common/rng.h"
 #include "core/ti_knn_gpu.h"
 #include "gpusim/device.h"
@@ -296,18 +295,11 @@ TEST(ParallelLaunch, CpuBaselinesAreThreadCountInvariant) {
   const int k = 5;
   const KnnResult bf1 = baseline::BruteForceCpu(query, target, k,
                                                 core::Metric::kEuclidean, 1);
-  baseline::TiCpuStats ti_stats1;
-  const KnnResult ti1 =
-      baseline::TiKnnCpu(query, target, k, 0, &ti_stats1, 7, 1);
   for (const int workers : kWorkerCounts) {
     SCOPED_TRACE(workers);
     ExpectResultsEqual(bf1, baseline::BruteForceCpu(
                                 query, target, k, core::Metric::kEuclidean,
                                 workers));
-    baseline::TiCpuStats ti_stats;
-    ExpectResultsEqual(
-        ti1, baseline::TiKnnCpu(query, target, k, 0, &ti_stats, 7, workers));
-    EXPECT_EQ(ti_stats1.distance_calcs, ti_stats.distance_calcs);
   }
 }
 

@@ -455,13 +455,12 @@ struct RangeFuzzConfig {
   float radius = 0.0f;
   int graph_k = 1;
   core::Metric metric = core::Metric::kEuclidean;
-  core::PlannerMode mode = core::PlannerMode::kAuto;
+  core::PlannerMode mode = core::PlannerMode::kForceHost;
   int simd_level = -1;  ///< simd::ForceLevelForTest arg; -1 = detected.
 };
 
 const char* ModeName(core::PlannerMode mode) {
   switch (mode) {
-    case core::PlannerMode::kAuto: return "auto";
     case core::PlannerMode::kForceDevice: return "device";
     case core::PlannerMode::kForceHost: return "host";
   }
@@ -495,10 +494,11 @@ RangeFuzzConfig DrawRangeConfig(uint64_t seed) {
   cfg.graph_k = 1 + static_cast<int>(rng.NextBounded(12));
   cfg.metric = rng.NextBounded(2) == 0 ? core::Metric::kEuclidean
                                        : core::Metric::kManhattan;
+  // Three-way draw, so every seed keeps naming the same config: case 0
+  // was the retired device-sampling mode, which routed to the host.
   switch (rng.NextBounded(3)) {
-    case 0: cfg.mode = core::PlannerMode::kAuto; break;
     case 1: cfg.mode = core::PlannerMode::kForceDevice; break;
-    case 2: cfg.mode = core::PlannerMode::kForceHost; break;
+    default: cfg.mode = core::PlannerMode::kForceHost; break;
   }
   const uint64_t level = rng.NextBounded(4);
   cfg.simd_level = level == 3 ? -1 : static_cast<int>(level);

@@ -1,6 +1,5 @@
 #include "baseline/brute_force_cpu.h"
 #include "baseline/brute_force_gpu.h"
-#include "baseline/ti_knn_cpu.h"
 #include "core/sweet_knn.h"
 #include "dataset/paper_datasets.h"
 #include "gtest/gtest.h"
@@ -34,8 +33,12 @@ TEST_P(PaperDatasetAgreement, AllEnginesAgree) {
   const KnnResult oracle =
       baseline::BruteForceCpu(data.points, data.points, k);
 
-  // Sequential TI.
-  ExpectResultsMatch(oracle, baseline::TiKnnCpu(data.points, data.points, k));
+  // The host route's TI scan (a default index routes every batch there).
+  {
+    SweetKnnIndex index(data.points);
+    ExpectResultsMatch(oracle, index.Query(data.points, k));
+    EXPECT_EQ(index.planner().host_routes(), 1u);
+  }
 
   // GPU brute force (exact mode).
   {

@@ -12,8 +12,8 @@
 // failing sequence.
 //
 // Every step also randomly flips the two knobs that are contractually
-// invisible in the answers: the hybrid planner's route (auto / force-
-// device / force-host) and the SIMD dispatch tier (forced scalar vs
+// invisible in the answers: the hybrid planner's route (force-device /
+// force-host) and the SIMD dispatch tier (forced scalar vs
 // best available). The bit-identical oracle check therefore proves
 // route and vector-width independence across every interleaving, not
 // just in dedicated equivalence tests. The flips are derived from the
@@ -60,9 +60,11 @@ struct ScopedSimdDispatch {
 /// dispatch tier. `planner` is the live router of the index or service
 /// under test.
 void ToggleInvisibleKnobs(Rng* rng, core::RoutePlanner* planner) {
+  // Case 0 was the retired device-sampling mode; it maps to the host so
+  // every seed keeps drawing the same flips.
   switch (rng->NextBounded(4)) {
-    case 0: planner->set_mode(core::PlannerMode::kAuto); break;
     case 1: planner->set_mode(core::PlannerMode::kForceDevice); break;
+    case 0:
     case 2: planner->set_mode(core::PlannerMode::kForceHost); break;
     default: break;  // keep the current mode
   }

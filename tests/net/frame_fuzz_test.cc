@@ -405,6 +405,53 @@ TEST(WireFuzzTest, TenantFieldRoundTrip) {
   EXPECT_EQ(query_out.tenant, "default");
 }
 
+// Planner mode 0 was the retired device-sampling mode. The two forced
+// modes keep their wire values (1 and 2) and round-trip; a prepare
+// payload that still carries 0 is refused with a clean Status instead
+// of decoding into a mode this build no longer has.
+template <typename Request, typename Encode, typename Decode>
+void ExpectRetiredPlannerModeRejected(Request req, Encode encode,
+                                      Decode decode) {
+  req.planner.mode = core::PlannerMode::kForceDevice;
+  const std::string device = encode(req);
+  req.planner.mode = core::PlannerMode::kForceHost;
+  std::string payload = encode(req);
+  Request out;
+  ASSERT_TRUE(decode(device, &out).ok());
+  EXPECT_EQ(out.planner.mode, core::PlannerMode::kForceDevice);
+  ASSERT_TRUE(decode(payload, &out).ok());
+  EXPECT_EQ(out.planner.mode, core::PlannerMode::kForceHost);
+
+  // Values 1 and 2 differ only in the mode field's low byte.
+  ASSERT_EQ(device.size(), payload.size());
+  size_t at = payload.size();
+  for (size_t i = 0; i < payload.size(); ++i) {
+    if (payload[i] == device[i]) continue;
+    ASSERT_EQ(at, payload.size()) << "second differing byte at " << i;
+    at = i;
+  }
+  ASSERT_LT(at, payload.size());
+  payload[at] = 0;
+  const Status retired = decode(payload, &out);
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.code(), StatusCode::kIoError) << retired.ToString();
+  EXPECT_NE(retired.message().find("planner mode"), std::string::npos)
+      << retired.ToString();
+}
+
+TEST(WireFuzzTest, RetiredPlannerModeRejected) {
+  PrepareColdRequest cold;
+  cold.shard_index = 1;
+  cold.slice = SmallMatrix(2, 3, 7);
+  cold.tenant = "faces";
+  ExpectRetiredPlannerModeRejected(cold, EncodePrepareCold,
+                                   DecodePrepareCold);
+  PrepareSnapshotRequest snap;
+  snap.path = "/tmp/x.sksnap";
+  ExpectRetiredPlannerModeRejected(snap, EncodePrepareSnapshot,
+                                   DecodePrepareSnapshot);
+}
+
 TEST(WireFuzzTest, ListIndexesReplyRoundTripAndAbsurdCountRejected) {
   ListIndexesReply reply;
   reply.names = {"default", "faces"};

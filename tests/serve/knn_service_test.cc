@@ -52,6 +52,8 @@ TEST(KnnServiceTest, ConcurrentClientsBitIdenticalToSingleEngine) {
   serve::ServiceConfig config;
   config.num_shards = 3;
   config.max_batch_size = 16;
+  // The sim-time stats below come from device-routed shards only.
+  config.planner.mode = core::PlannerMode::kForceDevice;
   serve::KnnService service(target, config);
   ASSERT_EQ(service.num_shards(), 3);
 

@@ -12,7 +12,7 @@
 # compaction_race_test races mutations, forced compactions, and hot
 # swaps against live clients; route_planner_test flips the hybrid
 # planner's mode from many threads while Choose() races the lock-free
-# decision and route counters; shard_backend_test covers
+# route counters; shard_backend_test covers
 # core::ShardHost, the transport-free shard dispatch/merge core both
 # serving backends and SweetKnnIndex share; router_timeout_test drives the cluster router's channel IO
 # threads, reply queues, and worker-death path (it spawns shard-worker
