@@ -3,13 +3,21 @@
 // shape — dims from 1 to 1024, both metrics, k from 1 past the base
 // size, duplicated rows and kth-place distance ties, queries equal to
 // base rows — on both sides of the small-shard rule, and through a
-// mutated ShardHost on either route. A scan whose pruning admitted one
-// row too few would lose a true neighbor here.
+// mutated ShardHost on either route. It is also the library's
+// sequential TI kNN, so it must agree with the brute-force oracle on
+// clustered, uniform and distinct query/base sets, under any landmark
+// count and over a sweep of small shapes, while its filters skip work.
+// A scan whose pruning admitted one row too few would lose a true
+// neighbor here.
 
+#include <algorithm>
 #include <cstring>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "baseline/brute_force_cpu.h"
 #include "common/rng.h"
 #include "core/host_image.h"
 #include "core/shard_host.h"
@@ -20,6 +28,15 @@
 #include "test_util.h"
 
 namespace sweetknn {
+namespace core {
+
+/// Names the metric in the sweep's parameter values (found by ADL).
+inline void PrintTo(Metric metric, std::ostream* os) {
+  *os << (metric == Metric::kEuclidean ? "euclidean" : "manhattan");
+}
+
+}  // namespace core
+
 namespace {
 
 /// The Step-1 clustering of `target` under `landmarks` forced landmarks,
@@ -246,6 +263,111 @@ TEST(HostImageTest, MutatedShardHostAnswersIdenticallyOnBothRoutes) {
     EXPECT_LT(host.distance_calcs, host.total_pairs);
   }
 }
+
+/// A forced landmark count whose clusters average 32 rows, so the image
+/// keeps its per-cluster windows (m * 16 <= n) at any base size.
+int WindowedLandmarks(size_t n) {
+  return std::max(1, static_cast<int>(n / 32));
+}
+
+/// Fraction of query-base pairs the scan never scored.
+double SavedFraction(const core::RangeScanStats& stats) {
+  return 1.0 - static_cast<double>(stats.candidates) /
+                   static_cast<double>(stats.total_pairs);
+}
+
+TEST(HostImageTest, MatchesBruteForceOnClusteredData) {
+  const HostMatrix points = testing::ClusteredPoints(300, 8, 5, 31);
+  const core::HostImage image = BuildImage(
+      points, WindowedLandmarks(points.rows()), core::Metric::kEuclidean);
+  ASSERT_FALSE(image.single_window());
+  core::RangeScanStats stats;
+  testing::ExpectResultsMatch(
+      baseline::BruteForceCpu(points, points, 6),
+      image.Knn(points, 6, simd::Dist::kEuclidean, 1, &stats));
+  EXPECT_EQ(stats.total_pairs, 300u * 300u);
+  EXPECT_GT(SavedFraction(stats), 0.3);
+}
+
+TEST(HostImageTest, MatchesBruteForceOnUniformData) {
+  const HostMatrix points = testing::UniformPoints(200, 6, 32);
+  const core::HostImage image = BuildImage(
+      points, WindowedLandmarks(points.rows()), core::Metric::kEuclidean);
+  ASSERT_FALSE(image.single_window());
+  testing::ExpectResultsMatch(baseline::BruteForceCpu(points, points, 4),
+                              image.Knn(points, 4, simd::Dist::kEuclidean, 1));
+}
+
+TEST(HostImageTest, DistinctSets) {
+  const HostMatrix queries = testing::ClusteredPoints(80, 5, 3, 33);
+  const HostMatrix target = testing::ClusteredPoints(220, 5, 4, 34);
+  const core::HostImage image = BuildImage(
+      target, WindowedLandmarks(target.rows()), core::Metric::kEuclidean);
+  ASSERT_FALSE(image.single_window());
+  testing::ExpectResultsMatch(
+      baseline::BruteForceCpu(queries, target, 7),
+      image.Knn(queries, 7, simd::Dist::kEuclidean, 1));
+}
+
+TEST(HostImageTest, LandmarkOverrideStillExact) {
+  const HostMatrix points = testing::ClusteredPoints(250, 4, 4, 35);
+  const KnnResult want = baseline::BruteForceCpu(points, points, 5);
+  // 1 and 4 landmarks keep per-cluster windows; from 16 on (16 * 16 >
+  // 250) the image scans one window.
+  for (const int landmarks : {1, 4, 16, 64, 250}) {
+    SCOPED_TRACE(landmarks);
+    const core::HostImage image =
+        BuildImage(points, landmarks, core::Metric::kEuclidean);
+    EXPECT_EQ(image.single_window(), landmarks >= 16);
+    testing::ExpectResultsMatch(
+        want, image.Knn(points, 5, simd::Dist::kEuclidean, 1));
+  }
+}
+
+TEST(HostImageTest, TighterClustersSaveMore) {
+  const HostMatrix loose =
+      testing::ClusteredPoints(400, 8, 8, 36, /*spread=*/0.3f);
+  const HostMatrix tight =
+      testing::ClusteredPoints(400, 8, 8, 36, /*spread=*/0.01f);
+  const int landmarks = WindowedLandmarks(400);
+  core::RangeScanStats loose_stats;
+  core::RangeScanStats tight_stats;
+  BuildImage(loose, landmarks, core::Metric::kEuclidean)
+      .Knn(loose, 5, simd::Dist::kEuclidean, 1, &loose_stats);
+  BuildImage(tight, landmarks, core::Metric::kEuclidean)
+      .Knn(tight, 5, simd::Dist::kEuclidean, 1, &tight_stats);
+  EXPECT_GT(SavedFraction(tight_stats), SavedFraction(loose_stats));
+}
+
+// Sweep over (n, dims, k, metric): the windowed scan of a self-join
+// agrees with the brute-force oracle under the same metric.
+class HostImageSweep
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, int, core::Metric>> {};
+
+TEST_P(HostImageSweep, AlwaysExact) {
+  const auto [n, dims, k, metric] = GetParam();
+  const HostMatrix points =
+      testing::ClusteredPoints(static_cast<size_t>(n),
+                               static_cast<size_t>(dims), 4,
+                               static_cast<uint64_t>(n * 100 + dims * 10 + k));
+  const core::HostImage image =
+      BuildImage(points, WindowedLandmarks(points.rows()), metric);
+  ASSERT_FALSE(image.single_window());
+  core::RangeScanStats stats;
+  testing::ExpectResultsMatch(
+      baseline::BruteForceCpu(points, points, k, metric),
+      image.Knn(points, k, core::SimdDistFor(metric), 1, &stats));
+  EXPECT_EQ(stats.total_pairs, points.rows() * points.rows());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, HostImageSweep,
+    ::testing::Combine(::testing::Values(30, 100, 320),
+                       ::testing::Values(2, 9, 33),
+                       ::testing::Values(1, 5, 17),
+                       ::testing::Values(core::Metric::kEuclidean,
+                                         core::Metric::kManhattan)));
 
 }  // namespace
 }  // namespace sweetknn
