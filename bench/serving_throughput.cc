@@ -189,7 +189,7 @@ int Main(int argc, char** argv) {
               "%d-row requests, k=%d ===\n\n",
               shards, clients, kRowsPerRequest, kNeighbors);
   PrintTableHeader({"dataset", "n", "batch", "wall(s)", "qps", "mean_b",
-                    "occup", "amort_sim(us)", "p50(us)", "p99(us)",
+                    "occup", "sim/q(us)", "p50(us)", "p99(us)",
                     "exact"});
 
   std::vector<ServingRun> runs;

@@ -44,13 +44,15 @@ TEST(ThreadPoolTest, NestedForkJoinFromTheCallingThreadReturns) {
 // KnnService prepares its shards inside a fork-join region with
 // options.sim_threads workers. The service must come up and answer
 // bit-identically to a serial build, approximate requests included: they
-// get the exact bytes.
+// get the exact bytes. The device route is pinned, since sim_threads is
+// the simulated device's worker count.
 TEST(ThreadPoolTest, AnnServiceWithParallelSimThreadsMatchesSerial) {
   const HostMatrix target = testing::ClusteredPoints(400, 6, 4, 1301, 0.1f);
   const HostMatrix queries = testing::ClusteredPoints(12, 6, 3, 1302, 0.1f);
   serve::ServiceConfig config;
   config.num_shards = 2;
   config.auto_compact = false;
+  config.planner.mode = core::PlannerMode::kForceDevice;
   config.options.sim_threads = 4;
   serve::KnnService parallel(target, config);
   config.options.sim_threads = 1;
@@ -68,6 +70,8 @@ TEST(ThreadPoolTest, AnnServiceWithParallelSimThreadsMatchesSerial) {
       }
     }
   }
+  EXPECT_EQ(serial.planner().device_routes(), 2u);
+  EXPECT_EQ(parallel.planner().device_routes(), 4u);
 }
 
 }  // namespace

@@ -3,12 +3,10 @@
 // shape — dims from 1 to 1024, both metrics, k from 1 past the base
 // size, duplicated rows and kth-place distance ties, queries equal to
 // base rows — on both sides of the small-shard rule, and through a
-// mutated ShardHost on either route. It is also the library's
-// sequential TI kNN, so it must agree with the brute-force oracle on
-// clustered, uniform and distinct query/base sets, under any landmark
-// count and over a sweep of small shapes, while its filters skip work.
-// A scan whose pruning admitted one row too few would lose a true
-// neighbor here.
+// mutated ShardHost on either route. A second sweep holds small bases,
+// clustered and uniform, to the same bytes, and tighter clusters must
+// let the filters skip more work. A scan whose pruning admitted one row
+// too few would lose a true neighbor here.
 
 #include <algorithm>
 #include <cstring>
@@ -17,7 +15,6 @@
 #include <tuple>
 #include <vector>
 
-#include "baseline/brute_force_cpu.h"
 #include "common/rng.h"
 #include "core/host_image.h"
 #include "core/shard_host.h"
@@ -276,54 +273,6 @@ double SavedFraction(const core::RangeScanStats& stats) {
                    static_cast<double>(stats.total_pairs);
 }
 
-TEST(HostImageTest, MatchesBruteForceOnClusteredData) {
-  const HostMatrix points = testing::ClusteredPoints(300, 8, 5, 31);
-  const core::HostImage image = BuildImage(
-      points, WindowedLandmarks(points.rows()), core::Metric::kEuclidean);
-  ASSERT_FALSE(image.single_window());
-  core::RangeScanStats stats;
-  testing::ExpectResultsMatch(
-      baseline::BruteForceCpu(points, points, 6),
-      image.Knn(points, 6, simd::Dist::kEuclidean, 1, &stats));
-  EXPECT_EQ(stats.total_pairs, 300u * 300u);
-  EXPECT_GT(SavedFraction(stats), 0.3);
-}
-
-TEST(HostImageTest, MatchesBruteForceOnUniformData) {
-  const HostMatrix points = testing::UniformPoints(200, 6, 32);
-  const core::HostImage image = BuildImage(
-      points, WindowedLandmarks(points.rows()), core::Metric::kEuclidean);
-  ASSERT_FALSE(image.single_window());
-  testing::ExpectResultsMatch(baseline::BruteForceCpu(points, points, 4),
-                              image.Knn(points, 4, simd::Dist::kEuclidean, 1));
-}
-
-TEST(HostImageTest, DistinctSets) {
-  const HostMatrix queries = testing::ClusteredPoints(80, 5, 3, 33);
-  const HostMatrix target = testing::ClusteredPoints(220, 5, 4, 34);
-  const core::HostImage image = BuildImage(
-      target, WindowedLandmarks(target.rows()), core::Metric::kEuclidean);
-  ASSERT_FALSE(image.single_window());
-  testing::ExpectResultsMatch(
-      baseline::BruteForceCpu(queries, target, 7),
-      image.Knn(queries, 7, simd::Dist::kEuclidean, 1));
-}
-
-TEST(HostImageTest, LandmarkOverrideStillExact) {
-  const HostMatrix points = testing::ClusteredPoints(250, 4, 4, 35);
-  const KnnResult want = baseline::BruteForceCpu(points, points, 5);
-  // 1 and 4 landmarks keep per-cluster windows; from 16 on (16 * 16 >
-  // 250) the image scans one window.
-  for (const int landmarks : {1, 4, 16, 64, 250}) {
-    SCOPED_TRACE(landmarks);
-    const core::HostImage image =
-        BuildImage(points, landmarks, core::Metric::kEuclidean);
-    EXPECT_EQ(image.single_window(), landmarks >= 16);
-    testing::ExpectResultsMatch(
-        want, image.Knn(points, 5, simd::Dist::kEuclidean, 1));
-  }
-}
-
 TEST(HostImageTest, TighterClustersSaveMore) {
   const HostMatrix loose =
       testing::ClusteredPoints(400, 8, 8, 36, /*spread=*/0.3f);
@@ -336,38 +285,43 @@ TEST(HostImageTest, TighterClustersSaveMore) {
       .Knn(loose, 5, simd::Dist::kEuclidean, 1, &loose_stats);
   BuildImage(tight, landmarks, core::Metric::kEuclidean)
       .Knn(tight, 5, simd::Dist::kEuclidean, 1, &tight_stats);
+  EXPECT_GT(SavedFraction(tight_stats), 0.3);
   EXPECT_GT(SavedFraction(tight_stats), SavedFraction(loose_stats));
 }
 
-// Sweep over (n, dims, k, metric): the windowed scan of a self-join
-// agrees with the brute-force oracle under the same metric.
-class HostImageSweep
+// Small bases, the shapes the 300-row sweep above does not reach: 30 to
+// 320 rows (down to one landmark), clustered and uniform, at both
+// metrics and on both sides of the small-shard rule, each scanned for
+// distinct queries and base-row copies at k in {1, 10, n, n + 3}.
+class HostImageSmallBaseSweep
     : public ::testing::TestWithParam<
-          std::tuple<int, int, int, core::Metric>> {};
+          std::tuple<int, int, bool, core::Metric, bool>> {};
 
-TEST_P(HostImageSweep, AlwaysExact) {
-  const auto [n, dims, k, metric] = GetParam();
-  const HostMatrix points =
-      testing::ClusteredPoints(static_cast<size_t>(n),
-                               static_cast<size_t>(dims), 4,
-                               static_cast<uint64_t>(n * 100 + dims * 10 + k));
-  const core::HostImage image =
-      BuildImage(points, WindowedLandmarks(points.rows()), metric);
-  ASSERT_FALSE(image.single_window());
-  core::RangeScanStats stats;
-  testing::ExpectResultsMatch(
-      baseline::BruteForceCpu(points, points, k, metric),
-      image.Knn(points, k, core::SimdDistFor(metric), 1, &stats));
-  EXPECT_EQ(stats.total_pairs, points.rows() * points.rows());
+TEST_P(HostImageSmallBaseSweep, MatchesPackedKnn) {
+  const auto [rows, dims, uniform, metric, pruning_side] = GetParam();
+  const size_t n = static_cast<size_t>(rows);
+  const uint64_t seed = static_cast<uint64_t>(rows * 100 + dims);
+  const HostMatrix target =
+      uniform ? testing::UniformPoints(n, static_cast<size_t>(dims), seed)
+              : testing::ClusteredPoints(n, static_cast<size_t>(dims), 4,
+                                         seed, 0.08f);
+  const HostMatrix queries = MixedQueries(target, 12, seed + 1);
+  // n / 32 landmarks fill their tiles; n / 16 + 1 cannot (m * 16 > n).
+  const int landmarks =
+      pruning_side ? WindowedLandmarks(n) : rows / 16 + 1;
+  const core::HostImage image = BuildImage(target, landmarks, metric);
+  ASSERT_EQ(image.single_window(), !pruning_side);
+  ExpectMatchesPackedKnn(image, target, queries, core::SimdDistFor(metric),
+                         "landmarks=" + std::to_string(landmarks));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, HostImageSweep,
+    Shapes, HostImageSmallBaseSweep,
     ::testing::Combine(::testing::Values(30, 100, 320),
-                       ::testing::Values(2, 9, 33),
-                       ::testing::Values(1, 5, 17),
+                       ::testing::Values(2, 9, 33), ::testing::Bool(),
                        ::testing::Values(core::Metric::kEuclidean,
-                                         core::Metric::kManhattan)));
+                                         core::Metric::kManhattan),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace sweetknn

@@ -5,7 +5,10 @@
 // counts, with and without replicas, and before/during/after a worker
 // is SIGKILLed mid-stream (replica failover). Both backends host the
 // identical ShardHost code (core/shard_host.h), so any divergence is a
-// transport, placement, or failover bug.
+// transport, placement, or failover bug. The cluster's workers run the
+// device route and the local service the default host route, so every
+// query is also a cross-route check, and replicas restored from
+// snapshots answer on the device.
 //
 // On a mismatch each sequence prints a one-line repro extending the
 // mutation-fuzz format (tests/integration/mutation_fuzz_test.cc) with
@@ -143,6 +146,7 @@ void RunClusterSequence(const ClusterFuzzConfig& cfg) {
 
   serve::RouterConfig router_config;
   router_config.service = service_config;
+  router_config.service.planner.mode = core::PlannerMode::kForceDevice;
   router_config.num_workers = cfg.workers;
   router_config.replicas = cfg.replicas;
   router_config.worker_binary = CliBinary();
@@ -366,6 +370,7 @@ TEST(ClusterSlow, ReplicaCatchUpSurvivesSecondKill) {
 
   serve::RouterConfig router_config;
   router_config.service = service_config;
+  router_config.service.planner.mode = core::PlannerMode::kForceDevice;
   router_config.num_workers = 4;
   router_config.replicas = 1;
   router_config.worker_binary = CliBinary();

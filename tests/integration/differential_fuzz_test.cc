@@ -6,7 +6,8 @@
 // result of the same options. A second sweep proves the persistence
 // guarantee: an index saved to a snapshot and warm-loaded answers
 // bit-identically to the cold-built one under every fuzzed
-// configuration. A third sweep covers approximate requests: on every
+// configuration. The service and warm-start legs run under both forced
+// planner routes. A third sweep covers approximate requests: on every
 // seeded config they return the exact answer's bytes, on the index and
 // on the sharded service, and that answer matches the oracle (recall 1.0
 // meets any target). Any mismatch prints a one-line repro of the failing
@@ -63,6 +64,20 @@ const char* PlacementName(
   }
   return "?";
 }
+
+const char* ModeName(core::PlannerMode mode) {
+  switch (mode) {
+    case core::PlannerMode::kForceDevice: return "device";
+    case core::PlannerMode::kForceHost: return "host";
+  }
+  return "?";
+}
+
+/// The serving and warm-start legs run under each forced route, so the
+/// device engine is checked with every fuzzed option on cold and on
+/// snapshot-restored shards, and so is the host scan.
+constexpr core::PlannerMode kRoutes[] = {core::PlannerMode::kForceDevice,
+                                         core::PlannerMode::kForceHost};
 
 /// One-line repro of a failing config, pasteable into a bug report.
 std::string Repro(const FuzzConfig& cfg) {
@@ -174,49 +189,54 @@ void RunConfig(const FuzzConfig& cfg) {
   }
 
   // Serving layer: sharded + micro-batched + concurrent clients must be
-  // bit-identical to the single-engine result above.
+  // bit-identical to the single-engine result above, on both routes.
   serve::ServiceConfig service_config;
   service_config.num_shards = cfg.service_shards;
   service_config.max_batch_size = 16;
   service_config.options = cfg.options;
   serve::KnnService service(target, service_config);
 
-  constexpr int kClients = 4;
-  std::vector<KnnResult> answers(kClients);
-  std::vector<size_t> begins(kClients);
-  std::vector<std::thread> clients;
-  const size_t per_client = (queries.rows() + kClients - 1) / kClients;
-  for (int c = 0; c < kClients; ++c) {
-    const size_t begin = std::min(queries.rows(), c * per_client);
-    const size_t end = std::min(queries.rows(), begin + per_client);
-    begins[static_cast<size_t>(c)] = begin;
-    if (begin == end) continue;
-    clients.emplace_back([&, c, begin, end] {
-      HostMatrix slice(end - begin, queries.cols());
-      for (size_t r = begin; r < end; ++r) {
-        for (size_t j = 0; j < queries.cols(); ++j) {
-          slice.at(r - begin, j) = queries.at(r, j);
+  for (const core::PlannerMode route : kRoutes) {
+    service.planner().set_mode(route);
+    constexpr int kClients = 4;
+    std::vector<KnnResult> answers(kClients);
+    std::vector<size_t> begins(kClients);
+    std::vector<std::thread> clients;
+    const size_t per_client = (queries.rows() + kClients - 1) / kClients;
+    for (int c = 0; c < kClients; ++c) {
+      const size_t begin = std::min(queries.rows(), c * per_client);
+      const size_t end = std::min(queries.rows(), begin + per_client);
+      begins[static_cast<size_t>(c)] = begin;
+      if (begin == end) continue;
+      clients.emplace_back([&, c, begin, end] {
+        HostMatrix slice(end - begin, queries.cols());
+        for (size_t r = begin; r < end; ++r) {
+          for (size_t j = 0; j < queries.cols(); ++j) {
+            slice.at(r - begin, j) = queries.at(r, j);
+          }
         }
-      }
-      answers[static_cast<size_t>(c)] =
-          service.JoinBatch(slice, cfg.k).value();
-    });
-  }
-  for (std::thread& t : clients) t.join();
+        answers[static_cast<size_t>(c)] =
+            service.JoinBatch(slice, cfg.k).value();
+      });
+    }
+    for (std::thread& t : clients) t.join();
 
-  for (int c = 0; c < kClients; ++c) {
-    const KnnResult& answer = answers[static_cast<size_t>(c)];
-    for (size_t r = 0; r < answer.num_queries(); ++r) {
-      const size_t global = begins[static_cast<size_t>(c)] + r;
-      for (int i = 0; i < cfg.k; ++i) {
-        const Neighbor& want = engine_result.row(global)[i];
-        const Neighbor& got = answer.row(r)[i];
-        if (want.index != got.index || want.distance != got.distance) {
-          ADD_FAILURE() << "service vs single engine: query " << global
-                        << " rank " << i << " want (" << want.index << ", "
-                        << want.distance << ") got (" << got.index << ", "
-                        << got.distance << ") — repro: " << Repro(cfg);
-          return;
+    for (int c = 0; c < kClients; ++c) {
+      const KnnResult& answer = answers[static_cast<size_t>(c)];
+      for (size_t r = 0; r < answer.num_queries(); ++r) {
+        const size_t global = begins[static_cast<size_t>(c)] + r;
+        for (int i = 0; i < cfg.k; ++i) {
+          const Neighbor& want = engine_result.row(global)[i];
+          const Neighbor& got = answer.row(r)[i];
+          if (want.index != got.index || want.distance != got.distance) {
+            ADD_FAILURE() << "service (" << ModeName(route)
+                          << " route) vs single engine: query " << global
+                          << " rank " << i << " want (" << want.index
+                          << ", " << want.distance << ") got ("
+                          << got.index << ", " << got.distance
+                          << ") — repro: " << Repro(cfg);
+            return;
+          }
         }
       }
     }
@@ -243,15 +263,23 @@ void RunConfig(const FuzzConfig& cfg) {
     std::filesystem::remove_all(snapshot_dir);
     return;
   }
-  const KnnResult warm_answer =
-      warm_service.JoinBatch(queries, cfg.k).value();
-  for (size_t q = 0; q < warm_answer.num_queries(); ++q) {
-    if (std::memcmp(engine_result.row(q), warm_answer.row(q),
-                    static_cast<size_t>(cfg.k) * sizeof(Neighbor)) != 0) {
-      ADD_FAILURE() << "warm-started service diverged at query " << q
-                    << " — repro: " << Repro(cfg);
-      break;
+  for (const core::PlannerMode route : kRoutes) {
+    warm_service.planner().set_mode(route);
+    const KnnResult warm_answer =
+        warm_service.JoinBatch(queries, cfg.k).value();
+    for (size_t q = 0; q < warm_answer.num_queries(); ++q) {
+      if (std::memcmp(engine_result.row(q), warm_answer.row(q),
+                      static_cast<size_t>(cfg.k) * sizeof(Neighbor)) != 0) {
+        ADD_FAILURE() << "warm-started service (" << ModeName(route)
+                      << " route) diverged at query " << q
+                      << " — repro: " << Repro(cfg);
+        break;
+      }
     }
+  }
+  if (warm_service.planner().device_routes() == 0) {
+    ADD_FAILURE() << "no restored shard answered on the device — repro: "
+                  << Repro(cfg);
   }
   std::filesystem::remove_all(snapshot_dir);
 }
@@ -266,7 +294,8 @@ TEST(DifferentialFuzzTest, SweepMatchesOracleAndServiceIsBitIdentical) {
 }
 
 /// Cold-built index vs Save → Load of the same index: every answer must
-/// be bit-identical under the fuzzed options, not merely close.
+/// be bit-identical under the fuzzed options, not merely close, on the
+/// device engine and on the host scan.
 void RunWarmStartConfig(const FuzzConfig& cfg, const std::string& path) {
   const HostMatrix target = testing::ClusteredPoints(
       cfg.n, cfg.dims, cfg.clusters, SplitMix64(cfg.seed), 0.08f);
@@ -290,17 +319,25 @@ void RunWarmStartConfig(const FuzzConfig& cfg, const std::string& path) {
     return;
   }
 
-  const KnnResult want = cold.Query(queries, cfg.k);
-  const KnnResult got = warm.value()->Query(queries, cfg.k);
-  ASSERT_EQ(want.num_queries(), got.num_queries());
-  for (size_t q = 0; q < want.num_queries(); ++q) {
-    if (std::memcmp(want.row(q), got.row(q),
-                    static_cast<size_t>(cfg.k) * sizeof(Neighbor)) != 0) {
-      ADD_FAILURE() << "warm-loaded index diverged at query " << q
-                    << " — repro: " << Repro(cfg);
-      return;
+  for (const core::PlannerMode route : kRoutes) {
+    cold.planner().set_mode(route);
+    warm.value()->planner().set_mode(route);
+    const KnnResult want = cold.Query(queries, cfg.k);
+    const KnnResult got = warm.value()->Query(queries, cfg.k);
+    ASSERT_EQ(want.num_queries(), got.num_queries());
+    for (size_t q = 0; q < want.num_queries(); ++q) {
+      if (std::memcmp(want.row(q), got.row(q),
+                      static_cast<size_t>(cfg.k) * sizeof(Neighbor)) != 0) {
+        ADD_FAILURE() << "warm-loaded index (" << ModeName(route)
+                      << " route) diverged at query " << q
+                      << " — repro: " << Repro(cfg);
+        return;
+      }
     }
   }
+  EXPECT_GT(warm.value()->planner().device_routes(), 0u)
+      << "the restored index never answered on the device — repro: "
+      << Repro(cfg);
 }
 
 TEST(DifferentialFuzzTest, WarmStartedIndexIsBitIdenticalAcrossConfigs) {
@@ -458,14 +495,6 @@ struct RangeFuzzConfig {
   core::PlannerMode mode = core::PlannerMode::kForceHost;
   int simd_level = -1;  ///< simd::ForceLevelForTest arg; -1 = detected.
 };
-
-const char* ModeName(core::PlannerMode mode) {
-  switch (mode) {
-    case core::PlannerMode::kForceDevice: return "device";
-    case core::PlannerMode::kForceHost: return "host";
-  }
-  return "?";
-}
 
 std::string RangeRepro(const char* kind, const RangeFuzzConfig& cfg) {
   std::ostringstream out;

@@ -198,7 +198,8 @@ std::string NeighborLines(const std::string& snapshot_text) {
 }
 
 /// The same self-join the engine snapshot runs, answered by a
-/// router/worker cluster, formatted as golden neighbor lines.
+/// router/worker cluster on the workers' device route, formatted as
+/// golden neighbor lines.
 std::string ClusterNeighborSnapshot(const std::string& dataset_name,
                                     double size_factor, int k,
                                     const char* worker_binary) {
@@ -207,6 +208,7 @@ std::string ClusterNeighborSnapshot(const std::string& dataset_name,
 
   serve::RouterConfig config;
   config.service.num_shards = 2;
+  config.service.planner.mode = core::PlannerMode::kForceDevice;
   config.num_workers = 2;
   config.worker_binary = worker_binary;
   Result<std::unique_ptr<serve::Router>> started =

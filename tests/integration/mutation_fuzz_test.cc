@@ -8,8 +8,9 @@
 // step.) Checkpoints additionally rebuild a cold index over the final
 // live set and round-trip the mutated state through .sksnap snapshots
 // (Save/Load for the index, SaveSnapshots/FromSnapshots for the
-// service), all bit-exact. Any mismatch prints a one-line repro of the
-// failing sequence.
+// service), querying the restored object on both forced routes, all
+// bit-exact. Any mismatch prints a one-line repro of the failing
+// sequence.
 //
 // Every step also randomly flips the two knobs that are contractually
 // invisible in the answers: the hybrid planner's route (force-device /
@@ -69,6 +70,15 @@ void ToggleInvisibleKnobs(Rng* rng, core::RoutePlanner* planner) {
     default: break;  // keep the current mode
   }
   simd::ForceLevelForTest(rng->NextBounded(2) == 0 ? 0 : -1);
+}
+
+/// The snapshot checkpoints query the restored index or service on both
+/// forced routes; the per-step flips only reach the mutated object.
+constexpr core::PlannerMode kRoutes[] = {core::PlannerMode::kForceDevice,
+                                         core::PlannerMode::kForceHost};
+
+const char* RouteName(core::PlannerMode route) {
+  return route == core::PlannerMode::kForceDevice ? "device" : "host";
 }
 
 struct MutationFuzzConfig {
@@ -436,11 +446,15 @@ void RunIndexSequence(const MutationFuzzConfig& cfg) {
     ADD_FAILURE() << "Load failed: " << loaded.status().ToString();
     return;
   }
-  if (!ExpectBitIdentical(
-          mutated_answer,
-          loaded.value()->Query(checkpoint_queries, checkpoint_k),
-          "snapshot round-trip checkpoint")) {
-    return;
+  for (const core::PlannerMode route : kRoutes) {
+    loaded.value()->planner().set_mode(route);
+    if (!ExpectBitIdentical(
+            mutated_answer,
+            loaded.value()->Query(checkpoint_queries, checkpoint_k),
+            std::string("snapshot round-trip checkpoint (") +
+                RouteName(route) + " route)")) {
+      return;
+    }
   }
 
   // Checkpoint (range modalities): RadiusSearch and SelfJoin over the
@@ -627,13 +641,17 @@ void RunServiceSequence(const MutationFuzzConfig& cfg) {
     return;
   }
   EXPECT_EQ(adopted.value()->target_rows(), model.size());
-  Result<KnnResult> adopted_answer =
-      adopted.value()->JoinBatch(checkpoint_queries, checkpoint_k);
-  ASSERT_TRUE(adopted_answer.ok()) << adopted_answer.status().ToString();
-  if (!ExpectBitIdentical(want, adopted_answer.value(),
-                          "FromSnapshots checkpoint")) {
-    std::filesystem::remove_all(dir);
-    return;
+  for (const core::PlannerMode route : kRoutes) {
+    adopted.value()->planner().set_mode(route);
+    Result<KnnResult> adopted_answer =
+        adopted.value()->JoinBatch(checkpoint_queries, checkpoint_k);
+    ASSERT_TRUE(adopted_answer.ok()) << adopted_answer.status().ToString();
+    if (!ExpectBitIdentical(want, adopted_answer.value(),
+                            std::string("FromSnapshots checkpoint (") +
+                                RouteName(route) + " route)")) {
+      std::filesystem::remove_all(dir);
+      return;
+    }
   }
   std::filesystem::remove_all(dir);
 

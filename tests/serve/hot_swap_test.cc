@@ -68,11 +68,21 @@ TEST(HotSwapTest, WarmStartMatchesColdBitwise) {
   EXPECT_EQ(warm.stats().warm_started_shards, 3u);
   EXPECT_EQ(warm.target_rows(), cold.target_rows());
 
-  for (const int k : {1, 7}) {
-    const KnnResult a = cold.JoinBatch(queries, k).value();
-    const KnnResult b = warm.JoinBatch(queries, k).value();
-    EXPECT_TRUE(SameResult(a, b)) << "k=" << k;
+  // Both routes answer from the restored shards: the device engine and
+  // the host scan.
+  for (const core::PlannerMode mode :
+       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
+    cold.planner().set_mode(mode);
+    warm.planner().set_mode(mode);
+    for (const int k : {1, 7}) {
+      const KnnResult a = cold.JoinBatch(queries, k).value();
+      const KnnResult b = warm.JoinBatch(queries, k).value();
+      EXPECT_TRUE(SameResult(a, b))
+          << "mode=" << static_cast<int>(mode) << " k=" << k;
+    }
   }
+  EXPECT_EQ(warm.planner().device_routes(), 6u);  // 2 k's x 3 shards
+  EXPECT_EQ(warm.planner().host_routes(), 6u);
   std::filesystem::remove_all(dir);
 }
 

@@ -232,19 +232,29 @@ TEST(IndexSnapshotTest, WarmLoadedIndexAnswersBitIdentically) {
   EXPECT_EQ(warm.value()->size(), cold.size());
   EXPECT_EQ(warm.value()->dims(), cold.dims());
 
+  // Both routes: the device engine and the host scan each answer from
+  // the restored shard.
   const HostMatrix queries = RandomMatrix(40, 7, 12);
-  for (const int k : {1, 5, 17}) {
-    const KnnResult a = cold.Query(queries, k);
-    const KnnResult b = warm.value()->Query(queries, k);
-    ASSERT_EQ(a.num_queries(), b.num_queries());
-    ASSERT_EQ(a.k(), b.k());
-    for (size_t q = 0; q < a.num_queries(); ++q) {
-      ASSERT_EQ(std::memcmp(a.row(q), b.row(q),
-                            static_cast<size_t>(k) * sizeof(Neighbor)),
-                0)
-          << "k=" << k << " query " << q;
+  for (const core::PlannerMode mode :
+       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
+    cold.planner().set_mode(mode);
+    warm.value()->planner().set_mode(mode);
+    for (const int k : {1, 5, 17}) {
+      const KnnResult a = cold.Query(queries, k);
+      const KnnResult b = warm.value()->Query(queries, k);
+      ASSERT_EQ(a.num_queries(), b.num_queries());
+      ASSERT_EQ(a.k(), b.k());
+      for (size_t q = 0; q < a.num_queries(); ++q) {
+        ASSERT_EQ(std::memcmp(a.row(q), b.row(q),
+                              static_cast<size_t>(k) * sizeof(Neighbor)),
+                  0)
+            << "mode=" << static_cast<int>(mode) << " k=" << k
+            << " query " << q;
+      }
     }
   }
+  EXPECT_EQ(warm.value()->planner().device_routes(), 3u);
+  EXPECT_EQ(warm.value()->planner().host_routes(), 3u);
   std::remove(path.c_str());
 }
 

@@ -123,8 +123,6 @@ TEST_F(CliTest, ServeBenchReportsServiceCounters) {
   EXPECT_NE(output.find("requests 12 queries 24"), std::string::npos)
       << output;
   EXPECT_NE(output.find("batch occupancy"), std::string::npos) << output;
-  EXPECT_NE(output.find("amortized sim time per query"), std::string::npos)
-      << output;
   EXPECT_NE(output.find("cache lookups"), std::string::npos) << output;
 }
 

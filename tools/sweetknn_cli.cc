@@ -21,10 +21,10 @@
 // It builds a sharded KnnService over the target set, fires `clients`
 // host threads each issuing `requests` JoinBatch calls of `rows` query
 // rows (drawn cyclically from the target set), and prints the service
-// counters: batches, mean batch size, occupancy, amortized simulated
-// time per query, latency percentiles, and host throughput. With
-// --snapshot-dir=DIR the service warm-starts from persisted shard
-// snapshots (--require-warm turns a cold-build fallback into an error).
+// counters: batches, mean batch size, occupancy, latency percentiles,
+// and host throughput. With --snapshot-dir=DIR the service warm-starts
+// from persisted shard snapshots (--require-warm turns a cold-build
+// fallback into an error).
 // With --cluster=N the same workload instead runs against the
 // multi-process router/worker cluster (docs/distributed.md): N worker
 // processes (this binary, re-exec'd as `shard-worker`), optionally
@@ -289,8 +289,7 @@ double RunServeClients(const ServeBenchArgs& args,
 // stats view, percentiles from the registry series both backends share.
 void PrintServeReport(const sweetknn::serve::ServiceStats& stats,
                       const sweetknn::common::MetricsRegistry& metrics,
-                      const ServeBenchArgs& args, int num_shards,
-                      double wall_s) {
+                      const ServeBenchArgs& args, double wall_s) {
   using namespace sweetknn;
   std::printf("requests %llu queries %llu batches %llu groups %llu\n",
               static_cast<unsigned long long>(stats.requests),
@@ -302,11 +301,6 @@ void PrintServeReport(const sweetknn::serve::ServiceStats& stats,
               stats.MeanBatchSize(),
               stats.BatchOccupancy(args.max_batch) * 100.0,
               static_cast<unsigned long long>(stats.peak_queue_depth));
-  std::printf("amortized sim time per query %.3f us "
-              "(critical %.6f s, total %.6f s over %d shards)\n",
-              stats.AmortizedSimTimePerQuery() * 1e6,
-              stats.critical_sim_time_s, stats.total_sim_time_s,
-              num_shards);
   if (args.cache > 0) {
     std::printf("cache lookups %llu hits %llu\n",
                 static_cast<unsigned long long>(stats.cache_lookups),
@@ -559,8 +553,7 @@ int ClusterServeBench(const sweetknn::HostMatrix& points,
       &tally);
 
   const serve::ClusterStats stats = router.stats();
-  PrintServeReport(stats, router.metrics(), args, router.num_shards(),
-                   wall_s);
+  PrintServeReport(stats, router.metrics(), args, wall_s);
   std::printf("worker deaths %llu rpc timeouts %llu retried groups %llu\n",
               static_cast<unsigned long long>(stats.worker_deaths),
               static_cast<unsigned long long>(stats.rpc_timeouts),
@@ -652,8 +645,7 @@ int ServeBench(int argc, char** argv) {
       &tally);
   service.Shutdown();
 
-  PrintServeReport(service.stats(), service.metrics(), args,
-                   service.num_shards(), wall_s);
+  PrintServeReport(service.stats(), service.metrics(), args, wall_s);
   if (args.tenants > 1) {
     for (size_t t = 0; t < tenant_names.size(); ++t) {
       const common::HistogramSnapshot tenant_latency =
