@@ -25,15 +25,39 @@ using gpusim::LaunchConfig;
 using gpusim::Reg;
 using gpusim::Warp;
 
-/// Packs the host-side view of a DevicePoints buffer (either layout)
-/// for the vectorized batch kernels. Pure host bookkeeping: no device
-/// charge, and the packed copy holds exactly the device bytes.
-simd::PackedTargets PackPoints(const DevicePoints& pts) {
+/// Host read access to `n` points of `dims` floats in either layout:
+/// dimension j of point p is base[p * row_stride + j * col_stride]. It
+/// views a DevicePoints buffer or a row-major HostMatrix, so each
+/// functional piece of Step 1 below serves the simulated build and the
+/// host build alike.
+struct PointRows {
+  const float* base = nullptr;
+  size_t n = 0;
+  size_t dims = 0;
+  size_t row_stride = 0;
+  size_t col_stride = 1;
+
+  PointAccessor operator[](size_t p) const {
+    return PointAccessor{base + p * row_stride, col_stride};
+  }
+};
+
+PointRows RowsOf(const DevicePoints& pts) {
   const bool row_major = pts.layout() == PointLayout::kRowMajor;
-  return simd::PackedTargets::PackStrided(
-      pts.HostPoint(0).base, pts.n(), pts.dims(),
-      /*row_stride=*/row_major ? pts.dims() : 1,
-      /*col_stride=*/row_major ? 1 : pts.n());
+  return PointRows{pts.HostPoint(0).base, pts.n(), pts.dims(),
+                   row_major ? pts.dims() : 1, row_major ? 1 : pts.n()};
+}
+
+PointRows RowsOf(const HostMatrix& m) {
+  return PointRows{m.data(), m.rows(), m.cols(), m.cols(), 1};
+}
+
+/// Packs points (either layout) for the vectorized batch kernels. Pure
+/// host bookkeeping: no device charge, and the packed copy holds exactly
+/// the viewed bytes.
+simd::PackedTargets PackPoints(const PointRows& pts) {
+  return simd::PackedTargets::PackStrided(pts.base, pts.n, pts.dims,
+                                          pts.row_stride, pts.col_stride);
 }
 
 /// Contiguous view of one lane's point for the batch kernels: row-major
@@ -81,7 +105,7 @@ void RunAssignKernelPairs(Device* dev, const DevicePoints& points,
   const size_t chunk_size = (m + num_chunks - 1) / num_chunks;
   const int64_t total_threads =
       static_cast<int64_t>(n) * static_cast<int64_t>(num_chunks);
-  const simd::PackedTargets packed_centers = PackPoints(centers);
+  const simd::PackedTargets packed_centers = PackPoints(RowsOf(centers));
   const simd::Dist dist_kind = SimdDistFor(metric);
   // Widest span any lane evaluates: its chunk plus the tile-alignment
   // back-off of the span start.
@@ -217,7 +241,7 @@ void RunAssignKernel(Device* dev, const DevicePoints& points,
                          assignment, dist_to_center, max_dist);
     return;
   }
-  const simd::PackedTargets packed_centers = PackPoints(centers);
+  const simd::PackedTargets packed_centers = PackPoints(RowsOf(centers));
   const simd::Dist dist_kind = SimdDistFor(metric);
   KernelMeta meta{name, /*regs_per_thread=*/40, /*shared_bytes_per_block=*/0};
   dev->Launch(meta, LaunchConfig::Cover(static_cast<int64_t>(n),
@@ -287,6 +311,65 @@ void RunAssignKernel(Device* dev, const DevicePoints& points,
 }
 
 
+/// One k-means centroid update: the mean of each center's assigned
+/// points; an empty cluster keeps its old center. Parallel over chunks
+/// of points on up to `workers` threads.
+HostMatrix CentroidMeans(const PointRows& points, const uint32_t* assignment,
+                         const PointRows& centers, int workers) {
+  const size_t n = points.n;
+  const size_t dims = points.dims;
+  const size_t m = centers.n;
+  HostMatrix means(m, dims);
+  std::vector<uint32_t> counts(m, 0);
+  // Per-chunk partial sums merged in chunk index order. Chunk boundaries
+  // are fixed by kChunkPoints alone — never by the worker count — so the
+  // float accumulation order, and therefore the refined centers, are
+  // identical for any number of workers (and match the old serial sweep
+  // exactly whenever n fits in one chunk).
+  constexpr size_t kChunkPoints = 4096;
+  const size_t num_chunks = common::NumChunks(n, kChunkPoints);
+  std::vector<HostMatrix> chunk_means(num_chunks);
+  std::vector<std::vector<uint32_t>> chunk_counts(num_chunks);
+  common::ParallelForChunks(
+      workers, n, kChunkPoints, [&](size_t chunk, size_t begin, size_t end) {
+        HostMatrix local_means(m, dims);
+        std::vector<uint32_t> local_counts(m, 0);
+        for (size_t p = begin; p < end; ++p) {
+          const uint32_t c = assignment[p];
+          ++local_counts[c];
+          // AddRow is an elementwise vector add in the same j order,
+          // so either branch produces the same bytes as the old scalar
+          // loop; only contiguous rows can take the vector path.
+          const PointAccessor pt = points[p];
+          if (pt.stride == 1) {
+            simd::AddRow(local_means.mutable_row(c), pt.base, dims);
+          } else {
+            for (size_t j = 0; j < dims; ++j) {
+              local_means.at(c, j) += pt[j];
+            }
+          }
+        }
+        chunk_means[chunk] = std::move(local_means);
+        chunk_counts[chunk] = std::move(local_counts);
+      });
+  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    for (size_t c = 0; c < m; ++c) {
+      counts[c] += chunk_counts[chunk][c];
+      simd::AddRow(means.mutable_row(c), chunk_means[chunk].row(c), dims);
+    }
+  }
+  for (size_t c = 0; c < m; ++c) {
+    for (size_t j = 0; j < dims; ++j) {
+      if (counts[c] > 0) {
+        means.at(c, j) /= static_cast<float>(counts[c]);
+      } else {
+        means.at(c, j) = centers[c][j];
+      }
+    }
+  }
+  return means;
+}
+
 /// A few Lloyd iterations over the landmark centers: reassign points,
 /// recompute centroids (functionally on the host, charged as a device
 /// centroid-update pass), repeat. Empty clusters keep their old center.
@@ -295,7 +378,6 @@ DevicePoints RefineCentersKMeans(Device* dev, const DevicePoints& points,
                                  int block_threads, const char* tag) {
   const size_t n = points.n();
   const size_t dims = points.dims();
-  const size_t m = centers.n();
   for (int iter = 0; iter < iterations; ++iter) {
     DeviceBuffer<uint32_t> assignment =
         dev->Alloc<uint32_t>(n, "kmeans assignment");
@@ -303,55 +385,9 @@ DevicePoints RefineCentersKMeans(Device* dev, const DevicePoints& points,
     RunAssignKernel(dev, points, centers, block_threads,
                     (std::string("kmeans_assign:") + tag).c_str(),
                     &assignment, &dist, nullptr);
-    HostMatrix means(m, dims);
-    std::vector<uint32_t> counts(m, 0);
-    // Per-chunk partial sums merged in chunk index order. Chunk boundaries
-    // are fixed by kChunkPoints alone — never by the worker count — so the
-    // float accumulation order, and therefore the refined centers, are
-    // identical for any number of workers (and match the old serial sweep
-    // exactly whenever n fits in one chunk).
-    constexpr size_t kChunkPoints = 4096;
-    const size_t num_chunks = common::NumChunks(n, kChunkPoints);
-    std::vector<HostMatrix> chunk_means(num_chunks);
-    std::vector<std::vector<uint32_t>> chunk_counts(num_chunks);
-    common::ParallelForChunks(
-        dev->execution_threads(), n, kChunkPoints,
-        [&](size_t chunk, size_t begin, size_t end) {
-          HostMatrix local_means(m, dims);
-          std::vector<uint32_t> local_counts(m, 0);
-          for (size_t p = begin; p < end; ++p) {
-            const uint32_t c = assignment[p];
-            ++local_counts[c];
-            // AddRow is an elementwise vector add in the same j order,
-            // so either branch produces the same bytes as the old scalar
-            // loop; only contiguous rows can take the vector path.
-            const PointAccessor pt = points.HostPoint(p);
-            if (pt.stride == 1) {
-              simd::AddRow(local_means.mutable_row(c), pt.base, dims);
-            } else {
-              for (size_t j = 0; j < dims; ++j) {
-                local_means.at(c, j) += pt[j];
-              }
-            }
-          }
-          chunk_means[chunk] = std::move(local_means);
-          chunk_counts[chunk] = std::move(local_counts);
-        });
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      for (size_t c = 0; c < m; ++c) {
-        counts[c] += chunk_counts[chunk][c];
-        simd::AddRow(means.mutable_row(c), chunk_means[chunk].row(c), dims);
-      }
-    }
-    for (size_t c = 0; c < m; ++c) {
-      for (size_t j = 0; j < dims; ++j) {
-        if (counts[c] > 0) {
-          means.at(c, j) /= static_cast<float>(counts[c]);
-        } else {
-          means.at(c, j) = centers.At(c, j);
-        }
-      }
-    }
+    const HostMatrix means =
+        CentroidMeans(RowsOf(points), assignment.data(), RowsOf(centers),
+                      dev->execution_threads());
     dev->RecordAnalyticLaunch(
         std::string("kmeans_update:") + tag,
         static_cast<double>(n) * dims * 4.0 /
@@ -446,27 +482,65 @@ MemberLists BuildMemberLists(Device* dev,
   return out;
 }
 
-}  // namespace
-
-int DefaultLandmarkCount(size_t n, size_t free_bytes) {
-  const int by_rule = static_cast<int>(3.0 * std::sqrt(static_cast<double>(n)));
-  // Clustering structures cost roughly 16 bytes per landmark per side plus
-  // the candidate matrix (8 bytes per cluster pair); cap the count so they
-  // fit in a quarter of free memory: 8*m^2 <= free/4.
-  const double cap_sq = static_cast<double>(free_bytes) / 32.0;
-  const int by_mem = static_cast<int>(std::sqrt(std::max(1.0, cap_sq)));
-  int m = std::min(by_rule, by_mem);
-  m = std::max(1, std::min(m, static_cast<int>(n)));
-  return m;
+/// Orders each cluster's members by descending distance to their center,
+/// ties by ascending id (the order the level-2 monotone break relies
+/// on), and fills member_dists in parallel with them.
+void SortMembers(const uint32_t* offsets, size_t m,
+                 const float* dist_to_center, uint32_t* member_ids,
+                 float* member_dists) {
+  for (size_t c = 0; c < m; ++c) {
+    std::sort(member_ids + offsets[c], member_ids + offsets[c + 1],
+              [&](uint32_t a, uint32_t b) {
+                const float da = dist_to_center[a];
+                const float db = dist_to_center[b];
+                if (da != db) return da > db;
+                return a < b;
+              });
+    for (uint32_t i = offsets[c]; i < offsets[c + 1]; ++i) {
+      member_dists[i] = dist_to_center[member_ids[i]];
+    }
+  }
 }
 
-std::vector<uint32_t> SelectLandmarks(Device* dev, const DevicePoints& points,
-                                      int m, int trials, uint64_t seed,
-                                      int block_threads) {
+/// Nearest center of every row of `points` and the distance to it:
+/// PackedKnn at k = 1, whose (distance, index) order sends a tie to the
+/// lower center, as both assignment kernels do.
+void AssignOnHost(const HostMatrix& points, const HostMatrix& centers,
+                  simd::Dist dist, int workers,
+                  std::vector<uint32_t>* assignment,
+                  std::vector<float>* dist_to_center) {
+  const KnnResult nearest = simd::PackedKnn(
+      points, PackPoints(RowsOf(centers)), /*k=*/1, dist, workers);
+  assignment->resize(points.rows());
+  dist_to_center->resize(points.rows());
+  for (size_t p = 0; p < points.rows(); ++p) {
+    (*assignment)[p] = nearest.row(p)->index;
+    (*dist_to_center)[p] = nearest.row(p)->distance;
+  }
+}
+
+/// Landmark count of one side: the forced count, or the 3*sqrt(N) rule
+/// capped by the device memory free when the side's clustering starts.
+int LandmarkCount(size_t n, const ClusteringConfig& cfg, size_t free_bytes) {
+  return cfg.landmarks_override > 0
+             ? std::min<int>(cfg.landmarks_override, static_cast<int>(n))
+             : DefaultLandmarkCount(n, free_bytes);
+}
+
+/// The target side's landmark seed, decorrelated from the query side's
+/// stream.
+uint64_t TargetLandmarkSeed(const ClusteringConfig& cfg) {
+  return SplitMix64(cfg.seed ^ 0x7a11f00dULL);
+}
+
+/// The functional half of SelectLandmarks: draws the candidate sets and
+/// keeps the one with the largest pairwise-distance sum.
+std::vector<uint32_t> DrawLandmarks(const PointRows& points, Metric metric,
+                                    int m, int trials, uint64_t seed) {
   SK_CHECK_GT(m, 0);
   SK_CHECK_GT(trials, 0);
-  const size_t n = points.n();
-  const size_t dims = points.dims();
+  const size_t n = points.n;
+  const size_t dims = points.dims;
   SK_CHECK_LE(static_cast<size_t>(m), n);
 
   // Random candidate sets (host-side RNG; the paper generates them in a
@@ -477,25 +551,8 @@ std::vector<uint32_t> SelectLandmarks(Device* dev, const DevicePoints& points,
     id = static_cast<uint32_t>(rng.NextBounded(n));
   }
 
-  // The pairwise-distance sums over each candidate set are a bulk
-  // regular computation; a production implementation evaluates them with
-  // the same tiled GEMM formulation the baseline uses for its distance
-  // matrix (one m x m x d GEMM per candidate set), so we charge them
-  // analytically and evaluate the sums functionally (DESIGN.md
-  // "Deviations").
-  (void)block_threads;
-  // All trials batch into one GEMM (block rows = candidate sets).
-  const gpusim::GemmModel gemm(dev->spec());
-  // The per-trial sum reduction streams at memory bandwidth.
-  const double gemm_time =
-      gemm.Time(static_cast<int64_t>(trials) * m, m,
-                static_cast<int64_t>(dims)) +
-      static_cast<double>(trials) * m * m * 4.0 /
-          dev->spec().mem_bandwidth_bytes_per_s;
-  dev->RecordAnalyticLaunch("landmark_pair_sums", gemm_time);
-
   std::vector<float> host_sums(static_cast<size_t>(trials), 0.0f);
-  const simd::Dist dist_kind = SimdDistFor(points.metric());
+  const simd::Dist dist_kind = SimdDistFor(metric);
   std::vector<float> gathered(static_cast<size_t>(m) * dims);
   std::vector<float> pair_dists(static_cast<size_t>(m));
   for (int trial = 0; trial < trials; ++trial) {
@@ -506,7 +563,7 @@ std::vector<uint32_t> SelectLandmarks(Device* dev, const DevicePoints& points,
     // adds them in ascending (i, j>i) order, so host_sums is unchanged.
     for (int i = 0; i < m; ++i) {
       const PointAccessor pt =
-          points.HostPoint(candidates[base + static_cast<size_t>(i)]);
+          points[candidates[base + static_cast<size_t>(i)]];
       float* dst = gathered.data() + static_cast<size_t>(i) * dims;
       for (size_t j = 0; j < dims; ++j) dst[j] = pt[j];
     }
@@ -542,14 +599,55 @@ std::vector<uint32_t> SelectLandmarks(Device* dev, const DevicePoints& points,
   return out;
 }
 
+}  // namespace
+
+ClusteringConfig ClusteringConfigFor(const TiOptions& options) {
+  ClusteringConfig cfg;
+  cfg.landmarks_override = options.landmarks_override;
+  cfg.kmeans_iterations = options.kmeans_iterations;
+  cfg.block_threads = options.block_threads;
+  return cfg;
+}
+
+int DefaultLandmarkCount(size_t n, size_t free_bytes) {
+  const int by_rule = static_cast<int>(3.0 * std::sqrt(static_cast<double>(n)));
+  // Clustering structures cost roughly 16 bytes per landmark per side plus
+  // the candidate matrix (8 bytes per cluster pair); cap the count so they
+  // fit in a quarter of free memory: 8*m^2 <= free/4.
+  const double cap_sq = static_cast<double>(free_bytes) / 32.0;
+  const int by_mem = static_cast<int>(std::sqrt(std::max(1.0, cap_sq)));
+  int m = std::min(by_rule, by_mem);
+  m = std::max(1, std::min(m, static_cast<int>(n)));
+  return m;
+}
+
+std::vector<uint32_t> SelectLandmarks(Device* dev, const DevicePoints& points,
+                                      int m, int trials, uint64_t seed,
+                                      int block_threads) {
+  // The pairwise-distance sums over each candidate set are a bulk
+  // regular computation; a production implementation evaluates them with
+  // the same tiled GEMM formulation the baseline uses for its distance
+  // matrix (one m x m x d GEMM per candidate set), so we charge them
+  // analytically and evaluate the sums functionally (DESIGN.md
+  // "Deviations").
+  (void)block_threads;
+  // All trials batch into one GEMM (block rows = candidate sets).
+  const gpusim::GemmModel gemm(dev->spec());
+  // The per-trial sum reduction streams at memory bandwidth.
+  const double gemm_time =
+      gemm.Time(static_cast<int64_t>(trials) * m, m,
+                static_cast<int64_t>(points.dims())) +
+      static_cast<double>(trials) * m * m * 4.0 /
+          dev->spec().mem_bandwidth_bytes_per_s;
+  dev->RecordAnalyticLaunch("landmark_pair_sums", gemm_time);
+  return DrawLandmarks(RowsOf(points), points.metric(), m, trials, seed);
+}
+
 QueryClustering BuildQueryClustering(Device* dev, const DevicePoints& query,
                                      const ClusteringConfig& cfg) {
   QueryClustering out;
   const size_t n = query.n();
-  const int m = cfg.landmarks_override > 0
-                    ? std::min<int>(cfg.landmarks_override,
-                                    static_cast<int>(n))
-                    : DefaultLandmarkCount(n, dev->free_bytes());
+  const int m = LandmarkCount(n, cfg, dev->free_bytes());
   out.num_clusters = m;
   const std::vector<uint32_t> landmark_ids = SelectLandmarks(
       dev, query, m, cfg.landmark_trials, cfg.seed, cfg.block_threads);
@@ -631,6 +729,83 @@ TargetClusteringHost DownloadTargetClustering(const TargetClustering& tc) {
   return out;
 }
 
+bool operator==(const TargetClusteringHost& a,
+                const TargetClusteringHost& b) {
+  const auto same_floats = [](const float* x, const float* y, size_t n) {
+    return n == 0 || std::memcmp(x, y, n * sizeof(float)) == 0;
+  };
+  return a.num_clusters == b.num_clusters &&
+         a.centers.rows() == b.centers.rows() &&
+         a.centers.cols() == b.centers.cols() &&
+         same_floats(a.centers.data(), b.centers.data(), a.centers.size()) &&
+         a.assignment == b.assignment &&
+         a.member_offsets == b.member_offsets &&
+         a.member_ids == b.member_ids &&
+         a.member_dists.size() == b.member_dists.size() &&
+         same_floats(a.member_dists.data(), b.member_dists.data(),
+                     a.member_dists.size()) &&
+         a.max_dist.size() == b.max_dist.size() &&
+         same_floats(a.max_dist.data(), b.max_dist.data(), a.max_dist.size());
+}
+
+TargetClusteringHost BuildTargetClusteringOnHost(
+    const HostMatrix& target, Metric metric, const ClusteringConfig& cfg,
+    const gpusim::DeviceSpec& spec, int workers) {
+  const size_t n = target.rows();
+  const size_t dims = target.cols();
+  // What BuildTargetClustering sees free on a fresh device: everything
+  // but the uploaded target points. A base too large for the device
+  // leaves 0 (its device route could never be prepared).
+  const size_t target_bytes =
+      gpusim::internal_memory::RoundUpAllocation(n * dims * sizeof(float));
+  const size_t free_bytes = spec.global_mem_bytes > target_bytes
+                                ? spec.global_mem_bytes - target_bytes
+                                : 0;
+  TargetClusteringHost out;
+  const int m = LandmarkCount(n, cfg, free_bytes);
+  out.num_clusters = m;
+  const std::vector<uint32_t> landmark_ids =
+      DrawLandmarks(RowsOf(target), metric, m, cfg.landmark_trials,
+                    TargetLandmarkSeed(cfg));
+  out.centers = HostMatrix(static_cast<size_t>(m), dims);
+  for (size_t c = 0; c < landmark_ids.size(); ++c) {
+    std::memcpy(out.centers.mutable_row(c), target.row(landmark_ids[c]),
+                dims * sizeof(float));
+  }
+  const simd::Dist dist = SimdDistFor(metric);
+  std::vector<float> dist_to_center;
+  for (int iter = 0; iter < cfg.kmeans_iterations; ++iter) {
+    AssignOnHost(target, out.centers, dist, workers, &out.assignment,
+                 &dist_to_center);
+    out.centers = CentroidMeans(RowsOf(target), out.assignment.data(),
+                                RowsOf(out.centers), workers);
+  }
+  AssignOnHost(target, out.centers, dist, workers, &out.assignment,
+               &dist_to_center);
+
+  // Member lists (a counting sort by cluster) and radii.
+  out.member_offsets.assign(static_cast<size_t>(m) + 1, 0);
+  out.max_dist.assign(static_cast<size_t>(m), 0.0f);
+  for (size_t p = 0; p < n; ++p) {
+    const uint32_t c = out.assignment[p];
+    ++out.member_offsets[c + 1];
+    out.max_dist[c] = std::max(out.max_dist[c], dist_to_center[p]);
+  }
+  std::partial_sum(out.member_offsets.begin(), out.member_offsets.end(),
+                   out.member_offsets.begin());
+  std::vector<uint32_t> cursor(out.member_offsets.begin(),
+                               out.member_offsets.end() - 1);
+  out.member_ids.resize(n);
+  for (size_t p = 0; p < n; ++p) {
+    out.member_ids[cursor[out.assignment[p]]++] = static_cast<uint32_t>(p);
+  }
+  out.member_dists.resize(n);
+  SortMembers(out.member_offsets.data(), static_cast<size_t>(m),
+              dist_to_center.data(), out.member_ids.data(),
+              out.member_dists.data());
+  return out;
+}
+
 TargetClustering UploadTargetClustering(Device* dev,
                                         const TargetClusteringHost& host,
                                         PointLayout layout, int vector_width,
@@ -665,15 +840,11 @@ TargetClustering BuildTargetClustering(Device* dev,
                                        const ClusteringConfig& cfg) {
   TargetClustering out;
   const size_t n = target.n();
-  const int m = cfg.landmarks_override > 0
-                    ? std::min<int>(cfg.landmarks_override,
-                                    static_cast<int>(n))
-                    : DefaultLandmarkCount(n, dev->free_bytes());
+  const int m = LandmarkCount(n, cfg, dev->free_bytes());
   out.num_clusters = m;
-  // Decorrelate from the query landmark RNG stream.
   const std::vector<uint32_t> landmark_ids =
       SelectLandmarks(dev, target, m, cfg.landmark_trials,
-                      SplitMix64(cfg.seed ^ 0x7a11f00dULL), cfg.block_threads);
+                      TargetLandmarkSeed(cfg), cfg.block_threads);
   out.centers =
       DevicePoints::GatherRows(dev, target, landmark_ids, "target centers");
   if (cfg.kmeans_iterations > 0) {
@@ -695,24 +866,12 @@ TargetClustering BuildTargetClustering(Device* dev,
   out.member_offsets = std::move(lists.offsets);
   out.member_ids = std::move(lists.members);
 
-  // Per-cluster descending sort by distance-to-center (the order the
-  // level-2 monotone break relies on). Functionally sorted on the host;
-  // charged as a device segmented sort.
+  // Per-cluster descending sort by distance-to-center. Functionally
+  // sorted on the host; charged as a device segmented sort.
   out.member_dists = dev->Alloc<float>(n, "t member dists");
-  for (int c = 0; c < m; ++c) {
-    const uint32_t begin = out.member_offsets[c];
-    const uint32_t end = out.member_offsets[c + 1];
-    std::sort(out.member_ids.data() + begin, out.member_ids.data() + end,
-              [&](uint32_t a, uint32_t b) {
-                const float da = dist_to_center[a];
-                const float db = dist_to_center[b];
-                if (da != db) return da > db;
-                return a < b;
-              });
-    for (uint32_t i = begin; i < end; ++i) {
-      out.member_dists[i] = dist_to_center[out.member_ids[i]];
-    }
-  }
+  SortMembers(out.member_offsets.data(), static_cast<size_t>(m),
+              dist_to_center.data(), out.member_ids.data(),
+              out.member_dists.data());
   dev->RecordAnalyticLaunch(
       "sort_target_clusters",
       static_cast<double>(n) / kSortKeysPerSecond +

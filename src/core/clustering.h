@@ -26,6 +26,9 @@ struct ClusteringConfig {
   int block_threads = 256;
 };
 
+/// The Step-1 configuration an engine with `options` builds under.
+ClusteringConfig ClusteringConfigFor(const TiOptions& options);
+
 /// The paper's landmark-count rule: 3*sqrt(N), at least 1, at most N,
 /// further capped so the clustering structures fit in device memory.
 int DefaultLandmarkCount(size_t n, size_t free_bytes);
@@ -98,9 +101,25 @@ struct TargetClusteringHost {
   std::vector<float> max_dist;           // per cluster
 };
 
+/// Byte equality of every field (floats compared by their bits).
+bool operator==(const TargetClusteringHost& a, const TargetClusteringHost& b);
+
 /// Copies a prepared target clustering to the host (no simulated-device
 /// charge: persistence happens outside the modeled GPU timeline).
 TargetClusteringHost DownloadTargetClustering(const TargetClustering& tc);
+
+/// Step 1 on the host, with no simulated device: exactly the bytes
+/// DownloadTargetClustering(BuildTargetClustering(...)) returns for
+/// `target` uploaded to a fresh device of `spec` (either layout, any
+/// vector width). It draws the same landmarks, runs the same k-means
+/// centroid update and member sort, and assigns each row to its nearest
+/// center with simd::PackedKnn at k = 1, which breaks a tie toward the
+/// lower center as both assignment kernels do. `spec` only sets the
+/// landmark count's memory cap. Parallel over rows on up to `workers`
+/// threads; the bytes do not depend on the count.
+TargetClusteringHost BuildTargetClusteringOnHost(
+    const HostMatrix& target, Metric metric, const ClusteringConfig& cfg,
+    const gpusim::DeviceSpec& spec, int workers);
 
 /// Re-materializes a host clustering image on `dev`, charging the H2D
 /// uploads. The live allocations (and therefore free_bytes, which feeds

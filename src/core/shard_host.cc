@@ -35,16 +35,44 @@ void AccumulateStageTimes(const gpusim::Profile& profile, double* level1,
 }  // namespace
 
 void ShardHost::BuildCold(const HostMatrix& slice) {
-  engine.PrepareTarget(slice);
-  image = HostImage(slice, engine.ExportTargetClustering());
-  set_base_rows(slice.rows());
-  delta.dims = slice.cols();
+  SK_CHECK(!slice.empty());
+  const TiOptions& options = engine.options();
+  const int workers =
+      options.sim_threads > 0 ? options.sim_threads : dev.execution_threads();
+  base = slice;
+  image = HostImage(base, BuildTargetClusteringOnHost(
+                              base, options.metric,
+                              ClusteringConfigFor(options), dev.spec(),
+                              workers));
+  set_base_rows(base.rows());
+  delta.dims = base.cols();
+  device_state_ = DeviceState::kCold;
 }
 
 void ShardHost::RestoreBase(const HostMatrix& target,
                             const TargetClusteringHost& clustering) {
-  engine.RestoreTarget(target, clustering);
-  image = HostImage(target, clustering);
+  SK_CHECK(!target.empty());
+  SK_CHECK_EQ(clustering.assignment.size(), target.rows());
+  base = target;
+  image = HostImage(base, clustering);
+  device_state_ = DeviceState::kRestored;
+}
+
+void ShardHost::PrepareDevice() {
+  switch (device_state_) {
+    case DeviceState::kCold:
+      engine.PrepareTarget(base);
+      SK_CHECK(engine.ExportTargetClustering() == image.clustering())
+          << "the simulated Step 1 and the host Step 1 disagree";
+      break;
+    case DeviceState::kRestored:
+      engine.RestoreTarget(base, image.clustering());
+      break;
+    case DeviceState::kEmpty:
+    case DeviceState::kPrepared:
+      return;
+  }
+  device_state_ = DeviceState::kPrepared;
 }
 
 ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
@@ -70,6 +98,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   if (route == QueryRoute::kHost) {
     base_result = image.Knn(queries, base_k, dist_kind, workers, &host_stats);
   } else {
+    PrepareDevice();
     base_result = engine.RunQueries(queries, base_k, &stats);
   }
   const bool has_delta = delta.size() > 0;
@@ -164,7 +193,6 @@ RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
 
 void ShardHost::ExportLive(std::vector<uint32_t>* ids,
                            HostMatrix* points) const {
-  const HostMatrix base = engine.ExportTarget();
   const size_t dims = base.cols() > 0 ? base.cols() : delta.dims;
   std::vector<std::pair<uint32_t, const float*>> live;
   live.reserve(base.rows() + delta.size());
@@ -221,7 +249,7 @@ void CaptureCompaction(ShardHost* shard, CompactionPlan* plan) {
   // The new base: base survivors, then consumed live delta entries —
   // ascending stable-id order, because every delta id postdates (and
   // exceeds) every base id of its shard.
-  const HostMatrix base = shard->engine.ExportTarget();
+  const HostMatrix& base = shard->base;
   const size_t dims = base.cols();
   std::vector<size_t> base_survivors;
   for (size_t i = 0; i < base.rows(); ++i) {

@@ -24,9 +24,11 @@ struct IndexSnapshot;
 
 namespace sweetknn::core {
 
-/// One mutable target-set shard: a simulated device with a prepared
-/// TiKnnEngine index, the host route's image of the same base, and the
-/// mutation overlay. This is the only implementation of the overlay:
+/// One mutable target-set shard: the frozen base and its Step-1
+/// clustering, computed on the host, the host route's image of them,
+/// the mutation overlay, and a simulated device whose TiKnnEngine is
+/// prepared over the same base only when a device-routed group first
+/// reaches the shard. This is the only implementation of the overlay:
 /// KnnService's in-process threads and the shard-worker processes hold
 /// the identical object, so a query group answered locally and one
 /// answered over a socket run exactly the same code against exactly the
@@ -44,11 +46,15 @@ struct ShardHost {
       : dev(spec), engine(&dev, options) {}
 
   gpusim::Device dev;
+  /// The paper's engine over `base` on `dev`. Until the first
+  /// device-routed SearchGroup it is unprepared: no kernel has run and
+  /// `dev` holds no allocation.
   TiKnnEngine engine;
+  /// The frozen base rows, row-major in base-row order.
+  HostMatrix base;
   /// The frozen base in member order plus its Step-1 clustering, for
-  /// the host routes; holds exactly the bytes PrepareTarget/RestoreTarget
-  /// uploaded. Replaced together with the engine (compaction installs,
-  /// swaps).
+  /// the host routes. Replaced together with `base` (compaction
+  /// installs, swaps).
   HostImage image;
   uint32_t offset = 0;  ///< First global target row of this slice.
   /// Base row -> stable id, strictly increasing; empty = identity
@@ -76,12 +82,16 @@ struct ShardHost {
     return base_rows_ - delta.tombstones.size() + delta.size();
   }
 
-  /// Cold build: PrepareTarget (upload + Step-1 landmark clustering)
-  /// over this shard's slice, plus the host image.
+  /// Cold build: keeps `slice` as the base and runs Step 1 over it on
+  /// the host (BuildTargetClusteringOnHost) for the host image. The
+  /// first device-routed group later runs PrepareTarget, which clusters
+  /// the base once more on the simulated device, and checks that both
+  /// clusterings hold the same bytes.
   void BuildCold(const HostMatrix& slice);
 
-  /// Warm start: re-materializes the prepared index from a snapshot's
-  /// bytes without re-clustering, plus the host image.
+  /// Warm start: keeps a snapshot's base and builds the host image from
+  /// its clustering, without re-clustering. The first device-routed
+  /// group later uploads both (RestoreTarget).
   void RestoreBase(const HostMatrix& target,
                    const TargetClusteringHost& clustering);
 
@@ -107,9 +117,13 @@ struct ShardHost {
   ///
   /// `route` picks the base-scan path (the caller's planner decides, so
   /// decision order stays deterministic); both routes answer
-  /// bit-identically. Host-routed scans (device_routed = false) report
-  /// no simulated-device stats; their distance_calcs / total_pairs
-  /// count the host image's TI scan instead (rows offered / |Q| * n).
+  /// bit-identically. The first device-routed group prepares the engine
+  /// (inside route_seconds); its stats, like every later group's, fold
+  /// in the preparation's simulated time, exactly as an engine prepared
+  /// at build time would report. Host-routed scans (device_routed =
+  /// false) report no simulated-device stats; their distance_calcs /
+  /// total_pairs count the host image's TI scan instead (rows offered /
+  /// |Q| * n).
   ///
   /// `workers` is the host route's width (1 on the serving backends,
   /// whose shard fan-out is already the parallel axis). `device_stats`,
@@ -155,7 +169,15 @@ struct ShardHost {
                               uint32_t next_id) const;
 
  private:
+  /// Prepares `engine` over `base` on the first device route: a cold
+  /// base runs PrepareTarget and checks the device's clustering against
+  /// the image's; a restored base runs RestoreTarget.
+  void PrepareDevice();
+
   size_t base_rows_ = 0;
+  /// How the base was built, and so how PrepareDevice prepares it.
+  enum class DeviceState { kEmpty, kCold, kRestored, kPrepared };
+  DeviceState device_state_ = DeviceState::kEmpty;
 };
 
 /// Everything a compaction captures under the owner's lock before
@@ -177,9 +199,9 @@ struct CompactionPlan {
 /// overlay, live_rows > 0).
 void CaptureCompaction(ShardHost* shard, CompactionPlan* plan);
 
-/// Rebuild step, safe to run off-lock: a fresh simulated device (so the
-/// adaptive scheme sees the same free memory a cold build would) and a
-/// full Step-1 clustering over the captured points. Captured ids that
+/// Rebuild step, safe to run off-lock: a fresh shard cold-built over the
+/// captured points (a full Step-1 clustering on the host; its device
+/// stays unprepared until a device route reaches it). Captured ids that
 /// are literally 0..n-1 restore pristine form (no id map); otherwise the
 /// plan's ids become the new base's id map. `options` should carry the
 /// owner's effective shard options.

@@ -190,9 +190,9 @@ class SweetKnnIndex {
 
   /// Folds the overlay into a fresh base: survivors of the old base plus
   /// the delta points, arranged in ascending stable-id order, get a
-  /// from-scratch Step-1 clustering on a fresh simulated device (so the
-  /// adaptive scheme sees exactly the allocation state of a cold build).
-  /// No-op when the overlay is empty or no points survive.
+  /// from-scratch Step-1 clustering and a fresh simulated device, exactly
+  /// as a cold build over them would. No-op when the overlay is empty or
+  /// no points survive.
   void Compact();
 
   /// Persists the index (target points + target clustering + overlay +
@@ -228,7 +228,6 @@ class SweetKnnIndex {
   /// base (a never-mutated or freshly compacted-to-identity index).
   bool pristine() const { return shard_->Pristine(); }
 
-  gpusim::Device& device() { return shard_->dev; }
   const core::TiKnnEngine& engine() const { return shard_->engine; }
   /// The host route's image of the frozen base (rebuilt with it).
   const core::HostImage& host_image() const { return shard_->image; }

@@ -6,16 +6,6 @@
 
 namespace sweetknn::core {
 
-namespace {
-ClusteringConfig MakeClusteringConfig(const TiOptions& options) {
-  ClusteringConfig ccfg;
-  ccfg.landmarks_override = options.landmarks_override;
-  ccfg.kmeans_iterations = options.kmeans_iterations;
-  ccfg.block_threads = options.block_threads;
-  return ccfg;
-}
-}  // namespace
-
 void TiKnnEngine::PrepareTarget(const HostMatrix& target) {
   SK_CHECK(!target.empty());
   if (options_.sim_threads > 0) {
@@ -26,7 +16,7 @@ void TiKnnEngine::PrepareTarget(const HostMatrix& target) {
                                  "target points",
                                  options_.point_vector_width,
                                  options_.metric);
-  tc_ = BuildTargetClustering(dev_, target_, MakeClusteringConfig(options_));
+  tc_ = BuildTargetClustering(dev_, target_, ClusteringConfigFor(options_));
   prepare_profile_ = dev_->profile();
   target_prepared_ = true;
   prepared_ = false;
@@ -51,17 +41,6 @@ void TiKnnEngine::RestoreTarget(const HostMatrix& target,
   prepared_ = false;
 }
 
-HostMatrix TiKnnEngine::ExportTarget() const {
-  SK_CHECK(target_prepared_) << "call PrepareTarget() or Prepare() first";
-  HostMatrix out(target_.n(), target_.dims());
-  for (size_t p = 0; p < target_.n(); ++p) {
-    for (size_t j = 0; j < target_.dims(); ++j) {
-      out.at(p, j) = target_.At(p, j);
-    }
-  }
-  return out;
-}
-
 TargetClusteringHost TiKnnEngine::ExportTargetClustering() const {
   SK_CHECK(target_prepared_) << "call PrepareTarget() or Prepare() first";
   return DownloadTargetClustering(tc_);
@@ -81,7 +60,7 @@ void TiKnnEngine::Prepare(const HostMatrix& query, const HostMatrix& target) {
     // selection and assignment between the two sides.
     qc_ = QueryClusteringFromTarget(dev_, query_, tc_);
   } else {
-    qc_ = BuildQueryClustering(dev_, query_, MakeClusteringConfig(options_));
+    qc_ = BuildQueryClustering(dev_, query_, ClusteringConfigFor(options_));
   }
 
   for (const gpusim::LaunchRecord& record : dev_->profile().launches) {
@@ -102,7 +81,7 @@ KnnResult TiKnnEngine::RunQueries(const HostMatrix& query, int k,
   query_ = DevicePoints::Upload(dev_, query, options_.layout, "query batch",
                                 options_.point_vector_width,
                                 options_.metric);
-  qc_ = BuildQueryClustering(dev_, query_, MakeClusteringConfig(options_));
+  qc_ = BuildQueryClustering(dev_, query_, ClusteringConfigFor(options_));
   // Query-side preparation is part of this batch's cost.
   gpusim::Profile batch_prep = dev_->profile();
   prepared_ = true;

@@ -54,10 +54,6 @@ class TiKnnEngine {
   void RestoreTarget(const HostMatrix& target,
                      const TargetClusteringHost& clustering);
 
-  /// Host copy of the prepared target point set (row-major, whatever the
-  /// device layout is). Requires PrepareTarget/Prepare/RestoreTarget.
-  HostMatrix ExportTarget() const;
-
   /// Host image of the prepared target clustering, ready for
   /// serialization. Requires PrepareTarget/Prepare/RestoreTarget.
   TargetClusteringHost ExportTargetClustering() const;

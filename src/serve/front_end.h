@@ -33,9 +33,9 @@ namespace sweetknn::serve {
 
 /// Knobs of the serving layer.
 struct ServiceConfig {
-  /// Target-set shards per index, each a simulated device with its own
-  /// prepared TiKnnEngine index. Clamped per index to its target row
-  /// count.
+  /// Target-set shards per index, each a core::ShardHost with its own
+  /// host image and simulated device. Clamped per index to its target
+  /// row count.
   int num_shards = 2;
   /// Micro-batching: the dispatcher drains one tenant's queued requests
   /// into a batch while it holds fewer than this many query rows, and

@@ -132,11 +132,12 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
   tenant->target_rows = target.rows();
   const std::string& snapshot_dir = tenant->snapshot_dir;
 
-  // Each shard simulates its own device, so the shard fan-out below is the
-  // host-parallel axis for the TI preparation. The shard engines are
-  // pinned to one execution thread: a region nested inside the fan-out
-  // would only run inline anyway — and by the execution engine's
-  // guarantee this changes nothing but wall-clock.
+  // The shard fan-out below is the host-parallel axis for each shard's
+  // host Step 1, and the fan-out of every query group for the device
+  // route's engine. Each shard therefore runs one execution thread: a
+  // region nested inside the fan-out would only run inline anyway — and
+  // by the execution engine's guarantee this changes nothing but
+  // wall-clock.
   core::TiOptions shard_options = config_.options;
   shard_options.sim_threads = 1;
 
@@ -202,8 +203,8 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
     }
   }
 
-  // Build the per-shard indexes in parallel; each PrepareTarget /
-  // RestoreTarget touches only its own device.
+  // Build the per-shard indexes in parallel; each BuildCold /
+  // RestoreBase touches only its own shard.
   common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
     const auto idx = static_cast<size_t>(s);
     if (warm) {
@@ -742,12 +743,12 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
     core::CaptureCompaction(&shard, &plan);
   }
 
-  // Rebuild off-lock: a fresh simulated device (so the adaptive scheme
-  // sees the same free memory a cold build would) and a full Step-1
-  // clustering over the captured points. Serving continues against the
-  // old shard the whole time. The capture/rebuild/carry-over protocol is
-  // shared with the shard workers (core/shard_host.h), so a compaction
-  // on either backend produces the identical fresh shard.
+  // Rebuild off-lock: a fresh shard, cold-built over the captured points
+  // exactly as at start-up (a full Step-1 clustering on the host).
+  // Serving continues against the old shard the whole time. The
+  // capture/rebuild/carry-over protocol is shared with the shard workers
+  // (core/shard_host.h), so a compaction on either backend produces the
+  // identical fresh shard.
   core::TiOptions shard_options = config_.options;
   shard_options.sim_threads = 1;
   std::unique_ptr<Shard> fresh =

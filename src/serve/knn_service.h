@@ -372,7 +372,7 @@ class KnnService : private ShardTransport {
     size_t live_rows = 0;
     uint32_t next_id = 0;
   };
-  /// Materializes shards from validated snapshots (RestoreTarget in
+  /// Materializes shards from validated snapshots (RestoreBase in
   /// parallel on the host pool). Touches nothing of the live service.
   ShardSet BuildShardsFromSnapshots(
       std::vector<store::IndexSnapshot> snapshots) const;

@@ -29,7 +29,7 @@ store::IndexSnapshot ShardHost::Export(const std::string& dataset_name,
   snap.shard_index = shard_index;
   snap.shard_count = shard_count;
   snap.shard_offset = offset;
-  snap.target = engine.ExportTarget();
+  snap.target = base;
   snap.clustering = image.clustering();
   snap.options_fingerprint = store::OptionsFingerprint(engine.options());
   snap.device_fingerprint = store::DeviceFingerprint(dev.spec());

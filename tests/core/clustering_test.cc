@@ -1,6 +1,9 @@
 #include "core/clustering.h"
 
+#include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -145,6 +148,217 @@ TEST_F(ClusteringTest, SelfJoinViewMatchesIndependentBuild) {
   }
   for (size_t j = 0; j < 5; ++j) {
     EXPECT_EQ(qc.centers.At(2, j), tc.centers.At(2, j));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The host Step 1 (BuildTargetClusteringOnHost) against the simulated one:
+// a ShardHost builds its image from the host clustering and checks it
+// against the device's on its first device route, so the two must agree
+// byte for byte on every shape, metric, layout and option.
+// ---------------------------------------------------------------------------
+
+/// Step 1 as a shard's first device route runs it: upload to a fresh
+/// device, cluster, download.
+TargetClusteringHost DeviceStep1(const HostMatrix& target, Metric metric,
+                                 PointLayout layout,
+                                 const ClusteringConfig& cfg,
+                                 const gpusim::DeviceSpec& spec) {
+  gpusim::Device dev(spec);
+  const DevicePoints pts = DevicePoints::Upload(&dev, target, layout,
+                                                "target points", 4, metric);
+  return DownloadTargetClustering(BuildTargetClustering(&dev, pts, cfg));
+}
+
+/// Byte equality of two arrays, naming the first differing element.
+template <typename T>
+::testing::AssertionResult SameBytes(const char* field,
+                                     const std::vector<T>& device,
+                                     const std::vector<T>& host) {
+  if (device.size() != host.size()) {
+    return ::testing::AssertionFailure()
+           << field << ": device has " << device.size() << " entries, host "
+           << host.size();
+  }
+  for (size_t i = 0; i < device.size(); ++i) {
+    if (std::memcmp(&device[i], &host[i], sizeof(T)) != 0) {
+      return ::testing::AssertionFailure()
+             << field << "[" << i << "]: device " << device[i] << ", host "
+             << host[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The member order level 2 relies on: each cluster's members by
+/// descending distance to the center, ties by ascending id, every member
+/// assigned to its cluster, and the radius the first member's distance.
+::testing::AssertionResult WellOrdered(const TargetClusteringHost& tc) {
+  for (int c = 0; c < tc.num_clusters; ++c) {
+    const uint32_t begin = tc.member_offsets[c];
+    const uint32_t end = tc.member_offsets[c + 1];
+    const float radius = begin < end ? tc.member_dists[begin] : 0.0f;
+    if (std::memcmp(&radius, &tc.max_dist[c], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "cluster " << c << " radius " << tc.max_dist[c]
+             << ", first member at " << radius;
+    }
+    for (uint32_t i = begin; i < end; ++i) {
+      if (tc.assignment[tc.member_ids[i]] != static_cast<uint32_t>(c)) {
+        return ::testing::AssertionFailure()
+               << "member " << tc.member_ids[i] << " listed in cluster " << c;
+      }
+      if (i == begin) continue;
+      const float prev = tc.member_dists[i - 1];
+      const float cur = tc.member_dists[i];
+      if (prev < cur ||
+          (prev == cur && tc.member_ids[i - 1] > tc.member_ids[i])) {
+        return ::testing::AssertionFailure()
+               << "cluster " << c << " lists (" << tc.member_ids[i - 1]
+               << ", " << prev << ") before (" << tc.member_ids[i] << ", "
+               << cur << ")";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void ExpectHostStep1MatchesDevice(
+    const HostMatrix& target, Metric metric, PointLayout layout,
+    const ClusteringConfig& cfg,
+    const gpusim::DeviceSpec& spec = gpusim::DeviceSpec::TeslaK20c()) {
+  SCOPED_TRACE(::testing::Message()
+               << "n " << target.rows() << ", dims " << target.cols()
+               << (metric == Metric::kEuclidean ? ", euclidean" : ", manhattan")
+               << (layout == PointLayout::kRowMajor ? ", row-major"
+                                                    : ", column-major")
+               << ", landmarks_override " << cfg.landmarks_override
+               << ", kmeans_iterations " << cfg.kmeans_iterations
+               << ", device memory " << spec.global_mem_bytes);
+  const TargetClusteringHost device =
+      DeviceStep1(target, metric, layout, cfg, spec);
+  const TargetClusteringHost host = BuildTargetClusteringOnHost(
+      target, metric, cfg, spec, /*workers=*/2);
+  ASSERT_EQ(device.num_clusters, host.num_clusters);
+  EXPECT_TRUE(
+      SameBytes("centers", device.centers.storage(), host.centers.storage()));
+  EXPECT_TRUE(SameBytes("assignment", device.assignment, host.assignment));
+  EXPECT_TRUE(
+      SameBytes("member_offsets", device.member_offsets, host.member_offsets));
+  EXPECT_TRUE(SameBytes("member_ids", device.member_ids, host.member_ids));
+  EXPECT_TRUE(
+      SameBytes("member_dists", device.member_dists, host.member_dists));
+  EXPECT_TRUE(SameBytes("max_dist", device.max_dist, host.max_dist));
+  EXPECT_TRUE(device == host);
+  EXPECT_TRUE(WellOrdered(host));
+}
+
+/// `n` rows drawn from `distinct` clustered points, so exact duplicates
+/// share clusters, center distances and (as landmarks) centers.
+HostMatrix DuplicateRows(size_t n, size_t dims, size_t distinct,
+                         uint64_t seed) {
+  const HostMatrix pool = ClusteredPoints(distinct, dims, 3, seed);
+  HostMatrix out(n, dims);
+  for (size_t p = 0; p < n; ++p) {
+    std::memcpy(out.mutable_row(p), pool.row((p * 7) % distinct),
+                dims * sizeof(float));
+  }
+  return out;
+}
+
+/// n on both sides of RunAssignKernel's switch to its pair-parallel
+/// kernel at MaxConcurrentThreads() / 4 (6 656 on the K20c).
+class HostStep1Test : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(HostStep1Test, MatchesTheSimulatedBuild) {
+  const size_t n = GetParam();
+  const bool small = n <= 100;
+  for (const size_t dims : {1, 4, 42, 129}) {
+    const HostMatrix target =
+        ClusteredPoints(n, dims, 5, 300 + n + dims, 0.08f);
+    // Both metrics and both layouts at the default configuration.
+    for (const Metric metric : {Metric::kEuclidean, Metric::kManhattan}) {
+      for (const PointLayout layout :
+           {PointLayout::kRowMajor, PointLayout::kColumnMajor}) {
+        ExpectHostStep1MatchesDevice(target, metric, layout,
+                                     ClusteringConfig{});
+      }
+    }
+    // Forced landmark counts and k-means refinement. Every row as a
+    // landmark costs trials * n^2 distances, so only small bases take it.
+    std::vector<int> overrides = {1, 7};
+    if (small) overrides.push_back(static_cast<int>(n));
+    int round = 0;
+    for (const int landmarks : overrides) {
+      for (const int iterations : {0, 1, 3}) {
+        ClusteringConfig cfg;
+        cfg.landmarks_override = landmarks;
+        cfg.kmeans_iterations = iterations;
+        ExpectHostStep1MatchesDevice(
+            target, round % 2 == 0 ? Metric::kEuclidean : Metric::kManhattan,
+            round % 3 == 0 ? PointLayout::kColumnMajor
+                           : PointLayout::kRowMajor,
+            cfg);
+        ++round;
+      }
+    }
+    for (const int iterations : {1, 3}) {
+      ClusteringConfig cfg;
+      cfg.kmeans_iterations = iterations;
+      ExpectHostStep1MatchesDevice(target, Metric::kEuclidean,
+                                   PointLayout::kRowMajor, cfg);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, HostStep1Test,
+                         ::testing::Values(1, 2, 31, 100, 6655, 6657, 12288),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "n" + std::to_string(info.param);
+                         });
+
+TEST(HostStep1DuplicatesTest, MatchesTheSimulatedBuild) {
+  // Duplicate landmarks tie every nearby row between two centers (the
+  // lower must win), and duplicate rows tie member distances (the lower
+  // id must come first), on both assignment kernels.
+  for (const size_t n : {100, 6657}) {
+    const HostMatrix target = DuplicateRows(n, 6, n / 20, 401);
+    for (const Metric metric : {Metric::kEuclidean, Metric::kManhattan}) {
+      for (const int iterations : {0, 3}) {
+        ClusteringConfig cfg;
+        cfg.kmeans_iterations = iterations;
+        ExpectHostStep1MatchesDevice(target, metric, PointLayout::kRowMajor,
+                                     cfg);
+        cfg.landmarks_override = 7;
+        ExpectHostStep1MatchesDevice(target, metric,
+                                     PointLayout::kColumnMajor, cfg);
+      }
+    }
+  }
+}
+
+TEST(HostStep1MemoryCapTest, MatchesTheSimulatedBuild) {
+  // A device whose free memory after the upload caps the landmark count
+  // below the 3*sqrt(N) rule.
+  for (const size_t n : {100, 12288}) {
+    const size_t dims = 42;
+    const HostMatrix target = ClusteredPoints(n, dims, 5, 402, 0.08f);
+    const size_t spare = n < 1000 ? 16 * 1024 : 1024 * 1024;
+    const gpusim::DeviceSpec spec = gpusim::DeviceSpec::ScaledK20c(
+        gpusim::internal_memory::RoundUpAllocation(n * dims * sizeof(float)) +
+        spare);
+    const int capped = DefaultLandmarkCount(n, spare);
+    ASSERT_LT(capped, DefaultLandmarkCount(n, size_t{1} << 40));
+    for (const int iterations : {0, 1}) {
+      ClusteringConfig cfg;
+      cfg.kmeans_iterations = iterations;
+      ExpectHostStep1MatchesDevice(target, Metric::kEuclidean,
+                                   PointLayout::kRowMajor, cfg, spec);
+      EXPECT_EQ(BuildTargetClusteringOnHost(target, Metric::kEuclidean, cfg,
+                                            spec, 1)
+                    .num_clusters,
+                capped);
+    }
   }
 }
 

@@ -417,5 +417,75 @@ TEST(KnnServiceTest, SweepShardCountsStayExact) {
   }
 }
 
+// TSan target (tools/check_tsan.sh): a shard prepares its simulated
+// device on the first device-routed group that reaches it, inside the
+// fan-out and under the tenant mutex. Flipping the planner while clients
+// read sends some groups, and some shards of one group, down each route;
+// every answer must still carry the host route's bytes.
+TEST(KnnServiceTest, ModeFlipsUnderLiveReadsKeepHostRouteBytes) {
+  const HostMatrix target = ClusteredPoints(360, 5, 4, 413);
+  const HostMatrix queries = ClusteredPoints(48, 5, 3, 414);
+  constexpr int kNeighbors = 6;
+  serve::ServiceConfig config;
+  config.num_shards = 3;
+  serve::KnnService service(target, config);
+
+  std::vector<std::vector<Neighbor>> reference(queries.rows());
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    std::vector<float> point(queries.row(q), queries.row(q) + queries.cols());
+    reference[q] = service.Search(point, kNeighbors).value();
+  }
+  ASSERT_EQ(service.planner().device_routes(), 0u);
+  const uint64_t reference_routes = service.planner().host_routes();
+
+  // The first groups are device-routed; the flipper switches the mode
+  // every 8 answers until the clients finish.
+  service.planner().set_mode(core::PlannerMode::kForceDevice);
+  std::atomic<int> answered{0};
+  std::atomic<bool> done{false};
+  std::thread flipper([&] {
+    int flips = 0;
+    while (!done.load()) {
+      if (answered.load() / 8 > flips) {
+        ++flips;
+        service.planner().set_mode(flips % 2 == 1
+                                       ? core::PlannerMode::kForceHost
+                                       : core::PlannerMode::kForceDevice);
+      }
+      std::this_thread::yield();
+    }
+  });
+  constexpr int kClients = 4;
+  constexpr int kRounds = 2;
+  std::vector<std::vector<std::vector<Neighbor>>> answers(
+      kClients, std::vector<std::vector<Neighbor>>(queries.rows()));
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t q = 0; q < queries.rows(); ++q) {
+          std::vector<float> point(queries.row(q),
+                                   queries.row(q) + queries.cols());
+          answers[c][q] = service.Search(point, kNeighbors).value();
+          answered.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  done.store(true);
+  flipper.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      ASSERT_EQ(answers[c][q].size(), static_cast<size_t>(kNeighbors));
+      ExpectRowBitIdentical(reference[q].data(), answers[c][q].data(),
+                            kNeighbors, q);
+    }
+  }
+  EXPECT_GT(service.planner().device_routes(), 0u);
+  EXPECT_GT(service.planner().host_routes(), reference_routes);
+}
+
 }  // namespace
 }  // namespace sweetknn

@@ -17,6 +17,7 @@
 #include "core/shard_host.h"
 #include "core/shard_merge.h"
 #include "core/ti_knn_gpu.h"
+#include "dataset/paper_datasets.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -226,6 +227,130 @@ TEST(ShardBackendTest, CompactionRoundTripKeepsAnswers) {
   const KnnResult after =
       MergedAnswer(shards, queries, k, core::QueryRoute::kDevice, metric);
   ExpectBitIdentical(before, after, "post-compaction");
+}
+
+/// A shard's simulated device before its first device route: no kernel
+/// launched, no buffer allocated.
+::testing::AssertionResult DeviceUntouched(const core::ShardHost& shard) {
+  if (!shard.dev.profile().launches.empty()) {
+    return ::testing::AssertionFailure()
+           << shard.dev.profile().launches.size() << " launches, the first "
+           << shard.dev.profile().launches.front().kernel_name;
+  }
+  if (shard.dev.free_bytes() != shard.dev.spec().global_mem_bytes) {
+    return ::testing::AssertionFailure()
+           << shard.dev.spec().global_mem_bytes - shard.dev.free_bytes()
+           << " bytes allocated";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// BuildCold, RestoreBase and CompactNow — the three ways SweetKnnIndex,
+// KnnService and the shard workers build a base — cluster on the host
+// and leave the simulated device alone; so do host-routed groups. The
+// first device-routed group prepares it.
+TEST(ShardBackendTest, BuildsLeaveTheDeviceUntouched) {
+  const core::TiOptions options = ShardOptions(core::Metric::kEuclidean);
+  const gpusim::DeviceSpec spec = gpusim::DeviceSpec::TeslaK20c();
+  const HostMatrix base = testing::ClusteredPoints(300, 6, 4, 1201, 0.08f);
+  const HostMatrix queries = testing::UniformPoints(4, 6, 1202);
+
+  core::ShardHost cold(spec, options);
+  cold.BuildCold(base);
+  EXPECT_TRUE(DeviceUntouched(cold)) << "after BuildCold";
+
+  core::ShardHost restored(spec, options);
+  restored.RestoreBase(base, cold.image.clustering());
+  EXPECT_TRUE(DeviceUntouched(restored)) << "after RestoreBase";
+
+  cold.SearchGroup(queries, 5, core::QueryRoute::kHost,
+                   core::Metric::kEuclidean);
+  EXPECT_TRUE(DeviceUntouched(cold)) << "after a host-routed group";
+
+  std::vector<float> point(base.row(7), base.row(7) + base.cols());
+  cold.delta.Append(300, point.data());
+  ASSERT_TRUE(cold.ApplyRemove(3));
+  const std::unique_ptr<core::ShardHost> compacted = core::CompactNow(&cold);
+  ASSERT_NE(compacted, nullptr);
+  EXPECT_TRUE(DeviceUntouched(*compacted)) << "on CompactNow's replacement";
+
+  for (core::ShardHost* shard : {&cold, &restored, compacted.get()}) {
+    shard->SearchGroup(queries, 5, core::QueryRoute::kDevice,
+                       core::Metric::kEuclidean);
+    EXPECT_FALSE(shard->dev.profile().launches.empty());
+    EXPECT_LT(shard->dev.free_bytes(), spec.global_mem_bytes);
+  }
+}
+
+void ExpectSameRunStats(const core::KnnRunStats& eager,
+                        const core::KnnRunStats& lazy, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(std::memcmp(&eager.sim_time_s, &lazy.sim_time_s, sizeof(double)),
+            0)
+      << "sim_time_s " << eager.sim_time_s << " vs " << lazy.sim_time_s;
+  EXPECT_EQ(eager.distance_calcs, lazy.distance_calcs);
+  EXPECT_EQ(eager.total_pairs, lazy.total_pairs);
+  EXPECT_EQ(eager.landmarks_target, lazy.landmarks_target);
+  ASSERT_EQ(eager.profile.launches.size(), lazy.profile.launches.size());
+  for (size_t i = 0; i < eager.profile.launches.size(); ++i) {
+    const gpusim::LaunchRecord& want = eager.profile.launches[i];
+    const gpusim::LaunchRecord& got = lazy.profile.launches[i];
+    EXPECT_EQ(want.kernel_name, got.kernel_name) << "launch " << i;
+    EXPECT_EQ(std::memcmp(&want.sim_time_s, &got.sim_time_s, sizeof(double)),
+              0)
+        << "launch " << i << " (" << want.kernel_name << ")";
+  }
+}
+
+// The preparation a shard defers to its first device route reports
+// exactly what an engine prepared at build time reports: the same
+// simulated clock, counters and launches, on that group and the next,
+// for a cold base (PrepareTarget) and a restored one (RestoreTarget).
+TEST(ShardBackendTest, FirstDeviceGroupMatchesAnEagerEngine) {
+  const gpusim::DeviceSpec spec = gpusim::DeviceSpec::TeslaK20c();
+  const core::TiOptions options = ShardOptions(core::Metric::kEuclidean);
+  for (const char* name : {"kegg", "3DNet", "kdd"}) {
+    SCOPED_TRACE(name);
+    const HostMatrix base =
+        dataset::MakePaperDataset(dataset::PaperDatasetByName(name), 0.25)
+            .points;
+    HostMatrix queries(24, base.cols());
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      std::memcpy(queries.mutable_row(q), base.row(q * 97 % base.rows()),
+                  base.cols() * sizeof(float));
+    }
+    const int k = 10;
+
+    gpusim::Device cold_dev(spec);
+    core::TiKnnEngine cold_engine(&cold_dev, options);
+    cold_engine.PrepareTarget(base);
+    core::ShardHost cold(spec, options);
+    cold.BuildCold(base);
+
+    gpusim::Device restored_dev(spec);
+    core::TiKnnEngine restored_engine(&restored_dev, options);
+    restored_engine.RestoreTarget(base, cold.image.clustering());
+    core::ShardHost restored(spec, options);
+    restored.RestoreBase(base, cold.image.clustering());
+
+    const std::pair<core::TiKnnEngine*, core::ShardHost*> pairs[] = {
+        {&cold_engine, &cold}, {&restored_engine, &restored}};
+    for (const auto& [engine, shard] : pairs) {
+      for (const char* group : {"first device group", "second device group"}) {
+        core::KnnRunStats want;
+        const KnnResult eager = engine->RunQueries(queries, k, &want);
+        core::KnnRunStats got;
+        const core::ShardAnswer answer =
+            shard->SearchGroup(queries, k, core::QueryRoute::kDevice,
+                               core::Metric::kEuclidean, 1, &got);
+        ExpectBitIdentical(eager, answer.result, group);
+        ExpectSameRunStats(want, got, group);
+        EXPECT_EQ(std::memcmp(&answer.sim_time_s, &want.sim_time_s,
+                              sizeof(double)),
+                  0);
+      }
+    }
+  }
 }
 
 }  // namespace

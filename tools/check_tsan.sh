@@ -5,7 +5,9 @@
 # striped atomic locks, and the trace-replay pipeline are all exercised
 # under TSan; blocking_queue_test and knn_service_test exercise the
 # serving layer's admission queue, dispatcher, shard fan-out, and LRU
-# cache under concurrent clients; hot_swap_test swaps index generations
+# cache under concurrent clients, and knn_service_test flips the planner
+# under live reads so shards prepare their simulated devices inside the
+# fan-out; hot_swap_test swaps index generations
 # behind live traffic; metrics_test hammers the lock-free counters and
 # histograms from many threads; shutdown_storm_test races Submit against
 # Shutdown; swap_staleness_test races cache inserts against SwapIndex;
