@@ -48,7 +48,6 @@ struct DeltaBuffer {
   size_t Find(uint32_t id) const;
   /// Removes the point at `pos`, keeping order.
   void EraseAt(size_t pos);
-  void Clear();
 };
 
 /// Exact top-k of the (non-tombstoned) delta points for every query row,
@@ -59,10 +58,15 @@ struct DeltaBuffer {
 /// maps them to stable ids); rows ascend under NeighborLess and pad with
 /// kInvalidNeighbor, matching the engine's conventions.
 ///
+/// Only positions below `tombstoned_prefix` are looked up in
+/// `delta.tombstones`; the caller guarantees no later entry is
+/// tombstoned (ShardHost::TombstonedDeltaPrefix). delta.size() checks
+/// every entry.
+///
 /// Position order equals id order (`ids` is strictly increasing), so
 /// tie-breaking on position is tie-breaking on stable id.
 KnnResult ScanDelta(const DeltaBuffer& delta, const HostMatrix& queries,
-                    int k, Metric metric);
+                    int k, Metric metric, size_t tombstoned_prefix);
 
 }  // namespace sweetknn::core
 

@@ -58,24 +58,26 @@ std::pair<size_t, size_t> HostImage::Window(int c, float d_qc,
 }
 
 void HostImage::ScoreWindow(const float* query, simd::Dist dist,
-                            size_t first, size_t last, TopK* heap,
-                            Scratch* scratch) const {
+                            size_t first, size_t last, const uint8_t* dead,
+                            TopK* heap, Scratch* scratch) const {
   // Only distances <= theta can enter; PushIfCloser settles ties on the
-  // row index.
+  // row index. The mask is read only for those few rows.
   float theta = heap->max();
   ScoreSpan(query, dist, first, last, scratch->dists.data(),
             [&](size_t p, float d) {
-              if (d <= theta && heap->PushIfCloser(Neighbor{row(p), d})) {
+              if (d <= theta && (dead == nullptr || dead[row(p)] == 0) &&
+                  heap->PushIfCloser(Neighbor{row(p), d})) {
                 theta = heap->max();
               }
             });
 }
 
-void HostImage::KnnScan(const float* query, simd::Dist dist, TopK* heap,
-                        Scratch* scratch, RangeScanStats* stats) const {
+void HostImage::KnnScan(const float* query, simd::Dist dist,
+                        const uint8_t* dead, TopK* heap, Scratch* scratch,
+                        RangeScanStats* stats) const {
   stats->total_pairs += n();
   if (single_window()) {
-    ScoreWindow(query, dist, 0, n(), heap, scratch);
+    ScoreWindow(query, dist, 0, n(), dead, heap, scratch);
     stats->candidates += n();
     return;
   }
@@ -112,7 +114,7 @@ void HostImage::KnnScan(const float* query, simd::Dist dist, TopK* heap,
     }
     pending.pop_back();
     const auto [first, last] = Window(c, d_qc[c], bound);
-    ScoreWindow(query, dist, first, last, heap, scratch);
+    ScoreWindow(query, dist, first, last, dead, heap, scratch);
     offered += last - first;
   }
   stats->candidates += offered;
@@ -120,7 +122,8 @@ void HostImage::KnnScan(const float* query, simd::Dist dist, TopK* heap,
 }
 
 KnnResult HostImage::Knn(const HostMatrix& queries, int k, simd::Dist dist,
-                         int workers, RangeScanStats* stats) const {
+                         int workers, RangeScanStats* stats,
+                         const uint8_t* dead) const {
   SK_CHECK_EQ(queries.cols(), dims());
   SK_CHECK(dist != simd::Dist::kSquaredEuclidean)
       << "the TI bounds need a metric";
@@ -136,7 +139,7 @@ KnnResult HostImage::Knn(const HostMatrix& queries, int k, simd::Dist dist,
         RangeScanStats local;
         for (size_t q = begin; q < end; ++q) {
           TopK heap(k);
-          KnnScan(queries.row(q), dist, &heap, &scratch, &local);
+          KnnScan(queries.row(q), dist, dead, &heap, &scratch, &local);
           result.SetRow(q, heap.Sorted());
         }
         if (stats != nullptr) slices[slice] = local;

@@ -99,19 +99,28 @@ class HostImage {
   /// rows on up to `workers` threads (answers and counters are
   /// independent of the count). `dist` must be a metric (kEuclidean or
   /// kManhattan): squared distances break the triangle inequality.
-  /// `stats` (optional) accumulates candidates = rows offered, plus the
-  /// level-1/level-2 pruning counters.
+  /// `stats` (optional) accumulates candidates = window rows scored,
+  /// plus the level-1/level-2 pruning counters.
+  ///
+  /// `dead` (optional, n() bytes indexed by base row) masks rows out of
+  /// the answer: a window row with dead[row] != 0 is scored but never
+  /// offered to TopK, so theta is the kth *live* distance and both
+  /// filters prune against it. The answer is the k smallest live rows,
+  /// padded with kInvalidNeighbor when fewer than k are live.
   KnnResult Knn(const HostMatrix& queries, int k, simd::Dist dist,
-                int workers, RangeScanStats* stats = nullptr) const;
+                int workers, RangeScanStats* stats = nullptr,
+                const uint8_t* dead = nullptr) const;
 
  private:
   struct Scratch;
-  /// Offers window positions [first, last) to `heap`.
+  /// Offers the live rows among window positions [first, last) to
+  /// `heap`.
   void ScoreWindow(const float* query, simd::Dist dist, size_t first,
-                   size_t last, TopK* heap, Scratch* scratch) const;
+                   size_t last, const uint8_t* dead, TopK* heap,
+                   Scratch* scratch) const;
   /// One query's kNN scan into `heap`, counted into `stats`.
-  void KnnScan(const float* query, simd::Dist dist, TopK* heap,
-               Scratch* scratch, RangeScanStats* stats) const;
+  void KnnScan(const float* query, simd::Dist dist, const uint8_t* dead,
+               TopK* heap, Scratch* scratch, RangeScanStats* stats) const;
 
   simd::PackedTargets rows_;     ///< n rows, member order
   simd::PackedTargets centers_;  ///< m landmark centers

@@ -46,6 +46,7 @@ void ShardHost::BuildCold(const HostMatrix& slice) {
                               workers));
   set_base_rows(base.rows());
   delta.dims = base.cols();
+  dead_rows_.assign(base.rows(), 0);
   device_state_ = DeviceState::kCold;
 }
 
@@ -55,6 +56,11 @@ void ShardHost::RestoreBase(const HostMatrix& target,
   SK_CHECK_EQ(clustering.assignment.size(), target.rows());
   base = target;
   image = HostImage(base, clustering);
+  dead_rows_.assign(base.rows(), 0);
+  for (const uint32_t id : delta.tombstones) {
+    const size_t row = BaseRow(id);
+    if (row != DeltaBuffer::kNotFound) dead_rows_[row] = 1;
+  }
   device_state_ = DeviceState::kRestored;
 }
 
@@ -83,12 +89,10 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   answer.pristine = Pristine();
   answer.device_routed = route == QueryRoute::kDevice;
   // A pristine shard's contribution is the same whether the rest of the
-  // service is mutated or not (base_k = k + 0 tombstones; offset remap
-  // equals the identity merge source), so the pristine/mutated decision
-  // is purely local — no cross-shard coordination crosses the wire.
-  const int base_k =
-      k + (answer.pristine ? 0
-                           : static_cast<int>(delta.tombstones.size()));
+  // service is mutated or not (no tombstones; offset remap equals the
+  // identity merge source), so the pristine/mutated decision is purely
+  // local — no cross-shard coordination crosses the wire.
+  const bool masked = !delta.tombstones.empty();
   const simd::Dist dist_kind = SimdDistFor(metric);
   KnnRunStats stats;
   RangeScanStats host_stats;
@@ -96,31 +100,38 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   KnnResult delta_result;
   const SteadyClock::time_point start = SteadyClock::now();
   if (route == QueryRoute::kHost) {
-    base_result = image.Knn(queries, base_k, dist_kind, workers, &host_stats);
+    // Dead rows never enter the TI scan's heap: its k rows are live.
+    base_result = image.Knn(queries, k, dist_kind, workers, &host_stats,
+                            masked ? dead_rows_.data() : nullptr);
   } else {
+    // The simulated kernels scan every row, so the base is over-queried
+    // by the tombstone count and the merge masks the dead.
     PrepareDevice();
-    base_result = engine.RunQueries(queries, base_k, &stats);
+    base_result = engine.RunQueries(
+        queries, k + static_cast<int>(delta.tombstones.size()), &stats);
   }
   const bool has_delta = delta.size() > 0;
   if (!answer.pristine && has_delta) {
     // The delta scan contributes no simulated device time — it models
     // host-side work the GPU index never sees.
-    delta_result = ScanDelta(delta, queries, k, metric);
+    delta_result =
+        ScanDelta(delta, queries, k, metric, TombstonedDeltaPrefix());
   }
   answer.route_seconds = SecondsBetween(start, SteadyClock::now());
 
   if (answer.pristine) {
     answer.result = std::move(base_result);
   } else {
-    // Shard-local exact merge: over-queried base (tombstones masked,
-    // local indices -> stable ids) plus the delta side scan. The rows
-    // are this shard's exact live top-k under (distance, stable id).
+    // Shard-local exact merge: the base (local indices -> stable ids;
+    // a device-routed one over-queried, its tombstones masked here)
+    // plus the delta side scan. The rows are this shard's exact live
+    // top-k under (distance, stable id).
     std::vector<MergeSource> sources;
     MergeSource base;
     base.result = &base_result;
     base.id_map = id_map.empty() ? nullptr : id_map.data();
     base.offset = offset;
-    base.tombstones = delta.tombstones.empty() ? nullptr : &delta.tombstones;
+    if (answer.device_routed && masked) base.tombstones = &delta.tombstones;
     sources.push_back(base);
     if (has_delta) {
       MergeSource side;
@@ -165,7 +176,8 @@ RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
   const bool has_delta = delta.size() > 0;
   RangeResult delta_matches;
   if (has_delta) {
-    delta_matches = RangeScanDelta(delta, queries, radius, metric);
+    delta_matches = RangeScanDelta(delta, queries, radius, metric,
+                                   TombstonedDeltaPrefix());
   }
   // Stable-id substitution happens here unconditionally — range answers
   // have no pristine fast path (a pristine shard's BaseId is just the
@@ -174,9 +186,8 @@ RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
   for (size_t q = 0; q < queries.rows(); ++q) {
     row.clear();
     for (const Neighbor* nb = base.begin(q); nb != base.end(q); ++nb) {
-      const uint32_t id = BaseId(nb->index);
-      if (delta.tombstones.count(id) != 0) continue;
-      row.push_back(Neighbor{id, nb->distance});
+      if (dead_rows_[nb->index] != 0) continue;
+      row.push_back(Neighbor{BaseId(nb->index), nb->distance});
     }
     if (has_delta) {
       for (const Neighbor* nb = delta_matches.begin(q);
@@ -197,11 +208,11 @@ void ShardHost::ExportLive(std::vector<uint32_t>* ids,
   std::vector<std::pair<uint32_t, const float*>> live;
   live.reserve(base.rows() + delta.size());
   for (size_t i = 0; i < base.rows(); ++i) {
-    const uint32_t id = BaseId(i);
-    if (delta.tombstones.count(id) == 0) live.emplace_back(id, base.row(i));
+    if (dead_rows_[i] == 0) live.emplace_back(BaseId(i), base.row(i));
   }
   for (size_t j = 0; j < delta.size(); ++j) {
-    if (delta.tombstones.count(delta.ids[j]) == 0) {
+    if (j >= TombstonedDeltaPrefix() ||
+        delta.tombstones.count(delta.ids[j]) == 0) {
       live.emplace_back(delta.ids[j], delta.point(j));
     }
   }
@@ -215,24 +226,36 @@ void ShardHost::ExportLive(std::vector<uint32_t>* ids,
   }
 }
 
-bool ShardHost::Owns(uint32_t id) const {
-  if (delta.Find(id) != DeltaBuffer::kNotFound) return true;
+size_t ShardHost::BaseRow(uint32_t id) const {
   if (id_map.empty()) {
-    return id >= offset && id < offset + base_rows();
+    return id >= offset && id - offset < base_rows() ? id - offset
+                                                     : DeltaBuffer::kNotFound;
   }
-  return std::binary_search(id_map.begin(), id_map.end(), id);
+  const auto it = std::lower_bound(id_map.begin(), id_map.end(), id);
+  if (it == id_map.end() || *it != id) return DeltaBuffer::kNotFound;
+  return static_cast<size_t>(it - id_map.begin());
+}
+
+bool ShardHost::Owns(uint32_t id) const {
+  return delta.Find(id) != DeltaBuffer::kNotFound ||
+         BaseRow(id) != DeltaBuffer::kNotFound;
+}
+
+void ShardHost::AddTombstone(uint32_t id) {
+  delta.tombstones.insert(id);
+  const size_t row = BaseRow(id);
+  if (row != DeltaBuffer::kNotFound) dead_rows_[row] = 1;
 }
 
 bool ShardHost::ApplyRemove(uint32_t id) {
   if (!Owns(id)) return false;
   if (delta.tombstones.count(id) != 0) return false;  // already removed
   const size_t pos = delta.Find(id);
-  if (pos == DeltaBuffer::kNotFound ||
-      (compact_watermark != kNoCompaction && pos < compact_watermark)) {
+  if (pos == DeltaBuffer::kNotFound || pos < TombstonedDeltaPrefix()) {
     // A base point, or a delta entry an in-flight compaction has
     // already consumed (the rebuild contains it): mask it. Erasing
     // a consumed entry would resurrect the point at install.
-    delta.tombstones.insert(id);
+    AddTombstone(id);
   } else {
     delta.EraseAt(pos);
   }
@@ -299,9 +322,7 @@ void CarryOverlayForward(const ShardHost& old_shard,
     fresh->delta.Append(old_shard.delta.ids[j], old_shard.delta.point(j));
   }
   for (uint32_t id : old_shard.delta.tombstones) {
-    if (plan.captured_tombstones.count(id) == 0) {
-      fresh->delta.tombstones.insert(id);
-    }
+    if (plan.captured_tombstones.count(id) == 0) fresh->AddTombstone(id);
   }
 }
 

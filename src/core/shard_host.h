@@ -76,6 +76,22 @@ struct ShardHost {
   uint32_t BaseId(size_t i) const {
     return id_map.empty() ? offset + static_cast<uint32_t>(i) : id_map[i];
   }
+  /// The base row holding stable id `id`, or DeltaBuffer::kNotFound.
+  size_t BaseRow(uint32_t id) const;
+  /// Base row -> 1 when its stable id is tombstoned: delta.tombstones
+  /// restricted to base rows, one byte per row, which the host routes
+  /// read instead of the hash set. Kept in step by BuildCold and
+  /// RestoreBase (which derive it) and by ApplyRemove and
+  /// CarryOverlayForward (which add tombstones); not persisted.
+  const std::vector<uint8_t>& dead_rows() const { return dead_rows_; }
+  /// How many delta entries, from the front, can be tombstoned: the
+  /// prefix an in-flight compaction captured. ApplyRemove erases every
+  /// other entry, snapshots hold no delta tombstones, and the watermark
+  /// is never cleared on the same shard object (an install replaces the
+  /// object), so no entry past this prefix is ever tombstoned.
+  size_t TombstonedDeltaPrefix() const {
+    return compact_watermark == kNoCompaction ? 0 : compact_watermark;
+  }
   size_t base_rows() const { return base_rows_; }
   void set_base_rows(size_t n) { base_rows_ = n; }
   size_t live_rows() const {
@@ -90,8 +106,10 @@ struct ShardHost {
   void BuildCold(const HostMatrix& slice);
 
   /// Warm start: keeps a snapshot's base and builds the host image from
-  /// its clustering, without re-clustering. The first device-routed
-  /// group later uploads both (RestoreTarget).
+  /// its clustering, without re-clustering, and derives dead_rows from
+  /// the tombstones and ids already adopted (so AdoptOverlay and any id
+  /// map rewrite come first). The first device-routed group later
+  /// uploads both (RestoreTarget).
   void RestoreBase(const HostMatrix& target,
                    const TargetClusteringHost& clustering);
 
@@ -108,10 +126,14 @@ struct ShardHost {
   ///
   /// A pristine shard runs its base at k and reports local indices
   /// (pristine answer, stable id = index + offset at merge time). A
-  /// mutated shard over-queries its base at k + |tombstones| (masking
-  /// can then never starve the top k), side-scans its delta, and merges
-  /// the two locally through MergeMutableResults — reporting its exact
-  /// live top-k with stable ids substituted. Either way the answer's
+  /// mutated shard scans its base for the k nearest live rows,
+  /// side-scans its delta, and merges the two locally through
+  /// MergeMutableResults — reporting its exact live top-k with stable
+  /// ids substituted. The host route skips dead_rows inside its TI scan
+  /// at k, so theta is the kth live distance; the device route
+  /// over-queries at k + |tombstones| (masking can then never starve the
+  /// top k) and the merge masks, because masking inside the simulated
+  /// kernels would change the paper's clock. Either way the answer's
   /// pooled contribution is bit-identical to the flat single-process
   /// merge; see MergeShardAnswers.
   ///
@@ -150,6 +172,10 @@ struct ShardHost {
   /// tombstoned or not — or delta entry).
   bool Owns(uint32_t id) const;
 
+  /// Adds `id` to delta.tombstones and, when it names a base row, marks
+  /// that row in dead_rows.
+  void AddTombstone(uint32_t id);
+
   /// Removes stable id `id` from this shard: erases a free delta entry
   /// physically, tombstones a base row or a compaction-consumed delta
   /// entry (erasing a consumed entry would resurrect the point at
@@ -175,6 +201,7 @@ struct ShardHost {
   void PrepareDevice();
 
   size_t base_rows_ = 0;
+  std::vector<uint8_t> dead_rows_;
   /// How the base was built, and so how PrepareDevice prepares it.
   enum class DeviceState { kEmpty, kCold, kRestored, kPrepared };
   DeviceState device_state_ = DeviceState::kEmpty;
@@ -213,7 +240,8 @@ std::unique_ptr<ShardHost> RebuildCompacted(const CompactionPlan& plan,
 /// the rebuild ran move onto `fresh` — the delta suffix past the
 /// watermark verbatim (its entries are never tombstoned; removes past
 /// the watermark erase physically), and removes of captured rows as
-/// tombstones of the new base. Caller holds the lock and has already
+/// tombstones of the new base, marked in its dead_rows through the id
+/// map RebuildCompacted set. Caller holds the lock and has already
 /// verified old_shard.epoch == plan.epoch.
 void CarryOverlayForward(const ShardHost& old_shard,
                          const CompactionPlan& plan, ShardHost* fresh);

@@ -37,12 +37,16 @@ struct MergeSource {
 /// Exactness requires each source's result to survive its own masking:
 /// a source with t tombstoned rows must be queried at k' >= k + t, so
 /// that after dropping the (at most t) dead entries it still contributes
-/// its top-k live points. Every live global top-k point then appears in
-/// exactly one source's surviving list, and the k smallest of the pooled
-/// survivors under NeighborLess on (distance, stable id) are exactly the
-/// global top-k; since every id_map is strictly increasing, that order
-/// is the one a cold-built index over the live points in ascending-id
-/// order would produce — the merged rows are bit-identical to it.
+/// its top-k live points. A source whose scan already skipped its dead
+/// rows (a host-routed base, HostImage::Knn with the shard's dead_rows)
+/// holds only live points: it is queried at k and passes no tombstones,
+/// so the merge looks none up. Every live global top-k point then
+/// appears in exactly one source's surviving list, and the k smallest of
+/// the pooled survivors under NeighborLess on (distance, stable id) are
+/// exactly the global top-k; since every id_map is strictly increasing,
+/// that order is the one a cold-built index over the live points in
+/// ascending-id order would produce — the merged rows are bit-identical
+/// to it.
 KnnResult MergeMutableResults(const std::vector<MergeSource>& sources,
                               int k);
 
@@ -56,7 +60,9 @@ KnnResult MergeMutableResults(const std::vector<MergeSource>& sources,
 /// host-kernel result: indices local to the slice, stable id = local
 /// index + `offset`. A mutated shard reports its own exact live top-k
 /// with stable ids already substituted (the shard-local
-/// MergeMutableResults over its over-queried base and its delta scan).
+/// MergeMutableResults over its base scan — the host route's at k with
+/// the dead rows skipped, the device route's over-queried — and its
+/// delta scan).
 /// The run-stat fields are the flattened subset the serving layer
 /// aggregates; a host-routed shard ran no simulated device and reports
 /// zeros with device_routed = false.

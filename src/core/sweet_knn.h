@@ -123,8 +123,9 @@ class SweetKnnIndex {
   SweetKnnIndex& operator=(const SweetKnnIndex&) = delete;
 
   /// The k nearest live points for every query row, as stable ids. When
-  /// tombstones exist, the base engine is over-queried at
-  /// k + |tombstones| so that masking can never starve the top-k.
+  /// tombstones exist, the host route's TI scan skips the dead base rows
+  /// at k; a device-routed base is over-queried at k + |tombstones| so
+  /// that masking can never starve the top-k.
   KnnResult Query(const HostMatrix& queries, int k,
                   core::KnnRunStats* stats = nullptr);
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -22,6 +23,7 @@
 #include "core/ti_knn_gpu.h"
 #include "gtest/gtest.h"
 #include "simd/simd_kernels.h"
+#include "store/snapshot.h"
 #include "test_util.h"
 
 namespace sweetknn {
@@ -204,61 +206,219 @@ TEST(HostImageTest, PruningSideScoresFewRowsOneWindowSideScoresAll) {
   EXPECT_EQ(all.candidates, all.total_pairs);
 }
 
+core::TiOptions MutationOptions(core::Metric metric, int landmarks) {
+  core::TiOptions options = core::TiOptions::Sweet();
+  options.metric = metric;
+  options.sim_threads = 1;
+  options.landmarks_override = landmarks;
+  return options;
+}
+
+/// A copy of base row `row`, its first coordinate nudged by `nudge`.
+std::vector<float> NearCopy(const HostMatrix& base, size_t row, float nudge) {
+  std::vector<float> point(base.row(row), base.row(row) + base.cols());
+  point[0] += nudge;
+  return point;
+}
+
+/// Both routes of `shard` against the over-query reference: PackedKnn
+/// over the row-order base at k + |tombstones|, merged with a delta scan
+/// that checks every entry — what the device route merges. Also holds
+/// dead_rows to the tombstone set.
+void ExpectBothRoutesMatchOverQuery(core::ShardHost* shard,
+                                    const HostMatrix& queries, int k,
+                                    core::Metric metric,
+                                    const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_TRUE(testing::DeadRowsMatchTombstones(*shard));
+  const core::DeltaBuffer& delta = shard->delta;
+  const int base_k = k + static_cast<int>(delta.tombstones.size());
+  const simd::PackedTargets packed = simd::PackedTargets::Pack(
+      shard->base.data(), shard->base.rows(), shard->base.cols());
+  const KnnResult base_ref = simd::PackedKnn(
+      queries, packed, base_k, core::SimdDistFor(metric), 1);
+  const KnnResult delta_ref =
+      core::ScanDelta(delta, queries, k, metric, delta.size());
+  core::MergeSource base_src;
+  base_src.result = &base_ref;
+  base_src.id_map = shard->id_map.empty() ? nullptr : shard->id_map.data();
+  base_src.offset = shard->offset;
+  base_src.tombstones = &delta.tombstones;
+  core::MergeSource delta_src;
+  delta_src.result = &delta_ref;
+  delta_src.id_map = delta.ids.data();
+  const KnnResult want = core::MergeMutableResults({base_src, delta_src}, k);
+
+  const core::ShardAnswer host =
+      shard->SearchGroup(queries, k, core::QueryRoute::kHost, metric);
+  const core::ShardAnswer device =
+      shard->SearchGroup(queries, k, core::QueryRoute::kDevice, metric);
+  ExpectSameBytes(want, host.result, what + " kHost");
+  ExpectSameBytes(want, device.result, what + " kDevice");
+  EXPECT_FALSE(host.device_routed);
+  EXPECT_EQ(host.total_pairs, queries.rows() * shard->base.rows());
+  EXPECT_GT(host.distance_calcs, 0u);
+}
+
+// A mutated ShardHost answers with the over-query reference's bytes on
+// both routes, on both sides of the small-shard rule: 6 landmarks fill
+// their tiles over 400 rows, 30 cannot (30 * 16 > 400). The host route
+// skips dead rows inside its scan at k; the device route over-queries.
 TEST(HostImageTest, MutatedShardHostAnswersIdenticallyOnBothRoutes) {
+  const gpusim::DeviceSpec spec = gpusim::DeviceSpec::TeslaK20c();
+  const size_t dims = 6;
+  const int k = 7;
+  const HostMatrix base = testing::ClusteredPoints(400, dims, 5, 61, 0.06f);
+  const HostMatrix queries = MixedQueries(base, 10, 62);
   for (const core::Metric metric :
        {core::Metric::kEuclidean, core::Metric::kManhattan}) {
-    const size_t dims = 6;
-    const HostMatrix base = testing::ClusteredPoints(400, dims, 5, 61, 0.06f);
-    core::TiOptions options = core::TiOptions::Sweet();
-    options.metric = metric;
-    options.sim_threads = 1;
-    options.landmarks_override = 6;  // pruning side: 6 * 16 <= 400
-    core::ShardHost shard(gpusim::DeviceSpec::TeslaK20c(), options);
-    shard.offset = 1000;
-    shard.BuildCold(base);
-    ASSERT_FALSE(shard.image.single_window());
-    // Tombstone every 9th base row; insert near-copies of a few rows.
-    for (uint32_t i = 0; i < base.rows(); i += 9) {
-      ASSERT_TRUE(shard.ApplyRemove(shard.BaseId(i)));
-    }
-    for (uint32_t i = 0; i < 12; ++i) {
-      std::vector<float> point(base.row(i * 31), base.row(i * 31) + dims);
-      point[0] += 0.001f * static_cast<float>(i);
-      shard.delta.Append(5000 + i, point.data());
-    }
-    const HostMatrix queries = MixedQueries(base, 10, 62);
-    const int k = 7;
-    const int base_k = k + static_cast<int>(shard.delta.tombstones.size());
+    for (const int landmarks : {6, 30}) {
+      const core::TiOptions options = MutationOptions(metric, landmarks);
+      const bool one_window = landmarks == 30;
+      const std::string side =
+          std::string(one_window ? "one window" : "pruning") +
+          (metric == core::Metric::kEuclidean ? " euclidean" : " manhattan");
 
-    // Reference: PackedKnn over the row-order base at the same base_k,
-    // merged with the delta scan exactly as SearchGroup merges.
-    const simd::PackedTargets packed =
-        simd::PackedTargets::Pack(base.data(), base.rows(), dims);
-    const KnnResult base_ref = simd::PackedKnn(
-        queries, packed, base_k, core::SimdDistFor(metric), 1);
-    const KnnResult delta_ref =
-        core::ScanDelta(shard.delta, queries, k, metric);
-    core::MergeSource base_src;
-    base_src.result = &base_ref;
-    base_src.offset = shard.offset;
-    base_src.tombstones = &shard.delta.tombstones;
-    core::MergeSource delta_src;
-    delta_src.result = &delta_ref;
-    delta_src.id_map = shard.delta.ids.data();
-    const KnnResult want =
-        core::MergeMutableResults({base_src, delta_src}, k);
+      // Scattered tombstones and near-copy inserts at offset 1000, then
+      // the same shard through its snapshot (what FromSnapshots and a
+      // worker's PrepareSnapshot run), then compacted: an id-mapped
+      // base with new removes and inserts.
+      core::ShardHost shard(spec, options);
+      shard.offset = 1000;
+      shard.BuildCold(base);
+      ASSERT_EQ(shard.image.single_window(), one_window);
+      for (uint32_t i = 0; i < base.rows(); i += 9) {
+        ASSERT_TRUE(shard.ApplyRemove(shard.BaseId(i)));
+      }
+      for (uint32_t i = 0; i < 12; ++i) {
+        shard.delta.Append(5000 + i,
+                           NearCopy(base, i * 31, 0.001f * i).data());
+      }
+      ExpectBothRoutesMatchOverQuery(&shard, queries, k, metric,
+                                     side + " scattered");
 
-    const core::ShardAnswer host =
-        shard.SearchGroup(queries, k, core::QueryRoute::kHost, metric);
-    const core::ShardAnswer device =
-        shard.SearchGroup(queries, k, core::QueryRoute::kDevice, metric);
-    ExpectSameBytes(want, host.result, "kHost");
-    ExpectSameBytes(want, device.result, "kDevice");
-    EXPECT_FALSE(host.device_routed);
-    EXPECT_EQ(host.total_pairs, queries.rows() * base.rows());
-    EXPECT_GT(host.distance_calcs, 0u);
-    EXPECT_LT(host.distance_calcs, host.total_pairs);
+      const store::IndexSnapshot snap =
+          shard.Export("mutated", "test", 0, 1, /*next_id=*/6000);
+      core::ShardHost restored(spec, options);
+      restored.AdoptOverlay(snap);
+      restored.RestoreBase(snap.target, snap.clustering);
+      ExpectBothRoutesMatchOverQuery(&restored, queries, k, metric,
+                                     side + " restored");
+
+      const std::unique_ptr<core::ShardHost> compacted =
+          core::CompactNow(&shard);
+      ASSERT_NE(compacted, nullptr);
+      ASSERT_FALSE(compacted->id_map.empty());
+      ASSERT_EQ(compacted->image.single_window(), one_window);
+      for (size_t i = 2; i < compacted->base.rows(); i += 11) {
+        ASSERT_TRUE(compacted->ApplyRemove(compacted->BaseId(i)));
+      }
+      compacted->delta.Append(6000, NearCopy(base, 14, 0.002f).data());
+      ExpectBothRoutesMatchOverQuery(compacted.get(), queries, k, metric,
+                                     side + " id-mapped");
+
+      // A tombstoned row tied at the kth place with live rows: every row
+      // is stored twice, and each query's kth row (the lower id of a
+      // tied pair, since k is odd) is removed.
+      HostMatrix twice(base.rows(), dims);
+      for (size_t i = 0; i < base.rows(); ++i) {
+        std::memcpy(twice.mutable_row(i), base.row(i % (base.rows() / 2)),
+                    dims * sizeof(float));
+      }
+      core::ShardHost tied(spec, options);
+      tied.BuildCold(twice);
+      const simd::PackedTargets packed =
+          simd::PackedTargets::Pack(twice.data(), twice.rows(), dims);
+      const KnnResult ranked = simd::PackedKnn(
+          queries, packed, k + 1, core::SimdDistFor(metric), 1);
+      for (size_t q = 0; q < queries.rows(); ++q) {
+        const Neighbor* row = ranked.row(q);
+        ASSERT_EQ(std::memcmp(&row[k - 1].distance, &row[k].distance,
+                              sizeof(float)),
+                  0);
+        tied.ApplyRemove(row[k - 1].index);  // false once already removed
+      }
+      ExpectBothRoutesMatchOverQuery(&tied, queries, k, metric,
+                                     side + " kth-place tie");
+
+      // Fewer live base rows than k: five base rows and one insert
+      // survive, so every row pads.
+      core::ShardHost sparse(spec, options);
+      sparse.BuildCold(base);
+      for (uint32_t i = 0; i < base.rows(); ++i) {
+        if (i % 80 != 0) {
+          ASSERT_TRUE(sparse.ApplyRemove(i));
+        }
+      }
+      sparse.delta.Append(400, NearCopy(base, 7, 0.001f).data());
+      ExpectBothRoutesMatchOverQuery(&sparse, queries, k, metric,
+                                     side + " padding");
+
+      // Mid-compaction: after the capture, removing the last captured
+      // delta entry tombstones it, and removing the first entry past the
+      // watermark erases it. The install then carries both forward.
+      core::ShardHost busy(spec, options);
+      busy.offset = 1000;
+      busy.BuildCold(base);
+      for (uint32_t i = 0; i < base.rows(); i += 13) {
+        ASSERT_TRUE(busy.ApplyRemove(busy.BaseId(i)));
+      }
+      for (uint32_t i = 0; i < 6; ++i) {
+        busy.delta.Append(5000 + i, NearCopy(base, i * 7, 0.001f).data());
+      }
+      core::CompactionPlan plan;
+      core::CaptureCompaction(&busy, &plan);
+      ASSERT_EQ(plan.watermark, 6u);
+      busy.delta.Append(5006, NearCopy(base, 42, 0.001f).data());
+      busy.delta.Append(5007, NearCopy(base, 49, 0.001f).data());
+      ASSERT_TRUE(busy.ApplyRemove(5005));
+      ASSERT_TRUE(busy.ApplyRemove(5006));
+      ASSERT_TRUE(busy.ApplyRemove(busy.BaseId(3)));
+      EXPECT_EQ(busy.delta.tombstones.count(5005), 1u);
+      EXPECT_EQ(busy.delta.Find(5005), 5u);
+      EXPECT_EQ(busy.delta.Find(5006), core::DeltaBuffer::kNotFound);
+      ExpectBothRoutesMatchOverQuery(&busy, queries, k, metric,
+                                     side + " mid-compaction");
+      const std::unique_ptr<core::ShardHost> installed =
+          core::RebuildCompacted(plan, spec, options);
+      core::CarryOverlayForward(busy, plan, installed.get());
+      EXPECT_EQ(installed->delta.ids, std::vector<uint32_t>{5007});
+      ASSERT_NE(installed->BaseRow(5005), core::DeltaBuffer::kNotFound);
+      EXPECT_NE(installed->dead_rows()[installed->BaseRow(5005)], 0);
+      ExpectBothRoutesMatchOverQuery(installed.get(), queries, k, metric,
+                                     side + " carried forward");
+    }
   }
+}
+
+// The host route scans a mutated shard at k with its dead rows skipped,
+// so theta is the kth live distance: it scores exactly what the image
+// scores at k with the mask, and fewer rows than the over-query at
+// k + |tombstones| would.
+TEST(HostImageTest, HostRouteScansAMutatedShardAtK) {
+  const HostMatrix base = testing::ClusteredPoints(2000, 8, 10, 77, 0.02f);
+  const HostMatrix queries = MixedQueries(base, 30, 78);
+  core::ShardHost shard(gpusim::DeviceSpec::TeslaK20c(),
+                        MutationOptions(core::Metric::kEuclidean, 40));
+  shard.BuildCold(base);
+  ASSERT_FALSE(shard.image.single_window());
+  // 3 rows in every 20: 300 tombstones spread over every cluster.
+  for (uint32_t i = 0; i < base.rows(); ++i) {
+    if (i * 7 % 20 < 3) {
+      ASSERT_TRUE(shard.ApplyRemove(i));
+    }
+  }
+  ASSERT_EQ(shard.delta.tombstones.size(), 300u);
+  const int k = 10;
+  const core::ShardAnswer host = shard.SearchGroup(
+      queries, k, core::QueryRoute::kHost, core::Metric::kEuclidean);
+  core::RangeScanStats masked;
+  shard.image.Knn(queries, k, simd::Dist::kEuclidean, 1, &masked,
+                  shard.dead_rows().data());
+  core::RangeScanStats over_query;
+  shard.image.Knn(queries, k + 300, simd::Dist::kEuclidean, 1, &over_query);
+  EXPECT_EQ(host.distance_calcs, masked.candidates);
+  EXPECT_LT(host.distance_calcs, over_query.candidates);
 }
 
 /// A forced landmark count whose clusters average 32 rows, so the image

@@ -426,5 +426,49 @@ TEST(ClusterSlow, ReplicaCatchUpSurvivesSecondKill) {
   local.Shutdown();
 }
 
+// A replica a worker adopts from a catch-up snapshot (PrepareSnapshot)
+// derives the host route's dead rows from the file's tombstones. Every
+// target row is queried at k = 1 on the default (host) route once the
+// restored replicas serve: a live row answers itself at distance 0, a
+// removed one never appears.
+TEST(ClusterSlow, CaughtUpReplicasMaskTheirTombstonesOnTheHostRoute) {
+  if (CliBinary() == nullptr) {
+    GTEST_SKIP() << "SWEETKNN_CLI not set; this suite needs the CLI binary";
+  }
+  const size_t dims = 4;
+  const HostMatrix target =
+      testing::ClusteredPoints(96, dims, 3, SplitMix64(kBaseSeed + 9), 0.08f);
+  serve::RouterConfig router_config;
+  router_config.service.num_shards = 4;
+  router_config.service.auto_compact = false;
+  router_config.num_workers = 4;
+  router_config.replicas = 1;
+  router_config.worker_binary = CliBinary();
+  Result<std::unique_ptr<serve::Router>> started =
+      serve::Router::Start(target, router_config);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  serve::Router& cluster = *started.value();
+
+  std::set<uint32_t> removed;
+  for (uint32_t id = 2; id < target.rows(); id += 5) {
+    ASSERT_TRUE(cluster.Remove(id).value()) << id;
+    removed.insert(id);
+  }
+  auto check = [&](const char* what) {
+    const Result<KnnResult> got = cluster.JoinBatch(target, 1);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    testing::ExpectSelfQueriesSeeTheLiveSet(got.value(), 0, removed, what);
+  };
+  check("before the kills");
+  ASSERT_EQ(::kill(cluster.worker_pid(1), SIGKILL), 0);
+  check("after the first kill (failover)");
+  ASSERT_TRUE(cluster.RestoreReplication().ok());
+  EXPECT_GE(cluster.stats().replicas_restored, 1u);
+  // The second death leaves restored replicas authoritative.
+  ASSERT_EQ(::kill(cluster.worker_pid(2), SIGKILL), 0);
+  check("on the caught-up replicas");
+  cluster.Shutdown();
+}
+
 }  // namespace
 }  // namespace sweetknn

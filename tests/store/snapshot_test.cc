@@ -4,6 +4,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "gtest/gtest.h"
 #include "serve/knn_service.h"
 #include "store/payload_io.h"
+#include "test_util.h"
 
 namespace sweetknn::store {
 namespace {
@@ -658,6 +661,60 @@ TEST(SnapshotInteropTest, IndexAndServiceShareOneSnapshotModel) {
 
   std::filesystem::remove_all(index_dir);
   std::filesystem::remove_all(service_dir);
+}
+
+// Each owner that installs a mutated base derives the host route's dead
+// rows from the tombstones it holds: the service's compaction and its
+// removes, KnnService::FromSnapshots, and SweetKnnIndex::Load of a shard
+// at a nonzero offset (whose ids Load rewrites into an id map).
+TEST(SnapshotInteropTest, RestoredShardsMaskTheirTombstones) {
+  const HostMatrix target = RandomMatrix(200, 5, 61);
+  SweetKnn::Config config;
+  serve::ServiceConfig service_config;
+  service_config.num_shards = 2;  // shard 0: ids 0-99, shard 1: 100-199
+  service_config.auto_compact = false;
+  service_config.options = config.options;
+  service_config.device = config.device;
+  serve::KnnService service(target, service_config);
+  std::set<uint32_t> removed;
+  auto remove = [&](uint32_t id) {
+    Result<bool> done = service.Remove(id);
+    ASSERT_TRUE(done.ok() && done.value()) << id;
+    removed.insert(id);
+  };
+  for (uint32_t id = 1; id < 200; id += 7) remove(id);
+  // Shard 0 compacts into an id-mapped base, then loses more rows.
+  ASSERT_TRUE(service.CompactShard(0).ok());
+  for (uint32_t id = 4; id < 200; id += 9) {
+    if (removed.count(id) == 0) remove(id);
+  }
+  auto self_query = [&](serve::KnnService* owner) {
+    Result<KnnResult> answer = owner->JoinBatch(target, 1);
+    EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+    return answer.ok() ? answer.value() : KnnResult();
+  };
+  testing::ExpectSelfQueriesSeeTheLiveSet(self_query(&service), 0, removed,
+                                          "live service");
+
+  const std::string dir = TempPath("restored_masks");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(service.SaveSnapshots(dir).ok());
+  Result<std::unique_ptr<serve::KnnService>> adopted =
+      serve::KnnService::FromSnapshots(dir, service_config);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  testing::ExpectSelfQueriesSeeTheLiveSet(self_query(adopted.value().get()),
+                                          0, removed, "FromSnapshots");
+
+  Result<std::unique_ptr<SweetKnnIndex>> loaded =
+      SweetKnnIndex::Load(ShardSnapshotPath(dir, 1, 2), config);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_GT(loaded.value()->tombstone_count(), 0u);
+  HostMatrix shard1(100, target.cols());
+  std::memcpy(shard1.mutable_data(), target.row(100),
+              100 * target.cols() * sizeof(float));
+  testing::ExpectSelfQueriesSeeTheLiveSet(loaded.value()->Query(shard1, 1),
+                                          100, removed, "Load of shard 1");
+  std::filesystem::remove_all(dir);
 }
 
 // -- Format v3 ----------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "common/knn_result.h"
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "core/shard_host.h"
 #include "dataset/generators.h"
 #include "gtest/gtest.h"
 #include "simd/simd_kernels.h"
@@ -45,6 +47,51 @@ inline void ExpectResultsMatch(const KnnResult& expected,
   const size_t bad =
       CountResultMismatches(expected, actual, tolerance, &mismatch);
   EXPECT_EQ(bad, 0u) << "first mismatch: " << mismatch;
+}
+
+/// The shard's dead_rows equal its tombstone set restricted to base
+/// rows, row for row.
+inline ::testing::AssertionResult DeadRowsMatchTombstones(
+    const core::ShardHost& shard) {
+  const std::vector<uint8_t>& dead = shard.dead_rows();
+  if (dead.size() != shard.base.rows()) {
+    return ::testing::AssertionFailure()
+           << "dead_rows holds " << dead.size() << " entries for "
+           << shard.base.rows() << " base rows";
+  }
+  for (size_t i = 0; i < dead.size(); ++i) {
+    const bool tombstoned =
+        shard.delta.tombstones.count(shard.BaseId(i)) != 0;
+    if ((dead[i] != 0) != tombstoned) {
+      return ::testing::AssertionFailure()
+             << "base row " << i << " (id " << shard.BaseId(i) << ") is "
+             << (tombstoned ? "tombstoned" : "live") << " but dead_rows holds "
+             << static_cast<int>(dead[i]);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// `answer` holds k >= 1 rows for the points with stable ids first_id,
+/// first_id + 1, ..., each queried against an index holding it: a live
+/// point is its own nearest neighbor at distance 0, a removed one never
+/// appears. On the host route, which reads each shard's dead_rows, this
+/// reads every bit of them.
+inline void ExpectSelfQueriesSeeTheLiveSet(const KnnResult& answer,
+                                           uint32_t first_id,
+                                           const std::set<uint32_t>& removed,
+                                           const std::string& what) {
+  for (size_t q = 0; q < answer.num_queries(); ++q) {
+    const uint32_t id = first_id + static_cast<uint32_t>(q);
+    const Neighbor& nearest = answer.row(q)[0];
+    if (removed.count(id) != 0) {
+      EXPECT_NE(nearest.index, id) << what << ": removed id " << id;
+    } else {
+      EXPECT_TRUE(nearest.index == id && nearest.distance == 0.0f)
+          << what << ": live id " << id << " answered " << nearest.index
+          << " at " << nearest.distance;
+    }
+  }
 }
 
 /// Every SIMD tier this build and CPU can run, scalar first.
