@@ -31,31 +31,31 @@ void DeltaBuffer::EraseAt(size_t pos) {
 }
 
 KnnResult ScanDelta(const DeltaBuffer& delta, const HostMatrix& queries,
-                    int k, Metric metric, size_t tombstoned_prefix) {
+                    int k, Metric metric) {
   SK_CHECK_GT(k, 0);
   SK_CHECK_EQ(queries.cols(), delta.dims);
   KnnResult result(queries.rows(), k);
   // Pack the delta once per scan; the batch kernels reproduce the old
-  // per-pair AccessorDistance loop bit for bit. The prefix that can hold
-  // tombstones takes the skip-aware scalar walk, the rest the vector
-  // select: one ascending order, the same PushIfCloser semantics.
+  // per-pair AccessorDistance loop bit for bit. With tombstones present
+  // the select falls back to the skip-aware scalar walk (same ascending
+  // order, same PushIfCloser semantics).
   const simd::PackedTargets packed =
       simd::PackedTargets::Pack(delta.points.data(), delta.size(), delta.dims);
-  const size_t checked = delta.tombstones.empty()
-                             ? 0
-                             : std::min(tombstoned_prefix, delta.size());
   std::vector<float> dists(delta.size());
   for (size_t q = 0; q < queries.rows(); ++q) {
     TopK topk(k);
     if (delta.size() > 0) {
       simd::QueryDistances(queries.row(q), packed, SimdDistFor(metric),
                            dists.data());
-      for (size_t i = 0; i < checked; ++i) {
-        if (delta.tombstones.count(delta.ids[i]) != 0) continue;
-        topk.PushIfCloser(Neighbor{static_cast<uint32_t>(i), dists[i]});
+      if (delta.tombstones.empty()) {
+        simd::SelectNearest(dists.data(), delta.size(), /*index_base=*/0,
+                            &topk);
+      } else {
+        for (size_t i = 0; i < delta.size(); ++i) {
+          if (delta.tombstones.count(delta.ids[i]) != 0) continue;
+          topk.PushIfCloser(Neighbor{static_cast<uint32_t>(i), dists[i]});
+        }
       }
-      simd::SelectNearest(dists.data() + checked, delta.size() - checked,
-                          static_cast<uint32_t>(checked), &topk);
     }
     result.SetRow(q, topk.Sorted());
   }

@@ -12,10 +12,10 @@
 
 namespace sweetknn::core {
 
-/// The mutable overlay of a frozen TI index: points inserted since the
-/// base was prepared (served by an exact brute-force side scan, see
-/// ScanDelta) and base rows deleted since (masked out of merged answers
-/// by stable id).
+/// The insert side of a frozen TI index's mutable overlay: points
+/// inserted since the base was prepared, served by an exact brute-force
+/// side scan (see ScanDelta). Deleted base rows are not recorded here;
+/// their owner masks them (ShardHost::dead_rows).
 ///
 /// Rows are identified by *stable ids*, allocated monotonically by the
 /// owning index and never reused. `ids` is kept strictly increasing
@@ -30,16 +30,14 @@ struct DeltaBuffer {
   std::vector<uint32_t> ids;
   /// ids.size() x dims row-major coordinates, parallel to `ids`.
   std::vector<float> points;
-  /// Stable ids masked out of answers: deleted rows that are still
-  /// physically present in the frozen base (or, transiently during a
-  /// compaction, in the delta prefix the compactor already copied).
+  /// Stable ids of deleted entries that stay in `ids`, masked out of
+  /// answers: during a compaction, the entries of the prefix the
+  /// compactor already copied (ShardHost::ApplyRemove). Empty otherwise.
   std::unordered_set<uint32_t> tombstones;
 
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
 
   size_t size() const { return ids.size(); }
-  /// No delta points and no tombstones: the base answers alone.
-  bool Pristine() const { return ids.empty() && tombstones.empty(); }
   const float* point(size_t i) const { return points.data() + i * dims; }
 
   /// Appends a point under `id`, which must exceed every id present.
@@ -58,15 +56,10 @@ struct DeltaBuffer {
 /// maps them to stable ids); rows ascend under NeighborLess and pad with
 /// kInvalidNeighbor, matching the engine's conventions.
 ///
-/// Only positions below `tombstoned_prefix` are looked up in
-/// `delta.tombstones`; the caller guarantees no later entry is
-/// tombstoned (ShardHost::TombstonedDeltaPrefix). delta.size() checks
-/// every entry.
-///
 /// Position order equals id order (`ids` is strictly increasing), so
 /// tie-breaking on position is tie-breaking on stable id.
 KnnResult ScanDelta(const DeltaBuffer& delta, const HostMatrix& queries,
-                    int k, Metric metric, size_t tombstoned_prefix);
+                    int k, Metric metric);
 
 }  // namespace sweetknn::core
 

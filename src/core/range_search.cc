@@ -90,8 +90,7 @@ RangeResult TiRangeScan(const HostMatrix& queries, const HostImage& image,
 }
 
 RangeResult RangeScanDelta(const DeltaBuffer& delta, const HostMatrix& queries,
-                           float radius, Metric metric,
-                           size_t tombstoned_prefix) {
+                           float radius, Metric metric) {
   SK_CHECK_EQ(queries.cols(), delta.dims);
   RangeResult result;
   const simd::PackedTargets packed =
@@ -105,10 +104,7 @@ RangeResult RangeScanDelta(const DeltaBuffer& delta, const HostMatrix& queries,
                            dists.data());
       for (size_t i = 0; i < delta.size(); ++i) {
         if (dists[i] > radius) continue;
-        if (i < tombstoned_prefix &&
-            delta.tombstones.count(delta.ids[i]) != 0) {
-          continue;
-        }
+        if (delta.tombstones.count(delta.ids[i]) != 0) continue;
         row.push_back(Neighbor{static_cast<uint32_t>(i), dists[i]});
       }
       std::sort(row.begin(), row.end(), NeighborLess);

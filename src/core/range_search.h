@@ -71,10 +71,9 @@ RangeResult TiRangeScan(const HostMatrix& queries, const HostImage& image,
 /// row. Neighbor indices are positions into `delta.ids` (the caller maps
 /// them to stable ids); position order equals id order, so tie-breaking
 /// on position is tie-breaking on stable id. Same canonical distance
-/// pipeline, and the same `tombstoned_prefix` rule, as ScanDelta.
+/// pipeline as ScanDelta.
 RangeResult RangeScanDelta(const DeltaBuffer& delta, const HostMatrix& queries,
-                           float radius, Metric metric,
-                           size_t tombstoned_prefix);
+                           float radius, Metric metric);
 
 /// One shard's complete contribution to a radius group, the range
 /// counterpart of ShardAnswer. Unlike kNN answers there is no pristine

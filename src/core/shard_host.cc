@@ -46,7 +46,6 @@ void ShardHost::BuildCold(const HostMatrix& slice) {
                               workers));
   set_base_rows(base.rows());
   delta.dims = base.cols();
-  dead_rows_.assign(base.rows(), 0);
   device_state_ = DeviceState::kCold;
 }
 
@@ -56,11 +55,6 @@ void ShardHost::RestoreBase(const HostMatrix& target,
   SK_CHECK_EQ(clustering.assignment.size(), target.rows());
   base = target;
   image = HostImage(base, clustering);
-  dead_rows_.assign(base.rows(), 0);
-  for (const uint32_t id : delta.tombstones) {
-    const size_t row = BaseRow(id);
-    if (row != DeltaBuffer::kNotFound) dead_rows_[row] = 1;
-  }
   device_state_ = DeviceState::kRestored;
 }
 
@@ -92,7 +86,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   // service is mutated or not (no tombstones; offset remap equals the
   // identity merge source), so the pristine/mutated decision is purely
   // local — no cross-shard coordination crosses the wire.
-  const bool masked = !delta.tombstones.empty();
+  const uint8_t* dead = dead_rows();
   const simd::Dist dist_kind = SimdDistFor(metric);
   KnnRunStats stats;
   RangeScanStats host_stats;
@@ -101,21 +95,20 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   const SteadyClock::time_point start = SteadyClock::now();
   if (route == QueryRoute::kHost) {
     // Dead rows never enter the TI scan's heap: its k rows are live.
-    base_result = image.Knn(queries, k, dist_kind, workers, &host_stats,
-                            masked ? dead_rows_.data() : nullptr);
+    base_result =
+        image.Knn(queries, k, dist_kind, workers, &host_stats, dead);
   } else {
     // The simulated kernels scan every row, so the base is over-queried
     // by the tombstone count and the merge masks the dead.
     PrepareDevice();
     base_result = engine.RunQueries(
-        queries, k + static_cast<int>(delta.tombstones.size()), &stats);
+        queries, k + static_cast<int>(tombstone_count()), &stats);
   }
   const bool has_delta = delta.size() > 0;
   if (!answer.pristine && has_delta) {
     // The delta scan contributes no simulated device time — it models
     // host-side work the GPU index never sees.
-    delta_result =
-        ScanDelta(delta, queries, k, metric, TombstonedDeltaPrefix());
+    delta_result = ScanDelta(delta, queries, k, metric);
   }
   answer.route_seconds = SecondsBetween(start, SteadyClock::now());
 
@@ -123,7 +116,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     answer.result = std::move(base_result);
   } else {
     // Shard-local exact merge: the base (local indices -> stable ids;
-    // a device-routed one over-queried, its tombstones masked here)
+    // a device-routed one over-queried, its dead rows masked here)
     // plus the delta side scan. The rows are this shard's exact live
     // top-k under (distance, stable id).
     std::vector<MergeSource> sources;
@@ -131,7 +124,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     base.result = &base_result;
     base.id_map = id_map.empty() ? nullptr : id_map.data();
     base.offset = offset;
-    if (answer.device_routed && masked) base.tombstones = &delta.tombstones;
+    if (answer.device_routed) base.dead_rows = dead;
     sources.push_back(base);
     if (has_delta) {
       MergeSource side;
@@ -176,17 +169,17 @@ RangeShardAnswer ShardHost::RangeGroup(const HostMatrix& queries,
   const bool has_delta = delta.size() > 0;
   RangeResult delta_matches;
   if (has_delta) {
-    delta_matches = RangeScanDelta(delta, queries, radius, metric,
-                                   TombstonedDeltaPrefix());
+    delta_matches = RangeScanDelta(delta, queries, radius, metric);
   }
   // Stable-id substitution happens here unconditionally — range answers
   // have no pristine fast path (a pristine shard's BaseId is just the
   // offset shift), so the merge side never sees local indices.
+  const uint8_t* dead = dead_rows();
   std::vector<Neighbor> row;
   for (size_t q = 0; q < queries.rows(); ++q) {
     row.clear();
     for (const Neighbor* nb = base.begin(q); nb != base.end(q); ++nb) {
-      if (dead_rows_[nb->index] != 0) continue;
+      if (dead != nullptr && dead[nb->index] != 0) continue;
       row.push_back(Neighbor{BaseId(nb->index), nb->distance});
     }
     if (has_delta) {
@@ -207,12 +200,14 @@ void ShardHost::ExportLive(std::vector<uint32_t>* ids,
   const size_t dims = base.cols() > 0 ? base.cols() : delta.dims;
   std::vector<std::pair<uint32_t, const float*>> live;
   live.reserve(base.rows() + delta.size());
+  const uint8_t* dead = dead_rows();
   for (size_t i = 0; i < base.rows(); ++i) {
-    if (dead_rows_[i] == 0) live.emplace_back(BaseId(i), base.row(i));
+    if (dead == nullptr || dead[i] == 0) {
+      live.emplace_back(BaseId(i), base.row(i));
+    }
   }
   for (size_t j = 0; j < delta.size(); ++j) {
-    if (j >= TombstonedDeltaPrefix() ||
-        delta.tombstones.count(delta.ids[j]) == 0) {
+    if (delta.tombstones.count(delta.ids[j]) == 0) {
       live.emplace_back(delta.ids[j], delta.point(j));
     }
   }
@@ -241,24 +236,25 @@ bool ShardHost::Owns(uint32_t id) const {
          BaseRow(id) != DeltaBuffer::kNotFound;
 }
 
-void ShardHost::AddTombstone(uint32_t id) {
-  delta.tombstones.insert(id);
-  const size_t row = BaseRow(id);
-  if (row != DeltaBuffer::kNotFound) dead_rows_[row] = 1;
+bool ShardHost::MarkDead(size_t row) {
+  if (dead_rows_[row] != 0) return false;
+  dead_rows_[row] = 1;
+  ++dead_base_rows_;
+  return true;
 }
 
 bool ShardHost::ApplyRemove(uint32_t id) {
-  if (!Owns(id)) return false;
-  if (delta.tombstones.count(id) != 0) return false;  // already removed
+  const size_t row = BaseRow(id);
+  if (row != DeltaBuffer::kNotFound) return MarkDead(row);
   const size_t pos = delta.Find(id);
-  if (pos == DeltaBuffer::kNotFound || pos < TombstonedDeltaPrefix()) {
-    // A base point, or a delta entry an in-flight compaction has
-    // already consumed (the rebuild contains it): mask it. Erasing
-    // a consumed entry would resurrect the point at install.
-    AddTombstone(id);
-  } else {
-    delta.EraseAt(pos);
+  if (pos == DeltaBuffer::kNotFound) return false;
+  if (compact_watermark != kNoCompaction && pos < compact_watermark) {
+    // A delta entry an in-flight compaction has already consumed (the
+    // rebuild contains it): mask it. Erasing a consumed entry would
+    // resurrect the point at install.
+    return delta.tombstones.insert(id).second;
   }
+  delta.EraseAt(pos);
   return true;
 }
 
@@ -266,7 +262,10 @@ void CaptureCompaction(ShardHost* shard, CompactionPlan* plan) {
   SK_CHECK_EQ(shard->compact_watermark, ShardHost::kNoCompaction);
   plan->epoch = shard->epoch;
   plan->watermark = shard->delta.size();
-  plan->captured_tombstones = shard->delta.tombstones;
+  // Delta entries are tombstoned only while a compaction is in flight.
+  SK_CHECK(shard->delta.tombstones.empty());
+  const uint8_t* dead = shard->dead_rows();
+  if (dead != nullptr) plan->dead_rows.assign(dead, dead + shard->base_rows());
   shard->compact_watermark = plan->watermark;
 
   // The new base: base survivors, then consumed live delta entries —
@@ -276,18 +275,9 @@ void CaptureCompaction(ShardHost* shard, CompactionPlan* plan) {
   const size_t dims = base.cols();
   std::vector<size_t> base_survivors;
   for (size_t i = 0; i < base.rows(); ++i) {
-    if (plan->captured_tombstones.count(shard->BaseId(i)) == 0) {
-      base_survivors.push_back(i);
-    }
+    if (dead == nullptr || dead[i] == 0) base_survivors.push_back(i);
   }
-  std::vector<size_t> delta_survivors;
-  for (size_t j = 0; j < plan->watermark; ++j) {
-    if (plan->captured_tombstones.count(shard->delta.ids[j]) == 0) {
-      delta_survivors.push_back(j);
-    }
-  }
-  plan->points =
-      HostMatrix(base_survivors.size() + delta_survivors.size(), dims);
+  plan->points = HostMatrix(base_survivors.size() + plan->watermark, dims);
   plan->ids.reserve(plan->points.rows());
   size_t out = 0;
   for (size_t i : base_survivors) {
@@ -295,7 +285,7 @@ void CaptureCompaction(ShardHost* shard, CompactionPlan* plan) {
                 dims * sizeof(float));
     plan->ids.push_back(shard->BaseId(i));
   }
-  for (size_t j : delta_survivors) {
+  for (size_t j = 0; j < plan->watermark; ++j) {
     std::memcpy(plan->points.mutable_row(out++), shard->delta.point(j),
                 dims * sizeof(float));
     plan->ids.push_back(shard->delta.ids[j]);
@@ -321,13 +311,20 @@ void CarryOverlayForward(const ShardHost& old_shard,
   for (size_t j = plan.watermark; j < old_shard.delta.size(); ++j) {
     fresh->delta.Append(old_shard.delta.ids[j], old_shard.delta.point(j));
   }
-  for (uint32_t id : old_shard.delta.tombstones) {
-    if (plan.captured_tombstones.count(id) == 0) fresh->AddTombstone(id);
+  // Every captured row removed since the capture is a row of the new
+  // base: old base rows dead now but not then, and the tombstoned delta
+  // entries (the capture saw none).
+  const uint8_t* dead = old_shard.dead_rows();
+  for (size_t i = 0; dead != nullptr && i < old_shard.base_rows(); ++i) {
+    if (dead[i] != 0 && (plan.dead_rows.empty() || plan.dead_rows[i] == 0)) {
+      fresh->ApplyRemove(old_shard.BaseId(i));
+    }
   }
+  for (const uint32_t id : old_shard.delta.tombstones) fresh->ApplyRemove(id);
 }
 
 std::unique_ptr<ShardHost> CompactNow(ShardHost* shard) {
-  if (shard->delta.Pristine() || shard->live_rows() == 0) return nullptr;
+  if (shard->OverlayEmpty() || shard->live_rows() == 0) return nullptr;
   CompactionPlan plan;
   CaptureCompaction(shard, &plan);
   std::unique_ptr<ShardHost> fresh =

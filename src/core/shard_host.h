@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/matrix.h"
@@ -60,7 +59,8 @@ struct ShardHost {
   /// Base row -> stable id, strictly increasing; empty = identity
   /// shifted by `offset`.
   std::vector<uint32_t> id_map;
-  /// Inserts since the base was clustered, plus tombstoned ids.
+  /// Inserts since the base was clustered (its tombstones: see
+  /// ApplyRemove).
   DeltaBuffer delta;
   /// Install ticket: bumped (from the owner's epoch counter) whenever
   /// the shard object is created or replaced. A compactor that captured
@@ -72,30 +72,37 @@ struct ShardHost {
   /// the watermark stays freely mutable.
   size_t compact_watermark = kNoCompaction;
 
-  bool Pristine() const { return delta.Pristine() && id_map.empty(); }
+  /// No delta point and no removed row.
+  bool OverlayEmpty() const {
+    return delta.size() == 0 && dead_base_rows_ == 0;
+  }
+  bool Pristine() const { return OverlayEmpty() && id_map.empty(); }
   uint32_t BaseId(size_t i) const {
     return id_map.empty() ? offset + static_cast<uint32_t>(i) : id_map[i];
   }
   /// The base row holding stable id `id`, or DeltaBuffer::kNotFound.
   size_t BaseRow(uint32_t id) const;
-  /// Base row -> 1 when its stable id is tombstoned: delta.tombstones
-  /// restricted to base rows, one byte per row, which the host routes
-  /// read instead of the hash set. Kept in step by BuildCold and
-  /// RestoreBase (which derive it) and by ApplyRemove and
-  /// CarryOverlayForward (which add tombstones); not persisted.
-  const std::vector<uint8_t>& dead_rows() const { return dead_rows_; }
-  /// How many delta entries, from the front, can be tombstoned: the
-  /// prefix an in-flight compaction captured. ApplyRemove erases every
-  /// other entry, snapshots hold no delta tombstones, and the watermark
-  /// is never cleared on the same shard object (an install replaces the
-  /// object), so no entry past this prefix is ever tombstoned.
-  size_t TombstonedDeltaPrefix() const {
-    return compact_watermark == kNoCompaction ? 0 : compact_watermark;
+  /// Base row -> nonzero when that row is removed, or nullptr when no
+  /// base row is: the only record of removed base rows. The host routes
+  /// skip them inside their scans; the device route masks them in the
+  /// merge. Not persisted: Export writes their ids, AdoptOverlay marks
+  /// them again.
+  const uint8_t* dead_rows() const {
+    return dead_base_rows_ == 0 ? nullptr : dead_rows_.data();
+  }
+  /// Removed base rows plus tombstoned delta entries.
+  size_t tombstone_count() const {
+    return dead_base_rows_ + delta.tombstones.size();
   }
   size_t base_rows() const { return base_rows_; }
-  void set_base_rows(size_t n) { base_rows_ = n; }
+  /// Sets the base geometry, with no row removed.
+  void set_base_rows(size_t n) {
+    base_rows_ = n;
+    dead_rows_.assign(n, 0);
+    dead_base_rows_ = 0;
+  }
   size_t live_rows() const {
-    return base_rows_ - delta.tombstones.size() + delta.size();
+    return base_rows_ - tombstone_count() + delta.size();
   }
 
   /// Cold build: keeps `slice` as the base and runs Step 1 over it on
@@ -106,18 +113,16 @@ struct ShardHost {
   void BuildCold(const HostMatrix& slice);
 
   /// Warm start: keeps a snapshot's base and builds the host image from
-  /// its clustering, without re-clustering, and derives dead_rows from
-  /// the tombstones and ids already adopted (so AdoptOverlay and any id
-  /// map rewrite come first). The first device-routed group later
-  /// uploads both (RestoreTarget).
+  /// its clustering, without re-clustering. The first device-routed
+  /// group later uploads both (RestoreTarget).
   void RestoreBase(const HostMatrix& target,
                    const TargetClusteringHost& clustering);
 
   /// Adopts a snapshot's geometry and overlay fields (offset, id map,
-  /// delta, tombstones). Does not restore the engine — call RestoreBase
-  /// with the snapshot's target afterwards (KnnService batches the
-  /// restores onto the host pool). Defined in src/store/index_io.cc;
-  /// link sweetknn_store.
+  /// delta, and its tombstones as dead_rows). Does not restore the
+  /// engine — call RestoreBase with the snapshot's target afterwards
+  /// (KnnService batches the restores onto the host pool). Defined in
+  /// src/store/index_io.cc; link sweetknn_store.
   void AdoptOverlay(const store::IndexSnapshot& snap);
 
   /// Answers one same-k query group from this shard: the complete,
@@ -131,11 +136,11 @@ struct ShardHost {
   /// MergeMutableResults — reporting its exact live top-k with stable
   /// ids substituted. The host route skips dead_rows inside its TI scan
   /// at k, so theta is the kth live distance; the device route
-  /// over-queries at k + |tombstones| (masking can then never starve the
-  /// top k) and the merge masks, because masking inside the simulated
-  /// kernels would change the paper's clock. Either way the answer's
-  /// pooled contribution is bit-identical to the flat single-process
-  /// merge; see MergeShardAnswers.
+  /// over-queries at k + tombstone_count() (masking can then never
+  /// starve the top k) and the merge masks dead_rows, because masking
+  /// inside the simulated kernels would change the paper's clock. Either
+  /// way the answer's pooled contribution is bit-identical to the flat
+  /// single-process merge; see MergeShardAnswers.
   ///
   /// `route` picks the base-scan path (the caller's planner decides, so
   /// decision order stays deterministic); both routes answer
@@ -172,15 +177,11 @@ struct ShardHost {
   /// tombstoned or not — or delta entry).
   bool Owns(uint32_t id) const;
 
-  /// Adds `id` to delta.tombstones and, when it names a base row, marks
-  /// that row in dead_rows.
-  void AddTombstone(uint32_t id);
-
-  /// Removes stable id `id` from this shard: erases a free delta entry
-  /// physically, tombstones a base row or a compaction-consumed delta
-  /// entry (erasing a consumed entry would resurrect the point at
-  /// install). Returns false — with no state change — when the id is
-  /// not here or already removed.
+  /// Removes stable id `id` from this shard: marks a base row in
+  /// dead_rows, erases a free delta entry physically, and tombstones a
+  /// compaction-consumed delta entry in delta.tombstones (erasing it
+  /// would resurrect the point at install). Returns false — with no
+  /// state change — when the id is not here or already removed.
   bool ApplyRemove(uint32_t id);
 
   /// Exports the prepared index as a snapshot, normalizing the overlay
@@ -199,9 +200,13 @@ struct ShardHost {
   /// base runs PrepareTarget and checks the device's clustering against
   /// the image's; a restored base runs RestoreTarget.
   void PrepareDevice();
+  /// Marks base row `row` removed; false when it already was.
+  bool MarkDead(size_t row);
 
   size_t base_rows_ = 0;
+  /// One byte per base row (see dead_rows()), sized by set_base_rows.
   std::vector<uint8_t> dead_rows_;
+  size_t dead_base_rows_ = 0;
   /// How the base was built, and so how PrepareDevice prepares it.
   enum class DeviceState { kEmpty, kCold, kRestored, kPrepared };
   DeviceState device_state_ = DeviceState::kEmpty;
@@ -214,8 +219,9 @@ struct CompactionPlan {
   size_t watermark = 0;  ///< Delta entries consumed by the plan.
   HostMatrix points;     ///< Survivors + consumed delta, id order.
   std::vector<uint32_t> ids;  ///< Stable ids of `points` rows.
-  /// Tombstones at capture (already excluded from `points`).
-  std::unordered_set<uint32_t> captured_tombstones;
+  /// The shard's dead-row mask at capture (those rows are already
+  /// excluded from `points`); empty when no row was removed.
+  std::vector<uint8_t> dead_rows;
 };
 
 /// Capture step of the compaction protocol: snapshots the shard's live

@@ -37,12 +37,12 @@ KnnResult MergeMutableResults(const std::vector<MergeSource>& sources,
       int kept = 0;
       for (int i = 0; i < source_k && kept < k; ++i) {
         if (row[i].index == kInvalidNeighbor) break;  // padding: rest too
+        if (src.dead_rows != nullptr && src.dead_rows[row[i].index] != 0) {
+          continue;
+        }
         const uint32_t id = src.id_map != nullptr
                                 ? src.id_map[row[i].index]
                                 : row[i].index + src.offset;
-        if (src.tombstones != nullptr && src.tombstones->count(id) != 0) {
-          continue;
-        }
         pool.push_back(Neighbor{id, row[i].distance});
         ++kept;
       }

@@ -2,7 +2,6 @@
 #define SWEETKNN_CORE_SHARD_MERGE_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/knn_result.h"
@@ -11,7 +10,7 @@
 namespace sweetknn::core {
 
 /// One input of MergeMutableResults: a per-source exact KNN result plus
-/// how its local indices translate to stable ids and which of those ids
+/// how its local indices translate to stable ids and which of its rows
 /// are dead. Sources are views; the caller keeps everything alive for
 /// the duration of the merge.
 struct MergeSource {
@@ -25,9 +24,10 @@ struct MergeSource {
   /// tie-breaking. nullptr: stable id = local index + offset.
   const uint32_t* id_map = nullptr;
   uint32_t offset = 0;
-  /// Stable ids deleted from this source but still physically present in
-  /// it (masked out during the merge). nullptr = none.
-  const std::unordered_set<uint32_t>* tombstones = nullptr;
+  /// Local index -> nonzero when that row is deleted but still
+  /// physically present in the source (masked out during the merge).
+  /// nullptr = none.
+  const uint8_t* dead_rows = nullptr;
 };
 
 /// Merges per-source exact KNN results — frozen base shards plus delta
@@ -35,12 +35,12 @@ struct MergeSource {
 /// *live* points, with neighbor indices remapped to stable ids.
 ///
 /// Exactness requires each source's result to survive its own masking:
-/// a source with t tombstoned rows must be queried at k' >= k + t, so
-/// that after dropping the (at most t) dead entries it still contributes
-/// its top-k live points. A source whose scan already skipped its dead
-/// rows (a host-routed base, HostImage::Knn with the shard's dead_rows)
-/// holds only live points: it is queried at k and passes no tombstones,
-/// so the merge looks none up. Every live global top-k point then
+/// a source with t dead rows must be queried at k' >= k + t, so that
+/// after dropping the (at most t) dead entries it still contributes its
+/// top-k live points. A source whose scan already skipped its dead rows
+/// (a host-routed base, HostImage::Knn with the shard's dead_rows) holds
+/// only live points: it is queried at k and passes no dead_rows, so the
+/// merge reads none. Every live global top-k point then
 /// appears in exactly one source's surviving list, and the k smallest of
 /// the pooled survivors under NeighborLess on (distance, stable id) are
 /// exactly the global top-k; since every id_map is strictly increasing,

@@ -220,7 +220,7 @@ class SweetKnnIndex {
   /// Rows in the frozen TI-clustered base (including tombstoned ones).
   size_t base_rows() const { return shard_->base_rows(); }
   size_t delta_size() const { return shard_->delta.size(); }
-  size_t tombstone_count() const { return shard_->delta.tombstones.size(); }
+  size_t tombstone_count() const { return shard_->tombstone_count(); }
   /// The next stable id Insert will allocate.
   uint32_t next_id() const { return next_id_; }
   /// Compactions run so far (auto or manual).

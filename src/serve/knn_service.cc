@@ -623,7 +623,7 @@ Status KnnService::ExportLive(const TenantIndex& tenant,
 
 bool KnnService::OverThreshold(const Shard& shard) const {
   if (config_.compact_delta_fraction <= 0.0) return false;
-  const size_t overlay = shard.delta.size() + shard.delta.tombstones.size();
+  const size_t overlay = shard.delta.size() + shard.tombstone_count();
   if (overlay == 0) return false;
   return static_cast<double>(overlay) >
          config_.compact_delta_fraction *
@@ -734,7 +734,7 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
           "shard " + std::to_string(s) +
           " already has a compaction in flight");
     }
-    if (shard.delta.Pristine()) return Status::Ok();  // nothing to fold
+    if (shard.OverlayEmpty()) return Status::Ok();  // nothing to fold
     if (shard.live_rows() == 0) {
       // Every point removed: an empty base cannot be clustered. The
       // overlay stays as is; queries keep answering all padding.
@@ -1049,7 +1049,7 @@ void KnnService::UpdateOverlayGaugesLocked(TenantIndex* tenant) {
   size_t tombstones = 0;
   for (const std::unique_ptr<Shard>& shard : tenant->shards) {
     delta_points += shard->delta.size();
-    tombstones += shard->delta.tombstones.size();
+    tombstones += shard->tombstone_count();
   }
   tenant->delta_points.store(delta_points, std::memory_order_release);
   tenant->tombstones.store(tombstones, std::memory_order_release);

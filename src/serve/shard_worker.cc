@@ -422,7 +422,7 @@ net::Frame ShardWorker::HandleHealth() const {
     health.index = index;
     health.base_rows = shard->base_rows();
     health.delta_points = shard->delta.size();
-    health.tombstones = shard->delta.tombstones.size();
+    health.tombstones = shard->tombstone_count();
     health.live_rows = shard->live_rows();
     out.shards.push_back(health);
   }

@@ -3,13 +3,13 @@
 // core/ but defined here so that sweetknn_core does not depend on the
 // store library (store links core, not the other way around).
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
 
+#include "common/logging.h"
 #include "core/shard_host.h"
 #include "core/sweet_knn.h"
 #include "store/snapshot.h"
@@ -53,12 +53,11 @@ store::IndexSnapshot ShardHost::Export(const std::string& dataset_name,
                     dims * sizeof(float));
       }
     }
-    for (uint32_t id : delta.tombstones) {
-      if (delta.Find(id) == DeltaBuffer::kNotFound) {
-        snap.tombstones.push_back(id);
-      }
+    // Base rows ascend in stable id, so the list comes out sorted.
+    const uint8_t* dead = dead_rows();
+    for (size_t i = 0; dead != nullptr && i < base_rows(); ++i) {
+      if (dead[i] != 0) snap.tombstones.push_back(BaseId(i));
     }
-    std::sort(snap.tombstones.begin(), snap.tombstones.end());
     snap.next_id = next_id;
   }
   return snap;
@@ -71,7 +70,12 @@ void ShardHost::AdoptOverlay(const store::IndexSnapshot& snap) {
   delta.dims = snap.target.cols();
   delta.ids = snap.delta_ids;
   delta.points = snap.delta_points.storage();
-  delta.tombstones.insert(snap.tombstones.begin(), snap.tombstones.end());
+  for (const uint32_t id : snap.tombstones) {
+    const size_t row = BaseRow(id);
+    SK_CHECK_NE(row, DeltaBuffer::kNotFound)
+        << "tombstone " << id << " names no base row";
+    MarkDead(row);
+  }
 }
 
 }  // namespace core

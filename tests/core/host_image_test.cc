@@ -12,8 +12,10 @@
 #include <cstring>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -222,31 +224,55 @@ std::vector<float> NearCopy(const HostMatrix& base, size_t row, float nudge) {
 }
 
 /// Both routes of `shard` against the over-query reference: PackedKnn
-/// over the row-order base at k + |tombstones|, merged with a delta scan
-/// that checks every entry — what the device route merges. Also holds
-/// dead_rows to the tombstone set.
+/// over the row-order base at k + |removed base rows|, masked by the
+/// caller's own record of the ids it removed, merged with a delta scan —
+/// what the device route merges. Also holds the shard's dead_rows and
+/// delta tombstones to that record, and, on the pruning side of the
+/// small-shard rule with k live base rows to prune against, the host
+/// route to scoring fewer rows than all.
 void ExpectBothRoutesMatchOverQuery(core::ShardHost* shard,
+                                    const std::set<uint32_t>& removed,
                                     const HostMatrix& queries, int k,
                                     core::Metric metric,
                                     const std::string& what) {
   SCOPED_TRACE(what);
-  EXPECT_TRUE(testing::DeadRowsMatchTombstones(*shard));
-  const core::DeltaBuffer& delta = shard->delta;
-  const int base_k = k + static_cast<int>(delta.tombstones.size());
+  const size_t n = shard->base.rows();
+  std::vector<uint8_t> dead(n, 0);
+  size_t dead_count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (removed.count(shard->BaseId(i)) != 0) {
+      dead[i] = 1;
+      ++dead_count;
+    }
+  }
+  if (dead_count == 0) {
+    EXPECT_EQ(shard->dead_rows(), nullptr);
+  } else {
+    ASSERT_NE(shard->dead_rows(), nullptr);
+    EXPECT_TRUE(std::equal(dead.begin(), dead.end(), shard->dead_rows()))
+        << "dead_rows differ from the removed base rows";
+  }
+  std::unordered_set<uint32_t> delta_dead;
+  for (const uint32_t id : shard->delta.ids) {
+    if (removed.count(id) != 0) delta_dead.insert(id);
+  }
+  EXPECT_EQ(shard->delta.tombstones, delta_dead);
+  EXPECT_EQ(shard->tombstone_count(), dead_count + delta_dead.size());
+
   const simd::PackedTargets packed = simd::PackedTargets::Pack(
-      shard->base.data(), shard->base.rows(), shard->base.cols());
-  const KnnResult base_ref = simd::PackedKnn(
-      queries, packed, base_k, core::SimdDistFor(metric), 1);
-  const KnnResult delta_ref =
-      core::ScanDelta(delta, queries, k, metric, delta.size());
+      shard->base.data(), n, shard->base.cols());
+  const KnnResult base_ref =
+      simd::PackedKnn(queries, packed, k + static_cast<int>(dead_count),
+                      core::SimdDistFor(metric), 1);
+  const KnnResult delta_ref = core::ScanDelta(shard->delta, queries, k, metric);
   core::MergeSource base_src;
   base_src.result = &base_ref;
   base_src.id_map = shard->id_map.empty() ? nullptr : shard->id_map.data();
   base_src.offset = shard->offset;
-  base_src.tombstones = &delta.tombstones;
+  base_src.dead_rows = dead.data();
   core::MergeSource delta_src;
   delta_src.result = &delta_ref;
-  delta_src.id_map = delta.ids.data();
+  delta_src.id_map = shard->delta.ids.data();
   const KnnResult want = core::MergeMutableResults({base_src, delta_src}, k);
 
   const core::ShardAnswer host =
@@ -256,8 +282,18 @@ void ExpectBothRoutesMatchOverQuery(core::ShardHost* shard,
   ExpectSameBytes(want, host.result, what + " kHost");
   ExpectSameBytes(want, device.result, what + " kDevice");
   EXPECT_FALSE(host.device_routed);
-  EXPECT_EQ(host.total_pairs, queries.rows() * shard->base.rows());
+  EXPECT_EQ(host.total_pairs, queries.rows() * n);
   EXPECT_GT(host.distance_calcs, 0u);
+  const bool can_prune = n - dead_count >= static_cast<size_t>(k);
+  if (!shard->image.single_window() && can_prune) {
+    EXPECT_LT(host.distance_calcs, host.total_pairs);
+  }
+}
+
+/// Removes `id` from `shard` and records it in `removed`.
+void Remove(core::ShardHost* shard, uint32_t id, std::set<uint32_t>* removed) {
+  EXPECT_TRUE(shard->ApplyRemove(id)) << id;
+  removed->insert(id);
 }
 
 // A mutated ShardHost answers with the over-query reference's bytes on
@@ -283,18 +319,19 @@ TEST(HostImageTest, MutatedShardHostAnswersIdenticallyOnBothRoutes) {
       // the same shard through its snapshot (what FromSnapshots and a
       // worker's PrepareSnapshot run), then compacted: an id-mapped
       // base with new removes and inserts.
+      std::set<uint32_t> removed;
       core::ShardHost shard(spec, options);
       shard.offset = 1000;
       shard.BuildCold(base);
       ASSERT_EQ(shard.image.single_window(), one_window);
       for (uint32_t i = 0; i < base.rows(); i += 9) {
-        ASSERT_TRUE(shard.ApplyRemove(shard.BaseId(i)));
+        Remove(&shard, shard.BaseId(i), &removed);
       }
       for (uint32_t i = 0; i < 12; ++i) {
         shard.delta.Append(5000 + i,
                            NearCopy(base, i * 31, 0.001f * i).data());
       }
-      ExpectBothRoutesMatchOverQuery(&shard, queries, k, metric,
+      ExpectBothRoutesMatchOverQuery(&shard, removed, queries, k, metric,
                                      side + " scattered");
 
       const store::IndexSnapshot snap =
@@ -302,7 +339,7 @@ TEST(HostImageTest, MutatedShardHostAnswersIdenticallyOnBothRoutes) {
       core::ShardHost restored(spec, options);
       restored.AdoptOverlay(snap);
       restored.RestoreBase(snap.target, snap.clustering);
-      ExpectBothRoutesMatchOverQuery(&restored, queries, k, metric,
+      ExpectBothRoutesMatchOverQuery(&restored, removed, queries, k, metric,
                                      side + " restored");
 
       const std::unique_ptr<core::ShardHost> compacted =
@@ -311,11 +348,11 @@ TEST(HostImageTest, MutatedShardHostAnswersIdenticallyOnBothRoutes) {
       ASSERT_FALSE(compacted->id_map.empty());
       ASSERT_EQ(compacted->image.single_window(), one_window);
       for (size_t i = 2; i < compacted->base.rows(); i += 11) {
-        ASSERT_TRUE(compacted->ApplyRemove(compacted->BaseId(i)));
+        Remove(compacted.get(), compacted->BaseId(i), &removed);
       }
       compacted->delta.Append(6000, NearCopy(base, 14, 0.002f).data());
-      ExpectBothRoutesMatchOverQuery(compacted.get(), queries, k, metric,
-                                     side + " id-mapped");
+      ExpectBothRoutesMatchOverQuery(compacted.get(), removed, queries, k,
+                                     metric, side + " id-mapped");
 
       // A tombstoned row tied at the kth place with live rows: every row
       // is stored twice, and each query's kth row (the lower id of a
@@ -325,6 +362,7 @@ TEST(HostImageTest, MutatedShardHostAnswersIdenticallyOnBothRoutes) {
         std::memcpy(twice.mutable_row(i), base.row(i % (base.rows() / 2)),
                     dims * sizeof(float));
       }
+      std::set<uint32_t> tied_removed;
       core::ShardHost tied(spec, options);
       tied.BuildCold(twice);
       const simd::PackedTargets packed =
@@ -337,31 +375,54 @@ TEST(HostImageTest, MutatedShardHostAnswersIdenticallyOnBothRoutes) {
                               sizeof(float)),
                   0);
         tied.ApplyRemove(row[k - 1].index);  // false once already removed
+        tied_removed.insert(row[k - 1].index);
       }
-      ExpectBothRoutesMatchOverQuery(&tied, queries, k, metric,
+      ExpectBothRoutesMatchOverQuery(&tied, tied_removed, queries, k, metric,
                                      side + " kth-place tie");
+
+      // The same shard compacted, with more removes, then through its
+      // snapshot: id-mapped bases at offset 0 whose ids mostly fall
+      // inside their row range, so a row taken as id - offset would be
+      // the wrong one.
+      const std::unique_ptr<core::ShardHost> remapped = core::CompactNow(&tied);
+      ASSERT_NE(remapped, nullptr);
+      ASSERT_FALSE(remapped->id_map.empty());
+      for (size_t i = 5; i < remapped->base.rows(); i += 17) {
+        Remove(remapped.get(), remapped->BaseId(i), &tied_removed);
+      }
+      ExpectBothRoutesMatchOverQuery(remapped.get(), tied_removed, queries, k,
+                                     metric, side + " tie, id-mapped");
+      const store::IndexSnapshot remapped_snap =
+          remapped->Export("mutated", "test", 0, 1, /*next_id=*/400);
+      core::ShardHost remapped_restored(spec, options);
+      remapped_restored.AdoptOverlay(remapped_snap);
+      remapped_restored.RestoreBase(remapped_snap.target,
+                                    remapped_snap.clustering);
+      ExpectBothRoutesMatchOverQuery(&remapped_restored, tied_removed,
+                                     queries, k, metric,
+                                     side + " tie, id-mapped restored");
 
       // Fewer live base rows than k: five base rows and one insert
       // survive, so every row pads.
+      std::set<uint32_t> sparse_removed;
       core::ShardHost sparse(spec, options);
       sparse.BuildCold(base);
       for (uint32_t i = 0; i < base.rows(); ++i) {
-        if (i % 80 != 0) {
-          ASSERT_TRUE(sparse.ApplyRemove(i));
-        }
+        if (i % 80 != 0) Remove(&sparse, i, &sparse_removed);
       }
       sparse.delta.Append(400, NearCopy(base, 7, 0.001f).data());
-      ExpectBothRoutesMatchOverQuery(&sparse, queries, k, metric,
-                                     side + " padding");
+      ExpectBothRoutesMatchOverQuery(&sparse, sparse_removed, queries, k,
+                                     metric, side + " padding");
 
       // Mid-compaction: after the capture, removing the last captured
       // delta entry tombstones it, and removing the first entry past the
       // watermark erases it. The install then carries both forward.
+      std::set<uint32_t> busy_removed;
       core::ShardHost busy(spec, options);
       busy.offset = 1000;
       busy.BuildCold(base);
       for (uint32_t i = 0; i < base.rows(); i += 13) {
-        ASSERT_TRUE(busy.ApplyRemove(busy.BaseId(i)));
+        Remove(&busy, busy.BaseId(i), &busy_removed);
       }
       for (uint32_t i = 0; i < 6; ++i) {
         busy.delta.Append(5000 + i, NearCopy(base, i * 7, 0.001f).data());
@@ -371,22 +432,22 @@ TEST(HostImageTest, MutatedShardHostAnswersIdenticallyOnBothRoutes) {
       ASSERT_EQ(plan.watermark, 6u);
       busy.delta.Append(5006, NearCopy(base, 42, 0.001f).data());
       busy.delta.Append(5007, NearCopy(base, 49, 0.001f).data());
-      ASSERT_TRUE(busy.ApplyRemove(5005));
-      ASSERT_TRUE(busy.ApplyRemove(5006));
-      ASSERT_TRUE(busy.ApplyRemove(busy.BaseId(3)));
+      Remove(&busy, 5005, &busy_removed);
+      Remove(&busy, 5006, &busy_removed);
+      Remove(&busy, busy.BaseId(3), &busy_removed);
       EXPECT_EQ(busy.delta.tombstones.count(5005), 1u);
       EXPECT_EQ(busy.delta.Find(5005), 5u);
       EXPECT_EQ(busy.delta.Find(5006), core::DeltaBuffer::kNotFound);
-      ExpectBothRoutesMatchOverQuery(&busy, queries, k, metric,
+      ExpectBothRoutesMatchOverQuery(&busy, busy_removed, queries, k, metric,
                                      side + " mid-compaction");
       const std::unique_ptr<core::ShardHost> installed =
           core::RebuildCompacted(plan, spec, options);
       core::CarryOverlayForward(busy, plan, installed.get());
       EXPECT_EQ(installed->delta.ids, std::vector<uint32_t>{5007});
+      EXPECT_TRUE(installed->delta.tombstones.empty());
       ASSERT_NE(installed->BaseRow(5005), core::DeltaBuffer::kNotFound);
-      EXPECT_NE(installed->dead_rows()[installed->BaseRow(5005)], 0);
-      ExpectBothRoutesMatchOverQuery(installed.get(), queries, k, metric,
-                                     side + " carried forward");
+      ExpectBothRoutesMatchOverQuery(installed.get(), busy_removed, queries,
+                                     k, metric, side + " carried forward");
     }
   }
 }
@@ -408,13 +469,13 @@ TEST(HostImageTest, HostRouteScansAMutatedShardAtK) {
       ASSERT_TRUE(shard.ApplyRemove(i));
     }
   }
-  ASSERT_EQ(shard.delta.tombstones.size(), 300u);
+  ASSERT_EQ(shard.tombstone_count(), 300u);
   const int k = 10;
   const core::ShardAnswer host = shard.SearchGroup(
       queries, k, core::QueryRoute::kHost, core::Metric::kEuclidean);
   core::RangeScanStats masked;
   shard.image.Knn(queries, k, simd::Dist::kEuclidean, 1, &masked,
-                  shard.dead_rows().data());
+                  shard.dead_rows());
   core::RangeScanStats over_query;
   shard.image.Knn(queries, k + 300, simd::Dist::kEuclidean, 1, &over_query);
   EXPECT_EQ(host.distance_calcs, masked.candidates);

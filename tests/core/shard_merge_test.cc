@@ -1,5 +1,7 @@
 #include "core/shard_merge.h"
 
+#include <cstdint>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -146,8 +148,8 @@ TEST(MergeMutableTest, TombstonesDoNotConsumeTheKBudget) {
   // slots' worth of raw entries.
   const KnnResult base = ResultFromRows(
       {{{0, 1.0f}, {1, 2.0f}, {2, 3.0f}, {3, 4.0f}}}, 4);
-  const std::unordered_set<uint32_t> dead = {0, 1};
-  const std::vector<MergeSource> sources = {{&base, nullptr, 0, &dead}};
+  const std::vector<uint8_t> dead = {1, 1, 0, 0};
+  const std::vector<MergeSource> sources = {{&base, nullptr, 0, dead.data()}};
   const KnnResult merged = MergeMutableResults(sources, 2);
   EXPECT_EQ(merged.row(0)[0], (Neighbor{2, 3.0f}));
   EXPECT_EQ(merged.row(0)[1], (Neighbor{3, 4.0f}));
@@ -176,10 +178,10 @@ TEST(MergeMutableTest, NullSourcesAreSkippedAndPaddingPropagates) {
   // ignored. With fewer live candidates than k the tail pads exactly
   // like a single engine would.
   const KnnResult base = ResultFromRows({{{0, 2.0f}, {1, 3.0f}}}, 3);
-  const std::unordered_set<uint32_t> dead = {1};
+  const std::vector<uint8_t> dead = {0, 1};
   const std::vector<MergeSource> sources = {
       {nullptr, nullptr, 0, nullptr},
-      {&base, nullptr, 0, &dead},
+      {&base, nullptr, 0, dead.data()},
   };
   const KnnResult merged = MergeMutableResults(sources, 3);
   EXPECT_EQ(merged.row(0)[0], (Neighbor{0, 2.0f}));
@@ -194,6 +196,8 @@ TEST(MergeMutableTest, MatchesColdBruteForceOverLiveSetBitwise) {
   const HostMatrix queries = testing::ClusteredPoints(11, 4, 2, 602);
   constexpr int kNeighbors = 5;
   const std::unordered_set<uint32_t> dead = {3, 17, 40, 41, 79};
+  std::vector<uint8_t> dead_rows(80, 0);
+  for (const uint32_t id : dead) dead_rows[id] = 1;
 
   // Delta: four extra points with stable ids 80..83.
   const HostMatrix extra = testing::ClusteredPoints(4, 4, 1, 603);
@@ -204,7 +208,7 @@ TEST(MergeMutableTest, MatchesColdBruteForceOverLiveSetBitwise) {
   const KnnResult delta_result =
       baseline::BruteForceCpu(queries, extra, kNeighbors);
   const std::vector<MergeSource> sources = {
-      {&base_result, nullptr, 0, &dead},
+      {&base_result, nullptr, 0, dead_rows.data()},
       {&delta_result, delta_ids.data(), 0, nullptr},
   };
   const KnnResult merged = MergeMutableResults(sources, kNeighbors);

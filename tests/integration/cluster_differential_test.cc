@@ -353,7 +353,10 @@ TEST(ClusterSlow, FourWorkerSweep) { RunSweep(4000, 3, 4, 0); }
 TEST(ClusterSlow, FourWorkerReplicatedSweep) { RunSweep(5000, 3, 4, 1); }
 
 // RestoreReplication: after a first kill and catch-up, the cluster
-// survives a SECOND worker death — and stays bit-identical throughout.
+// survives a SECOND worker death — and stays bit-identical throughout,
+// with the workers on either route. A replica adopted from a catch-up
+// snapshot (PrepareSnapshot) marks the file's tombstones in its dead
+// rows: every target row queried at k = 1 answers itself iff live.
 TEST(ClusterSlow, ReplicaCatchUpSurvivesSecondKill) {
   if (CliBinary() == nullptr) {
     GTEST_SKIP() << "SWEETKNN_CLI not set; this suite needs the CLI binary";
@@ -366,108 +369,77 @@ TEST(ClusterSlow, ReplicaCatchUpSurvivesSecondKill) {
   service_config.num_shards = 4;
   service_config.max_batch_size = 8;
   service_config.auto_compact = false;
-  serve::KnnService local(target, service_config);
 
-  serve::RouterConfig router_config;
-  router_config.service = service_config;
-  router_config.service.planner.mode = core::PlannerMode::kForceDevice;
-  router_config.num_workers = 4;
-  router_config.replicas = 1;
-  router_config.worker_binary = CliBinary();
-  Result<std::unique_ptr<serve::Router>> started =
-      serve::Router::Start(target, router_config);
-  ASSERT_TRUE(started.ok()) << started.status().ToString();
-  serve::Router& cluster = *started.value();
+  for (const core::PlannerMode mode :
+       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
+    SCOPED_TRACE(mode == core::PlannerMode::kForceDevice ? "device route"
+                                                         : "host route");
+    serve::KnnService local(target, service_config);
 
-  Rng rng(SplitMix64(kBaseSeed + 71));
-  auto check = [&](const char* what) {
-    const HostMatrix queries = RandomQueries(&rng, 3, dims);
-    const Result<KnnResult> want = local.JoinBatch(queries, 5);
-    const Result<KnnResult> got = cluster.JoinBatch(queries, 5);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectBitIdentical(want.value(), got.value(), what);
-  };
+    serve::RouterConfig router_config;
+    router_config.service = service_config;
+    router_config.service.planner.mode = mode;
+    router_config.num_workers = 4;
+    router_config.replicas = 1;
+    router_config.worker_binary = CliBinary();
+    Result<std::unique_ptr<serve::Router>> started =
+        serve::Router::Start(target, router_config);
+    ASSERT_TRUE(started.ok()) << started.status().ToString();
+    serve::Router& cluster = *started.value();
 
-  // Mutate a little so catch-up snapshots carry a real overlay.
-  for (int i = 0; i < 6; ++i) {
-    std::vector<float> point(dims);
-    for (float& x : point) x = rng.NextFloat();
-    ASSERT_TRUE(local.Insert(point).ok());
-    ASSERT_TRUE(cluster.Insert(point).ok());
+    Rng rng(SplitMix64(kBaseSeed + 71));
+    std::set<uint32_t> removed;
+    auto check = [&](const char* what) {
+      const HostMatrix queries = RandomQueries(&rng, 3, dims);
+      const Result<KnnResult> want = local.JoinBatch(queries, 5);
+      const Result<KnnResult> got = cluster.JoinBatch(queries, 5);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectBitIdentical(want.value(), got.value(), what);
+      const Result<KnnResult> self = cluster.JoinBatch(target, 1);
+      ASSERT_TRUE(self.ok()) << self.status().ToString();
+      testing::ExpectSelfQueriesSeeTheLiveSet(self.value(), 0, removed, what);
+    };
+
+    // Mutate a little so catch-up snapshots carry a real overlay.
+    for (int i = 0; i < 6; ++i) {
+      std::vector<float> point(dims);
+      for (float& x : point) x = rng.NextFloat();
+      ASSERT_TRUE(local.Insert(point).ok());
+      ASSERT_TRUE(cluster.Insert(point).ok());
+    }
+    for (uint32_t id = 3; id < target.rows(); id += 5) {
+      ASSERT_TRUE(local.Remove(id).value());
+      ASSERT_TRUE(cluster.Remove(id).value());
+      removed.insert(id);
+    }
+    check("before first kill");
+
+    ASSERT_EQ(::kill(cluster.worker_pid(1), SIGKILL), 0);
+    check("after first kill (failover)");
+    EXPECT_FALSE(cluster.worker_alive(1));
+
+    const Status restored = cluster.RestoreReplication();
+    ASSERT_TRUE(restored.ok()) << restored.ToString();
+    EXPECT_GE(cluster.stats().replicas_restored, 1u);
+    check("after catch-up");
+
+    // Mutations after catch-up must reach the restored replicas too...
+    for (int i = 0; i < 4; ++i) {
+      std::vector<float> point(dims);
+      for (float& x : point) x = rng.NextFloat();
+      ASSERT_TRUE(local.Insert(point).ok());
+      ASSERT_TRUE(cluster.Insert(point).ok());
+    }
+    // ...because the second death makes them authoritative for every
+    // shard the dead worker was primary of.
+    ASSERT_EQ(::kill(cluster.worker_pid(2), SIGKILL), 0);
+    check("after second kill");
+    EXPECT_EQ(local.target_rows(), cluster.target_rows());
+
+    cluster.Shutdown();
+    local.Shutdown();
   }
-  ASSERT_TRUE(local.Remove(3).value());
-  ASSERT_TRUE(cluster.Remove(3).value());
-  check("before first kill");
-
-  ASSERT_EQ(::kill(cluster.worker_pid(1), SIGKILL), 0);
-  check("after first kill (failover)");
-  EXPECT_FALSE(cluster.worker_alive(1));
-
-  const Status restored = cluster.RestoreReplication();
-  ASSERT_TRUE(restored.ok()) << restored.ToString();
-  EXPECT_GE(cluster.stats().replicas_restored, 1u);
-  check("after catch-up");
-
-  // Mutations after catch-up must reach the restored replicas too...
-  for (int i = 0; i < 4; ++i) {
-    std::vector<float> point(dims);
-    for (float& x : point) x = rng.NextFloat();
-    ASSERT_TRUE(local.Insert(point).ok());
-    ASSERT_TRUE(cluster.Insert(point).ok());
-  }
-  // ...because the second death makes them authoritative for every
-  // shard the dead worker was primary of.
-  ASSERT_EQ(::kill(cluster.worker_pid(2), SIGKILL), 0);
-  check("after second kill");
-  EXPECT_EQ(local.target_rows(), cluster.target_rows());
-
-  cluster.Shutdown();
-  local.Shutdown();
-}
-
-// A replica a worker adopts from a catch-up snapshot (PrepareSnapshot)
-// derives the host route's dead rows from the file's tombstones. Every
-// target row is queried at k = 1 on the default (host) route once the
-// restored replicas serve: a live row answers itself at distance 0, a
-// removed one never appears.
-TEST(ClusterSlow, CaughtUpReplicasMaskTheirTombstonesOnTheHostRoute) {
-  if (CliBinary() == nullptr) {
-    GTEST_SKIP() << "SWEETKNN_CLI not set; this suite needs the CLI binary";
-  }
-  const size_t dims = 4;
-  const HostMatrix target =
-      testing::ClusteredPoints(96, dims, 3, SplitMix64(kBaseSeed + 9), 0.08f);
-  serve::RouterConfig router_config;
-  router_config.service.num_shards = 4;
-  router_config.service.auto_compact = false;
-  router_config.num_workers = 4;
-  router_config.replicas = 1;
-  router_config.worker_binary = CliBinary();
-  Result<std::unique_ptr<serve::Router>> started =
-      serve::Router::Start(target, router_config);
-  ASSERT_TRUE(started.ok()) << started.status().ToString();
-  serve::Router& cluster = *started.value();
-
-  std::set<uint32_t> removed;
-  for (uint32_t id = 2; id < target.rows(); id += 5) {
-    ASSERT_TRUE(cluster.Remove(id).value()) << id;
-    removed.insert(id);
-  }
-  auto check = [&](const char* what) {
-    const Result<KnnResult> got = cluster.JoinBatch(target, 1);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    testing::ExpectSelfQueriesSeeTheLiveSet(got.value(), 0, removed, what);
-  };
-  check("before the kills");
-  ASSERT_EQ(::kill(cluster.worker_pid(1), SIGKILL), 0);
-  check("after the first kill (failover)");
-  ASSERT_TRUE(cluster.RestoreReplication().ok());
-  EXPECT_GE(cluster.stats().replicas_restored, 1u);
-  // The second death leaves restored replicas authoritative.
-  ASSERT_EQ(::kill(cluster.worker_pid(2), SIGKILL), 0);
-  check("on the caught-up replicas");
-  cluster.Shutdown();
 }
 
 }  // namespace

@@ -663,10 +663,11 @@ TEST(SnapshotInteropTest, IndexAndServiceShareOneSnapshotModel) {
   std::filesystem::remove_all(service_dir);
 }
 
-// Each owner that installs a mutated base derives the host route's dead
-// rows from the tombstones it holds: the service's compaction and its
-// removes, KnnService::FromSnapshots, and SweetKnnIndex::Load of a shard
-// at a nonzero offset (whose ids Load rewrites into an id map).
+// Each path that installs a mutated base or removes from one leaves the
+// host route's dead rows marking exactly the removed ids: the service's
+// removes and its compaction, KnnService::FromSnapshots, and
+// SweetKnnIndex::Load of a shard at a nonzero offset (whose ids Load
+// rewrites into an id map).
 TEST(SnapshotInteropTest, RestoredShardsMaskTheirTombstones) {
   const HostMatrix target = RandomMatrix(200, 5, 61);
   SweetKnn::Config config;

@@ -14,7 +14,6 @@
 #include "common/knn_result.h"
 #include "common/matrix.h"
 #include "common/rng.h"
-#include "core/shard_host.h"
 #include "dataset/generators.h"
 #include "gtest/gtest.h"
 #include "simd/simd_kernels.h"
@@ -47,29 +46,6 @@ inline void ExpectResultsMatch(const KnnResult& expected,
   const size_t bad =
       CountResultMismatches(expected, actual, tolerance, &mismatch);
   EXPECT_EQ(bad, 0u) << "first mismatch: " << mismatch;
-}
-
-/// The shard's dead_rows equal its tombstone set restricted to base
-/// rows, row for row.
-inline ::testing::AssertionResult DeadRowsMatchTombstones(
-    const core::ShardHost& shard) {
-  const std::vector<uint8_t>& dead = shard.dead_rows();
-  if (dead.size() != shard.base.rows()) {
-    return ::testing::AssertionFailure()
-           << "dead_rows holds " << dead.size() << " entries for "
-           << shard.base.rows() << " base rows";
-  }
-  for (size_t i = 0; i < dead.size(); ++i) {
-    const bool tombstoned =
-        shard.delta.tombstones.count(shard.BaseId(i)) != 0;
-    if ((dead[i] != 0) != tombstoned) {
-      return ::testing::AssertionFailure()
-             << "base row " << i << " (id " << shard.BaseId(i) << ") is "
-             << (tombstoned ? "tombstoned" : "live") << " but dead_rows holds "
-             << static_cast<int>(dead[i]);
-    }
-  }
-  return ::testing::AssertionSuccess();
 }
 
 /// `answer` holds k >= 1 rows for the points with stable ids first_id,
