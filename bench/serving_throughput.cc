@@ -7,9 +7,9 @@
 // percentiles and the per-stage simulated-time split from the service's
 // metrics registry, while asserting that every served answer is
 // bit-identical to a single-engine RunOnce over the unsharded target
-// set. The service pins the device route, so every shard scan runs the
-// paper's engine and the simulated columns report (SWEETKNN_PLANNER=host
-// overrides it; those columns then read 0). Exits 1 on any mismatch.
+// set. The service sets the device route, so every shard scan runs the
+// paper's engine and the simulated columns report. Exits 1 on any
+// mismatch.
 // Emits BENCH_serving.json.
 //
 // Usage: serving_throughput [--scale=F] [--only=a,b] [--shards=N]
@@ -83,7 +83,7 @@ ServingRun RunOne(const dataset::Dataset& data, const HostMatrix& queries,
   serve::ServiceConfig config;
   config.num_shards = shards;
   config.max_batch_size = max_batch_size;
-  config.planner.mode = core::PlannerMode::kForceDevice;
+  config.route = core::QueryRoute::kDevice;
   serve::KnnService service(data.points, config);
 
   const size_t requests_total =

@@ -29,6 +29,20 @@ enum class Level2Filter {
 /// Where the per-thread kNearests array lives (paper section IV-C2).
 enum class KnearestsPlacement { kGlobal, kShared, kRegisters };
 
+/// Which path answers a kNN group's per-shard base scan. Both return
+/// bit-identical neighbor lists (the host route's TI scan over the
+/// member-order HostImage prunes only rows that cannot enter the top k,
+/// and the engine is fuzz-proven against brute force), so the route is
+/// purely a latency choice. The host route wins at every measured shape
+/// (docs/performance.md, "Routes"), so it is the default; the device
+/// runs where a caller sets it (tests, the cross-route fuzz, the paper
+/// benches). The values are the wire encoding (net/wire.cc); 0 was the
+/// retired device-sampling mode and is not reused.
+enum class QueryRoute {
+  kDevice = 1,  ///< the simulated-GPU TI engine (the paper's)
+  kHost = 2,    ///< the host route's TI scan over the HostImage
+};
+
 /// Point-matrix layout (paper Fig. 7).
 enum class PointLayout {
   /// Dimension-major: element (p, j) at j*N + p. Used by GEMM-style

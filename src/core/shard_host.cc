@@ -81,7 +81,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   ShardAnswer answer;
   answer.offset = offset;
   answer.pristine = Pristine();
-  answer.device_routed = route == QueryRoute::kDevice;
+  const bool device = route == QueryRoute::kDevice;
   // A pristine shard's contribution is the same whether the rest of the
   // service is mutated or not (no tombstones; offset remap equals the
   // identity merge source), so the pristine/mutated decision is purely
@@ -93,7 +93,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
   KnnResult base_result;
   KnnResult delta_result;
   const SteadyClock::time_point start = SteadyClock::now();
-  if (route == QueryRoute::kHost) {
+  if (!device) {
     // Dead rows never enter the TI scan's heap: its k rows are live.
     base_result =
         image.Knn(queries, k, dist_kind, workers, &host_stats, dead);
@@ -124,7 +124,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     base.result = &base_result;
     base.id_map = id_map.empty() ? nullptr : id_map.data();
     base.offset = offset;
-    if (answer.device_routed) base.dead_rows = dead;
+    if (device) base.dead_rows = dead;
     sources.push_back(base);
     if (has_delta) {
       MergeSource side;
@@ -135,7 +135,7 @@ ShardAnswer ShardHost::SearchGroup(const HostMatrix& queries, int k,
     answer.result = MergeMutableResults(sources, k);
   }
 
-  if (answer.device_routed) {
+  if (device) {
     answer.sim_time_s = stats.sim_time_s;
     answer.distance_calcs = stats.distance_calcs;
     answer.total_pairs = stats.total_pairs;

@@ -12,7 +12,6 @@
 #include "core/host_image.h"
 #include "core/range_search.h"
 #include "core/options.h"
-#include "core/route_planner.h"
 #include "core/shard_merge.h"
 #include "core/ti_knn_gpu.h"
 #include "gpusim/device.h"
@@ -142,20 +141,18 @@ struct ShardHost {
   /// way the answer's pooled contribution is bit-identical to the flat
   /// single-process merge; see MergeShardAnswers.
   ///
-  /// `route` picks the base-scan path (the caller's planner decides, so
-  /// decision order stays deterministic); both routes answer
+  /// `route` picks the base-scan path; both routes answer
   /// bit-identically. The first device-routed group prepares the engine
   /// (inside route_seconds); its stats, like every later group's, fold
   /// in the preparation's simulated time, exactly as an engine prepared
-  /// at build time would report. Host-routed scans (device_routed =
-  /// false) report no simulated-device stats; their distance_calcs /
-  /// total_pairs count the host image's TI scan instead (rows offered /
-  /// |Q| * n).
+  /// at build time would report. Host-routed scans report no
+  /// simulated-device stats; their distance_calcs / total_pairs count
+  /// the host image's TI scan instead (rows offered / |Q| * n).
   ///
   /// `workers` is the host route's width (1 on the serving backends,
   /// whose shard fan-out is already the parallel axis). `device_stats`,
-  /// when set, receives the device run's full KnnRunStats (empty unless
-  /// device_routed).
+  /// when set, receives the device run's full KnnRunStats (empty on the
+  /// host route).
   ShardAnswer SearchGroup(const HostMatrix& queries, int k, QueryRoute route,
                           Metric metric, int workers = 1,
                           KnnRunStats* device_stats = nullptr);
@@ -164,7 +161,7 @@ struct ShardHost {
   /// point within the closed ball of each query row, as stable ids
   /// (tombstones masked, delta matches merged in — see
   /// RangeShardAnswer). The base scan is always TiRangeScan over the
-  /// host image: no planner decision, no simulated device.
+  /// host image: no route, no simulated device.
   RangeShardAnswer RangeGroup(const HostMatrix& queries, float radius,
                               Metric metric);
 

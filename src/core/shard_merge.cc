@@ -57,37 +57,14 @@ KnnResult MergeMutableResults(const std::vector<MergeSource>& sources,
 }
 
 KnnResult MergeShardAnswers(const std::vector<ShardAnswer>& answers, int k) {
-  SK_CHECK_GT(k, 0);
-  SK_CHECK(!answers.empty());
-  const size_t num_queries = answers[0].result.num_queries();
-  for (const ShardAnswer& a : answers) {
-    SK_CHECK_EQ(a.result.num_queries(), num_queries);
-    SK_CHECK_EQ(a.result.k(), k);
+  std::vector<MergeSource> sources(answers.size());
+  for (size_t s = 0; s < answers.size(); ++s) {
+    sources[s].result = &answers[s].result;
+    // Pristine rows carry slice-local indices; mutated rows already
+    // carry stable ids (their shard merged and masked locally).
+    sources[s].offset = answers[s].pristine ? answers[s].offset : 0;
   }
-
-  KnnResult merged(num_queries, k);
-  std::vector<Neighbor> pool;
-  pool.reserve(answers.size() * static_cast<size_t>(k));
-  for (size_t q = 0; q < num_queries; ++q) {
-    pool.clear();
-    for (const ShardAnswer& a : answers) {
-      const Neighbor* row = a.result.row(q);
-      for (int i = 0; i < k; ++i) {
-        if (row[i].index == kInvalidNeighbor) break;  // padding: rest too
-        // Pristine rows carry slice-local indices; mutated rows already
-        // carry stable ids (their shard merged and masked locally).
-        const uint32_t id =
-            a.pristine ? row[i].index + a.offset : row[i].index;
-        pool.push_back(Neighbor{id, row[i].distance});
-      }
-    }
-    const size_t keep = std::min(pool.size(), static_cast<size_t>(k));
-    std::partial_sort(pool.begin(), pool.begin() + keep, pool.end(),
-                      NeighborLess);
-    pool.resize(keep);
-    merged.SetRow(q, pool);
-  }
-  return merged;
+  return MergeMutableResults(sources, k);
 }
 
 }  // namespace sweetknn::core

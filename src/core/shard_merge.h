@@ -65,13 +65,12 @@ KnnResult MergeMutableResults(const std::vector<MergeSource>& sources,
 /// delta scan).
 /// The run-stat fields are the flattened subset the serving layer
 /// aggregates; a host-routed shard ran no simulated device and reports
-/// zeros with device_routed = false.
+/// zeros (the caller knows the route: it chose it for the whole group).
 struct ShardAnswer {
   bool pristine = true;
   KnnResult result;     ///< k columns; see above for index semantics.
   uint32_t offset = 0;  ///< First stable id of a pristine slice.
 
-  bool device_routed = true;
   double sim_time_s = 0.0;
   double level1_s = 0.0;      ///< Simulated level-1 kernel seconds.
   double level2_s = 0.0;      ///< Simulated level-2 kernel seconds.
@@ -86,7 +85,9 @@ struct ShardAnswer {
   double route_seconds = 0.0;
 };
 
-/// Merges per-shard answers into the exact global top-k.
+/// Merges per-shard answers into the exact global top-k: one
+/// MergeMutableResults source per answer, with no id map and no dead
+/// rows, offset by `offset` when pristine.
 ///
 /// A pristine answer's slice starts at stable id `offset` and its rows
 /// are the exact top-k of that slice (ascending under NeighborLess,

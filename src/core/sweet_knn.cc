@@ -36,7 +36,6 @@ SweetKnnIndex::SweetKnnIndex(const HostMatrix& target,
 SweetKnnIndex::SweetKnnIndex(const SweetKnn::Config& config, uint32_t next_id)
     : config_(config),
       shard_(std::make_unique<core::ShardHost>(config.device, config.options)),
-      planner_(config.planner),
       next_id_(next_id) {}
 
 KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
@@ -48,17 +47,16 @@ KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
 KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
                                core::KnnRunStats* stats) {
   SK_CHECK_EQ(queries.cols(), dims());
-  // Every batch takes a planner decision. Both routes return
-  // bit-identical neighbor lists, so only wall-clock and the stats
-  // differ: a host-routed batch reports empty KnnRunStats — no simulated
-  // device ran.
-  const core::QueryRoute route = planner_.Choose();
+  // Both routes return bit-identical neighbor lists, so only wall-clock
+  // and the stats differ: a host-routed batch reports empty KnnRunStats
+  // — no simulated device ran.
   const int workers = config_.options.sim_threads > 0
                           ? config_.options.sim_threads
                           : common::SimThreadsFromEnv();
   core::KnnRunStats device_stats;
   core::ShardAnswer answer = shard_->SearchGroup(
-      queries, k, route, config_.options.metric, workers, &device_stats);
+      queries, k, config_.route, config_.options.metric, workers,
+      &device_stats);
   if (stats != nullptr) *stats = std::move(device_stats);
   // One shard at offset 0: its answer is already the final top-k.
   return std::move(answer.result);

@@ -14,7 +14,6 @@
 #include "core/host_image.h"
 #include "core/options.h"
 #include "core/range_search.h"
-#include "core/route_planner.h"
 #include "core/shard_host.h"
 #include "core/ti_knn_gpu.h"
 #include "gpusim/device.h"
@@ -38,14 +37,13 @@ class SweetKnn {
     /// tombstones) exceeds this fraction of the base rows. <= 0 disables
     /// auto-compaction (Compact() stays available).
     double compact_delta_fraction = 0.25;
-    /// SweetKnnIndex only: routing of each exact kNN batch between the
-    /// simulated-GPU TI engine and the host route's TI scan over the
-    /// base's HostImage (docs/performance.md). The default runs every
-    /// batch on the host. Both routes answer bit-identically;
-    /// force-device runs the paper's engine (and is what stats-asserting
-    /// callers should pin, since host-routed batches report no
-    /// simulated-device stats). Radius searches take no route.
-    core::PlannerConfig planner;
+    /// SweetKnnIndex only: the route of every exact kNN batch, the
+    /// simulated-GPU TI engine or the host route's TI scan over the
+    /// base's HostImage (docs/performance.md). Both answer
+    /// bit-identically; kDevice runs the paper's engine (and is what
+    /// stats-asserting callers should set, since host-routed batches
+    /// report no simulated-device stats). Radius searches take no route.
+    core::QueryRoute route = core::QueryRoute::kHost;
   };
 
   SweetKnn() : SweetKnn(Config{}) {}
@@ -106,8 +104,8 @@ class SweetKnn {
 /// surviving point set arranged in ascending stable-id order (the
 /// mutation-differential fuzz suite proves this; docs/mutability.md has
 /// the argument). The index is one core::ShardHost at offset 0 — the
-/// same shard code both serving backends run — plus a route planner and
-/// the id allocator.
+/// same shard code both serving backends run — plus its route and the
+/// id allocator.
 ///
 /// Rows are named by stable ids: the initial target's rows get ids
 /// 0..rows-1, every Insert allocates the next id, and ids are never
@@ -146,8 +144,8 @@ class SweetKnnIndex {
   /// NeighborLess on (distance, id). The base scan is the TI-pruned
   /// host scan reusing the Step-1 landmark bounds (core::TiRangeScan,
   /// bit-identical to the exhaustive core::FullRangeScan). It takes no
-  /// planner decision and never touches the simulated device, so kNN
-  /// routes, stats and the adaptive state are unperturbed. `stats`
+  /// route and never touches the simulated device, so kNN stats and the
+  /// adaptive state are unperturbed. `stats`
   /// (optional) reports the base-scan work/pruning counters.
   RangeResult RadiusSearch(const HostMatrix& queries, float radius,
                            core::RangeScanStats* stats = nullptr);
@@ -232,9 +230,8 @@ class SweetKnnIndex {
   const core::TiKnnEngine& engine() const { return shard_->engine; }
   /// The host route's image of the frozen base (rebuilt with it).
   const core::HostImage& host_image() const { return shard_->image; }
-  /// The batch router (live mode switch; route counters).
-  core::RoutePlanner& planner() { return planner_; }
-  const core::RoutePlanner& planner() const { return planner_; }
+  /// The route of later kNN batches (the live switch; Config::route).
+  void set_route(core::QueryRoute route) { config_.route = route; }
 
  private:
   /// An index whose shard (offset 0) is configured for `config` but
@@ -248,7 +245,6 @@ class SweetKnnIndex {
   /// The frozen base, its engine, host image and overlay.
   /// Replaced wholesale by Compact.
   std::unique_ptr<core::ShardHost> shard_;
-  core::RoutePlanner planner_;
   uint32_t next_id_ = 0;
   uint64_t compactions_ = 0;
 };

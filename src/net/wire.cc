@@ -178,22 +178,6 @@ Status GetDevice(PayloadReader* r, gpusim::DeviceSpec* d) {
   return Status::Ok();
 }
 
-// --- PlannerConfig ----------------------------------------------------------
-
-void PutPlanner(PayloadWriter* w, const core::PlannerConfig& p) {
-  w->PutU32(static_cast<uint32_t>(p.mode));
-}
-
-Status GetPlanner(PayloadReader* r, core::PlannerConfig* p) {
-  SK_RETURN_IF_ERROR(GetEnum(r, 2, "planner mode", &p->mode));
-  // 0 was the retired device-sampling mode.
-  if (p->mode != core::PlannerMode::kForceDevice &&
-      p->mode != core::PlannerMode::kForceHost) {
-    return Status::IoError("wire: planner mode 0 is retired");
-  }
-  return Status::Ok();
-}
-
 // --- KnnResult / ShardAnswer ------------------------------------------------
 
 void PutResult(PayloadWriter* w, const KnnResult& result) {
@@ -239,7 +223,6 @@ void PutAnswer(PayloadWriter* w, const core::ShardAnswer& a) {
   PutBool(w, a.pristine);
   PutResult(w, a.result);
   w->PutU32(a.offset);
-  PutBool(w, a.device_routed);
   w->PutDouble(a.sim_time_s);
   w->PutDouble(a.level1_s);
   w->PutDouble(a.level2_s);
@@ -258,7 +241,6 @@ Status GetAnswer(PayloadReader* r, core::ShardAnswer* a) {
   SK_RETURN_IF_ERROR(GetBool(r, &a->pristine));
   SK_RETURN_IF_ERROR(GetResult(r, &a->result));
   SK_RETURN_IF_ERROR(r->GetU32(&a->offset));
-  SK_RETURN_IF_ERROR(GetBool(r, &a->device_routed));
   SK_RETURN_IF_ERROR(r->GetDouble(&a->sim_time_s));
   SK_RETURN_IF_ERROR(r->GetDouble(&a->level1_s));
   SK_RETURN_IF_ERROR(r->GetDouble(&a->level2_s));
@@ -371,7 +353,6 @@ std::string EncodePrepareCold(const PrepareColdRequest& req) {
   w.PutMatrix(req.slice);
   PutOptions(&w, req.options);
   PutDevice(&w, req.device);
-  PutPlanner(&w, req.planner);
   w.PutString(req.tenant);
   return w.Take();
 }
@@ -383,7 +364,6 @@ Status DecodePrepareCold(const std::string& payload, PrepareColdRequest* req) {
   SK_RETURN_IF_ERROR(r.GetMatrix(&req->slice));
   SK_RETURN_IF_ERROR(GetOptions(&r, &req->options));
   SK_RETURN_IF_ERROR(GetDevice(&r, &req->device));
-  SK_RETURN_IF_ERROR(GetPlanner(&r, &req->planner));
   SK_RETURN_IF_ERROR(r.GetString(&req->tenant));
   return r.ExpectExhausted();
 }
@@ -394,7 +374,6 @@ std::string EncodePrepareSnapshot(const PrepareSnapshotRequest& req) {
   w.PutString(req.path);
   PutOptions(&w, req.options);
   PutDevice(&w, req.device);
-  PutPlanner(&w, req.planner);
   w.PutString(req.tenant);
   return w.Take();
 }
@@ -406,7 +385,6 @@ Status DecodePrepareSnapshot(const std::string& payload,
   SK_RETURN_IF_ERROR(r.GetString(&req->path));
   SK_RETURN_IF_ERROR(GetOptions(&r, &req->options));
   SK_RETURN_IF_ERROR(GetDevice(&r, &req->device));
-  SK_RETURN_IF_ERROR(GetPlanner(&r, &req->planner));
   SK_RETURN_IF_ERROR(r.GetString(&req->tenant));
   return r.ExpectExhausted();
 }
@@ -414,6 +392,7 @@ Status DecodePrepareSnapshot(const std::string& payload,
 std::string EncodeQuery(const QueryRequest& req) {
   PayloadWriter w;
   w.PutU32(req.k);
+  w.PutU32(static_cast<uint32_t>(req.route));
   w.PutMatrix(req.queries);
   w.PutU32s(req.shard_indices.data(), req.shard_indices.size());
   w.PutString(req.tenant);
@@ -423,6 +402,19 @@ std::string EncodeQuery(const QueryRequest& req) {
 Status DecodeQuery(const std::string& payload, QueryRequest* req) {
   PayloadReader r(payload, "Query");
   SK_RETURN_IF_ERROR(r.GetU32(&req->k));
+  // The worker runs k as an int: 0 and anything past INT_MAX are refused
+  // here, not cast into a negative width.
+  if (req->k == 0 ||
+      req->k > static_cast<uint32_t>(std::numeric_limits<int>::max())) {
+    return Status::IoError("wire: query k " + std::to_string(req->k) +
+                           " out of range");
+  }
+  SK_RETURN_IF_ERROR(GetEnum(&r, 2, "route", &req->route));
+  // 0 was the retired device-sampling mode.
+  if (req->route != core::QueryRoute::kDevice &&
+      req->route != core::QueryRoute::kHost) {
+    return Status::IoError("wire: route 0 is retired");
+  }
   SK_RETURN_IF_ERROR(r.GetMatrix(&req->queries));
   SK_RETURN_IF_ERROR(r.GetU32s(&req->shard_indices));
   SK_RETURN_IF_ERROR(r.GetString(&req->tenant));

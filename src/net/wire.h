@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "core/options.h"
 #include "core/range_search.h"
-#include "core/route_planner.h"
 #include "core/shard_merge.h"
 #include "gpusim/device_spec.h"
 
@@ -58,15 +57,14 @@ enum class MsgType : uint32_t {
 
 /// Cold-builds one shard on the worker: PrepareTarget over `slice`, which
 /// covers global rows [offset, offset + slice.rows()). The options /
-/// device / planner blocks ride in every prepare so a bare worker process
-/// needs no configuration of its own.
+/// device blocks ride in every prepare so a bare worker process needs no
+/// configuration of its own.
 struct PrepareColdRequest {
   uint32_t shard_index = 0;
   uint64_t offset = 0;
   HostMatrix slice;
   core::TiOptions options;
   gpusim::DeviceSpec device;
-  core::PlannerConfig planner;
   /// Named index this shard belongs to (docs/serving.md). The distributed
   /// tier serves one tenant per cluster today; workers record the name at
   /// prepare time and reject queries that name a different one.
@@ -81,7 +79,6 @@ struct PrepareSnapshotRequest {
   std::string path;
   core::TiOptions options;
   gpusim::DeviceSpec device;
-  core::PlannerConfig planner;
   /// Named index this shard belongs to (see PrepareColdRequest::tenant).
   std::string tenant = "default";
 };
@@ -90,9 +87,13 @@ struct PrepareSnapshotRequest {
 
 /// One same-k query group, fanned to every shard this worker hosts that
 /// appears in `shard_indices` (the router names them so a replica host
-/// answers only for the shards it is primary of).
+/// answers only for the shards it is primary of). The decoder refuses
+/// k = 0, k > INT_MAX and route values other than 1 and 2.
 struct QueryRequest {
   uint32_t k = 0;
+  /// The base-scan route of every named shard, chosen by the router's
+  /// front-end for the whole group.
+  core::QueryRoute route = core::QueryRoute::kHost;
   HostMatrix queries;
   std::vector<uint32_t> shard_indices;
   /// Named index the group targets. Workers answer only for the tenant

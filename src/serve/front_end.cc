@@ -69,7 +69,8 @@ FrontEnd::FrontEnd(const ServiceConfig& config, ShardTransport* transport,
       metrics_(metrics),
       // One round of the fair scheduler funds about one micro-batch.
       queue_({.max_queue_depth = config.max_queue_depth,
-              .quantum = static_cast<size_t>(config.max_batch_size)}) {
+              .quantum = static_cast<size_t>(config.max_batch_size)}),
+      route_(config.route) {
   SK_CHECK_GT(config_.max_batch_size, 0);
   InitMetrics();
 }
@@ -322,8 +323,8 @@ void FrontEnd::CountCacheHit(TenantIndex* tenant, double seconds) {
   tenant->m_latency->Observe(seconds);
 }
 
-void FrontEnd::ObserveRoute(bool device_routed, double seconds) {
-  if (device_routed) {
+void FrontEnd::ObserveRoute(core::QueryRoute route, double seconds) {
+  if (route == core::QueryRoute::kDevice) {
     m_planner_device_routes_->Increment();
     m_route_device_seconds_->Observe(seconds);
   } else {
@@ -466,11 +467,12 @@ void FrontEnd::RunGroup(std::vector<RequestPtr> group) {
   const int k = group[0]->k;
   const HostMatrix queries = GatherRows(group);
   const size_t rows = queries.rows();
+  const core::QueryRoute route = route_.load();
 
   std::vector<core::ShardAnswer> answers;
   double fanout_seconds = 0.0;
-  const Status status =
-      transport_->SearchGroup(tenant, queries, k, &answers, &fanout_seconds);
+  const Status status = transport_->SearchGroup(tenant, queries, k, route,
+                                                &answers, &fanout_seconds);
   if (!status.ok()) {
     for (RequestPtr& request : group) FailRequest(request.get(), status);
     return;
@@ -478,14 +480,11 @@ void FrontEnd::RunGroup(std::vector<RequestPtr> group) {
   m_shard_fanout_->Observe(fanout_seconds);
 
   const SteadyClock::time_point merge_start = SteadyClock::now();
-  for (const core::ShardAnswer& answer : answers) {
-    ObserveRoute(answer.device_routed, answer.route_seconds);
-  }
   // The identical exact merge on both transports: this is where cluster
   // answers become bit-identical to in-process ones.
   const KnnResult merged = core::MergeShardAnswers(answers, k);
   m_merge_->Observe(SecondsBetween(merge_start, SteadyClock::now()));
-  RecordGroupStats(answers, rows);
+  RecordGroupStats(answers, route, rows);
 
   // Slice the merged result back into per-request answers.
   size_t row = 0;
@@ -517,7 +516,7 @@ void FrontEnd::RunRangeGroup(std::vector<RequestPtr> group) {
   const SteadyClock::time_point merge_start = SteadyClock::now();
   // Every range shard scan ran on the host (ShardHost::RangeGroup).
   for (const core::RangeShardAnswer& answer : answers) {
-    ObserveRoute(/*device_routed=*/false, answer.route_seconds);
+    ObserveRoute(core::QueryRoute::kHost, answer.route_seconds);
   }
   const RangeResult merged = core::MergeRangeShardAnswers(answers, rows);
   m_merge_->Observe(SecondsBetween(merge_start, SteadyClock::now()));
@@ -540,7 +539,7 @@ void FrontEnd::RunRangeGroup(std::vector<RequestPtr> group) {
 }
 
 void FrontEnd::RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
-                                size_t rows) {
+                                core::QueryRoute route, size_t rows) {
   double slowest = 0.0;
   double total = 0.0;
   double level1 = 0.0;
@@ -550,11 +549,12 @@ void FrontEnd::RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
   uint64_t distance_calcs = 0;
   uint64_t host_distance_calcs = 0;
   for (const core::ShardAnswer& s : answers) {
+    ObserveRoute(route, s.route_seconds);
     // A host-routed shard ran no simulated device: its answer carries no
     // device stats and it made no adaptive decisions, so it contributes
     // to neither the sim-time counters nor the decision counts — only
     // its exact scan's work reaches the host counter.
-    if (!s.device_routed) {
+    if (route == core::QueryRoute::kHost) {
       host_distance_calcs += s.distance_calcs;
       continue;
     }

@@ -23,7 +23,6 @@
 #include "common/status.h"
 #include "core/options.h"
 #include "core/range_search.h"
-#include "core/route_planner.h"
 #include "core/shard_merge.h"
 #include "gpusim/device.h"
 #include "serve/index_manager.h"
@@ -79,17 +78,14 @@ struct ServiceConfig {
   /// explicit CompactShard/CompactAll calls (deterministic; tests use
   /// this).
   bool auto_compact = true;
-  /// Routing of each exact kNN group's per-shard base scan between the
-  /// shard's simulated-GPU TI engine and the host route's TI scan
-  /// (docs/performance.md). The default runs every decision on the
-  /// host. Both routes answer bit-identically; host-routed shard runs
-  /// report no simulated-device stats (sim-time counters,
-  /// filter/placement decisions), so tests asserting those pin mode =
-  /// kForceDevice. SWEETKNN_PLANNER ("device" | "host"; "auto" selects
-  /// the host) overrides the mode at construction.
-  /// Range groups take no route: every shard runs its TI range scan on
-  /// the host.
-  core::PlannerConfig planner;
+  /// The route of every exact kNN group's per-shard base scan: the
+  /// shard's simulated-GPU TI engine or the host route's TI scan
+  /// (docs/performance.md). Both routes answer bit-identically;
+  /// host-routed shard runs report no simulated-device stats (sim-time
+  /// counters, filter/placement decisions), so tests asserting those
+  /// set kDevice. KnnService::set_route switches it live. Range groups
+  /// take no route: every shard runs its TI range scan on the host.
+  core::QueryRoute route = core::QueryRoute::kHost;
   /// Ignored; kept only so e2ebench/e2e_bench.cc, which assigns it,
   /// compiles. Every search mode is served exactly (docs/approx.md).
   bool enable_ann = false;
@@ -265,10 +261,12 @@ class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
 
-  /// Every shard's answer to one same-k group, indexed by shard.
-  /// `fanout_seconds` is the fan-out's wall-clock, without lock wait.
+  /// Every shard's answer to one same-k group, indexed by shard, each
+  /// base scan on `route`. `fanout_seconds` is the fan-out's
+  /// wall-clock, without lock wait.
   virtual Status SearchGroup(const TenantIndex& tenant,
                              const HostMatrix& queries, int k,
+                             core::QueryRoute route,
                              std::vector<core::ShardAnswer>* answers,
                              double* fanout_seconds) = 0;
 
@@ -308,10 +306,11 @@ void MergeLiveExports(const std::vector<std::vector<uint32_t>>& part_ids,
 
 /// The serving front-end both backends own: weighted-fair admission
 /// (shedding, deadlines, dropped tenants), micro-batching, k and radius
-/// grouping, the exact merge of the transport's answers, per-request
-/// slicing, the offline-job engine, and the request/stage/job series. Every public method is thread-safe; one
-/// dispatcher thread drains the scheduler and calls the transport with
-/// no front-end lock held.
+/// grouping, the kNN route, the exact merge of the transport's answers,
+/// per-request slicing, the offline-job engine, and the
+/// request/stage/route/job series. Every public method is thread-safe;
+/// one dispatcher thread drains the scheduler and calls the transport
+/// with no front-end lock held.
 class FrontEnd {
  public:
   /// Registers its series on `metrics`; both pointers outlive it.
@@ -349,6 +348,10 @@ class FrontEnd {
 
   /// Counts a one-row request the result cache answered.
   void CountCacheHit(TenantIndex* tenant, double seconds);
+
+  /// The route of kNN groups dispatched from now on (the live switch of
+  /// ServiceConfig::route; tests and the fuzz harnesses flip it).
+  void set_route(core::QueryRoute route) { route_.store(route); }
 
   // -- Offline jobs (docs/modalities.md) ------------------------------
   // The backends resolve spec.tenant / CallOptions::tenant and forward.
@@ -449,14 +452,15 @@ class FrontEnd {
   /// its promises; RunRangeGroup is the radius twin.
   void RunGroup(std::vector<RequestPtr> group);
   void RunRangeGroup(std::vector<RequestPtr> group);
-  /// Records one planner route decision of a shard scan.
-  void ObserveRoute(bool device_routed, double seconds);
+  /// Counts one shard scan under its route.
+  void ObserveRoute(core::QueryRoute route, double seconds);
   void ObserveLatency(const Request& request);
-  /// Folds one group's shard answers into the registry; host-routed
+  /// Folds one group's shard answers, each scanned on `route`, into the
+  /// registry: every shard counts under its route, and host-routed
   /// shards ran no device, so they add no sim time or decisions — only
   /// their host-scan work counter.
   void RecordGroupStats(const std::vector<core::ShardAnswer>& answers,
-                        size_t rows);
+                        core::QueryRoute route, size_t rows);
 
   /// The job thread: runs queued jobs one at a time; at shutdown fails
   /// what is still pending.
@@ -479,6 +483,8 @@ class FrontEnd {
   ShardTransport* const transport_;
   common::MetricsRegistry* const metrics_;
   FairScheduler<RequestPtr> queue_;
+  /// Read once per kNN group by the dispatcher.
+  std::atomic<core::QueryRoute> route_;
 
   /// Guarded by hook_mutex_ (the dispatcher copies it per batch, so a
   /// test may install it while traffic is flowing).

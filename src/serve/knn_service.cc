@@ -29,7 +29,6 @@ uint32_t SnapshotBaseId(const store::IndexSnapshot& snap, size_t row) {
 KnnService::KnnService(const HostMatrix& target, const ServiceConfig& config)
     : config_(config),
       dims_(target.cols()),
-      planner_(config.planner),
       front_end_(config, this, &metrics_) {
   SK_CHECK(!target.empty()) << "KnnService needs a non-empty target set";
   InitMetrics();
@@ -47,7 +46,6 @@ KnnService::KnnService(AdoptTag, std::vector<store::IndexSnapshot> snapshots,
                        const ServiceConfig& config)
     : config_(config),
       dims_(snapshots[0].target.cols()),
-      planner_(config.planner),
       front_end_(config, this, &metrics_) {
   config_.num_shards = static_cast<int>(snapshots.size());
   InitMetrics();
@@ -551,6 +549,7 @@ int KnnService::OwningShard(const TenantIndex& tenant, uint32_t id) const {
 
 Status KnnService::SearchGroup(const TenantIndex& tenant,
                                const HostMatrix& queries, int k,
+                               core::QueryRoute route,
                                std::vector<core::ShardAnswer>* answers,
                                double* fanout_seconds) {
   // The whole group runs against one index state of one tenant: a
@@ -560,12 +559,6 @@ Status KnnService::SearchGroup(const TenantIndex& tenant,
   // touched, so their mutations never stall this group.
   std::lock_guard<std::mutex> index_lock(tenant.mutex);
   const int num_shards = static_cast<int>(tenant.shards.size());
-  // Serially, before the fan-out, so the decision order is deterministic.
-  // Both routes return bit-identical per-shard lists (the host path runs
-  // the same canonical float pipeline the engine is fuzz-proven
-  // against), so the merged answer cannot depend on the route.
-  std::vector<core::QueryRoute> routes(tenant.shards.size());
-  for (core::QueryRoute& route : routes) route = planner_.Choose();
   // The per-shard work — base scan (over-queried when mutated), delta
   // side scan, shard-local merge — lives in ShardHost::SearchGroup, the
   // one code path the remote shard workers run too.
@@ -574,7 +567,7 @@ Status KnnService::SearchGroup(const TenantIndex& tenant,
   common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
     const auto idx = static_cast<size_t>(s);
     (*answers)[idx] = tenant.shards[idx]->SearchGroup(
-        queries, k, routes[idx], config_.options.metric);
+        queries, k, route, config_.options.metric);
   });
   *fanout_seconds = SecondsBetween(start, SteadyClock::now());
   return Status::Ok();
@@ -584,8 +577,8 @@ Status KnnService::RangeGroup(const TenantIndex& tenant,
                               const HostMatrix& queries, float radius,
                               std::vector<core::RangeShardAnswer>* answers,
                               double* fanout_seconds) {
-  // Same index-mutex scope as SearchGroup; no planner decision (every
-  // shard runs its TI range scan on the host).
+  // Same index-mutex scope as SearchGroup; no route (every shard runs
+  // its TI range scan on the host).
   std::lock_guard<std::mutex> index_lock(tenant.mutex);
   const int num_shards = static_cast<int>(tenant.shards.size());
   answers->assign(static_cast<size_t>(num_shards), core::RangeShardAnswer{});

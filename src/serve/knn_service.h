@@ -20,7 +20,6 @@
 #include "common/metrics.h"
 #include "common/range_result.h"
 #include "common/status.h"
-#include "core/route_planner.h"
 #include "core/shard_merge.h"
 #include "serve/front_end.h"
 #include "serve/index_manager.h"
@@ -142,7 +141,7 @@ class KnnService : private ShardTransport {
   /// Every live point within the closed ball of each query row, as one
   /// request through the admission queue (variable-cardinality rows;
   /// see common/range_result.h). Answers are bit-identical across
-  /// planner routes, SIMD tiers, and shard counts. Thread-safe; blocks
+  /// routes, SIMD tiers, and shard counts. Thread-safe; blocks
   /// until served; Unavailable on shutdown/shed and InvalidArgument on a
   /// malformed batch like JoinBatch, and InvalidArgument for a negative
   /// radius.
@@ -254,9 +253,10 @@ class KnnService : private ShardTransport {
     front_end_.SetPreDispatchHookForTest(std::move(hook));
   }
 
-  /// The batch router (live mode switch; route counters). Thread-safe.
-  core::RoutePlanner& planner() { return planner_; }
-  const core::RoutePlanner& planner() const { return planner_; }
+  /// The route of kNN groups dispatched from now on (the live switch of
+  /// ServiceConfig::route; the registry's sweetknn_planner_* series
+  /// count each shard scan under its route). Thread-safe.
+  void set_route(core::QueryRoute route) { front_end_.set_route(route); }
 
   /// Shards of the default tenant (named tenants may clamp lower).
   int num_shards() const { return config_.num_shards; }
@@ -311,7 +311,8 @@ class KnnService : private ShardTransport {
 
   // ShardTransport: the in-process fan-out over the host pool.
   Status SearchGroup(const TenantIndex& tenant, const HostMatrix& queries,
-                     int k, std::vector<core::ShardAnswer>* answers,
+                     int k, core::QueryRoute route,
+                     std::vector<core::ShardAnswer>* answers,
                      double* fanout_seconds) override;
   Status RangeGroup(const TenantIndex& tenant, const HostMatrix& queries,
                     float radius,
@@ -401,9 +402,6 @@ class KnnService : private ShardTransport {
 
   ServiceConfig config_;
   size_t dims_ = 0;  ///< Default tenant's dims (legacy accessor).
-  /// Routes each group's per-shard base scan; internally atomic (the
-  /// dispatcher chooses while tests flip the mode).
-  core::RoutePlanner planner_;
 
   /// The named indexes. Each TenantIndex carries its own index mutex
   /// (the per-tenant successor of the old service-wide index_mutex_).

@@ -305,7 +305,6 @@ Status Router::Bootstrap(const HostMatrix& target) {
                 rows * dims_ * sizeof(float));
     req.options = config_.service.options;
     req.device = config_.service.device;
-    req.planner = config_.service.planner;
     req.tenant = config_.tenant;
     shard_offsets_.push_back(static_cast<uint32_t>(offset));
     offset += rows;
@@ -690,6 +689,7 @@ Status ScatterByShard(Reply* reply, const std::vector<uint32_t>& shards,
 
 Status Router::SearchGroup(const TenantIndex& /*tenant*/,
                            const HostMatrix& queries, int k,
+                           core::QueryRoute route,
                            std::vector<core::ShardAnswer>* answers,
                            double* fanout_seconds) {
   // One consistent cluster state per group, like a tenant's index mutex:
@@ -704,6 +704,7 @@ Status Router::SearchGroup(const TenantIndex& /*tenant*/,
       [&](const std::vector<uint32_t>& shards) {
         net::QueryRequest req;
         req.k = static_cast<uint32_t>(k);
+        req.route = route;
         req.queries = queries;
         req.shard_indices = shards;
         req.tenant = config_.tenant;
@@ -860,6 +861,15 @@ Status Router::RestoreReplication() {
     return Status::Unavailable("Router is shut down");
   }
   const int num_workers = static_cast<int>(workers_.size());
+  // A worker is declared dead only when a call to it fails, so one that
+  // died since its last call still looks alive here: probe them first.
+  for (int w = 0; w < num_workers; ++w) {
+    if (!alive_[static_cast<size_t>(w)]) continue;
+    const Result<net::Frame> health =
+        CallWorker(w, net::MsgType::kHealth, "", config_.rpc_timeout,
+                   net::MsgType::kHealthReply);
+    if (!health.ok()) MarkWorkerDeadLocked(w, health.status().ToString());
+  }
   for (int s = 0; s < num_shards_; ++s) {
     const auto sidx = static_cast<size_t>(s);
     if (primary_[sidx] < 0 || !alive_[static_cast<size_t>(primary_[sidx])]) {
@@ -907,7 +917,6 @@ Status Router::RestoreReplication() {
       prep.path = path;
       prep.options = config_.service.options;
       prep.device = config_.service.device;
-      prep.planner = config_.service.planner;
       prep.tenant = config_.tenant;
       Result<net::Frame> adopted = CallWorker(
           candidate, net::MsgType::kPrepareSnapshot,

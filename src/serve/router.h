@@ -28,10 +28,10 @@ namespace sweetknn::serve {
 /// Knobs of the cluster front-end (docs/distributed.md).
 struct RouterConfig {
   /// The serving knobs shared with the in-process backend: num_shards,
-  /// the front-end's (micro-batching, max_queue_depth),
-  /// options/device/planner, and dataset_name. cache_capacity, snapshot_dir, auto_compact and
-  /// compact_delta_fraction are ignored (the router has no result cache
-  /// and compacts only explicitly).
+  /// the front-end's (micro-batching, max_queue_depth, route),
+  /// options/device, and dataset_name. cache_capacity, snapshot_dir,
+  /// auto_compact and compact_delta_fraction are ignored (the router has
+  /// no result cache and compacts only explicitly).
   ServiceConfig service;
   /// Worker processes. Clamped to [1, num_shards]; shard s's primary is
   /// worker s % num_workers.
@@ -167,8 +167,11 @@ class Router : private ShardTransport {
 
   /// Re-establishes missing replicas (after worker deaths) on surviving
   /// workers: the primary exports a snapshot into work_dir, the new host
-  /// adopts it. No-op for shards already at full replication; error if
-  /// a shard has fewer live hosts than possible candidates allow.
+  /// adopts it. First probes every worker still marked alive with a
+  /// Health RPC under rpc_timeout and declares those that fail dead, so
+  /// a worker that died since its last call is not counted as a host.
+  /// No-op for shards already at full replication; error if a shard has
+  /// no live host left to catch up from.
   Status RestoreReplication();
 
   /// Rejects new work, drains admitted requests, stops every worker
@@ -280,7 +283,8 @@ class Router : private ShardTransport {
 
   // ShardTransport: the RPC fan-out, under mutex_ for the whole request.
   Status SearchGroup(const TenantIndex& tenant, const HostMatrix& queries,
-                     int k, std::vector<core::ShardAnswer>* answers,
+                     int k, core::QueryRoute route,
+                     std::vector<core::ShardAnswer>* answers,
                      double* fanout_seconds) override;
   Status RangeGroup(const TenantIndex& tenant, const HostMatrix& queries,
                     float radius,

@@ -133,15 +133,6 @@ net::Frame ShardWorker::Dispatch(const net::Frame& request, bool* shutdown) {
   }
 }
 
-void ShardWorker::AdoptConfig(const core::TiOptions& options,
-                              const gpusim::DeviceSpec& device,
-                              const core::PlannerConfig& planner) {
-  options_ = options;
-  device_ = device;
-  if (!planner_) planner_ = std::make_unique<core::RoutePlanner>(planner);
-  configured_ = true;
-}
-
 core::ShardHost* ShardWorker::FindShard(uint32_t shard_index) {
   const auto it = shards_.find(shard_index);
   return it == shards_.end() ? nullptr : it->second.get();
@@ -164,7 +155,8 @@ Status ShardWorker::HandlePrepareCold(const std::string& payload) {
                                    tenant_ + "'");
   }
   tenant_ = req.tenant;
-  AdoptConfig(req.options, req.device, req.planner);
+  options_ = req.options;
+  device_ = req.device;
   // The shard engines are pinned to one execution thread, exactly like
   // KnnService's (the engine is bit-identical at any worker count; the
   // fan-out across workers is the parallel axis here).
@@ -203,7 +195,8 @@ Status ShardWorker::HandlePrepareSnapshot(const std::string& payload) {
         "', this worker hosts '" + tenant_ + "'");
   }
   tenant_ = req.tenant;
-  AdoptConfig(req.options, req.device, req.planner);
+  options_ = req.options;
+  device_ = req.device;
   core::TiOptions shard_options = options_;
   shard_options.sim_threads = 1;
   auto shard = std::make_unique<core::ShardHost>(device_, shard_options);
@@ -252,7 +245,6 @@ Status ShardWorker::HandleQuery(const std::string& payload,
                                 net::Frame* reply) {
   net::QueryRequest req;
   SK_RETURN_IF_ERROR(net::DecodeQuery(payload, &req));
-  if (req.k == 0) return Status::InvalidArgument("Query: k must be > 0");
   std::vector<core::ShardHost*> shards;
   SK_RETURN_IF_ERROR(ResolveGroup("Query", req.tenant, req.queries,
                                   req.shard_indices, &shards));
@@ -260,12 +252,10 @@ Status ShardWorker::HandleQuery(const std::string& payload,
   out.shard_indices = req.shard_indices;
   out.answers.reserve(shards.size());
   for (core::ShardHost* shard : shards) {
-    // One planner decision per shard, as in KnnService's planner pass.
     // Both routes answer bit-identically, so the cluster's answers
-    // cannot depend on which route a shard lands on.
+    // cannot depend on the route the router sent.
     out.answers.push_back(shard->SearchGroup(
-        req.queries, static_cast<int>(req.k), planner_->Choose(),
-        options_.metric));
+        req.queries, static_cast<int>(req.k), req.route, options_.metric));
   }
   reply->type = static_cast<uint32_t>(net::MsgType::kQueryReply);
   reply->payload = net::EncodeQueryReply(out);

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "core/options.h"
-#include "core/route_planner.h"
 #include "gpusim/device_spec.h"
 #include "net/frame.h"
 #include "net/wire.h"
@@ -75,23 +74,14 @@ class ShardWorker {
   /// source of the self-join and kNN-graph jobs).
   Status HandleExportLive(const std::string& payload, net::Frame* reply);
 
-  /// Adopts the config blocks that ride in every prepare (options,
-  /// device, planner — the planner only on the first prepare, so its
-  /// decision counter spans the worker's lifetime like KnnService's).
-  void AdoptConfig(const core::TiOptions& options,
-                   const gpusim::DeviceSpec& device,
-                   const core::PlannerConfig& planner);
-
   /// The shard named by a request, or nullptr (callers answer NotFound).
   core::ShardHost* FindShard(uint32_t shard_index);
 
   std::string socket_path_;
 
-  /// Service configuration, adopted from the prepare RPCs.
+  /// Service configuration, adopted from every prepare RPC.
   core::TiOptions options_;
   gpusim::DeviceSpec device_;
-  std::unique_ptr<core::RoutePlanner> planner_;
-  bool configured_ = false;
   /// The named index this worker's shards belong to, adopted from the
   /// first prepare. Every later prepare must name the same tenant, and
   /// queries naming a different one are rejected — the cluster serves

@@ -52,7 +52,7 @@ TEST(ThreadPoolTest, AnnServiceWithParallelSimThreadsMatchesSerial) {
   serve::ServiceConfig config;
   config.num_shards = 2;
   config.auto_compact = false;
-  config.planner.mode = core::PlannerMode::kForceDevice;
+  config.route = core::QueryRoute::kDevice;
   config.options.sim_threads = 4;
   serve::KnnService parallel(target, config);
   config.options.sim_threads = 1;
@@ -70,8 +70,9 @@ TEST(ThreadPoolTest, AnnServiceWithParallelSimThreadsMatchesSerial) {
       }
     }
   }
-  EXPECT_EQ(serial.planner().device_routes(), 2u);
-  EXPECT_EQ(parallel.planner().device_routes(), 4u);
+  const char* const kDeviceRoutes = "sweetknn_planner_device_routes_total";
+  EXPECT_EQ(serial.metrics().CounterValue(kDeviceRoutes), 2.0);
+  EXPECT_EQ(parallel.metrics().CounterValue(kDeviceRoutes), 4.0);
 }
 
 }  // namespace

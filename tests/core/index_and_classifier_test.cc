@@ -53,7 +53,7 @@ TEST(SweetKnnIndexTest, StatsIncludeAmortizedPreparation) {
   const HostMatrix gallery = ClusteredPoints(300, 5, 5, 157);
   // Host-routed batches report no simulated-device stats.
   SweetKnn::Config config;
-  config.planner.mode = core::PlannerMode::kForceDevice;
+  config.route = core::QueryRoute::kDevice;
   SweetKnnIndex index(gallery, config);
   const HostMatrix batch = ClusteredPoints(60, 5, 2, 158);
   core::KnnRunStats stats;

@@ -55,9 +55,9 @@ HostMatrix QueriesWithBaseRows(const HostMatrix& target, size_t fresh,
   return out;
 }
 
-SweetKnn::Config ForcedConfig(core::PlannerMode mode) {
+SweetKnn::Config RouteConfig(core::QueryRoute route) {
   SweetKnn::Config config;
-  config.planner.mode = mode;
+  config.route = route;
   return config;
 }
 
@@ -102,9 +102,9 @@ TEST(RangeQueryTest, BoundaryTieIncludedExactly) {
   target.at(2, 0) = 50.0f;
   target.at(2, 1) = 50.0f;
   HostMatrix query(1, 2);  // at the origin
-  for (const core::PlannerMode mode :
-       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
-    SweetKnnIndex index(target, ForcedConfig(mode));
+  for (const core::QueryRoute route :
+       {core::QueryRoute::kDevice, core::QueryRoute::kHost}) {
+    SweetKnnIndex index(target, RouteConfig(route));
     const RangeResult at = index.RadiusSearch(query, 5.0f);
     ExpectRowEquals(at, 0, {Neighbor{0, 0.0f}, Neighbor{1, 5.0f}});
     const RangeResult below =
@@ -123,9 +123,9 @@ TEST(RangeQueryTest, RadiusZeroMatchesExactDuplicatesOnly) {
   }
   HostMatrix query(1, 3);
   for (size_t i = 0; i < 3; ++i) query.at(0, i) = 1.25f;
-  for (const core::PlannerMode mode :
-       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
-    SweetKnnIndex index(target, ForcedConfig(mode));
+  for (const core::QueryRoute route :
+       {core::QueryRoute::kDevice, core::QueryRoute::kHost}) {
+    SweetKnnIndex index(target, RouteConfig(route));
     const RangeResult r = index.RadiusSearch(query, 0.0f);
     ExpectRowEquals(r, 0, {Neighbor{0, 0.0f}, Neighbor{1, 0.0f}});
   }
@@ -138,9 +138,9 @@ TEST(RangeQueryTest, EmptyResultRows) {
     query.at(0, j) = 1000.0f;
     query.at(1, j) = -1000.0f;
   }
-  for (const core::PlannerMode mode :
-       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
-    SweetKnnIndex index(target, ForcedConfig(mode));
+  for (const core::QueryRoute route :
+       {core::QueryRoute::kDevice, core::QueryRoute::kHost}) {
+    SweetKnnIndex index(target, RouteConfig(route));
     const RangeResult r = index.RadiusSearch(query, 0.01f);
     EXPECT_EQ(r.count(0), 0u);
     EXPECT_EQ(r.count(1), 0u);
@@ -150,7 +150,7 @@ TEST(RangeQueryTest, EmptyResultRows) {
 
 TEST(RangeQueryTest, AllTombstonedAnswersEmpty) {
   const HostMatrix target = ClusteredPoints(40, 3, 2, 902);
-  SweetKnnIndex index(target, ForcedConfig(core::PlannerMode::kForceDevice));
+  SweetKnnIndex index(target, RouteConfig(core::QueryRoute::kDevice));
   for (uint32_t id = 0; id < 40; ++id) {
     EXPECT_TRUE(index.Remove(id));
   }
@@ -169,9 +169,9 @@ TEST(RangeQueryTest, SelfJoinExcludesSelfKeepsDuplicates) {
   target.at(1, 0) = 1.0f;
   target.at(2, 0) = 1.5f;
   target.at(3, 0) = 40.0f;
-  for (const core::PlannerMode mode :
-       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
-    SweetKnnIndex index(target, ForcedConfig(mode));
+  for (const core::QueryRoute route :
+       {core::QueryRoute::kDevice, core::QueryRoute::kHost}) {
+    SweetKnnIndex index(target, RouteConfig(route));
     const std::vector<SelfJoinPair> dup = index.SelfJoin(0.0f);
     ASSERT_EQ(dup.size(), 1u);  // only the duplicate pair, no (i, i)
     EXPECT_EQ(dup[0], (SelfJoinPair{0, 1, 0.0f}));
@@ -189,9 +189,9 @@ TEST(RangeQueryTest, RoutesBitIdenticalAndMatchOracle) {
   std::vector<uint32_t> ids(target.rows());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
   SweetKnnIndex device_index(target,
-                             ForcedConfig(core::PlannerMode::kForceDevice));
+                             RouteConfig(core::QueryRoute::kDevice));
   SweetKnnIndex host_index(target,
-                           ForcedConfig(core::PlannerMode::kForceHost));
+                           RouteConfig(core::QueryRoute::kHost));
   for (const float radius : {0.0f, 0.05f, 0.2f, 0.6f, 2.0f}) {
     core::RangeScanStats ti_stats;
     const RangeResult ti = device_index.RadiusSearch(queries, radius,
@@ -210,7 +210,7 @@ TEST(RangeQueryTest, TiPruningActuallyPrunes) {
   // clusters, so candidates stay well below the all-pairs count.
   const HostMatrix target = ClusteredPoints(400, 4, 8, 905, 0.01f);
   const HostMatrix queries = ClusteredPoints(20, 4, 8, 906, 0.01f);
-  SweetKnnIndex index(target, ForcedConfig(core::PlannerMode::kForceDevice));
+  SweetKnnIndex index(target, RouteConfig(core::QueryRoute::kDevice));
   core::RangeScanStats stats;
   index.RadiusSearch(queries, 0.05f, &stats);
   EXPECT_GT(stats.clusters_pruned, 0u);
@@ -221,9 +221,9 @@ TEST(RangeQueryTest, MutatedIndexMatchesOracle) {
   const HostMatrix target = ClusteredPoints(120, 5, 4, 907);
   const HostMatrix queries = ClusteredPoints(15, 5, 4, 908);
   Rng rng(909);
-  for (const core::PlannerMode mode :
-       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
-    SweetKnnIndex index(target, ForcedConfig(mode));
+  for (const core::QueryRoute route :
+       {core::QueryRoute::kDevice, core::QueryRoute::kHost}) {
+    SweetKnnIndex index(target, RouteConfig(route));
     // Mutate: remove a third of the base, insert fresh points.
     for (uint32_t id = 0; id < 120; id += 3) index.Remove(id);
     for (int i = 0; i < 30; ++i) {
@@ -245,7 +245,7 @@ TEST(RangeQueryTest, MutatedIndexMatchesOracle) {
 
 TEST(RangeQueryTest, SelfJoinMatchesOracleOncePerPair) {
   const HostMatrix target = ClusteredPoints(90, 4, 3, 910);
-  SweetKnnIndex index(target, ForcedConfig(core::PlannerMode::kForceDevice));
+  SweetKnnIndex index(target, RouteConfig(core::QueryRoute::kDevice));
   const float radius = 0.15f;
   const std::vector<SelfJoinPair> pairs = index.SelfJoin(radius);
   // Oracle: every unordered pair once, a < b, ascending a then
@@ -285,7 +285,7 @@ TEST(RangeQueryTest, KnnGraphExactIncludingDuplicateHeavySets) {
     target.at(i, 0) = static_cast<float>(i);
   }
   const int k = 4;
-  SweetKnnIndex index(target, ForcedConfig(core::PlannerMode::kForceDevice));
+  SweetKnnIndex index(target, RouteConfig(core::QueryRoute::kDevice));
   const SweetKnnIndex::KnnGraphResult graph = index.KnnGraph(k);
   ASSERT_EQ(graph.ids.size(), 30u);
   ASSERT_EQ(graph.neighbors.num_queries(), 30u);
@@ -314,7 +314,7 @@ TEST(RangeQueryTest, KnnGraphPadsWhenFewerThanKOthers) {
   HostMatrix target(3, 2);
   target.at(1, 0) = 1.0f;
   target.at(2, 0) = 2.0f;
-  SweetKnnIndex index(target, ForcedConfig(core::PlannerMode::kForceHost));
+  SweetKnnIndex index(target, RouteConfig(core::QueryRoute::kHost));
   const SweetKnnIndex::KnnGraphResult graph = index.KnnGraph(5);
   for (size_t i = 0; i < 3; ++i) {
     const Neighbor* row = graph.neighbors.row(i);

@@ -146,7 +146,7 @@ void RunClusterSequence(const ClusterFuzzConfig& cfg) {
 
   serve::RouterConfig router_config;
   router_config.service = service_config;
-  router_config.service.planner.mode = core::PlannerMode::kForceDevice;
+  router_config.service.route = core::QueryRoute::kDevice;
   router_config.num_workers = cfg.workers;
   router_config.replicas = cfg.replicas;
   router_config.worker_binary = CliBinary();
@@ -356,7 +356,10 @@ TEST(ClusterSlow, FourWorkerReplicatedSweep) { RunSweep(5000, 3, 4, 1); }
 // survives a SECOND worker death — and stays bit-identical throughout,
 // with the workers on either route. A replica adopted from a catch-up
 // snapshot (PrepareSnapshot) marks the file's tombstones in its dead
-// rows: every target row queried at k = 1 answers itself iff live.
+// rows: every target row queried at k = 1 answers itself iff live. The
+// last leg restores right after the first kill, with no call in between
+// that could have told the router the worker is gone: RestoreReplication
+// must find the death itself.
 TEST(ClusterSlow, ReplicaCatchUpSurvivesSecondKill) {
   if (CliBinary() == nullptr) {
     GTEST_SKIP() << "SWEETKNN_CLI not set; this suite needs the CLI binary";
@@ -370,15 +373,21 @@ TEST(ClusterSlow, ReplicaCatchUpSurvivesSecondKill) {
   service_config.max_batch_size = 8;
   service_config.auto_compact = false;
 
-  for (const core::PlannerMode mode :
-       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
-    SCOPED_TRACE(mode == core::PlannerMode::kForceDevice ? "device route"
-                                                         : "host route");
+  struct Leg {
+    core::QueryRoute route;
+    bool query_before_restore;
+    const char* name;
+  };
+  for (const Leg& leg :
+       {Leg{core::QueryRoute::kDevice, true, "device route"},
+        Leg{core::QueryRoute::kHost, true, "host route"},
+        Leg{core::QueryRoute::kHost, false, "host route, restore at once"}}) {
+    SCOPED_TRACE(leg.name);
     serve::KnnService local(target, service_config);
 
     serve::RouterConfig router_config;
     router_config.service = service_config;
-    router_config.service.planner.mode = mode;
+    router_config.service.route = leg.route;
     router_config.num_workers = 4;
     router_config.replicas = 1;
     router_config.worker_binary = CliBinary();
@@ -416,12 +425,15 @@ TEST(ClusterSlow, ReplicaCatchUpSurvivesSecondKill) {
     check("before first kill");
 
     ASSERT_EQ(::kill(cluster.worker_pid(1), SIGKILL), 0);
-    check("after first kill (failover)");
-    EXPECT_FALSE(cluster.worker_alive(1));
+    if (leg.query_before_restore) {
+      check("after first kill (failover)");
+      EXPECT_FALSE(cluster.worker_alive(1));
+    }
 
     const Status restored = cluster.RestoreReplication();
     ASSERT_TRUE(restored.ok()) << restored.ToString();
     EXPECT_GE(cluster.stats().replicas_restored, 1u);
+    EXPECT_FALSE(cluster.worker_alive(1));
     check("after catch-up");
 
     // Mutations after catch-up must reach the restored replicas too...

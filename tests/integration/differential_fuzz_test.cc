@@ -6,8 +6,8 @@
 // result of the same options. A second sweep proves the persistence
 // guarantee: an index saved to a snapshot and warm-loaded answers
 // bit-identically to the cold-built one under every fuzzed
-// configuration. The service and warm-start legs run under both forced
-// planner routes. A third sweep covers approximate requests: on every
+// configuration. The service and warm-start legs run on both routes.
+// A third sweep covers approximate requests: on every
 // seeded config they return the exact answer's bytes, on the index and
 // on the sharded service, and that answer matches the oracle (recall 1.0
 // meets any target). Any mismatch prints a one-line repro of the failing
@@ -65,19 +65,15 @@ const char* PlacementName(
   return "?";
 }
 
-const char* ModeName(core::PlannerMode mode) {
-  switch (mode) {
-    case core::PlannerMode::kForceDevice: return "device";
-    case core::PlannerMode::kForceHost: return "host";
-  }
-  return "?";
+const char* RouteName(core::QueryRoute route) {
+  return route == core::QueryRoute::kDevice ? "device" : "host";
 }
 
-/// The serving and warm-start legs run under each forced route, so the
-/// device engine is checked with every fuzzed option on cold and on
+/// The serving and warm-start legs run on each route, so the device
+/// engine is checked with every fuzzed option on cold and on
 /// snapshot-restored shards, and so is the host scan.
-constexpr core::PlannerMode kRoutes[] = {core::PlannerMode::kForceDevice,
-                                         core::PlannerMode::kForceHost};
+constexpr core::QueryRoute kRoutes[] = {core::QueryRoute::kDevice,
+                                        core::QueryRoute::kHost};
 
 /// One-line repro of a failing config, pasteable into a bug report.
 std::string Repro(const FuzzConfig& cfg) {
@@ -196,8 +192,8 @@ void RunConfig(const FuzzConfig& cfg) {
   service_config.options = cfg.options;
   serve::KnnService service(target, service_config);
 
-  for (const core::PlannerMode route : kRoutes) {
-    service.planner().set_mode(route);
+  for (const core::QueryRoute route : kRoutes) {
+    service.set_route(route);
     constexpr int kClients = 4;
     std::vector<KnnResult> answers(kClients);
     std::vector<size_t> begins(kClients);
@@ -229,7 +225,7 @@ void RunConfig(const FuzzConfig& cfg) {
           const Neighbor& want = engine_result.row(global)[i];
           const Neighbor& got = answer.row(r)[i];
           if (want.index != got.index || want.distance != got.distance) {
-            ADD_FAILURE() << "service (" << ModeName(route)
+            ADD_FAILURE() << "service (" << RouteName(route)
                           << " route) vs single engine: query " << global
                           << " rank " << i << " want (" << want.index
                           << ", " << want.distance << ") got ("
@@ -263,21 +259,22 @@ void RunConfig(const FuzzConfig& cfg) {
     std::filesystem::remove_all(snapshot_dir);
     return;
   }
-  for (const core::PlannerMode route : kRoutes) {
-    warm_service.planner().set_mode(route);
+  for (const core::QueryRoute route : kRoutes) {
+    warm_service.set_route(route);
     const KnnResult warm_answer =
         warm_service.JoinBatch(queries, cfg.k).value();
     for (size_t q = 0; q < warm_answer.num_queries(); ++q) {
       if (std::memcmp(engine_result.row(q), warm_answer.row(q),
                       static_cast<size_t>(cfg.k) * sizeof(Neighbor)) != 0) {
-        ADD_FAILURE() << "warm-started service (" << ModeName(route)
+        ADD_FAILURE() << "warm-started service (" << RouteName(route)
                       << " route) diverged at query " << q
                       << " — repro: " << Repro(cfg);
         break;
       }
     }
   }
-  if (warm_service.planner().device_routes() == 0) {
+  if (warm_service.metrics().CounterValue(
+          "sweetknn_planner_device_routes_total") == 0.0) {
     ADD_FAILURE() << "no restored shard answered on the device — repro: "
                   << Repro(cfg);
   }
@@ -319,23 +316,26 @@ void RunWarmStartConfig(const FuzzConfig& cfg, const std::string& path) {
     return;
   }
 
-  for (const core::PlannerMode route : kRoutes) {
-    cold.planner().set_mode(route);
-    warm.value()->planner().set_mode(route);
+  bool device_answered = false;
+  for (const core::QueryRoute route : kRoutes) {
+    cold.set_route(route);
+    warm.value()->set_route(route);
     const KnnResult want = cold.Query(queries, cfg.k);
-    const KnnResult got = warm.value()->Query(queries, cfg.k);
+    core::KnnRunStats stats;
+    const KnnResult got = warm.value()->Query(queries, cfg.k, &stats);
+    device_answered |= stats.sim_time_s > 0.0;
     ASSERT_EQ(want.num_queries(), got.num_queries());
     for (size_t q = 0; q < want.num_queries(); ++q) {
       if (std::memcmp(want.row(q), got.row(q),
                       static_cast<size_t>(cfg.k) * sizeof(Neighbor)) != 0) {
-        ADD_FAILURE() << "warm-loaded index (" << ModeName(route)
+        ADD_FAILURE() << "warm-loaded index (" << RouteName(route)
                       << " route) diverged at query " << q
                       << " — repro: " << Repro(cfg);
         return;
       }
     }
   }
-  EXPECT_GT(warm.value()->planner().device_routes(), 0u)
+  EXPECT_TRUE(device_answered)
       << "the restored index never answered on the device — repro: "
       << Repro(cfg);
 }
@@ -470,9 +470,9 @@ TEST(DifferentialFuzzTest, ApproxSweepAnswersExactBytesOnEveryConfig) {
 // ---------------------------------------------------------------------------
 // Range modalities (docs/modalities.md): RadiusSearch, SelfJoin, and
 // KnnGraph vs their brute-force oracles, ≥200 seeded configs per
-// modality. Every config runs the modality under a fuzzed planner mode
-// at a fuzzed SIMD dispatch tier, then re-runs it under the OPPOSITE
-// forced mode at a DIFFERENT tier and demands the two answers be
+// modality. Every config runs the modality on a fuzzed route at a
+// fuzzed SIMD dispatch tier, then re-runs it on the OPPOSITE route at a
+// DIFFERENT tier and demands the two answers be
 // bit-identical. KnnGraph's kNN chunks switch routes between the legs;
 // RadiusSearch and SelfJoin run the TI range scan on both (range
 // groups take no route), so for them the second leg changes the tier
@@ -492,7 +492,7 @@ struct RangeFuzzConfig {
   float radius = 0.0f;
   int graph_k = 1;
   core::Metric metric = core::Metric::kEuclidean;
-  core::PlannerMode mode = core::PlannerMode::kForceHost;
+  core::QueryRoute route = core::QueryRoute::kHost;
   int simd_level = -1;  ///< simd::ForceLevelForTest arg; -1 = detected.
 };
 
@@ -504,7 +504,7 @@ std::string RangeRepro(const char* kind, const RangeFuzzConfig& cfg) {
       << " r=" << cfg.radius << " gk=" << cfg.graph_k << " metric="
       << (cfg.metric == core::Metric::kEuclidean ? "euclidean"
                                                  : "manhattan")
-      << " route=" << ModeName(cfg.mode) << " simd=" << cfg.simd_level;
+      << " route=" << RouteName(cfg.route) << " simd=" << cfg.simd_level;
   return out.str();
 }
 
@@ -524,10 +524,10 @@ RangeFuzzConfig DrawRangeConfig(uint64_t seed) {
   cfg.metric = rng.NextBounded(2) == 0 ? core::Metric::kEuclidean
                                        : core::Metric::kManhattan;
   // Three-way draw, so every seed keeps naming the same config: case 0
-  // was the retired device-sampling mode, which routed to the host.
+  // was the retired device-sampling route, which ran on the host.
   switch (rng.NextBounded(3)) {
-    case 1: cfg.mode = core::PlannerMode::kForceDevice; break;
-    default: cfg.mode = core::PlannerMode::kForceHost; break;
+    case 1: cfg.route = core::QueryRoute::kDevice; break;
+    default: cfg.route = core::QueryRoute::kHost; break;
   }
   const uint64_t level = rng.NextBounded(4);
   cfg.simd_level = level == 3 ? -1 : static_cast<int>(level);
@@ -545,17 +545,17 @@ struct SimdLevelGuard {
   ~SimdLevelGuard() { simd::ForceLevelForTest(-1); }
 };
 
-/// Builds the config's index (metric + planner route) and replays its
+/// Builds the config's index (metric + route) and replays its
 /// seeded mutation tape. Insert/remove draws come from a dedicated Rng
 /// so every replay — primary route, alternate route — sees the identical
 /// live set.
 std::unique_ptr<SweetKnnIndex> BuildMutatedIndex(const RangeFuzzConfig& cfg,
-                                                 core::PlannerMode mode) {
+                                                 core::QueryRoute route) {
   const HostMatrix target = testing::ClusteredPoints(
       cfg.n, cfg.dims, cfg.clusters, SplitMix64(cfg.seed), 0.08f);
   SweetKnn::Config config;
   config.options.metric = cfg.metric;
-  config.planner.mode = mode;
+  config.route = route;
   auto index = std::make_unique<SweetKnnIndex>(target, config);
   Rng rng(SplitMix64(cfg.seed + 2));
   uint32_t next_id = static_cast<uint32_t>(cfg.n);
@@ -596,13 +596,12 @@ std::vector<Neighbor> OracleRangeRow(const float* query,
   return out;
 }
 
-/// The alternate leg of each config: the opposite forced route at a
-/// different SIMD tier (ForceLevelForTest clamps unavailable tiers to
-/// scalar, which still exercises the dispatch seam).
-core::PlannerMode OppositeRoute(core::PlannerMode mode) {
-  return mode == core::PlannerMode::kForceHost
-             ? core::PlannerMode::kForceDevice
-             : core::PlannerMode::kForceHost;
+/// The alternate leg of each config: the opposite route at a different
+/// SIMD tier (ForceLevelForTest clamps unavailable tiers to scalar,
+/// which still exercises the dispatch seam).
+core::QueryRoute OppositeRoute(core::QueryRoute route) {
+  return route == core::QueryRoute::kHost ? core::QueryRoute::kDevice
+                                          : core::QueryRoute::kHost;
 }
 
 int AlternateSimdLevel(int level) { return level == 0 ? 2 : 0; }
@@ -611,7 +610,7 @@ void RunRadiusConfig(const RangeFuzzConfig& cfg) {
   SimdLevelGuard guard;
   simd::ForceLevelForTest(cfg.simd_level);
   const std::unique_ptr<SweetKnnIndex> index =
-      BuildMutatedIndex(cfg, cfg.mode);
+      BuildMutatedIndex(cfg, cfg.route);
   const HostMatrix queries = testing::ClusteredPoints(
       cfg.query_n, cfg.dims, cfg.clusters, SplitMix64(cfg.seed + 1), 0.08f);
   std::vector<uint32_t> ids;
@@ -645,7 +644,7 @@ void RunRadiusConfig(const RangeFuzzConfig& cfg) {
   // Opposite route, different tier: bit-identical or bust.
   simd::ForceLevelForTest(AlternateSimdLevel(cfg.simd_level));
   const std::unique_ptr<SweetKnnIndex> alternate =
-      BuildMutatedIndex(cfg, OppositeRoute(cfg.mode));
+      BuildMutatedIndex(cfg, OppositeRoute(cfg.route));
   const RangeResult other = alternate->RadiusSearch(queries, cfg.radius);
   if (!BitIdentical(got, other)) {
     ADD_FAILURE() << "routes diverged — repro: " << RangeRepro("radius", cfg);
@@ -673,7 +672,7 @@ void RunSelfJoinConfig(const RangeFuzzConfig& cfg) {
   SimdLevelGuard guard;
   simd::ForceLevelForTest(cfg.simd_level);
   const std::unique_ptr<SweetKnnIndex> index =
-      BuildMutatedIndex(cfg, cfg.mode);
+      BuildMutatedIndex(cfg, cfg.route);
   std::vector<uint32_t> ids;
   HostMatrix live;
   index->ExportLive(&ids, &live);
@@ -711,7 +710,7 @@ void RunSelfJoinConfig(const RangeFuzzConfig& cfg) {
 
   simd::ForceLevelForTest(AlternateSimdLevel(cfg.simd_level));
   const std::unique_ptr<SweetKnnIndex> alternate =
-      BuildMutatedIndex(cfg, OppositeRoute(cfg.mode));
+      BuildMutatedIndex(cfg, OppositeRoute(cfg.route));
   const std::vector<SelfJoinPair> other = alternate->SelfJoin(cfg.radius);
   if (other.size() != got.size() ||
       !std::equal(got.begin(), got.end(), other.begin())) {
@@ -735,7 +734,7 @@ void RunKnnGraphConfig(const RangeFuzzConfig& cfg) {
   SimdLevelGuard guard;
   simd::ForceLevelForTest(cfg.simd_level);
   const std::unique_ptr<SweetKnnIndex> index =
-      BuildMutatedIndex(cfg, cfg.mode);
+      BuildMutatedIndex(cfg, cfg.route);
   std::vector<uint32_t> ids;
   HostMatrix live;
   index->ExportLive(&ids, &live);
@@ -787,7 +786,7 @@ void RunKnnGraphConfig(const RangeFuzzConfig& cfg) {
 
   simd::ForceLevelForTest(AlternateSimdLevel(cfg.simd_level));
   const std::unique_ptr<SweetKnnIndex> alternate =
-      BuildMutatedIndex(cfg, OppositeRoute(cfg.mode));
+      BuildMutatedIndex(cfg, OppositeRoute(cfg.route));
   const SweetKnnIndex::KnnGraphResult other =
       alternate->KnnGraph(cfg.graph_k);
   if (other.ids != got.ids) {

@@ -36,8 +36,9 @@ TEST_P(PaperDatasetAgreement, AllEnginesAgree) {
   // The host route's TI scan (a default index routes every batch there).
   {
     SweetKnnIndex index(data.points);
-    ExpectResultsMatch(oracle, index.Query(data.points, k));
-    EXPECT_EQ(index.planner().host_routes(), 1u);
+    core::KnnRunStats stats;
+    ExpectResultsMatch(oracle, index.Query(data.points, k, &stats));
+    EXPECT_EQ(stats.sim_time_s, 0.0);  // no simulated device ran
   }
 
   // GPU brute force (exact mode).

@@ -208,7 +208,7 @@ std::string ClusterNeighborSnapshot(const std::string& dataset_name,
 
   serve::RouterConfig config;
   config.service.num_shards = 2;
-  config.service.planner.mode = core::PlannerMode::kForceDevice;
+  config.service.route = core::QueryRoute::kDevice;
   config.num_workers = 2;
   config.worker_binary = worker_binary;
   Result<std::unique_ptr<serve::Router>> started =

@@ -8,16 +8,16 @@
 // step.) Checkpoints additionally rebuild a cold index over the final
 // live set and round-trip the mutated state through .sksnap snapshots
 // (Save/Load for the index, SaveSnapshots/FromSnapshots for the
-// service), querying the restored object on both forced routes, all
+// service), querying the restored object on both routes, all
 // bit-exact. Any mismatch prints a one-line repro of the failing
 // sequence.
 //
 // Every step also randomly flips the two knobs that are contractually
-// invisible in the answers: the hybrid planner's route (force-device /
-// force-host) and the SIMD dispatch tier (forced scalar vs
-// best available). The bit-identical oracle check therefore proves
-// route and vector-width independence across every interleaving, not
-// just in dedicated equivalence tests. The flips are derived from the
+// invisible in the answers: the kNN route (device or host) and the
+// SIMD dispatch tier (forced scalar vs best available). The
+// bit-identical oracle check therefore proves route and vector-width
+// independence across every interleaving, not just in dedicated
+// equivalence tests. The flips are derived from the
 // sequence seed, so a repro line replays them exactly.
 //
 // Each sequence ends with an approx checkpoint: approximate queries over
@@ -57,28 +57,28 @@ struct ScopedSimdDispatch {
   ~ScopedSimdDispatch() { simd::ForceLevelForTest(-1); }
 };
 
-/// Per-step flip of the answer-invisible knobs: planner route and SIMD
-/// dispatch tier. `planner` is the live router of the index or service
-/// under test.
-void ToggleInvisibleKnobs(Rng* rng, core::RoutePlanner* planner) {
-  // Case 0 was the retired device-sampling mode; it maps to the host so
+/// Per-step flip of the answer-invisible knobs: the kNN route of the
+/// index or service under test and the SIMD dispatch tier.
+template <typename Target>
+void ToggleInvisibleKnobs(Rng* rng, Target* target) {
+  // Case 0 was the retired device-sampling route; it maps to the host so
   // every seed keeps drawing the same flips.
   switch (rng->NextBounded(4)) {
-    case 1: planner->set_mode(core::PlannerMode::kForceDevice); break;
+    case 1: target->set_route(core::QueryRoute::kDevice); break;
     case 0:
-    case 2: planner->set_mode(core::PlannerMode::kForceHost); break;
-    default: break;  // keep the current mode
+    case 2: target->set_route(core::QueryRoute::kHost); break;
+    default: break;  // keep the current route
   }
   simd::ForceLevelForTest(rng->NextBounded(2) == 0 ? 0 : -1);
 }
 
 /// The snapshot checkpoints query the restored index or service on both
-/// forced routes; the per-step flips only reach the mutated object.
-constexpr core::PlannerMode kRoutes[] = {core::PlannerMode::kForceDevice,
-                                         core::PlannerMode::kForceHost};
+/// routes; the per-step flips only reach the mutated object.
+constexpr core::QueryRoute kRoutes[] = {core::QueryRoute::kDevice,
+                                        core::QueryRoute::kHost};
 
-const char* RouteName(core::PlannerMode route) {
-  return route == core::PlannerMode::kForceDevice ? "device" : "host";
+const char* RouteName(core::QueryRoute route) {
+  return route == core::QueryRoute::kDevice ? "device" : "host";
 }
 
 struct MutationFuzzConfig {
@@ -362,7 +362,7 @@ void RunIndexSequence(const MutationFuzzConfig& cfg) {
   Rng toggle_rng(SplitMix64(cfg.seed + 91));
   Rng rng(SplitMix64(cfg.seed + 17));
   for (int op = 0; op < cfg.ops; ++op) {
-    ToggleInvisibleKnobs(&toggle_rng, &index.planner());
+    ToggleInvisibleKnobs(&toggle_rng, &index);
     const uint64_t dice = rng.NextBounded(100);
     if (dice < 30) {
       const std::vector<float> point = RandomPoint(&rng, cfg.dims);
@@ -446,8 +446,8 @@ void RunIndexSequence(const MutationFuzzConfig& cfg) {
     ADD_FAILURE() << "Load failed: " << loaded.status().ToString();
     return;
   }
-  for (const core::PlannerMode route : kRoutes) {
-    loaded.value()->planner().set_mode(route);
+  for (const core::QueryRoute route : kRoutes) {
+    loaded.value()->set_route(route);
     if (!ExpectBitIdentical(
             mutated_answer,
             loaded.value()->Query(checkpoint_queries, checkpoint_k),
@@ -460,7 +460,7 @@ void RunIndexSequence(const MutationFuzzConfig& cfg) {
   // Checkpoint (range modalities): RadiusSearch and SelfJoin over the
   // mutated overlay match the brute-force closed-ball oracle over the
   // model, under one more random flip of the invisible knobs.
-  ToggleInvisibleKnobs(&toggle_rng, &index.planner());
+  ToggleInvisibleKnobs(&toggle_rng, &index);
   const float checkpoint_radius = 0.05f + rng.NextFloat() * 0.6f;
   if (!ExpectRangeMatchesModel(
           model, cfg.dims, checkpoint_queries, checkpoint_radius,
@@ -513,7 +513,7 @@ void RunServiceSequence(const MutationFuzzConfig& cfg) {
   Rng toggle_rng(SplitMix64(cfg.seed + 93));
   Rng rng(SplitMix64(cfg.seed + 31));
   for (int op = 0; op < cfg.ops; ++op) {
-    ToggleInvisibleKnobs(&toggle_rng, &service.planner());
+    ToggleInvisibleKnobs(&toggle_rng, &service);
     const uint64_t dice = rng.NextBounded(100);
     if (dice < 22) {
       const std::vector<float> point = RandomPoint(&rng, cfg.dims);
@@ -641,8 +641,8 @@ void RunServiceSequence(const MutationFuzzConfig& cfg) {
     return;
   }
   EXPECT_EQ(adopted.value()->target_rows(), model.size());
-  for (const core::PlannerMode route : kRoutes) {
-    adopted.value()->planner().set_mode(route);
+  for (const core::QueryRoute route : kRoutes) {
+    adopted.value()->set_route(route);
     Result<KnnResult> adopted_answer =
         adopted.value()->JoinBatch(checkpoint_queries, checkpoint_k);
     ASSERT_TRUE(adopted_answer.ok()) << adopted_answer.status().ToString();
@@ -659,7 +659,7 @@ void RunServiceSequence(const MutationFuzzConfig& cfg) {
   // through admission + the batch scheduler, SelfJoin through the whole
   // job pipeline (submit, snapshot, chunks, reduce) — both must match
   // the model's closed-ball oracle bit-for-bit.
-  ToggleInvisibleKnobs(&toggle_rng, &service.planner());
+  ToggleInvisibleKnobs(&toggle_rng, &service);
   const float checkpoint_radius = 0.05f + rng.NextFloat() * 0.6f;
   const Result<RangeResult> range_got =
       service.RadiusSearch(checkpoint_queries, checkpoint_radius);

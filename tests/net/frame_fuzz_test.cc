@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -405,24 +406,27 @@ TEST(WireFuzzTest, TenantFieldRoundTrip) {
   EXPECT_EQ(query_out.tenant, "default");
 }
 
-// Planner mode 0 was the retired device-sampling mode. The two forced
-// modes keep their wire values (1 and 2) and round-trip; a prepare
-// payload that still carries 0 is refused with a clean Status instead
-// of decoding into a mode this build no longer has.
-template <typename Request, typename Encode, typename Decode>
-void ExpectRetiredPlannerModeRejected(Request req, Encode encode,
-                                      Decode decode) {
-  req.planner.mode = core::PlannerMode::kForceDevice;
-  const std::string device = encode(req);
-  req.planner.mode = core::PlannerMode::kForceHost;
-  std::string payload = encode(req);
-  Request out;
-  ASSERT_TRUE(decode(device, &out).ok());
-  EXPECT_EQ(out.planner.mode, core::PlannerMode::kForceDevice);
-  ASSERT_TRUE(decode(payload, &out).ok());
-  EXPECT_EQ(out.planner.mode, core::PlannerMode::kForceHost);
+// Route 0 was the retired device-sampling mode. The two routes keep
+// their wire values (1 and 2) and round-trip in Query frames; a payload
+// that still carries 0 is refused with a clean Status instead of
+// decoding into a route this build no longer has.
+TEST(WireFuzzTest, RetiredPlannerModeRejected) {
+  QueryRequest req;
+  req.k = 3;
+  req.queries = SmallMatrix(2, 3, 7);
+  req.shard_indices = {1};
+  req.tenant = "faces";
+  req.route = core::QueryRoute::kDevice;
+  const std::string device = EncodeQuery(req);
+  req.route = core::QueryRoute::kHost;
+  std::string payload = EncodeQuery(req);
+  QueryRequest out;
+  ASSERT_TRUE(DecodeQuery(device, &out).ok());
+  EXPECT_EQ(out.route, core::QueryRoute::kDevice);
+  ASSERT_TRUE(DecodeQuery(payload, &out).ok());
+  EXPECT_EQ(out.route, core::QueryRoute::kHost);
 
-  // Values 1 and 2 differ only in the mode field's low byte.
+  // Values 1 and 2 differ only in the route field's low byte.
   ASSERT_EQ(device.size(), payload.size());
   size_t at = payload.size();
   for (size_t i = 0; i < payload.size(); ++i) {
@@ -432,24 +436,42 @@ void ExpectRetiredPlannerModeRejected(Request req, Encode encode,
   }
   ASSERT_LT(at, payload.size());
   payload[at] = 0;
-  const Status retired = decode(payload, &out);
+  const Status retired = DecodeQuery(payload, &out);
   ASSERT_FALSE(retired.ok());
   EXPECT_EQ(retired.code(), StatusCode::kIoError) << retired.ToString();
-  EXPECT_NE(retired.message().find("planner mode"), std::string::npos)
+  EXPECT_NE(retired.message().find("route"), std::string::npos)
       << retired.ToString();
 }
 
-TEST(WireFuzzTest, RetiredPlannerModeRejected) {
-  PrepareColdRequest cold;
-  cold.shard_index = 1;
-  cold.slice = SmallMatrix(2, 3, 7);
-  cold.tenant = "faces";
-  ExpectRetiredPlannerModeRejected(cold, EncodePrepareCold,
-                                   DecodePrepareCold);
-  PrepareSnapshotRequest snap;
-  snap.path = "/tmp/x.sksnap";
-  ExpectRetiredPlannerModeRejected(snap, EncodePrepareSnapshot,
-                                   DecodePrepareSnapshot);
+/// Query frames a worker must refuse: k of 0 or past INT_MAX (the worker
+/// runs k as an int), and routes other than 1 and 2.
+std::vector<QueryRequest> OutOfRangeQueries(const QueryRequest& valid) {
+  std::vector<QueryRequest> bad;
+  for (const uint32_t k : {0u, 0x80000000u, 0xFFFFFFFFu}) {
+    bad.push_back(valid);
+    bad.back().k = k;
+  }
+  for (const uint32_t route : {0u, 3u}) {
+    bad.push_back(valid);
+    bad.back().route = static_cast<core::QueryRoute>(route);
+  }
+  return bad;
+}
+
+TEST(WireFuzzTest, QueryKAndRouteOutOfRangeRejected) {
+  QueryRequest valid;
+  valid.k = static_cast<uint32_t>(std::numeric_limits<int>::max());
+  valid.queries = SmallMatrix(1, 3, 8);
+  valid.shard_indices = {0};
+  QueryRequest out;
+  ASSERT_TRUE(DecodeQuery(EncodeQuery(valid), &out).ok());
+  EXPECT_EQ(out.k, valid.k);
+  for (const QueryRequest& bad : OutOfRangeQueries(valid)) {
+    const Status status = DecodeQuery(EncodeQuery(bad), &out);
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << "k=" << bad.k << " route=" << static_cast<uint32_t>(bad.route)
+        << ": " << status.ToString();
+  }
 }
 
 TEST(WireFuzzTest, ListIndexesReplyRoundTripAndAbsurdCountRejected) {
@@ -505,25 +527,64 @@ TEST(WireFuzzTest, RangeQueryReplyRoundTripAndAbsurdShardCountRejected) {
             StatusCode::kIoError);
 }
 
+std::chrono::steady_clock::time_point Deadline() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(10);
+}
+
+/// A ShardWorker serving from a thread of this process on a fresh socket,
+/// with the test's connection to it (`connected` says whether it opened).
+struct LocalWorker {
+  explicit LocalWorker(const std::string& name)
+      : path((std::filesystem::temp_directory_path() /
+              ("sweetknn-frame-fuzz-" + name + "-" +
+               std::to_string(::getpid()) + ".sock"))
+                 .string()),
+        worker(path),
+        thread([this] { served = worker.Run(); }) {
+    Result<Connection> opened = Connection::Connect(path, Deadline());
+    connected = opened.status();
+    if (opened.ok()) conn = std::move(opened).value();
+  }
+  /// After a test that failed before Stop(), the worker ends at the EOF.
+  ~LocalWorker() {
+    conn.Close();
+    if (thread.joinable()) thread.join();
+  }
+  LocalWorker(const LocalWorker&) = delete;
+  LocalWorker& operator=(const LocalWorker&) = delete;
+
+  /// One request/reply exchange.
+  Result<Frame> Call(uint32_t type, const std::string& payload) {
+    SK_RETURN_IF_ERROR(SendFrame(conn, type, payload, Deadline()));
+    return RecvFrame(conn, Deadline());
+  }
+
+  /// Shuts the worker down over the wire and joins its thread; the worker
+  /// must have stayed up, and must end cleanly.
+  void Stop() {
+    const Result<Frame> ack =
+        Call(static_cast<uint32_t>(MsgType::kShutdown), "");
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    EXPECT_EQ(ack.value().type, static_cast<uint32_t>(MsgType::kAck));
+    thread.join();
+    EXPECT_TRUE(served.ok()) << served.ToString();
+  }
+
+  const std::string path;
+  serve::ShardWorker worker;
+  Status served = Status::Ok();
+  std::thread thread;
+  Status connected = Status::Ok();
+  Connection conn;
+};
+
 // The worker-side job protocol (types 80-85) is gone, and its numbers
 // are not reused: a peer still speaking it gets a clean Error frame
 // naming the unknown type, and the worker keeps serving.
 TEST(WireFuzzTest, WorkerAnswersRetiredJobTypeWithAnErrorFrame) {
-  const std::string socket_path =
-      (std::filesystem::temp_directory_path() /
-       ("sweetknn-frame-fuzz-" + std::to_string(::getpid()) + ".sock"))
-          .string();
-  serve::ShardWorker worker(socket_path);
-  Status served = Status::Ok();
-  std::thread serve([&] { served = worker.Run(); });
-
-  const auto deadline = [] {
-    return std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  };
-  Result<Connection> conn = Connection::Connect(socket_path, deadline());
-  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
-  ASSERT_TRUE(SendFrame(conn.value(), 80, "", deadline()).ok());
-  Result<Frame> reply = RecvFrame(conn.value(), deadline());
+  LocalWorker local("jobs");
+  ASSERT_TRUE(local.connected.ok()) << local.connected.ToString();
+  const Result<Frame> reply = local.Call(80, "");
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply.value().type, static_cast<uint32_t>(MsgType::kError));
   const Status error = DecodeError(reply.value().payload);
@@ -531,16 +592,49 @@ TEST(WireFuzzTest, WorkerAnswersRetiredJobTypeWithAnErrorFrame) {
   EXPECT_NE(error.message().find("unknown message type 80"),
             std::string::npos)
       << error.ToString();
+  local.Stop();
+}
 
-  ASSERT_TRUE(SendFrame(conn.value(),
-                        static_cast<uint32_t>(MsgType::kShutdown), "",
-                        deadline())
-                  .ok());
-  reply = RecvFrame(conn.value(), deadline());
+// A Query frame with k = 0, k past INT_MAX or an unknown route reaches a
+// worker that hosts a shard: the worker answers each with an Error frame
+// and stays alive, and then answers a valid group normally.
+TEST(WireFuzzTest, WorkerAnswersOutOfRangeQueryWithAnErrorFrame) {
+  LocalWorker local("query");
+  ASSERT_TRUE(local.connected.ok()) << local.connected.ToString();
+
+  PrepareColdRequest prepare;
+  prepare.slice = SmallMatrix(20, 3, 12);
+  const Result<Frame> prepared = local.Call(
+      static_cast<uint32_t>(MsgType::kPrepareCold), EncodePrepareCold(prepare));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_EQ(prepared.value().type, static_cast<uint32_t>(MsgType::kAck));
+
+  QueryRequest valid;
+  valid.k = 10;
+  valid.queries = SmallMatrix(2, 3, 13);
+  valid.shard_indices = {0};
+  const auto query = [&](const QueryRequest& req) {
+    return local.Call(static_cast<uint32_t>(MsgType::kQuery),
+                      EncodeQuery(req));
+  };
+  for (const QueryRequest& bad : OutOfRangeQueries(valid)) {
+    SCOPED_TRACE("k=" + std::to_string(bad.k) +
+                 " route=" + std::to_string(static_cast<uint32_t>(bad.route)));
+    const Result<Frame> reply = query(bad);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().type, static_cast<uint32_t>(MsgType::kError));
+    EXPECT_EQ(DecodeError(reply.value().payload).code(),
+              StatusCode::kIoError);
+  }
+  const Result<Frame> reply = query(valid);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply.value().type, static_cast<uint32_t>(MsgType::kAck));
-  serve.join();
-  EXPECT_TRUE(served.ok()) << served.ToString();
+  ASSERT_EQ(reply.value().type, static_cast<uint32_t>(MsgType::kQueryReply));
+  QueryReply answers;
+  ASSERT_TRUE(DecodeQueryReply(reply.value().payload, &answers).ok());
+  ASSERT_EQ(answers.answers.size(), 1u);
+  EXPECT_EQ(answers.answers[0].result.num_queries(), 2u);
+  EXPECT_EQ(answers.answers[0].result.k(), 10);
+  local.Stop();
 }
 
 TEST(WireFuzzTest, ErrorRoundTrip) {

@@ -70,19 +70,21 @@ TEST(HotSwapTest, WarmStartMatchesColdBitwise) {
 
   // Both routes answer from the restored shards: the device engine and
   // the host scan.
-  for (const core::PlannerMode mode :
-       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
-    cold.planner().set_mode(mode);
-    warm.planner().set_mode(mode);
+  for (const core::QueryRoute route :
+       {core::QueryRoute::kDevice, core::QueryRoute::kHost}) {
+    cold.set_route(route);
+    warm.set_route(route);
     for (const int k : {1, 7}) {
       const KnnResult a = cold.JoinBatch(queries, k).value();
       const KnnResult b = warm.JoinBatch(queries, k).value();
       EXPECT_TRUE(SameResult(a, b))
-          << "mode=" << static_cast<int>(mode) << " k=" << k;
+          << "route=" << static_cast<int>(route) << " k=" << k;
     }
   }
-  EXPECT_EQ(warm.planner().device_routes(), 6u);  // 2 k's x 3 shards
-  EXPECT_EQ(warm.planner().host_routes(), 6u);
+  // 2 k's x 3 shards on each route.
+  const common::MetricsRegistry& metrics = warm.metrics();
+  EXPECT_EQ(metrics.CounterValue("sweetknn_planner_device_routes_total"), 6.0);
+  EXPECT_EQ(metrics.CounterValue("sweetknn_planner_host_routes_total"), 6.0);
   std::filesystem::remove_all(dir);
 }
 

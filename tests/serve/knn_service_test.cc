@@ -53,7 +53,7 @@ TEST(KnnServiceTest, ConcurrentClientsBitIdenticalToSingleEngine) {
   config.num_shards = 3;
   config.max_batch_size = 16;
   // The sim-time stats below come from device-routed shards only.
-  config.planner.mode = core::PlannerMode::kForceDevice;
+  config.route = core::QueryRoute::kDevice;
   serve::KnnService service(target, config);
   ASSERT_EQ(service.num_shards(), 3);
 
@@ -336,7 +336,7 @@ TEST(KnnServiceTest, MetricsMirrorStatsAndCarryStageBreakdown) {
   config.num_shards = 2;
   // This test asserts per-shard simulated-device stats, so pin every
   // shard onto the device route (host-routed shards report none).
-  config.planner.mode = core::PlannerMode::kForceDevice;
+  config.route = core::QueryRoute::kDevice;
   serve::KnnService service(target, config);
   ASSERT_TRUE(service.JoinBatch(queries, 4).ok());
   const serve::ServiceStats stats = service.stats();
@@ -419,10 +419,10 @@ TEST(KnnServiceTest, SweepShardCountsStayExact) {
 
 // TSan target (tools/check_tsan.sh): a shard prepares its simulated
 // device on the first device-routed group that reaches it, inside the
-// fan-out and under the tenant mutex. Flipping the planner while clients
-// read sends some groups, and some shards of one group, down each route;
-// every answer must still carry the host route's bytes.
-TEST(KnnServiceTest, ModeFlipsUnderLiveReadsKeepHostRouteBytes) {
+// fan-out and under the tenant mutex. Flipping the route while clients
+// read sends some groups down each route; every answer must still carry
+// the host route's bytes.
+TEST(KnnServiceTest, RouteFlipsUnderLiveReadsKeepHostRouteBytes) {
   const HostMatrix target = ClusteredPoints(360, 5, 4, 413);
   const HostMatrix queries = ClusteredPoints(48, 5, 3, 414);
   constexpr int kNeighbors = 6;
@@ -435,12 +435,16 @@ TEST(KnnServiceTest, ModeFlipsUnderLiveReadsKeepHostRouteBytes) {
     std::vector<float> point(queries.row(q), queries.row(q) + queries.cols());
     reference[q] = service.Search(point, kNeighbors).value();
   }
-  ASSERT_EQ(service.planner().device_routes(), 0u);
-  const uint64_t reference_routes = service.planner().host_routes();
+  const common::MetricsRegistry& metrics = service.metrics();
+  const auto routes = [&](const char* series) {
+    return metrics.CounterValue(series);
+  };
+  ASSERT_EQ(routes("sweetknn_planner_device_routes_total"), 0.0);
+  const double reference_routes = routes("sweetknn_planner_host_routes_total");
 
-  // The first groups are device-routed; the flipper switches the mode
+  // The first groups are device-routed; the flipper switches the route
   // every 8 answers until the clients finish.
-  service.planner().set_mode(core::PlannerMode::kForceDevice);
+  service.set_route(core::QueryRoute::kDevice);
   std::atomic<int> answered{0};
   std::atomic<bool> done{false};
   std::thread flipper([&] {
@@ -448,9 +452,8 @@ TEST(KnnServiceTest, ModeFlipsUnderLiveReadsKeepHostRouteBytes) {
     while (!done.load()) {
       if (answered.load() / 8 > flips) {
         ++flips;
-        service.planner().set_mode(flips % 2 == 1
-                                       ? core::PlannerMode::kForceHost
-                                       : core::PlannerMode::kForceDevice);
+        service.set_route(flips % 2 == 1 ? core::QueryRoute::kHost
+                                         : core::QueryRoute::kDevice);
       }
       std::this_thread::yield();
     }
@@ -483,8 +486,8 @@ TEST(KnnServiceTest, ModeFlipsUnderLiveReadsKeepHostRouteBytes) {
                             kNeighbors, q);
     }
   }
-  EXPECT_GT(service.planner().device_routes(), 0u);
-  EXPECT_GT(service.planner().host_routes(), reference_routes);
+  EXPECT_GT(routes("sweetknn_planner_device_routes_total"), 0.0);
+  EXPECT_GT(routes("sweetknn_planner_host_routes_total"), reference_routes);
 }
 
 }  // namespace

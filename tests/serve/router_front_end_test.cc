@@ -135,7 +135,7 @@ TEST(RouterFrontEndTest, MaxQueueDepthShedsWithUnavailable) {
 TEST(RouterFrontEndTest, ExportsTheInProcessSeriesWithWorkerSimTime) {
   const HostMatrix target = testing::ClusteredPoints(96, 4, 3, 1203, 0.08f);
   RouterConfig config;
-  config.service.planner.mode = core::PlannerMode::kForceDevice;
+  config.service.route = core::QueryRoute::kDevice;
   START_CLUSTER_OR_SKIP(router, target, config);
 
   ASSERT_TRUE(router->JoinBatch(testing::UniformPoints(4, 4, 7), 3).ok());

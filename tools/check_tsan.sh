@@ -5,16 +5,15 @@
 # striped atomic locks, and the trace-replay pipeline are all exercised
 # under TSan; blocking_queue_test and knn_service_test exercise the
 # serving layer's admission queue, dispatcher, shard fan-out, and LRU
-# cache under concurrent clients, and knn_service_test flips the planner
+# cache under concurrent clients, and knn_service_test flips the route
 # under live reads so shards prepare their simulated devices inside the
 # fan-out; hot_swap_test swaps index generations
 # behind live traffic; metrics_test hammers the lock-free counters and
 # histograms from many threads; shutdown_storm_test races Submit against
 # Shutdown; swap_staleness_test races cache inserts against SwapIndex;
 # compaction_race_test races mutations, forced compactions, and hot
-# swaps against live clients; route_planner_test flips the hybrid
-# planner's mode from many threads while Choose() races the lock-free
-# route counters; shard_backend_test covers
+# swaps against live clients; query_route_test runs both routes on the
+# index, the service and a one-worker router; shard_backend_test covers
 # core::ShardHost, the transport-free shard dispatch/merge core both
 # serving backends and SweetKnnIndex share; router_timeout_test drives the cluster router's channel IO
 # threads, reply queues, and worker-death path (it spawns shard-worker
@@ -56,7 +55,7 @@ TESTS=(
   device_test
   parallel_launch_test
   clustering_test
-  route_planner_test
+  query_route_test
   level1_test
   level2_test
   ti_knn_gpu_test
@@ -80,7 +79,7 @@ TESTS=(
   host_image_test
 )
 
-# route_planner_test, router_timeout_test, router_front_end_test,
+# query_route_test, router_timeout_test, router_front_end_test,
 # job_test and ann_tier_test spawn shard-worker processes from the CLI
 # binary.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}" sweetknn_cli
