@@ -1,10 +1,13 @@
 // The two kNN routes (core::QueryRoute): every backend answers the same
 // bytes on either route, the default config never runs the simulated
-// device, and range searches take no route.
+// device, the live switch moves the next groups and every shard scan is
+// counted under its route, and range searches take no route.
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/matrix.h"
@@ -38,6 +41,22 @@ void ExpectBitIdentical(const KnnResult& want, const KnnResult& got,
           << what << " query " << q << " rank " << i;
     }
   }
+}
+
+// ExpectBitIdentical as a predicate, for client threads.
+bool SameBytes(const KnnResult& a, const KnnResult& b) {
+  if (a.k() != b.k() || a.num_queries() != b.num_queries()) return false;
+  for (size_t q = 0; q < a.num_queries(); ++q) {
+    for (int i = 0; i < a.k(); ++i) {
+      const Neighbor& x = a.row(q)[i];
+      const Neighbor& y = b.row(q)[i];
+      if (x.index != y.index ||
+          std::memcmp(&x.distance, &y.distance, sizeof(float)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 SweetKnn::Config IndexConfig(core::QueryRoute route, core::Metric metric) {
@@ -177,6 +196,170 @@ TEST(QueryRouteTest, ServiceAnswersBitIdenticallyOnEveryRoute) {
             2.0);
   EXPECT_EQ(routes(device_service, "sweetknn_planner_host_routes_total"),
             0.0);
+}
+
+// set_route moves every later kNN group, and only those: each group's
+// shards are counted under the route it ran on, device time accrues only
+// on device groups, and the answers never change. The index's switch
+// does the same for its batches.
+TEST(QueryRouteTest, SetRouteMovesLaterGroupsAndCountsEachShard) {
+  const HostMatrix target = ClusteredPoints(300, 5, 4, 523);
+  const HostMatrix queries = ClusteredPoints(10, 5, 2, 524);
+  serve::ServiceConfig config;
+  config.num_shards = 3;
+  serve::KnnService service(target, config);
+  const common::MetricsRegistry& metrics = service.metrics();
+  const auto device_routes = [&] {
+    return metrics.CounterValue("sweetknn_planner_device_routes_total");
+  };
+  const auto host_routes = [&] {
+    return metrics.CounterValue("sweetknn_planner_host_routes_total");
+  };
+
+  const Result<KnnResult> want = service.JoinBatch(queries, 4);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(host_routes(), 3.0);
+  EXPECT_EQ(device_routes(), 0.0);
+  EXPECT_EQ(service.stats().total_sim_time_s, 0.0);
+
+  service.set_route(core::QueryRoute::kDevice);
+  for (int group = 1; group <= 2; ++group) {
+    const Result<KnnResult> got = service.JoinBatch(queries, 4);
+    ASSERT_TRUE(got.ok());
+    ExpectBitIdentical(want.value(), got.value(), "device group");
+    EXPECT_EQ(device_routes(), 3.0 * group);
+    EXPECT_EQ(host_routes(), 3.0);
+  }
+  const double device_time = service.stats().total_sim_time_s;
+  EXPECT_GT(device_time, 0.0);
+
+  service.set_route(core::QueryRoute::kHost);
+  const Result<KnnResult> back = service.JoinBatch(queries, 4);
+  ASSERT_TRUE(back.ok());
+  ExpectBitIdentical(want.value(), back.value(), "host group");
+  EXPECT_EQ(host_routes(), 6.0);
+  EXPECT_EQ(device_routes(), 6.0);
+  EXPECT_EQ(service.stats().total_sim_time_s, device_time);
+
+  SweetKnnIndex index(target);
+  const KnnResult index_want = index.Query(queries, 4);
+  for (const core::QueryRoute route :
+       {core::QueryRoute::kDevice, core::QueryRoute::kHost,
+        core::QueryRoute::kDevice}) {
+    SCOPED_TRACE(static_cast<int>(route));
+    index.set_route(route);
+    core::KnnRunStats stats;
+    const KnnResult got = index.Query(queries, 4, &stats);
+    ExpectBitIdentical(index_want, got, "index batch");
+    EXPECT_EQ(stats.sim_time_s > 0.0, route == core::QueryRoute::kDevice);
+  }
+}
+
+// TSan target (tools/check_tsan.sh): clients' groups and route flips
+// race freely; the dispatcher reads the route once per group, so every
+// shard scan lands in exactly one route counter.
+TEST(QueryRouteTest, ConcurrentRouteFlipsLoseNoShardCounts) {
+  const HostMatrix target = ClusteredPoints(240, 4, 3, 525);
+  const HostMatrix queries = ClusteredPoints(6, 4, 2, 526);
+  serve::ServiceConfig config;
+  config.num_shards = 2;
+  serve::KnnService service(target, config);
+  const Result<KnnResult> want = service.JoinBatch(queries, 3);
+  ASSERT_TRUE(want.ok());
+
+  std::atomic<bool> done{false};
+  std::thread flipper([&] {
+    bool device = false;
+    while (!done.load()) {
+      device = !device;
+      service.set_route(device ? core::QueryRoute::kDevice
+                               : core::QueryRoute::kHost);
+      std::this_thread::yield();
+    }
+  });
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 25;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < kPerClient; ++i) {
+        const Result<KnnResult> got = service.JoinBatch(queries, 3);
+        if (!got.ok() || !SameBytes(want.value(), got.value())) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  done.store(true);
+  flipper.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const common::MetricsRegistry& metrics = service.metrics();
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_GE(stats.engine_groups, 1u);
+  EXPECT_EQ(metrics.CounterValue("sweetknn_planner_device_routes_total") +
+                metrics.CounterValue("sweetknn_planner_host_routes_total"),
+            2.0 * static_cast<double>(stats.engine_groups));
+}
+
+// The route is configuration only: the retired SWEETKNN_PLANNER
+// environment variable moves no index, service or router off the route
+// its config names.
+TEST(QueryRouteTest, PlannerEnvironmentVariableIsIgnored) {
+  const HostMatrix target = ClusteredPoints(200, 4, 3, 527);
+  const HostMatrix queries = ClusteredPoints(5, 4, 2, 528);
+  const auto expect_routes = [](const common::MetricsRegistry& m,
+                                double device, double host) {
+    EXPECT_EQ(m.CounterValue("sweetknn_planner_device_routes_total"), device);
+    EXPECT_EQ(m.CounterValue("sweetknn_planner_host_routes_total"), host);
+  };
+  for (const core::QueryRoute route :
+       {core::QueryRoute::kHost, core::QueryRoute::kDevice}) {
+    const bool device = route == core::QueryRoute::kDevice;
+    SCOPED_TRACE(static_cast<int>(route));
+    // Name the other route in the environment.
+    ::setenv("SWEETKNN_PLANNER", device ? "host" : "device", 1);
+
+    SweetKnnIndex index(target,
+                        IndexConfig(route, core::Metric::kEuclidean));
+    core::KnnRunStats run;
+    index.Query(queries, 3, &run);
+    EXPECT_EQ(run.sim_time_s > 0.0, device);
+
+    serve::ServiceConfig config;
+    config.num_shards = 2;
+    config.route = route;
+    serve::KnnService service(target, config);
+    ASSERT_TRUE(service.JoinBatch(queries, 3).ok());
+    expect_routes(service.metrics(), device ? 2.0 : 0.0, device ? 0.0 : 2.0);
+
+    // The router's workers are child processes that inherit the
+    // variable; it needs the worker binary, so it runs only when
+    // SWEETKNN_CLI points at sweetknn_cli (ctest exports it).
+    const char* cli = std::getenv("SWEETKNN_CLI");
+    if (cli != nullptr) {
+      serve::RouterConfig router_config;
+      router_config.service = config;
+      router_config.num_workers = 1;
+      router_config.worker_binary = cli;
+      Result<std::unique_ptr<serve::Router>> started =
+          serve::Router::Start(target, router_config);
+      ASSERT_TRUE(started.ok()) << started.status().ToString();
+      const std::unique_ptr<serve::Router> router =
+          std::move(started).value();
+      ASSERT_TRUE(router->JoinBatch(queries, 3).ok());
+      expect_routes(router->metrics(), device ? 2.0 : 0.0,
+                    device ? 0.0 : 2.0);
+      EXPECT_EQ(router->metrics().CounterValue(
+                    "sweetknn_sim_device_seconds_total") > 0.0,
+                device);
+      router->Shutdown();
+    }
+  }
+  ::unsetenv("SWEETKNN_PLANNER");
 }
 
 // Range searches take no route: ShardHost::RangeGroup always runs the
